@@ -31,9 +31,12 @@ let run input output out_tbin salvage lint obs_opts =
              { Nt_lint.Engine.default_config with reorder_window = 120. })
       else None
     in
+    let line = Buffer.create 256 in
     let emit r =
-      output_string oc (Nt_trace.Record.to_line r);
-      output_char oc '\n';
+      Buffer.clear line;
+      Nt_trace.Record.add_line line r;
+      Buffer.add_char line '\n';
+      Buffer.output_buffer oc line;
       Option.iter (fun (_, w) -> Nt_tbin.Writer.add w r) tbin;
       Option.iter (fun l -> Nt_lint.Engine.observe l r) linter;
       Nt_obs.Sampler.tick sampler;

@@ -3,6 +3,7 @@ type config = {
   lib_prefixes : string list;
   decode_prefixes : string list;
   hot_prefixes : string list;
+  alloc_roots : string list;
   acc_prefixes : string list;
   test_units : string list;
   merge_prop_fn : string;
@@ -22,6 +23,13 @@ let default_config =
     lib_prefixes = [ "Nt_" ];
     decode_prefixes = [ "Nt_xdr"; "Nt_rpc"; "Nt_nfs"; "Nt_net"; "Nt_tbin" ];
     hot_prefixes = [ "Nt_analysis" ];
+    alloc_roots =
+      [
+        "Nt_net.Pcap.read_slice";
+        "Nt_net.Tcp_reassembly.push_slice";
+        "Nt_rpc.Record_mark.push_slice";
+        "Nt_trace.Capture.feed_slice";
+      ];
     acc_prefixes = [ "Nt_analysis"; "Nt_lint"; "Nt_mon" ];
     test_units = [ "Test_par" ];
     merge_prop_fn = "prop_merge_laws";
@@ -30,6 +38,7 @@ let default_config =
     exn_roots =
       [
         "Nt_trace.Capture.create";
+        "Nt_trace.Capture.feed_slice";
         "Nt_trace.Capture.feed_packet";
         "Nt_trace.Capture.feed_pcap";
         "Nt_trace.Capture.finish";
@@ -164,12 +173,24 @@ let run config root =
   (* --- hot-set discovery for the alloc/bound families --- *)
   let graph = Hot.build units in
   let entry_fns = [ "observe"; "observe_shard"; "add" ] in
+  (* Named roots: the zero-copy capture path's slice entry points. *)
+  let roots_seen = Hashtbl.create 8 in
+  let alloc_root ~dotted ~fn =
+    let name = dotted ^ "." ^ fn in
+    List.mem name config.alloc_roots && (Hashtbl.replace roots_seen name (); true)
+  in
   let alloc_hot =
     Hot.solve graph ~seeds:(fun ~unit_name:_ ~dotted ~fn ->
         (List.mem fn entry_fns && prefix_scope config.hot_prefixes dotted)
         || (Syntax.starts_with ~prefix:"decode" fn
-           && prefix_scope config.decode_prefixes dotted))
+           && prefix_scope config.decode_prefixes dotted)
+        || alloc_root ~dotted ~fn)
   in
+  List.iter
+    (fun root ->
+      if not (Hashtbl.mem roots_seen root) then
+        config_finding (Printf.sprintf "alloc-hot root %s matched no top-level binding" root))
+    config.alloc_roots;
   (* Merge paths also carry the poly-compare rule (they run per shard,
      not per record, so the other alloc rules would be noise there). *)
   let cmp_hot =
@@ -177,7 +198,8 @@ let run config root =
         prefix_scope config.hot_prefixes dotted
         && (List.mem fn entry_fns || fn = "merge")
         || (Syntax.starts_with ~prefix:"decode" fn
-           && prefix_scope config.decode_prefixes dotted))
+           && prefix_scope config.decode_prefixes dotted)
+        || alloc_root ~dotted ~fn)
   in
   let bound_hot =
     Hot.solve graph ~seeds:(fun ~unit_name:_ ~dotted ~fn ->

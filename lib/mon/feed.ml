@@ -141,10 +141,17 @@ let rec tail_fill t =
             true
         | exception Unix.Unix_error _ -> false)
 
-let tail_consume t n =
-  t.pending <- String.sub t.pending n (String.length t.pending - n);
+(* Count [n] more bytes as parsed; [tail_drop] trims them off [pending]. *)
+let tail_advance t n =
   t.consumed <- Int64.add t.consumed (Int64.of_int n);
   Obs.add t.cs.c_bytes n
+
+let tail_drop t n =
+  if n > 0 then t.pending <- String.sub t.pending n (String.length t.pending - n)
+
+let tail_consume t n =
+  tail_advance t n;
+  tail_drop t n
 
 let tail_seek t off =
   tail_reset t;
@@ -250,35 +257,42 @@ let pcap_tail ?obs path =
       tail_consume t pcap_global_header
     end
   in
+  (* Frames go to the capture as slices of [pending], which is trimmed
+     once at the end rather than once per frame. *)
   let parse_records () =
+    let p = t.pending in
+    let pos = ref 0 in
     let continue = ref true in
     while !continue do
-      if String.length t.pending < pcap_record_header then continue := false
+      if String.length p - !pos < pcap_record_header then continue := false
       else begin
         let be = st.big_endian in
-        let ts_sec = u32 ~be t.pending 0 in
-        let ts_frac = u32 ~be t.pending 4 in
-        let incl_len = u32 ~be t.pending 8 in
+        let ts_sec = u32 ~be p !pos in
+        let ts_frac = u32 ~be p (!pos + 4) in
+        let incl_len = u32 ~be p (!pos + 8) in
         if incl_len > max_frame then begin
           (* Corrupt length: slide one byte and retry — the salvage
              strategy of the batch reader, minus its double
              validation, kept cheap for the hot tail path. *)
           Obs.inc t.cs.c_parse_errors;
-          tail_consume t 1
+          tail_advance t 1;
+          incr pos
         end
-        else if String.length t.pending < pcap_record_header + incl_len then
+        else if String.length p - !pos < pcap_record_header + incl_len then
           continue := false
         else begin
-          let frame = String.sub t.pending pcap_record_header incl_len in
           let time =
             Float.of_int ts_sec
             +. (Float.of_int ts_frac /. if st.nanosecond then 1e9 else 1e6)
           in
-          tail_consume t (pcap_record_header + incl_len);
-          Nt_trace.Capture.feed_packet cap ~time frame
+          let off = !pos + pcap_record_header in
+          pos := off + incl_len;
+          tail_advance t (pcap_record_header + incl_len);
+          Nt_trace.Capture.feed_slice cap ~time p ~off ~len:incl_len
         end
       end
-    done
+    done;
+    tail_drop t !pos
   in
   let rec pull_fn () =
     match Queue.take_opt queue with

@@ -92,22 +92,29 @@ let encode t =
   ignore payload;
   Bytes.unsafe_to_string b
 
-let header_checksum_ok s =
-  let len = String.length s in
-  if len < 34 || get16 s 12 <> ethertype_ipv4 then true
-  else begin
-    let vihl = get8 s 14 in
-    let ihl = (vihl land 0xF) * 4 in
-    if vihl lsr 4 <> 4 || ihl < 20 || 14 + ihl > len then true
-    else ipv4_checksum s ~pos:14 ~len:ihl = 0
-  end
+type header = {
+  ip_src : Ip_addr.t;
+  ip_dst : Ip_addr.t;
+  is_tcp : bool;
+  sport : int;
+  dport : int;
+  tcp_seq : int;
+  tcp_syn : bool;
+  tcp_fin : bool;
+  payload_off : int;
+  payload_len : int;
+  checksum_ok : bool;
+}
 
-let decode s =
-  let len = String.length s in
-  if len < 34 then Error "frame too short"
-  else if get16 s 12 <> ethertype_ipv4 then Error "not IPv4"
+let unsupported_protocol proto = Error (Printf.sprintf "unsupported IP protocol %d" proto)
+[@@nt.alloc_ok "formats the rejection of a non-UDP/TCP frame; never reached by NFS traffic"]
+
+let decode_slice s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then Error "slice out of bounds"
+  else if len < 34 then Error "frame too short"
+  else if get16 s (off + 12) <> ethertype_ipv4 then Error "not IPv4"
   else begin
-    let ip = 14 in
+    let ip = off + 14 in
     let vihl = get8 s ip in
     if vihl lsr 4 <> 4 then Error "not IP version 4"
     else begin
@@ -115,48 +122,60 @@ let decode s =
       if ihl < 20 then Error "bad IP header length"
       else begin
         let total = get16 s (ip + 2) in
-        if ip + total > len || total < ihl then Error "truncated IP packet"
+        if 14 + total > len || total < ihl then Error "truncated IP packet"
         else begin
           let proto = get8 s (ip + 9) in
-          let src_ip = get32 s (ip + 12) in
-          let dst_ip = get32 s (ip + 16) in
+          let ip_src = get32 s (ip + 12) and ip_dst = get32 s (ip + 16) in
+          let checksum_ok = ipv4_checksum s ~pos:ip ~len:ihl = 0 in
           let tp = ip + ihl in
-          let dst_mac = String.sub s 0 6 in
-          let src_mac = String.sub s 6 6 in
+          let ip_end = ip + total in
           if proto = proto_udp then begin
-            if ip + total - tp < 8 then Error "truncated UDP header"
+            if ip_end - tp < 8 then Error "truncated UDP header"
             else begin
-              let src_port = get16 s tp in
-              let dst_port = get16 s (tp + 2) in
               let udp_len = get16 s (tp + 4) in
-              if tp + udp_len > ip + total || udp_len < 8 then Error "bad UDP length"
+              if tp + udp_len > ip_end || udp_len < 8 then Error "bad UDP length"
               else
-                let payload = String.sub s (tp + 8) (udp_len - 8) in
-                Ok { src_mac; dst_mac; src_ip; dst_ip; transport = Udp { src_port; dst_port; payload } }
+                Ok
+                  { ip_src; ip_dst; is_tcp = false; sport = get16 s tp; dport = get16 s (tp + 2);
+                    tcp_seq = 0; tcp_syn = false; tcp_fin = false; payload_off = tp + 8;
+                    payload_len = udp_len - 8; checksum_ok }
             end
           end
           else if proto = proto_tcp then begin
-            if ip + total - tp < 20 then Error "truncated TCP header"
+            if ip_end - tp < 20 then Error "truncated TCP header"
             else begin
-              let src_port = get16 s tp in
-              let dst_port = get16 s (tp + 2) in
-              let seq = get32 s (tp + 4) in
               let doff = (get8 s (tp + 12) lsr 4) * 4 in
-              if doff < 20 || tp + doff > ip + total then Error "bad TCP data offset"
-              else begin
+              if doff < 20 || tp + doff > ip_end then Error "bad TCP data offset"
+              else
                 let flags = get8 s (tp + 13) in
-                let syn = flags land 0x02 <> 0 in
-                let fin = flags land 0x01 <> 0 in
-                let payload = String.sub s (tp + doff) (ip + total - tp - doff) in
                 Ok
-                  { src_mac; dst_mac; src_ip; dst_ip;
-                    transport = Tcp { src_port; dst_port; seq; syn; fin; payload } }
-              end
+                  { ip_src; ip_dst; is_tcp = true; sport = get16 s tp; dport = get16 s (tp + 2);
+                    tcp_seq = get32 s (tp + 4); tcp_syn = flags land 0x02 <> 0;
+                    tcp_fin = flags land 0x01 <> 0; payload_off = tp + doff;
+                    payload_len = ip_end - tp - doff; checksum_ok }
             end
           end
-          else Error (Printf.sprintf "unsupported IP protocol %d" proto)
+          else unsupported_protocol proto
         end
       end
     end
   end
-[@@nt.alloc_ok "materializes MACs and one payload copy per frame; zero-copy slices are a ROADMAP item"]
+
+let header_checksum_ok s =
+  match decode_slice s ~off:0 ~len:(String.length s) with Ok h -> h.checksum_ok | Error _ -> true
+
+let decode s =
+  match decode_slice s ~off:0 ~len:(String.length s) with
+  | Error _ as e -> e
+  | Ok h ->
+      let payload = String.sub s h.payload_off h.payload_len in
+      let transport =
+        if h.is_tcp then
+          Tcp { src_port = h.sport; dst_port = h.dport; seq = h.tcp_seq; syn = h.tcp_syn;
+                fin = h.tcp_fin; payload }
+        else Udp { src_port = h.sport; dst_port = h.dport; payload }
+      in
+      Ok { src_mac = String.sub s 6 6; dst_mac = String.sub s 0 6; src_ip = h.ip_src;
+           dst_ip = h.ip_dst; transport }
+[@@nt.alloc_ok "the copying adapter over decode_slice: materializes MACs and the payload for \
+                callers that keep a Frame.t beyond the buffer it was read from"]

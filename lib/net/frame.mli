@@ -33,17 +33,39 @@ val tcp : ?src_mac:string -> ?dst_mac:string -> ?syn:bool -> ?fin:bool -> src_ip
 val encode : t -> string
 (** Full Ethernet frame bytes. *)
 
-val decode : string -> (t, string) result
-(** Parse a frame; [Error] describes why it was rejected (non-IPv4
-    ethertype, truncation, bad header length, unsupported protocol).
-    The capture engine counts and skips rejected frames. *)
+type header = {
+  ip_src : Ip_addr.t;
+  ip_dst : Ip_addr.t;
+  is_tcp : bool;  (** otherwise UDP *)
+  sport : int;
+  dport : int;
+  tcp_seq : int;  (** TCP only, like the two flags *)
+  tcp_syn : bool;
+  tcp_fin : bool;
+  payload_off : int;  (** absolute offset of the payload in the decoded string *)
+  payload_len : int;
+  checksum_ok : bool;  (** the IPv4 header checksum verifies *)
+}
+(** A parsed frame whose payload stays where it was read. *)
 
-val ipv4_checksum : string -> pos:int -> len:int -> int
-(** One's-complement checksum over a header region, exposed for tests. *)
+val decode_slice : string -> off:int -> len:int -> (header, string) result
+(** Parse the frame in [s.[off .. off+len-1]] without copying it: the
+    payload is a range of [s]. [Error] describes why the frame was
+    rejected (non-IPv4 ethertype, truncation, bad header length,
+    unsupported protocol). The capture engine counts and skips rejected
+    frames. *)
+
+val decode : string -> (t, string) result
+(** {!decode_slice} over a whole string, copying the MACs and the
+    payload out. *)
 
 val header_checksum_ok : string -> bool
 (** Verify the IPv4 header checksum of an encoded frame. [true] when
-    the checksum verifies {e or} the frame is not structurally IPv4 (a
-    structural failure is {!decode}'s to report); [false] means the
+    the checksum verifies {e or} {!decode} rejects the frame (a
+    structural failure is its to report); [false] means the
     frame parsed but its header bytes were corrupted in flight — the
-    capture engine counts these separately from undecodable frames. *)
+    capture engine counts these separately from undecodable frames
+    (it reads the same verdict from {!header.checksum_ok}). *)
+
+val ipv4_checksum : string -> pos:int -> len:int -> int
+(** One's-complement checksum over a header region, exposed for tests. *)

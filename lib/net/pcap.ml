@@ -57,7 +57,9 @@ let write w ~time data =
 
 (* --- reading --- *)
 
-type source = From_string of { data : string; mutable pos : int } | From_channel of in_channel
+type slice = { time : float; orig_len : int; buf : string; off : int; len : int }
+
+type source = From_string | From_channel of in_channel
 
 type read_stats = {
   records : int;
@@ -72,10 +74,16 @@ type read_stats = {
    same numbers a --metrics snapshot reports. *)
 type reader = {
   source : source;
+  (* Bytes read but not yet consumed are [buf.[lo .. hi-1]]. A channel
+     reader refills one buffer in place, growing it only to fit the
+     largest record; a string reader's buffer is the input itself and is
+     never written. *)
+  mutable buf : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
   big_endian : bool;
   nanosecond : bool;
   salvage : bool;
-  mutable stash : string;  (* bytes read from the source but not yet consumed *)
   c_records : Nt_obs.Obs.counter;
   c_salvaged : Nt_obs.Obs.counter;
   c_skipped : Nt_obs.Obs.counter;
@@ -85,101 +93,93 @@ type reader = {
   mutable last_sec : int;  (* timestamp of the last good record, for resync *)
 }
 
-(* Read up to [n] bytes, consuming the stash first; shorter only at EOF. *)
-let read_upto r n =
-  let from_stash = min n (String.length r.stash) in
-  let head = String.sub r.stash 0 from_stash in
-  r.stash <- String.sub r.stash from_stash (String.length r.stash - from_stash);
-  let want = n - from_stash in
-  if want = 0 then head
-  else
-    match r.source with
-    | From_string s ->
-        let got = min want (String.length s.data - s.pos) in
-        let tail = String.sub s.data s.pos got in
-        s.pos <- s.pos + got;
-        head ^ tail
-    | From_channel ic ->
-        let b = Bytes.create want in
-        let rec fill off =
-          if off >= want then want
-          else
-            let got = input ic b off (want - off) in
-            if got = 0 then off else fill (off + got)
+let rec fill r ic n =
+  r.hi - r.lo >= n
+  ||
+  let got = input ic r.buf r.hi (Bytes.length r.buf - r.hi) in
+  got > 0
+  && begin
+       r.hi <- r.hi + got;
+       fill r ic n
+     end
+
+(* Whether [n] unconsumed bytes are buffered, reading more if needed;
+   false only at EOF. Refilling may move the bytes (offsets relative to
+   [lo] survive), which is what invalidates the previous slice. *)
+let available r n =
+  r.hi - r.lo >= n
+  ||
+  match r.source with
+  | From_string -> false
+  | From_channel ic ->
+      if r.lo + n > Bytes.length r.buf then begin
+        let live = r.hi - r.lo in
+        let dst =
+          if n > Bytes.length r.buf then Bytes.create (max n (2 * Bytes.length r.buf)) else r.buf
         in
-        let got = fill 0 in
-        head ^ Bytes.sub_string b 0 got
+        Bytes.blit r.buf r.lo dst 0 live;
+        r.buf <- dst;
+        r.lo <- 0;
+        r.hi <- live
+      end;
+      fill r ic n
 
 let u32 ~be s pos =
-  let b i = Char.code s.[pos + i] in
-  if be then (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-  else (b 3 lsl 24) lor (b 2 lsl 16) lor (b 1 lsl 8) lor b 0
+  let b0 = Char.code s.[pos] and b1 = Char.code s.[pos + 1] in
+  let b2 = Char.code s.[pos + 2] and b3 = Char.code s.[pos + 3] in
+  if be then (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
+  else (b3 lsl 24) lor (b2 lsl 16) lor (b1 lsl 8) lor b0
 
-let read_exact source n =
-  match source with
-  | From_string s ->
-      if String.length s.data - s.pos < n then None
-      else begin
-        let r = String.sub s.data s.pos n in
-        s.pos <- s.pos + n;
-        Some r
-      end
-  | From_channel ic -> (
-      let b = Bytes.create n in
-      try
-        really_input ic b 0 n;
-        Some (Bytes.to_string b)
-      with End_of_file -> None)
-
-let make_reader ?obs ~salvage source =
+let make_reader ?obs ~salvage source buf ~hi =
   let obs = match obs with Some o -> o | None -> Nt_obs.Obs.create () in
-  match read_exact source 24 with
-  | None -> raise (Bad_format "missing global header")
-  | Some hdr ->
-      let try_magic be =
-        let m = u32 ~be hdr 0 in
-        if m = magic_us then Some (be, false)
-        else if m = magic_ns then Some (be, true)
-        else None
-      in
-      let big_endian, nanosecond =
-        match try_magic true with
-        | Some r -> r
-        | None -> (
-            match try_magic false with
-            | Some r -> r
-            | None -> raise (Bad_format "bad magic number"))
-      in
-      let linktype = u32 ~be:big_endian hdr 20 in
-      if linktype <> linktype_ethernet then
-        raise (Bad_format (Printf.sprintf "unsupported linktype %d" linktype));
-      {
-        source;
-        big_endian;
-        nanosecond;
-        salvage;
-        stash = "";
-        c_records =
-          Nt_obs.Obs.counter obs ~help:"pcap records successfully decoded" "capture.pcap_records";
-        c_salvaged =
-          Nt_obs.Obs.counter obs ~help:"pcap records recovered after resync"
-            "capture.salvaged_records";
-        c_skipped =
-          Nt_obs.Obs.counter obs ~help:"bytes discarded while resyncing or at a cut-off tail"
-            "capture.skipped_bytes";
-        c_resyncs =
-          Nt_obs.Obs.counter obs ~help:"times the salvage scanner re-acquired a record boundary"
-            "capture.resyncs";
-        c_truncated =
-          Nt_obs.Obs.counter obs ~help:"captures that ended mid-record" "capture.truncated_tails";
-        truncated_tail = false;
-        last_sec = 0;
-      }
+  let r0 =
+    {
+      source;
+      buf;
+      lo = 0;
+      hi;
+      big_endian = false;
+      nanosecond = false;
+      salvage;
+      c_records =
+        Nt_obs.Obs.counter obs ~help:"pcap records successfully decoded" "capture.pcap_records";
+      c_salvaged =
+        Nt_obs.Obs.counter obs ~help:"pcap records recovered after resync"
+          "capture.salvaged_records";
+      c_skipped =
+        Nt_obs.Obs.counter obs ~help:"bytes discarded while resyncing or at a cut-off tail"
+          "capture.skipped_bytes";
+      c_resyncs =
+        Nt_obs.Obs.counter obs ~help:"times the salvage scanner re-acquired a record boundary"
+          "capture.resyncs";
+      c_truncated =
+        Nt_obs.Obs.counter obs ~help:"captures that ended mid-record" "capture.truncated_tails";
+      truncated_tail = false;
+      last_sec = 0;
+    }
+  in
+  if not (available r0 24) then raise (Bad_format "missing global header");
+  let hdr = Bytes.unsafe_to_string r0.buf in
+  let try_magic be =
+    let m = u32 ~be hdr r0.lo in
+    if m = magic_us then Some (be, false) else if m = magic_ns then Some (be, true) else None
+  in
+  let big_endian, nanosecond =
+    match try_magic true with
+    | Some r -> r
+    | None -> (
+        match try_magic false with Some r -> r | None -> raise (Bad_format "bad magic number"))
+  in
+  let linktype = u32 ~be:big_endian hdr (r0.lo + 20) in
+  if linktype <> linktype_ethernet then
+    raise (Bad_format (Printf.sprintf "unsupported linktype %d" linktype));
+  { r0 with lo = r0.lo + 24; big_endian; nanosecond }
 
 let reader_of_string ?obs ?(salvage = false) s =
-  make_reader ?obs ~salvage (From_string { data = s; pos = 0 })
+  make_reader ?obs ~salvage From_string (Bytes.unsafe_of_string s) ~hi:(String.length s)
 
-let reader_of_channel ?obs ?(salvage = false) ic = make_reader ?obs ~salvage (From_channel ic)
+let reader_of_channel ?obs ?(salvage = false) ic =
+  make_reader ?obs ~salvage (From_channel ic) (Bytes.create 65536) ~hi:0
 
 let read_stats r =
   {
@@ -196,6 +196,12 @@ let mark_truncated r =
     Nt_obs.Obs.inc r.c_truncated
   end
 
+(* Everything left is a cut-off tail. *)
+let skip_tail r =
+  Nt_obs.Obs.add r.c_skipped (r.hi - r.lo);
+  r.lo <- r.hi;
+  mark_truncated r
+
 (* A header is plausible when its lengths are frame-sized and its
    fractional timestamp is in range — the resync test applied to each
    byte offset while salvaging past a corrupt record. *)
@@ -211,100 +217,84 @@ let plausible r ~sec ~frac ~incl ~orig_len =
   && frac < (if r.nanosecond then 1_000_000_000 else 1_000_000)
   && (r.last_sec = 0 || abs (sec - r.last_sec) <= 30 * 86400)
 
-let parse_header r hdr =
-  let be = r.big_endian in
-  (u32 ~be hdr 0, u32 ~be hdr 4, u32 ~be hdr 8, u32 ~be hdr 12)
+(* The record header [at] bytes past the first unconsumed byte. *)
+let parse_header r at =
+  let be = r.big_endian and s = Bytes.unsafe_to_string r.buf and p = r.lo + at in
+  (u32 ~be s p, u32 ~be s (p + 4), u32 ~be s (p + 8), u32 ~be s (p + 12))
 
-(* Slide a 16-byte window one byte forward looking for the next
-   plausible record header; everything skipped is counted. *)
-let resync r hdr =
-  let window = ref hdr in
-  let result = ref None in
-  let continue = ref true in
-  while !continue do
-    let next = read_upto r 1 in
-    if String.length next = 0 then begin
-      (* EOF inside the corrupt region: the tail is unrecoverable. *)
-      Nt_obs.Obs.add r.c_skipped (String.length !window);
-      mark_truncated r;
-      continue := false
-    end
-    else begin
-      Nt_obs.Obs.inc r.c_skipped;
-      window := String.sub !window 1 15 ^ next;
-      let sec, frac, incl, orig_len = parse_header r !window in
-      if plausible r ~sec ~frac ~incl ~orig_len then begin
-        Nt_obs.Obs.inc r.c_resyncs;
-        result := Some !window;
-        continue := false
-      end
-    end
-  done;
-  !result
+let plausible_at r at =
+  let sec, frac, incl, orig_len = parse_header r at in
+  plausible r ~sec ~frac ~incl ~orig_len
 
-let accept r ~salvaged ~sec ~frac ~orig_len data =
+(* Slide the 16-byte header window one byte forward at a time until it
+   holds a plausible record header; everything slid past is counted.
+   False at EOF, where the whole tail is unrecoverable. *)
+let rec resync r =
+  if not (available r 17) then begin
+    skip_tail r;
+    false
+  end
+  else begin
+    r.lo <- r.lo + 1;
+    Nt_obs.Obs.inc r.c_skipped;
+    if plausible_at r 0 then begin
+      Nt_obs.Obs.inc r.c_resyncs;
+      true
+    end
+    else resync r
+  end
+
+(* Consume the record whose header is at [lo]. *)
+let accept r ~salvaged =
+  let sec, frac, incl, orig_len = parse_header r 0 in
   Nt_obs.Obs.inc r.c_records;
   if salvaged then Nt_obs.Obs.inc r.c_salvaged;
   r.last_sec <- sec;
   let scale = if r.nanosecond then 1e-9 else 1e-6 in
-  Some { time = Float.of_int sec +. (Float.of_int frac *. scale); orig_len; data }
+  let off = r.lo + 16 in
+  r.lo <- off + incl;
+  Some
+    { time = Float.of_int sec +. (Float.of_int frac *. scale); orig_len;
+      buf = Bytes.unsafe_to_string r.buf; off; len = incl }
 
 (* Keep resyncing until a plausible header is followed by a full
    payload that ends at a record boundary — EOF or another plausible
    header. The double-validation rejects false positives that a single
    header test lets through (byte patterns inside packet payloads can
    parse as headers with large lengths and would swallow real records).
-   Rejected candidates go back into the stash and the scan continues. *)
-let rec salvage_from r hdr =
-  match resync r hdr with
-  | None -> None
-  | Some h ->
-      let sec, frac, incl, orig_len = parse_header r h in
-      let data = read_upto r incl in
-      if String.length data < incl then begin
-        r.stash <- data ^ r.stash;
-        salvage_from r h
-      end
-      else begin
-        let peek = read_upto r 16 in
-        r.stash <- peek ^ r.stash;
-        let boundary_ok =
-          String.length peek < 16
-          ||
-          let s2, f2, i2, o2 = parse_header r peek in
-          plausible r ~sec:s2 ~frac:f2 ~incl:i2 ~orig_len:o2
-        in
-        if boundary_ok then accept r ~salvaged:true ~sec ~frac ~orig_len data
-        else begin
-          r.stash <- data ^ r.stash;
-          salvage_from r h
-        end
-      end
+   A rejected candidate is slid past and the scan continues. *)
+let rec salvage_from r =
+  if not (resync r) then None
+  else
+    let _, _, incl, _ = parse_header r 0 in
+    if available r (16 + incl) && ((not (available r (32 + incl))) || plausible_at r (16 + incl))
+    then accept r ~salvaged:true
+    else salvage_from r
 
-let read_next r =
-  let hdr = read_upto r 16 in
-  if String.length hdr = 0 then None
-  else if String.length hdr < 16 then begin
-    (* EOF mid-header: a capture cut off while writing a record. *)
-    Nt_obs.Obs.add r.c_skipped (String.length hdr);
-    mark_truncated r;
+let read_slice r =
+  if not (available r 16) then begin
+    (* EOF, or EOF mid-header: a capture cut off while writing a record. *)
+    if r.hi > r.lo then skip_tail r;
     None
   end
   else begin
-    let sec, frac, incl, orig_len = parse_header r hdr in
-    if incl <= 0x4000000 && (not r.salvage || plausible r ~sec ~frac ~incl ~orig_len) then begin
-      let data = read_upto r incl in
-      if String.length data < incl then begin
+    let sec, frac, incl, orig_len = parse_header r 0 in
+    if incl <= 0x4000000 && ((not r.salvage) || plausible r ~sec ~frac ~incl ~orig_len) then begin
+      if available r (16 + incl) then accept r ~salvaged:false
+      else begin
         (* EOF mid-packet: truncated final record. *)
-        Nt_obs.Obs.add r.c_skipped (16 + String.length data);
-        mark_truncated r;
+        skip_tail r;
         None
       end
-      else accept r ~salvaged:false ~sec ~frac ~orig_len data
     end
     else if not r.salvage then raise (Bad_format "absurd packet length")
-    else salvage_from r hdr
+    else salvage_from r
   end
+
+let read_next r =
+  match read_slice r with
+  | None -> None
+  | Some s -> Some { time = s.time; orig_len = s.orig_len; data = String.sub s.buf s.off s.len }
 
 let fold r f init =
   let rec go acc = match read_next r with None -> acc | Some p -> go (f acc p) in

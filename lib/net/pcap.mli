@@ -9,8 +9,15 @@
     magics are accepted on read; writes are microsecond little-endian,
     linktype EN10MB. *)
 
+type slice = { time : float; orig_len : int; buf : string; off : int; len : int }
+(** A packet left in the reader's buffer: its bytes are
+    [buf.[off .. off+len-1]], and [len] may be shorter than [orig_len]
+    when the capture snapped. A channel reader reuses [buf], so a slice
+    is valid only until the next read from the same reader. *)
+
 type packet = { time : float; orig_len : int; data : string }
-(** [data] may be shorter than [orig_len] when the capture snapped. *)
+(** A packet that owns its bytes. [data] may be shorter than [orig_len]
+    when the capture snapped. *)
 
 exception Bad_format of string
 
@@ -44,11 +51,19 @@ val reader_of_channel : ?obs:Nt_obs.Obs.t -> ?salvage:bool -> in_channel -> read
     private always-enabled registry so {!read_stats} works without
     wiring. *)
 
+val read_slice : reader -> slice option
+(** The next packet, without copying it. [None] at end of file. A final
+    record cut off by EOF also yields [None], with [truncated_tail] set
+    in {!read_stats} rather than an exception. In non-salvage mode a
+    corrupt record header raises {!Bad_format}; in salvage mode it
+    resyncs.
+
+    A channel reader reads into one buffer that grows only to fit the
+    largest record; a string reader hands out ranges of the string it
+    was given. *)
+
 val read_next : reader -> packet option
-(** [None] at end of file. A final record cut off by EOF also yields
-    [None], with [truncated_tail] set in {!read_stats} rather than an
-    exception. In non-salvage mode a corrupt record header raises
-    {!Bad_format}; in salvage mode it resyncs. *)
+(** {!read_slice}, copying the packet out. *)
 
 val read_stats : reader -> read_stats
 (** Loss accounting for everything read so far. *)

@@ -53,9 +53,13 @@ let get_state t flow ~seq =
       Flow_tbl.add t.table flow st;
       st
 
-(* Drain buffered segments that are now contiguous with [expected]. *)
-let drain st acc =
-  let acc = ref acc in
+(* Out-of-order segments wait for the hole before them to fill, so they
+   must outlive the caller's read buffer. *)
+let hold buf ~off ~len = String.sub buf off len
+[@@nt.alloc_ok "an out-of-order segment is copied once so it can outlive the read buffer"]
+
+(* Deliver buffered segments that are now contiguous with [expected]. *)
+let drain st ~data ctx =
   let continue = ref true in
   while !continue do
     match Seq_map.min_binding_opt st.buffered with
@@ -66,29 +70,26 @@ let drain st acc =
         else begin
           st.buffered <- Seq_map.remove useq st.buffered;
           st.buffered_count <- st.buffered_count - 1;
-          if d + String.length payload > 0 then begin
+          let fresh = String.length payload + d in
+          if fresh > 0 then begin
             (* Overlap with already-delivered bytes: trim the front. *)
-            let skip = -d in
-            let fresh = String.sub payload skip (String.length payload - skip) in
-            if String.length fresh > 0 then begin
-              acc := Data fresh :: !acc;
-              st.expected <- st.expected + String.length fresh
-            end
+            st.expected <- st.expected + fresh;
+            data ctx payload (-d) fresh
           end
         end
-  done;
-  !acc
+  done
 
-let force_resync t st acc =
+let force_resync t st ~data ~gap ctx =
   match Seq_map.min_binding_opt st.buffered with
-  | None -> acc
+  | None -> ()
   | Some (useq, _) ->
       let lost = useq - st.expected in
       t.gap_count <- t.gap_count + 1;
       st.expected <- useq;
-      drain st (Gap (max lost 0) :: acc)
+      gap ctx (max lost 0);
+      drain st ~data ctx
 
-let push t flow ~seq ~syn payload =
+let push_slice t flow ~seq ~syn buf ~off ~len ~data ~gap ctx =
   let st = get_state t flow ~seq in
   (* Wire seq unwrapped onto the flow's monotonic line. *)
   let d = seq_diff (st.expected land (modulus - 1)) seq in
@@ -97,8 +98,7 @@ let push t flow ~seq ~syn payload =
     st.expected <- useq + 1;
     st.synced <- true;
     st.buffered <- Seq_map.empty;
-    st.buffered_count <- 0;
-    []
+    st.buffered_count <- 0
   end
   else begin
     if not st.synced then begin
@@ -106,30 +106,32 @@ let push t flow ~seq ~syn payload =
       st.expected <- useq;
       st.synced <- true
     end;
-    let n = String.length payload in
-    if n = 0 then []
-    else begin
+    if len > 0 then begin
       let d = useq - st.expected in
-      if d < 0 && d + n <= 0 then [] (* pure retransmission of delivered data *)
+      if d <= 0 then begin
+        (* In order, possibly overlapping the delivered prefix; a pure
+           retransmission of delivered data has nothing fresh. *)
+        if d + len > 0 then begin
+          st.expected <- st.expected + d + len;
+          data ctx buf (off - d) (len + d);
+          drain st ~data ctx
+        end
+      end
       else begin
-        let acc =
-          if d <= 0 then begin
-            (* In-order (possibly overlapping the delivered prefix). *)
-            let skip = -d in
-            let fresh = String.sub payload skip (n - skip) in
-            st.expected <- st.expected + String.length fresh;
-            drain st [ Data fresh ]
-          end
-          else begin
-            (* Out of order: hold until the hole fills, or resync. *)
-            if not (Seq_map.mem useq st.buffered) then begin
-              st.buffered <- Seq_map.add useq payload st.buffered;
-              st.buffered_count <- st.buffered_count + 1
-            end;
-            if st.buffered_count > t.max_buffered then force_resync t st [] else []
-          end
-        in
-        List.rev acc
+        (* Out of order: hold until the hole fills, or resync. *)
+        if not (Seq_map.mem useq st.buffered) then begin
+          st.buffered <- Seq_map.add useq (hold buf ~off ~len) st.buffered;
+          st.buffered_count <- st.buffered_count + 1
+        end;
+        if st.buffered_count > t.max_buffered then force_resync t st ~data ~gap ctx
       end
     end
   end
+
+let push t flow ~seq ~syn payload =
+  let events = ref [] in
+  push_slice t flow ~seq ~syn payload ~off:0 ~len:(String.length payload)
+    ~data:(fun events s off len -> events := Data (String.sub s off len) :: !events)
+    ~gap:(fun events n -> events := Gap n :: !events)
+    events;
+  List.rev !events

@@ -101,10 +101,19 @@ let all =
     Mkdir; Symlink; Mknod; Remove; Rmdir; Rename; Link; Readdir; Readdirplus; Statfs; Fsinfo;
     Pathconf; Commit ]
 
-let invert numbering n = List.find_opt (fun p -> numbering p = Some n) all
+(* Wire number -> procedure, one array per version, built once: the
+   capture path looks a number up for every call it decodes. *)
+let rec fill_table table numbering = function
+  | [] -> table
+  | p :: rest ->
+      (match numbering p with Some n -> table.(n) <- Some p | None -> ());
+      fill_table table numbering rest
 
-let of_v2_number n = invert v2_number n
-let of_v3_number n = invert v3_number n
+let v2_table = fill_table (Array.make 18 None) v2_number all
+let v3_table = fill_table (Array.make 22 None) v3_number all
+let lookup table n = if n >= 0 && n < Array.length table then table.(n) else None
+let of_v2_number n = lookup v2_table n
+let of_v3_number n = lookup v3_table n
 
 let number ~version p = if version = 2 then v2_number p else v3_number p
 let of_number ~version n = if version = 2 then of_v2_number n else of_v3_number n

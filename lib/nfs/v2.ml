@@ -195,8 +195,8 @@ let decode_call ~proc d : Ops.call =
       let _beginoffset = D.uint32 d in
       let offset = Int64.of_int (D.uint32 d) in
       let _totalcount = D.uint32 d in
-      let data = D.opaque d in
-      Write { fh; offset; count = String.length data; stable = Types.File_sync }
+      let count = D.skip_opaque d in
+      Write { fh; offset; count; stable = Types.File_sync }
   | Create ->
       let dir = decode_fh d in
       let name = D.string d in
@@ -348,8 +348,8 @@ let decode_result ~proc d : Ops.result =
       match status d with
       | Ok_ ->
           let attr = decode_fattr d in
-          let data = D.opaque d in
-          Ok (R_read { attr = Some attr; count = String.length data; eof = false })
+          let count = D.skip_opaque d in
+          Ok (R_read { attr = Some attr; count; eof = false })
       | err -> Error err)
   | Write -> (
       match status d with

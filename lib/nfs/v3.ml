@@ -243,8 +243,7 @@ let decode_call ~proc d : Ops.call =
       let offset = D.uint64 d in
       let count = D.uint32 d in
       let stable = Types.stable_how_of_int (D.uint32 d) in
-      let data = D.opaque d in
-      ignore (String.length data);
+      ignore (D.skip_opaque d : int);
       Write { fh; offset; count; stable }
   | Create -> (
       let dir = decode_fh d in
@@ -254,7 +253,7 @@ let decode_call ~proc d : Ops.call =
           let attrs = decode_sattr d in
           Create { dir; name; mode = Option.value attrs.set_mode ~default:0o644; exclusive = false }
       | 2 ->
-          let _verf = D.fixed_opaque d 8 in
+          D.skip d 8;
           Create { dir; name; mode = 0o644; exclusive = true }
       | n -> raise (D.Error (Printf.sprintf "bad createmode %d" n)))
   | Mkdir ->
@@ -303,13 +302,13 @@ let decode_call ~proc d : Ops.call =
   | Readdir ->
       let dir = decode_fh d in
       let cookie = D.uint64 d in
-      let _verf = D.fixed_opaque d 8 in
+      D.skip d 8;
       let count = D.uint32 d in
       Readdir { dir; cookie; count }
   | Readdirplus ->
       let dir = decode_fh d in
       let cookie = D.uint64 d in
-      let _verf = D.fixed_opaque d 8 in
+      D.skip d 8;
       let count = D.uint32 d in
       let _maxcount = D.uint32 d in
       Readdirplus { dir; cookie; count }
@@ -495,14 +494,13 @@ let decode_result ~proc d : Ops.result =
       let attr = decode_post_op_attr d in
       let count = D.uint32 d in
       let eof = D.bool d in
-      let data = D.opaque d in
-      ignore (String.length data);
+      ignore (D.skip_opaque d : int);
       Ok (R_read { attr; count; eof })
   | Ok_, Write ->
       let attr = decode_wcc_data d in
       let count = D.uint32 d in
       let committed = Types.stable_how_of_int (D.uint32 d) in
-      let _verf = D.fixed_opaque d 8 in
+      D.skip d 8;
       Ok (R_write { count; committed; attr })
   | Ok_, (Create | Mkdir | Symlink | Mknod) ->
       let fh = D.optional d decode_fh in
@@ -521,7 +519,7 @@ let decode_result ~proc d : Ops.result =
       Ok R_empty
   | Ok_, Readdir ->
       let _attr = decode_post_op_attr d in
-      let _verf = D.fixed_opaque d 8 in
+      D.skip d 8;
       let rec entries acc =
         if D.bool d then begin
           let entry_fileid = D.uint64 d in
@@ -536,7 +534,7 @@ let decode_result ~proc d : Ops.result =
       Ok (R_readdir { entries = es; eof })
   | Ok_, Readdirplus ->
       let _attr = decode_post_op_attr d in
-      let _verf = D.fixed_opaque d 8 in
+      D.skip d 8;
       let rec entries acc =
         if D.bool d then begin
           let entry_fileid = D.uint64 d in

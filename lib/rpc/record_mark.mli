@@ -18,9 +18,22 @@ type reassembler
 
 val create_reassembler : unit -> reassembler
 
+val push_slice :
+  reassembler -> string -> off:int -> len:int -> ('a -> string -> int -> int -> unit) -> 'a -> unit
+(** [push_slice r buf ~off ~len f ctx] feeds the stream bytes
+    [buf.[off .. off+len-1]] in arrival order and calls [f ctx s pos n]
+    for each RPC record they complete (possibly several, possibly none),
+    the record being [s.[pos .. pos+n-1]]. A record that lies whole
+    inside the pushed bytes is a range of [buf]; one whose fragments
+    span pushes is gathered into a buffer the reassembler reuses. Either
+    way the range is valid only until [f] returns. *)
+
 val push : reassembler -> string -> string list
-(** Feed stream bytes in arrival order; returns the complete RPC records
-    finished by these bytes (possibly several, possibly none). *)
+(** {!push_slice} over a whole string, returning copies of the
+    completed records. *)
+
+val reset : reassembler -> unit
+(** Drop any partial record, as after a hole in the stream. *)
 
 val pending_bytes : reassembler -> int
 (** Bytes buffered waiting for the rest of a record; useful for loss

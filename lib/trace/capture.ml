@@ -182,26 +182,36 @@ let flush_expired t ~now =
     in
     List.iter (Pending_tbl.remove t.answered) stale
   end
+[@@nt.alloc_ok
+  "sweeps at most once per half pending_timeout of trace time; the expired lists are built only \
+   then, never per packet"]
 
 let creds = function
   | Rpc.Auth_unix { uid; gid; _ } -> (uid, gid)
   | Rpc.Auth_null | Rpc.Auth_other _ -> (0, 0)
 
-let decode_call_body ~version ~proc msg body_pos =
-  let d = Nt_xdr.Decode.of_string ~pos:body_pos msg in
+(* The body runs from [body_pos] to the end of the message in [buf]. *)
+let decode_call_body ~version ~proc buf ~body_pos ~stop =
+  let d = Nt_xdr.Decode.of_string ~pos:body_pos ~len:(stop - body_pos) buf in
   if version = 2 then Nt_nfs.V2.decode_call ~proc d else Nt_nfs.V3.decode_call ~proc d
 
-let decode_result_body ~version ~proc msg body_pos =
-  let d = Nt_xdr.Decode.of_string ~pos:body_pos msg in
+let decode_result_body ~version ~proc buf ~body_pos ~stop =
+  let d = Nt_xdr.Decode.of_string ~pos:body_pos ~len:(stop - body_pos) buf in
   if version = 2 then Nt_nfs.V2.decode_result ~proc d else Nt_nfs.V3.decode_result ~proc d
 
-(* Handle one complete RPC message travelling from [src] to [dst]. *)
-let handle_rpc t ~time ~src ~dst msg =
+(* Handle one complete RPC message, [buf.[off .. off+len-1]], travelling
+   from [src] to [dst]. *)
+let dispatch_rpc t ~time ~src ~dst buf off len =
   Obs.inc t.c_rpc_messages;
-  match Rpc.decode msg ~pos:0 ~len:(String.length msg) with
+  let stop = off + len in
+  match Rpc.decode buf ~pos:off ~len with
   | exception Nt_xdr.Decode.Error _ -> Obs.inc t.c_rpc_errors
   | Rpc.Call c, body_pos ->
       if c.prog <> Rpc.nfs_program then Obs.inc t.c_non_nfs
+      else if c.vers <> 2 && c.vers <> 3 then
+        (* A version field NFS never used (a damaged header): there is no
+           codec to trust with the body, and no trace line to write. *)
+        Obs.inc t.c_rpc_errors
       else if Pending_tbl.mem t.pending (src, c.xid) || Pending_tbl.mem t.answered (src, c.xid)
       then
         (* A UDP client retransmitted an unanswered (or just-answered)
@@ -211,7 +221,7 @@ let handle_rpc t ~time ~src ~dst msg =
         match Proc.of_number ~version:c.vers c.proc with
         | None -> Obs.inc t.c_rpc_errors
         | Some proc -> (
-            match decode_call_body ~version:c.vers ~proc msg body_pos with
+            match decode_call_body ~version:c.vers ~proc buf ~body_pos ~stop with
             | exception Nt_xdr.Decode.Error _ -> Obs.inc t.c_rpc_errors
             | exception Nt_nfs.V2.Unsupported _ -> Obs.inc t.c_rpc_errors
             | exception Nt_nfs.V3.Unsupported _ -> Obs.inc t.c_rpc_errors
@@ -244,7 +254,9 @@ let handle_rpc t ~time ~src ~dst msg =
           let result =
             match r.status with
             | Rpc.Accepted Rpc.Success -> (
-                match decode_result_body ~version:p.p_version ~proc:p.p_proc msg body_pos with
+                match
+                  decode_result_body ~version:p.p_version ~proc:p.p_proc buf ~body_pos ~stop
+                with
                 | exception Nt_xdr.Decode.Error _ ->
                     Obs.inc t.c_rpc_errors;
                     None
@@ -276,8 +288,8 @@ let handle_rpc t ~time ~src ~dst msg =
    input with their own exceptions, but hostile bytes could in principle
    reach a stdlib primitive first. Anything escaping here is an input
    problem, not a caller problem, so it lands in rpc_errors. *)
-let handle_rpc t ~time ~src ~dst msg =
-  match handle_rpc t ~time ~src ~dst msg with
+let handle_rpc t ~time ~src ~dst buf off len =
+  match dispatch_rpc t ~time ~src ~dst buf off len with
   | () -> ()
   | exception (Nt_xdr.Decode.Error _ | Invalid_argument _ | Failure _ | Not_found) ->
       Obs.inc t.c_rpc_errors
@@ -290,42 +302,57 @@ let rm_for t flow =
       Flow_tbl.add t.rm flow rm;
       rm
 
-let feed_packet t ~time data =
+(* What a TCP segment's stream callbacks need to know about it. *)
+type segment = {
+  cap : t;
+  time : float;
+  src : Nt_net.Ip_addr.t;
+  dst : Nt_net.Ip_addr.t;
+  rm : Rm.reassembler;
+}
+
+let on_record sg buf off len =
+  handle_rpc sg.cap ~time:sg.time ~src:sg.src ~dst:sg.dst buf off len
+
+let on_stream sg buf off len = Rm.push_slice sg.rm buf ~off ~len on_record sg
+
+let on_gap sg _lost =
+  Obs.inc sg.cap.c_tcp_gaps;
+  (* The stream resynchronised past a hole; any partial RPC record is
+     unrecoverable. Start clean. *)
+  Rm.reset sg.rm
+
+let feed_slice t ~time buf ~off ~len =
   Obs.inc t.c_frames;
-  match Frame.decode data with
+  match Frame.decode_slice buf ~off ~len with
   | Error _ -> Obs.inc t.c_undecodable
-  | Ok _ when not (Frame.header_checksum_ok data) ->
+  | Ok h when not h.checksum_ok ->
       (* Structurally sound but damaged in flight: never trust it. *)
       Obs.inc t.c_corrupt
-  | Ok frame -> (
-      match frame.transport with
-      | Frame.Udp { payload; _ } ->
-          if String.length payload >= 16 then
-            handle_rpc t ~time ~src:frame.src_ip ~dst:frame.dst_ip payload
-          else Obs.inc t.c_undecodable
-      | Frame.Tcp { src_port; dst_port; seq; syn; payload; fin = _ } ->
-          let flow =
-            { Tcp.src_ip = frame.src_ip; src_port; dst_ip = frame.dst_ip; dst_port }
-          in
-          let events = Tcp.push t.tcp flow ~seq ~syn payload in
-          List.iter
-            (fun ev ->
-              match ev with
-              | Tcp.Data bytes ->
-                  let rm = rm_for t flow in
-                  let records = Rm.push rm bytes in
-                  List.iter
-                    (fun msg -> handle_rpc t ~time ~src:frame.src_ip ~dst:frame.dst_ip msg)
-                    records
-              | Tcp.Gap _ ->
-                  Obs.inc t.c_tcp_gaps;
-                  (* The stream resynchronised past a hole; any partial
-                     RPC record is unrecoverable. Start clean. *)
-                  Flow_tbl.replace t.rm flow (Rm.create_reassembler ()))
-            events)
+  | Ok h ->
+      if not h.is_tcp then
+        if h.payload_len >= 16 then
+          handle_rpc t ~time ~src:h.ip_src ~dst:h.ip_dst buf h.payload_off h.payload_len
+        else Obs.inc t.c_undecodable
+      else
+        let flow =
+          { Tcp.src_ip = h.ip_src; src_port = h.sport; dst_ip = h.ip_dst; dst_port = h.dport }
+        in
+        let sg = { cap = t; time; src = h.ip_src; dst = h.ip_dst; rm = rm_for t flow } in
+        Tcp.push_slice t.tcp flow ~seq:h.tcp_seq ~syn:h.tcp_syn buf ~off:h.payload_off
+          ~len:h.payload_len ~data:on_stream ~gap:on_gap sg
+
+let feed_packet t ~time data = feed_slice t ~time data ~off:0 ~len:(String.length data)
 
 let feed_pcap t reader =
-  Seq.iter (fun (p : Pcap.packet) -> feed_packet t ~time:p.time p.data) (Pcap.packets reader);
+  let rec loop () =
+    match Pcap.read_slice reader with
+    | Some p ->
+        feed_slice t ~time:p.time p.buf ~off:p.off ~len:p.len;
+        loop ()
+    | None -> ()
+  in
+  loop ();
   let rs = Pcap.read_stats reader in
   t.salvaged_records <- t.salvaged_records + rs.salvaged;
   t.skipped_pcap_bytes <- t.skipped_pcap_bytes + rs.skipped_bytes;

@@ -51,13 +51,22 @@ val create :
     the capture engine to get a single self-consistent snapshot — the
     namespaces are disjoint, so nothing double-counts. *)
 
+val feed_slice : t -> time:float -> string -> off:int -> len:int -> unit
+(** Process the link-layer frame [buf.[off .. off+len-1]]. Never raises:
+    malformed input is counted in {!stats}. The contract is
+    fuzz-verified (random and bit-flipped frames in the test suite).
+
+    The frame is read in place, so [buf] may be a reused read buffer:
+    what outlives the call is copied (TCP segments held for reordering,
+    RPC records that span segments, and the handles and names in the
+    records). *)
+
 val feed_packet : t -> time:float -> string -> unit
-(** Process one link-layer frame. Never raises: malformed input is
-    counted in {!stats}. The contract is fuzz-verified (random and
-    bit-flipped frames in the test suite). *)
+(** {!feed_slice} over a whole string. *)
 
 val feed_pcap : t -> Nt_net.Pcap.reader -> unit
-(** Drain a pcap stream through {!feed_packet}, then fold the reader's
+(** Drain a pcap stream through {!feed_slice}, one
+    {!Nt_net.Pcap.read_slice} at a time, then fold the reader's
     salvage/truncation accounting into {!stats}. *)
 
 val finish : t -> stats * Record.t list

@@ -72,18 +72,21 @@ let is_ok t = match t.result with Some (Ok _) -> true | _ -> false
 
 (* --- text serialization --- *)
 
-let escape s =
-  let needs c =
-    match c with ' ' | '%' | '|' | '=' | '\n' | '\t' | '\r' -> true | c -> Char.code c < 32
-  in
-  if String.exists needs s then begin
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c -> if needs c then Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c)) else Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  end
-  else s
+let needs_escape c =
+  match c with ' ' | '%' | '|' | '=' | '\n' | '\t' | '\r' -> true | c -> Char.code c < 32
+
+let hex_digit n = "0123456789abcdef".[n]
+
+let add_escaped b s =
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if needs_escape c then begin
+      Buffer.add_char b '%';
+      Buffer.add_char b (hex_digit (Char.code c lsr 4));
+      Buffer.add_char b (hex_digit (Char.code c land 0xF))
+    end
+    else Buffer.add_char b c
+  done
 
 let unescape s =
   if not (String.contains s '%') then s
@@ -106,112 +109,199 @@ let unescape s =
     Buffer.contents buf
   end
 
-let kv key value = Printf.sprintf "%s=%s" key value
-let kv_fh key fh = kv key (Fh.to_hex_full fh)
-let kv_str key s = kv key (escape s)
+(* The writer appends each field straight into the caller's buffer:
+   decimal integers and hex bytes digit by digit, floats and the xid
+   through the C formatters Printf itself calls, so the bytes are those
+   of the sprintf renderings. *)
+external format_float : string -> float -> string = "caml_format_float"
+external format_int : string -> int -> string = "caml_format_int"
 
-let call_fields (c : Ops.call) =
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n = if n >= 0 then add_digits b n else Buffer.add_string b (string_of_int n)
+
+let add_int64 b v =
+  if Int64.compare v 0L >= 0 && Int64.compare v (Int64.of_int max_int) <= 0 then
+    add_digits b (Int64.to_int v)
+  else Buffer.add_string b (Int64.to_string v)
+
+let add_hex_bytes b s =
+  for i = 0 to String.length s - 1 do
+    let c = Char.code s.[i] in
+    Buffer.add_char b (hex_digit (c lsr 4));
+    Buffer.add_char b (hex_digit (c land 0xF))
+  done
+
+let add_ip b ip =
+  add_int b ((ip lsr 24) land 0xFF);
+  Buffer.add_char b '.';
+  add_int b ((ip lsr 16) land 0xFF);
+  Buffer.add_char b '.';
+  add_int b ((ip lsr 8) land 0xFF);
+  Buffer.add_char b '.';
+  add_int b (ip land 0xFF)
+
+(* " key=": every field after the fixed columns starts this way. *)
+let add_key b key =
+  Buffer.add_char b ' ';
+  Buffer.add_string b key;
+  Buffer.add_char b '='
+
+let add_fh b key fh =
+  add_key b key;
+  add_hex_bytes b (Fh.to_raw fh)
+
+let add_name b key s =
+  add_key b key;
+  add_escaped b s
+
+let add_kint b key n =
+  add_key b key;
+  add_int b n
+
+let add_kint64 b key v =
+  add_key b key;
+  add_int64 b v
+
+let add_kbool b key v =
+  add_key b key;
+  Buffer.add_char b (if v then '1' else '0')
+
+let add_ktime b key t =
+  add_key b key;
+  Buffer.add_string b (string_of_float (Types.time_to_float t))
+
+let add_call b (c : Ops.call) =
   match c with
-  | Null -> []
-  | Getattr fh | Readlink fh | Statfs fh | Fsinfo fh | Pathconf fh -> [ kv_fh "fh" fh ]
+  | Null -> ()
+  | Getattr fh | Readlink fh | Statfs fh | Fsinfo fh | Pathconf fh -> add_fh b "fh" fh
   | Setattr { fh; attrs } ->
-      let base = [ kv_fh "fh" fh ] in
-      let opt key f = function Some v -> [ kv key (f v) ] | None -> [] in
-      base
-      @ opt "ssize" Int64.to_string attrs.set_size
-      @ opt "smode" string_of_int attrs.set_mode
-      @ opt "suid" string_of_int attrs.set_uid
-      @ opt "sgid" string_of_int attrs.set_gid
-      @ opt "satime" (fun t -> string_of_float (Types.time_to_float t)) attrs.set_atime
-      @ opt "smtime" (fun t -> string_of_float (Types.time_to_float t)) attrs.set_mtime
-  | Lookup { dir; name } -> [ kv_fh "dir" dir; kv_str "name" name ]
-  | Access { fh; access } -> [ kv_fh "fh" fh; kv "acc" (string_of_int access) ]
-  | Read { fh; offset; count } ->
-      [ kv_fh "fh" fh; kv "off" (Int64.to_string offset); kv "count" (string_of_int count) ]
+      add_fh b "fh" fh;
+      Option.iter (add_kint64 b "ssize") attrs.set_size;
+      Option.iter (add_kint b "smode") attrs.set_mode;
+      Option.iter (add_kint b "suid") attrs.set_uid;
+      Option.iter (add_kint b "sgid") attrs.set_gid;
+      Option.iter (add_ktime b "satime") attrs.set_atime;
+      Option.iter (add_ktime b "smtime") attrs.set_mtime
+  | Lookup { dir; name } | Mknod { dir; name } | Remove { dir; name } | Rmdir { dir; name } ->
+      add_fh b "dir" dir;
+      add_name b "name" name
+  | Access { fh; access } ->
+      add_fh b "fh" fh;
+      add_kint b "acc" access
+  | Read { fh; offset; count } | Commit { fh; offset; count } ->
+      add_fh b "fh" fh;
+      add_kint64 b "off" offset;
+      add_kint b "count" count
   | Write { fh; offset; count; stable } ->
-      [
-        kv_fh "fh" fh;
-        kv "off" (Int64.to_string offset);
-        kv "count" (string_of_int count);
-        kv "stable" (string_of_int (Types.stable_how_to_int stable));
-      ]
+      add_fh b "fh" fh;
+      add_kint64 b "off" offset;
+      add_kint b "count" count;
+      add_kint b "stable" (Types.stable_how_to_int stable)
   | Create { dir; name; mode; exclusive } ->
-      [ kv_fh "dir" dir; kv_str "name" name; kv "mode" (string_of_int mode);
-        kv "excl" (if exclusive then "1" else "0") ]
+      add_fh b "dir" dir;
+      add_name b "name" name;
+      add_kint b "mode" mode;
+      add_kbool b "excl" exclusive
   | Mkdir { dir; name; mode } ->
-      [ kv_fh "dir" dir; kv_str "name" name; kv "mode" (string_of_int mode) ]
+      add_fh b "dir" dir;
+      add_name b "name" name;
+      add_kint b "mode" mode
   | Symlink { dir; name; target } ->
-      [ kv_fh "dir" dir; kv_str "name" name; kv_str "target" target ]
-  | Mknod { dir; name } | Remove { dir; name } | Rmdir { dir; name } ->
-      [ kv_fh "dir" dir; kv_str "name" name ]
+      add_fh b "dir" dir;
+      add_name b "name" name;
+      add_name b "target" target
   | Rename { from_dir; from_name; to_dir; to_name } ->
-      [ kv_fh "dir" from_dir; kv_str "name" from_name; kv_fh "todir" to_dir;
-        kv_str "toname" to_name ]
+      add_fh b "dir" from_dir;
+      add_name b "name" from_name;
+      add_fh b "todir" to_dir;
+      add_name b "toname" to_name
   | Link { fh; to_dir; to_name } ->
-      [ kv_fh "fh" fh; kv_fh "todir" to_dir; kv_str "toname" to_name ]
+      add_fh b "fh" fh;
+      add_fh b "todir" to_dir;
+      add_name b "toname" to_name
   | Readdir { dir; cookie; count } | Readdirplus { dir; cookie; count } ->
-      [ kv_fh "dir" dir; kv "cookie" (Int64.to_string cookie); kv "count" (string_of_int count) ]
-  | Commit { fh; offset; count } ->
-      [ kv_fh "fh" fh; kv "off" (Int64.to_string offset); kv "count" (string_of_int count) ]
+      add_fh b "dir" dir;
+      add_kint64 b "cookie" cookie;
+      add_kint b "count" count
 
-let attr_fields (a : Types.fattr) =
-  [
-    kv "size" (Int64.to_string a.size);
-    kv "fileid" (Int64.to_string a.fileid);
-    kv "ftype" (Types.ftype_to_string a.ftype);
-    kv "mtime" (string_of_float (Types.time_to_float a.mtime));
-  ]
+let add_attr b (a : Types.fattr) =
+  add_kint64 b "size" a.size;
+  add_kint64 b "fileid" a.fileid;
+  add_key b "ftype";
+  Buffer.add_string b (Types.ftype_to_string a.ftype);
+  add_ktime b "mtime" a.mtime
 
-let opt_attr_fields = function None -> [] | Some a -> attr_fields a
-
-let result_fields (r : Ops.result) =
+let add_result b (r : Ops.result) =
   match r with
-  | Error st -> [ kv "status" (string_of_int (Types.nfsstat_to_int st)) ]
+  | Error st -> add_kint b "status" (Types.nfsstat_to_int st)
   | Ok success -> (
-      kv "status" "0"
-      ::
-      (match success with
-      | R_null | R_empty -> []
-      | R_attr a -> attr_fields a
-      | R_lookup { fh; obj; _ } -> kv_fh "rfh" fh :: opt_attr_fields obj
-      | R_access bits -> [ kv "racc" (string_of_int bits) ]
-      | R_readlink target -> [ kv_str "rtarget" target ]
+      add_kint b "status" 0;
+      match success with
+      | R_null | R_empty -> ()
+      | R_attr a -> add_attr b a
+      | R_lookup { fh; obj; _ } ->
+          add_fh b "rfh" fh;
+          Option.iter (add_attr b) obj
+      | R_access bits -> add_kint b "racc" bits
+      | R_readlink target -> add_name b "rtarget" target
       | R_read { attr; count; eof } ->
-          [ kv "rcount" (string_of_int count); kv "eof" (if eof then "1" else "0") ]
-          @ opt_attr_fields attr
+          add_kint b "rcount" count;
+          add_kbool b "eof" eof;
+          Option.iter (add_attr b) attr
       | R_write { count; committed; attr } ->
-          [ kv "rcount" (string_of_int count);
-            kv "committed" (string_of_int (Types.stable_how_to_int committed)) ]
-          @ opt_attr_fields attr
+          add_kint b "rcount" count;
+          add_kint b "committed" (Types.stable_how_to_int committed);
+          Option.iter (add_attr b) attr
       | R_create { fh; attr } ->
-          (match fh with Some fh -> [ kv_fh "rfh" fh ] | None -> []) @ opt_attr_fields attr
+          Option.iter (add_fh b "rfh") fh;
+          Option.iter (add_attr b) attr
       | R_readdir { entries; eof } ->
           (* Entry lists can be huge and no analysis consumes them from
              saved traces; only the count survives serialization. *)
-          [ kv "nentries" (string_of_int (List.length entries)); kv "eof" (if eof then "1" else "0") ]
+          add_kint b "nentries" (List.length entries);
+          add_kbool b "eof" eof
       | R_statfs { total_bytes; free_bytes } ->
-          [ kv "tbytes" (Int64.to_string total_bytes); kv "fbytes" (Int64.to_string free_bytes) ]
+          add_kint64 b "tbytes" total_bytes;
+          add_kint64 b "fbytes" free_bytes
       | R_fsinfo { rtmax; wtmax } ->
-          [ kv "rtmax" (string_of_int rtmax); kv "wtmax" (string_of_int wtmax) ]
-      | R_pathconf { name_max } -> [ kv "namemax" (string_of_int name_max) ]))
+          add_kint b "rtmax" rtmax;
+          add_kint b "wtmax" wtmax
+      | R_pathconf { name_max } -> add_kint b "namemax" name_max)
+
+let add_line b t =
+  Buffer.add_string b (format_float "%.6f" t.time);
+  Buffer.add_char b ' ';
+  (match t.reply_time with
+  | Some rt -> Buffer.add_string b (format_float "%.6f" rt)
+  | None -> Buffer.add_char b '-');
+  Buffer.add_string b " v";
+  add_int b t.version;
+  Buffer.add_char b ' ';
+  add_ip b t.client;
+  Buffer.add_char b ' ';
+  add_ip b t.server;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (format_int "%08x" t.xid);
+  Buffer.add_char b ' ';
+  add_int b t.uid;
+  Buffer.add_char b ' ';
+  add_int b t.gid;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Proc.to_string (proc t));
+  add_call b t.call;
+  match t.result with
+  | None -> ()
+  | Some r ->
+      Buffer.add_string b " |";
+      add_result b r
 
 let to_line t =
-  let base =
-    [
-      Printf.sprintf "%.6f" t.time;
-      (match t.reply_time with Some rt -> Printf.sprintf "%.6f" rt | None -> "-");
-      Printf.sprintf "v%d" t.version;
-      Ip_addr.to_string t.client;
-      Ip_addr.to_string t.server;
-      Printf.sprintf "%08x" t.xid;
-      string_of_int t.uid;
-      string_of_int t.gid;
-      Proc.to_string (proc t);
-    ]
-  in
-  let call = call_fields t.call in
-  let result = match t.result with None -> [] | Some r -> "|" :: result_fields r in
-  String.concat " " (base @ call @ result)
+  let b = Buffer.create 256 in
+  add_line b t;
+  Buffer.contents b
 
 (* --- parsing --- *)
 
@@ -493,10 +583,13 @@ let of_line line =
 
 let write_channel oc records =
   let n = ref 0 in
+  let b = Buffer.create 256 in
   Seq.iter
     (fun r ->
-      output_string oc (to_line r);
-      output_char oc '\n';
+      Buffer.clear b;
+      add_line b r;
+      Buffer.add_char b '\n';
+      Buffer.output_buffer oc b;
       incr n)
     records;
   !n

@@ -47,7 +47,15 @@ val status : t -> Nt_nfs.Types.nfsstat option
 val is_ok : t -> bool
 (** True when a reply was seen and it carries NFS3_OK. *)
 
+val add_line : Buffer.t -> t -> unit
+(** Append the record's text line (no newline) to the buffer, building
+    no intermediate strings beyond one per float field and one for the
+    xid. A writer that
+    clears and reuses one buffer allocates almost nothing per record. *)
+
 val to_line : t -> string
+(** {!add_line} into a fresh buffer. *)
+
 val of_line : string -> (t, string) result
 
 val write_channel : out_channel -> t Seq.t -> int

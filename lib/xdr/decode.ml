@@ -58,6 +58,14 @@ let opaque t =
 
 let string = opaque
 
+let skip_opaque t =
+  let n = uint32 t in
+  if n > remaining t then raise (Error (Printf.sprintf "opaque length %d exceeds window" n));
+  let pad = (4 - (n mod 4)) mod 4 in
+  need t (n + pad);
+  t.cursor <- t.cursor + n + pad;
+  n
+
 let array t dec =
   let n = uint32 t in
   if n * 4 > remaining t then raise (Error (Printf.sprintf "array count %d exceeds window" n));

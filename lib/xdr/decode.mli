@@ -33,6 +33,11 @@ val opaque : t -> string
 
 val string : t -> string
 
+val skip_opaque : t -> int
+(** Step over a length-prefixed opaque and its padding without copying
+    it; returns the length. Raises {!Error} exactly where {!opaque}
+    would. READ/WRITE data goes through here: traces keep only its size. *)
+
 val array : t -> (t -> 'a) -> 'a list
 (** Length-prefixed array. The count is sanity-checked against the
     remaining bytes (each element needs at least 4 bytes). *)

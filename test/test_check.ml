@@ -15,6 +15,7 @@ let fixture_config =
     lib_prefixes = [ "Fix_" ];
     decode_prefixes = [ "Fix_decode"; "Fix_tbin" ];
     hot_prefixes = [ "Fix_hot" ];
+    alloc_roots = [];
     acc_prefixes = [ "Fix_bound" ];
     test_units = [ "Fix_testreg" ];
     excludes = [];

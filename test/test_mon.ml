@@ -438,6 +438,50 @@ let test_trace_tail_truncation_reopen () =
       cki "reopen counted" 1 (Obs.sum_counter snap "mon.feed.reopens");
       Feed.close f)
 
+let test_pcap_tail_matches_capture () =
+  (* The tail hands Capture frames as slices of its pending bytes, while
+     the file grows 1000 bytes at a time so jumbo frames arrive split
+     across reads: the records must be those of one whole-file capture. *)
+  with_tmp "ntmon_tail_test.pcap" (fun path ->
+      let buf = Buffer.create 65536 in
+      let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
+      let config = { Nt_workload.Email.default_config with users = 2 } in
+      let (_ : Nt_core.Pipeline.pcap_stats) =
+        Nt_core.Pipeline.campus_to_pcap ~config ~start ~stop:(start +. 300.)
+          ~writer:(Nt_net.Pcap.writer_to_buffer buf) ()
+      in
+      let pcap = Buffer.contents buf in
+      let want = ref [] in
+      let cap = Nt_trace.Capture.create ~emit:(fun r -> want := Record.to_line r :: !want) () in
+      Nt_trace.Capture.feed_pcap cap (Nt_net.Pcap.reader_of_string pcap);
+      let obs = Obs.create () in
+      let f = Feed.pcap_tail ~obs path in
+      let got = ref [] in
+      let rec drain () =
+        match Feed.pull f with
+        | `Record r ->
+            got := Record.to_line r :: !got;
+            drain ()
+        | `Idle | `Closed -> ()
+      in
+      let oc = open_out_bin path in
+      let n = String.length pcap in
+      let rec grow i =
+        if i < n then begin
+          let len = min 1000 (n - i) in
+          output_string oc (String.sub pcap i len);
+          flush oc;
+          drain ();
+          grow (i + len)
+        end
+      in
+      grow 0;
+      close_out oc;
+      ckb "records streamed" true (List.length !got > 50);
+      Alcotest.(check (list string)) "tail = whole-file capture" (List.rev !want) (List.rev !got);
+      cki "every byte parsed" n (Obs.sum_counter (Obs.snapshot obs) "mon.feed.bytes");
+      Feed.close f)
+
 let test_feed_seek_replays_suffix () =
   with_tmp "ntmon_seek_test.trace" (fun path ->
       let records = gen_records ~seed:13 8 in
@@ -731,6 +775,8 @@ let () =
           Alcotest.test_case "in-memory" `Quick test_feed_of_records;
           Alcotest.test_case "tail holds partial lines" `Quick test_trace_tail_partial_lines;
           Alcotest.test_case "truncation reopens" `Quick test_trace_tail_truncation_reopen;
+          Alcotest.test_case "pcap tail matches a whole-file capture" `Quick
+            test_pcap_tail_matches_capture;
           Alcotest.test_case "seek replays suffix" `Quick test_feed_seek_replays_suffix;
         ] );
       ( "checkpoint",

@@ -257,6 +257,65 @@ let test_pcap_fold_and_seq () =
   let r2 = Pcap.reader_of_string (Buffer.contents buf) in
   Alcotest.(check int) "seq length" 5 (Seq.length (Pcap.packets r2))
 
+let with_file contents f =
+  let path = Filename.temp_file "nt_net_test" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      In_channel.with_open_bin path f)
+
+let slices r =
+  let rec go acc =
+    match Pcap.read_slice r with
+    | Some s -> go (String.sub s.Pcap.buf s.off s.len :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+let test_pcap_channel_reuses_buffer () =
+  (* Records larger than the reader's initial 64 KiB buffer force it to
+     grow mid-stream; every slice still reads its own bytes. *)
+  let sizes = [ 60; 9000; 70_000; 14; 150_000; 1500 ] in
+  let payloads = List.mapi (fun i n -> String.make n (Char.chr (65 + i))) sizes in
+  let buf = Buffer.create 4096 in
+  let w = Pcap.writer_to_buffer ~snaplen:200_000 buf in
+  List.iteri (fun i p -> Pcap.write w ~time:(float_of_int i) p) payloads;
+  let pcap = Buffer.contents buf in
+  Alcotest.(check (list string)) "string reader" payloads (slices (Pcap.reader_of_string pcap));
+  with_file pcap (fun ic ->
+      Alcotest.(check (list string)) "channel reader" payloads (slices (Pcap.reader_of_channel ic)))
+
+let test_pcap_salvage_over_channel () =
+  let pcap = corrupt_second_record_length () in
+  let from_string = Pcap.reader_of_string ~salvage:true pcap in
+  let want = slices from_string in
+  with_file pcap (fun ic ->
+      let r = Pcap.reader_of_channel ~salvage:true ic in
+      Alcotest.(check (list string)) "same packets" want (slices r);
+      Alcotest.(check bool) "same accounting" true
+        (Pcap.read_stats r = Pcap.read_stats from_string))
+
+let test_frame_decode_slice_in_place () =
+  let f =
+    Frame.tcp ~src_ip:ip1 ~dst_ip:ip2 ~src_port:800 ~dst_port:2049 ~seq:77 ~syn:true "payload!"
+  in
+  let wire = Frame.encode f in
+  let buf = "prefix" ^ wire ^ "suffix" in
+  match Frame.decode_slice buf ~off:6 ~len:(String.length wire) with
+  | Error e -> Alcotest.fail e
+  | Ok h ->
+      Alcotest.(check bool) "tcp" true h.is_tcp;
+      Alcotest.(check int) "src ip" ip1 h.ip_src;
+      Alcotest.(check int) "ports" 800 h.sport;
+      Alcotest.(check int) "seq" 77 h.tcp_seq;
+      Alcotest.(check bool) "syn" true h.tcp_syn;
+      Alcotest.(check bool) "checksum" true h.checksum_ok;
+      Alcotest.(check string) "payload range" "payload!"
+        (String.sub buf h.payload_off h.payload_len);
+      Alcotest.(check bool) "out-of-bounds slice rejected" true
+        (Result.is_error (Frame.decode_slice buf ~off:10 ~len:(String.length wire)))
+
 (* --- TCP reassembly --- *)
 
 let flow = { Tcp.src_ip = ip1; src_port = 1000; dst_ip = ip2; dst_port = 2049 }
@@ -278,6 +337,22 @@ let test_tcp_out_of_order () =
   Alcotest.(check string) "held back" "" (collect out1);
   let out2 = Tcp.push t flow ~seq:100 ~syn:false "hello " in
   Alcotest.(check string) "released in order" "hello world" (collect out2)
+
+let test_tcp_slice_holds_copies () =
+  (* A segment held for reordering must survive the caller reusing the
+     buffer it was read from. *)
+  let t = Tcp.create () in
+  let events = ref [] in
+  let data events s off len = events := String.sub s off len :: !events in
+  let gap _ _ = () in
+  ignore (Tcp.push t flow ~seq:99 ~syn:true "");
+  let buf = Bytes.of_string "....world" in
+  Tcp.push_slice t flow ~seq:106 ~syn:false (Bytes.unsafe_to_string buf) ~off:4 ~len:5 ~data ~gap
+    events;
+  Alcotest.(check (list string)) "held back" [] !events;
+  Bytes.fill buf 0 (Bytes.length buf) '#';
+  Tcp.push_slice t flow ~seq:100 ~syn:false "hello " ~off:0 ~len:6 ~data ~gap events;
+  Alcotest.(check (list string)) "released intact" [ "hello "; "world" ] (List.rev !events)
 
 let test_tcp_midstream_join () =
   (* Without a SYN, the first segment seen defines the stream start —
@@ -473,6 +548,7 @@ let () =
           Alcotest.test_case "checksum" `Quick test_checksum_valid;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "mac fields" `Quick test_mac_fields;
+          Alcotest.test_case "decode in place" `Quick test_frame_decode_slice_in_place;
         ] );
       ( "pcap",
         [
@@ -487,6 +563,9 @@ let () =
             test_pcap_corrupt_raises_without_salvage;
           Alcotest.test_case "salvage resyncs" `Quick test_pcap_salvage_resyncs;
           Alcotest.test_case "salvage corrupt tail" `Quick test_pcap_salvage_corrupt_tail;
+          Alcotest.test_case "channel reader reuses one buffer" `Quick
+            test_pcap_channel_reuses_buffer;
+          Alcotest.test_case "salvage over a channel" `Quick test_pcap_salvage_over_channel;
         ] );
       ( "tcp_reassembly",
         [
@@ -506,5 +585,6 @@ let () =
           Alcotest.test_case "fault plan: burst loss gap-accounted" `Quick
             test_tcp_fault_burst_loss_gap_accounted;
           QCheck_alcotest.to_alcotest prop_tcp_shuffled_segments;
+          Alcotest.test_case "held segments are copies" `Quick test_tcp_slice_holds_copies;
         ] );
     ]

@@ -169,6 +169,42 @@ let prop_random_chunking =
       done;
       !out = messages)
 
+(* The slice entry point over a stream that sits mid-buffer: every
+   split into two pushes gives the records of one whole push. *)
+let test_slice_split_every_offset () =
+  let messages = [ "one"; String.make 300 'x'; ""; "fragmented across headers"; "last" ] in
+  let stream =
+    String.concat ""
+      (List.mapi
+         (fun i m -> if i = 3 then Rm.frame_fragmented ~fragment_size:5 m else Rm.frame m)
+         messages)
+  in
+  let buf = "JUNK" ^ stream ^ "TAIL" in
+  let n = String.length stream in
+  let collect records s off len = records := String.sub s off len :: !records in
+  let push_range r records off len = Rm.push_slice r buf ~off:(4 + off) ~len collect records in
+  let whole =
+    let r = Rm.create_reassembler () and records = ref [] in
+    push_range r records 0 n;
+    List.rev !records
+  in
+  Alcotest.(check (list string)) "whole buffer" messages whole;
+  for k = 0 to n do
+    let r = Rm.create_reassembler () and records = ref [] in
+    push_range r records 0 k;
+    push_range r records k (n - k);
+    Alcotest.(check (list string)) (Printf.sprintf "split at %d" k) whole (List.rev !records);
+    Alcotest.(check int) "nothing pending" 0 (Rm.pending_bytes r)
+  done
+
+let test_reset_drops_partial () =
+  let r = Rm.create_reassembler () in
+  let framed = Rm.frame "lost to a gap" in
+  ignore (Rm.push r (String.sub framed 0 7));
+  Rm.reset r;
+  Alcotest.(check int) "partial dropped" 0 (Rm.pending_bytes r);
+  Alcotest.(check (list string)) "next record clean" [ "after" ] (Rm.push r (Rm.frame "after"))
+
 let prop_fragmentation_equivalence =
   QCheck.Test.make ~name:"fragment size does not change the message" ~count:200
     QCheck.(pair (string_of_size Gen.(1 -- 200)) (int_range 1 64))
@@ -198,6 +234,8 @@ let () =
           Alcotest.test_case "empty record" `Quick test_empty_record;
           Alcotest.test_case "pending bytes" `Quick test_pending_bytes;
           Alcotest.test_case "desync resync" `Quick test_desync_resync;
+          Alcotest.test_case "slice split at every offset" `Quick test_slice_split_every_offset;
+          Alcotest.test_case "reset drops the partial record" `Quick test_reset_drops_partial;
           QCheck_alcotest.to_alcotest prop_random_chunking;
           QCheck_alcotest.to_alcotest prop_fragmentation_equivalence;
         ] );

@@ -400,6 +400,34 @@ let arb_records =
     ~print:(fun rs -> String.concat "\n" (List.map Record.to_line rs))
     (G.list_size (G.int_range 0 40) gen_record)
 
+(* ---------- the text writer ---------- *)
+
+(* Appending into one reused buffer renders each record exactly as
+   [to_line] does, and the fixed columns match their printf renderings
+   over the generators' extremes (min_int, negative xids, infinities). *)
+let prop_add_line =
+  QCheck.Test.make ~name:"add_line into a reused buffer equals to_line" ~count:500 arb_records
+    (fun rs ->
+      let b = Buffer.create 16 in
+      Buffer.add_string b "prefix|";
+      List.iter
+        (fun r ->
+          Record.add_line b r;
+          Buffer.add_char b '\n')
+        rs;
+      let fixed (r : Record.t) =
+        Printf.sprintf "%.6f %s v%d %s %s %08x %d %d %s" r.time
+          (match r.reply_time with Some t -> Printf.sprintf "%.6f" t | None -> "-")
+          r.version (Nt_net.Ip_addr.to_string r.client) (Nt_net.Ip_addr.to_string r.server) r.xid
+          r.uid r.gid
+          (Nt_nfs.Proc.to_string (Record.proc r))
+      in
+      String.equal (Buffer.contents b)
+        (String.concat "" ("prefix|" :: List.map (fun r -> Record.to_line r ^ "\n") rs))
+      && List.for_all
+           (fun r -> String.starts_with ~prefix:(fixed r ^ " ") (Record.to_line r ^ " "))
+           rs)
+
 (* ---------- round trips ---------- *)
 
 let prop_roundtrip_one =
@@ -851,6 +879,7 @@ let () =
         [
           Alcotest.test_case "encode matches checked-in bytes" `Quick test_golden_encode;
           Alcotest.test_case "fixture decodes to locked text" `Quick test_golden_decode;
+          QCheck_alcotest.to_alcotest prop_add_line;
         ] );
       ( "differential",
         [

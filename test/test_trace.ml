@@ -477,6 +477,136 @@ let test_degraded_drift_bounded () =
   close "write" cw dw;
   close "lookup" cl dl
 
+(* --- the slice path: one reused read buffer against owned copies --- *)
+
+let campus_pcap ?(fault = Fault.none) () =
+  let buf = Buffer.create (1 lsl 20) in
+  let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
+  let config = { Nt_workload.Email.default_config with users = 4 } in
+  let (_ : Pipeline.pcap_stats) =
+    Pipeline.campus_to_pcap ~config ~fault ~start ~stop:(start +. 900.)
+      ~writer:(Pcap.writer_to_buffer buf) ()
+  in
+  Buffer.contents buf
+
+(* Smash the length field of every [every]-th record header. *)
+let mangle_headers pcap ~every =
+  let b = Bytes.of_string pcap in
+  let rec go pos i =
+    if pos + 16 <= Bytes.length b then begin
+      let incl = Int32.to_int (Bytes.get_int32_le b (pos + 8)) in
+      if i mod every = every - 1 then Bytes.set b (pos + 11) '\x7f';
+      go (pos + 16 + incl) (i + 1)
+    end
+  in
+  go 24 0;
+  Bytes.to_string b
+
+let lines records = List.map Record.to_line records
+
+(* nfstrace's path: a channel reader refilling one buffer. *)
+let via_reused_buffer ?emit ?(salvage = false) pcap =
+  let path = Filename.temp_file "nt_trace_test" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc pcap);
+      In_channel.with_open_bin path (fun ic ->
+          let cap = Capture.create ?emit () in
+          Capture.feed_pcap cap (Pcap.reader_of_channel ~salvage ic);
+          Capture.finish cap))
+
+let via_owned_copies ?(salvage = false) pcap =
+  let reader = Pcap.reader_of_string ~salvage pcap in
+  let packets = List.of_seq (Pcap.packets reader) in
+  let cap = Capture.create () in
+  List.iter (fun (p : Pcap.packet) -> Capture.feed_packet cap ~time:p.time p.data) packets;
+  let stats, records = Capture.finish cap in
+  let rs = Pcap.read_stats reader in
+  ( {
+      stats with
+      salvaged_records = rs.salvaged;
+      skipped_pcap_bytes = rs.skipped_bytes;
+      truncated_pcap_tails = (if rs.truncated_tail then 1 else 0);
+    },
+    records )
+
+let check_slice_path ?salvage name pcap =
+  let stats, records = via_reused_buffer ?salvage pcap in
+  let stats', records' = via_owned_copies ?salvage pcap in
+  Alcotest.(check string) (name ^ ": stats") (Capture.stats_to_string stats')
+    (Capture.stats_to_string stats);
+  Alcotest.(check (list string)) (name ^ ": records") (lines records') (lines records);
+  (stats, records)
+
+let test_slice_clean_tcp () =
+  let stats, records = check_slice_path "clean" (campus_pcap ()) in
+  Alcotest.(check bool) "records decoded" true (List.length records > 200);
+  Alcotest.(check int) "every call answered" stats.calls stats.replies;
+  Alcotest.(check int) "no gaps" 0 stats.tcp_gaps
+
+let test_slice_burst () =
+  let stats, _ = check_slice_path "burst" (campus_pcap ~fault:Fault.campus_burst ()) in
+  Alcotest.(check bool) "loss visible" true (stats.tcp_gaps > 0 && stats.lost_replies > 0)
+
+let test_slice_reordered () =
+  (* Displaced frames arrive ahead of the segments before them, so TCP
+     holds them (the copying path) until the hole fills. *)
+  let plan = { Fault.none with reorder = 0.3; reorder_displace = 0.0021 } in
+  let clean = campus_pcap () and reordered = campus_pcap ~fault:plan () in
+  Alcotest.(check bool) "frames moved" false (String.equal clean reordered);
+  let stats, records = check_slice_path "reordered" reordered in
+  let clean_stats, _ = via_reused_buffer clean in
+  Alcotest.(check int) "no gaps" 0 stats.tcp_gaps;
+  Alcotest.(check int) "all calls recovered" clean_stats.calls (List.length records);
+  Alcotest.(check int) "all replies recovered" clean_stats.replies stats.replies
+
+let test_slice_salvage () =
+  let pcap = mangle_headers (campus_pcap ()) ~every:40 in
+  let stats, _ = check_slice_path ~salvage:true "salvage" pcap in
+  Alcotest.(check bool) "records salvaged" true (stats.salvaged_records > 0);
+  Alcotest.(check bool) "bytes skipped" true (stats.skipped_pcap_bytes > 0)
+
+let test_buffered_records_do_not_alias () =
+  (* Records buffered until [finish] were decoded from a buffer that has
+     been refilled many times since; they must render as they did when
+     produced. [finish] sorts newest-first emission order stably. *)
+  let pcap = campus_pcap () in
+  let emitted = ref [] in
+  let _ = via_reused_buffer ~emit:(fun r -> emitted := (r, Record.to_line r) :: !emitted) pcap in
+  let at_production =
+    List.map snd
+      (List.stable_sort (fun ((a : Record.t), _) (b, _) -> Float.compare a.time b.time) !emitted)
+  in
+  let _, buffered = via_reused_buffer pcap in
+  Alcotest.(check (list string)) "same lines after finish" at_production (lines buffered)
+
+let test_capture_unknown_version () =
+  (* A call whose NFS version field says 7: counted as an RPC error and
+     never written out, so its reply is an orphan. *)
+  let buf = Buffer.create 4096 in
+  let pipe =
+    Packet_pipe.create ~transport:Packet_pipe.Udp_transport ~writer:(Pcap.writer_to_buffer buf) ()
+  in
+  Packet_pipe.push pipe (List.hd (synth_records 1));
+  Packet_pipe.finish pipe;
+  let call, reply =
+    match List.of_seq (Pcap.packets (Pcap.reader_of_string (Buffer.contents buf))) with
+    | [ c; r ] -> (c, r)
+    | _ -> Alcotest.fail "expected call+reply packets"
+  in
+  let v7 = Bytes.of_string call.Pcap.data in
+  (* Ethernet 14 + IPv4 20 + UDP 8, then xid, mtype, rpcvers, prog, vers. *)
+  Bytes.set_int32_be v7 (42 + 16) 7l;
+  let cap = Capture.create () in
+  Capture.feed_packet cap ~time:call.Pcap.time (Bytes.to_string v7);
+  Capture.feed_packet cap ~time:reply.Pcap.time reply.Pcap.data;
+  let stats, records = Capture.finish cap in
+  Alcotest.(check int) "counted as an rpc error" 1 stats.rpc_errors;
+  Alcotest.(check int) "no call" 0 stats.calls;
+  Alcotest.(check int) "reply orphaned" 1 stats.orphan_replies;
+  Alcotest.(check int) "nothing written" 0 (List.length records)
+
 (* --- anonymizer --- *)
 
 let anon ?(config = Anonymize.default_config) () = Anonymize.create ~seed:9L config
@@ -673,6 +803,7 @@ let () =
           Alcotest.test_case "fuzz 10k frames" `Quick test_capture_fuzz_10k;
           QCheck_alcotest.to_alcotest prop_capture_never_crashes_on_garbage;
           QCheck_alcotest.to_alcotest prop_capture_survives_bitflips;
+          Alcotest.test_case "unknown NFS version" `Quick test_capture_unknown_version;
         ] );
       ( "degraded",
         [
@@ -683,6 +814,15 @@ let () =
             test_degraded_acceptance_burst;
           Alcotest.test_case "salvage mangled pcap" `Quick test_degraded_salvage_mangled_pcap;
           Alcotest.test_case "analysis drift bounded" `Quick test_degraded_drift_bounded;
+        ] );
+      ( "slices",
+        [
+          Alcotest.test_case "clean campus tcp" `Quick test_slice_clean_tcp;
+          Alcotest.test_case "campus burst faults" `Quick test_slice_burst;
+          Alcotest.test_case "reordered segments" `Quick test_slice_reordered;
+          Alcotest.test_case "salvage" `Quick test_slice_salvage;
+          Alcotest.test_case "buffered records do not alias" `Quick
+            test_buffered_records_do_not_alias;
         ] );
       ( "anonymize",
         [
