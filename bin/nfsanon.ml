@@ -20,7 +20,7 @@ let run input output seed omit obs_opts =
   let c_records = Nt_obs.Obs.counter obs ~help:"records anonymized" "anon.records" in
   let ic = if input = "-" then stdin else open_in input in
   let oc = if output = "-" then stdout else open_out output in
-  let n = ref 0 in
+  let n = ref 0 and rejected = ref 0 in
   Nt_obs.Obs.with_span obs "anonymize" (fun () ->
       Seq.iter
         (fun r ->
@@ -30,11 +30,15 @@ let run input output seed omit obs_opts =
           Nt_obs.Obs.inc c_records;
           Nt_obs.Sampler.tick sampler;
           Obs_cli.tick prog ~stage:"anonymize" 1)
-        (Nt_trace.Record.read_channel ic));
+        (Nt_trace.Record.read_channel ~rejected ic));
   if input <> "-" then close_in ic;
   if output <> "-" then close_out oc;
+  Nt_obs.Obs.add
+    (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "anon.rejected")
+    !rejected;
   Printf.eprintf "nfsanon: %d records, %d distinct name components mapped\n%!" !n
     (Nt_trace.Anonymize.mapped_names anon);
+  if !rejected > 0 then Printf.eprintf "nfsanon: %d malformed lines skipped\n%!" !rejected;
   Obs_cli.finish prog;
   Obs_cli.dump obs_opts obs;
   Obs_cli.dump_timeline ~sampler obs_opts timeline;

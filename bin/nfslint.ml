@@ -60,6 +60,7 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
       (* stdin stays a lazy stream; file sources (text or tbin:) load
          through the pipeline's format-sniffing reader *)
       let ic = if input = "-" then Some stdin else None in
+      let rejected = ref 0 in
       let records =
         match ic with
         | Some ic ->
@@ -67,10 +68,13 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
               (fun r ->
                 tick ();
                 r)
-              (Nt_trace.Record.read_channel ic)
-        | None -> List.to_seq (Nt_core.Pipeline.load_trace ~obs ~tick input)
+              (Nt_trace.Record.read_channel ~rejected ic)
+        | None -> List.to_seq (Nt_core.Pipeline.load_trace ~obs ~tick ~rejected input)
       in
       let t = Nt_obs.Obs.with_span obs "lint.run" (fun () -> Lint.run ~obs config records) in
+      Nt_obs.Obs.add
+        (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "lint.rejected")
+        !rejected;
       Obs_cli.finish prog;
       let findings = Lint.findings t in
       if json then print_endline (Nt_lint.Finding.list_to_json findings)
@@ -83,6 +87,7 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
         (if Lint.suppressed t > 0 then
            Printf.sprintf " (%d findings suppressed past per-rule cap)" (Lint.suppressed t)
          else "");
+      if !rejected > 0 then Printf.eprintf "nfslint: %d malformed lines skipped\n%!" !rejected;
       ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
       Obs_cli.dump obs_opts obs;
       Obs_cli.dump_timeline ~sampler obs_opts timeline;

@@ -4,8 +4,8 @@
 
 open Cmdliner
 
-let load ~obs prog sampler input =
-  Nt_core.Pipeline.load_trace ~obs
+let load ~obs ~rejected prog sampler input =
+  Nt_core.Pipeline.load_trace ~obs ~rejected
     ~tick:(fun () ->
       Obs_cli.tick prog ~stage:"load" 1;
       Nt_obs.Sampler.tick sampler)
@@ -16,11 +16,18 @@ let run input analyses jobs shard_records lint obs_opts =
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfsstats" in
-  let records = Nt_obs.Obs.with_span obs "load" (fun () -> load ~obs prog sampler input) in
+  let rejected = ref 0 in
+  let records =
+    Nt_obs.Obs.with_span obs "load" (fun () -> load ~obs ~rejected prog sampler input)
+  in
   Nt_obs.Obs.add
     (Nt_obs.Obs.counter obs ~help:"trace records loaded" "stats.records")
     (List.length records);
+  Nt_obs.Obs.add
+    (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "stats.rejected")
+    !rejected;
   Printf.eprintf "nfsstats: %d records loaded\n%!" (List.length records);
+  if !rejected > 0 then Printf.eprintf "nfsstats: %d malformed lines skipped\n%!" !rejected;
   if lint then begin
     let l = Nt_core.Pipeline.lint_records ~obs records in
     List.iter

@@ -29,6 +29,7 @@ let default_config =
         "Nt_net.Tcp_reassembly.push_slice";
         "Nt_rpc.Record_mark.push_slice";
         "Nt_trace.Capture.feed_slice";
+        "Nt_trace.Record.parse_slice";
       ];
     acc_prefixes = [ "Nt_analysis"; "Nt_lint"; "Nt_mon" ];
     test_units = [ "Test_par" ];
@@ -42,6 +43,7 @@ let default_config =
         "Nt_trace.Capture.feed_packet";
         "Nt_trace.Capture.feed_pcap";
         "Nt_trace.Capture.finish";
+        "Nt_trace.Record.parse_slice";
         "Nt_tbin.Tbin.Decoder.*";
         "Nt_mon.Feed.*";
         "Nt_mon.Checkpoint.*";

@@ -209,9 +209,9 @@ let iter_tbin ?obs path f =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Nt_tbin.iter_channel ?obs ic f)
 
-let load_trace ?obs ?(tick = fun () -> ()) spec =
+let load_trace ?obs ?(tick = fun () -> ()) ?rejected spec =
   let text ic =
-    List.of_seq (Seq.map (fun r -> tick (); r) (Nt_trace.Record.read_channel ic))
+    List.of_seq (Seq.map (fun r -> tick (); r) (Nt_trace.Record.read_channel ?rejected ic))
   in
   let tbin ic =
     let acc = ref [] in

@@ -179,11 +179,17 @@ val iter_tbin :
     the out-of-core reading path. *)
 
 val load_trace :
-  ?obs:Nt_obs.Obs.t -> ?tick:(unit -> unit) -> string -> Nt_trace.Record.t list
+  ?obs:Nt_obs.Obs.t ->
+  ?tick:(unit -> unit) ->
+  ?rejected:int ref ->
+  string ->
+  Nt_trace.Record.t list
 (** Load a trace from a source spec: [-] reads text records from
     stdin; [trace:PATH] / [tbin:PATH] force the format; a bare path is
     sniffed ([.ntb] extension or the [nttb/1] magic mean binary, text
-    otherwise). [tick] fires once per record for progress meters. *)
+    otherwise). [tick] fires once per record for progress meters.
+    Malformed text lines are skipped and counted in [rejected]; tbin
+    damage is counted by the decoder's own [tbin.*] counters. *)
 
 val analyze_stream :
   ?obs:Nt_obs.Obs.t ->

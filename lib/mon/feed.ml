@@ -59,10 +59,13 @@ type tail = {
   mutable fd : Unix.file_descr option;
   mutable ino : int;  (* inode the fd reads; rotation detection *)
   mutable pending : string;
+  chunk : Bytes.t;  (* read buffer, reused by every fill *)
   mutable consumed : int64;
   mutable delivered : int64;
   mutable read_off : int64;  (* fd offset = consumed + pending length *)
 }
+
+let chunk_size = 65536
 
 let tail_create ~obs path =
   {
@@ -71,6 +74,7 @@ let tail_create ~obs path =
     fd = None;
     ino = -1;
     pending = "";
+    chunk = Bytes.create chunk_size;
     consumed = 0L;
     delivered = 0L;
     read_off = 0L;
@@ -104,8 +108,6 @@ let tail_ensure_open t =
           Obs.inc t.cs.c_open_failures;
           None)
 
-let chunk_size = 65536
-
 (* Pull more bytes off the file; true when anything new arrived.
    Detects truncation (file now shorter than what we consumed) and
    rotation (the path now names a different inode) and starts over,
@@ -132,11 +134,15 @@ let rec tail_fill t =
         tail_fill t
       end
       else
-        let buf = Bytes.create chunk_size in
-        match Unix.read fd buf 0 chunk_size with
+        match Unix.read fd t.chunk 0 chunk_size with
         | 0 -> false
         | n ->
-            t.pending <- t.pending ^ Bytes.sub_string buf 0 n;
+            (* one allocation per fill: the unparsed tail, then the new bytes *)
+            let p = String.length t.pending in
+            let b = Bytes.create (p + n) in
+            Bytes.blit_string t.pending 0 b 0 p;
+            Bytes.blit t.chunk 0 b p n;
+            t.pending <- Bytes.unsafe_to_string b;
             t.read_off <- Int64.add t.read_off (Int64.of_int n);
             true
         | exception Unix.Unix_error _ -> false)
@@ -170,19 +176,25 @@ let trace_tail ?obs path =
      [pos] can report the boundary of the last *delivered* record rather
      than the last *parsed* one. *)
   let queue = Queue.create () in
+  (* Lines are parsed in place as slices of [pending], which is
+     trimmed once at the end rather than once per line. *)
   let parse_complete_lines () =
+    let p = t.pending in
+    let pos = ref 0 in
     let continue = ref true in
     while !continue do
-      match String.index_opt t.pending '\n' with
+      match String.index_from_opt p !pos '\n' with
       | None -> continue := false
       | Some i ->
-          let line = String.sub t.pending 0 i in
-          tail_consume t (i + 1);
-          if String.length line > 0 then (
-            match Record.of_line line with
-            | Ok r -> Queue.push (r, t.consumed) queue
-            | Error _ -> Obs.inc t.cs.c_parse_errors)
-    done
+          let len = i - !pos in
+          tail_advance t (len + 1);
+          (if len > 0 then
+             match Record.parse_slice p ~pos:!pos ~len with
+             | Ok r -> Queue.push (r, t.consumed) queue
+             | Error _ -> Obs.inc t.cs.c_parse_errors);
+          pos := i + 1
+    done;
+    tail_drop t !pos
   in
   let rec pull_fn () =
     match Queue.take_opt queue with

@@ -11,15 +11,28 @@ let to_string t =
   Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xFF) ((t lsr 16) land 0xFF)
     ((t lsr 8) land 0xFF) (t land 0xFF)
 
-let of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-      match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c, int_of_string_opt d) with
-      | Some a, Some b, Some c, Some d
-        when a >= 0 && a < 256 && b >= 0 && b < 256 && c >= 0 && c < 256 && d >= 0 && d < 256 ->
-          Some (v a b c d)
-      | _ -> None)
-  | _ -> None
+(* Four dotted octets of decimal digits, each 0..255; no sign, prefix
+   or underscore. *)
+let of_slice s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then None
+  else begin
+    let stop = pos + len in
+    let i = ref pos and addr = ref 0 and ok = ref true in
+    for octet = 0 to 3 do
+      let start = !i and v = ref 0 in
+      while !ok && !i < stop && s.[!i] >= '0' && s.[!i] <= '9' do
+        v := (!v * 10) + Char.code s.[!i] - 48;
+        if !v > 255 then ok := false;
+        incr i
+      done;
+      if !i = start then ok := false;
+      addr := (!addr lsl 8) lor !v;
+      if octet < 3 then if !i < stop && s.[!i] = '.' then incr i else ok := false
+    done;
+    if !ok && !i = stop then Some !addr else None
+  end
+
+let of_string s = of_slice s ~pos:0 ~len:(String.length s)
 
 let compare = Int.compare
 let equal = Int.equal

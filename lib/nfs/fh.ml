@@ -43,25 +43,32 @@ let hex_of_prefix t n =
 let to_hex t = hex_of_prefix t (min (String.length t) 16)
 let to_hex_full t = hex_of_prefix t (String.length t)
 
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 || n > 128 then None
-  else
-    let hex c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
-    in
-    let b = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (hex s.[2 * i], hex s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
+(* Hex digit values by byte; 0xFF marks a non-digit. *)
+let hex_values =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '0' .. '9' -> Char.chr (i - 48)
+      | 'a' .. 'f' -> Char.chr (i - 87)
+      | 'A' .. 'F' -> Char.chr (i - 55)
+      | _ -> '\xff')
+
+let hex_digit s i = Char.code (String.unsafe_get hex_values (Char.code (String.unsafe_get s i)))
+
+let of_hex_slice s ~pos ~len =
+  if len land 1 <> 0 || len > 128 || pos < 0 || len < 0 || pos > String.length s - len then None
+  else begin
+    let b = Bytes.create (len / 2) in
+    let seen = ref 0 in
+    for i = 0 to (len / 2) - 1 do
+      let hi = hex_digit s (pos + (2 * i)) and lo = hex_digit s (pos + (2 * i) + 1) in
+      seen := !seen lor hi lor lo;
+      Bytes.unsafe_set b i (Char.unsafe_chr (((hi lsl 4) lor lo) land 0xFF))
     done;
-    if !ok then Some (Bytes.unsafe_to_string b) else None
+    if !seen < 16 then Some (Bytes.unsafe_to_string b) else None
+  end
+[@@nt.alloc_ok "the handle's bytes are the decoded value, copied once out of the text line"]
+
+let of_hex s = of_hex_slice s ~pos:0 ~len:(String.length s)
 
 let equal = String.equal
 let compare = String.compare

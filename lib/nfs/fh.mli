@@ -32,8 +32,12 @@ val to_hex : t -> string
 val to_hex_full : t -> string
 (** Lossless hex of the whole handle, for trace serialization. *)
 
+val of_hex_slice : string -> pos:int -> len:int -> t option
+(** Decode the hex at [pos, pos+len) of [s] in place: an even number of
+    hex digits (either case), at most 128. Inverse of {!to_hex_full}. *)
+
 val of_hex : string -> t option
-(** Inverse of {!to_hex_full}. *)
+(** {!of_hex_slice} over the whole string. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

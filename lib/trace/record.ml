@@ -88,27 +88,6 @@ let add_escaped b s =
     else Buffer.add_char b c
   done
 
-let unescape s =
-  if not (String.contains s '%') then s
-  else begin
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    while !i < n do
-      if s.[!i] = '%' && !i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-        | Some code -> Buffer.add_char buf (Char.chr code)
-        | None -> Buffer.add_char buf s.[!i]);
-        i := !i + 3
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
-        i := !i + 1
-      end
-    done;
-    Buffer.contents buf
-  end
-
 (* The writer appends each field straight into the caller's buffer:
    decimal integers and hex bytes digit by digit, floats and the xid
    through the C formatters Printf itself calls, so the bytes are those
@@ -303,283 +282,6 @@ let to_line t =
   add_line b t;
   Buffer.contents b
 
-(* --- parsing --- *)
-
-let proc_of_string s = List.find_opt (fun p -> Proc.to_string p = s) Proc.all
-
-let parse_kvs tokens =
-  List.filter_map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i -> Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-      | None -> None)
-    tokens
-
-let of_line line =
-  let ( let* ) = Result.bind in
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match String.split_on_char ' ' line with
-  | time :: reply_time :: version :: client :: server :: xid :: uid :: gid :: procname :: rest ->
-      let* time = match float_of_string_opt time with Some f -> Ok f | None -> fail "bad time" in
-      let* reply_time =
-        if reply_time = "-" then Ok None
-        else
-          match float_of_string_opt reply_time with
-          | Some f -> Ok (Some f)
-          | None -> fail "bad reply time"
-      in
-      let* version =
-        match version with "v2" -> Ok 2 | "v3" -> Ok 3 | v -> fail "bad version %s" v
-      in
-      let* client =
-        match Ip_addr.of_string client with Some ip -> Ok ip | None -> fail "bad client ip"
-      in
-      let* server =
-        match Ip_addr.of_string server with Some ip -> Ok ip | None -> fail "bad server ip"
-      in
-      let* xid =
-        match int_of_string_opt ("0x" ^ xid) with Some x -> Ok x | None -> fail "bad xid"
-      in
-      let* uid = match int_of_string_opt uid with Some u -> Ok u | None -> fail "bad uid" in
-      let* gid = match int_of_string_opt gid with Some g -> Ok g | None -> fail "bad gid" in
-      let* p = match proc_of_string procname with Some p -> Ok p | None -> fail "bad proc" in
-      let call_toks, result_toks =
-        let rec split acc = function
-          | [] -> (List.rev acc, None)
-          | "|" :: rest -> (List.rev acc, Some rest)
-          | tok :: rest -> split (tok :: acc) rest
-        in
-        split [] rest
-      in
-      let ckv = parse_kvs call_toks in
-      let get key = List.assoc_opt key ckv in
-      let get_fh key =
-        match get key with Some hex -> Fh.of_hex hex | None -> None
-      in
-      let get_int key = Option.bind (get key) int_of_string_opt in
-      let get_i64 key = Option.bind (get key) Int64.of_string_opt in
-      let get_name key = Option.map unescape (get key) in
-      let req_fh key = match get_fh key with Some fh -> Ok fh | None -> fail "missing %s" key in
-      let req_name key =
-        match get_name key with Some n -> Ok n | None -> fail "missing %s" key
-      in
-      let req_i64 key = match get_i64 key with Some v -> Ok v | None -> fail "missing %s" key in
-      let req_int key = match get_int key with Some v -> Ok v | None -> fail "missing %s" key in
-      let* call =
-        match (p : Proc.t) with
-        | Null | Root | Writecache -> Ok Ops.Null
-        | Getattr ->
-            let* fh = req_fh "fh" in
-            Ok (Ops.Getattr fh)
-        | Readlink ->
-            let* fh = req_fh "fh" in
-            Ok (Ops.Readlink fh)
-        | Statfs ->
-            let* fh = req_fh "fh" in
-            Ok (Ops.Statfs fh)
-        | Fsinfo ->
-            let* fh = req_fh "fh" in
-            Ok (Ops.Fsinfo fh)
-        | Pathconf ->
-            let* fh = req_fh "fh" in
-            Ok (Ops.Pathconf fh)
-        | Setattr ->
-            let* fh = req_fh "fh" in
-            let time_of key =
-              Option.map (fun f -> Types.time_of_float f)
-                (Option.bind (get key) float_of_string_opt)
-            in
-            Ok
-              (Ops.Setattr
-                 {
-                   fh;
-                   attrs =
-                     {
-                       set_size = get_i64 "ssize";
-                       set_mode = get_int "smode";
-                       set_uid = get_int "suid";
-                       set_gid = get_int "sgid";
-                       set_atime = time_of "satime";
-                       set_mtime = time_of "smtime";
-                     };
-                 })
-        | Lookup ->
-            let* dir = req_fh "dir" in
-            let* name = req_name "name" in
-            Ok (Ops.Lookup { dir; name })
-        | Access ->
-            let* fh = req_fh "fh" in
-            let* access = req_int "acc" in
-            Ok (Ops.Access { fh; access })
-        | Read ->
-            let* fh = req_fh "fh" in
-            let* offset = req_i64 "off" in
-            let* count = req_int "count" in
-            Ok (Ops.Read { fh; offset; count })
-        | Write ->
-            let* fh = req_fh "fh" in
-            let* offset = req_i64 "off" in
-            let* count = req_int "count" in
-            let stable = Types.stable_how_of_int (Option.value (get_int "stable") ~default:2) in
-            Ok (Ops.Write { fh; offset; count; stable })
-        | Create ->
-            let* dir = req_fh "dir" in
-            let* name = req_name "name" in
-            let mode = Option.value (get_int "mode") ~default:0o644 in
-            let exclusive = get "excl" = Some "1" in
-            Ok (Ops.Create { dir; name; mode; exclusive })
-        | Mkdir ->
-            let* dir = req_fh "dir" in
-            let* name = req_name "name" in
-            let mode = Option.value (get_int "mode") ~default:0o755 in
-            Ok (Ops.Mkdir { dir; name; mode })
-        | Symlink ->
-            let* dir = req_fh "dir" in
-            let* name = req_name "name" in
-            let* target = req_name "target" in
-            Ok (Ops.Symlink { dir; name; target })
-        | Mknod ->
-            let* dir = req_fh "dir" in
-            let* name = req_name "name" in
-            Ok (Ops.Mknod { dir; name })
-        | Remove ->
-            let* dir = req_fh "dir" in
-            let* name = req_name "name" in
-            Ok (Ops.Remove { dir; name })
-        | Rmdir ->
-            let* dir = req_fh "dir" in
-            let* name = req_name "name" in
-            Ok (Ops.Rmdir { dir; name })
-        | Rename ->
-            let* from_dir = req_fh "dir" in
-            let* from_name = req_name "name" in
-            let* to_dir = req_fh "todir" in
-            let* to_name = req_name "toname" in
-            Ok (Ops.Rename { from_dir; from_name; to_dir; to_name })
-        | Link ->
-            let* fh = req_fh "fh" in
-            let* to_dir = req_fh "todir" in
-            let* to_name = req_name "toname" in
-            Ok (Ops.Link { fh; to_dir; to_name })
-        | Readdir ->
-            let* dir = req_fh "dir" in
-            let* cookie = req_i64 "cookie" in
-            let* count = req_int "count" in
-            Ok (Ops.Readdir { dir; cookie; count })
-        | Readdirplus ->
-            let* dir = req_fh "dir" in
-            let* cookie = req_i64 "cookie" in
-            let* count = req_int "count" in
-            Ok (Ops.Readdirplus { dir; cookie; count })
-        | Commit ->
-            let* fh = req_fh "fh" in
-            let* offset = req_i64 "off" in
-            let* count = req_int "count" in
-            Ok (Ops.Commit { fh; offset; count })
-      in
-      let result =
-        match result_toks with
-        | None -> None
-        | Some toks -> (
-            let rkv = parse_kvs toks in
-            let rget key = List.assoc_opt key rkv in
-            let rint key = Option.bind (rget key) int_of_string_opt in
-            let ri64 key = Option.bind (rget key) Int64.of_string_opt in
-            match rint "status" with
-            | None -> None
-            | Some 0 -> (
-                let attr =
-                  match (ri64 "size", ri64 "fileid") with
-                  | Some size, fileid ->
-                      let ftype =
-                        match rget "ftype" with
-                        | Some "DIR" -> Types.Dir
-                        | Some "LNK" -> Types.Lnk
-                        | _ -> Types.Reg
-                      in
-                      let mtime =
-                        Types.time_of_float
-                          (Option.value
-                             (Option.bind (rget "mtime") float_of_string_opt)
-                             ~default:0.)
-                      in
-                      Some
-                        {
-                          Types.default_fattr with
-                          size;
-                          fileid = Option.value fileid ~default:0L;
-                          ftype;
-                          mtime;
-                        }
-                  | None, _ -> None
-                in
-                match (p : Proc.t) with
-                | Null | Root | Writecache -> Some (Stdlib.Ok Ops.R_null)
-                | Getattr | Setattr -> (
-                    match attr with
-                    | Some a -> Some (Stdlib.Ok (Ops.R_attr a))
-                    | None -> Some (Stdlib.Ok Ops.R_empty))
-                | Lookup -> (
-                    match Option.bind (rget "rfh") Fh.of_hex with
-                    | Some fh -> Some (Stdlib.Ok (Ops.R_lookup { fh; obj = attr; dir = None }))
-                    | None -> Some (Stdlib.Ok Ops.R_empty))
-                | Access ->
-                    Some (Stdlib.Ok (Ops.R_access (Option.value (rint "racc") ~default:0)))
-                | Readlink ->
-                    Some
-                      (Stdlib.Ok
-                         (Ops.R_readlink (unescape (Option.value (rget "rtarget") ~default:""))))
-                | Read ->
-                    Some
-                      (Stdlib.Ok
-                         (Ops.R_read
-                            {
-                              attr;
-                              count = Option.value (rint "rcount") ~default:0;
-                              eof = rget "eof" = Some "1";
-                            }))
-                | Write ->
-                    Some
-                      (Stdlib.Ok
-                         (Ops.R_write
-                            {
-                              count = Option.value (rint "rcount") ~default:0;
-                              committed =
-                                Types.stable_how_of_int
-                                  (Option.value (rint "committed") ~default:2);
-                              attr;
-                            }))
-                | Create | Mkdir | Symlink | Mknod ->
-                    Some
-                      (Stdlib.Ok
-                         (Ops.R_create { fh = Option.bind (rget "rfh") Fh.of_hex; attr }))
-                | Remove | Rmdir | Rename | Link | Commit -> Some (Stdlib.Ok Ops.R_empty)
-                | Readdir | Readdirplus ->
-                    Some (Stdlib.Ok (Ops.R_readdir { entries = []; eof = rget "eof" = Some "1" }))
-                | Statfs ->
-                    Some
-                      (Stdlib.Ok
-                         (Ops.R_statfs
-                            {
-                              total_bytes = Option.value (ri64 "tbytes") ~default:0L;
-                              free_bytes = Option.value (ri64 "fbytes") ~default:0L;
-                            }))
-                | Fsinfo ->
-                    Some
-                      (Stdlib.Ok
-                         (Ops.R_fsinfo
-                            {
-                              rtmax = Option.value (rint "rtmax") ~default:32768;
-                              wtmax = Option.value (rint "wtmax") ~default:32768;
-                            }))
-                | Pathconf ->
-                    Some
-                      (Stdlib.Ok
-                         (Ops.R_pathconf { name_max = Option.value (rint "namemax") ~default:255 })))
-            | Some code -> Some (Stdlib.Error (Types.nfsstat_of_int code)))
-      in
-      Ok { time; reply_time; version; client; server; xid; uid; gid; call; result }
-  | _ -> Error "too few fields"
 
 let write_channel oc records =
   let n = ref 0 in
@@ -594,11 +296,352 @@ let write_channel oc records =
     records;
   !n
 
-let read_channel ic =
+(* --- parsing (DESIGN.md §18) --- *)
+
+(* One cursor walks the line in place. The helpers are top-level
+   functions over (line, start, stop), so a line allocates only the
+   record, its handles and its names. A malformed field raises
+   [Malformed], which never leaves [parse_slice]. *)
+exception Malformed of string
+
+let malformed msg = raise_notrace (Malformed msg)
+
+(* Keys a record keeps: the call half's before [first_reply_key], the
+   reply half's from it on. A token matches only keys of its own half. *)
+let keys =
+  [|
+    "fh"; "off"; "count"; "dir"; "name"; "acc"; "stable"; "mode"; "excl"; "target"; "todir";
+    "toname"; "cookie"; "ssize"; "smode"; "suid"; "sgid"; "satime"; "smtime";
+    "status"; "size"; "fileid"; "ftype"; "mtime"; "rcount"; "eof"; "rfh"; "racc"; "rtarget";
+    "committed"; "tbytes"; "fbytes"; "rtmax"; "wtmax"; "namemax";
+  |]
+
+let k_fh = 0 and k_off = 1 and k_count = 2 and k_dir = 3 and k_name = 4 and k_acc = 5
+and k_stable = 6 and k_mode = 7 and k_excl = 8 and k_target = 9 and k_todir = 10
+and k_toname = 11 and k_cookie = 12 and k_ssize = 13 and k_smode = 14 and k_suid = 15
+and k_sgid = 16 and k_satime = 17 and k_smtime = 18 and first_reply_key = 19
+and k_status = 19 and k_size = 20 and k_fileid = 21 and k_ftype = 22 and k_mtime = 23
+and k_rcount = 24 and k_eof = 25 and k_rfh = 26 and k_racc = 27 and k_rtarget = 28
+and k_committed = 29 and k_tbytes = 30 and k_fbytes = 31 and k_rtmax = 32 and k_wtmax = 33
+and k_namemax = 34
+
+let missing = Array.map (fun k -> "missing " ^ k) keys
+let bad_value = Array.map (fun k -> "bad " ^ k) keys
+let procs = Array.of_list Proc.all
+let proc_names = Array.map Proc.to_string procs
+
+(* Per-domain cursor: slot 2k is where key k's value starts in [line]
+   (-1: absent), slot 2k+1 where it ends. Reused line after line. *)
+type cursor = { slots : int array; mutable line : string }
+
+let cursors =
+  Domain.DLS.new_key (fun () -> { slots = Array.make (2 * Array.length keys) (-1); line = "" })
+
+let rec field_end s i stop =
+  if i < stop && String.unsafe_get s i <> ' ' then field_end s (i + 1) stop else i
+
+(* End of the column after the one ending at [e]. *)
+let column s e stop = if e < stop then field_end s (e + 1) stop else malformed "too few fields"
+
+let rec equal_at s pos lit i len =
+  i = len
+  || (String.unsafe_get s (pos + i) = String.unsafe_get lit i && equal_at s pos lit (i + 1) len)
+
+(* Names are matched by length, then bytes. *)
+let slice_is s pos len lit = String.length lit = len && equal_at s pos lit 0 len
+
+let rec find_key s pos len k stop =
+  if k = stop then -1
+  else if slice_is s pos len keys.(k) then k
+  else find_key s pos len (k + 1) stop
+
+let rec find_proc s pos len i =
+  if i = Array.length procs then malformed "bad proc"
+  else if slice_is s pos len proc_names.(i) then procs.(i)
+  else find_proc s pos len (i + 1)
+
+(* --- values: each [*_at s i stop msg] parses s.[i .. stop-1] --- *)
+
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
+
+let rec digits_end s i stop =
+  if i < stop && String.unsafe_get s i >= '0' && String.unsafe_get s i <= '9' then
+    digits_end s (i + 1) stop
+  else i
+
+let rec digits_value s i stop acc =
+  if i >= stop then acc
+  else digits_value s (i + 1) stop ((acc * 10) + Char.code (String.unsafe_get s i) - 48)
+
+let copy s i stop = String.sub s i (stop - i)
+[@@nt.alloc_ok
+  "fallback for numbers past 18 digits and floats outside the %.6f fast path; the writer's \
+   own lines never take it"]
+
+(* Decimal fields are [-]digits and nothing else, so int_of_string's
+   literal forms (0x, 0o, 0b, 0u, _, +) are rejected. Returns where the
+   digits start. *)
+let decimal s i stop msg =
+  let d = if i < stop && String.unsafe_get s i = '-' then i + 1 else i in
+  if d = stop || digits_end s d stop < stop then malformed msg else d
+
+let signed s i d stop = if d > i then -digits_value s d stop 0 else digits_value s d stop 0
+
+(* Up to 18 digits fit an int outright; longer runs go through the
+   stdlib parsers, which check overflow. *)
+let int_at s i stop msg =
+  let d = decimal s i stop msg in
+  if stop - d <= 18 then signed s i d stop
+  else match int_of_string_opt (copy s i stop) with Some v -> v | None -> malformed msg
+
+let i64_at s i stop msg =
+  let d = decimal s i stop msg in
+  if stop - d <= 18 then Int64.of_int (signed s i d stop)
+  else match Int64.of_string_opt (copy s i stop) with Some v -> v | None -> malformed msg
+
+(* The xid column: hex digits, at most 63 bits. The writer's %08x of a
+   negative int is its 63-bit pattern, so values past max_int wrap. *)
+let rec hex_at s i stop acc =
+  if i = stop then acc
+  else
+    let d = hex_value (String.unsafe_get s i) in
+    if d < 0 || acc lsr 59 <> 0 then malformed "bad xid"
+    else hex_at s (i + 1) stop ((acc lsl 4) lor d)
+
+let pow10 =
+  [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15; 1e16;
+     1e17; 1e18 |]
+
+(* [-]digits[.digits], at most 18 digits, mantissa m below 2^53: m and
+   10^k (k <= 18 <= 22) are exact doubles, so one IEEE division rounds
+   the true quotient once, as float_of_string does. Every other
+   spelling goes to float_of_string itself. *)
+let float_at s i stop msg =
+  let d = if i < stop && String.unsafe_get s i = '-' then i + 1 else i in
+  let ie = digits_end s d stop in
+  let fe = if ie < stop && String.unsafe_get s ie = '.' then digits_end s (ie + 1) stop else ie in
+  let k = if fe > ie then fe - ie - 1 else 0 in
+  let m =
+    if ie > d && fe = stop && ie - d + k <= 18 then
+      digits_value s (ie + 1) fe (digits_value s d ie 0)
+    else -1
+  in
+  if m < 0 || m >= 1 lsl 53 then
+    match float_of_string_opt (copy s i stop) with Some f -> f | None -> malformed msg
+  else if d > i then -.(Float.of_int m /. pow10.(k))
+  else Float.of_int m /. pow10.(k)
+
+let time_at s i stop msg = Types.time_of_float (float_at s i stop msg)
+let epoch = Types.time_of_float 0.
+
+let ip_at s i stop msg =
+  match Ip_addr.of_slice s ~pos:i ~len:(stop - i) with Some ip -> ip | None -> malformed msg
+
+let fh_at s i stop msg =
+  match Fh.of_hex_slice s ~pos:i ~len:(stop - i) with Some fh -> fh | None -> malformed msg
+
+let rec unescape b s i stop msg =
+  if i >= stop then Buffer.contents b
+  else if s.[i] <> '%' then begin
+    Buffer.add_char b s.[i];
+    unescape b s (i + 1) stop msg
+  end
+  else if i + 2 < stop && hex_value s.[i + 1] >= 0 && hex_value s.[i + 2] >= 0 then begin
+    Buffer.add_char b (Char.chr ((hex_value s.[i + 1] lsl 4) lor hex_value s.[i + 2]));
+    unescape b s (i + 3) stop msg
+  end
+  else malformed msg
+[@@nt.alloc_ok "decodes a name holding %XX escapes, which the writer emits only for unsafe bytes"]
+
+let rec has_escape s i stop = i < stop && (String.unsafe_get s i = '%' || has_escape s (i + 1) stop)
+
+(* A name is copied out once; every '%' must start a %XX escape. *)
+let name_at s i stop msg =
+  if has_escape s i stop then unescape (Buffer.create (stop - i)) s i stop msg else copy s i stop
+[@@nt.alloc_ok "a name or link target is copied out of the line once, as the record's own value"]
+
+(* --- key=value tokens --- *)
+
+let rec index_eq s i stop =
+  if i = stop || String.unsafe_get s i = '=' then i else index_eq s (i + 1) stop
+
+(* Note where each known key's value lies; the first occurrence wins.
+   Tokens without '=' and unknown keys are ignored. Returns whether a
+   lone "|" opened the reply half. *)
+let scan_pairs slots s i stop =
+  let i = ref i and reply = ref false in
+  while !i < stop do
+    let e = field_end s !i stop in
+    let eq = index_eq s !i e in
+    let k =
+      if eq = e then -1
+      else if !reply then find_key s !i (eq - !i) first_reply_key (Array.length keys)
+      else find_key s !i (eq - !i) 0 first_reply_key
+    in
+    if e - !i = 1 && s.[!i] = '|' && not !reply then reply := true
+    else if k >= 0 && slots.(2 * k) < 0 then begin
+      slots.(2 * k) <- eq + 1;
+      slots.((2 * k) + 1) <- e
+    end;
+    i := e + 1
+  done;
+  !reply
+
+let has c k = c.slots.(2 * k) >= 0
+
+let req at c k =
+  let i = c.slots.(2 * k) in
+  if i < 0 then malformed missing.(k) else at c.line i c.slots.((2 * k) + 1) bad_value.(k)
+
+let opt at c k = if has c k then Some (req at c k) else None
+let default at c k d = if has c k then req at c k else d
+
+(* excl and eof are true only when spelled "1"; ftype keeps DIR and LNK. *)
+let is c k lit =
+  let i = c.slots.(2 * k) in
+  i >= 0 && slice_is c.line i (c.slots.((2 * k) + 1) - i) lit
+
+let req_fh c = req fh_at c k_fh
+let req_dir c = req fh_at c k_dir
+let req_name c = req name_at c k_name
+
+let decode_call c (p : Proc.t) : Ops.call =
+  match p with
+  | Null | Root | Writecache -> Null
+  | Getattr -> Getattr (req_fh c)
+  | Readlink -> Readlink (req_fh c)
+  | Statfs -> Statfs (req_fh c)
+  | Fsinfo -> Fsinfo (req_fh c)
+  | Pathconf -> Pathconf (req_fh c)
+  | Setattr ->
+      let set_size = opt i64_at c k_ssize and set_mode = opt int_at c k_smode in
+      let set_uid = opt int_at c k_suid and set_gid = opt int_at c k_sgid in
+      let set_atime = opt time_at c k_satime and set_mtime = opt time_at c k_smtime in
+      let attrs = { Types.set_size; set_mode; set_uid; set_gid; set_atime; set_mtime } in
+      Setattr { fh = req_fh c; attrs }
+  | Lookup -> Lookup { dir = req_dir c; name = req_name c }
+  | Access -> Access { fh = req_fh c; access = req int_at c k_acc }
+  | Read -> Read { fh = req_fh c; offset = req i64_at c k_off; count = req int_at c k_count }
+  | Commit -> Commit { fh = req_fh c; offset = req i64_at c k_off; count = req int_at c k_count }
+  | Write ->
+      let stable = Types.stable_how_of_int (default int_at c k_stable 2) in
+      Write { fh = req_fh c; offset = req i64_at c k_off; count = req int_at c k_count; stable }
+  | Create ->
+      let mode = default int_at c k_mode 0o644 and exclusive = is c k_excl "1" in
+      Create { dir = req_dir c; name = req_name c; mode; exclusive }
+  | Mkdir -> Mkdir { dir = req_dir c; name = req_name c; mode = default int_at c k_mode 0o755 }
+  | Symlink -> Symlink { dir = req_dir c; name = req_name c; target = req name_at c k_target }
+  | Mknod -> Mknod { dir = req_dir c; name = req_name c }
+  | Remove -> Remove { dir = req_dir c; name = req_name c }
+  | Rmdir -> Rmdir { dir = req_dir c; name = req_name c }
+  | Rename ->
+      let to_dir = req fh_at c k_todir and to_name = req name_at c k_toname in
+      Rename { from_dir = req_dir c; from_name = req_name c; to_dir; to_name }
+  | Link -> Link { fh = req_fh c; to_dir = req fh_at c k_todir; to_name = req name_at c k_toname }
+  | Readdir ->
+      let cookie = req i64_at c k_cookie in
+      Readdir { dir = req_dir c; cookie; count = req int_at c k_count }
+  | Readdirplus ->
+      let cookie = req i64_at c k_cookie in
+      Readdirplus { dir = req_dir c; cookie; count = req int_at c k_count }
+
+(* The text form keeps four attributes; an attr is present iff size is. *)
+let attr c =
+  if not (has c k_size) then None
+  else
+    let ftype : Types.ftype =
+      if is c k_ftype "DIR" then Dir else if is c k_ftype "LNK" then Lnk else Reg
+    in
+    let size = req i64_at c k_size and fileid = default i64_at c k_fileid 0L in
+    Some { Types.default_fattr with size; fileid; ftype; mtime = default time_at c k_mtime epoch }
+
+let decode_success c (p : Proc.t) : Ops.success =
+  match p with
+  | Null | Root | Writecache -> R_null
+  | Getattr | Setattr -> ( match attr c with Some a -> R_attr a | None -> R_empty)
+  | Lookup -> (
+      match opt fh_at c k_rfh with
+      | Some fh -> R_lookup { fh; obj = attr c; dir = None }
+      | None -> R_empty)
+  | Access -> R_access (default int_at c k_racc 0)
+  | Readlink -> R_readlink (default name_at c k_rtarget "")
+  | Read -> R_read { attr = attr c; count = default int_at c k_rcount 0; eof = is c k_eof "1" }
+  | Write ->
+      let committed = Types.stable_how_of_int (default int_at c k_committed 2) in
+      R_write { count = default int_at c k_rcount 0; committed; attr = attr c }
+  | Create | Mkdir | Symlink | Mknod -> R_create { fh = opt fh_at c k_rfh; attr = attr c }
+  | Remove | Rmdir | Rename | Link | Commit -> R_empty
+  | Readdir | Readdirplus -> R_readdir { entries = []; eof = is c k_eof "1" }
+  | Statfs ->
+      let total_bytes = default i64_at c k_tbytes 0L in
+      R_statfs { total_bytes; free_bytes = default i64_at c k_fbytes 0L }
+  | Fsinfo ->
+      let rtmax = default int_at c k_rtmax 32768 in
+      R_fsinfo { rtmax; wtmax = default int_at c k_wtmax 32768 }
+  | Pathconf -> R_pathconf { name_max = default int_at c k_namemax 255 }
+
+(* A reply half without a status is a lost reply. *)
+let decode_result c p =
+  if not (has c k_status) then None
+  else
+    let code = req int_at c k_status in
+    if code = 0 then Some (Ok (decode_success c p)) else Some (Error (Types.nfsstat_of_int code))
+
+let parse_fields c s pos stop =
+  let e1 = field_end s pos stop in
+  let e2 = column s e1 stop in
+  let e3 = column s e2 stop in
+  let e4 = column s e3 stop in
+  let e5 = column s e4 stop in
+  let e6 = column s e5 stop in
+  let e7 = column s e6 stop in
+  let e8 = column s e7 stop in
+  let e9 = column s e8 stop in
+  let time = float_at s pos e1 "bad time" in
+  let reply_time =
+    if e2 - e1 = 2 && s.[e1 + 1] = '-' then None else Some (float_at s (e1 + 1) e2 "bad reply time")
+  in
+  let version =
+    if e3 - e2 = 3 && s.[e2 + 1] = 'v' && (s.[e2 + 2] = '2' || s.[e2 + 2] = '3') then
+      Char.code s.[e2 + 2] - 48
+    else malformed "bad version"
+  in
+  let client = ip_at s (e3 + 1) e4 "bad client ip" in
+  let server = ip_at s (e4 + 1) e5 "bad server ip" in
+  let xid = if e6 - e5 = 1 then malformed "bad xid" else hex_at s (e5 + 1) e6 0 in
+  let uid = int_at s (e6 + 1) e7 "bad uid" and gid = int_at s (e7 + 1) e8 "bad gid" in
+  let p = find_proc s (e8 + 1) (e9 - e8 - 1) 0 in
+  Array.fill c.slots 0 (Array.length c.slots) (-1);
+  c.line <- s;
+  let reply = e9 < stop && scan_pairs c.slots s (e9 + 1) stop in
+  let call = decode_call c p in
+  let result = if reply then decode_result c p else None in
+  { time; reply_time; client; server; version; xid; uid; gid; call; result }
+
+let parse_slice s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then Error "bad slice"
+  else
+    match parse_fields (Domain.DLS.get cursors) s pos (pos + len) with
+    | r -> Ok r
+    | exception Malformed msg -> Error msg
+
+let of_line line = parse_slice line ~pos:0 ~len:(String.length line)
+
+let read_channel ?(rejected = ref 0) ic =
   let rec next () =
     match input_line ic with
     | exception End_of_file -> Seq.Nil
+    | "" -> next ()
     | line -> (
-        match of_line line with Ok r -> Seq.Cons (r, next) | Error _ -> next ())
+        match of_line line with
+        | Ok r -> Seq.Cons (r, next)
+        | Error _ ->
+            incr rejected;
+            next ())
   in
   next

@@ -56,10 +56,19 @@ val add_line : Buffer.t -> t -> unit
 val to_line : t -> string
 (** {!add_line} into a fresh buffer. *)
 
+val parse_slice : string -> pos:int -> len:int -> (t, string) result
+(** Parse the text line at [pos, pos+len) of [s] (no newline) in place,
+    by the grammar of DESIGN.md §18. [s] is only read during the call:
+    the record copies out the handles and names it keeps, so the caller
+    may reuse or drop the buffer as soon as this returns. Total: a
+    malformed line is an [Error], never an exception. *)
+
 val of_line : string -> (t, string) result
+(** {!parse_slice} over the whole string. *)
 
 val write_channel : out_channel -> t Seq.t -> int
 (** Stream records to a channel, one line each; returns the count. *)
 
-val read_channel : in_channel -> t Seq.t
-(** Lazily parse records; malformed lines are skipped. *)
+val read_channel : ?rejected:int ref -> in_channel -> t Seq.t
+(** Lazily parse records. Empty lines are skipped; each malformed line
+    is skipped and counted in [rejected]. *)

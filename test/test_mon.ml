@@ -482,6 +482,64 @@ let test_pcap_tail_matches_capture () =
       cki "every byte parsed" n (Obs.sum_counter (Obs.snapshot obs) "mon.feed.bytes");
       Feed.close f)
 
+let test_trace_tail_chunks_match_read_channel () =
+  (* Lines reach the tail in 97-byte writes, so most arrive split across
+     fills; garbage and blank lines sit between records. The tail must
+     deliver exactly what read_channel reads from the whole file. *)
+  with_tmp "ntmon_chunk_test.trace" (fun path ->
+      let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
+      let config = { Nt_workload.Email.default_config with users = 2 } in
+      let lines = ref [] in
+      let sink r = lines := Record.to_line r :: !lines in
+      ignore (Nt_core.Pipeline.simulate_campus ~config ~start ~stop:(start +. 300.) ~sink ());
+      let text =
+        String.concat ""
+          (List.mapi
+             (fun i l -> if i mod 40 = 7 then "garbage " ^ l ^ "\n\n" ^ l ^ "\n" else l ^ "\n")
+             (List.rev !lines))
+      in
+      let want, rejected =
+        let oc = open_out_bin path in
+        output_string oc text;
+        close_out oc;
+        let ic = open_in_bin path in
+        let rejected = ref 0 in
+        let rs = List.of_seq (Record.read_channel ~rejected ic) in
+        close_in ic;
+        (List.map Record.to_line rs, !rejected)
+      in
+      let obs = Obs.create () in
+      let oc = open_out_bin path in
+      let f = Feed.trace_tail ~obs path in
+      let got = ref [] in
+      let rec drain () =
+        match Feed.pull f with
+        | `Record r ->
+            got := Record.to_line r :: !got;
+            drain ()
+        | `Idle | `Closed -> ()
+      in
+      let n = String.length text in
+      let rec grow i =
+        if i < n then begin
+          let len = min 97 (n - i) in
+          output_string oc (String.sub text i len);
+          flush oc;
+          drain ();
+          grow (i + len)
+        end
+      in
+      grow 0;
+      close_out oc;
+      ckb "records streamed" true (List.length want > 50);
+      ckb "garbage present" true (rejected > 0);
+      Alcotest.(check (list string)) "tail = read_channel" want (List.rev !got);
+      let snap = Obs.snapshot obs in
+      cki "same lines rejected" rejected (Obs.sum_counter snap "mon.feed.parse_errors");
+      cki "every byte parsed" n (Obs.sum_counter snap "mon.feed.bytes");
+      ckb "pos at end of file" true (Feed.pos f = Some (Int64.of_int n));
+      Feed.close f)
+
 let test_feed_seek_replays_suffix () =
   with_tmp "ntmon_seek_test.trace" (fun path ->
       let records = gen_records ~seed:13 8 in
@@ -775,6 +833,8 @@ let () =
           Alcotest.test_case "in-memory" `Quick test_feed_of_records;
           Alcotest.test_case "tail holds partial lines" `Quick test_trace_tail_partial_lines;
           Alcotest.test_case "truncation reopens" `Quick test_trace_tail_truncation_reopen;
+          Alcotest.test_case "chunked tail = read_channel" `Quick
+            test_trace_tail_chunks_match_read_channel;
           Alcotest.test_case "pcap tail matches a whole-file capture" `Quick
             test_pcap_tail_matches_capture;
           Alcotest.test_case "seek replays suffix" `Quick test_feed_seek_replays_suffix;

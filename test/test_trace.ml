@@ -770,6 +770,301 @@ let prop_record_line_roundtrip =
           && Record.offset r' = Record.offset r
       | Error _ -> false)
 
+(* --- the text grammar: parse_slice (DESIGN.md §18) --- *)
+
+(* What the text form keeps of a record: %.6f times, 32-bit addresses,
+   setattr/mtime times through string_of_float, four fattr fields, and
+   only the reply fields the record's procedure reads back. *)
+let canon_float f = float_of_string (Printf.sprintf "%.6f" f)
+let canon_time t = Types.time_of_float (float_of_string (string_of_float (Types.time_to_float t)))
+
+let canon_fattr (a : Types.fattr) =
+  let ftype = match a.ftype with Types.Dir | Types.Lnk -> a.ftype | _ -> Types.Reg in
+  { Types.default_fattr with size = a.size; fileid = a.fileid; ftype; mtime = canon_time a.mtime }
+
+let canon_call (c : Ops.call) : Ops.call =
+  match c with
+  | Setattr { fh; attrs } ->
+      let set_atime = Option.map canon_time attrs.set_atime in
+      let set_mtime = Option.map canon_time attrs.set_mtime in
+      Setattr { fh; attrs = { attrs with set_atime; set_mtime } }
+  | c -> c
+
+let canon_result (p : Nt_nfs.Proc.t) (res : Ops.result option) : Ops.result option =
+  match res with
+  | None -> None
+  | Some (Error st) when Types.nfsstat_to_int st <> 0 -> res
+  | Some r ->
+      let s = match r with Ok s -> Some s | Error _ -> None in
+      let attr =
+        match s with
+        | Some
+            ( Ops.R_attr a
+            | R_lookup { obj = Some a; _ }
+            | R_read { attr = Some a; _ }
+            | R_write { attr = Some a; _ }
+            | R_create { attr = Some a; _ } ) ->
+            Some (canon_fattr a)
+        | _ -> None
+      in
+      let rfh =
+        match s with
+        | Some (R_lookup { fh; _ }) -> Some fh
+        | Some (R_create { fh; _ }) -> fh
+        | _ -> None
+      in
+      let count =
+        match s with Some (R_read { count; _ } | R_write { count; _ }) -> count | _ -> 0
+      in
+      let eof = match s with Some (R_read { eof; _ } | R_readdir { eof; _ }) -> eof | _ -> false in
+      let success : Ops.success =
+        match (p, s) with
+        | (Null | Root | Writecache), _ -> R_null
+        | (Getattr | Setattr), _ -> ( match attr with Some a -> R_attr a | None -> R_empty)
+        | Lookup, _ -> (
+            match rfh with Some fh -> R_lookup { fh; obj = attr; dir = None } | None -> R_empty)
+        | Access, Some (R_access b) -> R_access b
+        | Access, _ -> R_access 0
+        | Readlink, Some (R_readlink t) -> R_readlink t
+        | Readlink, _ -> R_readlink ""
+        | Read, _ -> R_read { attr; count; eof }
+        | Write, Some (R_write { committed; _ }) -> R_write { count; committed; attr }
+        | Write, _ -> R_write { count; committed = Types.File_sync; attr }
+        | (Create | Mkdir | Symlink | Mknod), _ -> R_create { fh = rfh; attr }
+        | (Remove | Rmdir | Rename | Link | Commit), _ -> R_empty
+        | (Readdir | Readdirplus), _ -> R_readdir { entries = []; eof }
+        | Statfs, Some (R_statfs _ as v)
+        | Fsinfo, Some (R_fsinfo _ as v)
+        | Pathconf, Some (R_pathconf _ as v) ->
+            v
+        | Statfs, _ -> R_statfs { total_bytes = 0L; free_bytes = 0L }
+        | Fsinfo, _ -> R_fsinfo { rtmax = 32768; wtmax = 32768 }
+        | Pathconf, _ -> R_pathconf { name_max = 255 }
+      in
+      Some (Ok success)
+
+let canon (r : Record.t) =
+  {
+    r with
+    time = canon_float r.time;
+    reply_time = Option.map canon_float r.reply_time;
+    client = r.client land 0xFFFFFFFF;
+    server = r.server land 0xFFFFFFFF;
+    call = canon_call r.call;
+    result = canon_result (Record.proc r) r.result;
+  }
+
+let prop_parse_slice_roundtrip =
+  QCheck.Test.make ~name:"parse_slice (add_line r) = r up to the text form" ~count:1000
+    Record_gen.arb_record (fun r ->
+      let b = Buffer.create 256 in
+      Buffer.add_string b "x y|";
+      Record.add_line b r;
+      let len = Buffer.length b - 4 in
+      (* bytes past the slice that would change the record if read *)
+      Buffer.add_string b " | status=5 name=%zz";
+      match Record.parse_slice (Buffer.contents b) ~pos:4 ~len with
+      | Ok r' -> compare r' (canon r) = 0
+      | Error e -> QCheck.Test.fail_reportf "rejected: %s" e)
+
+(* The in-place float reader, seen through the time column. *)
+let time_column s =
+  match Record.of_line (s ^ " - v3 10.0.0.1 10.0.0.2 00000001 0 0 null") with
+  | Ok r -> Some r.time
+  | Error _ -> None
+
+let reads_like_float_of_string s =
+  match (time_column s, float_of_string_opt s) with
+  | Some a, Some b ->
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      || (Float.is_nan a && Float.is_nan b)
+  | None, None -> true
+  | _ -> false
+
+(* Decimal strings of the 16-digit integers around 2^53, with the point
+   at every position: both sides of the fast path's mantissa bound. *)
+let near_2_53 =
+  QCheck.Gen.map2
+    (fun delta k ->
+      let d = string_of_int ((1 lsl 53) + delta) in
+      let n = String.length d in
+      String.sub d 0 (n - k) ^ "." ^ String.sub d (n - k) k)
+    (QCheck.Gen.int_range (-1000) 1000) (QCheck.Gen.int_range 0 16)
+
+let prop_float_reader =
+  let open QCheck.Gen in
+  let float_gen =
+    oneof
+      [
+        map (fun i -> Int64.float_of_bits (Int64.of_int i)) int;
+        map (fun i -> -.Int64.float_of_bits (Int64.of_int i)) int;
+        map2
+          (fun sec us -> float_of_int sec +. (float_of_int us /. 1e6))
+          (int_range 0 2_000_000_000) (int_range 0 999_999);
+        float;
+      ]
+  in
+  let spelling =
+    oneof
+      [
+        map (Printf.sprintf "%.6f") float_gen;
+        map string_of_float float_gen;
+        near_2_53;
+        oneofl
+          [
+            "998438400."; "1e+20"; "nan"; "inf"; "-inf"; "-0."; "-0.000000"; "0."; "1."; ".5";
+            "-.5"; "1_0.5"; "+1.5"; "0x1p3"; "9007199254740991"; "9007199254740993";
+            "9007199254740992.5";
+          ];
+      ]
+  in
+  QCheck.Test.make ~name:"float reader = float_of_string" ~count:2000
+    (QCheck.make ~print:Fun.id spelling)
+    reads_like_float_of_string
+
+let test_float_reader_cases () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " reads as float_of_string") true (reads_like_float_of_string s))
+    [
+      "998438400."; "1e+20"; "nan"; "inf"; "-inf"; "-0."; "9007199254.740991"; "9007199254.740993";
+      "1003622400.123456";
+    ]
+
+(* Wherever the new parser accepts a line, the old token-list parser
+   accepts it too and builds the same record. *)
+let differential lines =
+  List.fold_left
+    (fun (accepted, total) line ->
+      match Record.of_line line with
+      | Error _ -> (accepted, total + 1)
+      | Ok r -> (
+          match Legacy_record_parser.of_line line with
+          | Ok r' when compare r r' = 0 -> (accepted + 1, total + 1)
+          | Ok _ -> Alcotest.failf "records differ on %S" line
+          | Error e -> Alcotest.failf "old parser rejects (%s) %S" e line))
+    (0, 0) lines
+
+let simulated_lines which =
+  let t0 = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
+  let acc = ref [] in
+  let sink r = acc := Record.to_line r :: !acc in
+  (match which with
+  | `Eecs -> ignore (Nt_core.Pipeline.simulate_eecs ~start:t0 ~stop:(t0 +. 600.) ~sink ())
+  | `Campus ->
+      let config = { Nt_workload.Email.default_config with users = 4 } in
+      ignore (Nt_core.Pipeline.simulate_campus ~config ~start:t0 ~stop:(t0 +. 600.) ~sink ()));
+  List.rev !acc
+
+let test_differential_simulated () =
+  List.iter
+    (fun (label, which) ->
+      let lines = simulated_lines which in
+      let accepted, total = differential lines in
+      Alcotest.(check bool) (label ^ " trace is non-trivial") true (total > 200);
+      Alcotest.(check int) (label ^ ": every line accepted") total accepted)
+    [ ("eecs", `Eecs); ("campus", `Campus) ]
+
+let test_differential_mutation_storm () =
+  let pool = Array.of_list (simulated_lines `Eecs @ simulated_lines `Campus) in
+  let rng = Random.State.make [| 13 |] in
+  let alphabet = "0123456789abcdefxXobu_+-.=| %vDLR\t" in
+  let mutate line =
+    let b = Buffer.create (String.length line + 4) in
+    Buffer.add_string b line;
+    let s = ref (Buffer.contents b) in
+    for _ = 0 to Random.State.int rng 3 do
+      let n = String.length !s in
+      let i = Random.State.int rng (max 1 n) in
+      let c =
+        if Random.State.bool rng then alphabet.[Random.State.int rng (String.length alphabet)]
+        else Char.chr (Random.State.int rng 256)
+      in
+      s :=
+        match Random.State.int rng 3 with
+        | 0 when n > 0 -> String.sub !s 0 i ^ String.make 1 c ^ String.sub !s (i + 1) (n - i - 1)
+        | 1 when n > 0 -> String.sub !s 0 i ^ String.sub !s (i + 1) (n - i - 1)
+        | _ -> String.sub !s 0 i ^ String.make 1 c ^ String.sub !s i (n - i)
+    done;
+    !s
+  in
+  let lines = List.init 10_000 (fun _ -> mutate pool.(Random.State.int rng (Array.length pool))) in
+  let accepted, total = differential lines in
+  Alcotest.(check int) "10k lines" 10_000 total;
+  Alcotest.(check bool) "the storm exercises accepted lines" true
+    (accepted > 1000 && accepted < total)
+
+(* Spellings the old parser took through int_of_string/unescape and the
+   grammar now rejects: exactly the list in DESIGN.md §18. *)
+let test_rejected_quirks () =
+  let read = Record.to_line base_record in
+  let lookup =
+    Record.to_line
+      {
+        base_record with
+        call = Ops.Lookup { dir = dir_fh; name = "ab" };
+        result = Some (Error Types.Err_noent);
+      }
+  in
+  let create =
+    Record.to_line
+      {
+        base_record with
+        call = Ops.Create { dir = dir_fh; name = "f"; mode = 0o600; exclusive = false };
+        result = Some (Ok (Ops.R_create { fh = Some file_fh; attr = None }));
+      }
+  in
+  let sub ~line a b =
+    let rec find i = if String.sub line i (String.length a) = a then i else find (i + 1) in
+    let i = find 0 in
+    let j = i + String.length a in
+    String.sub line 0 i ^ b ^ String.sub line j (String.length line - j)
+  in
+  let cases =
+    [
+      ("0x prefix in a decimal field", sub ~line:read " 1042 " " 0x412 ");
+      ("0o prefix in a decimal field", sub ~line:read " 1042 " " 0o2022 ");
+      ("0b prefix in a decimal field", sub ~line:read " 100 read" " 0b1100100 read");
+      ("0u prefix in a decimal field", sub ~line:read " 1042 " " 0u1042 ");
+      ("underscore in a decimal field", sub ~line:read "count=8192" "count=8_192");
+      ("leading + in a decimal field", sub ~line:read "off=8192" "off=+8192");
+      ("0x prefix in an address octet", sub ~line:read " 10.1.0.20 " " 0xa.1.0.20 ");
+      ("sign in an address octet", sub ~line:read " 10.1.0.20 " " 10.1.-0.20 ");
+      ("underscore in the xid", sub ~line:read " abcd1234 " " abcd_1234 ");
+      ("unparsable kept reply field", sub ~line:read "rcount=8192" "rcount=lots");
+      ("unparsable status", sub ~line:read "status=0" "status=ok");
+      ("unparsable optional call field", sub ~line:create "mode=384" "mode=rw");
+      ("unparsable reply handle", sub ~line:create "rfh=" "rfh=zz");
+      ("% without two hex digits in a name", sub ~line:lookup "name=ab" "name=a%zzb");
+      ("% at the end of a name", sub ~line:lookup "name=ab" "name=ab%4");
+    ]
+  in
+  List.iter
+    (fun (what, line) ->
+      Alcotest.(check bool) (what ^ ": old parser accepts") true
+        (Result.is_ok (Legacy_record_parser.of_line line));
+      Alcotest.(check bool) (what ^ ": rejected now") true (Result.is_error (Record.of_line line)))
+    cases
+
+let test_read_channel_counts_rejected () =
+  let path = Filename.temp_file "nt_trace" ".trace" in
+  let records = List.init 1000 (fun i -> { base_record with xid = i }) in
+  let oc = open_out path in
+  ignore (Record.write_channel oc (List.to_seq records) : int);
+  output_string oc "garbage line\n\n1.0 - v9 junk\n";
+  close_out oc;
+  let rejected = ref 0 in
+  let ic = open_in path in
+  let back = List.of_seq (Record.read_channel ~rejected ic) in
+  close_in ic;
+  let via_pipeline = ref 0 in
+  let loaded = Nt_core.Pipeline.load_trace ~rejected:via_pipeline path in
+  Sys.remove path;
+  Alcotest.(check int) "1000 records" 1000 (List.length back);
+  Alcotest.(check int) "2 malformed lines counted, the blank line is not" 2 !rejected;
+  Alcotest.(check int) "load_trace loads the same" 1000 (List.length loaded);
+  Alcotest.(check int) "load_trace counts the same" 2 !via_pipeline
+
 let () =
   Alcotest.run "nt_trace"
     [
@@ -785,6 +1080,14 @@ let () =
           Alcotest.test_case "channel roundtrip" `Quick test_channel_roundtrip;
           QCheck_alcotest.to_alcotest prop_record_line_roundtrip;
           QCheck_alcotest.to_alcotest prop_of_line_never_crashes;
+          QCheck_alcotest.to_alcotest prop_parse_slice_roundtrip;
+          QCheck_alcotest.to_alcotest prop_float_reader;
+          Alcotest.test_case "float reader cases" `Quick test_float_reader_cases;
+          Alcotest.test_case "differential vs old parser" `Quick test_differential_simulated;
+          Alcotest.test_case "differential mutation storm" `Quick test_differential_mutation_storm;
+          Alcotest.test_case "rejected literal quirks" `Quick test_rejected_quirks;
+          Alcotest.test_case "read_channel counts rejected" `Quick
+            test_read_channel_counts_rejected;
         ] );
       ( "fh_map",
         [
