@@ -1,4 +1,4 @@
-(* nfsanon: anonymize a text trace the way the paper's tools do —
+(* nfsanon: anonymize a text or tbin trace the way the paper's tools do —
    consistent random mappings for names, UIDs, GIDs and addresses, with
    structural markers preserved.
 
@@ -18,27 +18,25 @@ let run input output seed omit obs_opts =
     Nt_trace.Anonymize.create ~obs ?seed:(Option.map Int64.of_string seed) config
   in
   let c_records = Nt_obs.Obs.counter obs ~help:"records anonymized" "anon.records" in
-  let ic = if input = "-" then stdin else open_in input in
   let oc = if output = "-" then stdout else open_out output in
-  let n = ref 0 and rejected = ref 0 in
-  Nt_obs.Obs.with_span obs "anonymize" (fun () ->
-      Seq.iter
-        (fun r ->
-          output_string oc (Nt_trace.Record.to_line (Nt_trace.Anonymize.record anon r));
-          output_char oc '\n';
-          incr n;
-          Nt_obs.Obs.inc c_records;
-          Nt_obs.Sampler.tick sampler;
-          Obs_cli.tick prog ~stage:"anonymize" 1)
-        (Nt_trace.Record.read_channel ~rejected ic));
-  if input <> "-" then close_in ic;
+  let n = ref 0 in
+  let source =
+    Nt_obs.Obs.with_span obs "anonymize" (fun () ->
+        Nt_core.Pipeline.iter_trace ~obs input (fun r ->
+            output_string oc (Nt_trace.Record.to_line (Nt_trace.Anonymize.record anon r));
+            output_char oc '\n';
+            incr n;
+            Nt_obs.Obs.inc c_records;
+            Nt_obs.Sampler.tick sampler;
+            Obs_cli.tick prog ~stage:"anonymize" 1))
+  in
   if output <> "-" then close_out oc;
   Nt_obs.Obs.add
     (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "anon.rejected")
-    !rejected;
+    source.rejected;
   Printf.eprintf "nfsanon: %d records, %d distinct name components mapped\n%!" !n
     (Nt_trace.Anonymize.mapped_names anon);
-  if !rejected > 0 then Printf.eprintf "nfsanon: %d malformed lines skipped\n%!" !rejected;
+  List.iter prerr_endline (Nt_core.Pipeline.skipped_notes ~tool:"nfsanon" source);
   Obs_cli.finish prog;
   Obs_cli.dump obs_opts obs;
   Obs_cli.dump_timeline ~sampler obs_opts timeline;
@@ -46,7 +44,8 @@ let run input output seed omit obs_opts =
 
 let input =
   Arg.(
-    required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc:"Input trace (- for stdin).")
+    required & pos 0 (some string) None
+    & info [] ~docv:"TRACE" ~doc:"Input trace: - for stdin (text), a sniffed path, or tbin:PATH.")
 
 let output =
   Arg.(

@@ -1,6 +1,6 @@
 (* nfslint: static checker for trace invariants and anonymization-leak
-   safety. Streams a saved text trace through the rule engine and exits
-   non-zero when findings reach the --fail-on threshold.
+   safety. Streams a saved text or tbin trace through the rule engine and
+   exits non-zero when findings reach the --fail-on threshold.
 
    Examples:
      nfslint campus.trace
@@ -57,24 +57,16 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
         Obs_cli.tick prog ~stage:"lint" 1;
         Nt_obs.Sampler.tick sampler
       in
-      (* stdin stays a lazy stream; file sources (text or tbin:) load
-         through the pipeline's format-sniffing reader *)
-      let ic = if input = "-" then Some stdin else None in
-      let rejected = ref 0 in
-      let records =
-        match ic with
-        | Some ic ->
-            Seq.map
-              (fun r ->
+      let t = Lint.create ~obs config in
+      let source =
+        Nt_obs.Obs.with_span obs "lint.run" (fun () ->
+            Nt_core.Pipeline.iter_trace ~obs input (fun r ->
                 tick ();
-                r)
-              (Nt_trace.Record.read_channel ~rejected ic)
-        | None -> List.to_seq (Nt_core.Pipeline.load_trace ~obs ~tick ~rejected input)
+                Lint.observe t r))
       in
-      let t = Nt_obs.Obs.with_span obs "lint.run" (fun () -> Lint.run ~obs config records) in
       Nt_obs.Obs.add
         (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "lint.rejected")
-        !rejected;
+        source.rejected;
       Obs_cli.finish prog;
       let findings = Lint.findings t in
       if json then print_endline (Nt_lint.Finding.list_to_json findings)
@@ -87,7 +79,7 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
         (if Lint.suppressed t > 0 then
            Printf.sprintf " (%d findings suppressed past per-rule cap)" (Lint.suppressed t)
          else "");
-      if !rejected > 0 then Printf.eprintf "nfslint: %d malformed lines skipped\n%!" !rejected;
+      List.iter prerr_endline (Nt_core.Pipeline.skipped_notes ~tool:"nfslint" source);
       ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
       Obs_cli.dump obs_opts obs;
       Obs_cli.dump_timeline ~sampler obs_opts timeline;

@@ -1,56 +1,59 @@
-(* nfsstats: run the paper's analyses over a saved text trace.
+(* nfsstats: run the paper's analyses over a saved text or tbin trace,
+   streamed from the file in one pass.
 
    Example: nfsstats --analysis summary,runs,names --jobs 4 campus.trace *)
 
 open Cmdliner
-
-let load ~obs ~rejected prog sampler input =
-  Nt_core.Pipeline.load_trace ~obs ~rejected
-    ~tick:(fun () ->
-      Obs_cli.tick prog ~stage:"load" 1;
-      Nt_obs.Sampler.tick sampler)
-    input
+module Obs = Nt_obs.Obs
+module Pipeline = Nt_core.Pipeline
 
 let run input analyses jobs shard_records lint obs_opts =
-  let obs = Nt_obs.Obs.create () in
+  let obs = Obs.create () in
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfsstats" in
-  let rejected = ref 0 in
-  let records =
-    Nt_obs.Obs.with_span obs "load" (fun () -> load ~obs ~rejected prog sampler input)
+  let linter =
+    if lint then Some (Nt_lint.Engine.create ~obs Nt_lint.Engine.default_config) else None
   in
-  Nt_obs.Obs.add
-    (Nt_obs.Obs.counter obs ~help:"trace records loaded" "stats.records")
-    (List.length records);
-  Nt_obs.Obs.add
-    (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "stats.rejected")
-    !rejected;
-  Printf.eprintf "nfsstats: %d records loaded\n%!" (List.length records);
-  if !rejected > 0 then Printf.eprintf "nfsstats: %d malformed lines skipped\n%!" !rejected;
-  if lint then begin
-    let l = Nt_core.Pipeline.lint_records ~obs records in
-    List.iter
-      (fun f -> Printf.eprintf "nfsstats: %s\n" (Nt_lint.Finding.to_string f))
-      (Nt_lint.Engine.findings l);
-    Printf.eprintf "nfsstats: lint: %d error(s), %d warning(s)\n%!"
-      (Nt_lint.Engine.severity_count l Nt_lint.Rule.Error)
-      (Nt_lint.Engine.severity_count l Nt_lint.Rule.Warn)
-  end;
+  (* one pass over the source: the linter and the report fold see each
+     record as it is decoded, and the trace is never held in memory *)
+  let source = ref { Pipeline.rejected = 0; tbin = None } in
+  let produce push =
+    source :=
+      Pipeline.iter_trace ~obs input (fun r ->
+          Obs_cli.tick prog ~stage:"analyze" 1;
+          Nt_obs.Sampler.tick sampler;
+          (match linter with Some l -> Nt_lint.Engine.observe l r | None -> ());
+          push r)
+  in
+  let sections, n =
+    Obs.with_span obs "analyze" (fun () ->
+        Pipeline.analyze_stream ~obs ?timeline ~jobs ~records_per_shard:shard_records
+          ~sections:analyses produce)
+  in
+  Obs.add (Obs.counter obs ~help:"trace records loaded" "stats.records") n;
+  Obs.add
+    (Obs.counter obs ~help:"malformed trace lines skipped" "stats.rejected")
+    !source.rejected;
+  Printf.eprintf "nfsstats: %d records loaded\n%!" n;
+  List.iter prerr_endline (Pipeline.skipped_notes ~tool:"nfsstats" !source);
+  Option.iter
+    (fun l ->
+      List.iter
+        (fun f -> Printf.eprintf "nfsstats: %s\n" (Nt_lint.Finding.to_string f))
+        (Nt_lint.Engine.findings l);
+      Printf.eprintf "nfsstats: lint: %d error(s), %d warning(s)\n%!"
+        (Nt_lint.Engine.severity_count l Nt_lint.Rule.Error)
+        (Nt_lint.Engine.severity_count l Nt_lint.Rule.Warn))
+    linter;
   List.iter
     (fun a ->
-      Nt_obs.Obs.add
-        (Nt_obs.Obs.counter obs
+      Obs.add
+        (Obs.counter obs
            ~labels:[ ("pass", Nt_par.Report.section_name a) ]
            ~help:"records fed to each analysis pass" "analysis.records")
-        (List.length records))
+        n)
     analyses;
-  Obs_cli.set_stage prog "analyze";
-  let sections =
-    Nt_obs.Obs.with_span obs "analyze" (fun () ->
-        Nt_core.Pipeline.analyze_records ~obs ?timeline ~jobs ~records_per_shard:shard_records
-          ~sections:analyses records)
-  in
   List.iter
     (fun (_, text) ->
       print_string text;
@@ -84,23 +87,28 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the sharded analysis engine (default 1: inline, no domains; 0: the \
-           machine's recommended domain count). The report text is byte-identical at any setting \
-           — sharding and merge order never depend on it.")
+          "Worker domains for the runs section's finalize, which classifies the merged I/O log \
+           chunk by chunk (default 1: inline, no domains; 0: the machine's recommended domain \
+           count). The other passes fold the stream as it is read, on the calling domain. The \
+           report text is byte-identical at any setting — chunking and merge order never depend \
+           on it.")
 
 let shard_records =
   Arg.(
     value
     & opt int Nt_par.Report.default_records_per_shard
-    & info [ "shard-records" ] ~docv:"N" ~doc:"Records per analysis shard.")
+    & info [ "shard-records" ] ~docv:"N"
+        ~doc:
+          "Records per analysis chunk; each chunk folds into its own accumulator, merged in \
+           order.")
 
 let lint =
   Arg.(
     value & flag
     & info [ "lint" ]
         ~doc:
-          "Run the static checker over the loaded records before analyzing; findings go to \
-           stderr so suspicious traces are flagged next to the numbers they distort.")
+          "Run the static checker over the records in the same pass as the analyses; findings \
+           go to stderr so suspicious traces are flagged next to the numbers they distort.")
 
 let cmd =
   Cmd.v

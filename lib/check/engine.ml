@@ -30,6 +30,7 @@ let default_config =
         "Nt_rpc.Record_mark.push_slice";
         "Nt_trace.Capture.feed_slice";
         "Nt_trace.Record.parse_slice";
+        "Nt_tbin.Tbin.parse";
       ];
     acc_prefixes = [ "Nt_analysis"; "Nt_lint"; "Nt_mon" ];
     test_units = [ "Test_par" ];

@@ -169,11 +169,6 @@ let collect_records simulate =
   let stats = simulate ~sink:(fun r -> acc := r :: !acc) in
   (stats, List.rev !acc)
 
-(* --- sharded analysis entry point --- *)
-
-let analyze_records ?obs ?timeline ?jobs ?records_per_shard ~sections records =
-  Nt_par.Report.run ?obs ?timeline ?jobs ?records_per_shard ~sections (Array.of_list records)
-
 (* --- lint hooks: the linter as a differential oracle --- *)
 
 let lint_records ?obs ?(config = Nt_lint.Engine.default_config) ?stats records =
@@ -199,55 +194,49 @@ let eecs_degraded ?config ?seed ?mangle_flips ~plan ~start ~stop () =
   in
   run_degraded ?seed ?mangle_flips ~transport:Packet_pipe.Udp_transport ~plan records
 
-(* --- binary trace container (nttb/1) --- *)
+(* --- trace sources --- *)
 
-let read_tbin ?obs path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Nt_tbin.read_channel ?obs ic)
+type source_stats = { rejected : int; tbin : Nt_tbin.stats option }
 
-let iter_tbin ?obs path f =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Nt_tbin.iter_channel ?obs ic f)
+let iter_trace ?obs spec f =
+  let text ic =
+    let rejected = ref 0 in
+    Seq.iter f (Nt_trace.Record.read_channel ~rejected ic);
+    { rejected = !rejected; tbin = None }
+  in
+  let tbin ic = { rejected = 0; tbin = Some (Nt_tbin.iter_channel ?obs ic f) } in
+  let file = In_channel.with_open_bin in
+  let after p = String.sub spec (String.length p) (String.length spec - String.length p) in
+  if String.equal spec "-" then text stdin
+  else if String.starts_with ~prefix:"trace:" spec then file (after "trace:") text
+  else if String.starts_with ~prefix:"tbin:" spec then file (after "tbin:") tbin
+  else if String.ends_with ~suffix:".ntb" spec then file spec tbin
+  else
+    file spec (fun ic ->
+        (* sniff the 7-byte nttb magic *)
+        let head = In_channel.really_input_string ic (String.length Nt_tbin.magic) in
+        seek_in ic 0;
+        if head = Some Nt_tbin.magic then tbin ic else text ic)
+
+let skipped_notes ~tool src =
+  let note n what = if n > 0 then [ Printf.sprintf "%s: %d %s" tool n what ] else [] in
+  note src.rejected "malformed lines skipped"
+  @
+  match src.tbin with
+  | Some st ->
+      note (Nt_tbin.failures st)
+        (Printf.sprintf "damaged tbin frames skipped (%d bytes)" st.Nt_tbin.skipped_bytes)
+  | None -> []
 
 let load_trace ?obs ?(tick = fun () -> ()) ?rejected spec =
-  let text ic =
-    List.of_seq (Seq.map (fun r -> tick (); r) (Nt_trace.Record.read_channel ?rejected ic))
+  let acc = ref [] in
+  let src =
+    iter_trace ?obs spec (fun r ->
+        tick ();
+        acc := r :: !acc)
   in
-  let tbin ic =
-    let acc = ref [] in
-    let stats = Nt_tbin.iter_channel ?obs ic (fun r -> tick (); acc := r :: !acc) in
-    ignore (stats : Nt_tbin.stats);
-    List.rev !acc
-  in
-  if String.equal spec "-" then text stdin
-  else begin
-    let path, forced =
-      if String.starts_with ~prefix:"trace:" spec then
-        (String.sub spec 6 (String.length spec - 6), Some `Text)
-      else if String.starts_with ~prefix:"tbin:" spec then
-        (String.sub spec 5 (String.length spec - 5), Some `Tbin)
-      else (spec, None)
-    in
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        let kind =
-          match forced with
-          | Some k -> k
-          | None ->
-              if String.ends_with ~suffix:".ntb" path then `Tbin
-              else begin
-                (* sniff the 7-byte nttb magic *)
-                let n = String.length Nt_tbin.magic in
-                let buf = Bytes.create n in
-                let got = input ic buf 0 n in
-                seek_in ic 0;
-                if got = n && String.equal (Bytes.sub_string buf 0 n) Nt_tbin.magic then
-                  `Tbin
-                else `Text
-              end
-        in
-        match kind with `Text -> text ic | `Tbin -> tbin ic)
-  end
+  Option.iter (fun n -> n := !n + src.rejected) rejected;
+  List.rev !acc
 
 let analyze_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce =
   Nt_par.Report.run_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce

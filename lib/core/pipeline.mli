@@ -114,19 +114,6 @@ val run_degraded :
     drift (clean vs degraded metrics stay within tolerance at realistic
     loss rates). *)
 
-val analyze_records :
-  ?obs:Nt_obs.Obs.t ->
-  ?timeline:Nt_obs.Timeline.t ->
-  ?jobs:int ->
-  ?records_per_shard:int ->
-  sections:Nt_par.Report.section list ->
-  Nt_trace.Record.t list ->
-  (Nt_par.Report.section * string) list
-(** Run the paper's analyses over a time-sorted record list with the
-    sharded map-merge engine (see {!Nt_par.Report.run}): [jobs] worker
-    domains (default 1), [records_per_shard]-sized shards. The rendered
-    text is byte-identical at any [jobs] setting. *)
-
 val lint_records :
   ?obs:Nt_obs.Obs.t ->
   ?config:Nt_lint.Engine.config ->
@@ -167,16 +154,27 @@ val eecs_degraded :
   degraded_run
 (** EECS (UDP) differential run over a simulated interval. *)
 
-(** {1 Binary trace container (nttb/1)} *)
+(** {1 Trace sources} *)
 
-val read_tbin : ?obs:Nt_obs.Obs.t -> string -> Nt_tbin.stats * Nt_trace.Record.t list
-(** Decode a [.ntb] file; decode failures are counted in the stats
-    (and on [obs] under [tbin.*]), never raised. *)
+type source_stats = {
+  rejected : int;  (** malformed text lines skipped *)
+  tbin : Nt_tbin.stats option;  (** the decoder's stats, for tbin input *)
+}
 
-val iter_tbin :
-  ?obs:Nt_obs.Obs.t -> string -> (Nt_trace.Record.t -> unit) -> Nt_tbin.stats
-(** Stream a [.ntb] file record by record without materializing it —
-    the out-of-core reading path. *)
+val iter_trace :
+  ?obs:Nt_obs.Obs.t -> string -> (Nt_trace.Record.t -> unit) -> source_stats
+(** Stream a trace from a source spec through [f] without holding it:
+    [-] reads text from stdin; [trace:PATH] / [tbin:PATH] force the
+    format; a bare path is sniffed ([.ntb] extension or the [nttb/1]
+    magic mean binary, text otherwise). What cannot be decoded is
+    counted, never raised ([tbin.*] on [obs] too); [Sys_error] if the
+    file cannot be read. *)
+
+val skipped_notes : tool:string -> source_stats -> string list
+(** The stderr lines for skipped input, each only when N > 0:
+    ["<tool>: N malformed lines skipped"] for text, and
+    ["<tool>: N damaged tbin frames skipped (B bytes)"] with N the
+    {!Nt_tbin.failures} and B the bytes passed over. *)
 
 val load_trace :
   ?obs:Nt_obs.Obs.t ->
@@ -184,12 +182,8 @@ val load_trace :
   ?rejected:int ref ->
   string ->
   Nt_trace.Record.t list
-(** Load a trace from a source spec: [-] reads text records from
-    stdin; [trace:PATH] / [tbin:PATH] force the format; a bare path is
-    sniffed ([.ntb] extension or the [nttb/1] magic mean binary, text
-    otherwise). [tick] fires once per record for progress meters.
-    Malformed text lines are skipped and counted in [rejected]; tbin
-    damage is counted by the decoder's own [tbin.*] counters. *)
+(** {!iter_trace} into a list. [tick] fires once per record for
+    progress meters; malformed text lines are added to [rejected]. *)
 
 val analyze_stream :
   ?obs:Nt_obs.Obs.t ->
@@ -199,8 +193,7 @@ val analyze_stream :
   sections:Nt_par.Report.section list ->
   ((Nt_trace.Record.t -> unit) -> unit) ->
   (Nt_par.Report.section * string) list * int
-(** {!analyze_records} without the list: the producer pushes records
-    (e.g. straight from a simulator sink or {!iter_tbin}) and the
-    report folds over fixed-size chunks with peak state of one chunk —
-    see {!Nt_par.Report.run_stream}. Byte-identical with the
-    materialized path at any [jobs]. *)
+(** The paper's analyses over a pushed record stream (e.g. a simulator
+    sink or {!iter_trace}), folded as records arrive — see
+    {!Nt_par.Report.run_stream}. Byte-identical with
+    {!Nt_par.Report.run} at any [jobs]. *)

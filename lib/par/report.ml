@@ -80,126 +80,136 @@ let render_hourly h =
 
 let default_records_per_shard = 65536
 
+(* The requested passes as driver jobs, in a fixed order, plus the
+   renderer that reads their merged results back out in request order.
+   [runs] classifies the merged I/O log on whichever pool the engine
+   chose. *)
+let section_jobs sections =
+  let summary = ref None and hourly = ref None and names = ref None and log = ref None in
+  let job s p slot =
+    if List.mem s sections then [ Driver.Job (p, fun a -> slot := Some a) ] else []
+  in
+  let jobs =
+    List.concat
+      [
+        job `Summary Passes.summary summary;
+        job `Hourly Passes.hourly hourly;
+        job `Names Passes.names names;
+        job `Runs Passes.io_log log;
+      ]
+  in
+  let render ~runs =
+    List.map
+      (fun s ->
+        ( s,
+          match s with
+          | `Summary -> render_summary (Option.get !summary)
+          | `Hourly -> render_hourly (Option.get !hourly)
+          | `Names -> render_names (Option.get !names)
+          | `Runs -> render_runs (A.Runs.table3 (runs (Option.get !log))) ))
+      sections
+  in
+  (jobs, render)
+[@@nt.raise_ok "each Option.get reads a slot the engine filled before rendering"]
+
 let run ?(obs = Obs.null) ?timeline ?(jobs = 1)
     ?(records_per_shard = default_records_per_shard) ~sections records =
   let slices = Shard.plan ~records_per_shard (Array.length records) in
+  let batch, render = section_jobs sections in
   Pool.with_pool ~jobs (fun pool ->
-      let want s = List.mem s sections in
-      let summary = ref None and hourly = ref None and names = ref None and log = ref None in
-      let batch =
-        List.concat
-          [
-            (if want `Summary then [ Driver.Job (Passes.summary, fun a -> summary := Some a) ]
-             else []);
-            (if want `Hourly then [ Driver.Job (Passes.hourly, fun a -> hourly := Some a) ]
-             else []);
-            (if want `Names then [ Driver.Job (Passes.names, fun a -> names := Some a) ] else []);
-            (if want `Runs then [ Driver.Job (Passes.io_log, fun a -> log := Some a) ] else []);
-          ]
-      in
       Driver.run_jobs ~obs ?timeline pool ~records ~slices batch;
-      List.map
-        (fun s ->
-          let text =
-            match s with
-            | `Summary -> render_summary (Option.get !summary)
-            | `Hourly -> render_hourly (Option.get !hourly)
-            | `Names -> render_names (Option.get !names)
-            | `Runs ->
-                render_runs (A.Runs.table3 (Passes.runs ~obs ?timeline ~jump_blocks:10 pool (Option.get !log)))
-          in
-          (s, text))
-        sections)
+      render ~runs:(Passes.runs ~obs ?timeline ~jump_blocks:10 pool))
 
-(* Streaming variant: the producer pushes records and never holds the
-   trace in memory. Chunks are exactly [records_per_shard] long, so
-   the fold replays the materialized shard plan — chunk 0 takes the
-   root accumulator, later chunks the shard-mode one, and merges
-   left-fold in chunk order — and the rendered text is byte-identical
-   with {!run} at any worker count. Within a chunk the wanted passes
-   fan across the pool (pass-parallel rather than shard-parallel), and
-   each pass's chunk time still lands on [par.pass.<name>]. *)
+(* Streaming variant: the producer pushes records and the trace is
+   never held in memory. Each record lands in a small reused batch;
+   when the batch fills, every wanted pass observes it into the current
+   chunk's accumulator, timed per batch. Chunks are exactly
+   [records_per_shard] long and commit where {!run}'s shard plan does —
+   chunk 0 on the root accumulator, later chunks on shard-mode ones,
+   left-fold merges at each boundary — so the rendered text is
+   byte-identical with {!run}. Each chunk's observe time lands once on
+   [par.pass.<name>]. The batch is small so records are observed while
+   still young: a larger one keeps them alive across minor collections
+   and promotes them. Worker domains exist only for the runs finalize. *)
 
-type fold = Fold : 'a Driver.pass * 'a option ref -> fold
+type 'a fold = {
+  pass : 'a Driver.pass;
+  k : 'a -> unit;
+  mutable merged : 'a option;
+  mutable acc : 'a option;  (** the open chunk *)
+  mutable secs : float;  (** the open chunk's observe time *)
+}
+
+type any_fold = Fold : 'a fold -> any_fold
+
+(* chunk 0 is the only one opened before anything has merged *)
+let open_acc f =
+  match f.acc with
+  | Some acc -> acc
+  | None ->
+      let acc = if Option.is_none f.merged then f.pass.init () else f.pass.init_shard () in
+      f.acc <- Some acc;
+      acc
+
+let batch_len = 64
 
 let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
     ?(records_per_shard = default_records_per_shard) ~sections produce =
   if records_per_shard <= 0 then
     invalid_arg "Report.run_stream: records_per_shard must be positive";
-  Pool.with_pool ~jobs (fun pool ->
-      let want s = List.mem s sections in
-      let summary = ref None and hourly = ref None and names = ref None and log = ref None in
-      let folds =
-        List.concat
-          [
-            (if want `Summary then [ Fold (Passes.summary, summary) ] else []);
-            (if want `Hourly then [ Fold (Passes.hourly, hourly) ] else []);
-            (if want `Names then [ Fold (Passes.names, names) ] else []);
-            (if want `Runs then [ Fold (Passes.io_log, log) ] else []);
-          ]
-      in
-      let process chunk ~first =
-        let tasks =
-          List.map
-            (fun (Fold (p, slot)) () ->
-              let t0 = Unix.gettimeofday () in
-              let acc = if first then p.Driver.init () else p.Driver.init_shard () in
-              Array.iter (p.Driver.observe acc) chunk;
-              let dt = Unix.gettimeofday () -. t0 in
-              let commit () =
-                slot := Some (match !slot with None -> acc | Some prev -> p.Driver.merge prev acc)
-              in
-              (p.Driver.name, dt, commit))
-            folds
-        in
-        let done_ = Pool.run_all pool (Array.of_list tasks) in
-        Array.iter
-          (fun (name, dt, commit) ->
-            Obs.span_record obs ("par.pass." ^ name) ~seconds:dt;
-            commit ())
-          done_
-      in
-      let chunk = ref [||] in
-      let fill = ref 0 in
-      let first = ref true in
-      let total = ref 0 in
-      let flush () =
-        if !fill > 0 then begin
-          let c = if !fill = Array.length !chunk then !chunk else Array.sub !chunk 0 !fill in
-          process c ~first:!first;
-          first := false;
-          fill := 0
-        end
-      in
-      let push r =
-        if Array.length !chunk = 0 then chunk := Array.make records_per_shard r;
-        !chunk.(!fill) <- r;
-        incr fill;
-        incr total;
-        if !fill = records_per_shard then flush ()
-      in
-      produce push;
-      flush ();
-      (* an empty stream still yields root accumulators, like {!run} *)
-      if !first then process [||] ~first:true;
-      chunk := [||];
-      let texts =
-        List.map
-          (fun s ->
-            let text =
-              match s with
-              | `Summary -> render_summary (Option.get !summary)
-              | `Hourly -> render_hourly (Option.get !hourly)
-              | `Names -> render_names (Option.get !names)
-              | `Runs ->
-                  render_runs
-                    (A.Runs.table3
-                       (Passes.runs ~obs ?timeline ~jump_blocks:10 pool (Option.get !log)))
-            in
-            (s, text))
-          sections
-      in
-      (texts, !total))
-[@@nt.raise_ok
-  "records_per_shard is caller configuration rejected up front; each Option.get reads a slot \
-   the matching fold above is guaranteed to have committed"]
+  let batch_jobs, render = section_jobs sections in
+  let folds =
+    Array.of_list
+      (List.map
+         (fun (Driver.Job (pass, k)) -> Fold { pass; k; merged = None; acc = None; secs = 0. })
+         batch_jobs)
+  in
+  let batch = ref [||] and fill = ref 0 in
+  let in_chunk = ref 0 and total = ref 0 in
+  let observe_batch () =
+    let t0 = ref (Unix.gettimeofday ()) in
+    Array.iter
+      (fun (Fold f) ->
+        let acc = open_acc f in
+        for i = 0 to !fill - 1 do
+          f.pass.observe acc (Array.unsafe_get !batch i)
+        done;
+        let t1 = Unix.gettimeofday () in
+        f.secs <- f.secs +. (t1 -. !t0);
+        t0 := t1)
+      folds;
+    fill := 0
+  in
+  let commit () =
+    Array.iter
+      (fun (Fold f) ->
+        let acc = open_acc f in
+        Obs.span_record obs ("par.pass." ^ f.pass.name) ~seconds:f.secs;
+        f.merged <- Some (match f.merged with None -> acc | Some prev -> f.pass.merge prev acc);
+        f.acc <- None;
+        f.secs <- 0.)
+      folds;
+    in_chunk := 0
+  in
+  let push r =
+    if Array.length !batch = 0 then batch := Array.make batch_len r;
+    Array.unsafe_set !batch !fill r;
+    incr fill;
+    incr total;
+    incr in_chunk;
+    if !in_chunk = records_per_shard then begin
+      observe_batch ();
+      commit ()
+    end
+    else if !fill = batch_len then observe_batch ()
+  in
+  produce push;
+  if !fill > 0 then observe_batch ();
+  (* an empty stream still yields root accumulators, like {!run} *)
+  if !in_chunk > 0 || !total = 0 then commit ();
+  Array.iter (fun (Fold f) -> Option.iter f.k f.merged) folds;
+  let runs log =
+    Pool.with_pool ~jobs (fun pool -> Passes.runs ~obs ?timeline ~jump_blocks:10 pool log)
+  in
+  (render ~runs, !total)
+[@@nt.raise_ok "records_per_shard is caller configuration rejected up front"]

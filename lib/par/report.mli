@@ -30,13 +30,6 @@ val run :
     runs section additionally chunk-fans its terminal analysis over the
     merged I/O log. Results come back in request order. *)
 
-val render_summary : Nt_analysis.Summary.t -> string
-val render_runs : Nt_analysis.Runs.table3 -> string
-val render_names : Nt_analysis.Names.t -> string
-val render_hourly : Nt_analysis.Hourly.t -> string
-(** The individual section renderers, exposed for tests that build
-    accumulators by hand. *)
-
 val run_stream :
   ?obs:Nt_obs.Obs.t ->
   ?timeline:Nt_obs.Timeline.t ->
@@ -46,10 +39,9 @@ val run_stream :
   ((Nt_trace.Record.t -> unit) -> unit) ->
   (section * string) list * int
 (** [run_stream ~sections produce] is {!run} without the array:
-    [produce push] drives the trace through [push] record by record,
-    the report folds over fixed [records_per_shard] chunks that replay
-    the materialized shard plan exactly (root accumulator for chunk 0,
-    shard-mode after, merges in chunk order), and the rendered text is
-    byte-identical with {!run} on the same records at any [jobs].
-    Peak state is one chunk plus the pass accumulators — the out-of-core
-    path. Also returns the record count. *)
+    [produce push] drives the trace through [push], and every pass
+    observes each record as it arrives. Chunks of [records_per_shard]
+    commit where {!run}'s shard plan cuts, so the text is byte-identical
+    with {!run} at any [jobs]; [par.pass.<name>] gets one span per
+    chunk. Peak state is the accumulators — the out-of-core path. [jobs]
+    sizes only the runs finalize's pool. Also returns the record count. *)

@@ -640,33 +640,208 @@ let encode_string ?frame_records records =
   Writer.close w;
   Buffer.contents buf
 
-(* {2 Decoder} *)
+(* {2 Decoder}
+
+   The decoder owns one input window: unparsed bytes are
+   [win.[head, tail)]. Reads land after [tail] and a parsed frame only
+   advances [head]. When a read would run off the end, the live bytes
+   slide back to 0; the window grows (doubling) only when they still do
+   not fit, so it settles at about one frame plus one read. An
+   uncompressed payload decodes in place, through a cursor over the
+   window. Records never alias it: every string a record holds comes
+   from the atom dictionary, which [load_atoms] copies out.
+
+   Records go to an [emit] callback as they decode: {!iter_channel}
+   passes its own; {!Decoder.feed} passes [enqueue], which fills the
+   queue {!Decoder.next} drains. [parse] lives at top level so ntcheck
+   can name it as an alloc-hot root. *)
+
+(* Failure classes and volumes, counted locally (for {!Decoder.stats})
+   and mirrored on the registry. *)
+let k_frames = 0
+let k_records = 1
+let k_skipped = 2
+let k_missing = 3
+let k_bad_frame = 4
+let k_bad_record = 5
+let k_lost = 6
+let k_trunc = 7
+
+type decoder = {
+  mutable win : Bytes.t;
+  mutable head : int;
+  mutable tail : int;
+  mutable header_ok : bool;
+  mutable resyncing : bool;
+  mutable finished : bool;
+  mutable consumed : int;
+  queue : (Record.t * int64) Queue.t;
+  enqueue : Record.t -> int64 -> unit;
+  counts : int array;
+  counters : Obs.counter array;
+}
+
+let count d k n =
+  Array.unsafe_set d.counts k (Array.unsafe_get d.counts k + n);
+  Obs.add (Array.unsafe_get d.counters k) n
+
+(* Make room for [n] more bytes after [tail]. *)
+let make_room d n =
+  if d.tail + n > Bytes.length d.win then begin
+    let live = d.tail - d.head in
+    if live + n > Bytes.length d.win then begin
+      let w = Bytes.create (max (live + n) (2 * Bytes.length d.win)) in
+      Bytes.blit d.win d.head w 0 live;
+      d.win <- w
+    end
+    else Bytes.blit d.win d.head d.win 0 live;
+    d.head <- 0;
+    d.tail <- live
+  end
+
+let drop d n =
+  d.head <- d.head + n;
+  d.consumed <- d.consumed + n
+
+let skip d n =
+  if n > 0 then begin
+    count d k_skipped n;
+    drop d n
+  end
+
+let le32 b off =
+  Char.code (Bytes.unsafe_get b off)
+  lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 8)
+  lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get b (off + 3)) lsl 24)
+
+let sync_at b i =
+  Char.equal (Bytes.unsafe_get b i) '\xf5'
+  && Char.equal (Bytes.unsafe_get b (i + 1)) 'N'
+  && Char.equal (Bytes.unsafe_get b (i + 2)) 'T'
+  && Char.equal (Bytes.unsafe_get b (i + 3)) '\xb1'
+
+let magic_at b i =
+  let k = ref 0 in
+  while !k < magic_len && Char.equal (Bytes.unsafe_get b (i + !k)) magic.[!k] do
+    incr k
+  done;
+  !k = magic_len
+
+(* index of the first sync marker in [from, tail), or -1 *)
+let find_sync d from =
+  let last = d.tail - sync_len in
+  let i = ref from and found = ref (-1) in
+  while !found < 0 && !i <= last do
+    if sync_at d.win !i then found := !i else incr i
+  done;
+  !found
+
+(* One counter per corruption event: a failure in a clean stream is
+   counted here and opens a resync episode; candidate frames that
+   fail while the episode is still open are the same event and skip
+   silently. A successful frame decode closes the episode. *)
+let frame_damaged d =
+  if not d.resyncing then count d k_bad_frame 1;
+  d.resyncing <- true;
+  skip d 1
+
+(* Decode the checksummed payload [s.[pos, limit)], emitting each
+   record with its replay offset. *)
+let decode_payload d s ~pos ~limit ~frame_start ~frame_end emit =
+  count d k_frames 1;
+  try
+    let c = { V.s; pos; limit } in
+    let atoms = load_atoms c in
+    let n = V.read_uv c in
+    if n < 0 then raise V.Corrupt;
+    let prev_bits = ref 0L in
+    for i = 1 to n do
+      let r = decode_record c atoms prev_bits in
+      count d k_records 1;
+      emit r (if i = n then frame_end else frame_start)
+    done;
+    (* trailing garbage inside a checksummed frame is still damage *)
+    if c.V.pos <> c.V.limit then raise V.Corrupt
+  with V.Corrupt -> count d k_bad_record 1
+
+let rec parse d emit =
+  let len = d.tail - d.head in
+  if not d.header_ok then begin
+    if len >= magic_len then begin
+      if magic_at d.win d.head then drop d magic_len
+      else begin
+        count d k_missing 1;
+        d.resyncing <- true
+      end;
+      d.header_ok <- true;
+      parse d emit
+    end
+  end
+  else if len >= sync_len && sync_at d.win d.head then begin
+    if len >= header_len then begin
+      let flags = Char.code (Bytes.unsafe_get d.win (d.head + sync_len)) in
+      let raw_len = le32 d.win (d.head + sync_len + 1) in
+      let stored_len = le32 d.win (d.head + sync_len + 5) in
+      let sum = le32 d.win (d.head + sync_len + 9) in
+      let compressed = flags land flag_compressed <> 0 in
+      let shape_ok =
+        flags land lnot flag_compressed = 0
+        && raw_len >= 0 && raw_len <= max_payload
+        && stored_len >= 0 && stored_len <= max_payload
+        && (compressed || stored_len = raw_len)
+      in
+      if not shape_ok then begin
+        frame_damaged d;
+        parse d emit
+      end
+      else if len >= header_len + stored_len then begin
+        (* nothing writes the window until [parse] returns, so the
+           payload is read in place *)
+        let win = Bytes.unsafe_to_string d.win in
+        let at = d.head + header_len in
+        match
+          if compressed then Frame.decompress win ~pos:at ~len:stored_len ~expect:raw_len
+          else win
+        with
+        | exception V.Corrupt ->
+            frame_damaged d;
+            parse d emit
+        | s ->
+            let pos = if compressed then 0 else at in
+            if Frame.adler32 s ~pos ~len:raw_len <> sum then frame_damaged d
+            else begin
+              let frame_start = Int64.of_int d.consumed in
+              drop d (header_len + stored_len);
+              d.resyncing <- false;
+              decode_payload d s ~pos ~limit:(pos + raw_len) ~frame_start
+                ~frame_end:(Int64.of_int d.consumed) emit
+            end;
+            parse d emit
+      end
+      (* else: wait for the rest of the frame *)
+    end
+    (* else: wait for a full header *)
+  end
+  else if len >= sync_len then begin
+    (* fewer than sync_len bytes could still be a marker prefix, so a
+       desync verdict waits until the judgement is chunk-independent *)
+    if not d.resyncing then begin
+      count d k_lost 1;
+      d.resyncing <- true
+    end;
+    let at = find_sync d (d.head + 1) in
+    if at >= 0 then begin
+      skip d (at - d.head);
+      parse d emit
+    end
+    else
+      (* no marker: keep a tail that could be a marker prefix *)
+      skip d (len - min len (sync_len - 1))
+  end
 
 module Decoder = struct
-  type t = {
-    mutable pending : string;
-    mutable header_ok : bool;
-    mutable resyncing : bool;
-    mutable finished : bool;
-    mutable consumed : int64;
-    queue : (Record.t * int64) Queue.t;
-    mutable n_frames : int;
-    mutable n_records : int;
-    mutable n_skipped : int;
-    mutable n_missing : int;
-    mutable n_bad_frames : int;
-    mutable n_bad_records : int;
-    mutable n_lost : int;
-    mutable n_trunc : int;
-    c_frames : Obs.counter;
-    c_records : Obs.counter;
-    c_skipped : Obs.counter;
-    c_missing : Obs.counter;
-    c_bad_frame : Obs.counter;
-    c_bad_record : Obs.counter;
-    c_lost : Obs.counter;
-    c_trunc : Obs.counter;
-  }
+  type t = decoder
 
   let create ?(obs = Obs.null) () =
     let fail reason =
@@ -674,182 +849,38 @@ module Decoder = struct
         ~labels:[ ("reason", reason) ]
         ~help:"tbin stream decode failures, by class" "tbin.decode_failure"
     in
+    let queue = Queue.create () in
     {
-      pending = "";
+      win = Bytes.create 4096;
+      head = 0;
+      tail = 0;
       header_ok = false;
       resyncing = false;
       finished = false;
-      consumed = 0L;
-      queue = Queue.create ();
-      n_frames = 0;
-      n_records = 0;
-      n_skipped = 0;
-      n_missing = 0;
-      n_bad_frames = 0;
-      n_bad_records = 0;
-      n_lost = 0;
-      n_trunc = 0;
-      c_frames = Obs.counter obs ~help:"tbin frames decoded clean" "tbin.frames";
-      c_records = Obs.counter obs ~help:"tbin records decoded" "tbin.records";
-      c_skipped =
-        Obs.counter obs ~help:"bytes passed over while resynchronising"
-          "tbin.skipped_bytes";
-      c_missing = fail "missing-header";
-      c_bad_frame = fail "bad-frame";
-      c_bad_record = fail "bad-record";
-      c_lost = fail "lost-sync";
-      c_trunc = fail "truncated-tail";
+      consumed = 0;
+      queue;
+      enqueue = (fun r off -> Queue.push (r, off) queue);
+      counts = Array.make 8 0;
+      counters =
+        [|
+          Obs.counter obs ~help:"tbin frames decoded clean" "tbin.frames";
+          Obs.counter obs ~help:"tbin records decoded" "tbin.records";
+          Obs.counter obs ~help:"bytes passed over while resynchronising" "tbin.skipped_bytes";
+          fail "missing-header";
+          fail "bad-frame";
+          fail "bad-record";
+          fail "lost-sync";
+          fail "truncated-tail";
+        |];
     }
 
-  let drop t n =
-    t.pending <- String.sub t.pending n (String.length t.pending - n);
-    t.consumed <- Int64.add t.consumed (Int64.of_int n)
-
-  let skip t n =
-    if n > 0 then begin
-      t.n_skipped <- t.n_skipped + n;
-      Obs.add t.c_skipped n;
-      drop t n
-    end
-
-  let le32 s off =
-    Char.code (String.unsafe_get s off)
-    lor (Char.code (String.unsafe_get s (off + 1)) lsl 8)
-    lor (Char.code (String.unsafe_get s (off + 2)) lsl 16)
-    lor (Char.code (String.unsafe_get s (off + 3)) lsl 24)
-
-  let sync_at s i =
-    Char.equal (String.unsafe_get s i) '\xf5'
-    && Char.equal (String.unsafe_get s (i + 1)) 'N'
-    && Char.equal (String.unsafe_get s (i + 2)) 'T'
-    && Char.equal (String.unsafe_get s (i + 3)) '\xb1'
-
-  (* index of the first sync marker at or after [from], or -1 *)
-  let find_sync s from =
-    let last = String.length s - sync_len in
-    let i = ref from and found = ref (-1) in
-    while !found < 0 && !i <= last do
-      if sync_at s !i then found := !i else incr i
-    done;
-    !found
-
-  (* One counter per corruption event: a failure in a clean stream is
-     counted here and opens a resync episode; candidate frames that
-     fail while the episode is still open are the same event and skip
-     silently. A successful frame decode closes the episode. *)
-  let frame_damaged t =
-    if not t.resyncing then begin
-      t.n_bad_frames <- t.n_bad_frames + 1;
-      Obs.inc t.c_bad_frame
-    end;
-    t.resyncing <- true;
-    skip t 1
-
-  let decode_payload t raw ~frame_start ~frame_end =
-    t.n_frames <- t.n_frames + 1;
-    Obs.inc t.c_frames;
-    try
-      let c = V.cursor raw in
-      let atoms = load_atoms c in
-      let count = V.read_uv c in
-      if count < 0 then raise V.Corrupt;
-      let prev_bits = ref 0L in
-      for i = 1 to count do
-        let r = decode_record c atoms prev_bits in
-        Queue.push (r, if i = count then frame_end else frame_start) t.queue;
-        t.n_records <- t.n_records + 1;
-        Obs.inc t.c_records
-      done;
-      (* trailing garbage inside a checksummed frame is still damage *)
-      if c.V.pos <> c.V.limit then raise V.Corrupt
-    with V.Corrupt ->
-      t.n_bad_records <- t.n_bad_records + 1;
-      Obs.inc t.c_bad_record
-
-  let rec parse t =
-    let len = String.length t.pending in
-    if not t.header_ok then begin
-      if len >= magic_len then begin
-        if String.equal (String.sub t.pending 0 magic_len) magic then
-          drop t magic_len
-        else begin
-          t.n_missing <- t.n_missing + 1;
-          Obs.inc t.c_missing;
-          t.resyncing <- true
-        end;
-        t.header_ok <- true;
-        parse t
-      end
-    end
-    else if len >= sync_len && sync_at t.pending 0 then begin
-      if len >= header_len then begin
-        let flags = Char.code (String.unsafe_get t.pending sync_len) in
-        let raw_len = le32 t.pending (sync_len + 1) in
-        let stored_len = le32 t.pending (sync_len + 5) in
-        let sum = le32 t.pending (sync_len + 9) in
-        let shape_ok =
-          flags land lnot flag_compressed = 0
-          && raw_len >= 0 && raw_len <= max_payload
-          && stored_len >= 0 && stored_len <= max_payload
-          && (flags land flag_compressed <> 0 || stored_len = raw_len)
-        in
-        if not shape_ok then begin
-          frame_damaged t;
-          parse t
-        end
-        else if len >= header_len + stored_len then begin
-          match
-            let raw =
-              if flags land flag_compressed <> 0 then
-                Frame.decompress t.pending ~pos:header_len ~len:stored_len
-                  ~expect:raw_len
-              else String.sub t.pending header_len stored_len
-            in
-            if Frame.adler32 raw ~pos:0 ~len:raw_len <> sum then raise V.Corrupt;
-            raw
-          with
-          | exception V.Corrupt ->
-              frame_damaged t;
-              parse t
-          | raw ->
-              let frame_start = t.consumed in
-              let frame_end =
-                Int64.add t.consumed (Int64.of_int (header_len + stored_len))
-              in
-              drop t (header_len + stored_len);
-              t.resyncing <- false;
-              decode_payload t raw ~frame_start ~frame_end;
-              parse t
-        end
-        (* else: wait for the rest of the frame *)
-      end
-      (* else: wait for a full header *)
-    end
-    else if len >= sync_len then begin
-      (* fewer than sync_len bytes could still be a marker prefix, so a
-         desync verdict waits until the judgement is chunk-independent *)
-      if not t.resyncing then begin
-        t.n_lost <- t.n_lost + 1;
-        Obs.inc t.c_lost;
-        t.resyncing <- true
-      end;
-      let at = find_sync t.pending 1 in
-      if at >= 0 then begin
-        skip t at;
-        parse t
-      end
-      else begin
-        (* no marker: keep a tail that could be a marker prefix *)
-        let keep = min len (sync_len - 1) in
-        skip t (len - keep)
-      end
-    end
-
   let feed t chunk =
-    if (not t.finished) && String.length chunk > 0 then begin
-      t.pending <-
-        (if String.length t.pending = 0 then chunk else t.pending ^ chunk);
-      parse t
+    let n = String.length chunk in
+    if (not t.finished) && n > 0 then begin
+      make_room t n;
+      Bytes.blit_string chunk 0 t.win t.tail n;
+      t.tail <- t.tail + n;
+      parse t t.enqueue
     end
 
   let next t = Queue.take_opt t.queue
@@ -860,92 +891,71 @@ module Decoder = struct
   let finish t =
     if not t.finished then begin
       t.finished <- true;
-      let len = String.length t.pending in
+      let len = t.tail - t.head in
       if len > 0 then begin
-        if not t.header_ok then begin
-          (* stream ended inside the magic itself *)
-          t.n_missing <- t.n_missing + 1;
-          Obs.inc t.c_missing
-        end
-        else if not t.resyncing then begin
-          t.n_trunc <- t.n_trunc + 1;
-          Obs.inc t.c_trunc
-        end;
-        (* a resync episode swallowing the tail was already counted *)
+        (* the stream ended inside the magic itself; a resync episode
+           swallowing the tail was already counted *)
+        if not t.header_ok then count t k_missing 1
+        else if not t.resyncing then count t k_trunc 1;
         skip t len
       end
     end
 
   let reset_at t off =
-    t.pending <- "";
+    t.head <- 0;
+    t.tail <- 0;
     Queue.clear t.queue;
-    t.consumed <- off;
+    t.consumed <- Int64.to_int off;
     t.header_ok <- Int64.compare off 0L > 0;
     t.resyncing <- false;
     t.finished <- false
 
-  let consumed t = t.consumed
+  let consumed t = Int64.of_int t.consumed
 
   let stats t =
+    let c = t.counts in
     {
-      frames = t.n_frames;
-      records = t.n_records;
-      skipped_bytes = t.n_skipped;
-      missing_header = t.n_missing;
-      bad_frames = t.n_bad_frames;
-      bad_records = t.n_bad_records;
-      lost_sync = t.n_lost;
-      truncated_tails = t.n_trunc;
+      frames = c.(k_frames);
+      records = c.(k_records);
+      skipped_bytes = c.(k_skipped);
+      missing_header = c.(k_missing);
+      bad_frames = c.(k_bad_frame);
+      bad_records = c.(k_bad_record);
+      lost_sync = c.(k_lost);
+      truncated_tails = c.(k_trunc);
     }
 
   let footprint t =
     let queued = Queue.length t.queue in
-    Nt_obs.Footprint.v ~cards:queued
-      ~words:((String.length t.pending / 8) + (queued * 32))
+    Nt_obs.Footprint.v ~cards:queued ~words:((Bytes.length t.win / 8) + (queued * 32))
 end
 
 (* {2 Whole-stream helpers} *)
 
 let chunk_size = 65536
 
+(* Reads land straight in the window and records go straight to [f],
+   with no chunk copy and no queue. The channel read stays here,
+   outside the never-raising [Decoder] surface. *)
 let iter_channel ?obs ic f =
   let d = Decoder.create ?obs () in
-  let buf = Bytes.create chunk_size in
-  let rec drain () =
-    match Decoder.pull d with
-    | Some r ->
-        f r;
-        drain ()
-    | None -> ()
-  in
+  let emit r (_ : int64) = f r in
   let rec loop () =
-    let n = input ic buf 0 chunk_size in
-    if n = 0 then Decoder.finish d
-    else begin
-      Decoder.feed d (Bytes.sub_string buf 0 n);
-      drain ();
+    make_room d chunk_size;
+    let n = input ic d.win d.tail chunk_size in
+    if n > 0 then begin
+      d.tail <- d.tail + n;
+      parse d emit;
       loop ()
     end
   in
   loop ();
-  drain ();
+  Decoder.finish d;
   Decoder.stats d
-
-let read_channel ?obs ic =
-  let acc = ref [] in
-  let stats = iter_channel ?obs ic (fun r -> acc := r :: !acc) in
-  (stats, List.rev !acc)
 
 let decode_string ?obs s =
   let d = Decoder.create ?obs () in
   Decoder.feed d s;
   Decoder.finish d;
-  let acc = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Decoder.pull d with
-    | Some r -> acc := r :: !acc
-    | None -> continue := false
-  done;
-  (Decoder.stats d, List.rev !acc)
+  (Decoder.stats d, List.of_seq (Seq.map fst (Queue.to_seq d.queue)))
 [@@nt.alloc_ok "whole-stream convenience entry: materializes the record list, not a per-record path"]

@@ -82,7 +82,8 @@ val encode_string : ?frame_records:int -> Nt_trace.Record.t list -> string
 module Decoder : sig
   (** Incremental push decoder: feed byte chunks of any size (one byte
       at a time works), pull decoded records. Failures are counted on
-      the registry ([tbin.*] namespace), never raised. *)
+      the registry ([tbin.*] namespace), never raised. Records never
+      alias the reused input window. *)
 
   type t
 
@@ -114,13 +115,13 @@ module Decoder : sig
   val stats : t -> stats
 
   val footprint : t -> Nt_obs.Footprint.t
-  (** Buffered-bytes + queued-records estimate for the state-footprint
-      gauges. *)
+  (** Input-window capacity + queued-records estimate for the
+      state-footprint gauges. *)
 end
 
 val iter_channel : ?obs:Nt_obs.Obs.t -> in_channel -> (Nt_trace.Record.t -> unit) -> stats
 (** Stream-decode a channel without materializing the record set —
-    the out-of-core path. *)
+    the out-of-core path. Reads land in the decoder's window and records
+    reach the callback as they decode, with no queue. *)
 
-val read_channel : ?obs:Nt_obs.Obs.t -> in_channel -> stats * Nt_trace.Record.t list
 val decode_string : ?obs:Nt_obs.Obs.t -> string -> stats * Nt_trace.Record.t list

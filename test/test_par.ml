@@ -817,6 +817,54 @@ let test_report_matches_golden () =
   close_in ic;
   Alcotest.(check string) "report matches golden file" want got
 
+(* The streaming fold must commit chunks exactly where the shard plan
+   cuts: byte-identical text, and one par.pass span per chunk — an
+   empty trailing chunk would add a span. *)
+let all_sections = [ `Summary; `Runs; `Names; `Hourly ]
+
+let render texts =
+  texts
+  |> List.map (fun (s, text) -> Printf.sprintf "== %s ==\n%s" (Report.section_name s) text)
+  |> String.concat "\n"
+
+let check_stream_matches_run ~jobs ~records_per_shard records =
+  let label =
+    Printf.sprintf "%d records, shards of %d, jobs %d" (Array.length records) records_per_shard
+      jobs
+  in
+  let want = render (Report.run ~jobs ~records_per_shard ~sections:all_sections records) in
+  let obs = Obs.create () in
+  let texts, n =
+    Report.run_stream ~obs ~jobs ~records_per_shard ~sections:all_sections (fun push ->
+        Array.iter push records)
+  in
+  Alcotest.(check int) (label ^ ": record count") (Array.length records) n;
+  Alcotest.(check string) (label ^ ": run_stream = run") want (render texts);
+  let chunks = max 1 ((Array.length records + records_per_shard - 1) / records_per_shard) in
+  let snap = Obs.snapshot obs in
+  List.iter
+    (fun pass ->
+      match Obs.get_span snap ("par.pass." ^ pass) with
+      | None -> Alcotest.failf "%s: no par.pass.%s span" label pass
+      | Some sp ->
+          Alcotest.(check int) (label ^ ": one " ^ pass ^ " span per chunk") chunks sp.Obs.count)
+    [ "summary"; "hourly"; "names"; "io_log" ];
+  if Array.length records > 0 && Obs.get_span snap "par.pass.runs" = None then
+    Alcotest.failf "%s: no par.pass.runs span" label
+
+let test_stream_matches_run () =
+  let records = golden_records () in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun records_per_shard -> check_stream_matches_run ~jobs ~records_per_shard records)
+        [ 1; 63; 64; 65; 1000 ];
+      (* exact multiples: the last chunk closes on the last record *)
+      check_stream_matches_run ~jobs ~records_per_shard:64 (Array.sub records 0 128);
+      check_stream_matches_run ~jobs ~records_per_shard:100 records;
+      check_stream_matches_run ~jobs ~records_per_shard:64 [||])
+    [ 1; 4 ]
+
 (* --- pool --- *)
 
 let test_pool_runs_in_order () =
@@ -1003,5 +1051,7 @@ let () =
         [
           Alcotest.test_case "driver exports spans and gauges" `Quick
             (check_unit test_driver_instruments_obs);
+          Alcotest.test_case "run_stream = run, byte for byte, one span per chunk" `Quick
+            (check_unit test_stream_matches_run);
         ] );
     ]

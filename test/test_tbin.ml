@@ -184,6 +184,44 @@ let decode_chunked chunk s =
 
 let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
 
+let with_temp suffix f =
+  let path = Filename.temp_file "nt_tbin_test" suffix in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+(* The whole stream through a channel: reads land in the decoder's
+   window and records arrive by callback, with no queue. *)
+let decode_channel s =
+  with_temp ".ntb" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      let out = ref [] in
+      let st =
+        In_channel.with_open_bin path (fun ic -> Tbin.iter_channel ic (fun r -> out := r :: !out))
+      in
+      (st, List.rev !out))
+
+(* Records with their replay offsets, fed [chunk] bytes at a time. *)
+let decode_offsets chunk s =
+  let d = Tbin.Decoder.create () in
+  let out = ref [] in
+  let rec go () =
+    match Tbin.Decoder.next d with
+    | Some p ->
+        out := p :: !out;
+        go ()
+    | None -> ()
+  in
+  let n = String.length s in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = min chunk (n - !pos) in
+    Tbin.Decoder.feed d (String.sub s !pos len);
+    pos := !pos + len;
+    go ()
+  done;
+  Tbin.Decoder.finish d;
+  go ();
+  (Tbin.Decoder.stats d, List.rev !out)
+
 let check_roundtrip ?frame_records msg rs =
   let st, out = Tbin.decode_string (Tbin.encode_string ?frame_records rs) in
   Alcotest.(check int) (msg ^ ": no failures") 0 (Tbin.failures st);
@@ -364,7 +402,100 @@ let test_chunked_equals_whole () =
       let st_c, out_c = decode_chunked chunk s in
       if st_c <> st_whole then Alcotest.failf "chunk %d: stats differ" chunk;
       if out_c <> out_whole then Alcotest.failf "chunk %d: records differ" chunk)
-    [ 1; 2; 3; 7; 64; 4096 ]
+    [ 1; 2; 3; 7; 64; 4096; 65536 ]
+
+(* A lookup whose name and handles are unique and incompressible, so a
+   few thousand of them make a frame several 64 KiB reads long. *)
+let big_record i =
+  let rng = Random.State.make [| 0xb16; i |] in
+  let name =
+    String.init (100 + Random.State.int rng 200) (fun _ -> Char.chr (97 + Random.State.int rng 26))
+  in
+  mk ~time:(time0 +. float_of_int i) ~xid:i
+    (Ops.Lookup { dir = fh_bytes 32 i; name })
+    ~result:(Ok (Ops.R_lookup { fh = fh_bytes 32 (i + 1); obj = Some fattr1; dir = None }))
+
+(* Frames of 1, 2, 4, ... 2048 records: the decoder's window has to
+   slide under the small ones and grow for the large ones. *)
+let growing_stream () =
+  let b = Buffer.create (1 lsl 20) in
+  let w = Tbin.Writer.create ~frame_records:max_int (Buffer.add_string b) in
+  let rs = ref [] and i = ref 0 in
+  for k = 0 to 11 do
+    for _ = 1 to 1 lsl k do
+      let r = big_record !i in
+      incr i;
+      rs := r :: !rs;
+      Tbin.Writer.add w r
+    done;
+    Tbin.Writer.flush w
+  done;
+  Tbin.Writer.close w;
+  (List.rev !rs, Buffer.contents b)
+
+let flip_bytes s offsets =
+  let b = Bytes.of_string s in
+  List.iter (fun o -> Bytes.set b o (Char.chr (Char.code (Bytes.get b o) lxor 0xff))) offsets;
+  Bytes.to_string b
+
+let test_paths_agree () =
+  let _, grow = growing_stream () in
+  let rng = Random.State.make [| 0xa9; 3 |] in
+  let garbage = String.init 301 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let menagerie_s = Tbin.encode_string ~frame_records:4 (menagerie ()) in
+  List.iter
+    (fun (label, s) ->
+      let st_w, out_w = Tbin.decode_string s in
+      let st_c, out_c = decode_channel s in
+      let st_1, pairs_1 = decode_offsets 1 s in
+      let st_a, pairs_a = decode_offsets (String.length s + 1) s in
+      if st_c <> st_w then
+        Alcotest.failf "%s: channel stats %s, whole %s" label (Tbin.stats_to_string st_c)
+          (Tbin.stats_to_string st_w);
+      if st_1 <> st_w || st_a <> st_w then Alcotest.failf "%s: feeder stats differ" label;
+      if out_c <> out_w then Alcotest.failf "%s: channel records differ" label;
+      if List.map fst pairs_1 <> out_w then Alcotest.failf "%s: 1-byte records differ" label;
+      if pairs_1 <> pairs_a then Alcotest.failf "%s: 1-byte offsets differ" label)
+    [
+      ("menagerie", menagerie_s);
+      ("growing frames", grow);
+      ( "growing frames, three flips",
+        flip_bytes grow [ 40; String.length grow / 2; String.length grow - 9 ] );
+      ("garbage between streams", menagerie_s ^ garbage ^ grow);
+      ("truncated mid-frame", String.sub grow 0 (String.length grow - 1000));
+    ]
+
+let test_window_growth () =
+  let rs, s = growing_stream () in
+  let last_frame = Tbin.encode_string (List.filteri (fun i _ -> i >= 2047) rs) in
+  if String.length last_frame <= 2 * 65536 then
+    Alcotest.failf "last frame is %d bytes, not larger than two reads" (String.length last_frame);
+  let st, out = decode_channel s in
+  Alcotest.(check int) "channel: twelve frames" 12 st.Tbin.frames;
+  Alcotest.(check int) "channel: no failures" 0 (Tbin.failures st);
+  if out <> rs then Alcotest.failf "channel decode changed the records";
+  (* Records pulled early must survive the slides and growth that later
+     feeds cause: they never alias the window. *)
+  let d = Tbin.Decoder.create () in
+  let half = String.length s / 2 in
+  Tbin.Decoder.feed d (String.sub s 0 half);
+  let early = drain d in
+  let early_lines = List.map Record.to_line early in
+  let pos = ref half in
+  while !pos < String.length s do
+    let len = min 3000 (String.length s - !pos) in
+    Tbin.Decoder.feed d (String.sub s !pos len);
+    pos := !pos + len
+  done;
+  Tbin.Decoder.finish d;
+  let late = drain d in
+  Alcotest.(check bool) "early records were delivered" true (List.length early > 0);
+  Alcotest.(check (list string)) "early records unchanged" early_lines
+    (List.map Record.to_line early);
+  if early @ late <> rs then Alcotest.failf "fed decode changed the records";
+  let fp = Tbin.Decoder.footprint d in
+  if fp.Nt_obs.Footprint.words * 8 < String.length last_frame then
+    Alcotest.failf "window of %d words cannot have held the last frame" fp.Nt_obs.Footprint.words
 
 let test_offsets_and_reset () =
   let rs = List.init 100 simple in
@@ -551,7 +682,11 @@ let test_mutation_storm () =
       let st_c, out_c = decode_chunked 13 m in
       if st_c <> st || out_c <> out then
         Alcotest.failf "mutation %d: chunked decode diverges (%s vs %s)" i
-          (Tbin.stats_to_string st_c) (Tbin.stats_to_string st)
+          (Tbin.stats_to_string st_c) (Tbin.stats_to_string st);
+      let st_ch, out_ch = decode_channel m in
+      if st_ch <> st || out_ch <> out then
+        Alcotest.failf "mutation %d: channel decode diverges (%s vs %s)" i
+          (Tbin.stats_to_string st_ch) (Tbin.stats_to_string st)
     end
   done
 
@@ -604,10 +739,6 @@ let render label texts =
        (fun (s, text) -> Printf.sprintf "== %s %s ==\n%s" label (Nt_par.Report.section_name s) text)
        texts)
 
-let with_temp suffix f =
-  let path = Filename.temp_file "nt_tbin_test" suffix in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 let simulated_records () =
   let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
   let out = ref [] in
@@ -639,17 +770,17 @@ let test_differential_text_tbin_stream () =
               let label = Printf.sprintf "jobs %d" jobs in
               let base =
                 render label
-                  (Nt_core.Pipeline.analyze_records ~jobs ~records_per_shard:64 ~sections
-                     from_text)
+                  (Nt_par.Report.run ~jobs ~records_per_shard:64 ~sections
+                     (Array.of_list from_text))
               in
               let tbin =
                 render label
-                  (Nt_core.Pipeline.analyze_records ~jobs ~records_per_shard:64 ~sections
-                     from_tbin)
+                  (Nt_par.Report.run ~jobs ~records_per_shard:64 ~sections
+                     (Array.of_list from_tbin))
               in
               let streamed, n =
                 Nt_core.Pipeline.analyze_stream ~jobs ~records_per_shard:64 ~sections
-                  (fun emit -> ignore (Nt_core.Pipeline.iter_tbin tbin_path emit))
+                  (fun emit -> ignore (Nt_core.Pipeline.iter_trace tbin_path emit))
               in
               Alcotest.(check int)
                 (label ^ ": streamed record count")
@@ -681,12 +812,63 @@ let test_differential_pcap_leg () =
       Alcotest.(check int) "captured records round-trip clean" 0 (Tbin.failures st);
       if out <> captured then Alcotest.failf "tbin changed the captured records";
       let base =
-        render "pcap" (Nt_core.Pipeline.analyze_records ~jobs:4 ~records_per_shard:64 ~sections captured)
+        render "pcap"
+          (Nt_par.Report.run ~jobs:4 ~records_per_shard:64 ~sections (Array.of_list captured))
       in
       let via_tbin =
-        render "pcap" (Nt_core.Pipeline.analyze_records ~jobs:4 ~records_per_shard:64 ~sections out)
+        render "pcap"
+          (Nt_par.Report.run ~jobs:4 ~records_per_shard:64 ~sections (Array.of_list out))
       in
       Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
+
+(* The benchmark's campus-tbin-stats input (360 CAMPUS users from
+   Wednesday 9am, seed 1, first 160,000 records, 4096-record frames)
+   with one byte flipped at 500,000, 3,000,000 and 9,000,000: three
+   frames are lost, and the tools must say so instead of printing a
+   smaller record count alone. *)
+exception Enough
+
+let test_damaged_frames_reported () =
+  let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
+  let config = { Nt_workload.Email.default_config with users = 360; seed = 1L } in
+  let b = Buffer.create (16 lsl 20) in
+  let w = Tbin.Writer.create (Buffer.add_string b) in
+  let n = ref 0 in
+  (try
+     ignore
+       (Nt_core.Pipeline.simulate_campus ~config ~start ~stop:(start +. 86400.)
+          ~sink:(fun r ->
+            if !n = 160_000 then raise Enough;
+            incr n;
+            Tbin.Writer.add w r)
+          ()
+        : Nt_core.Pipeline.run_stats)
+   with Enough -> ());
+  Tbin.Writer.close w;
+  let damaged = flip_bytes (Buffer.contents b) [ 500_000; 3_000_000; 9_000_000 ] in
+  with_temp ".ntb" (fun path ->
+      let count path =
+        let n = ref 0 in
+        let src = Nt_core.Pipeline.iter_trace path (fun _ -> incr n) in
+        (!n, src)
+      in
+      Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);
+      let clean, src = count path in
+      Alcotest.(check int) "clean: every record" 160_000 clean;
+      Alcotest.(check (list string)) "clean: nothing to report" []
+        (Nt_core.Pipeline.skipped_notes ~tool:"nfsstats" src);
+      Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
+      let loaded, src = count path in
+      Alcotest.(check int) "three frames lost" (160_000 - (3 * 4096)) loaded;
+      let st = Option.get src.Nt_core.Pipeline.tbin in
+      Alcotest.(check int) "three bad frames" 3 st.Tbin.bad_frames;
+      Alcotest.(check int) "no other failure" 3 (Tbin.failures st);
+      Alcotest.(check (list string)) "the loss is reported"
+        [
+          Printf.sprintf "nfsstats: 3 damaged tbin frames skipped (%d bytes)"
+            st.Tbin.skipped_bytes;
+        ]
+        (Nt_core.Pipeline.skipped_notes ~tool:"nfsstats" src))
 
 (* ---------- suite ---------- *)
 
@@ -721,6 +903,10 @@ let () =
             test_garbage_is_missing_header;
           Alcotest.test_case "chunked feeding equals whole-buffer" `Quick
             test_chunked_equals_whole;
+          Alcotest.test_case "feeder, channel and whole-string decode agree" `Quick
+            test_paths_agree;
+          Alcotest.test_case "window slides and grows under delivered records" `Quick
+            test_window_growth;
           Alcotest.test_case "replay offsets and reset_at" `Quick test_offsets_and_reset;
           Alcotest.test_case "writer flush keeps the stream appendable" `Quick
             test_writer_flush_appendable;
@@ -746,5 +932,7 @@ let () =
           Alcotest.test_case "text vs tbin vs streamed, jobs 1 and 4" `Slow
             test_differential_text_tbin_stream;
           Alcotest.test_case "pcap-derived records via tbin" `Slow test_differential_pcap_leg;
+          Alcotest.test_case "damaged frames are reported, not silently dropped" `Slow
+            test_damaged_frames_reported;
         ] );
     ]
