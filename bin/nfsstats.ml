@@ -93,10 +93,19 @@ let jobs =
            report text is byte-identical at any setting — chunking and merge order never depend \
            on it.")
 
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let shard_records =
   Arg.(
     value
-    & opt int Nt_par.Report.default_records_per_shard
+    & opt positive_int Nt_par.Report.default_records_per_shard
     & info [ "shard-records" ] ~docv:"N"
         ~doc:
           "Records per analysis chunk; each chunk folds into its own accumulator, merged in \

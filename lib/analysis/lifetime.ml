@@ -45,44 +45,14 @@ end)
 
 type death_cause = Overwrite | Truncate | Deletion
 
-(* Name-binding states. Root accumulators know every binding, so an
-   absent key means unbound. Shard accumulators start mid-trace and
-   absent means unknown; [K_unbound] is an explicit tombstone, and
-   [K_tainted] marks a binding whose value depends on predecessor state
-   (a rename whose source the shard never saw) — events against it must
-   be deferred to preserve ordering. *)
-type kstate = K_bound of Fh.t | K_unbound | K_tainted
-
-(* Shard replay log, oldest last. [L_bind] records every locally
-   applied binding transition; [L_record] is a record the shard could
-   not process (it needed predecessor bindings or block state). At
-   merge the log replays in time order against the merged root, which
-   restores exactly the binding/state context the sequential pass had. *)
-type litem = L_bind of (string * string) * kstate | L_record of Record.t
-(* L_bind carries the raw (dir handle, name) strings, not a packed key:
-   atom ids are private to one accumulator, so merge re-interns on the
-   destination. *)
-
-(* Shard knowledge about a handle's block state. [Grounded]: the file
-   was created inside this shard, so its whole history is local.
-   [Frozen]: it was grounded, but then a record touching it was
-   deferred — local state stops evolving and later events defer too, so
-   replay at merge sees states in true time order. Absent: unknown
-   (pre-existing file); every state-touching event defers. *)
-type fground = Grounded | Frozen
-
 type t = {
   cfg : config;
   files : file_state Fh_tbl.t;
   atoms : Intern.t;  (* dir-handle and name atoms backing [names] keys *)
-  (* packed (dir, name) key -> binding, learned from lookups/creates so
-     REMOVE/RENAME calls can be resolved to the dying file. *)
-  names : kstate Int_tbl.t;
-  root : bool;
-  ground : fground Fh_tbl.t;  (* shard mode only *)
-  mutable log : litem list;  (* shard mode only, newest first *)
-  mutable ground_conflicts : int;
-      (* merge-detected violations of the fresh-create assumption *)
+  (* packed (dir, name) key -> bound handle, learned from
+     lookups/creates so REMOVE/RENAME calls can be resolved to the
+     dying file; an absent key is unbound. *)
+  names : Fh.t Int_tbl.t;
   mutable births_write : int;
   mutable births_extension : int;
   (* Death journal as parallel arrays ([n_deaths] live entries): the
@@ -99,16 +69,12 @@ let lifetime_edges =
   [| 0.01; 0.05; 0.1; 0.25; 0.5; 1.; 2.; 5.; 10.; 30.; 60.; 120.; 300.; 600.; 1200.; 1800.;
      3600.; 7200.; 14400.; 28800.; 43200.; 86400.; 172800.; 345600. |]
 
-let make ~root cfg =
+let create cfg =
   {
     cfg;
     files = Fh_tbl.create 1024;
     atoms = Intern.create 1024;
     names = Int_tbl.create 1024;
-    root;
-    ground = Fh_tbl.create 256;
-    log = [];
-    ground_conflicts = 0;
     births_write = 0;
     births_extension = 0;
     death_lt = [||];
@@ -116,9 +82,6 @@ let make ~root cfg =
     n_deaths = 0;
     lifetimes = Histogram.create ~edges:lifetime_edges;
   }
-
-let create cfg = make ~root:true cfg
-let create_shard cfg = make ~root:false cfg
 
 let phase1_end t = t.cfg.phase1_start +. t.cfg.phase1_len
 let phase2_end t = phase1_end t +. t.cfg.phase2_len
@@ -246,60 +209,15 @@ let note_size t fh size =
     st.size_blocks <- nb
   end
 
-let key t ~dir ~name = (Intern.id t.atoms dir lsl 31) lor Intern.id t.atoms name
-let name_key t dir name = key t ~dir:(Fh.to_raw dir) ~name
+let name_key t dir name = (Intern.id t.atoms (Fh.to_raw dir) lsl 31) lor Intern.id t.atoms name
 
-(* Binding lookup that distinguishes "known unbound" (root: absent;
-   shard: tombstone) from "never seen" (shard: absent). *)
-type kq = Q_bound of Fh.t | Q_unbound | Q_tainted | Q_unknown
-
-let kstate_of t k =
-  match Int_tbl.find_opt t.names k with
-  | Some (K_bound fh) -> Q_bound fh
-  | Some K_unbound -> Q_unbound
-  | Some K_tainted -> Q_tainted
-  | None -> if t.root then Q_unbound else Q_unknown
-
-(* Every locally applied binding transition is journaled so merge can
-   replay it at its stream position. [~log:false] marks shard-mode
-   bookkeeping for a *deferred* record: the replayed record itself will
-   redo the binding on the root, so journaling it too would apply it
-   twice. *)
-let set_key ?(log = true) t ~dir ~name st =
-  let dir = Fh.to_raw dir in
-  (match st with
-  | K_unbound when t.root -> Int_tbl.remove t.names (key t ~dir ~name)
-  | _ -> Int_tbl.replace t.names (key t ~dir ~name) st);
-  if log && not t.root then t.log <- L_bind ((dir, name), st) :: t.log
-[@@nt.alloc_ok "journal entry per shard-local binding transition; root mode never journals"]
-[@@nt.unbounded "shard replay journal, drained at merge"]
-
-let is_grounded t fh =
-  t.root || match Fh_tbl.find_opt t.ground fh with Some Grounded -> true | _ -> false
-
-let freeze t fh =
-  match Fh_tbl.find_opt t.ground fh with
-  | Some Grounded -> Fh_tbl.replace t.ground fh Frozen
-  | _ -> ()
-
-(* Defer [r] to merge time. Any locally grounded handle whose state
-   the record would touch must be frozen (see [freeze]) by the caller
-   so no later local event mutates it out of order. *)
-let defer t (r : Record.t) =
-  t.log <- L_record r :: t.log
-[@@nt.alloc_ok "journal entry per deferred record; shard mode only"]
-[@@nt.unbounded "shard replay journal, drained at merge"]
-
-(* Process a record whose every prerequisite (bindings, block states)
-   is locally known. This is the entire sequential semantics; the root
-   path and the merge replay both come straight here. *)
 let apply t (r : Record.t) =
   (* Name learning for REMOVE/RENAME resolution. *)
   (match (r.call, r.result) with
   | Ops.Lookup { dir; name }, Some (Ok (Ops.R_lookup { fh; _ })) ->
-      set_key t ~dir ~name (K_bound fh)
+      Int_tbl.replace t.names (name_key t dir name) fh
   | Ops.Create { dir; name; _ }, Some (Ok (Ops.R_create { fh = Some fh; _ })) ->
-      set_key t ~dir ~name (K_bound fh)
+      Int_tbl.replace t.names (name_key t dir name) fh
   | _ -> ());
   match r.call with
   | Ops.Write { fh; offset; count; _ } ->
@@ -314,135 +232,33 @@ let apply t (r : Record.t) =
       | None -> ())
   | Ops.Remove { dir; name } ->
       if Record.is_ok r then begin
-        match kstate_of t (name_key t dir name) with
-        | Q_bound fh ->
+        let k = name_key t dir name in
+        match Int_tbl.find_opt t.names k with
+        | Some fh ->
             handle_remove t fh ~time:r.time;
-            set_key t ~dir ~name K_unbound
-        | Q_unbound | Q_tainted | Q_unknown -> ()
+            Int_tbl.remove t.names k
+        | None -> ()
       end
   | Ops.Rename { from_dir; from_name; to_dir; to_name } ->
       if Record.is_ok r then begin
         (* POSIX rename: a pre-existing target is unlinked. *)
         let fk = name_key t from_dir from_name and tk = name_key t to_dir to_name in
-        (match kstate_of t tk with
-        | Q_bound victim -> handle_remove t victim ~time:r.time
-        | _ -> ());
-        match kstate_of t fk with
-        | Q_bound fh ->
-            set_key t ~dir:from_dir ~name:from_name K_unbound;
-            set_key t ~dir:to_dir ~name:to_name (K_bound fh)
-        | _ -> set_key t ~dir:to_dir ~name:to_name K_unbound
+        (match Int_tbl.find_opt t.names tk with
+        | Some victim -> handle_remove t victim ~time:r.time
+        | None -> ());
+        match Int_tbl.find_opt t.names fk with
+        | Some fh ->
+            Int_tbl.remove t.names fk;
+            Int_tbl.replace t.names tk fh
+        | None -> Int_tbl.remove t.names tk
       end
-  | Ops.Create { dir = _; name = _; _ } -> (
-      (* A create that truncated an existing file would show as size 0. *)
-      match (Record.target_fh r, Record.post_size r) with
-      | Some fh, Some size -> note_size t fh size
-      | _ -> ())
   | _ -> (
+      (* A create that truncated an existing file shows as size 0. *)
       match (Record.target_fh r, Record.post_size r) with
       | Some fh, Some size -> note_size t fh size
       | _ -> ())
 
-(* Shard-mode dispatch: apply locally when every prerequisite is
-   shard-local knowledge, otherwise journal the record for merge-time
-   replay and keep just enough local bookkeeping (tombstones, taint,
-   un-journaled bindings) that later records resolve consistently. *)
-let observe_shard t (r : Record.t) =
-  match r.call with
-  | Ops.Write { fh; _ } -> if is_grounded t fh then apply t r else defer t r
-  | Ops.Setattr { fh; attrs } -> (
-      match attrs.set_size with
-      | None -> ()
-      | Some _ -> if is_grounded t fh then apply t r else defer t r)
-  | Ops.Remove { dir; name } ->
-      if Record.is_ok r then begin
-        match kstate_of t (name_key t dir name) with
-        | Q_bound fh when is_grounded t fh -> apply t r
-        | Q_unbound -> ()
-        | Q_bound _ | Q_tainted | Q_unknown ->
-            (* The dying file's block state (or the binding itself)
-               lives in a predecessor shard. *)
-            defer t r;
-            set_key ~log:false t ~dir ~name K_unbound
-      end
-  | Ops.Rename { from_dir; from_name; to_dir; to_name } ->
-      if Record.is_ok r then begin
-        let fk = name_key t from_dir from_name and tk = name_key t to_dir to_name in
-        let fq = kstate_of t fk and tq = kstate_of t tk in
-        let victim_local =
-          match tq with
-          | Q_bound vfh -> is_grounded t vfh
-          | Q_unbound -> true
-          | Q_tainted | Q_unknown -> false
-        in
-        let from_known = match fq with Q_bound _ | Q_unbound -> true | _ -> false in
-        if victim_local && from_known then apply t r
-        else begin
-          (* A locally known victim dies at replay time: freeze it. *)
-          (match tq with Q_bound vfh -> freeze t vfh | _ -> ());
-          defer t r;
-          set_key ~log:false t ~dir:from_dir ~name:from_name K_unbound;
-          match fq with
-          | Q_bound fh -> set_key ~log:false t ~dir:to_dir ~name:to_name (K_bound fh)
-          | Q_unbound -> set_key ~log:false t ~dir:to_dir ~name:to_name K_unbound
-          | Q_tainted | Q_unknown -> set_key ~log:false t ~dir:to_dir ~name:to_name K_tainted
-        end
-      end
-  | _ -> (
-      (* Lookup / Create / attribute-bearing replies. A successful
-         CREATE grounds its handle: the reply handle is assumed fresh
-         (no handle reuse within a trace), so the file's whole history
-         is shard-local from here on. *)
-      (match (r.call, r.result) with
-      | Ops.Create _, Some (Ok (Ops.R_create { fh = Some fh; _ })) ->
-          if not (Fh_tbl.mem t.ground fh) then Fh_tbl.replace t.ground fh Grounded
-      | _ -> ());
-      match (Record.target_fh r, Record.post_size r) with
-      | Some fh, Some _ when not (is_grounded t fh) ->
-          (* note_size needs predecessor state; the Lookup binding is
-             state-free, so keep it usable locally (un-journaled — the
-             replayed record re-binds at its own stream slot). *)
-          defer t r;
-          (match (r.call, r.result) with
-          | Ops.Lookup { dir; name }, Some (Ok (Ops.R_lookup { fh = lfh; _ })) ->
-              set_key ~log:false t ~dir ~name (K_bound lfh)
-          | _ -> ())
-      | _ -> apply t r)
-
-let observe t (r : Record.t) =
-  if r.time < phase2_end t then if t.root then apply t r else observe_shard t r
-
-let ground_conflicts t = t.ground_conflicts
-
-let merge a b =
-  if not a.root then invalid_arg "Lifetime.merge: destination must be a root accumulator";
-  (* 1. Absorb [b]'s shard-local file states. Each is either grounded
-     (created in [b], never deferred against — final) or frozen at its
-     defer point (replay below finishes its history in time order). *)
-  Fh_tbl.iter
-    (fun fh st ->
-      if Fh_tbl.mem a.files fh then a.ground_conflicts <- a.ground_conflicts + 1;
-      Fh_tbl.replace a.files fh st)
-    b.files;
-  a.ground_conflicts <- a.ground_conflicts + b.ground_conflicts;
-  (* 2. Replay binding transitions and deferred records oldest-first
-     against the merged root, restoring the sequential pass's context
-     for each deferred record. *)
-  List.iter
-    (function
-      | L_bind ((dir, name), K_unbound) -> Int_tbl.remove a.names (key a ~dir ~name)
-      | L_bind ((dir, name), st) -> Int_tbl.replace a.names (key a ~dir ~name) st
-      | L_record r -> observe a r)
-    (List.rev b.log);
-  (* 3. Counters, deaths and the lifetime histogram are plain sums
-     (replayed records above contributed to [a]'s, never [b]'s). *)
-  a.births_write <- a.births_write + b.births_write;
-  a.births_extension <- a.births_extension + b.births_extension;
-  for i = 0 to b.n_deaths - 1 do
-    push_death a b.death_lt.(i) b.death_cause.(i)
-  done;
-  ignore (Histogram.merge a.lifetimes b.lifetimes);
-  a
+let observe t (r : Record.t) = if r.time < phase2_end t then apply t r
 
 type result = {
   births : int;
@@ -516,13 +332,9 @@ let footprint t =
   let files = Fh_tbl.length t.files in
   let atoms = Intern.size t.atoms in
   let names = Int_tbl.length t.names in
-  let ground = Fh_tbl.length t.ground in
-  let log = List.length t.log in
   let fp =
     Nt_obs.Footprint.v
-      ~cards:(files + atoms + names + ground + log + t.n_deaths)
-      ~words:
-        (32 + (files * 22) + (atoms * 10) + (names * 8) + (ground * 14) + (log * 12)
-        + (Array.length t.death_lt * 3))
+      ~cards:(files + atoms + names + t.n_deaths)
+      ~words:(32 + (files * 22) + (atoms * 10) + (names * 8) + (Array.length t.death_lt * 3))
   in
   Nt_obs.Footprint.add fp (Histogram.footprint t.lifetimes)

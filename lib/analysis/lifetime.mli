@@ -31,33 +31,6 @@ val create : config -> t
 val observe : t -> Nt_trace.Record.t -> unit
 (** Records must arrive in time order (the pipeline guarantees it). *)
 
-val create_shard : config -> t
-(** An accumulator for a non-initial trace shard. It cannot assume an
-    unknown (dir, name) binding is unbound or that a handle's block
-    state is known, so it processes locally only what is provably
-    shard-local — files created inside the shard ("grounded" handles)
-    and bindings it has seen — and journals everything else (deferred
-    records plus every applied binding transition) for {!merge} to
-    replay. A deferred record touching a grounded file freezes that
-    file so replay happens in true time order. *)
-
-val merge : t -> t -> t
-(** [merge a b] folds shard [b] (the next time range) into root/merged
-    accumulator [a] and returns [a]; [b] must not be used afterwards.
-    Absorbs [b]'s file states, then replays [b]'s journal oldest-first
-    against [a] — deferred records run with exactly the bindings and
-    block states the sequential pass had at that point. Left folds in
-    shard order reproduce the sequential result exactly, provided the
-    server never reuses a file handle within the trace (a successful
-    CREATE's reply handle is taken as fresh); violations are detected
-    and counted, see {!ground_conflicts}. *)
-
-val ground_conflicts : t -> int
-(** Number of merge-detected handle collisions (a shard grounded a
-    handle some earlier shard already had state for). Zero when the
-    fresh-create assumption holds, as it does for the simulated
-    server. *)
-
 type result = {
   births : int;
   births_write_pct : float;

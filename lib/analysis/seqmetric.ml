@@ -60,7 +60,7 @@ let tally () =
     total_runs = 0;
   }
 
-let tally_file ?(window = 0.01) t accesses =
+let tally_file ~window t accesses =
   let sorted = if window > 0. then fst (Io_log.sort_window window accesses) else accesses in
   List.iter
     (fun run ->
@@ -87,21 +87,6 @@ let tally_file ?(window = 0.01) t accesses =
         t.n_wa.(b) <- t.n_wa.(b) + 1
       end)
     (Runs.split sorted)
-
-let tally_merge a b =
-  let addf dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) +. v) src in
-  let addi dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
-  addf a.sum_ra b.sum_ra;
-  addi a.n_ra b.n_ra;
-  addf a.sum_rs b.sum_rs;
-  addf a.sum_wa b.sum_wa;
-  addi a.n_wa b.n_wa;
-  addf a.sum_ws b.sum_ws;
-  addi a.runs_total b.runs_total;
-  addi a.runs_read b.runs_read;
-  addi a.runs_write b.runs_write;
-  a.total_runs <- a.total_runs + b.total_runs;
-  a
 
 let curve_of_tally t =
   let nb = Array.length edges in

@@ -20,22 +20,6 @@ type curve = {
   cum_write_runs : float array;
 }
 
-type tally
-(** Mergeable intermediate: per-bucket metric sums and run counts. Runs
-    never span files, so per-file tallies combine associatively — the
-    unit the parallel driver fans out. Bucket counts merge exactly;
-    metric sums are floats, so a chunked merge can differ from the
-    sequential pass only by float-addition reassociation. *)
-
-val tally : unit -> tally
-val tally_file : ?window:float -> tally -> Io_log.access array -> unit
-(** Fold one file's accesses (window defaults to the paper's 10 ms). *)
-
-val tally_merge : tally -> tally -> tally
-(** Adds [b] into [a] and returns [a]. *)
-
-val curve_of_tally : tally -> curve
-
 val analyze : ?window:float -> Io_log.t -> curve
 (** Figure 5: average sequentiality metric vs bytes accessed in the run
     (log buckets 16 KB – 64 MB), reads and writes, both c values, plus

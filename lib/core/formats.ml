@@ -23,8 +23,8 @@ let obs_series = "nt_obs_series/1"
 let bench_obs = "nt_bench_obs/1"
 (* "schema" tag of BENCH_obs.json (bench obs overhead gate). *)
 
-let bench_par = "nt_bench_par/2"
-(* "schema" tag of BENCH_par.json (bench sharded speedup gate). *)
+let bench_par = "nt_bench_par/3"
+(* "schema" tag of BENCH_par.json (bench par report identity and per-pass gates). *)
 
 let bench_mon = "nt_bench_mon/1"
 (* "schema" tag of BENCH_mon.json (bench monitor soak gate). *)

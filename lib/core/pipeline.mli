@@ -195,5 +195,5 @@ val analyze_stream :
   (Nt_par.Report.section * string) list * int
 (** The paper's analyses over a pushed record stream (e.g. a simulator
     sink or {!iter_trace}), folded as records arrive — see
-    {!Nt_par.Report.run_stream}. Byte-identical with
-    {!Nt_par.Report.run} at any [jobs]. *)
+    {!Nt_par.Report.run_stream}. Byte-identical at any [jobs] and
+    [records_per_shard]. *)

@@ -10,119 +10,46 @@ type 'a pass = {
   merge : 'a -> 'a -> 'a;
 }
 
-type job = Job : 'a pass * ('a -> unit) -> job
-
-let instrument obs pool ~shards ~tasks =
-  Obs.set (Obs.gauge obs ~help:"worker domains in the shard pool" "par.jobs")
+let instrument obs pool ~chunks =
+  Obs.set (Obs.gauge obs ~help:"worker domains in the chunk pool" "par.jobs")
     (float_of_int (Pool.size pool));
   Obs.set_max
-    (Obs.gauge obs ~help:"peak queued shard tasks" "par.queue_depth")
+    (Obs.gauge obs ~help:"peak queued chunk tasks" "par.queue_depth")
     (float_of_int (Pool.peak_queue pool));
-  Obs.add (Obs.counter obs ~help:"shard tasks executed" "par.tasks") tasks;
-  Obs.add (Obs.counter obs ~help:"shards planned" "par.shards") shards
-
-let run_jobs ?(obs = Obs.null) ?timeline pool ~(records : Record.t array)
-    ~(slices : Shard.slice array) jobs =
-  Shard.check ~total:(Array.length records) slices;
-  let nslices = Array.length slices in
-  let tasks = ref [] in
-  let ntasks = ref 0 in
-  let finishers = ref [] in
-  List.iter
-    (fun (Job (p, k)) ->
-      let accs = Array.make (max nslices 1) None in
-      let times = Array.make (max nslices 1) 0. in
-      let span_name = "par.pass." ^ p.name in
-      (* Worker-private trace buffers, one per shard task: a worker
-         appends its own completed span, the coordinator absorbs them
-         in slice order at join — no cross-domain mutation. *)
-      let tbufs =
-        match timeline with
-        | None -> [||]
-        | Some _ -> Array.init (max nslices 1) (fun _ -> Timeline.buf ())
-      in
-      Array.iteri
-        (fun si (s : Shard.slice) ->
-          incr ntasks;
-          tasks :=
-            (fun () ->
-              let t0 = Unix.gettimeofday () in
-              (* Shard 0 is the root: it starts the trace, so full
-                 sequential semantics apply to it directly. *)
-              let acc = if si = 0 then p.init () else p.init_shard () in
-              for i = s.off to s.off + s.len - 1 do
-                p.observe acc records.(i)
-              done;
-              let t1 = Unix.gettimeofday () in
-              times.(si) <- t1 -. t0;
-              if Array.length tbufs > 0 then
-                Timeline.buf_add tbufs.(si) ~name:span_name ~t0 ~t1;
-              accs.(si) <- Some acc)
-            :: !tasks)
-        slices;
-      finishers :=
-        (fun () ->
-          (match timeline with
-          | Some tl -> Array.iter (Timeline.absorb tl) tbufs
-          | None -> ());
-          for si = 0 to nslices - 1 do
-            Obs.span_record obs ("par.pass." ^ p.name) ~seconds:times.(si)
-          done;
-          let root =
-            if nslices = 0 then p.init ()
-            else match accs.(0) with Some a -> a | None -> assert false
-          in
-          let merged =
-            Obs.with_span obs "par.merge" (fun () ->
-                let acc = ref root in
-                for si = 1 to nslices - 1 do
-                  match accs.(si) with Some b -> acc := p.merge !acc b | None -> assert false
-                done;
-                !acc)
-          in
-          k merged)
-        :: !finishers)
-    jobs;
-  ignore (Pool.run_all pool (Array.of_list (List.rev !tasks)) : unit array);
-  instrument obs pool ~shards:nslices ~tasks:!ntasks;
-  (* Merges run on the coordinator, in job order then shard order —
-     part of the fixed plan that makes output worker-count-invariant. *)
-  List.iter (fun f -> f ()) (List.rev !finishers)
-
-let run_pass ?obs ?timeline pool ~records ~slices p =
-  let out = ref None in
-  run_jobs ?obs ?timeline pool ~records ~slices [ Job (p, fun a -> out := Some a) ];
-  match !out with Some a -> a | None -> assert false
+  Obs.add (Obs.counter obs ~help:"chunk tasks executed" "par.tasks") chunks;
+  Obs.add (Obs.counter obs ~help:"chunks planned" "par.shards") chunks
 
 let map_chunks ?(obs = Obs.null) ?timeline ?(chunk = 512) pool ~name f items =
   if chunk <= 0 then invalid_arg "Driver.map_chunks: chunk must be positive";
   let n = Array.length items in
   if n = 0 then []
   else begin
-    let slices = Shard.plan ~records_per_shard:chunk n in
-    let times = Array.make (Array.length slices) 0. in
+    let chunks = (n + chunk - 1) / chunk in
+    let times = Array.make chunks 0. in
     let span_name = "par.pass." ^ name in
+    (* Worker-private trace buffers, one per task: a worker appends its
+       own completed span, the coordinator absorbs them in chunk order
+       at join — no cross-domain mutation. *)
     let tbufs =
       match timeline with
       | None -> [||]
-      | Some _ -> Array.init (Array.length slices) (fun _ -> Timeline.buf ())
+      | Some _ -> Array.init chunks (fun _ -> Timeline.buf ())
     in
     let tasks =
-      Array.mapi
-        (fun i (s : Shard.slice) () ->
+      Array.init chunks (fun i () ->
+          let off = i * chunk in
           let t0 = Unix.gettimeofday () in
-          let r = f (Array.sub items s.off s.len) in
+          let r = f (Array.sub items off (min chunk (n - off))) in
           let t1 = Unix.gettimeofday () in
           times.(i) <- t1 -. t0;
           if Array.length tbufs > 0 then Timeline.buf_add tbufs.(i) ~name:span_name ~t0 ~t1;
           r)
-        slices
     in
     let results = Pool.run_all pool tasks in
     (match timeline with
     | Some tl -> Array.iter (Timeline.absorb tl) tbufs
     | None -> ());
-    Array.iter (fun s -> Obs.span_record obs ("par.pass." ^ name) ~seconds:s) times;
-    instrument obs pool ~shards:(Array.length slices) ~tasks:(Array.length slices);
+    Array.iter (fun s -> Obs.span_record obs span_name ~seconds:s) times;
+    instrument obs pool ~chunks;
     Array.to_list results
   end

@@ -1,60 +1,30 @@
-(** The sharded map-merge driver.
+(** Analysis passes and the chunk-parallel terminal map.
 
     An analysis pass is packaged as an accumulator factory pair plus
-    [observe] and [merge]: shard 0 gets a root accumulator (it really
-    does start the trace), every later shard gets a shard-mode one
-    (which must not assume it saw the beginning), each runs over its
-    slice on a pool domain, and the coordinator left-folds [merge] in
-    shard order. The shard plan and the merge order are functions of
-    the input alone, so results do not depend on the worker count.
+    [observe] and [merge]: the first chunk of a trace gets a root
+    accumulator (it really does start the trace), every later chunk
+    gets a shard-mode one (which must not assume it saw the beginning),
+    and {!Report.run_stream} left-folds [merge] at each chunk boundary.
 
-    Observability: workers only measure — each shard task's wall time
-    is folded into the coordinator's registry afterwards as a
-    [par.pass.<name>] span ({!Nt_obs.Obs.span_record}; the registry is
-    single-domain), merging is timed as [par.merge], and the driver
-    exports [par.jobs] / [par.queue_depth] gauges and [par.tasks] /
-    [par.shards] counters. With a [timeline], each shard task
-    additionally appends its completed span into a worker-private
-    {!Nt_obs.Timeline.buf} (one per task) that the coordinator absorbs
-    in slice order at join — the trace gains one [par.pass.<name>]
-    interval per shard on the executing domain's track, with no
-    cross-domain mutation. *)
+    Worker domains run only {!map_chunks}. Workers only measure — each
+    chunk task's wall time is folded into the coordinator's registry
+    afterwards as a [par.pass.<name>] span ({!Nt_obs.Obs.span_record};
+    the registry is single-domain), and the map exports [par.jobs] /
+    [par.queue_depth] gauges and [par.tasks] / [par.shards] counters.
+    With a [timeline], each task additionally appends its completed
+    span into a worker-private {!Nt_obs.Timeline.buf} that the
+    coordinator absorbs in chunk order at join — the trace gains one
+    [par.pass.<name>] interval per chunk on the executing domain's
+    track, with no cross-domain mutation. *)
 
 type 'a pass = {
   name : string;  (** span label: [par.pass.<name>] *)
-  init : unit -> 'a;  (** root accumulator (shard 0) *)
-  init_shard : unit -> 'a;  (** mid-trace accumulator (shards 1..) *)
+  init : unit -> 'a;  (** root accumulator (chunk 0) *)
+  init_shard : unit -> 'a;  (** mid-trace accumulator (chunks 1..) *)
   observe : 'a -> Nt_trace.Record.t -> unit;
   merge : 'a -> 'a -> 'a;
       (** [merge a b] with [b] the next time range; returns [a]. *)
 }
-
-type job = Job : 'a pass * ('a -> unit) -> job
-(** A pass plus the continuation receiving its merged result, so
-    heterogeneous passes can share one task batch. *)
-
-val run_jobs :
-  ?obs:Nt_obs.Obs.t ->
-  ?timeline:Nt_obs.Timeline.t ->
-  Pool.t ->
-  records:Nt_trace.Record.t array ->
-  slices:Shard.slice array ->
-  job list ->
-  unit
-(** Run every (job, shard) pair on the pool — one batch, so a slow
-    pass's shards interleave with a fast one's — then merge and invoke
-    each continuation, in job order. The slice plan is validated with
-    {!Shard.check} first. *)
-
-val run_pass :
-  ?obs:Nt_obs.Obs.t ->
-  ?timeline:Nt_obs.Timeline.t ->
-  Pool.t ->
-  records:Nt_trace.Record.t array ->
-  slices:Shard.slice array ->
-  'a pass ->
-  'a
-(** [run_jobs] for a single pass, returning the merged accumulator. *)
 
 val map_chunks :
   ?obs:Nt_obs.Obs.t ->
@@ -66,7 +36,8 @@ val map_chunks :
   'a array ->
   'b list
 (** Fan a plain array computation (terminal analyses over
-    {!Nt_analysis.Io_log.sorted_files}) across the pool in fixed-size
-    chunks (default 512 items), returning chunk results in chunk
-    order. The chunk size, like the shard plan, is independent of the
-    worker count. *)
+    {!Nt_analysis.Io_log.sorted_files}) across the pool in contiguous
+    [chunk]-sized pieces (default 512 items; the last may be short),
+    returning chunk results in chunk order. The chunk size is
+    independent of the worker count. Raises [Invalid_argument] on a
+    non-positive [chunk]. *)

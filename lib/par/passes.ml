@@ -36,15 +36,6 @@ let names =
     merge = A.Names.merge;
   }
 
-let lifetime cfg =
-  {
-    Driver.name = "lifetime";
-    init = (fun () -> A.Lifetime.create cfg);
-    init_shard = (fun () -> A.Lifetime.create_shard cfg);
-    observe = A.Lifetime.observe;
-    merge = A.Lifetime.merge;
-  }
-
 let runs ?obs ?timeline ?(window = 0.01) ?(gap = 30.) ?chunk ~jump_blocks pool log =
   let files = A.Io_log.sorted_files log in
   let per_chunk =
@@ -56,16 +47,3 @@ let runs ?obs ?timeline ?(window = 0.01) ?(gap = 30.) ?chunk ~jump_blocks pool l
       files
   in
   List.concat per_chunk
-
-let seq_curve ?obs ?timeline ?(window = 0.01) ?chunk pool log =
-  let files = A.Io_log.sorted_files log in
-  let tallies =
-    Driver.map_chunks ?obs ?timeline ?chunk pool ~name:"seqmetric"
-      (fun chunk_files ->
-        let t = A.Seqmetric.tally () in
-        Array.iter (fun (_, accesses) -> A.Seqmetric.tally_file ~window t accesses) chunk_files;
-        t)
-      files
-  in
-  A.Seqmetric.curve_of_tally
-    (List.fold_left A.Seqmetric.tally_merge (A.Seqmetric.tally ()) tallies)

@@ -1,19 +1,18 @@
-(** The paper's analyses packaged as {!Driver.pass} values, plus the
-    chunk-parallel terminal analyses that consume a merged I/O log.
+(** The report's analyses packaged as {!Driver.pass} values, plus the
+    chunk-parallel runs finalize that consumes a merged I/O log.
 
     Summary, hourly and the I/O log are position-independent, so their
-    shard accumulator is the plain empty one. Names and lifetime need
-    the shard-mode constructors that defer what only predecessor shards
-    can resolve. Runs, the sequentiality metric and the reorder window
-    are pure functions of per-file access lists, so they run after the
-    I/O-log merge, chunked over {!Nt_analysis.Io_log.sorted_files} —
-    the shard-boundary carry for an open run is the log merge itself. *)
+    shard accumulator is the plain empty one. Names needs the
+    shard-mode constructor that defers what only earlier chunks can
+    resolve. Runs are a pure function of per-file access lists, so they
+    are classified after the I/O-log merge, chunked over
+    {!Nt_analysis.Io_log.sorted_files} — the chunk-boundary carry for
+    an open run is the log merge itself. *)
 
 val summary : Nt_analysis.Summary.t Driver.pass
 val hourly : Nt_analysis.Hourly.t Driver.pass
 val io_log : Nt_analysis.Io_log.t Driver.pass
 val names : Nt_analysis.Names.t Driver.pass
-val lifetime : Nt_analysis.Lifetime.config -> Nt_analysis.Lifetime.t Driver.pass
 
 val runs :
   ?obs:Nt_obs.Obs.t ->
@@ -29,16 +28,3 @@ val runs :
     by (file-handle, position) rather than hash-table order — a
     deterministic permutation of the sequential result, so every
     aggregate ({!Nt_analysis.Runs.table3} etc.) is identical. *)
-
-val seq_curve :
-  ?obs:Nt_obs.Obs.t ->
-  ?timeline:Nt_obs.Timeline.t ->
-  ?window:float ->
-  ?chunk:int ->
-  Pool.t ->
-  Nt_analysis.Io_log.t ->
-  Nt_analysis.Seqmetric.curve
-(** Chunk-parallel {!Nt_analysis.Seqmetric.analyze}. Per-chunk tallies
-    merge in chunk order, so the result is worker-count-invariant;
-    against the sequential pass, float metric sums may differ by
-    reassociation only (1e-9 relative). *)

@@ -1,11 +1,11 @@
 (** A fixed-size domain pool.
 
-    OCaml 5 domains map 1:1 to cores and are expensive to spawn, so the
-    sharded analysis driver spawns them once and feeds them batches of
+    OCaml 5 domains map 1:1 to cores and are expensive to spawn, so
+    {!Driver.map_chunks} spawns them once and feeds them batches of
     closures. A pool of size <= 1 spawns no domains at all and runs
     every batch inline on the caller, which keeps [--jobs 1] (the
     default) free of any threading machinery while exercising the same
-    shard/merge code path. *)
+    chunked code path. *)
 
 type t
 
@@ -38,7 +38,7 @@ val size : t -> int
 
 val peak_queue : t -> int
 (** Highwater mark of queued-but-unclaimed tasks — the queue-depth
-    number the driver exports as the [par.queue_depth] gauge. *)
+    number {!Driver.map_chunks} exports as the [par.queue_depth] gauge. *)
 
 val tasks : t -> int
 (** Total tasks ever submitted. *)

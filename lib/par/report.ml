@@ -80,67 +80,54 @@ let render_hourly h =
 
 let default_records_per_shard = 65536
 
-(* The requested passes as driver jobs, in a fixed order, plus the
-   renderer that reads their merged results back out in request order.
-   [runs] classifies the merged I/O log on whichever pool the engine
-   chose. *)
-let section_jobs sections =
-  let summary = ref None and hourly = ref None and names = ref None and log = ref None in
-  let job s p slot =
-    if List.mem s sections then [ Driver.Job (p, fun a -> slot := Some a) ] else []
-  in
-  let jobs =
-    List.concat
-      [
-        job `Summary Passes.summary summary;
-        job `Hourly Passes.hourly hourly;
-        job `Names Passes.names names;
-        job `Runs Passes.io_log log;
-      ]
-  in
-  let render ~runs =
-    List.map
-      (fun s ->
-        ( s,
-          match s with
-          | `Summary -> render_summary (Option.get !summary)
-          | `Hourly -> render_hourly (Option.get !hourly)
-          | `Names -> render_names (Option.get !names)
-          | `Runs -> render_runs (A.Runs.table3 (runs (Option.get !log))) ))
-      sections
-  in
-  (jobs, render)
-[@@nt.raise_ok "each Option.get reads a slot the engine filled before rendering"]
-
-let run ?(obs = Obs.null) ?timeline ?(jobs = 1)
-    ?(records_per_shard = default_records_per_shard) ~sections records =
-  let slices = Shard.plan ~records_per_shard (Array.length records) in
-  let batch, render = section_jobs sections in
-  Pool.with_pool ~jobs (fun pool ->
-      Driver.run_jobs ~obs ?timeline pool ~records ~slices batch;
-      render ~runs:(Passes.runs ~obs ?timeline ~jump_blocks:10 pool))
-
-(* Streaming variant: the producer pushes records and the trace is
+(* The streaming fold: the producer pushes records and the trace is
    never held in memory. Each record lands in a small reused batch;
    when the batch fills, every wanted pass observes it into the current
    chunk's accumulator, timed per batch. Chunks are exactly
-   [records_per_shard] long and commit where {!run}'s shard plan does —
-   chunk 0 on the root accumulator, later chunks on shard-mode ones,
-   left-fold merges at each boundary — so the rendered text is
-   byte-identical with {!run}. Each chunk's observe time lands once on
-   [par.pass.<name>]. The batch is small so records are observed while
-   still young: a larger one keeps them alive across minor collections
-   and promotes them. Worker domains exist only for the runs finalize. *)
+   [records_per_shard] long — chunk 0 on the root accumulator, later
+   chunks on shard-mode ones, left-fold merges at each boundary, one
+   [par.merge] span per boundary. Each chunk's observe time lands once
+   on [par.pass.<name>]. The batch is small so records are observed
+   while still young: a larger one keeps them alive across minor
+   collections and promotes them. Worker domains exist only for the
+   runs finalize. *)
 
 type 'a fold = {
   pass : 'a Driver.pass;
-  k : 'a -> unit;
   mutable merged : 'a option;
   mutable acc : 'a option;  (** the open chunk *)
   mutable secs : float;  (** the open chunk's observe time *)
 }
 
 type any_fold = Fold : 'a fold -> any_fold
+
+let fold pass = { pass; merged = None; acc = None; secs = 0. }
+
+(* The requested passes as folds, in a fixed order, plus the renderer
+   that reads their merged results back out in request order. [runs]
+   classifies the merged I/O log on the finalize pool. *)
+let section_folds sections =
+  let summary = fold Passes.summary and hourly = fold Passes.hourly in
+  let names = fold Passes.names and log = fold Passes.io_log in
+  let folds =
+    List.filter_map
+      (fun (s, f) -> if List.mem s sections then Some f else None)
+      [ (`Summary, Fold summary); (`Hourly, Fold hourly); (`Names, Fold names); (`Runs, Fold log) ]
+  in
+  let result f = Option.get f.merged in
+  let render ~runs =
+    List.map
+      (fun s ->
+        ( s,
+          match s with
+          | `Summary -> render_summary (result summary)
+          | `Hourly -> render_hourly (result hourly)
+          | `Names -> render_names (result names)
+          | `Runs -> render_runs (A.Runs.table3 (runs (result log))) ))
+      sections
+  in
+  (Array.of_list folds, render)
+[@@nt.raise_ok "each Option.get reads a fold the stream committed before rendering"]
 
 (* chunk 0 is the only one opened before anything has merged *)
 let open_acc f =
@@ -157,15 +144,9 @@ let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
     ?(records_per_shard = default_records_per_shard) ~sections produce =
   if records_per_shard <= 0 then
     invalid_arg "Report.run_stream: records_per_shard must be positive";
-  let batch_jobs, render = section_jobs sections in
-  let folds =
-    Array.of_list
-      (List.map
-         (fun (Driver.Job (pass, k)) -> Fold { pass; k; merged = None; acc = None; secs = 0. })
-         batch_jobs)
-  in
+  let folds, render = section_folds sections in
   let batch = ref [||] and fill = ref 0 in
-  let in_chunk = ref 0 and total = ref 0 in
+  let in_chunk = ref 0 and total = ref 0 and chunks = ref 0 in
   let observe_batch () =
     let t0 = ref (Unix.gettimeofday ()) in
     Array.iter
@@ -180,15 +161,23 @@ let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
       folds;
     fill := 0
   in
-  let commit () =
+  let merge_chunk () =
     Array.iter
       (fun (Fold f) ->
         let acc = open_acc f in
-        Obs.span_record obs ("par.pass." ^ f.pass.name) ~seconds:f.secs;
         f.merged <- Some (match f.merged with None -> acc | Some prev -> f.pass.merge prev acc);
-        f.acc <- None;
+        f.acc <- None)
+      folds
+  in
+  let commit () =
+    Array.iter
+      (fun (Fold f) ->
+        Obs.span_record obs ("par.pass." ^ f.pass.name) ~seconds:f.secs;
         f.secs <- 0.)
       folds;
+    (* chunk 0 becomes the root as is; every later boundary merges *)
+    if !chunks = 0 then merge_chunk () else Obs.with_span obs "par.merge" merge_chunk;
+    incr chunks;
     in_chunk := 0
   in
   let push r =
@@ -205,11 +194,15 @@ let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
   in
   produce push;
   if !fill > 0 then observe_batch ();
-  (* an empty stream still yields root accumulators, like {!run} *)
+  (* an empty stream still yields root accumulators *)
   if !in_chunk > 0 || !total = 0 then commit ();
-  Array.iter (fun (Fold f) -> Option.iter f.k f.merged) folds;
   let runs log =
     Pool.with_pool ~jobs (fun pool -> Passes.runs ~obs ?timeline ~jump_blocks:10 pool log)
   in
   (render ~runs, !total)
 [@@nt.raise_ok "records_per_shard is caller configuration rejected up front"]
+
+let run ?obs ?timeline ?jobs ?records_per_shard ~sections records =
+  fst
+    (run_stream ?obs ?timeline ?jobs ?records_per_shard ~sections (fun push ->
+         Array.iter push records))

@@ -1,20 +1,20 @@
-(* Parallel sharded analysis engine tests.
+(* Chunked analysis fold tests.
 
-   The centerpiece is a differential oracle: for randomized workloads,
-   shard sizes and shard counts, merge-of-shards must equal the
-   sequential single-pass result for every analysis pass — exactly for
+   The centerpiece is a differential oracle: for randomized workloads
+   and shard sizes, merge-of-shards must equal the sequential
+   single-pass result for every pass the report folds — exactly for
    integers, within 1e-9 relative for float sums (reassociation).
-   Around it: shard-boundary unit tests (runs, lifetimes and reorder
-   windows straddling a cut), report determinism + a golden file, the
-   Summary.days empty-shard regression, and pool/shard-plan unit
-   tests. NT_PAR_TEST_JOBS sets the worker-domain count the sharded
-   side runs with (CI's par job uses 4); the results must not care. *)
+   Around it: shard-boundary unit tests (runs, names and reorder
+   windows straddling a cut), report determinism + a golden file,
+   chunked-vs-single-chunk streaming, the Summary.days empty-shard
+   regression, and pool/chunk-map unit tests. NT_PAR_TEST_JOBS sets
+   the worker-domain count of the runs finalize's pool (CI's par job
+   uses 4); the results must not care. *)
 
 module Summary = Nt_analysis.Summary
 module Hourly = Nt_analysis.Hourly
 module Io_log = Nt_analysis.Io_log
 module Runs = Nt_analysis.Runs
-module Seqmetric = Nt_analysis.Seqmetric
 module Names = Nt_analysis.Names
 module Lifetime = Nt_analysis.Lifetime
 module Record = Nt_trace.Record
@@ -27,7 +27,6 @@ module Histogram = Nt_util.Histogram
 module Stats = Nt_util.Stats
 module Obs = Nt_obs.Obs
 module Pool = Nt_par.Pool
-module Shard = Nt_par.Shard
 module Driver = Nt_par.Driver
 module Passes = Nt_par.Passes
 module Report = Nt_par.Report
@@ -247,9 +246,23 @@ let run_seq (pass : 'a Driver.pass) records =
   Array.iter (pass.Driver.observe acc) records;
   acc
 
-let run_sharded ?(jobs = test_jobs) pass ~shard_len records =
-  let slices = Shard.plan ~records_per_shard:shard_len (Array.length records) in
-  Pool.with_pool ~jobs (fun pool -> Driver.run_pass pool ~records ~slices pass)
+(* Cut [records] into [shard_len]-record shards: the root accumulator
+   on shard 0, [init_shard] after it, then a left-fold of [merge] in
+   shard order — the fold Report.run_stream makes at chunk boundaries. *)
+let run_sharded (pass : 'a Driver.pass) ~shard_len records =
+  let n = Array.length records in
+  let shard i =
+    let acc = if i = 0 then pass.init () else pass.init_shard () in
+    for j = i * shard_len to min n ((i + 1) * shard_len) - 1 do
+      pass.observe acc records.(j)
+    done;
+    acc
+  in
+  let acc = ref (shard 0) in
+  for i = 1 to ((n + shard_len - 1) / shard_len) - 1 do
+    acc := pass.merge !acc (shard i)
+  done;
+  !acc
 
 (* --- per-pass equivalence checks --- *)
 
@@ -303,15 +316,6 @@ let check_runs_eq rs rp =
   ckf "read.entire" ts.read.entire_pct tp.read.entire_pct;
   ckf "write.entire" ts.write.entire_pct tp.write.entire_pct
 
-let check_curve_eq (s : Seqmetric.curve) (p : Seqmetric.curve) =
-  ckfa "read_allowed" s.read_allowed p.read_allowed;
-  ckfa "read_strict" s.read_strict p.read_strict;
-  ckfa "write_allowed" s.write_allowed p.write_allowed;
-  ckfa "write_strict" s.write_strict p.write_strict;
-  ckfa "cum_total_runs" s.cum_total_runs p.cum_total_runs;
-  ckfa "cum_read_runs" s.cum_read_runs p.cum_read_runs;
-  ckfa "cum_write_runs" s.cum_write_runs p.cum_write_runs
-
 let check_names_eq s p =
   cki "created_deleted_total" (Names.created_deleted_total s) (Names.created_deleted_total p);
   ckf "lock_created_deleted_pct" (Names.lock_created_deleted_pct s)
@@ -337,25 +341,6 @@ let check_names_eq s p =
         (Names.byte_share s c) (Names.byte_share p c))
     Names.all_categories
 
-let check_lifetime_eq s p =
-  cki "ground_conflicts" 0 (Lifetime.ground_conflicts p);
-  let a = Lifetime.result s and b = Lifetime.result p in
-  cki "births" a.births b.births;
-  cki "deaths" a.deaths b.deaths;
-  cki "end_surplus" a.end_surplus b.end_surplus;
-  ckf "births_write_pct" a.births_write_pct b.births_write_pct;
-  ckf "births_extension_pct" a.births_extension_pct b.births_extension_pct;
-  ckf "deaths_overwrite_pct" a.deaths_overwrite_pct b.deaths_overwrite_pct;
-  ckf "deaths_truncate_pct" a.deaths_truncate_pct b.deaths_truncate_pct;
-  ckf "deaths_deletion_pct" a.deaths_deletion_pct b.deaths_deletion_pct;
-  ckf "end_surplus_pct" a.end_surplus_pct b.end_surplus_pct;
-  cki "cdf length" (List.length a.lifetime_cdf) (List.length b.lifetime_cdf);
-  List.iter2
-    (fun (e, f) (e', f') ->
-      ckf "cdf edge" e e';
-      ckf "cdf frac" f f')
-    a.lifetime_cdf b.lifetime_cdf
-
 (* --- merge-equivalence properties (the differential oracle) --- *)
 
 let workload_arb = QCheck.(triple (int_range 0 400) (int_range 1 97) (int_range 0 9999))
@@ -374,11 +359,6 @@ let prop_summary = prop_pass "summary: merge of shards == sequential" Passes.sum
 let prop_hourly = prop_pass "hourly: merge of shards == sequential" Passes.hourly check_hourly_eq
 let prop_io_log = prop_pass "io_log: merge of shards == sequential" Passes.io_log check_io_log_eq
 let prop_names = prop_pass "names: merge of shards == sequential" Passes.names check_names_eq
-
-let prop_lifetime =
-  prop_pass "lifetime: merge of shards == sequential" (Passes.lifetime lifetime_cfg)
-    check_lifetime_eq
-
 let prop_runs =
   QCheck.Test.make ~count:40 ~name:"runs: chunked over merged log == sequential" workload_arb
     (fun (n, shard_len, seed) ->
@@ -391,20 +371,6 @@ let prop_runs =
             Passes.runs ~chunk:(1 + (seed mod 7)) ~jump_blocks:10 pool log_par)
       in
       check_runs_eq rs rp;
-      true)
-
-let prop_seqmetric =
-  QCheck.Test.make ~count:40 ~name:"seqmetric: chunked over merged log == sequential" workload_arb
-    (fun (n, shard_len, seed) ->
-      let records = gen_records ~seed ~n in
-      let log_seq = run_seq Passes.io_log records in
-      let log_par = run_sharded Passes.io_log ~shard_len records in
-      let cs = Seqmetric.analyze log_seq in
-      let cp =
-        Pool.with_pool ~jobs:test_jobs (fun pool ->
-            Passes.seq_curve ~chunk:(1 + (seed mod 5)) pool log_par)
-      in
-      check_curve_eq cs cp;
       true)
 
 (* --- merge laws ---
@@ -424,7 +390,7 @@ let build_with init observe records =
 (* Associativity and neutral elements over a random 3-way split of a
    random workload. Accumulators are rebuilt from scratch on each side
    of every law because merges may mutate their first argument.
-   Root-left merges (Names, Lifetime reject shard<>shard) get the fold
+   Root-left merges (Names rejects shard<>shard) get the fold
    form of associativity: folding the same records through two
    different tail splits must agree. *)
 let prop_merge_laws name ~symmetric ~build ~build_shard ~empty ~empty_shard ~merge ~eq =
@@ -477,14 +443,6 @@ let law_names =
     ~build_shard:(build_with Names.create_shard Names.observe)
     ~empty:Names.create ~empty_shard:Names.create_shard ~merge:Names.merge
     ~eq:check_names_eq
-
-let law_lifetime =
-  prop_merge_laws "lifetime" ~symmetric:false
-    ~build:(build_with (fun () -> Lifetime.create lifetime_cfg) Lifetime.observe)
-    ~build_shard:(build_with (fun () -> Lifetime.create_shard lifetime_cfg) Lifetime.observe)
-    ~empty:(fun () -> Lifetime.create lifetime_cfg)
-    ~empty_shard:(fun () -> Lifetime.create_shard lifetime_cfg)
-    ~merge:Lifetime.merge ~eq:check_lifetime_eq
 
 let check_histogram_eq a b =
   ckfa "edges" (Histogram.edges a) (Histogram.edges b);
@@ -692,48 +650,6 @@ let test_reorder_window_straddles_boundary () =
   Alcotest.(check (list int)) "offsets ascend after the sort" [ 0; 8192; 16384; 24576 ]
     (Array.to_list (Array.map (fun (a : Io_log.access) -> a.Io_log.offset) sorted))
 
-(* A file created in one shard, written in the next, removed two shards
-   later: the carried state must yield the same births and deaths. *)
-let test_lifetime_straddles_boundary () =
-  let t0 = Tw.week_start in
-  let records =
-    [|
-      create_rec ~time:(t0 +. 1.) ~dir:dir0 ~name:"straddle" ~fh:fh_a ();
-      write_rec ~fh:fh_a ~time:(t0 +. 2.) ~offset:0 ~count:8192 ~size:8192 ();
-      (* --- shard cut (len 2) --- *)
-      write_rec ~fh:fh_a ~time:(t0 +. 3.) ~offset:8192 ~count:8192 ~size:16384 ();
-      getattr_rec ~time:(t0 +. 4.) ~fh:fh_a ~size:16384 ();
-      (* --- shard cut --- *)
-      remove_rec ~time:(t0 +. 5.) ~dir:dir0 ~name:"straddle" ();
-    |]
-  in
-  let pass = Passes.lifetime lifetime_cfg in
-  let s = run_seq pass records and p = run_sharded pass ~shard_len:2 records in
-  check_lifetime_eq s p;
-  let r = Lifetime.result p in
-  Alcotest.(check int) "two tracked births" 2 r.births;
-  Alcotest.(check int) "both die by deletion" 2 r.deaths;
-  Alcotest.(check (float 1e-9)) "all deletion" 100. r.deaths_deletion_pct
-
-(* An open lifetime: created in shard 0, still live at the end. *)
-let test_lifetime_open_across_boundary () =
-  let t0 = Tw.week_start in
-  let records =
-    [|
-      create_rec ~time:(t0 +. 1.) ~dir:dir0 ~name:"live" ~fh:fh_a ();
-      write_rec ~fh:fh_a ~time:(t0 +. 2.) ~offset:0 ~count:8192 ~size:8192 ();
-      getattr_rec ~time:(t0 +. 40.) ~fh:fh_a ~size:8192 ();
-      getattr_rec ~time:(t0 +. 41.) ~fh:fh_a ~size:8192 ();
-    |]
-  in
-  let pass = Passes.lifetime lifetime_cfg in
-  let s = run_seq pass records and p = run_sharded pass ~shard_len:1 records in
-  check_lifetime_eq s p;
-  let r = Lifetime.result p in
-  Alcotest.(check int) "one tracked birth" 1 r.births;
-  Alcotest.(check int) "no deaths" 0 r.deaths;
-  Alcotest.(check int) "survives as end surplus" 1 r.end_surplus
-
 (* A remove whose binding was learned a shard earlier must defer and
    then kill the right file at merge. *)
 let test_names_remove_across_boundary () =
@@ -773,13 +689,14 @@ let test_days_empty_shard_neutral () =
   Alcotest.(check (float 1e-12)) "empty merge == empty sequential" (Summary.days (Summary.create ()))
     (Summary.days both_empty)
 
+(* An empty shard between two populated ones is neutral as well. *)
 let test_zero_length_slice_is_neutral () =
   let records = gen_records ~seed:3 ~n:40 in
-  let n = Array.length records in
-  let slices = [| { Shard.off = 0; len = 17 }; { Shard.off = 17; len = 0 }; { Shard.off = 17; len = n - 17 } |] in
+  let build = build_with Summary.create Summary.observe in
   let p =
-    Pool.with_pool ~jobs:test_jobs (fun pool ->
-        Driver.run_pass pool ~records ~slices Passes.summary)
+    Summary.merge
+      (Summary.merge (build (slice records 0 17)) (Summary.create ()))
+      (build (slice records 17 (Array.length records)))
   in
   check_summary_eq (run_seq Passes.summary records) p
 
@@ -817,9 +734,10 @@ let test_report_matches_golden () =
   close_in ic;
   Alcotest.(check string) "report matches golden file" want got
 
-(* The streaming fold must commit chunks exactly where the shard plan
-   cuts: byte-identical text, and one par.pass span per chunk — an
-   empty trailing chunk would add a span. *)
+(* The streaming fold must render the same text at any chunk size:
+   chunked = one chunk (records_per_shard >= n, so no merges), with one
+   par.pass span per chunk — an empty trailing chunk would add a span —
+   and one par.merge span per boundary. *)
 let all_sections = [ `Summary; `Runs; `Names; `Hourly ]
 
 let render texts =
@@ -827,20 +745,19 @@ let render texts =
   |> List.map (fun (s, text) -> Printf.sprintf "== %s ==\n%s" (Report.section_name s) text)
   |> String.concat "\n"
 
-let check_stream_matches_run ~jobs ~records_per_shard records =
-  let label =
-    Printf.sprintf "%d records, shards of %d, jobs %d" (Array.length records) records_per_shard
-      jobs
-  in
-  let want = render (Report.run ~jobs ~records_per_shard ~sections:all_sections records) in
-  let obs = Obs.create () in
-  let texts, n =
-    Report.run_stream ~obs ~jobs ~records_per_shard ~sections:all_sections (fun push ->
+let check_chunked_matches_single ~jobs ~records_per_shard records =
+  let n = Array.length records in
+  let label = Printf.sprintf "%d records, chunks of %d, jobs %d" n records_per_shard jobs in
+  let stream ?obs ~jobs records_per_shard =
+    Report.run_stream ?obs ~jobs ~records_per_shard ~sections:all_sections (fun push ->
         Array.iter push records)
   in
-  Alcotest.(check int) (label ^ ": record count") (Array.length records) n;
-  Alcotest.(check string) (label ^ ": run_stream = run") want (render texts);
-  let chunks = max 1 ((Array.length records + records_per_shard - 1) / records_per_shard) in
+  let want, _ = stream ~jobs:1 (max 1 n) in
+  let obs = Obs.create () in
+  let texts, count = stream ~obs ~jobs records_per_shard in
+  Alcotest.(check int) (label ^ ": record count") n count;
+  Alcotest.(check string) (label ^ ": chunked = one chunk") (render want) (render texts);
+  let chunks = max 1 ((n + records_per_shard - 1) / records_per_shard) in
   let snap = Obs.snapshot obs in
   List.iter
     (fun pass ->
@@ -849,20 +766,22 @@ let check_stream_matches_run ~jobs ~records_per_shard records =
       | Some sp ->
           Alcotest.(check int) (label ^ ": one " ^ pass ^ " span per chunk") chunks sp.Obs.count)
     [ "summary"; "hourly"; "names"; "io_log" ];
-  if Array.length records > 0 && Obs.get_span snap "par.pass.runs" = None then
+  let merges = match Obs.get_span snap "par.merge" with None -> 0 | Some sp -> sp.Obs.count in
+  Alcotest.(check int) (label ^ ": one merge span per boundary") (chunks - 1) merges;
+  if n > 0 && Obs.get_span snap "par.pass.runs" = None then
     Alcotest.failf "%s: no par.pass.runs span" label
 
-let test_stream_matches_run () =
+let test_chunked_matches_single () =
   let records = golden_records () in
   List.iter
     (fun jobs ->
       List.iter
-        (fun records_per_shard -> check_stream_matches_run ~jobs ~records_per_shard records)
+        (fun records_per_shard -> check_chunked_matches_single ~jobs ~records_per_shard records)
         [ 1; 63; 64; 65; 1000 ];
       (* exact multiples: the last chunk closes on the last record *)
-      check_stream_matches_run ~jobs ~records_per_shard:64 (Array.sub records 0 128);
-      check_stream_matches_run ~jobs ~records_per_shard:100 records;
-      check_stream_matches_run ~jobs ~records_per_shard:64 [||])
+      check_chunked_matches_single ~jobs ~records_per_shard:64 (Array.sub records 0 128);
+      check_chunked_matches_single ~jobs ~records_per_shard:100 records;
+      check_chunked_matches_single ~jobs ~records_per_shard:64 [||])
     [ 1; 4 ]
 
 (* --- pool --- *)
@@ -908,62 +827,56 @@ let test_pool_normalizes_jobs () =
     (Pool.size pool);
   Pool.shutdown pool
 
-(* --- shard plans --- *)
+(* --- chunk plans: Driver.map_chunks cuts its own fixed-size chunks --- *)
+
+let map_chunks ?obs ?chunk f items =
+  Pool.with_pool ~jobs:test_jobs (fun pool -> Driver.map_chunks ?obs ?chunk pool ~name:"t" f items)
 
 let test_plan_tiles () =
-  let slices = Shard.plan ~records_per_shard:3 10 in
-  Shard.check ~total:10 slices;
-  Alcotest.(check int) "shard count" 4 (Array.length slices);
-  Alcotest.(check int) "last is short" 1 slices.(3).Shard.len
+  Alcotest.(check (list (list int))) "contiguous chunks in order, the last one short"
+    [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ]; [ 9 ] ]
+    (map_chunks ~chunk:3 Array.to_list (Array.init 10 Fun.id))
 
 let test_plan_empty () =
-  Alcotest.(check int) "no shards for no records" 0 (Array.length (Shard.plan ~records_per_shard:5 0))
+  let obs = Obs.create () in
+  Alcotest.(check int) "no chunks for no items" 0 (List.length (map_chunks ~obs Array.length [||]));
+  Alcotest.(check int) "no tasks run" 0 (Obs.sum_counter (Obs.snapshot obs) "par.tasks")
 
-let test_plan_by_time () =
-  let t0 = Tw.week_start in
-  let records =
-    Array.map
-      (fun dt -> getattr_rec ~time:(t0 +. dt) ~fh:fh_a ~size:0 ())
-      [| 0.; 1.; 2.; 65.; 66.; 300. |]
-  in
-  let slices = Shard.plan_by_time ~window:60. records in
-  Shard.check ~total:6 slices;
-  Alcotest.(check int) "three populated windows" 3 (Array.length slices);
-  Alcotest.(check (list int)) "cut at the minute marks" [ 3; 2; 1 ]
-    (Array.to_list (Array.map (fun s -> s.Shard.len) slices))
+let test_plan_rejects_bad_chunk () =
+  List.iter
+    (fun chunk ->
+      match map_chunks ~chunk Array.length [| 1 |] with
+      | _ -> Alcotest.failf "chunk %d: expected Invalid_argument" chunk
+      | exception Invalid_argument _ -> ())
+    [ 0; -5 ]
 
-let test_check_rejects_gaps () =
-  (match Shard.check ~total:4 [| { Shard.off = 0; len = 2 }; { Shard.off = 3; len = 1 } |] with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  match Shard.check ~total:4 [| { Shard.off = 0; len = 2 } |] with
-  | () -> Alcotest.fail "expected Invalid_argument (short cover)"
-  | exception Invalid_argument _ -> ()
-
-(* --- driver observability --- *)
+(* --- observability: the streaming fold plus the runs finalize --- *)
 
 let test_driver_instruments_obs () =
   let records = gen_records ~seed:11 ~n:120 in
   let obs = Obs.create () in
-  let shard_len = 25 in
-  let expected_shards = (Array.length records + shard_len - 1) / shard_len in
+  let records_per_shard = 25 in
+  let chunks = (Array.length records + records_per_shard - 1) / records_per_shard in
   let _ =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Driver.run_pass ~obs pool ~records
-          ~slices:(Shard.plan ~records_per_shard:shard_len (Array.length records))
-          Passes.summary)
+    Report.run_stream ~obs ~jobs:2 ~records_per_shard ~sections:[ `Summary; `Runs ] (fun push ->
+        Array.iter push records)
   in
+  (* the runs finalize maps 512-file chunks of the merged I/O log *)
+  let file_chunks = (Io_log.files (run_seq Passes.io_log records) + 511) / 512 in
   let snap = Obs.snapshot obs in
-  Alcotest.(check int) "par.shards counter" expected_shards (Obs.sum_counter snap "par.shards");
-  Alcotest.(check int) "par.tasks counter" expected_shards (Obs.sum_counter snap "par.tasks");
+  let span_count name =
+    match Obs.get_span snap name with
+    | None -> Alcotest.failf "missing %s span" name
+    | Some sp -> sp.Obs.count
+  in
+  Alcotest.(check int) "one summary span per chunk" chunks (span_count "par.pass.summary");
+  Alcotest.(check int) "one io_log span per chunk" chunks (span_count "par.pass.io_log");
+  Alcotest.(check int) "one merge span per boundary" (chunks - 1) (span_count "par.merge");
+  Alcotest.(check int) "one runs span per file chunk" file_chunks (span_count "par.pass.runs");
+  Alcotest.(check int) "par.shards counter" file_chunks (Obs.sum_counter snap "par.shards");
+  Alcotest.(check int) "par.tasks counter" file_chunks (Obs.sum_counter snap "par.tasks");
   Alcotest.(check (option (float 1e-9))) "par.jobs gauge" (Some 2.)
-    (Obs.get_gauge snap "par.jobs");
-  (match Obs.get_span snap "par.pass.summary" with
-  | None -> Alcotest.fail "missing par.pass.summary span"
-  | Some sp -> Alcotest.(check int) "one span per shard" expected_shards sp.Obs.count);
-  match Obs.get_span snap "par.merge" with
-  | None -> Alcotest.fail "missing par.merge span"
-  | Some sp -> Alcotest.(check int) "one merge span" 1 sp.Obs.count
+    (Obs.get_gauge snap "par.jobs")
 
 let () =
   Alcotest.run "nt_par"
@@ -974,9 +887,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hourly;
           QCheck_alcotest.to_alcotest prop_io_log;
           QCheck_alcotest.to_alcotest prop_names;
-          QCheck_alcotest.to_alcotest prop_lifetime;
           QCheck_alcotest.to_alcotest prop_runs;
-          QCheck_alcotest.to_alcotest prop_seqmetric;
         ] );
       ( "merge-laws",
         [
@@ -984,7 +895,6 @@ let () =
           QCheck_alcotest.to_alcotest law_hourly;
           QCheck_alcotest.to_alcotest law_io_log;
           QCheck_alcotest.to_alcotest law_names;
-          QCheck_alcotest.to_alcotest law_lifetime;
           QCheck_alcotest.to_alcotest law_histogram;
           QCheck_alcotest.to_alcotest law_stats;
           QCheck_alcotest.to_alcotest law_win;
@@ -1005,10 +915,6 @@ let () =
           Alcotest.test_case "run straddles a cut" `Quick (check_unit test_run_straddles_boundary);
           Alcotest.test_case "reorder window straddles a cut" `Quick
             (check_unit test_reorder_window_straddles_boundary);
-          Alcotest.test_case "lifetime straddles two cuts" `Quick
-            (check_unit test_lifetime_straddles_boundary);
-          Alcotest.test_case "open lifetime carries to the end" `Quick
-            (check_unit test_lifetime_open_across_boundary);
           Alcotest.test_case "deferred remove resolves at merge" `Quick
             (check_unit test_names_remove_across_boundary);
           Alcotest.test_case "earliest delete wins at merge" `Quick
@@ -1044,14 +950,14 @@ let () =
         [
           Alcotest.test_case "plan tiles the input" `Quick (check_unit test_plan_tiles);
           Alcotest.test_case "empty input, empty plan" `Quick (check_unit test_plan_empty);
-          Alcotest.test_case "time windows cut on the clock" `Quick (check_unit test_plan_by_time);
-          Alcotest.test_case "check rejects bad plans" `Quick (check_unit test_check_rejects_gaps);
+          Alcotest.test_case "check rejects bad plans" `Quick
+            (check_unit test_plan_rejects_bad_chunk);
         ] );
       ( "observability",
         [
           Alcotest.test_case "driver exports spans and gauges" `Quick
             (check_unit test_driver_instruments_obs);
-          Alcotest.test_case "run_stream = run, byte for byte, one span per chunk" `Quick
-            (check_unit test_stream_matches_run);
+          Alcotest.test_case "chunked run_stream = one chunk, byte for byte" `Quick
+            (check_unit test_chunked_matches_single);
         ] );
     ]
