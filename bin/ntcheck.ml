@@ -5,7 +5,7 @@
 
    Examples:
      ntcheck _build/default
-     ntcheck --json --fail-on warn _build/default
+     ntcheck --format json --fail-on warn _build/default
      ntcheck --rules *)
 
 open Cmdliner
@@ -34,7 +34,7 @@ let exn_report_json rows =
   Printf.sprintf {|{"schema": %S, "functions": [%s]}|} Nt_formats.Formats.exn_report
     (String.concat "," (List.map row rows))
 
-let run build_dir format json json_out exn_report_out fail_on enabled_only disabled roots
+let run build_dir format json_out exn_report_out fail_on enabled_only disabled roots
     excludes max_per_rule verbose list =
   if list then begin
     Rules_cli.print (rule_rows ());
@@ -77,21 +77,22 @@ let run build_dir format json json_out exn_report_out fail_on enabled_only disab
       end
       else begin
         let findings = Engine.findings t in
-        (match json_out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Finding.list_to_json findings);
-            output_char oc '\n';
-            close_out oc
-        | None -> ());
-        (match exn_report_out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (exn_report_json (Engine.exn_report t));
-            output_char oc '\n';
-            close_out oc
-        | None -> ());
-        (match if json then `Json else format with
+        let write_artifact path text =
+          match Out_channel.with_open_text path (fun oc -> output_string oc (text ^ "\n")) with
+          | () -> true
+          | exception Sys_error e ->
+              Printf.eprintf "ntcheck: cannot write %s\n%!" e;
+              false
+        in
+        let artifacts_ok =
+          (match json_out with
+          | Some path -> write_artifact path (Finding.list_to_json findings)
+          | None -> true)
+          && (match exn_report_out with
+          | Some path -> write_artifact path (exn_report_json (Engine.exn_report t))
+          | None -> true)
+        in
+        (match format with
         | `Json -> print_endline (Finding.list_to_json findings)
         | `Sarif -> print_endline (Finding.list_to_sarif findings)
         | `Text -> List.iter (fun f -> print_endline (Finding.to_string f)) findings);
@@ -134,7 +135,7 @@ let run build_dir format json json_out exn_report_out fail_on enabled_only disab
           | `Warn ->
               Engine.severity_count t Rule.Error > 0 || Engine.severity_count t Rule.Warn > 0
         in
-        if failed then 1 else 0
+        if not artifacts_ok then 2 else if failed then 1 else 0
       end
     end
 
@@ -149,11 +150,6 @@ let format =
     & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
     & info [ "format" ] ~docv:"FORMAT"
         ~doc:"Findings output format: text (default), json, or sarif (SARIF 2.1.0).")
-
-let json =
-  Arg.(
-    value & flag
-    & info [ "json" ] ~doc:"Emit findings as a JSON array on stdout (same as --format json).")
 
 let exn_report_out =
   Arg.(
@@ -194,8 +190,10 @@ let roots =
     value & opt (list string) []
     & info [ "root" ] ~docv:"UNITS"
         ~doc:
-          "Override the domain-safety reachability roots (comma-separated compilation \
-           units; default Nt_par__Passes, Nt_par__Driver).")
+          ("Override the domain-safety reachability roots (comma-separated compilation \
+            units; default "
+          ^ String.concat ", " Engine.default_config.Engine.roots
+          ^ ")."))
 
 let excludes =
   Arg.(
@@ -220,7 +218,7 @@ let cmd =
     (Cmd.info "ntcheck"
        ~doc:"Statically check compiled typedtrees for domain-safety, merge-law and purity invariants")
     Term.(
-      const run $ build_dir $ format $ json $ json_out $ exn_report_out $ fail_on
+      const run $ build_dir $ format $ json_out $ exn_report_out $ fail_on
       $ enabled_only $ disabled $ roots $ excludes $ max_per_rule $ verbose $ Rules_cli.term)
 
 let () = exit (Cmd.eval' cmd)

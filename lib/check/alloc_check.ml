@@ -1,6 +1,6 @@
 (* Hot-path allocation rules.  A binding in the alloc-hot set (reachable
    from analysis observe/add entry points or wire decode* entry points,
-   per Hot) runs once per record; any allocation it performs is a
+   closed over the Callgraph) runs once per record; any allocation it performs is a
    per-record cost the ROADMAP's throughput targets cannot absorb.
 
    Flagged: intermediate string copies, Printf/Format interpretation,
@@ -132,36 +132,18 @@ let scan_binding (sink : Finding.sink) ~allows ~alloc ~cmp ~fn_name
   let it = { Tast_iterator.default_iterator with expr } in
   it.expr it root
 
-let binding_name (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with Tpat_var (id, _) -> Some (Ident.name id) | _ -> None
-
-(* Only function bindings are scanned: a non-function top-level binding
-   evaluates once at module init, so its allocations are not per-record
-   even when hot code reads it. *)
+(* Only function bindings are scanned: a non-function binding evaluates
+   once at module init, so its allocations are not per-record even when
+   hot code reads it. *)
 let is_function (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_function _ -> true
   | _ -> ( match Types.get_desc e.exp_type with Types.Tarrow _ -> true | _ -> false)
 
-let check (sink : Finding.sink) ~(hot : Hot.t) ~(cmp_hot : Hot.t) (u : Loader.unit_info) =
-  match u.Loader.payload with
-  | Loader.Intf _ -> ()
-  | Loader.Impl str ->
-      List.iter
-        (fun (item : Typedtree.structure_item) ->
-          match item.str_desc with
-          | Tstr_value (_, vbs) ->
-              List.iter
-                (fun (vb : Typedtree.value_binding) ->
-                  match binding_name vb with
-                  | Some fn when is_function vb.vb_expr ->
-                      let alloc = Hot.mem hot ~unit_name:u.Loader.name ~fn in
-                      let cmp = Hot.mem cmp_hot ~unit_name:u.Loader.name ~fn in
-                      if alloc || cmp then
-                        scan_binding sink
-                          ~allows:(Syntax.allows vb.vb_attributes)
-                          ~alloc ~cmp ~fn_name:fn vb.vb_expr
-                  | _ -> ())
-                vbs
-          | _ -> ())
-        str.str_items
+let check (sink : Finding.sink) ~hot ~cmp_hot (nodes : Callgraph.node list) =
+  List.iter
+    (fun (n : Callgraph.node) ->
+      let alloc = Hashtbl.mem hot n.id and cmp = Hashtbl.mem cmp_hot n.id in
+      if (alloc || cmp) && is_function n.expr then
+        scan_binding sink ~allows:n.allows ~alloc ~cmp ~fn_name:n.path n.expr)
+    nodes

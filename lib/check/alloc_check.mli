@@ -3,4 +3,11 @@
     and merge-hot sets.  Error paths under raise are exempt; the counted
     escape hatch is [@@nt.alloc_ok "reason"]. *)
 
-val check : Finding.sink -> hot:Hot.t -> cmp_hot:Hot.t -> Loader.unit_info -> unit
+val check :
+  Finding.sink ->
+  hot:(string, unit) Hashtbl.t ->
+  cmp_hot:(string, unit) Hashtbl.t ->
+  Callgraph.node list ->
+  unit
+(** Scan each function node whose id is in [hot] (every rule) or
+    [cmp_hot] (poly-compare only). *)

@@ -19,9 +19,6 @@ let evict_fns = [ "remove"; "reset"; "clear"; "filter_inplace" ]
 let grow_fns = [ "add"; "replace" ]
 let append_fns = [ "add"; "union"; "append"; "@" ]
 
-let binding_name (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with Tpat_var (id, _) -> Some (Ident.name id) | _ -> None
-
 let class_of_path p =
   match Syntax.norm_path p with
   | n -> (
@@ -167,24 +164,14 @@ let scan_binding (sink : Finding.sink) ~allows ~instances ~(ev : evidence) ~fn_n
   let it = { Tast_iterator.default_iterator with expr } in
   it.expr it root
 
-let check (sink : Finding.sink) ~(hot : Hot.t) (u : Loader.unit_info) =
+let check (sink : Finding.sink) ~hot (u : Loader.unit_info) (nodes : Callgraph.node list) =
   match u.Loader.payload with
   | Loader.Intf _ -> ()
   | Loader.Impl str ->
       let instances = functor_instances str in
       let ev = scan_evidence instances str in
       List.iter
-        (fun (item : Typedtree.structure_item) ->
-          match item.str_desc with
-          | Tstr_value (_, vbs) ->
-              List.iter
-                (fun (vb : Typedtree.value_binding) ->
-                  match binding_name vb with
-                  | Some fn when Hot.mem hot ~unit_name:u.Loader.name ~fn ->
-                      scan_binding sink
-                        ~allows:(Syntax.allows vb.vb_attributes)
-                        ~instances ~ev ~fn_name:fn vb.vb_expr
-                  | _ -> ())
-                vbs
-          | _ -> ())
-        str.str_items
+        (fun (n : Callgraph.node) ->
+          if Hashtbl.mem hot n.id then
+            scan_binding sink ~allows:n.allows ~instances ~ev ~fn_name:n.path n.expr)
+        nodes

@@ -3,4 +3,7 @@
     same-module eviction/reset evidence or carry a counted
     [@@nt.bounded "cap"] / [@@nt.unbounded "reason"] annotation. *)
 
-val check : Finding.sink -> hot:Hot.t -> Loader.unit_info -> unit
+val check :
+  Finding.sink -> hot:(string, unit) Hashtbl.t -> Loader.unit_info -> Callgraph.node list -> unit
+(** [check sink ~hot u nodes] scans the [nodes] of unit [u] whose ids
+    are in [hot], against eviction evidence gathered from all of [u]. *)

@@ -6,8 +6,6 @@ type config = {
   alloc_roots : string list;
   acc_prefixes : string list;
   test_units : string list;
-  merge_prop_fn : string;
-  footprint_prop_fn : string;
   excludes : string list;
   exn_roots : string list;
   codecs : (string * string list * string) list;
@@ -34,8 +32,6 @@ let default_config =
       ];
     acc_prefixes = [ "Nt_analysis"; "Nt_lint"; "Nt_mon" ];
     test_units = [ "Test_par" ];
-    merge_prop_fn = "prop_merge_laws";
-    footprint_prop_fn = "prop_footprint";
     excludes = [ "check_fixtures" ];
     exn_roots =
       [
@@ -173,67 +169,65 @@ let run config root =
     (fun p ->
       config_finding (Printf.sprintf "accumulator scope prefix %s matched no compiled module" p))
     (any_scope config.acc_prefixes);
-  (* --- hot-set discovery for the alloc/bound families --- *)
-  let graph = Hot.build units in
+  (* --- one call graph: hot sets for the alloc/bound families --- *)
+  let graph = Callgraph.build units in
   let entry_fns = [ "observe"; "observe_shard"; "add" ] in
-  (* Named roots: the zero-copy capture path's slice entry points. *)
-  let roots_seen = Hashtbl.create 8 in
-  let alloc_root ~dotted ~fn =
-    let name = dotted ^ "." ^ fn in
-    List.mem name config.alloc_roots && (Hashtbl.replace roots_seen name (); true)
+  let seeds accept =
+    List.filter_map
+      (fun (n : Callgraph.node) -> if accept n then Some n.id else None)
+      (Callgraph.nodes graph)
   in
-  let alloc_hot =
-    Hot.solve graph ~seeds:(fun ~unit_name:_ ~dotted ~fn ->
-        (List.mem fn entry_fns && prefix_scope config.hot_prefixes dotted)
-        || (Syntax.starts_with ~prefix:"decode" fn
-           && prefix_scope config.decode_prefixes dotted)
-        || alloc_root ~dotted ~fn)
+  let hot seeds = Callgraph.closure ~succ:(Callgraph.callees graph) ~seeds in
+  (* Per-record code: analysis entry points, decode* in the decode
+     scope, and the named roots (the zero-copy capture path's slice
+     entry points). *)
+  let alloc_seed (n : Callgraph.node) =
+    (List.mem n.name entry_fns && prefix_scope config.hot_prefixes n.dotted)
+    || (Syntax.starts_with ~prefix:"decode" n.name && prefix_scope config.decode_prefixes n.dotted)
+    || List.mem n.display config.alloc_roots
   in
+  let alloc_seeds = seeds alloc_seed in
   List.iter
     (fun root ->
-      if not (Hashtbl.mem roots_seen root) then
-        config_finding (Printf.sprintf "alloc-hot root %s matched no top-level binding" root))
+      if not (List.exists (fun (n : Callgraph.node) -> n.display = root) (Callgraph.nodes graph))
+      then config_finding (Printf.sprintf "alloc-hot root %s matched no binding" root))
     config.alloc_roots;
   (* Merge paths also carry the poly-compare rule (they run per shard,
      not per record, so the other alloc rules would be noise there). *)
   let cmp_hot =
-    Hot.solve graph ~seeds:(fun ~unit_name:_ ~dotted ~fn ->
-        prefix_scope config.hot_prefixes dotted
-        && (List.mem fn entry_fns || fn = "merge")
-        || (Syntax.starts_with ~prefix:"decode" fn
-           && prefix_scope config.decode_prefixes dotted)
-        || alloc_root ~dotted ~fn)
+    hot
+      (seeds (fun n ->
+           alloc_seed n || (n.name = "merge" && prefix_scope config.hot_prefixes n.dotted)))
   in
-  let bound_hot =
-    Hot.solve graph ~seeds:(fun ~unit_name:_ ~dotted ~fn ->
-        List.mem fn entry_fns && prefix_scope config.acc_prefixes dotted)
+  let bound_seeds =
+    seeds (fun n -> List.mem n.name entry_fns && prefix_scope config.acc_prefixes n.dotted)
   in
-  if Hot.seed_count alloc_hot = 0 then
+  if alloc_seeds = [] then
     config_finding "alloc-hot seed set is empty; hot-path allocation rules never ran";
-  if Hot.seed_count bound_hot = 0 then
+  if bound_seeds = [] then
     config_finding "bound-hot seed set is empty; accumulator-boundedness rules never ran";
+  let alloc_hot = hot alloc_seeds and bound_hot = hot bound_seeds in
+  Alloc_check.check sink ~hot:alloc_hot ~cmp_hot (Callgraph.nodes graph);
   (* --- per-unit rule families --- *)
   List.iter
     (fun (u : Loader.unit_info) ->
       if Reach.mem reach u.Loader.name then Domain_check.check sink u;
       if prefix_scope config.decode_prefixes u.Loader.dotted then Purity_check.check sink u;
       if lib_scope config u.Loader.dotted then Hygiene_check.check sink u;
-      Alloc_check.check sink ~hot:alloc_hot ~cmp_hot u;
-      Bound_check.check sink ~hot:bound_hot u)
+      Bound_check.check sink ~hot:bound_hot u (Callgraph.unit_nodes graph u.Loader.name))
     impls;
   (* --- merge-law and footprint coverage (cross-unit) --- *)
   let merge_required, merge_covered, test_units_found =
     Merge_check.check sink
       ~in_scope:(fun dotted -> lib_scope config dotted)
-      ~test_units:config.test_units ~prop_fn:config.merge_prop_fn
-      ~footprint_prop_fn:config.footprint_prop_fn units
+      ~test_units:config.test_units units
   in
   if test_units_found = 0 then
     config_finding
       (Printf.sprintf "no test unit matched [%s]; merge-law and footprint coverage never ran"
          (String.concat "; " config.test_units));
   (* --- interprocedural exception flow and codec drift --- *)
-  let exn_report = Exn_check.check sink ~roots:config.exn_roots ~units ~config_finding in
+  let exn_report = Exn_check.check sink ~graph ~roots:config.exn_roots ~config_finding in
   Codec_check.check sink ~codecs:config.codecs ~formats_unit:config.formats_unit ~units
     ~config_finding;
   {

@@ -24,10 +24,6 @@ type config = {
           seed the bound-hot set for accumulator-boundedness *)
   test_units : string list;
       (** units scanned for merge-law and footprint property registrations *)
-  merge_prop_fn : string;
-      (** name of the registration function the merge-law rule looks for *)
-  footprint_prop_fn : string;
-      (** name of the registration function the footprint rule looks for *)
   excludes : string list;  (** path substrings to skip while walking *)
   exn_roots : string list;
       (** display-name patterns ("Nt_tbin.Decoder.*" or exact

@@ -16,9 +16,8 @@ let glob_matches pat display =
     Syntax.starts_with ~prefix:(String.sub pat 0 (n - 1)) display
   else pat = display
 
-let check (sink : Finding.sink) ~roots ~units ~config_finding =
-  let g = Exnflow.build units in
-  let all_nodes = Exnflow.nodes g in
+let check (sink : Finding.sink) ~graph ~roots ~config_finding =
+  let all_nodes = Callgraph.nodes graph in
   (* Root expansion: globs take every exported binding under the
      prefix; exact names take the exported binding only. *)
   let root_ids = ref [] in
@@ -26,8 +25,7 @@ let check (sink : Finding.sink) ~roots ~units ~config_finding =
     (fun pat ->
       let matched =
         List.filter
-          (fun (n : Exnflow.node) ->
-            Exnflow.exported g n && glob_matches pat n.Exnflow.n_display)
+          (fun (n : Callgraph.node) -> Callgraph.exported graph n && glob_matches pat n.display)
           all_nodes
       in
       if matched = [] then
@@ -35,28 +33,21 @@ let check (sink : Finding.sink) ~roots ~units ~config_finding =
           (Printf.sprintf "exn root %s matched no compiled binding" pat)
       else
         List.iter
-          (fun (n : Exnflow.node) ->
-            if not (List.mem n.Exnflow.n_id !root_ids) then
-              root_ids := n.Exnflow.n_id :: !root_ids)
+          (fun (n : Callgraph.node) ->
+            if not (List.mem n.id !root_ids) then root_ids := n.id :: !root_ids)
           matched)
     roots;
   let root_ids = List.rev !root_ids in
   (* Census closure over the un-annotated graph: which nodes can the
      roots reach at all, annotations notwithstanding. *)
-  let closure = Hashtbl.create 256 in
-  let rec visit id =
-    if not (Hashtbl.mem closure id) then begin
-      Hashtbl.add closure id ();
-      List.iter visit (Exnflow.item_calls (Exnflow.summary g id))
-    end
-  in
-  List.iter visit root_ids;
+  let closure = Callgraph.closure ~succ:(Callgraph.callees graph) ~seeds:root_ids in
   (* Accepted escapes: empty the summary, count the suppression. *)
+  let g = Exnflow.build graph in
   List.iter
-    (fun (n : Exnflow.node) ->
-      if Syntax.allowed n.Exnflow.n_allows Rule.exn_escape then begin
-        if Hashtbl.mem closure n.Exnflow.n_id then sink.Finding.allow Rule.exn_escape;
-        Exnflow.set_summary g n.Exnflow.n_id []
+    (fun (n : Callgraph.node) ->
+      if Syntax.allowed n.allows Rule.exn_escape then begin
+        if Hashtbl.mem closure n.id then sink.Finding.allow Rule.exn_escape;
+        Exnflow.set_summary g n.id []
       end)
     all_nodes;
   let sol = Exnflow.solve (Exnflow.summaries g) in
@@ -66,7 +57,7 @@ let check (sink : Finding.sink) ~roots ~units ~config_finding =
   (* Findings, one per raising root. *)
   List.iter
     (fun id ->
-      match Exnflow.node g id with
+      match Callgraph.node graph id with
       | None -> ()
       | Some n ->
           let res = solution id in
@@ -85,15 +76,15 @@ let check (sink : Finding.sink) ~roots ~units ~config_finding =
                 Location.none with
                 loc_start =
                   {
-                    Lexing.pos_fname = n.Exnflow.n_file;
-                    pos_lnum = n.Exnflow.n_line;
+                    Lexing.pos_fname = n.file;
+                    pos_lnum = n.line;
                     pos_bol = 0;
                     pos_cnum = 0;
                   };
               }
             in
             sink.Finding.emit Rule.exn_escape loc
-              (Printf.sprintf "%s may raise {%s}%s" n.Exnflow.n_display
+              (Printf.sprintf "%s may raise {%s}%s" n.display
                  (String.concat ", " names)
                  witness)
           end)
@@ -102,12 +93,9 @@ let check (sink : Finding.sink) ~roots ~units ~config_finding =
   let rows =
     Hashtbl.fold
       (fun id () acc ->
-        match Exnflow.node g id with
+        match Callgraph.node graph id with
         | None -> acc
-        | Some n ->
-            (n.Exnflow.n_display, n.Exnflow.n_file, n.Exnflow.n_line,
-             Exnflow.to_strings (solution id))
-            :: acc)
+        | Some n -> (n.display, n.file, n.line, Exnflow.to_strings (solution id)) :: acc)
       closure []
   in
   List.sort compare rows

@@ -1,6 +1,6 @@
 (* Interprocedural exception flow: a conservative may-raise set for
    every value binding in the build tree, solved to fixpoint over
-   name-resolved call edges.
+   the call edges of the one stamp-resolved [Callgraph].
 
    The lattice is flat-plus-top over exception constructor names:
    [Names S] means "raises at most the constructors in S", [Top] means
@@ -20,13 +20,13 @@
    merge, see DESIGN.md §16).  Array/string indexing is out of scope,
    like every bounds-discipline question ntcheck leaves to review.
 
-   Precision notes: nodes are value bindings at the top level of a
-   unit or of any nested [struct ... end], keyed by ident stamp so a
-   shadowed binding (capture.ml wraps [handle_rpc] with a same-named
-   catcher) keeps its own summary; local [let]-bound closures are not
-   nodes — their bodies fold into the enclosing binding, which
-   over-approximates when a closure defined outside a [try] is only
-   ever called inside one. *)
+   Precision notes: nodes are Callgraph's, value bindings at the top
+   level of a unit or of any nested [struct ... end], keyed by ident
+   stamp so a shadowed binding (capture.ml wraps [handle_rpc] with a
+   same-named catcher) keeps its own summary; local [let]-bound
+   closures are not nodes — their bodies fold into the enclosing
+   binding, which over-approximates when a closure defined outside a
+   [try] is only ever called inside one. *)
 
 module Names = Set.Make (String)
 
@@ -80,13 +80,6 @@ and eval_item lookup = function
   | Guard (Catch_all, _) -> bot
   | Guard (Catch_names ns, inner) -> subtract (eval lookup inner) ns
 
-let rec calls acc = function
-  | Prim _ | Prim_top _ -> acc
-  | Call k -> k :: acc
-  | Guard (_, inner) -> List.fold_left calls acc inner
-
-let item_calls items = List.fold_left calls [] items
-
 (* Round-robin fixpoint.  Monotone: every transfer function above is
    monotone in [lookup] and in its item list, and the name alphabet is
    finite (only constructors mentioned in summaries), so the chain
@@ -119,24 +112,9 @@ type origin = { o_desc : string; o_file : string; o_line : int }
 let origin_of_loc desc (loc : Location.t) =
   { o_desc = desc; o_file = loc.loc_start.pos_fname; o_line = loc.loc_start.pos_lnum }
 
-type node = {
-  n_id : string;
-  n_display : string;  (* dotted unit ^ "." ^ path, e.g. Nt_tbin.Decoder.feed *)
-  n_unit : string;
-  n_path : string;  (* binding path inside the unit *)
-  n_file : string;
-  n_line : int;
-  n_allows : string list;  (* Syntax.allows of the binding's attributes *)
-}
-
 type graph = {
-  nodes : (string, node) Hashtbl.t;  (* id -> node *)
-  summaries : (string, origin item list) Hashtbl.t;
-  mutable order : string list;  (* ids, deterministic collection order *)
-  by_unit_path : (string, string) Hashtbl.t;  (* unit ^ ":" ^ path -> id, last wins *)
-  by_stamp : (string, string) Hashtbl.t;  (* unit ^ ":" ^ unique_name -> id *)
-  unit_by_name : (string, string) Hashtbl.t;  (* unit name / dotted -> unit *)
-  dotted_of : (string, string) Hashtbl.t;  (* unit -> dotted *)
+  cg : Callgraph.t;
+  summaries : (string, origin item list) Hashtbl.t;  (* node id -> summary *)
 }
 
 (* --- raising-stdlib seed table --- *)
@@ -231,118 +209,16 @@ let seed_names name =
         in
         if last = "find" && String.contains name '.' then [ "Not_found" ] else []
 
-(* --- pass 1: node collection --- *)
-
-let binding_ident (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with
-  | Tpat_var (id, _) -> Some id
-  | Tpat_alias ({ pat_desc = Tpat_any; _ }, id, _) -> Some id
-  | _ -> None
-
-let new_graph () =
-  {
-    nodes = Hashtbl.create 512;
-    summaries = Hashtbl.create 512;
-    order = [];
-    by_unit_path = Hashtbl.create 512;
-    by_stamp = Hashtbl.create 512;
-    unit_by_name = Hashtbl.create 64;
-    dotted_of = Hashtbl.create 64;
-  }
-
-let add_node g ~unit_name ~dotted ~prefix vb =
-  match binding_ident vb with
-  | None -> ()
-  | Some id ->
-      let path =
-        if prefix = "" then Ident.name id else prefix ^ "." ^ Ident.name id
-      in
-      let n_id = unit_name ^ ":" ^ prefix ^ "." ^ Ident.unique_name id in
-      let loc = vb.Typedtree.vb_pat.pat_loc in
-      let node =
-        {
-          n_id;
-          n_display = dotted ^ "." ^ path;
-          n_unit = unit_name;
-          n_path = path;
-          n_file = loc.loc_start.pos_fname;
-          n_line = loc.loc_start.pos_lnum;
-          n_allows = Syntax.allows vb.Typedtree.vb_attributes;
-        }
-      in
-      Hashtbl.replace g.nodes n_id node;
-      g.order <- n_id :: g.order;
-      Hashtbl.replace g.by_unit_path (unit_name ^ ":" ^ path) n_id;
-      Hashtbl.replace g.by_stamp (unit_name ^ ":" ^ Ident.unique_name id) n_id
-
-let rec collect_structure g ~unit_name ~dotted ~prefix (str : Typedtree.structure) =
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) ->
-          List.iter (add_node g ~unit_name ~dotted ~prefix) vbs
-      | Tstr_module mb -> collect_module g ~unit_name ~dotted ~prefix mb
-      | Tstr_recmodule mbs -> List.iter (collect_module g ~unit_name ~dotted ~prefix) mbs
-      | Tstr_include incl -> collect_module_expr g ~unit_name ~dotted ~prefix incl.incl_mod
-      | _ -> ())
-    str.str_items
-
-and collect_module g ~unit_name ~dotted ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id ->
-      let sub = if prefix = "" then Ident.name id else prefix ^ "." ^ Ident.name id in
-      collect_module_expr g ~unit_name ~dotted ~prefix:sub mb.mb_expr
-
-and collect_module_expr g ~unit_name ~dotted ~prefix (me : Typedtree.module_expr) =
-  match me.mod_desc with
-  | Tmod_structure str -> collect_structure g ~unit_name ~dotted ~prefix str
-  | Tmod_constraint (me, _, _, _) -> collect_module_expr g ~unit_name ~dotted ~prefix me
-  | _ -> ()
-
-(* --- pass 2: lowering --- *)
+(* --- lowering --- *)
 
 type env = {
-  g : graph;
+  e_cg : Callgraph.t;
   e_unit : string;
-  aliases : (string, string) Hashtbl.t;
   mutable reraise : string list;  (* unique_names of handler-bound exn vars *)
 }
 
-let resolve_project env (p : Path.t) =
-  let g = env.g in
-  match p with
-  | Path.Pident id -> Hashtbl.find_opt g.by_stamp (env.e_unit ^ ":" ^ Ident.unique_name id)
-  | Path.Pdot _ -> (
-      let name = Hot.expand_alias env.aliases (Path.name p) in
-      (* Longest unit prefix first (handles Nt_mon.Feed.pull and the
-         raw Nt_mon__Feed.pull spelling), then a nested path in the
-         current unit (Decoder.feed from Nt_tbin's top level). *)
-      let rec try_prefix s =
-        match Hashtbl.find_opt g.unit_by_name s with
-        | Some u -> Some (u, String.length s)
-        | None -> (
-            match String.rindex_opt s '.' with
-            | Some i -> try_prefix (String.sub s 0 i)
-            | None -> None)
-      in
-      let cross =
-        match String.rindex_opt name '.' with
-        | None -> None
-        | Some _ -> (
-            match try_prefix name with
-            | Some (u, plen) when plen < String.length name ->
-                let rest = String.sub name (plen + 1) (String.length name - plen - 1) in
-                Hashtbl.find_opt g.by_unit_path (u ^ ":" ^ rest)
-            | _ -> None)
-      in
-      match cross with
-      | Some id -> Some id
-      | None -> Hashtbl.find_opt g.by_unit_path (env.e_unit ^ ":" ^ name))
-  | _ -> None
-
 let ident_items env (p : Path.t) (loc : Location.t) =
-  match resolve_project env p with
+  match Callgraph.resolve env.e_cg ~unit_name:env.e_unit p with
   | Some id -> [ Call id ]
   | None -> (
       match p with
@@ -529,79 +405,22 @@ let rec collect env (e0 : Typedtree.expression) : origin item list =
   it.expr it e0;
   List.rev !acc
 
-let rec lower_structure g ~unit_name aliases (str : Typedtree.structure) ~prefix =
+let build cg =
+  let summaries = Hashtbl.create 1024 in
   List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : Typedtree.value_binding) ->
-              match binding_ident vb with
-              | None -> ()
-              | Some id ->
-                  let n_id = unit_name ^ ":" ^ prefix ^ "." ^ Ident.unique_name id in
-                  let env = { g; e_unit = unit_name; aliases; reraise = [] } in
-                  Hashtbl.replace g.summaries n_id (collect env vb.vb_expr))
-            vbs
-      | Tstr_module mb -> lower_module g ~unit_name aliases ~prefix mb
-      | Tstr_recmodule mbs -> List.iter (lower_module g ~unit_name aliases ~prefix) mbs
-      | Tstr_include incl -> lower_module_expr g ~unit_name aliases ~prefix incl.incl_mod
-      | _ -> ())
-    str.str_items
-
-and lower_module g ~unit_name aliases ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id ->
-      let sub = if prefix = "" then Ident.name id else prefix ^ "." ^ Ident.name id in
-      lower_module_expr g ~unit_name aliases ~prefix:sub mb.mb_expr
-
-and lower_module_expr g ~unit_name aliases ~prefix (me : Typedtree.module_expr) =
-  match me.mod_desc with
-  | Tmod_structure str -> lower_structure g ~unit_name aliases str ~prefix
-  | Tmod_constraint (me, _, _, _) -> lower_module_expr g ~unit_name aliases ~prefix me
-  | _ -> ()
-
-let build (units : Loader.unit_info list) =
-  let g = new_graph () in
-  let impls =
-    List.filter_map
-      (fun (u : Loader.unit_info) ->
-        match u.Loader.payload with
-        | Loader.Impl str -> Some (u, str)
-        | Loader.Intf _ -> None)
-      units
-  in
-  List.iter
-    (fun ((u : Loader.unit_info), str) ->
-      Hashtbl.replace g.unit_by_name u.Loader.name u.Loader.name;
-      Hashtbl.replace g.unit_by_name u.Loader.dotted u.Loader.name;
-      Hashtbl.replace g.dotted_of u.Loader.name u.Loader.dotted;
-      collect_structure g ~unit_name:u.Loader.name ~dotted:u.Loader.dotted ~prefix:"" str)
-    impls;
-  g.order <- List.rev g.order;
-  List.iter
-    (fun ((u : Loader.unit_info), str) ->
-      let aliases = Hot.module_aliases str in
-      lower_structure g ~unit_name:u.Loader.name aliases str ~prefix:"")
-    impls;
-  g
-
-let nodes g = List.filter_map (Hashtbl.find_opt g.nodes) g.order
-let node g id = Hashtbl.find_opt g.nodes id
+    (fun (n : Callgraph.node) ->
+      let env = { e_cg = cg; e_unit = n.unit_name; reraise = [] } in
+      Hashtbl.replace summaries n.id (collect env n.expr))
+    (Callgraph.nodes cg);
+  { cg; summaries }
 
 let summary g id =
   match Hashtbl.find_opt g.summaries id with Some items -> items | None -> []
 
 let set_summary g id items = Hashtbl.replace g.summaries id items
 
-let summaries g = List.map (fun id -> (id, summary g id)) g.order
-
-(* The id the unit's surface exports for a display name: the last
-   binding registered under that (unit, path), so a shadowed inner
-   definition is not mistaken for the module's entry point. *)
-let exported g (n : node) =
-  Hashtbl.find_opt g.by_unit_path (n.n_unit ^ ":" ^ n.n_path) = Some n.n_id
+let summaries g =
+  List.map (fun (n : Callgraph.node) -> (n.id, summary g n.id)) (Callgraph.nodes g.cg)
 
 (* --- provenance: one witness chain for (node, exception) --- *)
 
@@ -635,7 +454,7 @@ let explain g sol ~id ~exn =
     if Hashtbl.mem visited k then None
     else begin
       Hashtbl.add visited k ();
-      let name = match node g k with Some n -> n.n_display | None -> k in
+      let name = match Callgraph.node g.cg k with Some n -> n.display | None -> k in
       match through_items (summary g k) with
       | Some chain -> Some (name :: chain)
       | None -> None

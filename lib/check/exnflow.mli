@@ -43,40 +43,21 @@ val solve : (string * 'a item list) list -> (string, exns) Hashtbl.t
 (** Least fixpoint of [eval] over all summaries; nodes absent from the
     list evaluate to [bot] when called. *)
 
-val item_calls : 'a item list -> string list
-(** Every [Call] target in a summary, guards included. *)
-
 (** {1 Typedtree lowering} *)
 
 type origin = { o_desc : string; o_file : string; o_line : int }
-
-type node = {
-  n_id : string;
-  n_display : string;  (** dotted unit ^ "." ^ path, e.g. Nt_tbin.Decoder.feed *)
-  n_unit : string;
-  n_path : string;
-  n_file : string;
-  n_line : int;
-  n_allows : string list;  (** allowlist rule ids from the binding's attributes *)
-}
-
 type graph
 
-val build : Loader.unit_info list -> graph
-(** Collect every value binding (top level and nested [struct]s, keyed
-    by ident stamp so shadowed bindings stay distinct) and lower each
-    body to a summary: raise primitives, the raising-stdlib seed
-    table, partial matches, and try/match-exception guards. *)
+val build : Callgraph.t -> graph
+(** Lower every {!Callgraph} node's body to a summary: raise
+    primitives, the raising-stdlib seed table, partial matches, and
+    try/match-exception guards, with [Call] items for the callees the
+    graph resolves. *)
 
-val nodes : graph -> node list
-val node : graph -> string -> node option
-val summary : graph -> string -> origin item list
 val set_summary : graph -> string -> origin item list -> unit
-val summaries : graph -> (string * origin item list) list
 
-val exported : graph -> node -> bool
-(** Whether this node is the last binding registered for its (unit,
-    path) — i.e. what the module actually exports under that name. *)
+val summaries : graph -> (string * origin item list) list
+(** Every node's summary, in {!Callgraph.nodes} order. *)
 
 val explain :
   graph -> (string, exns) Hashtbl.t -> id:string -> exn:string -> string list option

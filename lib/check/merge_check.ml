@@ -7,15 +7,19 @@
    whose type is t -> t -> t over one local constructor.
 
    Coverage side: scan the configured test units' .cmt for applications
-   of the registration function (default [prop_merge_laws]) and collect
+   of the registration function [prop_merge_laws] and collect
    every [<Module>.merge] identifier mentioned in the arguments.  Local
    module aliases (module Summary = Nt_analysis.Summary) are expanded
    one level, which is exactly the idiom the test files use. *)
 
 (* Footprint side: the same interfaces must also expose state-footprint
    accounting (a [footprint] value consuming [t]) and have it registered
-   under the footprint property (default [prop_footprint]); otherwise the
+   under the footprint property [prop_footprint]; otherwise the
    nt_state_cards/nt_state_words gauges silently omit the component. *)
+
+(* The test-suite registration functions each side looks for. *)
+let merge_prop_fn = "prop_merge_laws"
+let footprint_prop_fn = "prop_footprint"
 
 type requirement = { req_dotted : string; req_loc : Location.t; req_footprint : bool }
 
@@ -67,33 +71,6 @@ let merge_requirement (u : Loader.unit_info) =
 
 (* --- coverage extraction from a test unit --- *)
 
-let module_aliases (str : Typedtree.structure) =
-  let tbl = Hashtbl.create 16 in
-  let rec of_expr (me : Typedtree.module_expr) =
-    match me.mod_desc with
-    | Tmod_ident (p, _) -> Some (Path.name p)
-    | Tmod_constraint (me, _, _, _) -> of_expr me
-    | _ -> None
-  in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Tstr_module mb -> (
-          match (mb.mb_id, of_expr mb.mb_expr) with
-          | Some id, Some target -> Hashtbl.replace tbl (Ident.name id) target
-          | _ -> ())
-      | _ -> ())
-    str.str_items;
-  tbl
-
-let expand_alias aliases dotted =
-  match String.index_opt dotted '.' with
-  | None -> ( match Hashtbl.find_opt aliases dotted with Some t -> t | None -> dotted)
-  | Some i -> (
-      let head = String.sub dotted 0 i in
-      let rest = String.sub dotted i (String.length dotted - i) in
-      match Hashtbl.find_opt aliases head with Some t -> t ^ rest | None -> dotted)
-
 let idents_in ~last (e : Typedtree.expression) =
   let acc = ref [] in
   let expr sub (e : Typedtree.expression) =
@@ -110,7 +87,7 @@ let idents_in ~last (e : Typedtree.expression) =
   !acc
 
 let registrations ~prop_fn ~last (str : Typedtree.structure) =
-  let aliases = module_aliases str in
+  let aliases = Callgraph.module_aliases str in
   let acc = ref [] in
   let expr sub (e : Typedtree.expression) =
     (match e.exp_desc with
@@ -121,7 +98,7 @@ let registrations ~prop_fn ~last (str : Typedtree.structure) =
             match arg with
             | Some a ->
                 List.iter
-                  (fun prefix -> acc := expand_alias aliases prefix :: !acc)
+                  (fun prefix -> acc := Callgraph.expand_alias aliases prefix :: !acc)
                   (idents_in ~last a)
             | None -> ())
           args
@@ -132,8 +109,7 @@ let registrations ~prop_fn ~last (str : Typedtree.structure) =
   it.structure it str;
   !acc
 
-let check (sink : Finding.sink) ~in_scope ~test_units ~prop_fn ~footprint_prop_fn
-    (units : Loader.unit_info list) =
+let check (sink : Finding.sink) ~in_scope ~test_units (units : Loader.unit_info list) =
   let requirements =
     List.filter_map
       (fun u -> if in_scope u.Loader.dotted then merge_requirement u else None)
@@ -154,7 +130,7 @@ let check (sink : Finding.sink) ~in_scope ~test_units ~prop_fn ~footprint_prop_f
         | Loader.Intf _ -> [])
       test_impls
   in
-  let covered = extract ~prop_fn ~last:"merge" in
+  let covered = extract ~prop_fn:merge_prop_fn ~last:"merge" in
   let fp_covered = extract ~prop_fn:footprint_prop_fn ~last:"footprint" in
   List.iter
     (fun req ->
@@ -163,7 +139,7 @@ let check (sink : Finding.sink) ~in_scope ~test_units ~prop_fn ~footprint_prop_f
           (Printf.sprintf
              "%s.merge has no %s registration in the test suite (add associativity and \
               neutral-element properties)"
-             req.req_dotted prop_fn);
+             req.req_dotted merge_prop_fn);
       if not req.req_footprint then
         sink.emit Rule.footprint_missing req.req_loc
           (Printf.sprintf

@@ -8,15 +8,13 @@ val check :
   Finding.sink ->
   in_scope:(string -> bool) ->
   test_units:string list ->
-  prop_fn:string ->
-  footprint_prop_fn:string ->
   Loader.unit_info list ->
   string list * string list * int
-(** [check sink ~in_scope ~test_units ~prop_fn ~footprint_prop_fn units]
-    emits a [merge-law-missing] finding per uncovered merge requirement
-    and a [footprint-missing] finding per merge-bearing interface that
-    either lacks a [footprint] value over [t] or has no
-    [footprint_prop_fn] registration naming it, then returns
+(** [check sink ~in_scope ~test_units units] emits a
+    [merge-law-missing] finding per merge requirement with no
+    [prop_merge_laws] registration and a [footprint-missing] finding per
+    merge-bearing interface that either lacks a [footprint] value over
+    [t] or has no [prop_footprint] registration naming it, then returns
     [(required, covered, test_units_found)] for the engine's stats:
     dotted names of modules that must be covered, dotted names the test
     registrations actually mention, and how many test units were

@@ -11,32 +11,24 @@ let compute ~roots (units : Loader.unit_info list) =
     units;
   let known = Hashtbl.create 64 in
   List.iter (fun (u : Loader.unit_info) -> Hashtbl.replace known u.name ()) units;
-  let reachable = Hashtbl.create 64 in
-  let rec visit name =
-    if Hashtbl.mem known name && not (Hashtbl.mem reachable name) then begin
-      Hashtbl.add reachable name ();
-      match Hashtbl.find_opt imports name with
-      | Some deps -> List.iter visit deps
-      | None -> ()
-    end
+  let succ name =
+    match Hashtbl.find_opt imports name with
+    | Some deps -> List.filter (Hashtbl.mem known) deps
+    | None -> []
   in
-  let missing_roots =
-    List.filter
-      (fun root ->
-        let matches =
-          List.filter
-            (fun (u : Loader.unit_info) -> Syntax.unit_matches ~unit:u.name root)
-            units
-        in
-        List.iter (fun (u : Loader.unit_info) -> visit u.name) matches;
-        matches = [])
-      roots
+  let matches root =
+    List.filter_map
+      (fun (u : Loader.unit_info) ->
+        if Syntax.unit_matches ~unit:u.name root then Some u.name else None)
+      units
   in
-  { reachable; missing_roots }
+  {
+    reachable = Callgraph.closure ~succ ~seeds:(List.concat_map matches roots);
+    missing_roots = List.filter (fun root -> matches root = []) roots;
+  }
 
 let missing_roots t = t.missing_roots
 let mem t name = Hashtbl.mem t.reachable name
-let size t = Hashtbl.length t.reachable
 
 let to_list t =
   List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) t.reachable [])

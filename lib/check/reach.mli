@@ -5,7 +5,8 @@
     driver and its pass table), includes it.  This over-approximates
     what a worker-domain task closure can touch: imports include things
     only used at setup time, but nothing a task uses can be missing,
-    which is the safe direction for a mutable-state check. *)
+    which is the safe direction for a mutable-state check.  The walk is
+    {!Callgraph.closure} over the import graph. *)
 
 type t
 
@@ -14,7 +15,6 @@ val compute : roots:string list -> Loader.unit_info list -> t
     loaded unit are reported in [missing_roots]. *)
 
 val mem : t -> string -> bool
-val size : t -> int
 val to_list : t -> string list
 
 val missing_roots : t -> string list

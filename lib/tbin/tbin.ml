@@ -952,10 +952,3 @@ let iter_channel ?obs ic f =
   loop ();
   Decoder.finish d;
   Decoder.stats d
-
-let decode_string ?obs s =
-  let d = Decoder.create ?obs () in
-  Decoder.feed d s;
-  Decoder.finish d;
-  (Decoder.stats d, List.of_seq (Seq.map fst (Queue.to_seq d.queue)))
-[@@nt.alloc_ok "whole-stream convenience entry: materializes the record list, not a per-record path"]

@@ -123,5 +123,3 @@ val iter_channel : ?obs:Nt_obs.Obs.t -> in_channel -> (Nt_trace.Record.t -> unit
 (** Stream-decode a channel without materializing the record set —
     the out-of-core path. Reads land in the decoder's window and records
     reach the callback as they decode, with no queue. *)
-
-val decode_string : ?obs:Nt_obs.Obs.t -> string -> stats * Nt_trace.Record.t list

@@ -31,22 +31,6 @@ let edges t = t.edges
 let weight t i = t.weights.(i)
 let total_weight t = Array.fold_left ( +. ) 0. t.weights
 
-let same_edges (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  for i = 0 to Array.length a - 1 do
-    if a.(i) <> b.(i) then ok := false
-  done;
-  !ok
-
-let merge a b =
-  if not (same_edges a.edges b.edges) then invalid_arg "Histogram.merge: bucket edges differ";
-  for i = 0 to Array.length a.weights - 1 do
-    a.weights.(i) <- a.weights.(i) +. b.weights.(i)
-  done;
-  a
-
 let cdf t =
   let total = total_weight t in
   let acc = ref 0. in

@@ -27,10 +27,6 @@ val weight : t -> int -> float
 
 val total_weight : t -> float
 
-val merge : t -> t -> t
-(** [merge a b] adds [b]'s bucket weights into [a] and returns [a]; the
-    two histograms must share identical edges. *)
-
 val cdf : t -> (float * float) list
 (** [(upper_edge, cumulative_fraction)] per bounded bucket; fractions in
     [\[0,1\]]. Empty histogram yields all-zero fractions. *)

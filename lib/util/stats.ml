@@ -37,24 +37,6 @@ let stddev_pct_of_mean t =
 let min t = t.mn
 let max t = t.mx
 
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else
-    let n = a.n + b.n in
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. fb /. float_of_int n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
-    {
-      n;
-      mean;
-      m2;
-      sum = a.sum +. b.sum;
-      mn = Float.min a.mn b.mn;
-      mx = Float.max a.mx b.mx;
-    }
-
 let percentile data p =
   let n = Array.length data in
   if n = 0 then nan

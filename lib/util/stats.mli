@@ -25,9 +25,6 @@ val min : t -> float
 val max : t -> float
 (** [nan] when empty. *)
 
-val merge : t -> t -> t
-(** Combine two accumulators (Chan et al. parallel update). *)
-
 val percentile : float array -> float -> float
 (** [percentile data p] with [p] in [\[0,100\]]; sorts a copy; linear
     interpolation between order statistics. [nan] on empty input. *)

@@ -108,11 +108,6 @@ let feq ?(tol = 1e-9) a b =
 let cki name a b = if a <> b then QCheck.Test.fail_reportf "%s: %d <> %d" name a b
 let ckf name a b = if not (feq a b) then QCheck.Test.fail_reportf "%s: %.17g <> %.17g" name a b
 
-let ckfa name a b =
-  if Array.length a <> Array.length b then
-    QCheck.Test.fail_reportf "%s: lengths %d <> %d" name (Array.length a) (Array.length b);
-  Array.iteri (fun i v -> ckf (Printf.sprintf "%s[%d]" name i) v b.(i)) a
-
 (* --- randomized workload generator ---
 
    Deterministic in (seed, n). Mixes the shapes that stress shard-mode
@@ -443,43 +438,6 @@ let law_names =
     ~build_shard:(build_with Names.create_shard Names.observe)
     ~empty:Names.create ~empty_shard:Names.create_shard ~merge:Names.merge
     ~eq:check_names_eq
-
-let check_histogram_eq a b =
-  ckfa "edges" (Histogram.edges a) (Histogram.edges b);
-  cki "bucket_count" (Histogram.bucket_count a) (Histogram.bucket_count b);
-  ckfa "weights"
-    (Array.init (Histogram.bucket_count a) (Histogram.weight a))
-    (Array.init (Histogram.bucket_count b) (Histogram.weight b));
-  ckf "total_weight" (Histogram.total_weight a) (Histogram.total_weight b)
-
-let law_histogram =
-  let build records =
-    let h = Histogram.log2_buckets ~lo:1. ~hi:(2. ** 24.) in
-    Array.iter
-      (fun (r : Record.t) -> Histogram.add h (r.Record.time -. Tw.week_start +. 1.))
-      records;
-    h
-  in
-  let empty () = Histogram.log2_buckets ~lo:1. ~hi:(2. ** 24.) in
-  prop_merge_laws "histogram" ~symmetric:true ~build ~build_shard:build ~empty
-    ~empty_shard:empty ~merge:Histogram.merge ~eq:check_histogram_eq
-
-let check_stats_eq a b =
-  cki "count" (Stats.count a) (Stats.count b);
-  ckf "total" (Stats.total a) (Stats.total b);
-  ckf "mean" (Stats.mean a) (Stats.mean b);
-  ckf "variance" (Stats.variance a) (Stats.variance b);
-  ckf "min" (Stats.min a) (Stats.min b);
-  ckf "max" (Stats.max a) (Stats.max b)
-
-let law_stats =
-  let build records =
-    let t = Stats.create () in
-    Array.iter (fun (r : Record.t) -> Stats.add t (r.Record.time -. Tw.week_start)) records;
-    t
-  in
-  prop_merge_laws "stats" ~symmetric:true ~build ~build_shard:build ~empty:Stats.create
-    ~empty_shard:Stats.create ~merge:Stats.merge ~eq:check_stats_eq
 
 let check_win_row name (a : Win.row) (b : Win.row) =
   cki (name ^ ".ops") a.Win.ops b.Win.ops;
@@ -895,8 +853,6 @@ let () =
           QCheck_alcotest.to_alcotest law_hourly;
           QCheck_alcotest.to_alcotest law_io_log;
           QCheck_alcotest.to_alcotest law_names;
-          QCheck_alcotest.to_alcotest law_histogram;
-          QCheck_alcotest.to_alcotest law_stats;
           QCheck_alcotest.to_alcotest law_win;
         ] );
       ( "footprints",

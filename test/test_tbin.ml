@@ -167,6 +167,14 @@ let drain d =
   go ();
   List.rev !out
 
+(* The whole stream in one feed. *)
+let decode_string s =
+  let d = Tbin.Decoder.create () in
+  Tbin.Decoder.feed d s;
+  Tbin.Decoder.finish d;
+  let records = drain d in
+  (Tbin.Decoder.stats d, records)
+
 let decode_chunked chunk s =
   let d = Tbin.Decoder.create () in
   let n = String.length s in
@@ -223,7 +231,7 @@ let decode_offsets chunk s =
   (Tbin.Decoder.stats d, List.rev !out)
 
 let check_roundtrip ?frame_records msg rs =
-  let st, out = Tbin.decode_string (Tbin.encode_string ?frame_records rs) in
+  let st, out = decode_string (Tbin.encode_string ?frame_records rs) in
   Alcotest.(check int) (msg ^ ": no failures") 0 (Tbin.failures st);
   Alcotest.(check int) (msg ^ ": record count") (List.length rs) (List.length out);
   if out <> rs then Alcotest.failf "%s: records changed across encode/decode" msg
@@ -331,14 +339,14 @@ let prop_add_line =
 let prop_roundtrip_one =
   QCheck.Test.make ~name:"decode (encode r) = r over the full record space" ~count:1000
     arb_record (fun r ->
-      let st, out = Tbin.decode_string (Tbin.encode_string [ r ]) in
+      let st, out = decode_string (Tbin.encode_string [ r ]) in
       Tbin.failures st = 0 && out = [ r ])
 
 let prop_roundtrip_list =
   QCheck.Test.make ~name:"record lists round-trip at every frame size" ~count:200
     QCheck.(pair arb_records (int_range 1 5))
     (fun (rs, frame_records) ->
-      let st, out = Tbin.decode_string (Tbin.encode_string ~frame_records rs) in
+      let st, out = decode_string (Tbin.encode_string ~frame_records rs) in
       Tbin.failures st = 0 && out = rs)
 
 let prop_one_byte_feed =
@@ -377,18 +385,18 @@ let test_split_at_every_offset () =
 (* ---------- decoder mechanics ---------- *)
 
 let test_empty_and_magic_only () =
-  let st, out = Tbin.decode_string "" in
+  let st, out = decode_string "" in
   Alcotest.(check int) "empty: no failures" 0 (Tbin.failures st);
   Alcotest.(check int) "empty: no records" 0 (List.length out);
-  let st, out = Tbin.decode_string Tbin.magic in
+  let st, out = decode_string Tbin.magic in
   Alcotest.(check int) "magic only: no failures" 0 (Tbin.failures st);
   Alcotest.(check int) "magic only: no records" 0 (List.length out);
-  let st, out = Tbin.decode_string (Tbin.encode_string []) in
+  let st, out = decode_string (Tbin.encode_string []) in
   Alcotest.(check int) "empty stream: no failures" 0 (Tbin.failures st);
   Alcotest.(check int) "empty stream: no records" 0 (List.length out)
 
 let test_garbage_is_missing_header () =
-  let st, out = Tbin.decode_string "hello, this is not a tbin stream at all" in
+  let st, out = decode_string "hello, this is not a tbin stream at all" in
   Alcotest.(check int) "one failure" 1 (Tbin.failures st);
   Alcotest.(check int) "counted as missing header" 1 st.Tbin.missing_header;
   Alcotest.(check int) "no records" 0 (List.length out)
@@ -396,7 +404,7 @@ let test_garbage_is_missing_header () =
 let test_chunked_equals_whole () =
   let rs = menagerie () in
   let s = Tbin.encode_string ~frame_records:4 rs in
-  let st_whole, out_whole = Tbin.decode_string s in
+  let st_whole, out_whole = decode_string s in
   List.iter
     (fun chunk ->
       let st_c, out_c = decode_chunked chunk s in
@@ -445,7 +453,7 @@ let test_paths_agree () =
   let menagerie_s = Tbin.encode_string ~frame_records:4 (menagerie ()) in
   List.iter
     (fun (label, s) ->
-      let st_w, out_w = Tbin.decode_string s in
+      let st_w, out_w = decode_string s in
       let st_c, out_c = decode_channel s in
       let st_1, pairs_1 = decode_offsets 1 s in
       let st_a, pairs_a = decode_offsets (String.length s + 1) s in
@@ -551,7 +559,7 @@ let test_writer_flush_appendable () =
   List.iteri (fun i r -> if i = 5 then Tbin.Writer.flush w; Tbin.Writer.add w r) rs;
   Alcotest.(check int) "written counts records" 10 (Tbin.Writer.written w);
   Tbin.Writer.close w;
-  let st, out = Tbin.decode_string (Buffer.contents b) in
+  let st, out = decode_string (Buffer.contents b) in
   Alcotest.(check int) "no failures" 0 (Tbin.failures st);
   Alcotest.(check int) "two frames" 2 st.Tbin.frames;
   if out <> rs then Alcotest.failf "flush changed the record stream"
@@ -587,7 +595,7 @@ let test_single_bit_flips () =
     let bit = Random.State.int rng 8 in
     let m = Bytes.of_string s in
     Bytes.set m pos (Char.chr (Char.code (Bytes.get m pos) lxor (1 lsl bit)));
-    let st, out = Tbin.decode_string (Bytes.to_string m) in
+    let st, out = decode_string (Bytes.to_string m) in
     let f = Tbin.failures st in
     if f <> 1 then
       Alcotest.failf "flip at %d bit %d: %d failures, want exactly 1 (%s)" pos bit f
@@ -603,7 +611,7 @@ let test_truncations () =
   let len = String.length s in
   let k = ref 0 in
   while !k <= len do
-    let st, out = Tbin.decode_string (String.sub s 0 !k) in
+    let st, out = decode_string (String.sub s 0 !k) in
     if Tbin.failures st > 1 then
       Alcotest.failf "truncation at %d: %d failures (%s)" !k (Tbin.failures st)
         (Tbin.stats_to_string st);
@@ -611,10 +619,10 @@ let test_truncations () =
       Alcotest.failf "truncation at %d: %d records, not whole frames" !k (List.length out);
     k := !k + 7
   done;
-  let st, out = Tbin.decode_string s in
+  let st, out = decode_string s in
   Alcotest.(check int) "untruncated: clean" 0 (Tbin.failures st);
   Alcotest.(check int) "untruncated: all records" 320 (List.length out);
-  let st, _ = Tbin.decode_string (String.sub s 0 (len - 3)) in
+  let st, _ = decode_string (String.sub s 0 (len - 3)) in
   Alcotest.(check int) "mid-frame cut is a truncated tail" 1 st.Tbin.truncated_tails
 
 let test_concat_resync () =
@@ -622,7 +630,7 @@ let test_concat_resync () =
   let s = Tbin.encode_string ~frame_records:32 rs in
   let rng = Random.State.make [| 0xc0; 2 |] in
   let garbage = String.init 137 (fun _ -> Char.chr (Random.State.int rng 256)) in
-  let st, out = Tbin.decode_string (s ^ garbage ^ s) in
+  let st, out = decode_string (s ^ garbage ^ s) in
   Alcotest.(check int) "both streams recovered" 640 (List.length out);
   Alcotest.(check int) "one desync episode" 1 (Tbin.failures st);
   Alcotest.(check int) "counted as lost sync" 1 st.Tbin.lost_sync;
@@ -672,7 +680,7 @@ let test_mutation_storm () =
     in
     (* Totality: counted, never raised; delivery never exceeds the
        input's record population; the queue count agrees with stats. *)
-    let st, out = Tbin.decode_string m in
+    let st, out = decode_string m in
     if List.length out <> st.Tbin.records then
       Alcotest.failf "mutation %d: delivered %d <> stats %d" i (List.length out) st.Tbin.records;
     if st.Tbin.records > 320 then Alcotest.failf "mutation %d: invented records" i;
@@ -723,7 +731,7 @@ let test_golden_encode () =
     (fixture_bytes ())
 
 let test_golden_decode () =
-  let st, out = Tbin.decode_string (read_file golden_ntb) in
+  let st, out = decode_string (read_file golden_ntb) in
   Alcotest.(check int) "fixture decodes clean" 0 (Tbin.failures st);
   Alcotest.(check string) "fixture decodes to the locked text rendering"
     (read_file golden_lines)
@@ -808,7 +816,7 @@ let test_differential_pcap_leg () =
       let _, captured = Nt_trace.Capture.finish capture in
       close_in ic;
       Alcotest.(check bool) "capture produced records" true (List.length captured > 50);
-      let st, out = Tbin.decode_string (Tbin.encode_string ~frame_records:64 captured) in
+      let st, out = decode_string (Tbin.encode_string ~frame_records:64 captured) in
       Alcotest.(check int) "captured records round-trip clean" 0 (Tbin.failures st);
       if out <> captured then Alcotest.failf "tbin changed the captured records";
       let base =

@@ -205,20 +205,6 @@ let test_stats_empty () =
   checkf "variance empty" 0. (Stats.variance s);
   Alcotest.(check bool) "min is nan" true (Float.is_nan (Stats.min s))
 
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-  let data = [ 1.; 5.; 2.; 8.; 13.; 0.5; 7.; 3. ] in
-  List.iteri (fun i x ->
-      Stats.add whole x;
-      if i < 4 then Stats.add a x else Stats.add b x)
-    data;
-  let merged = Stats.merge a b in
-  check Alcotest.int "count" (Stats.count whole) (Stats.count merged);
-  checkf_eps 1e-9 "mean" (Stats.mean whole) (Stats.mean merged);
-  checkf_eps 1e-9 "variance" (Stats.variance whole) (Stats.variance merged);
-  checkf "min" (Stats.min whole) (Stats.min merged);
-  checkf "max" (Stats.max whole) (Stats.max merged)
-
 let test_stats_stddev_pct () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 10.; 10.; 10. ];
@@ -401,7 +387,6 @@ let () =
         [
           Alcotest.test_case "known values" `Quick test_stats_known_values;
           Alcotest.test_case "empty" `Quick test_stats_empty;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "stddev pct" `Quick test_stats_stddev_pct;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "median even" `Quick test_median_even;
