@@ -7,6 +7,8 @@
 open Cmdliner
 
 let run input output seed omit obs_opts =
+  if Nt_core.Pipeline.refuse_pcap ~tool:"nfsanon" input then 2
+  else
   let config =
     if omit then Nt_trace.Anonymize.omit_config else Nt_trace.Anonymize.default_config
   in
@@ -45,7 +47,7 @@ let run input output seed omit obs_opts =
 let input =
   Arg.(
     required & pos 0 (some string) None
-    & info [] ~docv:"TRACE" ~doc:"Input trace: - for stdin (text), a sniffed path, or tbin:PATH.")
+    & info [] ~docv:"TRACE" ~doc:"Input trace: - for stdin (text), a path sniffed by content, or tbin:PATH.")
 
 let output =
   Arg.(

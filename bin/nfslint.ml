@@ -37,7 +37,8 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
         (String.concat ", " unknown);
       2
     end
-    else begin
+    else if Nt_core.Pipeline.refuse_pcap ~tool:"nfslint" input then 2
+    else
       let config =
         {
           Lint.default_config with
@@ -92,15 +93,14 @@ let run input json fail_on anonymized enabled_only disabled reorder_window xid_w
             || Lint.severity_count t Nt_lint.Rule.Warn > 0
       in
       if failed then 1 else 0
-    end
 
 let input =
   Arg.(
     value & pos 0 string "-"
     & info [] ~docv:"TRACE"
         ~doc:
-          "Input trace: - for stdin (text), a sniffed path, or an explicit trace:PATH / \
-           tbin:PATH.")
+          "Input trace: - for stdin (text), a path (sniffed by content: nttb/1 magic means \
+           binary, text otherwise), or an explicit trace:PATH / tbin:PATH.")
 
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as a JSON array.")
 

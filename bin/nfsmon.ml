@@ -14,35 +14,22 @@ module Obs = Nt_obs.Obs
 module Mon = Nt_mon.Service
 
 let parse_source obs s ~sim_start ~sim_stop ~speedup ~slice =
-  let feed_of_path kind path =
-    match kind with
-    | `Trace -> Ok (Nt_mon.Feed.trace_tail ~obs path)
-    | `Pcap -> Ok (Nt_mon.Feed.pcap_tail ~obs path)
-    | `Tbin -> Ok (Nt_mon.Feed.tbin_tail ~obs path)
+  let live workload =
+    Ok
+      (Nt_core.Live_feed.create ~obs ?speedup ~slice_s:slice ~workload ~start:sim_start
+         ~stop:sim_stop ())
   in
-  match String.index_opt s ':' with
-  | Some i -> (
-      let kind = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match kind with
-      | "trace" -> feed_of_path `Trace rest
-      | "pcap" -> feed_of_path `Pcap rest
-      | "tbin" -> feed_of_path `Tbin rest
-      | "sim" -> (
-          let mk workload =
-            Ok
-              (Nt_core.Live_feed.create ~obs ?speedup ~slice_s:slice ~workload ~start:sim_start
-                 ~stop:sim_stop ())
-          in
-          match rest with
-          | "campus" -> mk Nt_core.Live_feed.Campus
-          | "eecs" -> mk Nt_core.Live_feed.Eecs
-          | w -> Error (Printf.sprintf "unknown workload %S (campus or eecs)" w))
-      | _ -> Error (Printf.sprintf "unknown source kind %S (trace:, pcap:, tbin:, sim:)" kind))
-  | None ->
-      if Filename.check_suffix s ".pcap" then feed_of_path `Pcap s
-      else if Filename.check_suffix s ".ntb" then feed_of_path `Tbin s
-      else feed_of_path `Trace s
+  if String.starts_with ~prefix:"sim:" s then
+    match String.sub s 4 (String.length s - 4) with
+    | "campus" -> live Nt_core.Live_feed.Campus
+    | "eecs" -> live Nt_core.Live_feed.Eecs
+    | w -> Error (Printf.sprintf "unknown workload %S (campus or eecs)" w)
+  else
+    match Nt_core.Pipeline.source s with
+    | _, "-" -> Error "stdin cannot be tailed; name a file"
+    | Text, path -> Ok (Nt_mon.Feed.trace_tail ~obs path)
+    | Tbin, path -> Ok (Nt_mon.Feed.tbin_tail ~obs path)
+    | Pcap, path -> Ok (Nt_mon.Feed.pcap_tail ~obs path)
 
 let parse_listen s =
   match String.rindex_opt s ':' with
@@ -163,8 +150,9 @@ let source =
         ~doc:
           "Record source: $(b,trace:PATH) (tail a text trace), $(b,pcap:PATH) (tail a pcap \
            capture), $(b,tbin:PATH) (tail an nttb/1 binary trace), or \
-           $(b,sim:campus)/$(b,sim:eecs) (live simulated workload). A bare path picks the \
-           format by extension (.pcap, .ntb, else text).")
+           $(b,sim:campus)/$(b,sim:eecs) (live simulated workload). A bare path is sniffed \
+           by content when nfsmon starts, as nfsstats does: nttb/1 magic means tbin, a pcap \
+           magic means pcap, anything else (a missing file too) text.")
 
 let window =
   Arg.(value & opt float 10. & info [ "window" ] ~docv:"SECONDS" ~doc:"Window length.")

@@ -8,6 +8,8 @@ module Obs = Nt_obs.Obs
 module Pipeline = Nt_core.Pipeline
 
 let run input analyses jobs shard_records lint obs_opts =
+  if Pipeline.refuse_pcap ~tool:"nfsstats" input then 2
+  else
   let obs = Obs.create () in
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
@@ -70,8 +72,8 @@ let input =
     required & pos 0 (some string) None
     & info [] ~docv:"TRACE"
         ~doc:
-          "Input trace: - for stdin (text), a path (format sniffed: .ntb extension or nttb/1 \
-           magic means binary), or an explicit trace:PATH / tbin:PATH.")
+          "Input trace: - for stdin (text), a path (sniffed by content: nttb/1 magic means \
+           binary, text otherwise), or an explicit trace:PATH / tbin:PATH.")
 
 let analyses =
   let kind =

@@ -24,10 +24,12 @@ let default_config =
     alloc_roots =
       [
         "Nt_net.Pcap.read_slice";
+        "Nt_net.Pcap.parse";
         "Nt_net.Tcp_reassembly.push_slice";
         "Nt_rpc.Record_mark.push_slice";
         "Nt_trace.Capture.feed_slice";
         "Nt_trace.Record.parse_slice";
+        "Nt_trace.Record.Decoder.parse";
         "Nt_tbin.Tbin.parse";
       ];
     acc_prefixes = [ "Nt_analysis"; "Nt_lint"; "Nt_mon" ];

@@ -19,8 +19,6 @@ type state = {
   mutable flushed : bool;
 }
 
-let describe = function Campus -> "sim:campus" | Eecs -> "sim:eecs"
-
 (* With pacing, the simulation may only advance to the sim-time the
    wall clock has "earned" since the anchor. *)
 let allowed_horizon st =
@@ -95,4 +93,4 @@ let create ?obs ?(email = Email.default_config) ?(research = Research.default_co
       flushed = false;
     }
   in
-  Nt_mon.Feed.of_fn ~describe:(describe workload) (pull st)
+  Nt_mon.Feed.of_fn (pull st)

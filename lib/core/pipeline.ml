@@ -196,27 +196,41 @@ let eecs_degraded ?config ?seed ?mangle_flips ~plan ~start ~stop () =
 
 (* --- trace sources --- *)
 
+type format = Text | Tbin | Pcap
+
+let source spec =
+  let prefixed = List.find_opt (fun (p, _) -> String.starts_with ~prefix:p spec) in
+  match prefixed [ ("trace:", Text); ("tbin:", Tbin); ("pcap:", Pcap) ] with
+  | Some (p, format) -> (format, String.sub spec (String.length p) (String.length spec - String.length p))
+  | None when String.equal spec "-" -> (Text, spec)
+  | None ->
+      (* a file too short for either magic (or unreadable) is text *)
+      let read ic = In_channel.really_input_string ic (String.length Nt_tbin.magic) in
+      let head = try In_channel.with_open_bin spec read with Sys_error _ -> None in
+      let head = Option.value head ~default:"" in
+      if String.starts_with ~prefix:Nt_tbin.magic head then (Tbin, spec)
+      else if Nt_net.Pcap.has_magic head then (Pcap, spec)
+      else (Text, spec)
+
+let pcap_note path = path ^ " is a pcap capture; decode it with nfstrace first"
+
+let refuse_pcap ~tool spec =
+  match source spec with
+  | Pcap, path ->
+      Printf.eprintf "%s: %s\n%!" tool (pcap_note path);
+      true
+  | (Text | Tbin), _ -> false
+
 type source_stats = { rejected : int; tbin : Nt_tbin.stats option }
 
 let iter_trace ?obs spec f =
-  let text ic =
-    let rejected = ref 0 in
-    Seq.iter f (Nt_trace.Record.read_channel ~rejected ic);
-    { rejected = !rejected; tbin = None }
-  in
+  let text ic = { rejected = Nt_trace.Record.iter_channel ic f; tbin = None } in
   let tbin ic = { rejected = 0; tbin = Some (Nt_tbin.iter_channel ?obs ic f) } in
-  let file = In_channel.with_open_bin in
-  let after p = String.sub spec (String.length p) (String.length spec - String.length p) in
-  if String.equal spec "-" then text stdin
-  else if String.starts_with ~prefix:"trace:" spec then file (after "trace:") text
-  else if String.starts_with ~prefix:"tbin:" spec then file (after "tbin:") tbin
-  else if String.ends_with ~suffix:".ntb" spec then file spec tbin
-  else
-    file spec (fun ic ->
-        (* sniff the 7-byte nttb magic *)
-        let head = In_channel.really_input_string ic (String.length Nt_tbin.magic) in
-        seek_in ic 0;
-        if head = Some Nt_tbin.magic then tbin ic else text ic)
+  match source spec with
+  | Text, "-" -> text stdin
+  | Text, path -> In_channel.with_open_bin path text
+  | Tbin, path -> In_channel.with_open_bin path tbin
+  | Pcap, path -> invalid_arg (pcap_note path)
 
 let skipped_notes ~tool src =
   let note n what = if n > 0 then [ Printf.sprintf "%s: %d %s" tool n what ] else [] in
@@ -228,13 +242,9 @@ let skipped_notes ~tool src =
         (Printf.sprintf "damaged tbin frames skipped (%d bytes)" st.Nt_tbin.skipped_bytes)
   | None -> []
 
-let load_trace ?obs ?(tick = fun () -> ()) ?rejected spec =
+let load_trace ?obs ?rejected spec =
   let acc = ref [] in
-  let src =
-    iter_trace ?obs spec (fun r ->
-        tick ();
-        acc := r :: !acc)
-  in
+  let src = iter_trace ?obs spec (fun r -> acc := r :: !acc) in
   Option.iter (fun n -> n := !n + src.rejected) rejected;
   List.rev !acc
 

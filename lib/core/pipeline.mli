@@ -156,6 +156,18 @@ val eecs_degraded :
 
 (** {1 Trace sources} *)
 
+type format = Text | Tbin | Pcap
+
+val source : string -> format * string
+(** The one source-spec parser, shared with nfsmon: the format and the
+    path. [-] is text on stdin, [trace:], [tbin:] and [pcap:] name the
+    format, and a bare path is sniffed by content: the nttb/1 magic, any
+    of the four pcap magics, else (an unreadable file too) text. *)
+
+val refuse_pcap : tool:string -> string -> bool
+(** True, after printing ["<tool>: PATH is a pcap capture; decode it
+    with nfstrace first"] on stderr, when the spec names a pcap. *)
+
 type source_stats = {
   rejected : int;  (** malformed text lines skipped *)
   tbin : Nt_tbin.stats option;  (** the decoder's stats, for tbin input *)
@@ -163,12 +175,10 @@ type source_stats = {
 
 val iter_trace :
   ?obs:Nt_obs.Obs.t -> string -> (Nt_trace.Record.t -> unit) -> source_stats
-(** Stream a trace from a source spec through [f] without holding it:
-    [-] reads text from stdin; [trace:PATH] / [tbin:PATH] force the
-    format; a bare path is sniffed ([.ntb] extension or the [nttb/1]
-    magic mean binary, text otherwise). What cannot be decoded is
-    counted, never raised ([tbin.*] on [obs] too); [Sys_error] if the
-    file cannot be read. *)
+(** Stream a text or tbin trace from a source spec (see {!source})
+    through [f] without holding it. What cannot be decoded is counted,
+    never raised ([tbin.*] on [obs] too); [Sys_error] if the file
+    cannot be read, [Invalid_argument] for a pcap capture. *)
 
 val skipped_notes : tool:string -> source_stats -> string list
 (** The stderr lines for skipped input, each only when N > 0:
@@ -176,14 +186,9 @@ val skipped_notes : tool:string -> source_stats -> string list
     ["<tool>: N damaged tbin frames skipped (B bytes)"] with N the
     {!Nt_tbin.failures} and B the bytes passed over. *)
 
-val load_trace :
-  ?obs:Nt_obs.Obs.t ->
-  ?tick:(unit -> unit) ->
-  ?rejected:int ref ->
-  string ->
-  Nt_trace.Record.t list
-(** {!iter_trace} into a list. [tick] fires once per record for
-    progress meters; malformed text lines are added to [rejected]. *)
+val load_trace : ?obs:Nt_obs.Obs.t -> ?rejected:int ref -> string -> Nt_trace.Record.t list
+(** {!iter_trace} into a list; malformed text lines are added to
+    [rejected]. *)
 
 val analyze_stream :
   ?obs:Nt_obs.Obs.t ->

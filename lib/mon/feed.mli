@@ -3,14 +3,16 @@
     A feed is a pull interface that never blocks and never raises from
     [pull]: it yields a record, reports that nothing is available right
     now ([`Idle] — the service applies backoff), or reports that the
-    source is finished ([`Closed]). File feeds {e tail}: at end of file
-    they return [`Idle] and pick up new bytes on the next pull, they
-    survive the file not existing yet, and they detect truncation
-    (log rotation) and reopen from the start. Every anomaly lands in a
-    counter on the feed's registry, never in an exception:
+    source is finished ([`Closed]). File feeds {e tail} through the
+    format's decoder, the one the batch readers drive, and answer
+    [`Idle] only once no unread byte remains. They survive the file not
+    existing yet, and a truncation or rotation restarts the stream as
+    [seek 0] does. Every anomaly lands in a counter on the feed's
+    registry, never in an exception:
 
-    - [mon.feed.parse_errors] — malformed trace lines / pcap frames
-    - [mon.feed.reopens] — truncation-triggered reopens
+    - [mon.feed.parse_errors] — the decoder's failures: malformed trace
+      lines, damaged tbin frames, pcap resyncs and truncated tails
+    - [mon.feed.reopens] — truncation- or rotation-triggered restarts
     - [mon.feed.open_failures] — the path could not be opened (yet)
 
     File feeds expose a {e position}: the byte offset such that
@@ -26,19 +28,18 @@ val pull : t -> pull_result
 
 val pos : t -> int64 option
 (** Checkpointable resume offset; [None] for feeds that cannot seek
-    (simulator, in-memory). For the pcap tail this is the offset of the
-    next undecoded pcap record — capture pairing state is rebuilt from
-    the replayed suffix. *)
+    (simulator, in-memory). For the pcap tail this is the offset just
+    past the pcap record that completed the last delivered record —
+    capture pairing state is rebuilt from the replayed suffix. *)
 
 val seek : t -> int64 -> bool
-(** Resume at a checkpointed offset; false when unsupported or the
-    seek failed (the feed then restarts from its natural start). *)
+(** Resume at a checkpointed offset; false when unsupported. A file
+    tail restarts its decoder there (the pcap tail re-reads the global
+    header first) and reads on from it. *)
 
-val describe : t -> string
 val close : t -> unit
 
 val of_fn :
-  ?describe:string ->
   ?pos:(unit -> int64 option) ->
   ?seek:(int64 -> bool) ->
   ?close:(unit -> unit) ->
@@ -50,19 +51,17 @@ val of_records : Nt_trace.Record.t Seq.t -> t
 (** In-memory feed for tests; [`Closed] once exhausted. *)
 
 val trace_tail : ?obs:Nt_obs.Obs.t -> string -> t
-(** Tail a text trace (one {!Nt_trace.Record.t} line each). Only
-    complete (newline-terminated) lines are consumed, so a writer
-    caught mid-line never produces a parse error or a lost record. *)
+(** Tail a text trace through {!Nt_trace.Record.Decoder}. A line is
+    consumed only once its newline arrives, so a writer caught mid-line
+    never produces a parse error or a lost record. *)
 
 val pcap_tail : ?obs:Nt_obs.Obs.t -> string -> t
-(** Tail a pcap capture, decoding frames through the capture engine as
-    complete pcap records arrive (both endiannesses, micro- and
-    nanosecond variants). Frames held back mid-write are picked up on
-    the next pull. *)
+(** Tail a pcap capture through {!Nt_net.Pcap}'s salvage mode — a
+    damaged capture decodes as under [nfstrace --salvage] — and the
+    capture engine. A restart finishes the old capture, so its
+    unanswered calls emit as they do at close, and starts a fresh one. *)
 
 val tbin_tail : ?obs:Nt_obs.Obs.t -> string -> t
-(** Tail an nttb/1 binary trace (see {!Nt_tbin}), decoding complete
-    frames as they arrive. Decode failures are counted (mirrored onto
-    [mon.feed.parse_errors] besides the decoder's own [tbin.*]
-    counters), and the reported position replays at frame granularity:
-    at-least-once, never lossy. *)
+(** Tail an nttb/1 binary trace (see {!Nt_tbin}) through its decoder,
+    reading straight into the decoder's window. The reported position
+    replays at frame granularity: at-least-once, never lossy. *)

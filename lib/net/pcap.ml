@@ -59,8 +59,6 @@ let write w ~time data =
 
 type slice = { time : float; orig_len : int; buf : string; off : int; len : int }
 
-type source = From_string | From_channel of in_channel
-
 type read_stats = {
   records : int;
   salvaged : int;
@@ -69,21 +67,25 @@ type read_stats = {
   truncated_tail : bool;
 }
 
-(* Loss accounting lives on the obs registry (capture.* namespace);
-   [read_stats] reads the counters back so existing callers see the
-   same numbers a --metrics snapshot reports. *)
+(* One parser, [next], serves both drivers: a channel reader refills
+   [win] in place ([read_slice]), the monitor's tail pushes file bytes
+   into it ([parse]), and a string reader's window is the input itself.
+   [next] answers [More] whenever the verdict depends on bytes not read
+   yet; only [eof] makes a short tail a truncation. Loss accounting
+   lives on the obs registry (capture.* namespace); [read_stats] reads
+   it back. *)
 type reader = {
-  source : source;
-  (* Bytes read but not yet consumed are [buf.[lo .. hi-1]]. A channel
-     reader refills one buffer in place, growing it only to fit the
-     largest record; a string reader's buffer is the input itself and is
-     never written. *)
-  mutable buf : Bytes.t;
-  mutable lo : int;
-  mutable hi : int;
-  big_endian : bool;
-  nanosecond : bool;
+  ic : in_channel option;
+  win : Window.t;
+  mutable eof : bool;  (* no byte will follow the window's *)
+  mutable header_ok : bool;
+  mutable big_endian : bool;
+  mutable nanosecond : bool;
   salvage : bool;
+  mutable scanning : bool;  (* resyncing past a rejected record header *)
+  mutable candidate : bool;  (* [head] holds a plausible header not yet double-validated *)
+  mutable resume : int;  (* stream offset to continue at after the global header *)
+  mutable bad_headers : int;
   c_records : Nt_obs.Obs.counter;
   c_salvaged : Nt_obs.Obs.counter;
   c_skipped : Nt_obs.Obs.counter;
@@ -93,36 +95,7 @@ type reader = {
   mutable last_sec : int;  (* timestamp of the last good record, for resync *)
 }
 
-let rec fill r ic n =
-  r.hi - r.lo >= n
-  ||
-  let got = input ic r.buf r.hi (Bytes.length r.buf - r.hi) in
-  got > 0
-  && begin
-       r.hi <- r.hi + got;
-       fill r ic n
-     end
-
-(* Whether [n] unconsumed bytes are buffered, reading more if needed;
-   false only at EOF. Refilling may move the bytes (offsets relative to
-   [lo] survive), which is what invalidates the previous slice. *)
-let available r n =
-  r.hi - r.lo >= n
-  ||
-  match r.source with
-  | From_string -> false
-  | From_channel ic ->
-      if r.lo + n > Bytes.length r.buf then begin
-        let live = r.hi - r.lo in
-        let dst =
-          if n > Bytes.length r.buf then Bytes.create (max n (2 * Bytes.length r.buf)) else r.buf
-        in
-        Bytes.blit r.buf r.lo dst 0 live;
-        r.buf <- dst;
-        r.lo <- 0;
-        r.hi <- live
-      end;
-      fill r ic n
+type step = Got of slice | More | Absurd
 
 let u32 ~be s pos =
   let b0 = Char.code s.[pos] and b1 = Char.code s.[pos + 1] in
@@ -130,56 +103,75 @@ let u32 ~be s pos =
   if be then (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
   else (b3 lsl 24) lor (b2 lsl 16) lor (b1 lsl 8) lor b0
 
-let make_reader ?obs ~salvage source buf ~hi =
-  let obs = match obs with Some o -> o | None -> Nt_obs.Obs.create () in
-  let r0 =
-    {
-      source;
-      buf;
-      lo = 0;
-      hi;
-      big_endian = false;
-      nanosecond = false;
-      salvage;
-      c_records =
-        Nt_obs.Obs.counter obs ~help:"pcap records successfully decoded" "capture.pcap_records";
-      c_salvaged =
-        Nt_obs.Obs.counter obs ~help:"pcap records recovered after resync"
-          "capture.salvaged_records";
-      c_skipped =
-        Nt_obs.Obs.counter obs ~help:"bytes discarded while resyncing or at a cut-off tail"
-          "capture.skipped_bytes";
-      c_resyncs =
-        Nt_obs.Obs.counter obs ~help:"times the salvage scanner re-acquired a record boundary"
-          "capture.resyncs";
-      c_truncated =
-        Nt_obs.Obs.counter obs ~help:"captures that ended mid-record" "capture.truncated_tails";
-      truncated_tail = false;
-      last_sec = 0;
-    }
-  in
-  if not (available r0 24) then raise (Bad_format "missing global header");
-  let hdr = Bytes.unsafe_to_string r0.buf in
-  let try_magic be =
-    let m = u32 ~be hdr r0.lo in
-    if m = magic_us then Some (be, false) else if m = magic_ns then Some (be, true) else None
-  in
-  let big_endian, nanosecond =
-    match try_magic true with
-    | Some r -> r
-    | None -> (
-        match try_magic false with Some r -> r | None -> raise (Bad_format "bad magic number"))
-  in
-  let linktype = u32 ~be:big_endian hdr (r0.lo + 20) in
-  if linktype <> linktype_ethernet then
-    raise (Bad_format (Printf.sprintf "unsupported linktype %d" linktype));
-  { r0 with lo = r0.lo + 24; big_endian; nanosecond }
+let is_magic m = m = magic_us || m = magic_ns
 
+let has_magic s =
+  String.length s >= 4 && (is_magic (u32 ~be:true s 0) || is_magic (u32 ~be:false s 0))
+
+(* Learn byte order and tick unit from the global header at [head].
+   Returns its linktype, or -1 when the magic is unknown (the reader
+   then keeps microsecond little-endian). *)
+let learn_order r ~be =
+  let m = u32 ~be (Bytes.unsafe_to_string r.win.buf) r.win.head in
+  is_magic m
+  && begin
+       r.big_endian <- be;
+       r.nanosecond <- m = magic_ns;
+       true
+     end
+
+let global_header r =
+  if learn_order r ~be:true || learn_order r ~be:false then
+    u32 ~be:r.big_endian (Bytes.unsafe_to_string r.win.buf) (r.win.head + 20)
+  else -1
+
+let make_reader ?obs ~salvage ic win =
+  let obs = match obs with Some o -> o | None -> Nt_obs.Obs.create () in
+  let counter help name = Nt_obs.Obs.counter obs ~help name in
+  {
+    ic;
+    win;
+    eof = false;
+    header_ok = false;
+    big_endian = false;
+    nanosecond = false;
+    salvage;
+    scanning = false;
+    candidate = false;
+    resume = 0;
+    bad_headers = 0;
+    c_records = counter "pcap records successfully decoded" "capture.pcap_records";
+    c_salvaged = counter "pcap records recovered after resync" "capture.salvaged_records";
+    c_skipped =
+      counter "bytes discarded while resyncing or at a cut-off tail" "capture.skipped_bytes";
+    c_resyncs = counter "times the salvage scanner re-acquired a record boundary" "capture.resyncs";
+    c_truncated = counter "captures that ended mid-record" "capture.truncated_tails";
+    truncated_tail = false;
+    last_sec = 0;
+  }
+
+(* The batch readers check the global header up front and raise on it. *)
+let open_reader ?obs ~salvage ic win =
+  let r = make_reader ?obs ~salvage ic win in
+  Option.iter (fun ic -> while Window.length win < 24 && Window.input win ic > 0 do () done) ic;
+  if Window.length win < 24 then raise (Bad_format "missing global header");
+  (match global_header r with
+  | -1 -> raise (Bad_format "bad magic number")
+  | 1 (* Ethernet *) -> ()
+  | linktype -> raise (Bad_format (Printf.sprintf "unsupported linktype %d" linktype)));
+  Window.drop win 24;
+  r.header_ok <- true;
+  r
+
+(* A string reader's window is the input itself, never written. *)
 let reader_of_string ?obs ?(salvage = false) s =
-  make_reader ?obs ~salvage From_string (Bytes.unsafe_of_string s) ~hi:(String.length s)
+  let win = { Window.buf = Bytes.unsafe_of_string s; head = 0; tail = String.length s; pos = 0 } in
+  open_reader ?obs ~salvage None win
 
 let reader_of_channel ?obs ?(salvage = false) ic =
-  make_reader ?obs ~salvage (From_channel ic) (Bytes.create 65536) ~hi:0
+  open_reader ?obs ~salvage (Some ic) (Window.create Window.chunk)
+
+let create ?obs () = make_reader ?obs ~salvage:true None (Window.create Window.chunk)
 
 let read_stats r =
   {
@@ -190,6 +182,9 @@ let read_stats r =
     truncated_tail = r.truncated_tail;
   }
 
+let failures r =
+  Nt_obs.Obs.value r.c_resyncs + Nt_obs.Obs.value r.c_truncated + r.bad_headers
+
 let mark_truncated r =
   if not r.truncated_tail then begin
     r.truncated_tail <- true;
@@ -198,9 +193,15 @@ let mark_truncated r =
 
 (* Everything left is a cut-off tail. *)
 let skip_tail r =
-  Nt_obs.Obs.add r.c_skipped (r.hi - r.lo);
-  r.lo <- r.hi;
+  Nt_obs.Obs.add r.c_skipped (Window.length r.win);
+  Window.drop r.win (Window.length r.win);
   mark_truncated r
+
+(* Too few bytes for the next verdict: wait, or at EOF (a capture cut
+   off while writing a record) count them as a cut-off tail. *)
+let short r =
+  if r.eof && Window.length r.win > 0 then skip_tail r;
+  More
 
 (* A header is plausible when its lengths are frame-sized and its
    fractional timestamp is in range — the resync test applied to each
@@ -219,86 +220,121 @@ let plausible r ~sec ~frac ~incl ~orig_len =
 
 (* The record header [at] bytes past the first unconsumed byte. *)
 let parse_header r at =
-  let be = r.big_endian and s = Bytes.unsafe_to_string r.buf and p = r.lo + at in
+  let be = r.big_endian and s = Bytes.unsafe_to_string r.win.buf and p = r.win.head + at in
   (u32 ~be s p, u32 ~be s (p + 4), u32 ~be s (p + 8), u32 ~be s (p + 12))
 
 let plausible_at r at =
   let sec, frac, incl, orig_len = parse_header r at in
   plausible r ~sec ~frac ~incl ~orig_len
 
-(* Slide the 16-byte header window one byte forward at a time until it
-   holds a plausible record header; everything slid past is counted.
-   False at EOF, where the whole tail is unrecoverable. *)
-let rec resync r =
-  if not (available r 17) then begin
-    skip_tail r;
-    false
-  end
-  else begin
-    r.lo <- r.lo + 1;
-    Nt_obs.Obs.inc r.c_skipped;
-    if plausible_at r 0 then begin
-      Nt_obs.Obs.inc r.c_resyncs;
-      true
-    end
-    else resync r
-  end
-
-(* Consume the record whose header is at [lo]. *)
+(* Consume the record whose header is at [head]. *)
 let accept r ~salvaged =
   let sec, frac, incl, orig_len = parse_header r 0 in
   Nt_obs.Obs.inc r.c_records;
   if salvaged then Nt_obs.Obs.inc r.c_salvaged;
   r.last_sec <- sec;
   let scale = if r.nanosecond then 1e-9 else 1e-6 in
-  let off = r.lo + 16 in
-  r.lo <- off + incl;
-  Some
+  let off = r.win.head + 16 in
+  Window.drop r.win (16 + incl);
+  Got
     { time = Float.of_int sec +. (Float.of_int frac *. scale); orig_len;
-      buf = Bytes.unsafe_to_string r.buf; off; len = incl }
+      buf = Bytes.unsafe_to_string r.win.buf; off; len = incl }
 
-(* Keep resyncing until a plausible header is followed by a full
-   payload that ends at a record boundary — EOF or another plausible
-   header. The double-validation rejects false positives that a single
-   header test lets through (byte patterns inside packet payloads can
-   parse as headers with large lengths and would swallow real records).
-   A rejected candidate is slid past and the scan continues. *)
-let rec salvage_from r =
-  if not (resync r) then None
-  else
-    let _, _, incl, _ = parse_header r 0 in
-    if available r (16 + incl) && ((not (available r (32 + incl))) || plausible_at r (16 + incl))
-    then accept r ~salvaged:true
-    else salvage_from r
-
-let read_slice r =
-  if not (available r 16) then begin
-    (* EOF, or EOF mid-header: a capture cut off while writing a record. *)
-    if r.hi > r.lo then skip_tail r;
-    None
-  end
+(* Decode at most one record. Salvage slides the 16-byte header window
+   one byte at a time until it holds a plausible record header, and
+   accepts that candidate only when a full payload follows it and ends
+   at a record boundary — EOF or another plausible header. The double
+   validation rejects false positives that a single header test lets
+   through (byte patterns inside packet payloads can parse as headers
+   with large lengths and would swallow real records); a rejected
+   candidate is slid past and the scan continues. Everything slid past
+   is counted. [scanning] and [candidate] keep the scan's place while
+   it waits for bytes. *)
+let rec next r =
+  let avail = Window.length r.win in
+  if not r.header_ok then
+    if avail >= 24 then begin
+      if global_header r <> linktype_ethernet then r.bad_headers <- r.bad_headers + 1;
+      r.header_ok <- true;
+      Window.drop r.win 24;
+      if r.resume > r.win.pos then Window.reset_at r.win r.resume;
+      next r
+    end
+    else short r
+  else if r.candidate then validate r
+  else if r.scanning then slide r
+  else if avail < 16 then short r
   else begin
     let sec, frac, incl, orig_len = parse_header r 0 in
-    if incl <= 0x4000000 && ((not r.salvage) || plausible r ~sec ~frac ~incl ~orig_len) then begin
-      if available r (16 + incl) then accept r ~salvaged:false
-      else begin
-        (* EOF mid-packet: truncated final record. *)
-        skip_tail r;
-        None
-      end
+    if incl <= 0x4000000 && ((not r.salvage) || plausible r ~sec ~frac ~incl ~orig_len) then
+      if avail >= 16 + incl then accept r ~salvaged:false else short r
+    else if not r.salvage then Absurd
+    else begin
+      r.scanning <- true;
+      slide r
     end
-    else if not r.salvage then raise (Bad_format "absurd packet length")
-    else salvage_from r
   end
+
+and slide r =
+  if Window.length r.win < 17 then short r
+  else begin
+    Window.drop r.win 1;
+    Nt_obs.Obs.inc r.c_skipped;
+    if plausible_at r 0 then begin
+      Nt_obs.Obs.inc r.c_resyncs;
+      r.candidate <- true;
+      validate r
+    end
+    else slide r
+  end
+
+and validate r =
+  let avail = Window.length r.win in
+  let _, _, incl, _ = parse_header r 0 in
+  if avail < 32 + incl && not r.eof then More
+  else begin
+    r.candidate <- false;
+    if avail >= 16 + incl && (avail < 32 + incl || plausible_at r (16 + incl)) then begin
+      r.scanning <- false;
+      accept r ~salvaged:true
+    end
+    else slide r
+  end
+
+let rec read_slice r =
+  match next r with
+  | Got s -> Some s
+  | Absurd -> raise (Bad_format "absurd packet length")
+  | More when r.eof -> None
+  | More ->
+      (match r.ic with Some ic when Window.input r.win ic > 0 -> () | _ -> r.eof <- true);
+      read_slice r
+
+let window r = r.win
+
+let rec parse r emit =
+  match next r with
+  | Got s ->
+      emit s r.win.pos;
+      parse r emit
+  | More | Absurd -> ()
+
+let reset_at r off =
+  Window.reset_at r.win 0;
+  r.eof <- false;
+  r.header_ok <- false;
+  r.big_endian <- false;
+  r.nanosecond <- false;
+  r.scanning <- false;
+  r.candidate <- false;
+  r.resume <- off;
+  r.truncated_tail <- false;
+  r.last_sec <- 0
 
 let read_next r =
   match read_slice r with
   | None -> None
   | Some s -> Some { time = s.time; orig_len = s.orig_len; data = String.sub s.buf s.off s.len }
-
-let fold r f init =
-  let rec go acc = match read_next r with None -> acc | Some p -> go (f acc p) in
-  go init
 
 let packets r =
   let rec next () = match read_next r with None -> Seq.Nil | Some p -> Seq.Cons (p, next) in

@@ -58,7 +58,7 @@ val read_slice : reader -> slice option
     corrupt record header raises {!Bad_format}; in salvage mode it
     resyncs.
 
-    A channel reader reads into one buffer that grows only to fit the
+    A channel reader reads into one window that grows only to fit the
     largest record; a string reader hands out ranges of the string it
     was given. *)
 
@@ -68,6 +68,30 @@ val read_next : reader -> packet option
 val read_stats : reader -> read_stats
 (** Loss accounting for everything read so far. *)
 
-val fold : reader -> ('a -> packet -> 'a) -> 'a -> 'a
+val has_magic : string -> bool
+(** Whether [s] opens with one of the four pcap magics (either byte
+    order, micro- or nanosecond ticks) — how a bare path is sniffed. *)
+
+(** {1 Pushed decoding}
+
+    The monitor's tail drives the same parser as {!read_slice}: it
+    reads file bytes into {!window} and calls {!parse}. Nothing raises
+    here, and a record still short of bytes waits for them. *)
+
+val create : ?obs:Nt_obs.Obs.t -> unit -> reader
+(** A salvage-mode reader with no source, expecting the global header;
+    an unknown magic or linktype counts in {!failures}. *)
+
+val window : reader -> Window.t
+
+val parse : reader -> (slice -> int -> unit) -> unit
+(** Decode every complete record, with the stream offset past it. *)
+
+val reset_at : reader -> int -> unit
+(** Re-expect the global header at offset 0, then jump to [off]. *)
+
+val failures : reader -> int
+(** Resyncs, unusable global headers and truncated tails so far. *)
+
 val packets : reader -> packet Seq.t
 (** Lazily read remaining packets. The sequence must be consumed once. *)

@@ -642,19 +642,20 @@ let encode_string ?frame_records records =
 
 (* {2 Decoder}
 
-   The decoder owns one input window: unparsed bytes are
-   [win.[head, tail)]. Reads land after [tail] and a parsed frame only
-   advances [head]. When a read would run off the end, the live bytes
-   slide back to 0; the window grows (doubling) only when they still do
-   not fit, so it settles at about one frame plus one read. An
-   uncompressed payload decodes in place, through a cursor over the
-   window. Records never alias it: every string a record holds comes
-   from the atom dictionary, which [load_atoms] copies out.
+   The decoder owns one {!Nt_net.Window}: unparsed bytes are
+   [buf.[head, tail)]. Reads land after [tail] and a parsed frame only
+   advances [head]; the window slides and grows as {!Nt_net.Window}
+   says. An uncompressed payload decodes in place, through a cursor
+   over the window. Records never alias it: every string a record holds
+   comes from the atom dictionary, which [load_atoms] copies out.
 
-   Records go to an [emit] callback as they decode: {!iter_channel}
-   passes its own; {!Decoder.feed} passes [enqueue], which fills the
-   queue {!Decoder.next} drains. [parse] lives at top level so ntcheck
-   can name it as an alloc-hot root. *)
+   Records go to an [emit] callback as they decode, with their replay
+   offset: {!iter_channel} and the monitor's tail pass their own;
+   {!Decoder.feed} passes one that fills the queue {!Decoder.pull}
+   drains. [parse] lives at top level so ntcheck can name it as an
+   alloc-hot root. *)
+
+module Window = Nt_net.Window
 
 (* Failure classes and volumes, counted locally (for {!Decoder.stats})
    and mirrored on the registry. *)
@@ -668,15 +669,11 @@ let k_lost = 6
 let k_trunc = 7
 
 type decoder = {
-  mutable win : Bytes.t;
-  mutable head : int;
-  mutable tail : int;
+  w : Window.t;
   mutable header_ok : bool;
   mutable resyncing : bool;
   mutable finished : bool;
-  mutable consumed : int;
-  queue : (Record.t * int64) Queue.t;
-  enqueue : Record.t -> int64 -> unit;
+  queue : Record.t Queue.t;
   counts : int array;
   counters : Obs.counter array;
 }
@@ -685,28 +682,10 @@ let count d k n =
   Array.unsafe_set d.counts k (Array.unsafe_get d.counts k + n);
   Obs.add (Array.unsafe_get d.counters k) n
 
-(* Make room for [n] more bytes after [tail]. *)
-let make_room d n =
-  if d.tail + n > Bytes.length d.win then begin
-    let live = d.tail - d.head in
-    if live + n > Bytes.length d.win then begin
-      let w = Bytes.create (max (live + n) (2 * Bytes.length d.win)) in
-      Bytes.blit d.win d.head w 0 live;
-      d.win <- w
-    end
-    else Bytes.blit d.win d.head d.win 0 live;
-    d.head <- 0;
-    d.tail <- live
-  end
-
-let drop d n =
-  d.head <- d.head + n;
-  d.consumed <- d.consumed + n
-
 let skip d n =
   if n > 0 then begin
     count d k_skipped n;
-    drop d n
+    Window.drop d.w n
   end
 
 let le32 b off =
@@ -729,11 +708,11 @@ let magic_at b i =
   !k = magic_len
 
 (* index of the first sync marker in [from, tail), or -1 *)
-let find_sync d from =
-  let last = d.tail - sync_len in
+let find_sync (w : Window.t) from =
+  let last = w.tail - sync_len in
   let i = ref from and found = ref (-1) in
   while !found < 0 && !i <= last do
-    if sync_at d.win !i then found := !i else incr i
+    if sync_at w.buf !i then found := !i else incr i
   done;
   !found
 
@@ -766,10 +745,11 @@ let decode_payload d s ~pos ~limit ~frame_start ~frame_end emit =
   with V.Corrupt -> count d k_bad_record 1
 
 let rec parse d emit =
-  let len = d.tail - d.head in
+  let w = d.w in
+  let len = Window.length w in
   if not d.header_ok then begin
     if len >= magic_len then begin
-      if magic_at d.win d.head then drop d magic_len
+      if magic_at w.buf w.head then Window.drop w magic_len
       else begin
         count d k_missing 1;
         d.resyncing <- true
@@ -778,12 +758,12 @@ let rec parse d emit =
       parse d emit
     end
   end
-  else if len >= sync_len && sync_at d.win d.head then begin
+  else if len >= sync_len && sync_at w.buf w.head then begin
     if len >= header_len then begin
-      let flags = Char.code (Bytes.unsafe_get d.win (d.head + sync_len)) in
-      let raw_len = le32 d.win (d.head + sync_len + 1) in
-      let stored_len = le32 d.win (d.head + sync_len + 5) in
-      let sum = le32 d.win (d.head + sync_len + 9) in
+      let flags = Char.code (Bytes.unsafe_get w.buf (w.head + sync_len)) in
+      let raw_len = le32 w.buf (w.head + sync_len + 1) in
+      let stored_len = le32 w.buf (w.head + sync_len + 5) in
+      let sum = le32 w.buf (w.head + sync_len + 9) in
       let compressed = flags land flag_compressed <> 0 in
       let shape_ok =
         flags land lnot flag_compressed = 0
@@ -798,8 +778,8 @@ let rec parse d emit =
       else if len >= header_len + stored_len then begin
         (* nothing writes the window until [parse] returns, so the
            payload is read in place *)
-        let win = Bytes.unsafe_to_string d.win in
-        let at = d.head + header_len in
+        let win = Bytes.unsafe_to_string w.buf in
+        let at = w.head + header_len in
         match
           if compressed then Frame.decompress win ~pos:at ~len:stored_len ~expect:raw_len
           else win
@@ -811,11 +791,10 @@ let rec parse d emit =
             let pos = if compressed then 0 else at in
             if Frame.adler32 s ~pos ~len:raw_len <> sum then frame_damaged d
             else begin
-              let frame_start = Int64.of_int d.consumed in
-              drop d (header_len + stored_len);
+              let frame_start = w.pos in
+              Window.drop w (header_len + stored_len);
               d.resyncing <- false;
-              decode_payload d s ~pos ~limit:(pos + raw_len) ~frame_start
-                ~frame_end:(Int64.of_int d.consumed) emit
+              decode_payload d s ~pos ~limit:(pos + raw_len) ~frame_start ~frame_end:w.pos emit
             end;
             parse d emit
       end
@@ -830,9 +809,9 @@ let rec parse d emit =
       count d k_lost 1;
       d.resyncing <- true
     end;
-    let at = find_sync d (d.head + 1) in
+    let at = find_sync w (w.head + 1) in
     if at >= 0 then begin
-      skip d (at - d.head);
+      skip d (at - w.head);
       parse d emit
     end
     else
@@ -849,17 +828,12 @@ module Decoder = struct
         ~labels:[ ("reason", reason) ]
         ~help:"tbin stream decode failures, by class" "tbin.decode_failure"
     in
-    let queue = Queue.create () in
     {
-      win = Bytes.create 4096;
-      head = 0;
-      tail = 0;
+      w = Window.create 4096;
       header_ok = false;
       resyncing = false;
       finished = false;
-      consumed = 0;
-      queue;
-      enqueue = (fun r off -> Queue.push (r, off) queue);
+      queue = Queue.create ();
       counts = Array.make 8 0;
       counters =
         [|
@@ -874,24 +848,24 @@ module Decoder = struct
         |];
     }
 
+  let window t = t.w
+  let parse = parse
+
   let feed t chunk =
     let n = String.length chunk in
     if (not t.finished) && n > 0 then begin
-      make_room t n;
-      Bytes.blit_string chunk 0 t.win t.tail n;
-      t.tail <- t.tail + n;
-      parse t t.enqueue
+      Window.make_room t.w n;
+      Bytes.blit_string chunk 0 t.w.buf t.w.tail n;
+      t.w.tail <- t.w.tail + n;
+      parse t (fun r _ -> Queue.push r t.queue)
     end
 
-  let next t = Queue.take_opt t.queue
-
-  let pull t =
-    match Queue.take_opt t.queue with Some (r, _) -> Some r | None -> None
+  let pull t = Queue.take_opt t.queue
 
   let finish t =
     if not t.finished then begin
       t.finished <- true;
-      let len = t.tail - t.head in
+      let len = Window.length t.w in
       if len > 0 then begin
         (* the stream ended inside the magic itself; a resync episode
            swallowing the tail was already counted *)
@@ -902,15 +876,11 @@ module Decoder = struct
     end
 
   let reset_at t off =
-    t.head <- 0;
-    t.tail <- 0;
+    Window.reset_at t.w (Int64.to_int off);
     Queue.clear t.queue;
-    t.consumed <- Int64.to_int off;
     t.header_ok <- Int64.compare off 0L > 0;
     t.resyncing <- false;
     t.finished <- false
-
-  let consumed t = Int64.of_int t.consumed
 
   let stats t =
     let c = t.counts in
@@ -927,28 +897,19 @@ module Decoder = struct
 
   let footprint t =
     let queued = Queue.length t.queue in
-    Nt_obs.Footprint.v ~cards:queued ~words:((Bytes.length t.win / 8) + (queued * 32))
+    Nt_obs.Footprint.v ~cards:queued ~words:((Bytes.length t.w.buf / 8) + (queued * 32))
 end
 
 (* {2 Whole-stream helpers} *)
-
-let chunk_size = 65536
 
 (* Reads land straight in the window and records go straight to [f],
    with no chunk copy and no queue. The channel read stays here,
    outside the never-raising [Decoder] surface. *)
 let iter_channel ?obs ic f =
   let d = Decoder.create ?obs () in
-  let emit r (_ : int64) = f r in
-  let rec loop () =
-    make_room d chunk_size;
-    let n = input ic d.win d.tail chunk_size in
-    if n > 0 then begin
-      d.tail <- d.tail + n;
-      parse d emit;
-      loop ()
-    end
-  in
-  loop ();
+  let emit r (_ : int) = f r in
+  while Window.input d.w ic > 0 do
+    parse d emit
+  done;
   Decoder.finish d;
   Decoder.stats d

@@ -89,16 +89,20 @@ module Decoder : sig
 
   val create : ?obs:Nt_obs.Obs.t -> unit -> t
 
-  val feed : t -> string -> unit
+  val window : t -> Nt_net.Window.t
 
-  val next : t -> (Nt_trace.Record.t * int64) option
-  (** Next record plus its replay offset: the end of its frame for the
-      last record of a frame, the frame's start for earlier ones — so
-      resuming a tail from the reported offset is at-least-once at
+  val parse : t -> (Nt_trace.Record.t -> int -> unit) -> unit
+  (** Decode every complete frame in the window, handing each record
+      to the callback with its replay offset: the end of its frame for
+      the last record of a frame, the frame's start for earlier ones —
+      so resuming a tail from the reported offset is at-least-once at
       frame granularity. *)
 
+  val feed : t -> string -> unit
+  (** Copy [chunk] into the window and {!parse} it into a queue. *)
+
   val pull : t -> Nt_trace.Record.t option
-  (** {!next} without the offset. *)
+  (** The next record {!feed} queued. *)
 
   val finish : t -> unit
   (** Mark end of stream: leftover partial-frame bytes are counted as
@@ -108,9 +112,6 @@ module Decoder : sig
   (** Forget buffered bytes and queued records and resume as if the
       stream position were [off] (0 re-expects the magic). Counters
       keep accumulating. *)
-
-  val consumed : t -> int64
-  (** Stream offset of the next unparsed byte. *)
 
   val stats : t -> stats
 

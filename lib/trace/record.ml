@@ -632,16 +632,74 @@ let parse_slice s ~pos ~len =
 
 let of_line line = parse_slice line ~pos:0 ~len:(String.length line)
 
+(* {2 Line decoder}
+
+   The one line scanner, for the batch readers and the monitor's text
+   tail alike: complete lines parse in place in the window, and only
+   [finish] judges a line still waiting for its newline. *)
+
+module Window = Nt_net.Window
+
+let rec newline_byte b i stop =
+  if i >= stop then -1
+  else if Char.equal (Bytes.unsafe_get b i) '\n' then i
+  else newline_byte b (i + 1) stop
+
+(* Index of the first newline in [b.[i, stop)], or -1. Seven bytes at a
+   time: a word XORed with newlines has a zero byte exactly where a
+   newline was, and the zero-byte test never misses one (it may flag a
+   byte above a real zero, which the byte scan then sorts out). *)
+let rec newline b i stop =
+  if i + 8 > stop then newline_byte b i stop
+  else
+    let x = Int64.to_int (Bytes.get_int64_le b i) land 0xFF_FFFF_FFFF_FFFF lxor 0x0A_0A0A_0A0A_0A0A in
+    if (x - 0x01_0101_0101_0101) land lnot x land 0x80_8080_8080_8080 = 0 then newline b (i + 7) stop
+    else
+      let j = newline_byte b i (i + 7) in
+      if j >= 0 then j else newline b (i + 7) stop
+
+module Decoder = struct
+  type t = { w : Window.t; mutable rejected : int }
+
+  let create () = { w = Window.create Window.chunk; rejected = 0 }
+  let window d = d.w
+  let rejected d = d.rejected
+
+  (* Consume the [len]-byte line at [head] and [skip] terminator bytes. *)
+  let take_line d c emit len ~skip =
+    let w = d.w in
+    let pos = w.head in
+    Window.drop w (len + skip);
+    if len > 0 then
+      match parse_fields c (Bytes.unsafe_to_string w.buf) pos (pos + len) with
+      | r -> emit r w.pos
+      | exception Malformed _ -> d.rejected <- d.rejected + 1
+
+  let rec parse_lines d c emit =
+    let w = d.w in
+    let i = newline w.buf w.head w.tail in
+    if i >= 0 then begin
+      take_line d c emit (i - w.head) ~skip:1;
+      parse_lines d c emit
+    end
+
+  let parse d emit = parse_lines d (Domain.DLS.get cursors) emit
+
+  let finish d emit =
+    parse d emit;
+    take_line d (Domain.DLS.get cursors) emit (Window.length d.w) ~skip:0
+end
+
+let iter_channel ic f =
+  let d = Decoder.create () in
+  let emit r (_ : int) = f r in
+  while Window.input d.w ic > 0 do
+    Decoder.parse d emit
+  done;
+  Decoder.finish d emit;
+  d.rejected
+
 let read_channel ?(rejected = ref 0) ic =
-  let rec next () =
-    match input_line ic with
-    | exception End_of_file -> Seq.Nil
-    | "" -> next ()
-    | line -> (
-        match of_line line with
-        | Ok r -> Seq.Cons (r, next)
-        | Error _ ->
-            incr rejected;
-            next ())
-  in
-  next
+  let acc = ref [] in
+  rejected := !rejected + iter_channel ic (fun r -> acc := r :: !acc);
+  List.to_seq (List.rev !acc)

@@ -69,6 +69,28 @@ val of_line : string -> (t, string) result
 val write_channel : out_channel -> t Seq.t -> int
 (** Stream records to a channel, one line each; returns the count. *)
 
+(** {1 Reading} *)
+
+(** The one line decoder, working as {!Nt_tbin.Decoder} does: every
+    complete line in its window parses in place and reaches [emit] with
+    the stream offset past its newline. Blank lines are skipped and
+    malformed ones counted. Only [finish] parses a line still waiting
+    for its newline. *)
+module Decoder : sig
+  type record := t
+  type t
+
+  val create : unit -> t
+  val window : t -> Nt_net.Window.t
+  val parse : t -> (record -> int -> unit) -> unit
+  val finish : t -> (record -> int -> unit) -> unit
+  val rejected : t -> int
+end
+
+val iter_channel : in_channel -> (t -> unit) -> int
+(** Decode a whole channel through [f]; returns the number of
+    malformed lines skipped. *)
+
 val read_channel : ?rejected:int ref -> in_channel -> t Seq.t
-(** Lazily parse records. Empty lines are skipped; each malformed line
-    is skipped and counted in [rejected]. *)
+(** The records of {!iter_channel}, read in full before the sequence is
+    returned; malformed lines are added to [rejected]. *)

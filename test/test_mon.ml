@@ -410,76 +410,168 @@ let test_trace_tail_partial_lines () =
       close_out oc;
       Feed.close f)
 
+(* --- file tails over every format --- *)
+
+let campus_start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0
+let campus_config = { Nt_workload.Email.default_config with users = 2 }
+
+let campus_records () =
+  let acc = ref [] in
+  ignore
+    (Nt_core.Pipeline.simulate_campus ~config:campus_config ~start:campus_start
+       ~stop:(campus_start +. 300.) ~sink:(fun r -> acc := r :: !acc) ()
+      : Nt_core.Pipeline.run_stats);
+  List.rev !acc
+
+let campus_pcap () =
+  let buf = Buffer.create 65536 in
+  let (_ : Nt_core.Pipeline.pcap_stats) =
+    Nt_core.Pipeline.campus_to_pcap ~config:campus_config ~start:campus_start
+      ~stop:(campus_start +. 300.) ~writer:(Nt_net.Pcap.writer_to_buffer buf) ()
+  in
+  Buffer.contents buf
+
+(* What one whole-file capture emits while the pcap streams through,
+   and then what [finish] flushes (the calls that never got a reply). *)
+let capture_lines ?salvage pcap =
+  let out = ref [] in
+  let cap = Nt_trace.Capture.create ~emit:(fun r -> out := Record.to_line r :: !out) () in
+  Nt_trace.Capture.feed_pcap cap (Nt_net.Pcap.reader_of_string ?salvage pcap);
+  let streamed = List.rev !out in
+  out := [];
+  ignore (Nt_trace.Capture.finish cap : Nt_trace.Capture.stats * Record.t list);
+  (streamed, List.rev !out)
+
+(* Every record the feed has ready, as text lines. *)
+let drain_lines f =
+  let rec go acc =
+    match Feed.pull f with
+    | `Record r -> go (Record.to_line r :: acc)
+    | `Idle | `Closed -> List.rev acc
+  in
+  go []
+
+(* Append [data] to [path] in [chunk]-byte writes, draining the feed
+   after each, so units arrive split across reads. *)
+let grow_lines ~chunk path f data =
+  let oc = open_out_gen [ Open_append; Open_binary; Open_creat ] 0o644 path in
+  let n = String.length data in
+  let rec grow i acc =
+    if i >= n then List.concat (List.rev acc)
+    else begin
+      let len = min chunk (n - i) in
+      output_string oc (String.sub data i len);
+      flush oc;
+      grow (i + len) (drain_lines f :: acc)
+    end
+  in
+  let got = grow 0 [] in
+  close_out oc;
+  got
+
 let test_trace_tail_truncation_reopen () =
-  with_tmp "ntmon_trunc_test.trace" (fun path ->
-      let records = gen_records ~seed:11 6 in
-      let line r = Record.to_line r ^ "\n" in
-      let oc = open_out path in
-      List.iteri (fun i r -> if i < 3 then output_string oc (line r)) records;
-      close_out oc;
-      let obs = Obs.create () in
-      let f = Feed.trace_tail ~obs path in
-      let rec drain acc =
-        match Feed.pull f with `Record _ -> drain (acc + 1) | _ -> acc
-      in
-      cki "first three" 3 (drain 0);
-      (* rotate as logrotate's copytruncate does: truncate to empty,
-         then the writer resumes appending *)
-      let oc = open_out path in
-      close_out oc;
-      (match Feed.pull f with
-      | `Idle -> ()
-      | _ -> Alcotest.fail "expected idle at rotation");
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      List.iteri (fun i r -> if i >= 3 then output_string oc (line r)) records;
-      close_out oc;
-      cki "three more after reopen" 3 (drain 0);
-      let snap = Obs.snapshot obs in
-      cki "reopen counted" 1 (Obs.sum_counter snap "mon.feed.reopens");
-      Feed.close f)
+  (* Rotate as logrotate's copytruncate does: truncate to empty, then
+     the writer starts a fresh stream (with its own magic or global
+     header). The reopen is a seek to 0: the tail must deliver exactly
+     the new stream, decode it without a failure and report a position
+     inside the new file. A pcap tail first flushes the old capture's
+     unanswered calls, as it does at close. *)
+  let records = campus_records () in
+  let half = List.length records / 2 in
+  let first = List.filteri (fun i _ -> i < half) records in
+  let second = List.filteri (fun i _ -> i >= half) records in
+  let text rs = String.concat "" (List.map (fun r -> Record.to_line r ^ "\n") rs) in
+  let tbin rs = Nt_tbin.encode_string ~frame_records:16 rs in
+  let lines rs = List.map Record.to_line rs in
+  let pcap = campus_pcap () in
+  let streamed, flushed = capture_lines pcap in
+  List.iter
+    (fun (name, (tail : ?obs:Obs.t -> string -> Feed.t), a, want_a, want_flush, b, want_b) ->
+      with_tmp ("ntmon_reopen_test." ^ name) (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc a);
+          let obs = Obs.create () in
+          let f = tail ?obs:(Some obs) path in
+          Alcotest.(check (list string)) (name ^ ": first stream") want_a (drain_lines f);
+          Out_channel.with_open_bin path (fun _ -> ());
+          Alcotest.(check (list string)) (name ^ ": at rotation") want_flush (drain_lines f);
+          Alcotest.(check (list string))
+            (name ^ ": fresh stream") want_b
+            (grow_lines ~chunk:4096 path f b);
+          let snap = Obs.snapshot obs in
+          cki (name ^ ": reopen counted") 1 (Obs.sum_counter snap "mon.feed.reopens");
+          cki (name ^ ": no decode failure") 0 (Obs.sum_counter snap "mon.feed.parse_errors");
+          ckb (name ^ ": pos inside the new file") true
+            (match Feed.pos f with
+            | Some p -> Int64.compare p (Int64.of_int (String.length b)) <= 0
+            | None -> false);
+          Feed.close f))
+    [
+      ("trace", Feed.trace_tail, text first, lines first, [], text second, lines second);
+      ("tbin", Feed.tbin_tail, tbin first, lines first, [], tbin second, lines second);
+      ("pcap", Feed.pcap_tail, pcap, streamed, flushed, pcap, streamed);
+    ]
+
+(* Overwrite the incl_len of every [every]-th pcap record header with
+   60,000: more than the frame holds, so only a salvaging reader finds
+   the record after it. *)
+let damage_pcap pcap ~every =
+  let b = Bytes.of_string pcap in
+  let rec walk off i hits =
+    if off + 16 > Bytes.length b then hits
+    else begin
+      let incl = Int32.to_int (Bytes.get_int32_le b (off + 8)) in
+      let hit = i > 0 && i mod every = 0 in
+      if hit then Bytes.set_int32_le b (off + 8) 60_000l;
+      walk (off + 16 + incl) (i + 1) (if hit then hits + 1 else hits)
+    end
+  in
+  let hits = walk 24 0 0 in
+  (Bytes.to_string b, hits)
 
 let test_pcap_tail_matches_capture () =
-  (* The tail hands Capture frames as slices of its pending bytes, while
-     the file grows 1000 bytes at a time so jumbo frames arrive split
-     across reads: the records must be those of one whole-file capture. *)
-  with_tmp "ntmon_tail_test.pcap" (fun path ->
-      let buf = Buffer.create 65536 in
-      let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
-      let config = { Nt_workload.Email.default_config with users = 2 } in
-      let (_ : Nt_core.Pipeline.pcap_stats) =
-        Nt_core.Pipeline.campus_to_pcap ~config ~start ~stop:(start +. 300.)
-          ~writer:(Nt_net.Pcap.writer_to_buffer buf) ()
-      in
-      let pcap = Buffer.contents buf in
-      let want = ref [] in
-      let cap = Nt_trace.Capture.create ~emit:(fun r -> want := Record.to_line r :: !want) () in
-      Nt_trace.Capture.feed_pcap cap (Nt_net.Pcap.reader_of_string pcap);
+  (* The tail hands Capture frames as slices of its window, while the
+     file grows 1000 bytes at a time so jumbo frames arrive split
+     across reads: the records must be those of one whole-file capture.
+     The damaged copy must decode as the salvaging batch reader
+     decodes it. *)
+  let pcap = campus_pcap () in
+  let damaged, hits = damage_pcap pcap ~every:500 in
+  ckb "headers damaged" true (hits >= 3);
+  List.iter
+    (fun (name, data, salvage) ->
+      with_tmp ("ntmon_tail_test." ^ name ^ ".pcap") (fun path ->
+          let want, _ = capture_lines ~salvage data in
+          let obs = Obs.create () in
+          let f = Feed.pcap_tail ~obs path in
+          let got = grow_lines ~chunk:1000 path f data in
+          ckb (name ^ ": records streamed") true (List.length got > 50);
+          Alcotest.(check (list string)) (name ^ ": tail = whole-file capture") want got;
+          cki (name ^ ": every byte read") (String.length data)
+            (Obs.sum_counter (Obs.snapshot obs) "mon.feed.bytes");
+          Feed.close f))
+    [ ("clean", pcap, false); ("damaged", damaged, true) ]
+
+let test_tbin_tail_matches_iter_channel () =
+  (* A tbin file growing in 1000-byte writes: frames arrive split across
+     reads, and the tail must deliver exactly what the batch reader
+     decodes, ending at the file's last byte. *)
+  with_tmp "ntmon_tail_test.ntb" (fun path ->
+      let data = Nt_tbin.encode_string ~frame_records:64 (campus_records ()) in
       let obs = Obs.create () in
-      let f = Feed.pcap_tail ~obs path in
-      let got = ref [] in
-      let rec drain () =
-        match Feed.pull f with
-        | `Record r ->
-            got := Record.to_line r :: !got;
-            drain ()
-        | `Idle | `Closed -> ()
+      let f = Feed.tbin_tail ~obs path in
+      let got = grow_lines ~chunk:1000 path f data in
+      let want = ref [] in
+      let st =
+        In_channel.with_open_bin path (fun ic ->
+            Nt_tbin.iter_channel ic (fun r -> want := Record.to_line r :: !want))
       in
-      let oc = open_out_bin path in
-      let n = String.length pcap in
-      let rec grow i =
-        if i < n then begin
-          let len = min 1000 (n - i) in
-          output_string oc (String.sub pcap i len);
-          flush oc;
-          drain ();
-          grow (i + len)
-        end
-      in
-      grow 0;
-      close_out oc;
-      ckb "records streamed" true (List.length !got > 50);
-      Alcotest.(check (list string)) "tail = whole-file capture" (List.rev !want) (List.rev !got);
-      cki "every byte parsed" n (Obs.sum_counter (Obs.snapshot obs) "mon.feed.bytes");
+      ckb "records streamed" true (List.length got > 50);
+      cki "batch decode clean" 0 (Nt_tbin.failures st);
+      Alcotest.(check (list string)) "tail = iter_channel" (List.rev !want) got;
+      let snap = Obs.snapshot obs in
+      cki "no decode failure" 0 (Obs.sum_counter snap "mon.feed.parse_errors");
+      cki "every byte read" (String.length data) (Obs.sum_counter snap "mon.feed.bytes");
+      ckb "pos at end of file" true (Feed.pos f = Some (Int64.of_int (String.length data)));
       Feed.close f)
 
 let test_trace_tail_chunks_match_read_channel () =
@@ -560,6 +652,29 @@ let test_feed_seek_replays_suffix () =
       (match (rest, List.filteri (fun i _ -> i >= 5) records) with
       | r1 :: _, r2 :: _ -> Alcotest.(check (float 0.)) "same first record" r2.Record.time r1.Record.time
       | _ -> Alcotest.fail "empty suffix");
+      Feed.close f2);
+  (* A pcap tail resumed mid-capture reads the global header again,
+     then decodes the suffix as a capture of header + suffix would. *)
+  with_tmp "ntmon_seek_test.pcap" (fun path ->
+      let pcap = campus_pcap () in
+      Out_channel.with_open_bin path (fun oc -> output_string oc pcap);
+      let f = Feed.pcap_tail path in
+      for _ = 1 to 500 do
+        match Feed.pull f with `Record _ -> () | _ -> Alcotest.fail "expected record"
+      done;
+      let pos = match Feed.pos f with Some p -> Int64.to_int p | None -> Alcotest.fail "no pos" in
+      Feed.close f;
+      let obs = Obs.create () in
+      let f2 = Feed.pcap_tail ~obs path in
+      ckb "pcap seek ok" true (Feed.seek f2 (Int64.of_int pos));
+      let n = String.length pcap in
+      let want, _ = capture_lines (String.sub pcap 0 24 ^ String.sub pcap pos (n - pos)) in
+      Alcotest.(check (list string)) "pcap suffix" want (drain_lines f2);
+      let snap = Obs.snapshot obs in
+      (* the header costs one read; the prefix is not read again *)
+      ckb "header read, then the suffix" true
+        (Obs.sum_counter snap "mon.feed.bytes" - (n - pos) <= 65536);
+      cki "pcap resume clean" 0 (Obs.sum_counter snap "mon.feed.parse_errors");
       Feed.close f2)
 
 (* --- Checkpoint --- *)
@@ -837,6 +952,7 @@ let () =
             test_trace_tail_chunks_match_read_channel;
           Alcotest.test_case "pcap tail matches a whole-file capture" `Quick
             test_pcap_tail_matches_capture;
+          Alcotest.test_case "tbin tail = iter_channel" `Quick test_tbin_tail_matches_iter_channel;
           Alcotest.test_case "seek replays suffix" `Quick test_feed_seek_replays_suffix;
         ] );
       ( "checkpoint",

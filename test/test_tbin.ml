@@ -207,27 +207,28 @@ let decode_channel s =
       in
       (st, List.rev !out))
 
+(* Copy [s.[pos, pos+len)] into the decoder's window, as the monitor's
+   tail reads a file into it, and decode it: records reach [out] with
+   their replay offsets. *)
+let push_window d out s pos len =
+  let w = Tbin.Decoder.window d in
+  Nt_net.Window.make_room w len;
+  Bytes.blit_string s pos w.Nt_net.Window.buf w.Nt_net.Window.tail len;
+  w.Nt_net.Window.tail <- w.Nt_net.Window.tail + len;
+  Tbin.Decoder.parse d (fun r off -> out := (r, Int64.of_int off) :: !out)
+
 (* Records with their replay offsets, fed [chunk] bytes at a time. *)
 let decode_offsets chunk s =
   let d = Tbin.Decoder.create () in
   let out = ref [] in
-  let rec go () =
-    match Tbin.Decoder.next d with
-    | Some p ->
-        out := p :: !out;
-        go ()
-    | None -> ()
-  in
   let n = String.length s in
   let pos = ref 0 in
   while !pos < n do
     let len = min chunk (n - !pos) in
-    Tbin.Decoder.feed d (String.sub s !pos len);
-    pos := !pos + len;
-    go ()
+    push_window d out s !pos len;
+    pos := !pos + len
   done;
   Tbin.Decoder.finish d;
-  go ();
   (Tbin.Decoder.stats d, List.rev !out)
 
 let check_roundtrip ?frame_records msg rs =
@@ -509,22 +510,13 @@ let test_offsets_and_reset () =
   let rs = List.init 100 simple in
   let s = Tbin.encode_string ~frame_records:10 rs in
   let d = Tbin.Decoder.create () in
-  Tbin.Decoder.feed d s;
-  Tbin.Decoder.finish d;
   let pairs = ref [] in
-  let rec go () =
-    match Tbin.Decoder.next d with
-    | Some (r, off) ->
-        pairs := (r, off) :: !pairs;
-        go ()
-    | None -> ()
-  in
-  go ();
+  push_window d pairs s 0 (String.length s);
+  Tbin.Decoder.finish d;
   let pairs = List.rev !pairs in
   Alcotest.(check int) "all records delivered" 100 (List.length pairs);
-  Alcotest.(check int64) "consumed the whole stream"
-    (Int64.of_int (String.length s))
-    (Tbin.Decoder.consumed d);
+  Alcotest.(check int) "consumed the whole stream" (String.length s)
+    (Tbin.Decoder.window d).Nt_net.Window.pos;
   let offs = List.map snd pairs in
   List.iteri
     (fun i off ->
@@ -836,6 +828,38 @@ let test_differential_pcap_leg () =
    smaller record count alone. *)
 exception Enough
 
+let test_source_sniffs_content () =
+  (* A bare path is sniffed by its first bytes, never by its name; a
+     prefix names the format outright; a pcap is no trace source. *)
+  let rs = List.init 10 simple in
+  let pcap =
+    let b = Buffer.create 256 in
+    Nt_net.Pcap.write (Nt_net.Pcap.writer_to_buffer b) ~time:1. (String.make 60 'x');
+    Buffer.contents b
+  in
+  let text = String.concat "" (List.map (fun r -> Nt_trace.Record.to_line r ^ "\n") rs) in
+  let module P = Nt_core.Pipeline in
+  with_temp ".trace" (fun tbin_path ->
+      with_temp ".ntb" (fun text_path ->
+          with_temp ".trace" (fun pcap_path ->
+              let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+              write tbin_path (Tbin.encode_string rs);
+              write text_path text;
+              write pcap_path pcap;
+              let format spec = fst (P.source spec) in
+              Alcotest.(check bool) "tbin by magic" true (format tbin_path = P.Tbin);
+              Alcotest.(check bool) "text despite .ntb" true (format text_path = P.Text);
+              Alcotest.(check bool) "pcap by magic" true (format pcap_path = P.Pcap);
+              Alcotest.(check bool) "prefix wins" true
+                (P.source ("tbin:" ^ text_path) = (P.Tbin, text_path));
+              Alcotest.(check bool) "stdin is text" true (P.source "-" = (P.Text, "-"));
+              Alcotest.(check bool) "missing file is text" true (format (pcap_path ^ ".none") = P.Text);
+              Alcotest.(check int) "sniffed tbin loads" 10 (List.length (P.load_trace tbin_path));
+              Alcotest.(check bool) "pcap refused" true
+                (match P.iter_trace pcap_path ignore with
+                | _ -> false
+                | exception Invalid_argument _ -> true))))
+
 let test_damaged_frames_reported () =
   let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
   let config = { Nt_workload.Email.default_config with users = 360; seed = 1L } in
@@ -942,5 +966,6 @@ let () =
           Alcotest.test_case "pcap-derived records via tbin" `Slow test_differential_pcap_leg;
           Alcotest.test_case "damaged frames are reported, not silently dropped" `Slow
             test_damaged_frames_reported;
+          Alcotest.test_case "bare paths are sniffed by content" `Quick test_source_sniffs_content;
         ] );
     ]
