@@ -1433,13 +1433,8 @@ let scale () =
       close_in ic;
       dstats := Some (Nt_tbin.Decoder.stats d)
     in
-    (* A fixed 16k-record chunk keeps peak state identical across the
-       sweep: even the 1x run fills several whole chunks, so the gate
-       compares steady states rather than a partial first chunk
-       against full ones. *)
     let _report, records =
-      Pipeline.analyze_stream ~obs ~jobs:1 ~records_per_shard:16384
-        ~sections:[ `Summary; `Hourly ] produce
+      Pipeline.analyze_stream ~obs ~sections:[ `Summary; `Hourly ] produce
     in
     let an_s = Unix.gettimeofday () -. t1 in
     let stats = Option.get !dstats in

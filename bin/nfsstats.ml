@@ -7,7 +7,7 @@ open Cmdliner
 module Obs = Nt_obs.Obs
 module Pipeline = Nt_core.Pipeline
 
-let run input analyses jobs shard_records lint obs_opts =
+let run input analyses jobs lint obs_opts =
   if Pipeline.refuse_pcap ~tool:"nfsstats" input then 2
   else
   let obs = Obs.create () in
@@ -18,27 +18,25 @@ let run input analyses jobs shard_records lint obs_opts =
     if lint then Some (Nt_lint.Engine.create ~obs Nt_lint.Engine.default_config) else None
   in
   (* one pass over the source: the linter and the report fold see each
-     record as it is decoded, and the trace is never held in memory *)
-  let source = ref { Pipeline.rejected = 0; tbin = None } in
-  let produce push =
-    source :=
-      Pipeline.iter_trace ~obs input (fun r ->
-          Obs_cli.tick prog ~stage:"analyze" 1;
-          Nt_obs.Sampler.tick sampler;
-          (match linter with Some l -> Nt_lint.Engine.observe l r | None -> ());
-          push r)
+     record as it is decoded, and the trace is never held in memory.
+     The meter, the sampler and the linter run on the calling domain;
+     the linter needs every record in order, so it reads one range. *)
+  let tap r =
+    Obs_cli.tick prog ~stage:"analyze" 1;
+    Nt_obs.Sampler.tick sampler;
+    match linter with Some l -> Nt_lint.Engine.observe l r | None -> ()
   in
-  let sections, n =
+  let jobs = if lint then 1 else jobs in
+  let sections, n, source =
     Obs.with_span obs "analyze" (fun () ->
-        Pipeline.analyze_stream ~obs ?timeline ~jobs ~records_per_shard:shard_records
-          ~sections:analyses produce)
+        Pipeline.analyze_trace ~obs ?timeline ~jobs ~tap ~sections:analyses input)
   in
   Obs.add (Obs.counter obs ~help:"trace records loaded" "stats.records") n;
   Obs.add
     (Obs.counter obs ~help:"malformed trace lines skipped" "stats.rejected")
-    !source.rejected;
+    source.rejected;
   Printf.eprintf "nfsstats: %d records loaded\n%!" n;
-  List.iter prerr_endline (Pipeline.skipped_notes ~tool:"nfsstats" !source);
+  List.iter prerr_endline (Pipeline.skipped_notes ~tool:"nfsstats" source);
   Option.iter
     (fun l ->
       List.iter
@@ -84,34 +82,27 @@ let analyses =
     & opt (list kind) [ `Summary ]
     & info [ "a"; "analysis" ] ~docv:"LIST" ~doc:"Analyses to run: summary, runs, names, hourly.")
 
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the runs section's finalize, which classifies the merged I/O log \
-           chunk by chunk (default 1: inline, no domains; 0: the machine's recommended domain \
-           count). The other passes fold the stream as it is read, on the calling domain. The \
-           report text is byte-identical at any setting — chunking and merge order never depend \
-           on it.")
-
-let positive_int =
+let non_negative_int =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n > 0 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | Ok n when n >= 0 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a non-negative integer" n))
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
 
-let shard_records =
+let jobs =
   Arg.(
-    value
-    & opt positive_int Nt_par.Report.default_records_per_shard
-    & info [ "shard-records" ] ~docv:"N"
+    value & opt non_negative_int 1
+    & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Records per analysis chunk; each chunk folds into its own accumulator, merged in \
-           order.")
+          "Cut the trace file into N byte ranges (default 1; 0: the machine's recommended \
+           domain count; at most 64). Each range is decoded and folded into its own \
+           accumulators on a domain of its own, and the ranges merge in file order once all \
+           are read. Text ranges split at line starts; a tbin range owns the frames that start \
+           in it. stdin, pipes, --lint and a file shorter than N bytes read as one range. The \
+           report text, the record count and the skipped-input counts are identical at any \
+           setting.")
 
 let lint =
   Arg.(
@@ -124,6 +115,6 @@ let lint =
 let cmd =
   Cmd.v
     (Cmd.info "nfsstats" ~doc:"Analyze a saved NFS trace")
-    Term.(const run $ input $ analyses $ jobs $ shard_records $ lint $ Obs_cli.term)
+    Term.(const run $ input $ analyses $ jobs $ lint $ Obs_cli.term)
 
 let () = exit (Cmd.eval' cmd)

@@ -41,8 +41,8 @@ val iter_files : t -> (Nt_nfs.Fh.t -> access array -> unit) -> unit
 val sorted_files : t -> (Nt_nfs.Fh.t * access array) array
 (** Every file's accesses in arrival order, as an array sorted by
     {!Nt_nfs.Fh.compare} — a deterministic snapshot independent of hash
-    table iteration order, used to chunk terminal analyses across
-    domains reproducibly. *)
+    table iteration order, so terminal analyses visit files in the same
+    order however the log was merged. *)
 
 val sort_window : float -> access array -> access array * int
 (** [sort_window w accesses] applies the paper's reorder window: each

@@ -17,7 +17,7 @@ type config = {
 
 let default_config =
   {
-    roots = [ "Nt_par__Passes"; "Nt_par__Driver"; "Nt_mon__Service"; "Nt_mon__Feed" ];
+    roots = [ "Nt_par__Passes"; "Nt_core__Pipeline"; "Nt_mon__Service"; "Nt_mon__Feed" ];
     lib_prefixes = [ "Nt_" ];
     decode_prefixes = [ "Nt_xdr"; "Nt_rpc"; "Nt_nfs"; "Nt_net"; "Nt_tbin" ];
     hot_prefixes = [ "Nt_analysis" ];

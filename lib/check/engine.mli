@@ -41,7 +41,9 @@ type config = {
 }
 
 val default_config : config
-(** The shipped tree's configuration: roots in nt_par, Nt_ scopes,
+(** The shipped tree's configuration: roots at the range fold's entry
+    ({!Nt_core.Pipeline}, whose range readers run on worker domains)
+    and the monitor, Nt_ scopes,
     decode scope over xdr/rpc/nfs/net, Test_par registrations, and
     check_fixtures excluded. *)
 

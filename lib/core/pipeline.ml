@@ -223,14 +223,70 @@ let refuse_pcap ~tool spec =
 
 type source_stats = { rejected : int; tbin : Nt_tbin.stats option }
 
-let iter_trace ?obs spec f =
-  let text ic = { rejected = Nt_trace.Record.iter_channel ic f; tbin = None } in
-  let tbin ic = { rejected = 0; tbin = Some (Nt_tbin.iter_channel ?obs ic f) } in
-  match source spec with
-  | Text, "-" -> text stdin
-  | Text, path -> In_channel.with_open_bin path text
-  | Tbin, path -> In_channel.with_open_bin path tbin
-  | Pcap, path -> invalid_arg (pcap_note path)
+let no_stats = { rejected = 0; tbin = None }
+
+let sum_stats a b =
+  {
+    rejected = a.rejected + b.rejected;
+    tbin =
+      (match (a.tbin, b.tbin) with
+      | Some x, Some y -> Some (Nt_tbin.sum x y)
+      | x, None | None, x -> x);
+  }
+
+(* What range [i] of [ranges] read: its stats, the offset it started at
+   and the one it halted in front of (-1: none). Each reader opens its
+   own channel, so ranges can run on any domain. *)
+type range = { src : source_stats; first : int; stop : int }
+
+let read_range format path ~size ~ranges i f =
+  let lo = size * i / ranges in
+  let hi = if i = ranges - 1 then max_int else size * (i + 1) / ranges in
+  let read ic =
+    match format with
+    | Text ->
+        let r = Nt_trace.Record.iter_range ic ~lo ~hi f in
+        { src = { no_stats with rejected = r.rejected }; first = r.first; stop = r.stop }
+    | Tbin ->
+        let r = Nt_tbin.iter_range ic ~lo ~hi f in
+        { src = { no_stats with tbin = Some r.stats }; first = r.first; stop = r.stop }
+    | Pcap -> invalid_arg (pcap_note path)
+  in
+  if String.equal path "-" then read stdin else In_channel.with_open_bin path read
+
+(* The ranges read the whole input exactly once when each one halted
+   where the next one started. *)
+let stitched parts =
+  let rec from i =
+    i + 1 >= Array.length parts || (parts.(i).stop = parts.(i + 1).first && from (i + 1))
+  in
+  from 0
+
+let summed obs parts =
+  let src = Array.fold_left (fun acc p -> sum_stats acc p.src) no_stats parts in
+  Option.iter (Nt_tbin.add_stats obs) src.tbin;
+  src
+
+let iter_trace ?(obs = Obs.null) spec f =
+  let format, path = source spec in
+  summed obs [| read_range format path ~size:0 ~ranges:1 0 f |]
+
+let analyze_trace ?(obs = Obs.null) ?timeline ?(jobs = 1) ?(tap = ignore) ~sections spec =
+  let format, path = source spec in
+  (* stdin and pipes can only be read in order: one range, as is a
+     file too small to cut *)
+  let size =
+    match Unix.stat path with
+    | { Unix.st_kind = S_REG; st_size; _ } when not (String.equal path "-") -> st_size
+    | _ | (exception Unix.Unix_error _) -> 0
+  in
+  let ranges = max 1 (min (Nt_par.Report.range_count jobs) size) in
+  let produce ~ranges i push =
+    let f = if i = 0 then fun r -> tap r; push r else push in
+    read_range format path ~size ~ranges i f
+  in
+  let texts, n, parts = Nt_par.Report.run_ranges ~obs ?timeline ~stitched ~ranges ~sections produce in
+  (texts, n, summed obs parts)
 
 let skipped_notes ~tool src =
   let note n what = if n > 0 then [ Printf.sprintf "%s: %d %s" tool n what ] else [] in
@@ -248,5 +304,5 @@ let load_trace ?obs ?rejected spec =
   Option.iter (fun n -> n := !n + src.rejected) rejected;
   List.rev !acc
 
-let analyze_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce =
-  Nt_par.Report.run_stream ?obs ?timeline ?jobs ?records_per_shard ~sections produce
+let analyze_stream ?obs ?timeline ~sections produce =
+  Nt_par.Report.run_stream ?obs ?timeline ~sections produce

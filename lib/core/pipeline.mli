@@ -176,9 +176,31 @@ type source_stats = {
 val iter_trace :
   ?obs:Nt_obs.Obs.t -> string -> (Nt_trace.Record.t -> unit) -> source_stats
 (** Stream a text or tbin trace from a source spec (see {!source})
-    through [f] without holding it. What cannot be decoded is counted,
-    never raised ([tbin.*] on [obs] too); [Sys_error] if the file
-    cannot be read, [Invalid_argument] for a pcap capture. *)
+    through [f] without holding it: {!analyze_trace}'s reader at one
+    range. What cannot be decoded is counted, never raised, and the
+    [tbin.*] counters land on [obs]; [Sys_error] if the file cannot be
+    read, [Invalid_argument] for a pcap capture. *)
+
+val analyze_trace :
+  ?obs:Nt_obs.Obs.t ->
+  ?timeline:Nt_obs.Timeline.t ->
+  ?jobs:int ->
+  ?tap:(Nt_trace.Record.t -> unit) ->
+  sections:Nt_par.Report.section list ->
+  string ->
+  (Nt_par.Report.section * string) list * int * source_stats
+(** The paper's analyses over a trace file, its bytes cut into
+    {!Nt_par.Report.range_count}[ jobs] (default 1) ranges that each
+    decode and fold on their own domain ({!Nt_par.Report.run_ranges}).
+    stdin, anything but a regular file, and a file shorter than the
+    range count read as one range. Text ranges split at line starts. A tbin range owns the frames
+    whose start lies in it ({!Nt_tbin.iter_range}); if a range did not
+    halt exactly where the next one started, the file is read again as
+    one range. [tap] sees the records read on the calling domain: all
+    of them at one range, range 0's otherwise. Returns the sections,
+    the record count and the ranges' summed stats, whose [tbin.*]
+    counters are added to [obs]. The report, the count and the stats
+    are identical at any [jobs]. Raises as {!iter_trace}. *)
 
 val skipped_notes : tool:string -> source_stats -> string list
 (** The stderr lines for skipped input, each only when N > 0:
@@ -193,12 +215,9 @@ val load_trace : ?obs:Nt_obs.Obs.t -> ?rejected:int ref -> string -> Nt_trace.Re
 val analyze_stream :
   ?obs:Nt_obs.Obs.t ->
   ?timeline:Nt_obs.Timeline.t ->
-  ?jobs:int ->
-  ?records_per_shard:int ->
   sections:Nt_par.Report.section list ->
   ((Nt_trace.Record.t -> unit) -> unit) ->
   (Nt_par.Report.section * string) list * int
 (** The paper's analyses over a pushed record stream (e.g. a simulator
-    sink or {!iter_trace}), folded as records arrive — see
-    {!Nt_par.Report.run_stream}. Byte-identical at any [jobs] and
-    [records_per_shard]. *)
+    sink), folded as records arrive, as one range — see
+    {!Nt_par.Report.run_stream}. *)

@@ -120,8 +120,8 @@ val set_trace_sink : t -> sink option -> unit
 val span_record : t -> string -> seconds:float -> unit
 (** Record one completed span of the given duration without touching
     the registry clock, attributed under the currently open span path.
-    This is how work timed on another domain (e.g. a chunk task in the
-    parallel map) is folded into a single-domain registry: workers
+    This is how work timed on another domain (e.g. a range of the
+    range fold) is folded into a single-domain registry: workers
     measure, the coordinator records. Negative durations clamp to 0. *)
 
 (** {1 Snapshots and exporters} *)

@@ -11,7 +11,7 @@
     {!Obs.sink} so every [Obs.span_open]/[span_close]/[reanchor] is
     mirrored as an event on the creating domain's track. Worker
     domains never touch the shared timeline: they append completed
-    spans into private {!buf}s (one per chunk task) that the
+    spans into private {!buf}s (one per worker) that the
     coordinator {!absorb}s in-order at join — no cross-domain
     mutation, same discipline as [Obs.span_record].
 

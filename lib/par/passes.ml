@@ -1,8 +1,16 @@
 module A = Nt_analysis
 
+type 'a pass = {
+  name : string;
+  init : unit -> 'a;
+  init_shard : unit -> 'a;
+  observe : 'a -> Nt_trace.Record.t -> unit;
+  merge : 'a -> 'a -> 'a;
+}
+
 let summary =
   {
-    Driver.name = "summary";
+    name = "summary";
     init = A.Summary.create;
     init_shard = A.Summary.create;
     observe = A.Summary.observe;
@@ -11,7 +19,7 @@ let summary =
 
 let hourly =
   {
-    Driver.name = "hourly";
+    name = "hourly";
     init = A.Hourly.create;
     init_shard = A.Hourly.create;
     observe = A.Hourly.observe;
@@ -20,7 +28,7 @@ let hourly =
 
 let io_log =
   {
-    Driver.name = "io_log";
+    name = "io_log";
     init = A.Io_log.create;
     init_shard = A.Io_log.create;
     observe = A.Io_log.observe;
@@ -29,21 +37,14 @@ let io_log =
 
 let names =
   {
-    Driver.name = "names";
+    name = "names";
     init = A.Names.create;
     init_shard = A.Names.create_shard;
     observe = A.Names.observe;
     merge = A.Names.merge;
   }
 
-let runs ?obs ?timeline ?(window = 0.01) ?(gap = 30.) ?chunk ~jump_blocks pool log =
-  let files = A.Io_log.sorted_files log in
-  let per_chunk =
-    Driver.map_chunks ?obs ?timeline ?chunk pool ~name:"runs"
-      (fun chunk_files ->
-        List.concat_map
-          (fun (_, accesses) -> A.Runs.analyze_file ~window ~gap ~jump_blocks accesses)
-          (Array.to_list chunk_files))
-      files
-  in
-  List.concat per_chunk
+let runs ?(window = 0.01) ?(gap = 30.) ~jump_blocks log =
+  List.concat_map
+    (fun (_, accesses) -> A.Runs.analyze_file ~window ~gap ~jump_blocks accesses)
+    (Array.to_list (A.Io_log.sorted_files log))

@@ -1,6 +1,7 @@
 module A = Nt_analysis
 module T = Nt_util.Tables
 module Obs = Nt_obs.Obs
+module Timeline = Nt_obs.Timeline
 
 type section = [ `Summary | `Runs | `Names | `Hourly ]
 
@@ -78,35 +79,29 @@ let render_hourly h =
              ])
        (A.Hourly.series h))
 
-let default_records_per_shard = 65536
+(* The range fold. The input is split into ranges that fold
+   independently: range 0 on the calling domain into root
+   accumulators, every later range on a fresh domain of its own into
+   shard-mode ones. A range's records land in a small reused batch;
+   when it fills, every wanted pass observes it, timed per batch. The
+   batch is small so records are observed while still young: a larger
+   one keeps them alive across minor collections and promotes them.
+   Nothing a range touches is shared: its accumulators, batch, timings
+   and trace buffer are its own, and the coordinator reads them only
+   after every domain has joined. Then it records one
+   [par.pass.<name>] span per range, absorbs the trace buffers and
+   left-folds the ranges' accumulators with one [par.merge] span per
+   merge. *)
 
-(* The streaming fold: the producer pushes records and the trace is
-   never held in memory. Each record lands in a small reused batch;
-   when the batch fills, every wanted pass observes it into the current
-   chunk's accumulator, timed per batch. Chunks are exactly
-   [records_per_shard] long — chunk 0 on the root accumulator, later
-   chunks on shard-mode ones, left-fold merges at each boundary, one
-   [par.merge] span per boundary. Each chunk's observe time lands once
-   on [par.pass.<name>]. The batch is small so records are observed
-   while still young: a larger one keeps them alive across minor
-   collections and promotes them. Worker domains exist only for the
-   runs finalize. *)
-
-type 'a fold = {
-  pass : 'a Driver.pass;
-  mutable merged : 'a option;
-  mutable acc : 'a option;  (** the open chunk *)
-  mutable secs : float;  (** the open chunk's observe time *)
-}
-
+type 'a fold = { pass : 'a Passes.pass; mutable merged : 'a option }
 type any_fold = Fold : 'a fold -> any_fold
-
-let fold pass = { pass; merged = None; acc = None; secs = 0. }
+type acc = Acc : 'a fold * 'a -> acc
 
 (* The requested passes as folds, in a fixed order, plus the renderer
    that reads their merged results back out in request order. [runs]
-   classifies the merged I/O log on the finalize pool. *)
+   classifies the merged I/O log. *)
 let section_folds sections =
+  let fold pass = { pass; merged = None } in
   let summary = fold Passes.summary and hourly = fold Passes.hourly in
   let names = fold Passes.names and log = fold Passes.io_log in
   let folds =
@@ -127,82 +122,111 @@ let section_folds sections =
       sections
   in
   (Array.of_list folds, render)
-[@@nt.raise_ok "each Option.get reads a fold the stream committed before rendering"]
+[@@nt.raise_ok "each Option.get reads a fold every range merged into before rendering"]
 
-(* chunk 0 is the only one opened before anything has merged *)
-let open_acc f =
-  match f.acc with
-  | Some acc -> acc
-  | None ->
-      let acc = if Option.is_none f.merged then f.pass.init () else f.pass.init_shard () in
-      f.acc <- Some acc;
-      acc
+type 'r part = {
+  accs : acc array;
+  secs : float array;  (** observe time per pass *)
+  records : int;
+  result : 'r;
+  tbuf : Timeline.buf;  (** the range's [par.range] interval *)
+}
 
 let batch_len = 64
 
-let run_stream ?(obs = Obs.null) ?timeline ?(jobs = 1)
-    ?(records_per_shard = default_records_per_shard) ~sections produce =
-  if records_per_shard <= 0 then
-    invalid_arg "Report.run_stream: records_per_shard must be positive";
-  let folds, render = section_folds sections in
-  let batch = ref [||] and fill = ref 0 in
-  let in_chunk = ref 0 and total = ref 0 and chunks = ref 0 in
+let fold_range folds ~root produce =
+  let accs =
+    Array.map
+      (fun (Fold f) -> Acc (f, if root then f.pass.init () else f.pass.init_shard ()))
+      folds
+  in
+  let secs = Array.make (Array.length accs) 0. in
+  let batch = ref [||] and fill = ref 0 and records = ref 0 in
   let observe_batch () =
     let t0 = ref (Unix.gettimeofday ()) in
-    Array.iter
-      (fun (Fold f) ->
-        let acc = open_acc f in
+    Array.iteri
+      (fun j (Acc (f, acc)) ->
         for i = 0 to !fill - 1 do
           f.pass.observe acc (Array.unsafe_get !batch i)
         done;
         let t1 = Unix.gettimeofday () in
-        f.secs <- f.secs +. (t1 -. !t0);
+        secs.(j) <- secs.(j) +. (t1 -. !t0);
         t0 := t1)
-      folds;
+      accs;
     fill := 0
-  in
-  let merge_chunk () =
-    Array.iter
-      (fun (Fold f) ->
-        let acc = open_acc f in
-        f.merged <- Some (match f.merged with None -> acc | Some prev -> f.pass.merge prev acc);
-        f.acc <- None)
-      folds
-  in
-  let commit () =
-    Array.iter
-      (fun (Fold f) ->
-        Obs.span_record obs ("par.pass." ^ f.pass.name) ~seconds:f.secs;
-        f.secs <- 0.)
-      folds;
-    (* chunk 0 becomes the root as is; every later boundary merges *)
-    if !chunks = 0 then merge_chunk () else Obs.with_span obs "par.merge" merge_chunk;
-    incr chunks;
-    in_chunk := 0
   in
   let push r =
     if Array.length !batch = 0 then batch := Array.make batch_len r;
     Array.unsafe_set !batch !fill r;
     incr fill;
-    incr total;
-    incr in_chunk;
-    if !in_chunk = records_per_shard then begin
-      observe_batch ();
-      commit ()
-    end
-    else if !fill = batch_len then observe_batch ()
+    incr records;
+    if !fill = batch_len then observe_batch ()
   in
-  produce push;
+  let t0 = Unix.gettimeofday () in
+  let result = produce push in
   if !fill > 0 then observe_batch ();
-  (* an empty stream still yields root accumulators *)
-  if !in_chunk > 0 || !total = 0 then commit ();
-  let runs log =
-    Pool.with_pool ~jobs (fun pool -> Passes.runs ~obs ?timeline ~jump_blocks:10 pool log)
-  in
-  (render ~runs, !total)
-[@@nt.raise_ok "records_per_shard is caller configuration rejected up front"]
+  let tbuf = Timeline.buf () in
+  Timeline.buf_add tbuf ~name:"par.range" ~t0 ~t1:(Unix.gettimeofday ());
+  { accs; secs; records = !records; result; tbuf }
 
-let run ?obs ?timeline ?jobs ?records_per_shard ~sections records =
-  fst
-    (run_stream ?obs ?timeline ?jobs ?records_per_shard ~sections (fun push ->
-         Array.iter push records))
+let max_ranges = 64
+
+let range_count jobs =
+  min max_ranges (if jobs <= 0 then Domain.recommended_domain_count () else jobs)
+
+let settle f = match f () with v -> Ok v | exception e -> Error e
+
+(* Every domain joins before an exception from any range propagates. *)
+let fold_ranges folds ~ranges produce =
+  let range i () = fold_range folds ~root:(i = 0) (produce ~ranges i) in
+  let workers = Array.init (ranges - 1) (fun i -> Domain.spawn (range (i + 1))) in
+  let first = settle (range 0) in
+  let rest = Array.map (fun d -> settle (fun () -> Domain.join d)) workers in
+  Array.map (function Ok p -> p | Error e -> raise e) (Array.append [| first |] rest)
+[@@nt.raise_ok "re-raises what a range's producer raised, once every domain has joined"]
+
+let run_ranges ?(obs = Obs.null) ?timeline ?(stitched = fun _ -> true) ~ranges ~sections
+    produce =
+  let folds, render = section_folds sections in
+  let parts = fold_ranges folds ~ranges produce in
+  let parts =
+    if ranges > 1 && not (stitched (Array.map (fun p -> p.result) parts)) then
+      fold_ranges folds ~ranges:1 produce
+    else parts
+  in
+  Array.iteri
+    (fun i p ->
+      Option.iter (fun tl -> Timeline.absorb tl p.tbuf) timeline;
+      Array.iter2
+        (fun (Fold f) seconds -> Obs.span_record obs ("par.pass." ^ f.pass.name) ~seconds)
+        folds p.secs;
+      let commit () =
+        Array.iter
+          (fun (Acc (f, acc)) ->
+            f.merged <-
+              Some (match f.merged with None -> acc | Some prev -> f.pass.merge prev acc))
+          p.accs
+      in
+      (* range 0 becomes the root as is; every later range merges *)
+      if i = 0 then commit () else Obs.with_span obs "par.merge" commit)
+    parts;
+  let runs log = Obs.with_span obs "par.pass.runs" (fun () -> Passes.runs ~jump_blocks:10 log) in
+  ( render ~runs,
+    Array.fold_left (fun n p -> n + p.records) 0 parts,
+    Array.map (fun p -> p.result) parts )
+
+let run_stream ?obs ?timeline ~sections produce =
+  let texts, n, _ =
+    run_ranges ?obs ?timeline ~ranges:1 ~sections (fun ~ranges:_ _ push -> produce push)
+  in
+  (texts, n)
+
+let run ?obs ?timeline ?(jobs = 1) ~sections records =
+  let n = Array.length records in
+  let texts, _, _ =
+    run_ranges ?obs ?timeline ~ranges:(range_count jobs) ~sections (fun ~ranges i push ->
+        for j = n * i / ranges to (n * (i + 1) / ranges) - 1 do
+          push records.(j)
+        done)
+  in
+  texts

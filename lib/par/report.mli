@@ -1,47 +1,62 @@
-(** The nfsstats report, computed by one chunked fold and rendered
+(** The nfsstats report, computed by one range fold and rendered
     deterministically.
 
     Rendering goes through {!Nt_util.Tables.render} into strings, so a
-    report is a value that can be golden-tested; and because the chunk
-    boundaries, merge order and the runs finalize's chunking are all
-    independent of the worker count, the same trace renders to
-    byte-identical text at any [jobs] setting. *)
+    report is a value that can be golden-tested; and because the ranges
+    merge in input order with merges the law tests hold to the
+    sequential result, the same trace renders to byte-identical text at
+    any range count. *)
 
 type section = [ `Summary | `Runs | `Names | `Hourly ]
 
 val section_name : section -> string
 
-val default_records_per_shard : int
-(** 65536 — large enough that per-chunk merge costs stay negligible. *)
+val range_count : int -> int
+(** The range count for a [jobs] setting: [jobs], or the machine's
+    recommended domain count when [jobs <= 0], at most 64. *)
+
+val run_ranges :
+  ?obs:Nt_obs.Obs.t ->
+  ?timeline:Nt_obs.Timeline.t ->
+  ?stitched:('r array -> bool) ->
+  ranges:int ->
+  sections:section list ->
+  (ranges:int -> int -> (Nt_trace.Record.t -> unit) -> 'r) ->
+  (section * string) list * int * 'r array
+(** [run_ranges ~ranges ~sections produce] runs the requested sections
+    over a time-sorted input split into [ranges] contiguous ranges
+    ([ranges >= 1]): [produce ~ranges i push] drives range [i]'s records
+    through [push] and returns what it learned about the range. Range 0
+    runs on the calling domain and folds into root accumulators; every
+    later range runs on a fresh domain of its own and folds into
+    shard-mode ones, so [produce] must touch no state another range
+    touches. After every domain joins, [stitched] (default: always)
+    judges the ranges' results; if it rejects them, the input is read
+    again as one range, [produce ~ranges:1 0]. The ranges then
+    left-fold [merge] once, in order, so the text is byte-identical at
+    any range count. [par.pass.<name>] gets one span per range and
+    [par.merge] one per merge, [par.pass.runs] times the runs finalize,
+    and a [timeline] gains one [par.range] interval per range on the
+    domain that read it. At one range there is one accumulator and no
+    merge. Peak state is the accumulators — the out-of-core path.
+    Returns the sections in request order, the record count and the
+    ranges' results. *)
 
 val run_stream :
   ?obs:Nt_obs.Obs.t ->
   ?timeline:Nt_obs.Timeline.t ->
-  ?jobs:int ->
-  ?records_per_shard:int ->
   sections:section list ->
   ((Nt_trace.Record.t -> unit) -> unit) ->
   (section * string) list * int
-(** [run_stream ~sections produce] runs the requested sections over a
-    time-sorted record stream: [produce push] drives the trace through
-    [push], and every pass observes each record as it arrives. Chunks
-    of [records_per_shard] records (default 65536) fold into their own
-    accumulators — the root for chunk 0, shard-mode ones after — and
-    left-fold merge at each boundary, so the text is byte-identical at
-    any chunk size. [par.pass.<name>] gets one span per chunk and
-    [par.merge] one per boundary. Peak state is the accumulators — the
-    out-of-core path. [jobs] worker domains (default 1 — inline, no
-    domains; 0 = the machine's recommended count) run only the runs
-    finalize, which chunk-fans its classification over the merged I/O
-    log. Results come back in request order, with the record count.
-    Raises [Invalid_argument] on a non-positive [records_per_shard]. *)
+(** {!run_ranges} over one range: [produce push] drives the whole
+    stream through [push]. *)
 
 val run :
   ?obs:Nt_obs.Obs.t ->
   ?timeline:Nt_obs.Timeline.t ->
   ?jobs:int ->
-  ?records_per_shard:int ->
   sections:section list ->
   Nt_trace.Record.t array ->
   (section * string) list
-(** {!run_stream} over an array. *)
+(** {!run_ranges} over [range_count jobs] (default 1) contiguous slices
+    of an array. *)

@@ -668,11 +668,19 @@ let k_bad_record = 5
 let k_lost = 6
 let k_trunc = 7
 
+(* [first] is the stream offset of the first frame decoded clean: 0
+   for a reader that starts the stream, -1 while a range reader that
+   starts mid-stream is still looking for its planned start. A clean
+   frame that starts at or past [hi] is not decoded: the reader halts
+   in front of it and leaves it to the next range. *)
 type decoder = {
   w : Window.t;
   mutable header_ok : bool;
   mutable resyncing : bool;
   mutable finished : bool;
+  mutable first : int;
+  mutable hi : int;
+  mutable halted : bool;
   queue : Record.t Queue.t;
   counts : int array;
   counters : Obs.counter array;
@@ -682,9 +690,10 @@ let count d k n =
   Array.unsafe_set d.counts k (Array.unsafe_get d.counts k + n);
   Obs.add (Array.unsafe_get d.counters k) n
 
+(* bytes before a range's planned start are the previous range's *)
 let skip d n =
   if n > 0 then begin
-    count d k_skipped n;
+    if d.first >= 0 then count d k_skipped n;
     Window.drop d.w n
   end
 
@@ -789,14 +798,21 @@ let rec parse d emit =
             parse d emit
         | s ->
             let pos = if compressed then 0 else at in
-            if Frame.adler32 s ~pos ~len:raw_len <> sum then frame_damaged d
+            if Frame.adler32 s ~pos ~len:raw_len <> sum then begin
+              frame_damaged d;
+              parse d emit
+            end
             else begin
               let frame_start = w.pos in
-              Window.drop w (header_len + stored_len);
-              d.resyncing <- false;
-              decode_payload d s ~pos ~limit:(pos + raw_len) ~frame_start ~frame_end:w.pos emit
-            end;
-            parse d emit
+              if d.first < 0 then d.first <- frame_start;
+              if frame_start >= d.hi then d.halted <- true
+              else begin
+                Window.drop w (header_len + stored_len);
+                d.resyncing <- false;
+                decode_payload d s ~pos ~limit:(pos + raw_len) ~frame_start ~frame_end:w.pos emit;
+                parse d emit
+              end
+            end
       end
       (* else: wait for the rest of the frame *)
     end
@@ -819,33 +835,66 @@ let rec parse d emit =
       skip d (len - min len (sync_len - 1))
   end
 
+(* The registry mirror of the stats, indexed by the [k_*] classes. *)
+let counters obs =
+  let fail reason =
+    Obs.counter obs
+      ~labels:[ ("reason", reason) ]
+      ~help:"tbin stream decode failures, by class" "tbin.decode_failure"
+  in
+  [|
+    Obs.counter obs ~help:"tbin frames decoded clean" "tbin.frames";
+    Obs.counter obs ~help:"tbin records decoded" "tbin.records";
+    Obs.counter obs ~help:"bytes passed over while resynchronising" "tbin.skipped_bytes";
+    fail "missing-header";
+    fail "bad-frame";
+    fail "bad-record";
+    fail "lost-sync";
+    fail "truncated-tail";
+  |]
+
+let to_counts s =
+  [|
+    s.frames;
+    s.records;
+    s.skipped_bytes;
+    s.missing_header;
+    s.bad_frames;
+    s.bad_records;
+    s.lost_sync;
+    s.truncated_tails;
+  |]
+
+let of_counts c =
+  {
+    frames = c.(k_frames);
+    records = c.(k_records);
+    skipped_bytes = c.(k_skipped);
+    missing_header = c.(k_missing);
+    bad_frames = c.(k_bad_frame);
+    bad_records = c.(k_bad_record);
+    lost_sync = c.(k_lost);
+    truncated_tails = c.(k_trunc);
+  }
+
+let sum a b = of_counts (Array.map2 ( + ) (to_counts a) (to_counts b))
+let add_stats obs s = Array.iter2 Obs.add (counters obs) (to_counts s)
+
 module Decoder = struct
   type t = decoder
 
   let create ?(obs = Obs.null) () =
-    let fail reason =
-      Obs.counter obs
-        ~labels:[ ("reason", reason) ]
-        ~help:"tbin stream decode failures, by class" "tbin.decode_failure"
-    in
     {
       w = Window.create 4096;
       header_ok = false;
       resyncing = false;
       finished = false;
+      first = 0;
+      hi = max_int;
+      halted = false;
       queue = Queue.create ();
       counts = Array.make 8 0;
-      counters =
-        [|
-          Obs.counter obs ~help:"tbin frames decoded clean" "tbin.frames";
-          Obs.counter obs ~help:"tbin records decoded" "tbin.records";
-          Obs.counter obs ~help:"bytes passed over while resynchronising" "tbin.skipped_bytes";
-          fail "missing-header";
-          fail "bad-frame";
-          fail "bad-record";
-          fail "lost-sync";
-          fail "truncated-tail";
-        |];
+      counters = counters obs;
     }
 
   let window t = t.w
@@ -882,34 +931,39 @@ module Decoder = struct
     t.resyncing <- false;
     t.finished <- false
 
-  let stats t =
-    let c = t.counts in
-    {
-      frames = c.(k_frames);
-      records = c.(k_records);
-      skipped_bytes = c.(k_skipped);
-      missing_header = c.(k_missing);
-      bad_frames = c.(k_bad_frame);
-      bad_records = c.(k_bad_record);
-      lost_sync = c.(k_lost);
-      truncated_tails = c.(k_trunc);
-    }
+  let stats t = of_counts t.counts
 
   let footprint t =
     let queued = Queue.length t.queue in
     Nt_obs.Footprint.v ~cards:queued ~words:((Bytes.length t.w.buf / 8) + (queued * 32))
 end
 
-(* {2 Whole-stream helpers} *)
+(* {2 Whole-stream and range readers} *)
+
+type range = { stats : stats; first : int; stop : int }
 
 (* Reads land straight in the window and records go straight to [f],
    with no chunk copy and no queue. The channel read stays here,
-   outside the never-raising [Decoder] surface. *)
-let iter_channel ?obs ic f =
-  let d = Decoder.create ?obs () in
+   outside the never-raising [Decoder] surface. A range that starts
+   mid-stream opens resynchronising, so it passes over the bytes in
+   front of its first clean frame as a resync would, but counts none of
+   them. The decoder counts into a private registry: range readers run
+   on worker domains, and the caller adds the stats where it wants
+   them. *)
+let iter_range ic ~lo ~hi f =
+  let d = Decoder.create ~obs:(Obs.create ~enabled:false ()) () in
+  if lo > 0 then begin
+    In_channel.seek ic (Int64.of_int lo);
+    Decoder.reset_at d (Int64.of_int lo);
+    d.resyncing <- true;
+    d.first <- -1
+  end;
+  d.hi <- hi;
   let emit r (_ : int) = f r in
-  while Window.input d.w ic > 0 do
+  while (not d.halted) && Window.input d.w ic > 0 do
     parse d emit
   done;
-  Decoder.finish d;
-  Decoder.stats d
+  if not d.halted then Decoder.finish d;
+  { stats = Decoder.stats d; first = d.first; stop = (if d.halted then d.w.pos else -1) }
+
+let iter_channel ic f = (iter_range ic ~lo:0 ~hi:max_int f).stats

@@ -50,6 +50,13 @@ val failures : stats -> int
 
 val stats_to_string : stats -> string
 
+val sum : stats -> stats -> stats
+(** Field-wise sum: the stats of two ranges read apart. *)
+
+val add_stats : Nt_obs.Obs.t -> stats -> unit
+(** Add the stats to the registry's [tbin.*] counters, the ones a
+    {!Decoder} created on that registry mirrors as it goes. *)
+
 (** {1 Writing} *)
 
 module Writer : sig
@@ -120,7 +127,33 @@ module Decoder : sig
       state-footprint gauges. *)
 end
 
-val iter_channel : ?obs:Nt_obs.Obs.t -> in_channel -> (Nt_trace.Record.t -> unit) -> stats
-(** Stream-decode a channel without materializing the record set —
-    the out-of-core path. Reads land in the decoder's window and records
-    reach the callback as they decode, with no queue. *)
+type range = {
+  stats : stats;  (** what this range decoded and counted *)
+  first : int;
+      (** offset of the range's first clean frame: 0 for a range that
+          starts the stream, -1 if a mid-stream range found none *)
+  stop : int;
+      (** offset of the clean frame at or past [hi] the range halted in
+          front of, or -1 if it read to the end of the stream *)
+}
+
+val iter_range :
+  in_channel -> lo:int -> hi:int -> (Nt_trace.Record.t -> unit) -> range
+(** Stream-decode the frames of a seekable channel whose start lies in
+    [\[lo, hi)], without materializing the record set — the
+    out-of-core path. Reads land in the decoder's window and records
+    reach the callback as they decode, with no queue. A range with
+    [lo > 0] seeks to [lo] and starts at the first frame at or past it
+    that passes the header and checksum checks; the bytes in front of
+    it are the previous range's, so they count neither as lost sync
+    nor as skipped bytes. The range halts in front of the first such
+    frame at or past [hi]. Decoding after the start is exactly the
+    whole-stream decoder's, damage and resync included, so ranges
+    [\[c_i, c_(i+1))] reproduce the whole decode, stats summed with
+    {!sum}, whenever each range's [stop] is the next one's [first]. A
+    checksum-valid frame embedded in another frame's payload can break
+    that; the caller then reads the stream as one range. Counts go to a
+    private registry, so a range reader may run on any domain. *)
+
+val iter_channel : in_channel -> (Nt_trace.Record.t -> unit) -> stats
+(** The whole stream as one range: [lo = 0], no [hi]. *)

@@ -659,9 +659,10 @@ let rec newline b i stop =
       if j >= 0 then j else newline b (i + 7) stop
 
 module Decoder = struct
-  type t = { w : Window.t; mutable rejected : int }
+  (* Lines that start at or past [hi] are left alone: the next range's. *)
+  type t = { w : Window.t; mutable rejected : int; mutable hi : int }
 
-  let create () = { w = Window.create Window.chunk; rejected = 0 }
+  let create () = { w = Window.create Window.chunk; rejected = 0; hi = max_int }
   let window d = d.w
   let rejected d = d.rejected
 
@@ -677,27 +678,61 @@ module Decoder = struct
 
   let rec parse_lines d c emit =
     let w = d.w in
-    let i = newline w.buf w.head w.tail in
-    if i >= 0 then begin
-      take_line d c emit (i - w.head) ~skip:1;
-      parse_lines d c emit
+    if w.pos < d.hi then begin
+      let i = newline w.buf w.head w.tail in
+      if i >= 0 then begin
+        take_line d c emit (i - w.head) ~skip:1;
+        parse_lines d c emit
+      end
     end
 
   let parse d emit = parse_lines d (Domain.DLS.get cursors) emit
 
   let finish d emit =
     parse d emit;
-    take_line d (Domain.DLS.get cursors) emit (Window.length d.w) ~skip:0
+    if d.w.pos < d.hi then take_line d (Domain.DLS.get cursors) emit (Window.length d.w) ~skip:0
 end
 
-let iter_channel ic f =
+type range = { rejected : int; first : int; stop : int }
+
+(* Pass over the tail of the line in front of the window: true once the
+   window starts a line, false at end of file. *)
+let rec skip_partial w ic =
+  let i = newline w.Window.buf w.head w.tail in
+  if i >= 0 then begin
+    Window.drop w (i + 1 - w.head);
+    true
+  end
+  else begin
+    Window.drop w (Window.length w);
+    Window.input w ic > 0 && skip_partial w ic
+  end
+
+let iter_range ic ~lo ~hi f =
   let d = Decoder.create () in
+  let w = d.w in
+  d.hi <- hi;
+  let started =
+    lo = 0
+    || begin
+         In_channel.seek ic (Int64.of_int (lo - 1));
+         Window.reset_at w (lo - 1);
+         skip_partial w ic
+       end
+  in
+  let first = if started then w.pos else -1 in
   let emit r (_ : int) = f r in
-  while Window.input d.w ic > 0 do
-    Decoder.parse d emit
-  done;
+  if started then begin
+    Decoder.parse d emit;
+    while w.pos < hi && Window.input w ic > 0 do
+      Decoder.parse d emit
+    done
+  end;
+  let stop = if started && w.pos >= hi then w.pos else -1 in
   Decoder.finish d emit;
-  d.rejected
+  { rejected = d.rejected; first; stop }
+
+let iter_channel ic f = (iter_range ic ~lo:0 ~hi:max_int f).rejected
 
 let read_channel ?(rejected = ref 0) ic =
   let acc = ref [] in

@@ -87,9 +87,24 @@ module Decoder : sig
   val rejected : t -> int
 end
 
+type range = {
+  rejected : int;  (** malformed lines skipped *)
+  first : int;  (** offset of the range's first line, -1 if none starts in it *)
+  stop : int;
+      (** offset of the first line at or past [hi], or -1 if the range
+          read to the end of the file *)
+}
+
+val iter_range : in_channel -> lo:int -> hi:int -> (t -> unit) -> range
+(** Decode through [f] the lines of a seekable channel that start in
+    [\[lo, hi)]: a range with [lo > 0] seeks to [lo - 1] and starts
+    after the first newline at or past it, and the last line may run
+    past [hi]. Ranges [\[c_i, c_(i+1))] therefore parse every line
+    exactly once, and each range's [stop] is the next one's [first]. *)
+
 val iter_channel : in_channel -> (t -> unit) -> int
-(** Decode a whole channel through [f]; returns the number of
-    malformed lines skipped. *)
+(** The whole channel as one range; returns the number of malformed
+    lines skipped. *)
 
 val read_channel : ?rejected:int ref -> in_channel -> t Seq.t
 (** The records of {!iter_channel}, read in full before the sequence is

@@ -1,4 +1,4 @@
-(* Chunked analysis fold tests.
+(* Range analysis fold tests.
 
    The centerpiece is a differential oracle: for randomized workloads
    and shard sizes, merge-of-shards must equal the sequential
@@ -6,10 +6,10 @@
    integers, within 1e-9 relative for float sums (reassociation).
    Around it: shard-boundary unit tests (runs, names and reorder
    windows straddling a cut), report determinism + a golden file,
-   chunked-vs-single-chunk streaming, the Summary.days empty-shard
-   regression, and pool/chunk-map unit tests. NT_PAR_TEST_JOBS sets
-   the worker-domain count of the runs finalize's pool (CI's par job
-   uses 4); the results must not care. *)
+   ranged-vs-one-range folds with their spans and the rerun a failed
+   stitch takes, and the Summary.days empty-shard regression.
+   NT_PAR_TEST_JOBS sets the range count the golden report is folded
+   at (CI's par job uses 4); the results must not care. *)
 
 module Summary = Nt_analysis.Summary
 module Hourly = Nt_analysis.Hourly
@@ -26,8 +26,6 @@ module Tw = Nt_util.Trace_week
 module Histogram = Nt_util.Histogram
 module Stats = Nt_util.Stats
 module Obs = Nt_obs.Obs
-module Pool = Nt_par.Pool
-module Driver = Nt_par.Driver
 module Passes = Nt_par.Passes
 module Report = Nt_par.Report
 module Win = Nt_mon.Win
@@ -236,15 +234,15 @@ let gen_records ~seed ~n =
 
 (* --- sequential vs sharded harness --- *)
 
-let run_seq (pass : 'a Driver.pass) records =
-  let acc = pass.Driver.init () in
-  Array.iter (pass.Driver.observe acc) records;
+let run_seq (pass : 'a Passes.pass) records =
+  let acc = pass.Passes.init () in
+  Array.iter (pass.Passes.observe acc) records;
   acc
 
 (* Cut [records] into [shard_len]-record shards: the root accumulator
    on shard 0, [init_shard] after it, then a left-fold of [merge] in
-   shard order — the fold Report.run_stream makes at chunk boundaries. *)
-let run_sharded (pass : 'a Driver.pass) ~shard_len records =
+   shard order — the fold Report.run_ranges makes over its ranges. *)
+let run_sharded (pass : 'a Passes.pass) ~shard_len records =
   let n = Array.length records in
   let shard i =
     let acc = if i = 0 then pass.init () else pass.init_shard () in
@@ -361,10 +359,7 @@ let prop_runs =
       let log_seq = run_seq Passes.io_log records in
       let log_par = run_sharded Passes.io_log ~shard_len records in
       let rs = Runs.analyze ~window:0.01 ~jump_blocks:10 log_seq in
-      let rp =
-        Pool.with_pool ~jobs:test_jobs (fun pool ->
-            Passes.runs ~chunk:(1 + (seed mod 7)) ~jump_blocks:10 pool log_par)
-      in
+      let rp = Passes.runs ~jump_blocks:10 log_par in
       check_runs_eq rs rp;
       true)
 
@@ -664,7 +659,7 @@ let golden_records () = gen_records ~seed:7 ~n:400
 
 let render_report ~jobs records =
   let sections = [ `Summary; `Runs; `Names; `Hourly ] in
-  Report.run ~jobs ~records_per_shard:64 ~sections records
+  Report.run ~jobs ~sections records
   |> List.map (fun (s, text) -> Printf.sprintf "== %s ==\n%s" (Report.section_name s) text)
   |> String.concat "\n"
 
@@ -692,10 +687,10 @@ let test_report_matches_golden () =
   close_in ic;
   Alcotest.(check string) "report matches golden file" want got
 
-(* The streaming fold must render the same text at any chunk size:
-   chunked = one chunk (records_per_shard >= n, so no merges), with one
-   par.pass span per chunk — an empty trailing chunk would add a span —
-   and one par.merge span per boundary. *)
+(* The range fold must render the same text at any range count:
+   ranged = one range (no merges), with one par.pass span per range —
+   an empty range still folds and times its accumulators — and one
+   par.merge span per merge. *)
 let all_sections = [ `Summary; `Runs; `Names; `Hourly ]
 
 let render texts =
@@ -703,138 +698,98 @@ let render texts =
   |> List.map (fun (s, text) -> Printf.sprintf "== %s ==\n%s" (Report.section_name s) text)
   |> String.concat "\n"
 
-let check_chunked_matches_single ~jobs ~records_per_shard records =
+let span_count snap name =
+  match Obs.get_span snap name with None -> 0 | Some sp -> sp.Obs.count
+
+let check_ranged_matches_single ~jobs records =
   let n = Array.length records in
-  let label = Printf.sprintf "%d records, chunks of %d, jobs %d" n records_per_shard jobs in
-  let stream ?obs ~jobs records_per_shard =
-    Report.run_stream ?obs ~jobs ~records_per_shard ~sections:all_sections (fun push ->
-        Array.iter push records)
+  let ranges = Report.range_count jobs in
+  let label = Printf.sprintf "%d records, %d ranges" n ranges in
+  let want, count =
+    Report.run_stream ~sections:all_sections (fun push -> Array.iter push records)
   in
-  let want, _ = stream ~jobs:1 (max 1 n) in
-  let obs = Obs.create () in
-  let texts, count = stream ~obs ~jobs records_per_shard in
   Alcotest.(check int) (label ^ ": record count") n count;
-  Alcotest.(check string) (label ^ ": chunked = one chunk") (render want) (render texts);
-  let chunks = max 1 ((n + records_per_shard - 1) / records_per_shard) in
+  let obs = Obs.create () in
+  let texts = Report.run ~obs ~jobs ~sections:all_sections records in
+  Alcotest.(check string) (label ^ ": ranged = one range") (render want) (render texts);
   let snap = Obs.snapshot obs in
   List.iter
     (fun pass ->
-      match Obs.get_span snap ("par.pass." ^ pass) with
-      | None -> Alcotest.failf "%s: no par.pass.%s span" label pass
-      | Some sp ->
-          Alcotest.(check int) (label ^ ": one " ^ pass ^ " span per chunk") chunks sp.Obs.count)
+      Alcotest.(check int)
+        (label ^ ": one " ^ pass ^ " span per range")
+        ranges
+        (span_count snap ("par.pass." ^ pass)))
     [ "summary"; "hourly"; "names"; "io_log" ];
-  let merges = match Obs.get_span snap "par.merge" with None -> 0 | Some sp -> sp.Obs.count in
-  Alcotest.(check int) (label ^ ": one merge span per boundary") (chunks - 1) merges;
-  if n > 0 && Obs.get_span snap "par.pass.runs" = None then
-    Alcotest.failf "%s: no par.pass.runs span" label
+  Alcotest.(check int) (label ^ ": one merge span per merge") (ranges - 1)
+    (span_count snap "par.merge");
+  Alcotest.(check int) (label ^ ": one runs finalize") 1 (span_count snap "par.pass.runs")
 
-let test_chunked_matches_single () =
+let test_ranged_matches_single () =
   let records = golden_records () in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun records_per_shard -> check_chunked_matches_single ~jobs ~records_per_shard records)
-        [ 1; 63; 64; 65; 1000 ];
-      (* exact multiples: the last chunk closes on the last record *)
-      check_chunked_matches_single ~jobs ~records_per_shard:64 (Array.sub records 0 128);
-      check_chunked_matches_single ~jobs ~records_per_shard:100 records;
-      check_chunked_matches_single ~jobs ~records_per_shard:64 [||])
-    [ 1; 4 ]
+      check_ranged_matches_single ~jobs records;
+      check_ranged_matches_single ~jobs (Array.sub records 0 3);
+      check_ranged_matches_single ~jobs [||])
+    [ 1; 2; 3; 4; 7; 64 ]
 
-(* --- pool --- *)
-
-let test_pool_runs_in_order () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let results = Pool.run_all pool (Array.init 50 (fun i () -> i * i)) in
-      Alcotest.(check (list int)) "results in submission order"
-        (List.init 50 (fun i -> i * i))
-        (Array.to_list results))
-
-let test_pool_inline_when_single () =
-  let pool = Pool.create () in
-  Alcotest.(check int) "default size 1" 1 (Pool.size pool);
-  let r = Pool.run_all pool [| (fun () -> Domain.self ()) |] in
-  Alcotest.(check bool) "ran on the caller's domain" true (r.(0) = Domain.self ());
-  Pool.shutdown pool
-
-let test_pool_propagates_exception () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      match Pool.run_all pool [| (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) |] with
-      | _ -> Alcotest.fail "expected exception"
-      | exception Failure m -> Alcotest.(check string) "exception carried" "boom" m)
-
-let test_pool_counters () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      ignore (Pool.run_all pool (Array.init 8 (fun i () -> i)));
-      Alcotest.(check int) "tasks counted" 8 (Pool.tasks pool);
-      Alcotest.(check bool) "queue depth observed" true (Pool.peak_queue pool >= 1))
-
-let test_pool_shutdown_rejects_work () =
-  let pool = Pool.create ~jobs:2 () in
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  match Pool.run_all pool [| (fun () -> 0) |] with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-let test_pool_normalizes_jobs () =
-  let pool = Pool.create ~jobs:0 () in
-  Alcotest.(check bool) "0 becomes the recommended count" true (Pool.size pool >= 1);
-  Alcotest.(check int) "matches Domain.recommended_domain_count" (Pool.recommended ())
-    (Pool.size pool);
-  Pool.shutdown pool
-
-(* --- chunk plans: Driver.map_chunks cuts its own fixed-size chunks --- *)
-
-let map_chunks ?obs ?chunk f items =
-  Pool.with_pool ~jobs:test_jobs (fun pool -> Driver.map_chunks ?obs ?chunk pool ~name:"t" f items)
-
-let test_plan_tiles () =
-  Alcotest.(check (list (list int))) "contiguous chunks in order, the last one short"
-    [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ]; [ 9 ] ]
-    (map_chunks ~chunk:3 Array.to_list (Array.init 10 Fun.id))
-
-let test_plan_empty () =
-  let obs = Obs.create () in
-  Alcotest.(check int) "no chunks for no items" 0 (List.length (map_chunks ~obs Array.length [||]));
-  Alcotest.(check int) "no tasks run" 0 (Obs.sum_counter (Obs.snapshot obs) "par.tasks")
-
-let test_plan_rejects_bad_chunk () =
-  List.iter
-    (fun chunk ->
-      match map_chunks ~chunk Array.length [| 1 |] with
-      | _ -> Alcotest.failf "chunk %d: expected Invalid_argument" chunk
-      | exception Invalid_argument _ -> ())
-    [ 0; -5 ]
-
-(* --- observability: the streaming fold plus the runs finalize --- *)
-
-let test_driver_instruments_obs () =
+(* The fold runs range 0 on the calling domain and every later range
+   on a domain of its own, and merges spans and accumulators only
+   after all of them joined. *)
+let test_range_fold_instruments_obs () =
   let records = gen_records ~seed:11 ~n:120 in
   let obs = Obs.create () in
-  let records_per_shard = 25 in
-  let chunks = (Array.length records + records_per_shard - 1) / records_per_shard in
-  let _ =
-    Report.run_stream ~obs ~jobs:2 ~records_per_shard ~sections:[ `Summary; `Runs ] (fun push ->
-        Array.iter push records)
+  let tl = Nt_obs.Timeline.create () in
+  let domains = Array.make 3 (Domain.self ()) in
+  let _texts, n, counts =
+    Report.run_ranges ~obs ~timeline:tl ~ranges:3 ~sections:[ `Summary; `Runs ] (fun ~ranges i push ->
+        domains.(i) <- Domain.self ();
+        let lo = 120 * i / ranges and hi = 120 * (i + 1) / ranges in
+        for j = lo to hi - 1 do
+          push records.(j)
+        done;
+        hi - lo)
   in
-  (* the runs finalize maps 512-file chunks of the merged I/O log *)
-  let file_chunks = (Io_log.files (run_seq Passes.io_log records) + 511) / 512 in
+  Alcotest.(check int) "record count" 120 n;
+  Alcotest.(check (array int)) "range results in range order" [| 40; 40; 40 |] counts;
+  Alcotest.(check bool) "range 0 on the calling domain" true (domains.(0) = Domain.self ());
+  Alcotest.(check bool) "later ranges on domains of their own" true
+    (domains.(1) <> domains.(0) && domains.(2) <> domains.(0) && domains.(1) <> domains.(2));
   let snap = Obs.snapshot obs in
-  let span_count name =
-    match Obs.get_span snap name with
-    | None -> Alcotest.failf "missing %s span" name
-    | Some sp -> sp.Obs.count
+  Alcotest.(check int) "one summary span per range" 3 (span_count snap "par.pass.summary");
+  Alcotest.(check int) "one io_log span per range" 3 (span_count snap "par.pass.io_log");
+  Alcotest.(check int) "one merge span per merge" 2 (span_count snap "par.merge");
+  Alcotest.(check int) "one runs finalize span" 1 (span_count snap "par.pass.runs");
+  List.iter
+    (fun name ->
+      if Obs.sum_counter snap name <> 0 then Alcotest.failf "%s is gone, yet counted" name)
+    [ "par.tasks"; "par.shards" ];
+  Alcotest.(check (option (float 0.))) "no par.jobs gauge" None (Obs.get_gauge snap "par.jobs");
+  Alcotest.(check int) "one par.range interval per range" 6 (Nt_obs.Timeline.events tl);
+  Alcotest.(check int) "each on its domain's track" 3 (Nt_obs.Timeline.tracks_count tl)
+
+(* Ranges that do not stitch are thrown away and the input is read
+   again as one range: the report and the spans are the one-range
+   ones. *)
+let test_unstitched_ranges_rerun () =
+  let records = golden_records () in
+  let n = Array.length records in
+  let want, _ = Report.run_stream ~sections:all_sections (fun push -> Array.iter push records) in
+  let obs = Obs.create () in
+  let texts, count, results =
+    Report.run_ranges ~obs ~stitched:(fun _ -> false) ~ranges:4 ~sections:all_sections
+      (fun ~ranges i push ->
+        for j = n * i / ranges to (n * (i + 1) / ranges) - 1 do
+          push records.(j)
+        done;
+        ranges)
   in
-  Alcotest.(check int) "one summary span per chunk" chunks (span_count "par.pass.summary");
-  Alcotest.(check int) "one io_log span per chunk" chunks (span_count "par.pass.io_log");
-  Alcotest.(check int) "one merge span per boundary" (chunks - 1) (span_count "par.merge");
-  Alcotest.(check int) "one runs span per file chunk" file_chunks (span_count "par.pass.runs");
-  Alcotest.(check int) "par.shards counter" file_chunks (Obs.sum_counter snap "par.shards");
-  Alcotest.(check int) "par.tasks counter" file_chunks (Obs.sum_counter snap "par.tasks");
-  Alcotest.(check (option (float 1e-9))) "par.jobs gauge" (Some 2.)
-    (Obs.get_gauge snap "par.jobs")
+  Alcotest.(check string) "rerun = one range" (render want) (render texts);
+  Alcotest.(check int) "record count" n count;
+  Alcotest.(check (array int)) "the one-range result" [| 1 |] results;
+  let snap = Obs.snapshot obs in
+  Alcotest.(check int) "spans of the rerun only" 1 (span_count snap "par.pass.summary");
+  Alcotest.(check int) "no merges" 0 (span_count snap "par.merge")
 
 let () =
   Alcotest.run "nt_par"
@@ -890,30 +845,13 @@ let () =
           Alcotest.test_case "report matches golden file" `Quick
             (check_unit test_report_matches_golden);
         ] );
-      ( "pool",
-        [
-          Alcotest.test_case "results in order" `Quick (check_unit test_pool_runs_in_order);
-          Alcotest.test_case "size 1 runs inline" `Quick (check_unit test_pool_inline_when_single);
-          Alcotest.test_case "exceptions propagate" `Quick
-            (check_unit test_pool_propagates_exception);
-          Alcotest.test_case "task and queue counters" `Quick (check_unit test_pool_counters);
-          Alcotest.test_case "shutdown rejects work" `Quick
-            (check_unit test_pool_shutdown_rejects_work);
-          Alcotest.test_case "jobs 0 means recommended" `Quick
-            (check_unit test_pool_normalizes_jobs);
-        ] );
-      ( "shard-plan",
-        [
-          Alcotest.test_case "plan tiles the input" `Quick (check_unit test_plan_tiles);
-          Alcotest.test_case "empty input, empty plan" `Quick (check_unit test_plan_empty);
-          Alcotest.test_case "check rejects bad plans" `Quick
-            (check_unit test_plan_rejects_bad_chunk);
-        ] );
       ( "observability",
         [
-          Alcotest.test_case "driver exports spans and gauges" `Quick
-            (check_unit test_driver_instruments_obs);
-          Alcotest.test_case "chunked run_stream = one chunk, byte for byte" `Quick
-            (check_unit test_chunked_matches_single);
+          Alcotest.test_case "range fold exports spans" `Quick
+            (check_unit test_range_fold_instruments_obs);
+          Alcotest.test_case "ranged run = one range" `Quick
+            (check_unit test_ranged_matches_single);
+          Alcotest.test_case "unstitched ranges rerun as one" `Quick
+            (check_unit test_unstitched_ranges_rerun);
         ] );
     ]

@@ -207,6 +207,47 @@ let decode_channel s =
       in
       (st, List.rev !out))
 
+(* Frame starts of a well-formed stream, by walking the headers. *)
+let frame_starts s =
+  let le32 p = Int32.to_int (String.get_int32_le s p) land 0xFFFF_FFFF in
+  let rec go p acc =
+    if p + 17 > String.length s then List.rev acc else go (p + 17 + le32 (p + 9)) (p :: acc)
+  in
+  go (String.length Tbin.magic) []
+
+(* Decode the file at [path] as the ranges [cuts] bound, each through
+   its own channel, and apply the stitch rule: when a range did not
+   halt where the next one started, read the file again as one range.
+   Returns the summed stats, the records in order and whether the
+   ranges stitched. *)
+let decode_split path cuts =
+  let k = Array.length cuts + 1 in
+  In_channel.with_open_bin path @@ fun ic ->
+  let read ~lo ~hi =
+    let out = ref [] in
+    In_channel.seek ic 0L;
+    let r = Tbin.iter_range ic ~lo ~hi (fun x -> out := x :: !out) in
+    (r, List.rev !out)
+  in
+  let parts =
+    Array.init k (fun i ->
+        read
+          ~lo:(if i = 0 then 0 else cuts.(i - 1))
+          ~hi:(if i = k - 1 then max_int else cuts.(i)))
+  in
+  let stitched = ref true in
+  for i = 0 to k - 2 do
+    if (fst parts.(i)).Tbin.stop <> (fst parts.(i + 1)).Tbin.first then stitched := false
+  done;
+  if !stitched then
+    ( Array.fold_left (fun st (r, _) -> Tbin.sum st r.Tbin.stats) (fst parts.(0)).Tbin.stats
+        (Array.sub parts 1 (k - 1)),
+      List.concat_map snd (Array.to_list parts),
+      true )
+  else
+    let r, out = read ~lo:0 ~hi:max_int in
+    (r.Tbin.stats, out, false)
+
 (* Copy [s.[pos, pos+len)] into the decoder's window, as the monitor's
    tail reads a file into it, and decode it: records reach [out] with
    their replay offsets. *)
@@ -635,6 +676,23 @@ let test_mutation_storm () =
   let s = Tbin.encode_string ~frame_records:32 rs in
   let len = String.length s in
   let rng = Random.State.make [| 0x6d75; 7 |] in
+  (* cuts on, just before and just after the original frame
+     boundaries, plus anywhere *)
+  let near = Array.of_list (List.concat_map (fun b -> [ b - 1; b; b + 1 ]) (frame_starts s)) in
+  let pick_cuts k n =
+    let rec go acc =
+      if List.length acc = k - 1 then Array.of_list (List.sort compare acc)
+      else
+        let c =
+          if Random.State.bool rng then near.(Random.State.int rng (Array.length near))
+          else 1 + Random.State.int rng (max 1 (n - 1))
+        in
+        go (if c >= 1 && c < n && not (List.mem c acc) then c :: acc else acc)
+    in
+    if n < k then [||] else go []
+  in
+  let splits = ref 0 and reruns = ref 0 in
+  with_temp ".ntb" @@ fun path ->
   let rand_slice () =
     let a = Random.State.int rng len in
     let l = min (1 + Random.State.int rng 64) (len - a) in
@@ -687,8 +745,46 @@ let test_mutation_storm () =
       if st_ch <> st || out_ch <> out then
         Alcotest.failf "mutation %d: channel decode diverges (%s vs %s)" i
           (Tbin.stats_to_string st_ch) (Tbin.stats_to_string st)
-    end
-  done
+    end;
+    (* Split oracle: k ranges, stitched or read again as one, must
+       decode exactly what the whole stream decodes. *)
+    Out_channel.with_open_bin path (fun oc -> output_string oc m);
+    List.iter
+      (fun k ->
+        let cuts = pick_cuts k (String.length m) in
+        let st_s, out_s, stitched = decode_split path cuts in
+        incr splits;
+        if not stitched then incr reruns;
+        if st_s <> st || out_s <> out then
+          Alcotest.failf "mutation %d: %d-range decode diverges (%s vs %s)" i k
+            (Tbin.stats_to_string st_s) (Tbin.stats_to_string st))
+      [ 2; 3; 4 ]
+  done;
+  (* the rerun is the rare case, not the oracle doing all the work *)
+  if !reruns * 20 > !splits then
+    Alcotest.failf "%d of %d splits needed the one-range rerun" !reruns !splits
+
+(* A file cut at every offset, and at k = 3 and 4 on and beside every
+   frame boundary, decodes as the whole file does — and since nothing
+   in it looks like a frame but the frames, without a rerun. *)
+let test_clean_splits_stitch () =
+  let s = Tbin.encode_string ~frame_records:8 (List.init 40 simple) in
+  let n = String.length s in
+  let st, out = decode_string s in
+  with_temp ".ntb" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      let check cuts =
+        let st_s, out_s, stitched = decode_split path cuts in
+        let label = String.concat "," (Array.to_list (Array.map string_of_int cuts)) in
+        if not stitched then Alcotest.failf "cuts %s: clean stream did not stitch" label;
+        if st_s <> st || out_s <> out then Alcotest.failf "cuts %s: decode diverges" label
+      in
+      for c = 1 to n - 1 do
+        check [| c |]
+      done;
+      List.iter
+        (fun b -> List.iter (fun d -> check [| b + d; b + d + 9; n - 2 |]) [ -1; 0; 1 ])
+        (List.filter (fun b -> b > 1 && b + 10 < n - 2) (frame_starts s)))
 
 (* ---------- golden wire lock ---------- *)
 
@@ -769,26 +865,24 @@ let test_differential_text_tbin_stream () =
             (fun jobs ->
               let label = Printf.sprintf "jobs %d" jobs in
               let base =
-                render label
-                  (Nt_par.Report.run ~jobs ~records_per_shard:64 ~sections
-                     (Array.of_list from_text))
+                render label (Nt_par.Report.run ~jobs ~sections (Array.of_list from_text))
               in
               let tbin =
-                render label
-                  (Nt_par.Report.run ~jobs ~records_per_shard:64 ~sections
-                     (Array.of_list from_tbin))
+                render label (Nt_par.Report.run ~jobs ~sections (Array.of_list from_tbin))
               in
-              let streamed, n =
-                Nt_core.Pipeline.analyze_stream ~jobs ~records_per_shard:64 ~sections
-                  (fun emit -> ignore (Nt_core.Pipeline.iter_trace tbin_path emit))
-              in
-              Alcotest.(check int)
-                (label ^ ": streamed record count")
-                (List.length records) n;
               Alcotest.(check string) (label ^ ": text vs tbin") base tbin;
-              Alcotest.(check string) (label ^ ": text vs streamed") base
-                (render label streamed))
-            [ 1; 4 ]))
+              List.iter
+                (fun path ->
+                  let streamed, n, src = Nt_core.Pipeline.analyze_trace ~jobs ~sections path in
+                  Alcotest.(check int)
+                    (label ^ ": streamed record count")
+                    (List.length records) n;
+                  Alcotest.(check (list string)) (label ^ ": nothing skipped") []
+                    (Nt_core.Pipeline.skipped_notes ~tool:"t" src);
+                  Alcotest.(check string) (label ^ ": text vs streamed " ^ path) base
+                    (render label streamed))
+                [ text_path; tbin_path ])
+            [ 1; 2; 4 ]))
 
 let test_differential_pcap_leg () =
   (* The capture path: pcap -> records, then those records through the
@@ -813,13 +907,167 @@ let test_differential_pcap_leg () =
       if out <> captured then Alcotest.failf "tbin changed the captured records";
       let base =
         render "pcap"
-          (Nt_par.Report.run ~jobs:4 ~records_per_shard:64 ~sections (Array.of_list captured))
+          (Nt_par.Report.run ~jobs:4 ~sections (Array.of_list captured))
       in
       let via_tbin =
         render "pcap"
-          (Nt_par.Report.run ~jobs:4 ~records_per_shard:64 ~sections (Array.of_list out))
+          (Nt_par.Report.run ~jobs:4 ~sections (Array.of_list out))
       in
       Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
+
+(* Every stored frame of an encoded stream rewritten uncompressed, so
+   the payload bytes appear in the file verbatim. *)
+let uncompressed s =
+  let b = Buffer.create (String.length s) in
+  Buffer.add_string b Tbin.magic;
+  List.iter
+    (fun p ->
+      let le32 o = Int32.to_int (String.get_int32_le s (p + o)) land 0xFFFF_FFFF in
+      let raw_len = le32 5 and stored = le32 9 in
+      let raw =
+        if Char.code s.[p + 4] land 1 = 0 then String.sub s (p + 17) stored
+        else Frame.decompress s ~pos:(p + 17) ~len:stored ~expect:raw_len
+      in
+      Buffer.add_string b Tbin.sync;
+      Buffer.add_char b '\000';
+      Buffer.add_int32_le b (Int32.of_int raw_len);
+      Buffer.add_int32_le b (Int32.of_int raw_len);
+      Buffer.add_int32_le b (Int32.of_int (Frame.adler32 raw ~pos:0 ~len:raw_len));
+      Buffer.add_string b raw)
+    (frame_starts s);
+  Buffer.contents b
+
+let rec find_sub s sub from =
+  if from + String.length sub > String.length s then -1
+  else if String.sub s from (String.length sub) = sub then from
+  else find_sub s sub (from + 1)
+
+(* A LOOKUP whose name is a whole checksum-valid frame, in the second
+   frame of a file. A range that starts between that frame's start and
+   the embedded one takes the embedded one for its first frame, while
+   the range before it reads the real frame to the end: the stitch
+   fails, the file is read again as one range, and the result is the
+   whole decode's — through the tbin reader and through nfsstats'
+   source alike. *)
+let test_embedded_frame_reruns () =
+  let inner = uncompressed (Tbin.encode_string [ simple 999 ]) in
+  let inner = String.sub inner (String.length Tbin.magic) (String.length inner - String.length Tbin.magic) in
+  let crafted = mk (Ops.Lookup { dir = fh_a; name = inner }) in
+  let s = uncompressed (Tbin.encode_string ~frame_records:6 (List.init 6 simple @ [ crafted ])) in
+  let start1 = List.nth (frame_starts s) 1 in
+  let p = find_sub s inner start1 in
+  Alcotest.(check bool) "the embedded frame lies in the second frame" true (p > start1);
+  let st, out = decode_string s in
+  Alcotest.(check int) "whole decode: clean" 0 (Tbin.failures st);
+  Alcotest.(check bool) "whole decode: the crafted record" true (List.mem crafted out);
+  with_temp ".ntb" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      List.iter
+        (fun c ->
+          let st_s, out_s, stitched = decode_split path [| c |] in
+          Alcotest.(check bool) (Printf.sprintf "cut at %d: rerun" c) false stitched;
+          if st_s <> st || out_s <> out then Alcotest.failf "cut at %d: decode diverges" c)
+        [ start1 + 1; p - 1; p ];
+      (* the first range count whose cut falls in (start1, p] *)
+      let n = String.length s in
+      let rec straddling k =
+        if k > 64 then Alcotest.fail "no range count cuts the crafted frame"
+        else if List.exists (fun i -> let c = n * i / k in c > start1 && c <= p) (List.init k Fun.id)
+        then k
+        else straddling (k + 1)
+      in
+      let k = straddling 2 in
+      let analyze jobs =
+        let obs = Nt_obs.Obs.create () in
+        let texts, count, src = Nt_core.Pipeline.analyze_trace ~obs ~jobs ~sections path in
+        let spans =
+          match Nt_obs.Obs.get_span (Nt_obs.Obs.snapshot obs) "par.pass.summary" with
+          | Some sp -> sp.Nt_obs.Obs.count
+          | None -> 0
+        in
+        (render "embedded" texts, count, src, spans)
+      in
+      let want, n1, src1, _ = analyze 1 in
+      let got, nk, srck, spans = analyze k in
+      Alcotest.(check string) (Printf.sprintf "jobs %d: report" k) want got;
+      Alcotest.(check int) (Printf.sprintf "jobs %d: records" k) n1 nk;
+      if src1 <> srck then Alcotest.failf "jobs %d: source stats diverge" k;
+      Alcotest.(check int) (Printf.sprintf "jobs %d: read again as one range" k) 1 spans)
+
+(* Text ranges split at line starts: cut anywhere, the lines parse
+   once each — a malformed line or the unterminated last one included —
+   and every range halts where the next one starts. *)
+let test_text_split_every_offset () =
+  let line i = Record.to_line (simple i) in
+  let text =
+    String.concat "\n" [ line 0; line 1; ""; "garbage that spans a cut"; line 2; line 3 ]
+  in
+  let n = String.length text in
+  with_temp ".trace" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let read ~lo ~hi =
+        let out = ref [] in
+        let r =
+          In_channel.with_open_bin path (fun ic ->
+              Record.iter_range ic ~lo ~hi (fun x -> out := x :: !out))
+        in
+        (r, List.rev !out)
+      in
+      let whole, want = read ~lo:0 ~hi:max_int in
+      Alcotest.(check int) "whole: one malformed line" 1 whole.Record.rejected;
+      Alcotest.(check int) "whole: four records" 4 (List.length want);
+      for c = 1 to n - 1 do
+        let a, ra = read ~lo:0 ~hi:c and b, rb = read ~lo:c ~hi:max_int in
+        if a.Record.stop <> b.Record.first then
+          Alcotest.failf "cut at %d: range 0 stops at %d, range 1 starts at %d" c a.Record.stop
+            b.Record.first;
+        if ra @ rb <> want then Alcotest.failf "cut at %d: records diverge" c;
+        Alcotest.(check int) (Printf.sprintf "cut at %d: rejected" c) 1
+          (a.Record.rejected + b.Record.rejected)
+      done)
+
+(* nfsstats' source at every range count against one range, on the
+   text shapes a cut can land badly in. *)
+let test_text_ranges_match_one () =
+  let lines k = List.init k (fun i -> Record.to_line (simple i) ^ "\n") in
+  let cases =
+    [
+      ("malformed line straddling the cuts",
+        String.concat "" (lines 6 @ [ String.make 2000 'x' ^ "\n" ] @ lines 6));
+      ("unterminated last line", String.concat "" (lines 8) ^ Record.to_line (simple 8));
+      ("long unterminated last line", String.concat "" (lines 4) ^ String.make 2000 'x');
+      ("empty file", "");
+      ("shorter than the range count", "x\n");
+      ("more ranges than lines", String.concat "" (lines 3));
+    ]
+  in
+  List.iter
+    (fun (label, text) ->
+      with_temp ".trace" (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          let analyze jobs =
+            let obs = Nt_obs.Obs.create () in
+            let texts, n, src = Nt_core.Pipeline.analyze_trace ~obs ~jobs ~sections path in
+            let ranges =
+              match Nt_obs.Obs.get_span (Nt_obs.Obs.snapshot obs) "par.pass.summary" with
+              | Some sp -> sp.Nt_obs.Obs.count
+              | None -> 0
+            in
+            (texts, n, src, ranges)
+          in
+          let want, n1, src1, _ = analyze 1 in
+          List.iter
+            (fun jobs ->
+              let got, n, src, ranges = analyze jobs in
+              let l = Printf.sprintf "%s, jobs %d" label jobs in
+              Alcotest.(check string) (l ^ ": report") (render l want) (render l got);
+              Alcotest.(check int) (l ^ ": records") n1 n;
+              Alcotest.(check int) (l ^ ": rejected") src1.Nt_core.Pipeline.rejected
+                src.Nt_core.Pipeline.rejected;
+              (* text ranges always stitch: no rerun *)
+              Alcotest.(check int) (l ^ ": ranges") (max 1 (min jobs (String.length text))) ranges)
+            [ 2; 3; 4; 8 ]))
+    cases
 
 (* The benchmark's campus-tbin-stats input (360 CAMPUS users from
    Wednesday 9am, seed 1, first 160,000 records, 4096-record frames)
@@ -952,6 +1200,15 @@ let () =
           Alcotest.test_case "concatenated streams resync" `Quick test_concat_resync;
           Alcotest.test_case "10k-mutation storm: total, conservative" `Slow
             test_mutation_storm;
+        ] );
+      ( "ranges",
+        [
+          Alcotest.test_case "clean splits stitch and decode as whole" `Quick
+            test_clean_splits_stitch;
+          Alcotest.test_case "embedded frame across a cut reruns as one range" `Quick
+            test_embedded_frame_reruns;
+          Alcotest.test_case "text split at every offset" `Quick test_text_split_every_offset;
+          Alcotest.test_case "text ranges match one range" `Quick test_text_ranges_match_one;
         ] );
       ( "golden",
         [
