@@ -22,11 +22,11 @@ let run input output seed omit obs_opts =
   let c_records = Nt_obs.Obs.counter obs ~help:"records anonymized" "anon.records" in
   let oc = if output = "-" then stdout else open_out output in
   let n = ref 0 in
+  let line = Buffer.create 256 in
   let source =
     Nt_obs.Obs.with_span obs "anonymize" (fun () ->
         Nt_core.Pipeline.iter_trace ~obs input (fun r ->
-            output_string oc (Nt_trace.Record.to_line (Nt_trace.Anonymize.record anon r));
-            output_char oc '\n';
+            Nt_trace.Record.output_line line oc (Nt_trace.Anonymize.record anon r);
             incr n;
             Nt_obs.Obs.inc c_records;
             Nt_obs.Sampler.tick sampler;

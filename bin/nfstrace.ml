@@ -12,16 +12,15 @@ let run input output out_tbin salvage lint obs_opts =
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfstrace" in
-  let decode () =
-    let reader = Nt_net.Pcap.reader_of_channel ~obs ~salvage ic in
+  let corrupt msg =
+    (* Salvage resyncs past damaged records, but a damaged global
+       header leaves no endianness/tick-unit to resync with. *)
+    let hint = if salvage then "" else "; retry with --salvage to resync past damage" in
+    Printf.eprintf "nfstrace: corrupt pcap (%s)%s\n%!" msg hint
+  in
+  let decode reader =
     let oc = if output = "-" then stdout else open_out output in
-    let tbin =
-      match out_tbin with
-      | None -> None
-      | Some path ->
-          let toc = open_out_bin path in
-          Some (toc, Nt_tbin.Writer.create (output_string toc))
-    in
+    let toc = Option.map open_out_bin out_tbin in
     let linter =
       if lint then
         (* Streamed records are not globally call-time sorted (lost calls
@@ -31,28 +30,19 @@ let run input output out_tbin salvage lint obs_opts =
              { Nt_lint.Engine.default_config with reorder_window = 120. })
       else None
     in
-    let line = Buffer.create 256 in
     let emit r =
-      Buffer.clear line;
-      Nt_trace.Record.add_line line r;
-      Buffer.add_char line '\n';
-      Buffer.output_buffer oc line;
-      Option.iter (fun (_, w) -> Nt_tbin.Writer.add w r) tbin;
       Option.iter (fun l -> Nt_lint.Engine.observe l r) linter;
       Nt_obs.Sampler.tick sampler;
       Obs_cli.tick prog ~stage:"decode" 1
     in
-    (* Stream records as replies complete; unanswered calls flush at EOF. *)
-    let capture = Nt_trace.Capture.create ~obs ~emit () in
-    Obs.with_span obs "capture.decode" (fun () ->
-        Nt_trace.Capture.feed_pcap capture reader);
-    let stats, _ = Nt_trace.Capture.finish capture in
-    Option.iter
-      (fun (toc, w) ->
-        Nt_tbin.Writer.close w;
-        close_out toc)
-      tbin;
-    if output <> "-" then close_out oc;
+    let stats, aborted =
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter close_out toc;
+          if output <> "-" then close_out oc)
+        (fun () -> Nt_core.Pipeline.trace_pcap ~obs ~emit ?tbin:toc reader oc)
+    in
+    Option.iter corrupt aborted;
     Printf.eprintf "nfstrace: %s\n%!" (Nt_trace.Capture.stats_to_string stats);
     Option.iter
       (fun l ->
@@ -63,16 +53,14 @@ let run input output out_tbin salvage lint obs_opts =
         Printf.eprintf "nfstrace: lint: %d error(s), %d warning(s)\n%!"
           (Nt_lint.Engine.severity_count l Nt_lint.Rule.Error)
           (Nt_lint.Engine.severity_count l Nt_lint.Rule.Warn))
-      linter
+      linter;
+    if Option.is_none aborted then 0 else 1
   in
   let status =
-    match decode () with
-    | () -> 0
+    match Nt_net.Pcap.reader_of_channel ~obs ~salvage ic with
+    | reader -> decode reader
     | exception Nt_net.Pcap.Bad_format msg ->
-        (* Salvage resyncs past damaged records, but a damaged global
-           header leaves no endianness/tick-unit to resync with. *)
-        let hint = if salvage then "" else "; retry with --salvage to resync past damage" in
-        Printf.eprintf "nfstrace: corrupt pcap (%s)%s\n%!" msg hint;
+        corrupt msg;
         1
   in
   if input <> "-" then close_in ic;

@@ -57,9 +57,9 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
   in
   let emit_trace oc =
     let n = ref 0 in
+    let line = Buffer.create 256 in
     let sink r =
-      output_string oc (Nt_trace.Record.to_line r);
-      output_char oc '\n';
+      Nt_trace.Record.output_line line oc r;
       copy r;
       incr n;
       Nt_obs.Sampler.tick sampler;

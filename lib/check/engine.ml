@@ -30,6 +30,7 @@ let default_config =
         "Nt_trace.Capture.feed_slice";
         "Nt_trace.Record.parse_slice";
         "Nt_trace.Record.Decoder.parse";
+        "Nt_trace.Record.add_line";
         "Nt_tbin.Tbin.parse";
       ];
     acc_prefixes = [ "Nt_analysis"; "Nt_lint"; "Nt_mon" ];

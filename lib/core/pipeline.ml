@@ -132,6 +132,25 @@ let capture_pcap ?obs ?salvage pcap_bytes =
       Nt_trace.Capture.feed_pcap capture reader;
       Nt_trace.Capture.finish capture)
 
+let trace_pcap ?obs ?(emit = ignore) ?tbin reader oc =
+  let obs = match obs with Some o -> o | None -> Obs.create () in
+  let tbin = Option.map (fun toc -> Nt_tbin.Writer.create (output_string toc)) tbin in
+  let line = Buffer.create 256 in
+  let emit r =
+    Nt_trace.Record.output_line line oc r;
+    Option.iter (fun w -> Nt_tbin.Writer.add w r) tbin;
+    emit r
+  in
+  let capture = Nt_trace.Capture.create ~obs ~emit () in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Nt_tbin.Writer.close tbin)
+    (fun () ->
+      match
+        Obs.with_span obs "capture.decode" (fun () -> Nt_trace.Capture.feed_pcap capture reader)
+      with
+      | () -> (fst (Nt_trace.Capture.finish capture), None)
+      | exception Nt_net.Pcap.Bad_format msg -> (Nt_trace.Capture.stats capture, Some msg))
+
 (* --- degraded-vs-clean differential harness --- *)
 
 module Fault = Nt_sim.Fault

@@ -88,6 +88,21 @@ val capture_pcap :
     reader and the capture engine (disjoint [capture.*] namespaces)
     and gains a [capture.decode] span. *)
 
+val trace_pcap :
+  ?obs:Nt_obs.Obs.t ->
+  ?emit:(Nt_trace.Record.t -> unit) ->
+  ?tbin:out_channel ->
+  Nt_net.Pcap.reader ->
+  out_channel ->
+  Nt_trace.Capture.stats * string option
+(** [nfstrace]'s decode: each record as it completes, as a text line to
+    the channel, as nttb/1 to [tbin] when given, then to [emit].
+    Unanswered calls flush at the end. A record header damaged
+    mid-capture ({!Nt_net.Pcap.Bad_format}) stops the decode: the
+    result is the stats so far and [Some reason], and pending calls are
+    not flushed. On every exit the tbin writer is closed, so both
+    outputs hold the same records; the channels stay open. *)
+
 type degraded_run = {
   simulated : int;  (** records pushed into both pipes *)
   clean : Nt_trace.Capture.stats;

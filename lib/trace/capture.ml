@@ -361,6 +361,26 @@ let feed_pcap t reader =
   "propagates the reader's own Sys_error/Bad_format by contract: a caller-supplied pcap that \
    cannot be read is the caller's error to handle, not something to swallow mid-trace"]
 
+let stats t =
+  {
+    frames = Obs.value t.c_frames;
+    undecodable_frames = Obs.value t.c_undecodable;
+    corrupt_frames = Obs.value t.c_corrupt;
+    rpc_messages = Obs.value t.c_rpc_messages;
+    rpc_errors = Obs.value t.c_rpc_errors;
+    non_nfs = Obs.value t.c_non_nfs;
+    calls = Obs.value t.c_calls;
+    replies = Obs.value t.c_replies;
+    duplicate_calls = Obs.value t.c_duplicate_calls;
+    duplicate_replies = Obs.value t.c_duplicate_replies;
+    orphan_replies = Obs.value t.c_orphan_replies;
+    lost_replies = Obs.value t.c_lost_replies;
+    tcp_gaps = Tcp.gaps t.tcp;
+    salvaged_records = t.salvaged_records;
+    skipped_pcap_bytes = t.skipped_pcap_bytes;
+    truncated_pcap_tails = t.truncated_pcap_tails;
+  }
+
 let finish t =
   (* Whatever is still pending never got a reply. *)
   Pending_tbl.iter
@@ -370,26 +390,7 @@ let finish t =
     t.pending;
   Pending_tbl.reset t.pending;
   Pending_tbl.reset t.answered;
-  let stats =
-    {
-      frames = Obs.value t.c_frames;
-      undecodable_frames = Obs.value t.c_undecodable;
-      corrupt_frames = Obs.value t.c_corrupt;
-      rpc_messages = Obs.value t.c_rpc_messages;
-      rpc_errors = Obs.value t.c_rpc_errors;
-      non_nfs = Obs.value t.c_non_nfs;
-      calls = Obs.value t.c_calls;
-      replies = Obs.value t.c_replies;
-      duplicate_calls = Obs.value t.c_duplicate_calls;
-      duplicate_replies = Obs.value t.c_duplicate_replies;
-      orphan_replies = Obs.value t.c_orphan_replies;
-      lost_replies = Obs.value t.c_lost_replies;
-      tcp_gaps = Tcp.gaps t.tcp;
-      salvaged_records = t.salvaged_records;
-      skipped_pcap_bytes = t.skipped_pcap_bytes;
-      truncated_pcap_tails = t.truncated_pcap_tails;
-    }
-  in
+  let stats = stats t in
   let records =
     match t.buffer with
     | None -> []

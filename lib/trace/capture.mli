@@ -69,6 +69,10 @@ val feed_pcap : t -> Nt_net.Pcap.reader -> unit
     {!Nt_net.Pcap.read_slice} at a time, then fold the reader's
     salvage/truncation accounting into {!stats}. *)
 
+val stats : t -> stats
+(** The counts so far, without flushing anything: what a decode that
+    aborts on a damaged pcap reports. *)
+
 val finish : t -> stats * Record.t list
 (** Flush unanswered calls, then return statistics and all buffered
     records sorted by call time (empty list if an [emit] sink was

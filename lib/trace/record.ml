@@ -88,16 +88,27 @@ let add_escaped b s =
     else Buffer.add_char b c
   done
 
-(* The writer appends each field straight into the caller's buffer:
-   decimal integers and hex bytes digit by digit, floats and the xid
-   through the C formatters Printf itself calls, so the bytes are those
-   of the sprintf renderings. *)
+(* The writer appends each field straight into the caller's buffer,
+   digit by digit, and builds no string on the common path. Floats and
+   the xid print the bytes of their sprintf renderings: a fast path
+   writes the digits only where it can prove them (DESIGN.md §18,
+   "Writing"), and everything else goes to the C formatter Printf
+   itself calls. *)
 external format_float : string -> float -> string = "caml_format_float"
 external format_int : string -> int -> string = "caml_format_int"
 
 let rec add_digits b n =
   if n >= 10 then add_digits b (n / 10);
   Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* [n < p = 10^k] in exactly k digits, zero-padded on the left. *)
+let rec add_padded b n p =
+  if p > 10 then add_padded b (n / 10) (p / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* The same digits with the trailing zeros dropped. *)
+let rec add_fraction b n p =
+  if p > 1 then if n mod 10 = 0 then add_fraction b (n / 10) (p / 10) else add_padded b n p
 
 let add_int b n = if n >= 0 then add_digits b n else Buffer.add_string b (string_of_int n)
 
@@ -106,12 +117,66 @@ let add_int64 b v =
     add_digits b (Int64.to_int v)
   else Buffer.add_string b (Int64.to_string v)
 
+(* [frac *. scale] rounded to the nearest integer, or -1 when that
+   product lies within 1e-6 of a half. [frac], the fraction of a double,
+   and [scale], a power of ten up to 1e7, are exact, so the one rounding
+   of the product errs by at most 2^-53 * 1e7 < 1.2e-9: outside the
+   window the exact product rounds to the same integer, inside it only
+   the C formatter knows. Inlined, like [add_float], so that no float
+   argument is boxed. *)
+let[@inline] round_scaled frac scale =
+  let y = frac *. scale in
+  let n = Float.to_int y in
+  let d = y -. Float.of_int n in
+  if Float.abs (d -. 0.5) < 1e-6 then -1 else if d > 0.5 then n + 1 else n
+
+(* [Printf.sprintf "%.6f" t]. *)
+let add_fixed6 b t =
+  let us =
+    if Float.sign_bit t || not (t < 9e15) then -1 else round_scaled (t -. Float.trunc t) 1e6
+  in
+  if us < 0 then Buffer.add_string b (format_float "%.6f" t)
+  else begin
+    add_digits b (Float.to_int t + (us / 1_000_000));
+    Buffer.add_char b '.';
+    add_padded b (us mod 1_000_000) 1_000_000
+  end
+
+(* The least power of ten above [n], counting up from [p]. *)
+let rec pow10_above n p = if p > n then p else pow10_above n (p * 10)
+
+(* [string_of_float x]: "%.12g", then a '.' when only digits remain.
+   For [1e4 <= x < 1e11] that is the integer part and [12 - digits]
+   rounded fraction digits, trailing zeros dropped. A round that
+   carries into a new integer digit yields [10^digits], which %g, its
+   exponent still below 12, prints as those digits and no fraction. *)
+let[@inline] add_float b x =
+  let ip = if x >= 1e4 && x < 1e11 then Float.to_int x else 0 in
+  let scale = 1_000_000_000_000 / pow10_above ip 100_000 in
+  let f = if ip = 0 then -1 else round_scaled (x -. Float.trunc x) (Float.of_int scale) in
+  if f < 0 then Buffer.add_string b (string_of_float x)
+  else begin
+    add_digits b (ip + (f / scale));
+    Buffer.add_char b '.';
+    add_fraction b (f mod scale) scale
+  end
+
+(* The two hex digits of byte [c] at [2c]. *)
+let hex_pairs =
+  String.init 512 (fun i -> hex_digit (if i land 1 = 0 then i lsr 5 else (i lsr 1) land 0xF))
+
 let add_hex_bytes b s =
   for i = 0 to String.length s - 1 do
-    let c = Char.code s.[i] in
-    Buffer.add_char b (hex_digit (c lsr 4));
-    Buffer.add_char b (hex_digit (c land 0xF))
+    Buffer.add_uint16_ne b (String.get_uint16_ne hex_pairs (2 * Char.code (String.unsafe_get s i)))
   done
+
+(* [Printf.sprintf "%08x" xid]. *)
+let add_xid b xid =
+  if xid < 0 || xid > 0xFFFF_FFFF then Buffer.add_string b (format_int "%08x" xid)
+  else
+    for shift = 7 downto 0 do
+      Buffer.add_char b (hex_digit ((xid lsr (4 * shift)) land 0xF))
+    done
 
 let add_ip b ip =
   add_int b ((ip lsr 24) land 0xFF);
@@ -150,7 +215,7 @@ let add_kbool b key v =
 
 let add_ktime b key t =
   add_key b key;
-  Buffer.add_string b (string_of_float (Types.time_to_float t))
+  add_float b (Types.time_to_float t)
 
 let add_call b (c : Ops.call) =
   match c with
@@ -213,6 +278,8 @@ let add_attr b (a : Types.fattr) =
   Buffer.add_string b (Types.ftype_to_string a.ftype);
   add_ktime b "mtime" a.mtime
 
+let add_attr_opt b = function Some a -> add_attr b a | None -> ()
+
 let add_result b (r : Ops.result) =
   match r with
   | Error st -> add_kint b "status" (Types.nfsstat_to_int st)
@@ -223,20 +290,20 @@ let add_result b (r : Ops.result) =
       | R_attr a -> add_attr b a
       | R_lookup { fh; obj; _ } ->
           add_fh b "rfh" fh;
-          Option.iter (add_attr b) obj
+          add_attr_opt b obj
       | R_access bits -> add_kint b "racc" bits
       | R_readlink target -> add_name b "rtarget" target
       | R_read { attr; count; eof } ->
           add_kint b "rcount" count;
           add_kbool b "eof" eof;
-          Option.iter (add_attr b) attr
+          add_attr_opt b attr
       | R_write { count; committed; attr } ->
           add_kint b "rcount" count;
           add_kint b "committed" (Types.stable_how_to_int committed);
-          Option.iter (add_attr b) attr
+          add_attr_opt b attr
       | R_create { fh; attr } ->
           Option.iter (add_fh b "rfh") fh;
-          Option.iter (add_attr b) attr
+          add_attr_opt b attr
       | R_readdir { entries; eof } ->
           (* Entry lists can be huge and no analysis consumes them from
              saved traces; only the count survives serialization. *)
@@ -251,10 +318,10 @@ let add_result b (r : Ops.result) =
       | R_pathconf { name_max } -> add_kint b "namemax" name_max)
 
 let add_line b t =
-  Buffer.add_string b (format_float "%.6f" t.time);
+  add_fixed6 b t.time;
   Buffer.add_char b ' ';
   (match t.reply_time with
-  | Some rt -> Buffer.add_string b (format_float "%.6f" rt)
+  | Some rt -> add_fixed6 b rt
   | None -> Buffer.add_char b '-');
   Buffer.add_string b " v";
   add_int b t.version;
@@ -263,7 +330,7 @@ let add_line b t =
   Buffer.add_char b ' ';
   add_ip b t.server;
   Buffer.add_char b ' ';
-  Buffer.add_string b (format_int "%08x" t.xid);
+  add_xid b t.xid;
   Buffer.add_char b ' ';
   add_int b t.uid;
   Buffer.add_char b ' ';
@@ -282,16 +349,18 @@ let to_line t =
   add_line b t;
   Buffer.contents b
 
+let output_line b oc t =
+  Buffer.clear b;
+  add_line b t;
+  Buffer.add_char b '\n';
+  Buffer.output_buffer oc b
 
 let write_channel oc records =
   let n = ref 0 in
   let b = Buffer.create 256 in
   Seq.iter
     (fun r ->
-      Buffer.clear b;
-      add_line b r;
-      Buffer.add_char b '\n';
-      Buffer.output_buffer oc b;
+      output_line b oc r;
       incr n)
     records;
   !n

@@ -48,13 +48,32 @@ val is_ok : t -> bool
 (** True when a reply was seen and it carries NFS3_OK. *)
 
 val add_line : Buffer.t -> t -> unit
-(** Append the record's text line (no newline) to the buffer, building
-    no intermediate strings beyond one per float field and one for the
-    xid. A writer that
-    clears and reuses one buffer allocates almost nothing per record. *)
+(** Append the record's text line (no newline) to the buffer. The
+    fields are written digit by digit; no string is built except where
+    a float or xid falls back to its C formatter (DESIGN.md §18,
+    "Writing"). *)
+
+val output_line : Buffer.t -> out_channel -> t -> unit
+(** Write the record's line and a newline to the channel through the
+    buffer, which is cleared first. A writer that reuses one buffer
+    allocates almost nothing per record. *)
 
 val to_line : t -> string
 (** {!add_line} into a fresh buffer. *)
+
+(** {2 Field writers}
+
+    The numeric writers {!add_line} uses. Each appends exactly the bytes
+    of the named rendering. *)
+
+val add_fixed6 : Buffer.t -> float -> unit
+(** [Printf.sprintf "%.6f"]: the time columns. *)
+
+val add_float : Buffer.t -> float -> unit
+(** [string_of_float]: the [*time] keys. *)
+
+val add_xid : Buffer.t -> int -> unit
+(** [Printf.sprintf "%08x"]. *)
 
 val parse_slice : string -> pos:int -> len:int -> (t, string) result
 (** Parse the text line at [pos, pos+len) of [s] (no newline) in place,

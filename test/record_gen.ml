@@ -36,9 +36,25 @@ let gen_f =
       G.map2
         (fun s us -> float_of_int s +. (float_of_int us /. 1e6))
         (G.int_range 0 2_000_000_000) (G.int_range 0 999_999);
+      (* Nanosecond and 1/2^k fractions reach the writer's near-tie,
+         exact-tie and carry cases, which microsecond steps never do. *)
+      G.map2
+        (fun s ns -> float_of_int s +. (float_of_int ns *. 1e-9))
+        (G.int_range 0 2_000_000_000) (G.int_range 0 999_999_999);
+      G.map3
+        (fun s m k -> float_of_int s +. Float.ldexp (float_of_int (m land ((1 lsl k) - 1))) (-k))
+        (G.int_range 0 2_000_000_000) (G.int_bound (1 lsl 24)) (G.int_range 1 24);
     ]
 
-let gen_time_t = G.map2 (fun s n -> { T.seconds = s; nanos = n }) gen_bint gen_nat
+let gen_time_t =
+  G.oneof
+    [
+      G.map2 (fun s n -> { T.seconds = s; nanos = n }) gen_bint gen_nat;
+      G.map2
+        (fun s n -> { T.seconds = s; nanos = n })
+        (G.int_range 0 4_000_000_000) (G.int_range 0 999_999_999);
+    ]
+
 let gen_ftype = G.oneofl [ T.Reg; T.Dir; T.Blk; T.Chr; T.Lnk; T.Sock; T.Fifo ]
 let gen_stable = G.oneofl [ T.Unstable; T.Data_sync; T.File_sync ]
 

@@ -376,6 +376,90 @@ let prop_add_line =
            (fun r -> String.starts_with ~prefix:(fixed r ^ " ") (Record.to_line r ^ " "))
            rs)
 
+(* The numeric field writers against the renderings they replace: one
+   message per mismatch. *)
+let writer_mismatches xs xids =
+  let b = Buffer.create 64 in
+  let render add x =
+    Buffer.clear b;
+    add b x;
+    Buffer.contents b
+  in
+  List.concat_map
+    (fun x ->
+      List.filter_map
+        (fun (name, add, expect) ->
+          let got = render add x in
+          if String.equal got expect then None
+          else Some (Printf.sprintf "%s %h: %s, want %s" name x got expect))
+        [
+          ("%.6f", Record.add_fixed6, Printf.sprintf "%.6f" x);
+          ("string_of_float", Record.add_float, string_of_float x);
+        ])
+    xs
+  @ List.filter_map
+      (fun xid ->
+        let got = render Record.add_xid xid and expect = Printf.sprintf "%08x" xid in
+        if String.equal got expect then None
+        else Some (Printf.sprintf "%%08x %d: %s, want %s" xid got expect))
+      xids
+
+(* Where a fast path could go wrong: exact and near ties, carries,
+   every digit-count boundary of the string_of_float path, and the
+   values only the C formatters handle. *)
+let adversarial_doubles =
+  let around x = [ x; Float.pred x; Float.succ x ] in
+  let ints a b = List.init (b - a + 1) (fun i -> a + i) in
+  let dyadic = List.map (fun k -> float_of_int k /. 128.) (ints 0 256) in
+  let half_micros = List.map (fun k -> float_of_int ((2 * k) + 1) /. 2e6) (ints 0 2000) in
+  let carries =
+    List.concat_map
+      (fun s -> [ s +. 0.9999995; s +. 0.99999949; s +. 0.9999999 ])
+      [ 0.; 1.; 9.; 99_999.; 1_003_914_003.; 8_999_999_999_999. ]
+    @ [ 99_999.99999995; 99_999.9999999; 9_999_999_999.95; 99_999_999_999.95 ]
+  in
+  (* For each power 10^e: the power, and the half-unit in the last of
+     the 12 significant digits just below it. *)
+  let boundaries =
+    List.concat_map
+      (fun e ->
+        let p = 10. ** float_of_int e in
+        around p @ around (p -. (0.5 *. (10. ** float_of_int (e - 12)))))
+      (ints 4 12)
+  in
+  let specials =
+    [ 0.; -0.; nan; infinity; neg_infinity; 9e15; Float.pred 9e15; 1e16; 1e300;
+      4.9e-324; 2.2250738585072014e-308; Float.min_float; -1.5; -1e9; -0.0000005;
+      -1_003_914_003.7765 ]
+  in
+  List.concat_map
+    (fun x -> [ x; 1_003_914_003. +. x; 12_345. +. x ])
+    (dyadic @ half_micros)
+  @ carries @ boundaries @ specials
+
+let test_writer_oracle () =
+  let xids = [ 0; 1; -1; min_int; max_int; 0xFFFF_FFFF; 0x1_0000_0000; 0xdead_beef; 0x31c0_abb8 ] in
+  match writer_mismatches adversarial_doubles xids with
+  | [] -> ()
+  | ms -> Alcotest.failf "%d mismatches, first: %s" (List.length ms) (List.hd ms)
+
+let prop_writer_doubles =
+  let gen =
+    G.oneof
+      [
+        G.map Int64.float_of_bits G.int64;
+        G.map2
+          (fun s ns -> float_of_int s +. (float_of_int ns *. 1e-9))
+          (G.int_range 0 4_000_000_000) (G.int_range 0 999_999_999);
+        G.map2
+          (fun s x -> float_of_int s +. x)
+          (G.int_range 0 100_000_000_000) (G.float_bound_exclusive 1.);
+      ]
+  in
+  QCheck.Test.make ~name:"field writers match printf over 100k doubles" ~count:100_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x -> writer_mismatches [ x ] [] = [])
+
 (* ---------- round trips ---------- *)
 
 let prop_roundtrip_one =
@@ -915,6 +999,44 @@ let test_differential_pcap_leg () =
       in
       Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
 
+(* nfstrace without --salvage on a capture whose middle record header
+   is damaged: the decode stops there, and the text and tbin outputs
+   still hold the same records, with the frames read before the damage
+   counted. *)
+let test_aborted_decode_outputs_agree () =
+  let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
+  let pcap =
+    let b = Buffer.create (1 lsl 20) in
+    let writer = Nt_net.Pcap.writer_to_buffer b in
+    let config = { Nt_workload.Email.default_config with Nt_workload.Email.users = 2 } in
+    ignore (Nt_core.Pipeline.campus_to_pcap ~config ~start ~stop:(start +. 120.) ~writer ());
+    Buffer.to_bytes b
+  in
+  (* Record header offsets, past the 24-byte global header. *)
+  let rec headers acc off =
+    if off + 16 > Bytes.length pcap then List.rev acc
+    else headers (off :: acc) (off + 16 + Int32.to_int (Bytes.get_int32_le pcap (off + 8)))
+  in
+  let offs = headers [] 24 in
+  let damaged = List.length offs / 2 in
+  Bytes.set_int32_le pcap (List.nth offs damaged + 8) 0x7fff_ffffl;
+  with_temp ".trace" (fun text_path ->
+      with_temp ".ntb" (fun tbin_path ->
+          let stats, aborted =
+            Out_channel.with_open_bin text_path (fun oc ->
+                Out_channel.with_open_bin tbin_path (fun toc ->
+                    Nt_core.Pipeline.trace_pcap ~tbin:toc
+                      (Nt_net.Pcap.reader_of_string (Bytes.to_string pcap))
+                      oc))
+          in
+          Alcotest.(check bool) "decode aborted" true (Option.is_some aborted);
+          Alcotest.(check int) "frames before the damage" damaged stats.frames;
+          let st, records = decode_string (read_file tbin_path) in
+          Alcotest.(check int) "tbin is clean" 0 (Tbin.failures st);
+          Alcotest.(check bool) "records before the damage" true (List.length records > 20);
+          Alcotest.(check string) "text and tbin hold the same records" (read_file text_path)
+            (String.concat "" (List.map (fun r -> Record.to_line r ^ "\n") records))))
+
 (* Every stored frame of an encoded stream rewritten uncompressed, so
    the payload bytes appear in the file verbatim. *)
 let uncompressed s =
@@ -1215,12 +1337,16 @@ let () =
           Alcotest.test_case "encode matches checked-in bytes" `Quick test_golden_encode;
           Alcotest.test_case "fixture decodes to locked text" `Quick test_golden_decode;
           QCheck_alcotest.to_alcotest prop_add_line;
+          Alcotest.test_case "field writers on adversarial values" `Quick test_writer_oracle;
+          QCheck_alcotest.to_alcotest prop_writer_doubles;
         ] );
       ( "differential",
         [
           Alcotest.test_case "text vs tbin vs streamed, jobs 1 and 4" `Slow
             test_differential_text_tbin_stream;
           Alcotest.test_case "pcap-derived records via tbin" `Slow test_differential_pcap_leg;
+          Alcotest.test_case "aborted decode: text and tbin agree" `Quick
+            test_aborted_decode_outputs_agree;
           Alcotest.test_case "damaged frames are reported, not silently dropped" `Slow
             test_damaged_frames_reported;
           Alcotest.test_case "bare paths are sniffed by content" `Quick test_source_sniffs_content;
