@@ -29,6 +29,14 @@ module Lifetime = Nt_analysis.Lifetime
 module Names = Nt_analysis.Names
 module Prior = Nt_analysis.Prior_studies
 module Pipeline = Nt_core.Pipeline
+module Json = Nt_obs.Obs.Json
+
+(* Every BENCH_*.json report: one JSON document on one line. *)
+let write_report path doc =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n');
+  print_endline ("wrote " ^ path)
 
 let scale = 0.01 (* both workloads run at 1/100 of the paper's population *)
 
@@ -977,26 +985,23 @@ let obs_overhead () =
   Printf.printf "\nenabled-vs-disabled overhead: %+.1f%% (budget <= 5%%): %s\n"
     enabled_vs_disabled
     (if pass then "PASS" else "FAIL");
-  let snapshot_json = match snap with Some s -> Obs.to_json s | None -> "null" in
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": %S,\n\
-    \  \"workload\": \"lint_stream\",\n\
-    \  \"records\": %d,\n\
-    \  \"seconds\": {\"compiled_out\": %.6f, \"disabled\": %.6f, \"enabled\": %.6f},\n\
-    \  \"records_per_second\": {\"compiled_out\": %.0f, \"disabled\": %.0f, \"enabled\": %.0f},\n\
-    \  \"overhead_pct\": {\"enabled_vs_disabled\": %.3f, \"disabled_vs_compiled_out\": %.3f},\n\
-    \  \"budget_pct\": 5.0,\n\
-    \  \"heap_words\": %d,\n\
-    \  \"rss_hwm_bytes\": %d,\n\
-    \  \"pass\": %b,\n\
-    \  \"snapshot\": %s}\n"
-    Nt_formats.Formats.bench_obs n compiled_out disabled enabled (rate compiled_out)
-    (rate disabled) (rate enabled)
-    enabled_vs_disabled disabled_vs_compiled heap_words rss_hwm pass snapshot_json;
-  close_out oc;
-  print_endline "wrote BENCH_obs.json";
+  let open Json in
+  write_report "BENCH_obs.json"
+    (Obj
+       [ ("schema", Str Nt_formats.Formats.bench_obs); ("workload", Str "lint_stream");
+         ("records", int n);
+         ( "seconds",
+           Obj [ ("compiled_out", Num compiled_out); ("disabled", Num disabled);
+                 ("enabled", Num enabled) ] );
+         ( "records_per_second",
+           Obj [ ("compiled_out", Num (rate compiled_out)); ("disabled", Num (rate disabled));
+                 ("enabled", Num (rate enabled)) ] );
+         ( "overhead_pct",
+           Obj [ ("enabled_vs_disabled", Num enabled_vs_disabled);
+                 ("disabled_vs_compiled_out", Num disabled_vs_compiled) ] );
+         ("budget_pct", Num 5.0); ("heap_words", int heap_words); ("rss_hwm_bytes", int rss_hwm);
+         ("pass", Bool pass);
+         ("snapshot", match snap with Some s -> Obs.snapshot_json s | None -> Null) ]);
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1127,41 +1132,24 @@ let par_bench () =
            | None -> [ name; "-"; Printf.sprintf "%.0f" base; "no span" ])
          pass_baseline)
   end;
-  let snapshot_json = match snap with Some s -> Obs.to_json s | None -> "null" in
   let end_smp = Nt_obs.Sampler.sample_now (Nt_obs.Sampler.create Obs.null) in
-  let json_rates l =
-    "{"
-    ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.0f" k v) l)
-    ^ "}"
-  in
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": %S,\n\
-    \  \"workload\": \"lint_stream/week\",\n\
-    \  \"records\": %d,\n\
-    \  \"available_domains\": %d,\n\
-    \  \"seconds\": {\"jobs1\": %.6f, \"jobs4\": %.6f},\n\
-    \  \"records_per_second\": {\"jobs1\": %.0f, \"jobs4\": %.0f},\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"pass_records_per_second\": %s,\n\
-    \  \"pass_baseline_records_per_second\": %s,\n\
-    \  \"pass_slack\": %.2f,\n\
-    \  \"pass_gate_enforced\": %b,\n\
-    \  \"pass_regressed\": [%s],\n\
-    \  \"reports_identical\": %b,\n\
-    \  \"heap_words\": %d,\n\
-    \  \"rss_hwm_bytes\": %d,\n\
-    \  \"pass\": %b,\n\
-    \  \"snapshot\": %s}\n"
-    Nt_formats.Formats.bench_par n domains t1 t4 (rate t1) (rate t4) speedup
-    (json_rates (List.sort compare pass_rates))
-    (json_rates pass_baseline) pass_slack pass_gate_enforced
-    (String.concat ", " (List.map (Printf.sprintf "%S") regressed))
-    identical end_smp.Nt_obs.Sampler.heap_words end_smp.Nt_obs.Sampler.rss_hwm_bytes pass
-    snapshot_json;
-  close_out oc;
-  print_endline "wrote BENCH_par.json";
+  let open Json in
+  let rates l = Obj (List.map (fun (k, v) -> (k, Num v)) l) in
+  write_report "BENCH_par.json"
+    (Obj
+       [ ("schema", Str Nt_formats.Formats.bench_par); ("workload", Str "lint_stream/week");
+         ("records", int n); ("available_domains", int domains);
+         ("seconds", Obj [ ("jobs1", Num t1); ("jobs4", Num t4) ]);
+         ("records_per_second", Obj [ ("jobs1", Num (rate t1)); ("jobs4", Num (rate t4)) ]);
+         ("speedup", Num speedup);
+         ("pass_records_per_second", rates (List.sort compare pass_rates));
+         ("pass_baseline_records_per_second", rates pass_baseline);
+         ("pass_slack", Num pass_slack); ("pass_gate_enforced", Bool pass_gate_enforced);
+         ("pass_regressed", Arr (List.map (fun r -> Str r) regressed));
+         ("reports_identical", Bool identical);
+         ("heap_words", int end_smp.Nt_obs.Sampler.heap_words);
+         ("rss_hwm_bytes", int end_smp.Nt_obs.Sampler.rss_hwm_bytes); ("pass", Bool pass);
+         ("snapshot", match snap with Some s -> Obs.snapshot_json s | None -> Null) ]);
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1292,34 +1280,19 @@ let mon_soak () =
     (if conserved then "PASS" else "FAIL")
     fp_words end_smp.Nt_obs.Sampler.heap_words
     (if fp_ok then "PASS" else "FAIL");
-  let snapshot_json = Obs.to_json (Obs.snapshot obs) in
-  let oc = open_out "BENCH_mon.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": %S,\n\
-    \  \"workload\": \"lint_stream/3days\",\n\
-    \  \"records\": %d,\n\
-    \  \"seconds\": %.6f,\n\
-    \  \"records_per_second\": %.0f,\n\
-    \  \"reports\": %d,\n\
-    \  \"rotations\": %d,\n\
-    \  \"evictions\": %d,\n\
-    \  \"shed\": %d,\n\
-    \  \"heap_words\": {\"warm\": %d, \"end\": %d},\n\
-    \  \"growth_budget\": %.2f,\n\
-    \  \"rss_hwm_bytes\": %d,\n\
-    \  \"footprint_words\": %d,\n\
-    \  \"footprint_within_2x_heap\": %b,\n\
-    \  \"pass\": %b,\n\
-    \  \"snapshot\": %s}\n"
-    Nt_formats.Formats.bench_mon n dt
-    (float_of_int n /. dt)
-    !reports
-    (Ring.rotations (Service.ring svc))
-    evictions (Service.shed svc) warm_peak end_peak growth_budget
-    end_smp.Nt_obs.Sampler.rss_hwm_bytes fp_words fp_ok pass snapshot_json;
-  close_out oc;
-  print_endline "wrote BENCH_mon.json";
+  let open Json in
+  write_report "BENCH_mon.json"
+    (Obj
+       [ ("schema", Str Nt_formats.Formats.bench_mon); ("workload", Str "lint_stream/3days");
+         ("records", int n); ("seconds", Num dt);
+         ("records_per_second", Num (float_of_int n /. dt));
+         ("reports", int !reports); ("rotations", int (Ring.rotations (Service.ring svc)));
+         ("evictions", int evictions); ("shed", int (Service.shed svc));
+         ("heap_words", Obj [ ("warm", int warm_peak); ("end", int end_peak) ]);
+         ("growth_budget", Num growth_budget);
+         ("rss_hwm_bytes", int end_smp.Nt_obs.Sampler.rss_hwm_bytes);
+         ("footprint_words", int fp_words); ("footprint_within_2x_heap", Bool fp_ok);
+         ("pass", Bool pass); ("snapshot", Obs.snapshot_json (Obs.snapshot obs)) ]);
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1504,36 +1477,21 @@ let scale () =
     (if rss_ok then "PASS" else "FAIL");
   Printf.printf "records/s floor: %.0f >= 0.8 * %.0f max: %s\n" min_rps max_rps
     (if rps_ok then "PASS" else "FAIL");
-  let snapshot_json = Nt_obs.Obs.to_json (Nt_obs.Obs.snapshot obs) in
-  let oc = open_out "BENCH_scale.json" in
+  let open Json in
   let row_json ((mult, users, records, bytes, gen_s, an_s, hwm, heap) as row) =
-    Printf.sprintf
-      "{\"mult\": %d, \"users\": %d, \"records\": %d, \"tbin_bytes\": %d,\n\
-      \     \"generate_seconds\": %.6f, \"analyze_seconds\": %.6f,\n\
-      \     \"records_per_second\": %.0f, \"rss_hwm_bytes\": %d, \"heap_words\": %d}"
-      mult users records bytes gen_s an_s (rps row) hwm heap
+    Obj [ ("mult", int mult); ("users", int users); ("records", int records);
+          ("tbin_bytes", int bytes); ("generate_seconds", Num gen_s); ("analyze_seconds", Num an_s);
+          ("records_per_second", Num (rps row)); ("rss_hwm_bytes", int hwm);
+          ("heap_words", int heap) ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": %S,\n\
-    \  \"workload\": \"campus/tbin-stream\",\n\
-    \  \"base_users\": %d,\n\
-    \  \"hours\": %d,\n\
-    \  \"sweep\": [\n\
-    \    %s\n\
-    \  ],\n\
-    \  \"rss_growth\": %.4f,\n\
-    \  \"rss_budget\": 1.2,\n\
-    \  \"min_records_per_second\": %.0f,\n\
-    \  \"max_records_per_second\": %.0f,\n\
-    \  \"rps_flatness_budget\": 0.8,\n\
-    \  \"pass\": %b,\n\
-    \  \"snapshot\": %s}\n"
-    Nt_formats.Formats.bench_scale base_users hours
-    (String.concat ",\n    " (List.map row_json rows))
-    rss_growth min_rps max_rps pass snapshot_json;
-  close_out oc;
-  print_endline "wrote BENCH_scale.json";
+  write_report "BENCH_scale.json"
+    (Obj
+       [ ("schema", Str Nt_formats.Formats.bench_scale); ("workload", Str "campus/tbin-stream");
+         ("base_users", int base_users); ("hours", int hours);
+         ("sweep", Arr (List.map row_json rows)); ("rss_growth", Num rss_growth);
+         ("rss_budget", Num 1.2); ("min_records_per_second", Num min_rps);
+         ("max_records_per_second", Num max_rps); ("rps_flatness_budget", Num 0.8);
+         ("pass", Bool pass); ("snapshot", Nt_obs.Obs.snapshot_json (Nt_obs.Obs.snapshot obs)) ]);
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)

@@ -67,7 +67,10 @@ let run source window windows topn report_every json checkpoint checkpoint_every
       let series () =
         match !service_cell with
         | Some svc -> Nt_obs.Sampler.series_json (Mon.sampler svc)
-        | None -> "{\"schema\": \"" ^ Nt_formats.Formats.obs_series ^ "\", \"samples\": []}"
+        | None ->
+            let open Nt_obs.Obs.Json in
+            to_string (Obj [ ("schema", Str Nt_formats.Formats.obs_series); ("samples", Arr []) ])
+            ^ "\n"
       in
       let exporter =
         match listen with

@@ -27,12 +27,13 @@ let rule_rows () =
 (* The exn-report artifact: one JSON object per reachable function with
    its residual may-raise set, under the registered schema tag. *)
 let exn_report_json rows =
+  let open Nt_obs.Obs.Json in
   let row (display, file, line, exns) =
-    Printf.sprintf {|{"function":%S,"file":%S,"line":%d,"may_raise":[%s]}|} display file line
-      (String.concat "," (List.map (Printf.sprintf "%S") exns))
+    Obj [ ("function", Str display); ("file", Str file); ("line", int line);
+          ("may_raise", Arr (List.map (fun e -> Str e) exns)) ]
   in
-  Printf.sprintf {|{"schema": %S, "functions": [%s]}|} Nt_formats.Formats.exn_report
-    (String.concat "," (List.map row rows))
+  to_string
+    (Obj [ ("schema", Str Nt_formats.Formats.exn_report); ("functions", Arr (List.map row rows)) ])
 
 let run build_dir format json_out exn_report_out fail_on enabled_only disabled roots
     excludes max_per_rule verbose list =

@@ -17,7 +17,8 @@
    literals are scanned too, so "schema": "nt_obs/2" inside a JSON
    template cannot fork the version silently.  Format *strings*
    (Printf) are not Const_string at the typedtree level and are out of
-   scope — which is why the bench writers pass their tag through %S. *)
+   scope; no JSON is written through one — every document is a Json.v
+   whose tag is a registry reference. *)
 
 let tag_char c =
   (c >= 'a' && c <= 'z')

@@ -30,30 +30,15 @@ let to_string f =
     (Rule.severity_to_string f.rule.Rule.severity)
     f.rule.Rule.id where f.detail
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Nt_obs.Obs.Json
 
 let to_json f =
-  Printf.sprintf
-    {|{"rule":"%s","family":"%s","severity":"%s","file":"%s","line":%d,"col":%d,"detail":"%s"}|}
-    (json_escape f.rule.Rule.id)
-    (Rule.family_to_string f.rule.Rule.family)
-    (Rule.severity_to_string f.rule.Rule.severity)
-    (json_escape f.file) f.line f.col (json_escape f.detail)
+  Json.(
+    Obj [ ("rule", Str f.rule.Rule.id); ("family", Str (Rule.family_to_string f.rule.Rule.family));
+          ("severity", Str (Rule.severity_to_string f.rule.Rule.severity)); ("file", Str f.file);
+          ("line", int f.line); ("col", int f.col); ("detail", Str f.detail) ])
 
-let list_to_json fs = "[" ^ String.concat "," (List.map to_json fs) ^ "]"
+let list_to_json fs = Json.to_string (Json.Arr (List.map to_json fs))
 
 (* SARIF 2.1.0, one run, one result per finding.  The rule registry
    becomes the driver's rules array so viewers can show family + doc;
@@ -61,34 +46,30 @@ let list_to_json fs = "[" ^ String.concat "," (List.map to_json fs) ^ "]"
    columns are clamped to 1 because SARIF forbids 0 (synthesized
    whole-unit findings anchor at line 1). *)
 let sarif_level (s : Rule.severity) =
-  match s with Rule.Info -> "note" | Rule.Warn -> "warning" | Rule.Error -> "error"
+  Json.Str (match s with Rule.Info -> "note" | Rule.Warn -> "warning" | Rule.Error -> "error")
 
 let list_to_sarif fs =
-  let rules =
-    String.concat ","
-      (List.map
-         (fun (r : Rule.t) ->
-           Printf.sprintf
-             {|{"id":"%s","shortDescription":{"text":"%s"},"properties":{"family":"%s"},"defaultConfiguration":{"level":"%s"}}|}
-             (json_escape r.Rule.id)
-             (json_escape r.Rule.doc)
-             (json_escape (Rule.family_to_string r.Rule.family))
-             (sarif_level r.Rule.severity))
-         Rule.all)
+  let open Json in
+  let text s = Obj [ ("text", Str s) ] in
+  let rule (r : Rule.t) =
+    Obj [ ("id", Str r.Rule.id); ("shortDescription", text r.Rule.doc);
+          ("properties", Obj [ ("family", Str (Rule.family_to_string r.Rule.family)) ]);
+          ("defaultConfiguration", Obj [ ("level", sarif_level r.Rule.severity) ]) ]
   in
-  let results =
-    String.concat ","
-      (List.map
-         (fun f ->
-           Printf.sprintf
-             {|{"ruleId":"%s","level":"%s","message":{"text":"%s"},"locations":[{"physicalLocation":{"artifactLocation":{"uri":"%s"},"region":{"startLine":%d,"startColumn":%d}}}]}|}
-             (json_escape f.rule.Rule.id)
-             (sarif_level f.rule.Rule.severity)
-             (json_escape f.detail) (json_escape f.file) (max 1 f.line) (max 1 (f.col + 1)))
-         fs)
+  let result f =
+    let region =
+      Obj [ ("startLine", int (max 1 f.line)); ("startColumn", int (max 1 (f.col + 1))) ]
+    in
+    let location = Obj [ ("artifactLocation", Obj [ ("uri", Str f.file) ]); ("region", region) ] in
+    Obj [ ("ruleId", Str f.rule.Rule.id); ("level", sarif_level f.rule.Rule.severity);
+          ("message", text f.detail);
+          ("locations", Arr [ Obj [ ("physicalLocation", location) ] ]) ]
   in
-  Printf.sprintf
-    {|{"version":"2.1.0","$schema":"https://json.schemastore.org/sarif-2.1.0.json","runs":[{"tool":{"driver":{"name":"ntcheck","rules":[%s]}},"results":[%s]}]}|}
-    rules results
+  let driver = Obj [ ("name", Str "ntcheck"); ("rules", Arr (List.map rule Rule.all)) ] in
+  let run = Obj [ ("tool", Obj [ ("driver", driver) ]); ("results", Arr (List.map result fs)) ] in
+  to_string
+    (Obj
+       [ ("version", Str "2.1.0"); ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("runs", Arr [ run ]) ])
 
 type sink = { emit : Rule.t -> Location.t -> string -> unit; allow : Rule.t -> unit }

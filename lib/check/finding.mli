@@ -13,7 +13,7 @@ val compare : t -> t -> int
     deterministic regardless of cmt traversal order. *)
 
 val to_string : t -> string
-val to_json : t -> string
+val to_json : t -> Nt_obs.Obs.Json.v
 val list_to_json : t list -> string
 
 val list_to_sarif : t list -> string

@@ -35,6 +35,9 @@ let bench_scale = "nt_bench_scale/1"
 let exn_report = "ntcheck-exn/1"
 (* "schema" tag of ntcheck's per-function may-raise report. *)
 
+let mon_report = "nfsmon-report/1"
+(* "schema" tag of each nfsmon --json report line (lib/mon). *)
+
 let all =
   [
     ("tbin_magic", tbin_magic);
@@ -46,4 +49,5 @@ let all =
     ("bench_mon", bench_mon);
     ("bench_scale", bench_scale);
     ("exn_report", exn_report);
+    ("mon_report", mon_report);
   ]

@@ -14,6 +14,7 @@ val bench_par : string
 val bench_mon : string
 val bench_scale : string
 val exn_report : string
+val mon_report : string
 
 val all : (string * string) list
 (** [(registry name, tag)] pairs, for reports and docs. *)

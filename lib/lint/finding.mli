@@ -18,8 +18,9 @@ val v : Rule.t -> index:int -> time:float -> string -> t
 val to_string : t -> string
 (** ["error offset-beyond-size #42 @1003622400.123: read 8192@65536 past size 4096"] *)
 
-val to_json : t -> string
-(** One JSON object, no trailing newline. *)
+val to_json : t -> Nt_obs.Obs.Json.v
+(** One JSON object; the time rounded to the microsecond, [null] when
+    NaN. *)
 
 val list_to_json : t list -> string
-(** JSON array of {!to_json} objects. *)
+(** JSON array of {!to_json} objects, on one line. *)

@@ -205,70 +205,41 @@ let report_text t =
     (Ring.late t.ring) (Ring.backward t.ring) (Ring.forward_jumps t.ring) (Ring.rotations t.ring);
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_rows rows =
-  let row (key, (r : Win.row)) =
-    Printf.sprintf "{\"key\":\"%s\",\"ops\":%d,\"read_bytes\":%d,\"write_bytes\":%d}"
-      (json_escape key) r.Win.ops r.Win.read_bytes r.Win.write_bytes
-  in
-  "[" ^ String.concat "," (List.map row rows) ^ "]"
-
 let report_json t =
   let start, w = report_win t in
   let now = match Ring.newest t.ring with Some s -> s | None -> Float.nan in
-  let num f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f in
-  let stables =
-    String.concat ","
-      (List.map
-         (fun (s, (r : Win.row)) ->
-           Printf.sprintf "\"%s\":{\"ops\":%d,\"bytes\":%d}" (stable_name s) r.Win.ops
-             r.Win.write_bytes)
-         (Win.writes_by_stable w))
+  let open Obs.Json in
+  let counts l = Obj (List.map (fun (k, n) -> (k, int n)) l) in
+  let row (key, (r : Win.row)) =
+    Obj [ ("key", Str key); ("ops", int r.Win.ops); ("read_bytes", int r.Win.read_bytes);
+          ("write_bytes", int r.Win.write_bytes) ]
   in
-  let tables =
-    String.concat ","
-      (List.map
-         (fun (tab, name) ->
-           Printf.sprintf "\"%s\":%s" name (json_rows (Win.top w tab t.config.topn)))
-         [ (`Client, "clients"); (`Uid, "uids"); (`Fs, "filesystems") ])
+  let rows tab = Arr (List.map row (Win.top w tab t.config.topn)) in
+  let stable (s, (r : Win.row)) =
+    (stable_name s, Obj [ ("ops", int r.Win.ops); ("bytes", int r.Win.write_bytes) ])
   in
-  let evictions =
-    String.concat ","
-      (List.map
-         (fun (tab, n) -> Printf.sprintf "\"%s\":%d" (Win.table_name tab) n)
-         (Ring.evictions t.ring))
-  in
-  let procs =
-    String.concat ","
-      (List.map
-         (fun (p, n) -> Printf.sprintf "\"%s\":%d" (json_escape p) n)
-         (Outstanding.by_proc t.out))
-  in
-  Printf.sprintf
-    "{\"schema\":\"nfsmon-report/1\",\"report\":%d,\"feed_time\":%s,\"window_start\":%s,\
-     \"ops\":%d,\"read_ops\":%d,\"read_bytes\":%d,\"write_ops\":%d,\"write_bytes\":%d,\
-     \"commit_ops\":%d,\"lost_replies\":%d,\"writes_by_stable\":{%s},%s,\
-     \"outstanding\":{\"count\":%d,\"lost\":%d,\"dropped\":%d,\"by_proc\":{%s}},\
-     \"health\":{\"ingested\":%d,\"shed\":%d,\"observed\":%d,\"queue\":%d,\"queue_cap\":%d,\
-     \"evictions\":{%s},\"late\":%d,\"backward\":%d,\"jumps\":%d,\"rotations\":%d}}"
-    (t.reports + 1) (num now) (num start) (Win.total_ops w) (Win.read_ops w) (Win.read_bytes w)
-    (Win.write_ops w) (Win.write_bytes w) (Win.commit_ops w) (Win.lost_replies w) stables tables
-    (Outstanding.outstanding t.out) (Outstanding.lost t.out) (Outstanding.dropped t.out) procs
-    t.ingested t.shed (Ring.observed t.ring) (Ingest.length t.queue) (Ingest.capacity t.queue)
-    evictions (Ring.late t.ring) (Ring.backward t.ring) (Ring.forward_jumps t.ring)
-    (Ring.rotations t.ring)
+  let evictions = List.map (fun (tab, n) -> (Win.table_name tab, n)) (Ring.evictions t.ring) in
+  to_string
+    (Obj
+       [ ("schema", Str Nt_formats.Formats.mon_report); ("report", int (t.reports + 1));
+         ("feed_time", Num now); ("window_start", Num start); ("ops", int (Win.total_ops w));
+         ("read_ops", int (Win.read_ops w)); ("read_bytes", int (Win.read_bytes w));
+         ("write_ops", int (Win.write_ops w)); ("write_bytes", int (Win.write_bytes w));
+         ("commit_ops", int (Win.commit_ops w)); ("lost_replies", int (Win.lost_replies w));
+         ("writes_by_stable", Obj (List.map stable (Win.writes_by_stable w)));
+         ("clients", rows `Client); ("uids", rows `Uid); ("filesystems", rows `Fs);
+         ( "outstanding",
+           Obj [ ("count", int (Outstanding.outstanding t.out));
+                 ("lost", int (Outstanding.lost t.out));
+                 ("dropped", int (Outstanding.dropped t.out));
+                 ("by_proc", counts (Outstanding.by_proc t.out)) ] );
+         ( "health",
+           Obj [ ("ingested", int t.ingested); ("shed", int t.shed);
+                 ("observed", int (Ring.observed t.ring)); ("queue", int (Ingest.length t.queue));
+                 ("queue_cap", int (Ingest.capacity t.queue)); ("evictions", counts evictions);
+                 ("late", int (Ring.late t.ring)); ("backward", int (Ring.backward t.ring));
+                 ("jumps", int (Ring.forward_jumps t.ring));
+                 ("rotations", int (Ring.rotations t.ring)) ] ) ])
 
 let emit_report t =
   t.rotations_reported <- Ring.rotations t.ring;

@@ -313,183 +313,7 @@ let get_gauge snap ?(labels = []) name =
 
 let get_span snap path = List.find_opt (fun s -> s.path = path) snap.spans
 
-(* --- JSON export --- *)
-
-let buf_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let json_float f =
-  if Float.is_nan f || Float.is_integer f = false && Float.is_finite f = false then "0"
-  else if Float.is_finite f = false then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-let buf_labels b labels =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      buf_json_string b k;
-      Buffer.add_string b ": ";
-      buf_json_string b v)
-    labels;
-  Buffer.add_char b '}'
-
-let to_json snap =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"";
-  Buffer.add_string b Nt_formats.Formats.obs_snapshot;
-  Buffer.add_string b "\",\n  \"taken_at\": ";
-  Buffer.add_string b (json_float snap.taken_at);
-  Buffer.add_string b ",\n  \"enabled\": ";
-  Buffer.add_string b (if snap.snap_enabled then "true" else "false");
-  Buffer.add_string b ",\n  \"metrics\": [";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b "    {\"name\": ";
-      buf_json_string b m.name;
-      Buffer.add_string b ", \"kind\": ";
-      (match m.value with
-      | Counter _ -> Buffer.add_string b "\"counter\""
-      | Gauge _ -> Buffer.add_string b "\"gauge\""
-      | Histogram _ -> Buffer.add_string b "\"histogram\"");
-      Buffer.add_string b ", \"labels\": ";
-      buf_labels b m.labels;
-      if m.help <> "" then begin
-        Buffer.add_string b ", \"help\": ";
-        buf_json_string b m.help
-      end;
-      (match m.value with
-      | Counter v ->
-          Buffer.add_string b ", \"value\": ";
-          Buffer.add_string b (string_of_int v)
-      | Gauge v ->
-          Buffer.add_string b ", \"value\": ";
-          Buffer.add_string b (json_float v)
-      | Histogram { le; counts; sum; count } ->
-          Buffer.add_string b ", \"le\": [";
-          Buffer.add_string b (String.concat ", " (List.map json_float le));
-          Buffer.add_string b "], \"counts\": [";
-          Buffer.add_string b (String.concat ", " (List.map string_of_int counts));
-          Buffer.add_string b "], \"sum\": ";
-          Buffer.add_string b (json_float sum);
-          Buffer.add_string b ", \"count\": ";
-          Buffer.add_string b (string_of_int count));
-      Buffer.add_string b "}")
-    snap.metrics;
-  Buffer.add_string b "\n  ],\n  \"spans\": [";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b "    {\"path\": ";
-      buf_json_string b s.path;
-      Buffer.add_string b (Printf.sprintf ", \"count\": %d, \"total_seconds\": %s" s.count
-           (json_float s.total_s));
-      Buffer.add_string b (Printf.sprintf ", \"min_seconds\": %s, \"max_seconds\": %s}"
-           (json_float s.min_s) (json_float s.max_s)))
-    snap.spans;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
-
-let output_json oc snap = output_string oc (to_json snap)
-
-(* --- Prometheus text export --- *)
-
-let prom_name name =
-  String.map (fun c -> match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_') name
-
-let prom_label_value v =
-  let b = Buffer.create (String.length v + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    v;
-  Buffer.contents b
-
-let prom_labels labels =
-  match labels with
-  | [] -> ""
-  | _ ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (prom_name k) (prom_label_value v)) labels)
-      ^ "}"
-
-let to_prometheus snap =
-  let b = Buffer.create 4096 in
-  let seen_header = Hashtbl.create 16 in
-  let header name kind help =
-    if not (Hashtbl.mem seen_header name) then begin
-      Hashtbl.replace seen_header name ();
-      if help <> "" then Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
-      Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name kind)
-    end
-  in
-  List.iter
-    (fun m ->
-      let pname = prom_name m.name in
-      match m.value with
-      | Counter v ->
-          header pname "counter" m.help;
-          Buffer.add_string b (Printf.sprintf "%s%s %d\n" pname (prom_labels m.labels) v)
-      | Gauge v ->
-          header pname "gauge" m.help;
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %s\n" pname (prom_labels m.labels) (json_float v))
-      | Histogram { le; counts; sum; count } ->
-          header pname "histogram" m.help;
-          let cum = ref 0 in
-          List.iteri
-            (fun i c ->
-              cum := !cum + c;
-              let bound =
-                if i < List.length le then json_float (List.nth le i) else "+Inf"
-              in
-              Buffer.add_string b
-                (Printf.sprintf "%s_bucket%s %d\n" pname
-                   (prom_labels (m.labels @ [ ("le", bound) ]))
-                   !cum))
-            counts;
-          Buffer.add_string b
-            (Printf.sprintf "%s_sum%s %s\n" pname (prom_labels m.labels) (json_float sum));
-          Buffer.add_string b
-            (Printf.sprintf "%s_count%s %d\n" pname (prom_labels m.labels) count))
-    snap.metrics;
-  if snap.spans <> [] then begin
-    Buffer.add_string b "# TYPE nt_span_seconds_total counter\n";
-    List.iter
-      (fun s ->
-        Buffer.add_string b
-          (Printf.sprintf "nt_span_seconds_total{path=\"%s\"} %s\n" (prom_label_value s.path)
-             (json_float s.total_s)))
-      snap.spans;
-    Buffer.add_string b "# TYPE nt_span_count counter\n";
-    List.iter
-      (fun s ->
-        Buffer.add_string b
-          (Printf.sprintf "nt_span_count{path=\"%s\"} %d\n" (prom_label_value s.path) s.count))
-      snap.spans
-  end;
-  Buffer.contents b
-
-(* --- minimal JSON parser --- *)
+(* --- JSON: the one parser and the one printer --- *)
 
 module Json = struct
   type v =
@@ -679,6 +503,69 @@ module Json = struct
     | v -> Ok v
     | exception Fail msg -> Error msg
 
+  (* The printer: compact layout, one string rule, one number rule.
+     An integral value under 2^53 prints as an integer; any other
+     finite value as the shortest of %.15g/%.16g/%.17g that reads back
+     to the same double; a non-finite one as null. *)
+  let number f =
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f < 9007199254740992. then
+      if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
+    else
+      let s = Printf.sprintf "%.15g" f in
+      if float_of_string_opt s = Some f then s
+      else
+        let s = Printf.sprintf "%.16g" f in
+        if float_of_string_opt s = Some f then s else Printf.sprintf "%.17g" f
+
+  let hex = "0123456789abcdef"
+
+  let add_string b s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b "\\u00";
+            Buffer.add_char b hex.[Char.code c lsr 4];
+            Buffer.add_char b hex.[Char.code c land 15]
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  let rec to_buffer b = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (if x then "true" else "false")
+    | Num f -> Buffer.add_string b (number f)
+    | Str s -> add_string b s
+    | Arr l ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char b ',';
+            to_buffer b v)
+          l;
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            add_string b k;
+            Buffer.add_char b ':';
+            to_buffer b v)
+          kvs;
+        Buffer.add_char b '}'
+
+  let to_string v =
+    let b = Buffer.create 1024 in
+    to_buffer b v;
+    Buffer.contents b
+
+  let int i = Num (float_of_int i)
+
   let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
   let to_num = function Num f -> Some f | _ -> None
   let to_str = function Str s -> Some s | _ -> None
@@ -706,3 +593,122 @@ module Json = struct
   let metric_number doc ?labels name =
     Option.bind (find_metric doc ?labels name) (fun m -> Option.bind (member "value" m) to_num)
 end
+
+(* --- JSON export --- *)
+
+let snapshot_json snap =
+  let open Json in
+  let metric m =
+    let kind, fields =
+      match m.value with
+      | Counter v -> ("counter", [ ("value", int v) ])
+      | Gauge v -> ("gauge", [ ("value", Num v) ])
+      | Histogram { le; counts; sum; count } ->
+          ( "histogram",
+            [ ("le", Arr (List.map (fun f -> Num f) le)); ("counts", Arr (List.map int counts));
+              ("sum", Num sum); ("count", int count) ] )
+    in
+    let labels = Obj (List.map (fun (k, v) -> (k, Str v)) m.labels) in
+    let help = if m.help = "" then [] else [ ("help", Str m.help) ] in
+    Obj ((("name", Str m.name) :: ("kind", Str kind) :: ("labels", labels) :: help) @ fields)
+  in
+  let span s =
+    Obj [ ("path", Str s.path); ("count", int s.count); ("total_seconds", Num s.total_s);
+          ("min_seconds", Num s.min_s); ("max_seconds", Num s.max_s) ]
+  in
+  Obj [ ("schema", Str Nt_formats.Formats.obs_snapshot); ("taken_at", Num snap.taken_at);
+        ("enabled", Bool snap.snap_enabled); ("metrics", Arr (List.map metric snap.metrics));
+        ("spans", Arr (List.map span snap.spans)) ]
+
+let to_json snap = Json.to_string (snapshot_json snap) ^ "\n"
+
+(* --- Prometheus text export --- *)
+
+let prom_name name =
+  String.map (fun c -> match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_') name
+
+let prom_label_value v =
+  let b = Buffer.create (String.length v + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '"' -> Buffer.add_string b "\\\""
+      | '\n' -> Buffer.add_string b "\\n"
+      | c -> Buffer.add_char b c)
+    v;
+  Buffer.contents b
+
+let prom_labels labels =
+  match labels with
+  | [] -> ""
+  | _ ->
+      "{"
+      ^ String.concat ","
+          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (prom_name k) (prom_label_value v)) labels)
+      ^ "}"
+
+(* Prometheus spells the non-finite values out; finite ones share the
+   JSON number rule. *)
+let prom_float f =
+  if Float.is_nan f then "NaN"
+  else if f = infinity then "+Inf"
+  else if f = neg_infinity then "-Inf"
+  else Json.number f
+
+let to_prometheus snap =
+  let b = Buffer.create 4096 in
+  let seen_header = Hashtbl.create 16 in
+  let header name kind help =
+    if not (Hashtbl.mem seen_header name) then begin
+      Hashtbl.replace seen_header name ();
+      if help <> "" then Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
+      Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name kind)
+    end
+  in
+  List.iter
+    (fun m ->
+      let pname = prom_name m.name in
+      match m.value with
+      | Counter v ->
+          header pname "counter" m.help;
+          Buffer.add_string b (Printf.sprintf "%s%s %d\n" pname (prom_labels m.labels) v)
+      | Gauge v ->
+          header pname "gauge" m.help;
+          Buffer.add_string b
+            (Printf.sprintf "%s%s %s\n" pname (prom_labels m.labels) (prom_float v))
+      | Histogram { le; counts; sum; count } ->
+          header pname "histogram" m.help;
+          let cum = ref 0 in
+          List.iteri
+            (fun i c ->
+              cum := !cum + c;
+              let bound =
+                if i < List.length le then prom_float (List.nth le i) else "+Inf"
+              in
+              Buffer.add_string b
+                (Printf.sprintf "%s_bucket%s %d\n" pname
+                   (prom_labels (m.labels @ [ ("le", bound) ]))
+                   !cum))
+            counts;
+          Buffer.add_string b
+            (Printf.sprintf "%s_sum%s %s\n" pname (prom_labels m.labels) (prom_float sum));
+          Buffer.add_string b
+            (Printf.sprintf "%s_count%s %d\n" pname (prom_labels m.labels) count))
+    snap.metrics;
+  if snap.spans <> [] then begin
+    Buffer.add_string b "# TYPE nt_span_seconds_total counter\n";
+    List.iter
+      (fun s ->
+        Buffer.add_string b
+          (Printf.sprintf "nt_span_seconds_total{path=\"%s\"} %s\n" (prom_label_value s.path)
+             (prom_float s.total_s)))
+      snap.spans;
+    Buffer.add_string b "# TYPE nt_span_count counter\n";
+    List.iter
+      (fun s ->
+        Buffer.add_string b
+          (Printf.sprintf "nt_span_count{path=\"%s\"} %d\n" (prom_label_value s.path) s.count))
+      snap.spans
+  end;
+  Buffer.contents b

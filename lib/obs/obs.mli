@@ -124,6 +124,56 @@ val span_record : t -> string -> seconds:float -> unit
     range fold) is folded into a single-domain registry: workers
     measure, the coordinator records. Negative durations clamp to 0. *)
 
+(** {1 JSON values}
+
+    Every JSON document the tools write is a {!Json.v} printed by
+    {!Json.to_buffer}, and the same module parses them back — enough
+    JSON to validate and interrogate our own exports (and the bench's
+    snapshot schema) without an external dependency. Numbers are
+    floats; object member order is preserved; duplicate keys keep
+    their first occurrence for {!member}. *)
+
+module Json : sig
+  type v =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of v list
+    | Obj of (string * v) list
+
+  val parse : string -> (v, string) result
+  (** Rejects trailing garbage; the whole input must be one value. *)
+
+  val to_buffer : Buffer.t -> v -> unit
+  (** The one printer. Layout: compact, no whitespace, no newline.
+      Strings: the double quote, the backslash and bytes below 0x20
+      are escaped (the latter as [\u00XX]); every other byte passes
+      through unchanged.
+      Numbers: an integral value with |v| < 2{^53} prints as an
+      integer; any other finite value as the shortest of
+      [%.15g]/[%.16g]/[%.17g] that reads back to the same double; a
+      non-finite value as [null]. So [parse (to_string v) = Ok v] for
+      every [v] without non-finite numbers. *)
+
+  val to_string : v -> string
+
+  val int : int -> v
+  (** [Num (float_of_int i)]. *)
+
+  val member : string -> v -> v option
+  val to_num : v -> float option
+  val to_str : v -> string option
+  val to_list : v -> v list option
+
+  val find_metric : v -> ?labels:(string * string) list -> string -> v option
+  (** Look up a metric object by name (and exact label set) inside a
+      parsed nt_obs snapshot. *)
+
+  val metric_number : v -> ?labels:(string * string) list -> string -> float option
+  (** The ["value"] field of {!find_metric}'s result. *)
+end
+
 (** {1 Snapshots and exporters} *)
 
 type metric_value =
@@ -152,44 +202,14 @@ val sum_counter : snapshot -> string -> int
 val get_gauge : snapshot -> ?labels:labels -> string -> float option
 val get_span : snapshot -> string -> span_stat option
 
+val snapshot_json : snapshot -> Json.v
+(** One self-describing JSON document ([{"schema":"nt_obs/1", ...}]),
+    as a value, so bench reports can embed it. *)
+
 val to_json : snapshot -> string
-(** One self-describing JSON document ([{"schema":"nt_obs/1", ...}]). *)
+(** {!snapshot_json} printed on one line, newline-terminated. *)
 
 val to_prometheus : snapshot -> string
 (** Prometheus text exposition format. Metric names are sanitised
     ([.-] become [_]); spans export as [nt_span_seconds_total] /
     [nt_span_count] with a [path] label. *)
-
-val output_json : out_channel -> snapshot -> unit
-
-(** {1 Minimal JSON parser}
-
-    Enough JSON to validate and interrogate our own exports (and the
-    bench's snapshot schema) without an external dependency. Numbers
-    are floats; object member order is preserved; duplicate keys keep
-    their first occurrence for {!member}. *)
-
-module Json : sig
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
-
-  val parse : string -> (v, string) result
-  (** Rejects trailing garbage; the whole input must be one value. *)
-
-  val member : string -> v -> v option
-  val to_num : v -> float option
-  val to_str : v -> string option
-  val to_list : v -> v list option
-
-  val find_metric : v -> ?labels:(string * string) list -> string -> v option
-  (** Look up a metric object by name (and exact label set) inside a
-      parsed nt_obs snapshot. *)
-
-  val metric_number : v -> ?labels:(string * string) list -> string -> float option
-  (** The ["value"] field of {!find_metric}'s result. *)
-end

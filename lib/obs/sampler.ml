@@ -234,54 +234,24 @@ let delta ~older ~newer =
 
 (* --- /series JSON --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if not (Float.is_finite f) then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
 let series_json ?(refresh = true) t =
   if refresh then ignore (sample_now t : sample);
   let fps = publish_footprints t in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"";
-  Buffer.add_string b Nt_formats.Formats.obs_series;
-  Buffer.add_string b "\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"interval_seconds\": %s,\n" (json_float t.interval));
-  Buffer.add_string b (Printf.sprintf "  \"cap\": %d,\n  \"taken\": %d,\n  \"evicted\": %d,\n"
-       t.cap t.taken t.evicted);
-  Buffer.add_string b "  \"samples\": [";
-  List.iteri
-    (fun i (s : sample) ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"at\": %s, \"heap_words\": %d, \"top_heap_words\": %d, \"minor_words\": %s, \
-            \"promoted_words\": %s, \"major_words\": %s, \"minor_collections\": %d, \
-            \"major_collections\": %d, \"compactions\": %d, \"rss_bytes\": %d, \
-            \"rss_hwm_bytes\": %d}"
-           (json_float s.at) s.heap_words s.top_heap_words (json_float s.minor_words)
-           (json_float s.promoted_words) (json_float s.major_words) s.minor_collections
-           s.major_collections s.compactions s.rss_bytes s.rss_hwm_bytes))
-    (samples t);
-  Buffer.add_string b "\n  ],\n  \"footprint\": {";
-  List.iteri
-    (fun i (component, (fp : Footprint.t)) ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": {\"cards\": %d, \"words\": %d}" (json_escape component)
-           fp.Footprint.cards fp.Footprint.words))
-    fps;
-  Buffer.add_string b "\n  }\n}\n";
-  Buffer.contents b
+  let open Obs.Json in
+  let sample (s : sample) =
+    Obj [ ("at", Num s.at); ("heap_words", int s.heap_words);
+          ("top_heap_words", int s.top_heap_words); ("minor_words", Num s.minor_words);
+          ("promoted_words", Num s.promoted_words); ("major_words", Num s.major_words);
+          ("minor_collections", int s.minor_collections);
+          ("major_collections", int s.major_collections); ("compactions", int s.compactions);
+          ("rss_bytes", int s.rss_bytes); ("rss_hwm_bytes", int s.rss_hwm_bytes) ]
+  in
+  let footprint (component, (fp : Footprint.t)) =
+    (component, Obj [ ("cards", int fp.Footprint.cards); ("words", int fp.Footprint.words) ])
+  in
+  to_string
+    (Obj [ ("schema", Str Nt_formats.Formats.obs_series); ("interval_seconds", Num t.interval);
+           ("cap", int t.cap); ("taken", int t.taken); ("evicted", int t.evicted);
+           ("samples", Arr (List.map sample (samples t)));
+           ("footprint", Obj (List.map footprint fps)) ])
+  ^ "\n"

@@ -157,49 +157,34 @@ let absorb t b =
 
 (* --- export --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Events print one at a time into the buffer, so a capped timeline
+   never becomes one JSON tree; only the envelope is spelled here. *)
 let to_json t =
   let base = ref infinity in
   for i = 0 to t.len - 1 do
     if t.evs.(i).ts < !base then base := t.evs.(i).ts
   done;
   let base = if Float.is_finite !base then !base else 0. in
-  let pid = Unix.getpid () in
+  let pid = Obs.Json.int (Unix.getpid ()) in
   let b = Buffer.create (256 + (t.len * 96)) in
-  Buffer.add_string b "{\"traceEvents\": [";
+  Buffer.add_string b "{\"traceEvents\":[";
   for i = 0 to t.len - 1 do
     let e = t.evs.(i) in
-    Buffer.add_string b (if i = 0 then "\n" else ",\n");
-    let us = (e.ts -. base) *. 1e6 in
-    let us = if us < 0. then 0. else us in
-    match e.ph with
-    | 'C' ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "  {\"name\": \"%s\", \"cat\": \"nt\", \"ph\": \"C\", \"ts\": %.3f, \"pid\": %d, \
-              \"tid\": %d, \"args\": {\"value\": %.0f}}"
-             (json_escape e.ev_name) us pid e.tid e.value)
-    | ph ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "  {\"name\": \"%s\", \"cat\": \"nt\", \"ph\": \"%c\", \"ts\": %.3f, \"pid\": %d, \
-              \"tid\": %d}"
-             (json_escape e.ev_name) ph us pid e.tid)
+    if i > 0 then Buffer.add_char b ',';
+    (* microseconds since the earliest event, rounded to the nanosecond
+       so float noise in the subtraction never reaches the file *)
+    let us = Float.max 0. (Float.round ((e.ts -. base) *. 1e9) /. 1e3) in
+    Obs.Json.(
+      let args = if e.ph = 'C' then [ ("args", Obj [ ("value", Num e.value) ]) ] else [] in
+      to_buffer b
+        (Obj
+           ([ ("name", Str e.ev_name); ("cat", Str "nt"); ("ph", Str (String.make 1 e.ph));
+              ("ts", Num us); ("pid", pid); ("tid", int e.tid) ]
+           @ args)))
   done;
-  Buffer.add_string b
-    (Printf.sprintf "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"dropped\": %d}}\n"
-       t.dropped);
+  Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":";
+  Obs.Json.(to_buffer b (Obj [ ("dropped", int t.dropped) ]));
+  Buffer.add_string b "}\n";
   Buffer.contents b
 
 let write_file t path =

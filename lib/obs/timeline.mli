@@ -67,7 +67,7 @@ val dropped : t -> int
 val tracks_count : t -> int
 
 val to_json : t -> string
-(** [{"traceEvents": [...]}] with timestamps in microseconds relative
-    to the earliest event. *)
+(** [{"traceEvents":[...]}] on one line, timestamps in microseconds
+    relative to the earliest event, rounded to the nanosecond. *)
 
 val write_file : t -> string -> unit

@@ -48,21 +48,25 @@ curl -sf "http://127.0.0.1:$PORT/json" | grep -q '"mon.ingested"' \
 # state-footprint words.
 curl -sf "http://127.0.0.1:$PORT/series" >"$WORK/series.json" \
   || fail "/series scrape failed"
-grep -q '"schema": "nt_obs_series/1"' "$WORK/series.json" \
-  || fail "/series schema tag missing"
-SAMPLES=$(grep -c '"at":' "$WORK/series.json") || true
-CAP=$(grep -o '"cap": [0-9]*' "$WORK/series.json" | head -1 | tr -dc 0-9)
-[ -n "$SAMPLES" ] && [ "$SAMPLES" -ge 1 ] || fail "/series has no samples"
-[ -n "$CAP" ] && [ "$SAMPLES" -le "$CAP" ] \
-  || fail "/series ring unbounded: $SAMPLES samples over cap $CAP"
-grep -o '"at": [0-9.]*' "$WORK/series.json" | tr -dc '0-9.\n' >"$WORK/ats.txt"
-sort -nc "$WORK/ats.txt" 2>/dev/null || fail "/series timestamps not monotone"
-for comp in mon.ring mon.outstanding mon.ingest; do
-  WORDS=$(grep -o "\"$comp\": {\"cards\": [0-9]*, \"words\": [0-9]*" \
-    "$WORK/series.json" | grep -o '[0-9]*$')
-  [ -n "$WORDS" ] && [ "$WORDS" -gt 0 ] \
-    || fail "footprint for $comp missing or zero words"
-done
+SERIES=$(python3 -c '
+import json, sys
+d = json.load(open(sys.argv[1]))
+def check(ok, why):
+    if not ok:
+        sys.exit(why)
+check(d.get("schema") == "nt_obs_series/1", "/series schema tag missing")
+samples, cap = d["samples"], d["cap"]
+check(len(samples) >= 1, "/series has no samples")
+check(len(samples) <= cap, "/series ring unbounded: %d samples over cap %d" % (len(samples), cap))
+ats = [float(s["at"]) for s in samples]
+check(all(a <= b for a, b in zip(ats, ats[1:])), "/series timestamps not monotone")
+for comp in ("mon.ring", "mon.outstanding", "mon.ingest"):
+    check(d["footprint"].get(comp, {}).get("words", 0) > 0,
+          "footprint for %s missing or zero words" % comp)
+print(len(samples), cap)
+' "$WORK/series.json") || fail "/series check failed"
+SAMPLES=${SERIES% *}
+CAP=${SERIES#* }
 echo "   /series: $SAMPLES samples (cap $CAP), footprints live"
 grep -q 'nt_state_words{component="mon_ring"}\|nt_state_words{component="mon.ring"}' \
   "$WORK/metrics.txt" \

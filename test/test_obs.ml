@@ -237,6 +237,55 @@ let test_json_parser_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed value accepted"
 
+(* Json.to_string and Json.parse are inverses on every finite value:
+   strings over all 256 byte values, floats at the edges of the number
+   rule (signed zeros, subnormals, integers around 2^53, 0.1). *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12) in
+  let num =
+    oneof
+      [
+        oneofl
+          [ 0.; -0.; 0.1; 1e-310; -5e-324; Float.min_float; Float.max_float; 9007199254740991.;
+            9007199254740992.; 9007199254740993.; -9007199254740992.; 1e300; 1_792_242_184.2 ];
+        map (fun i -> float_of_int i) int;
+        map (fun i -> 9007199254740992. +. float_of_int (i - 8)) (int_bound 16);
+        map Int64.float_of_bits ui64 >|= (fun f -> if Float.is_finite f then f else 0.5);
+        float_range (-1e6) 1e6;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json: parse (to_string v) = Ok v"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let test_json_nonfinite_is_null () =
+  Alcotest.(check string) "nan" "null" (Json.to_string (Json.Num Float.nan));
+  Alcotest.(check string) "infinities" "[null,null]"
+    (Json.to_string (Json.Arr [ Json.Num infinity; Json.Num neg_infinity ]))
+
 let test_prometheus_export () =
   let t = Obs.create () in
   Obs.add (Obs.counter t ~labels:[ ("reason", "bad") ] ~help:"oops" "capture.decode_failure") 3;
@@ -451,12 +500,12 @@ let build_golden_timeline () =
 let normalize_pid s =
   let b = Buffer.create (String.length s) in
   let n = String.length s in
-  let key = "\"pid\": " in
+  let key = "\"pid\":" in
   let k = String.length key in
   let i = ref 0 in
   while !i < n do
     if !i + k <= n && String.sub s !i k = key then begin
-      Buffer.add_string b "\"pid\": 0";
+      Buffer.add_string b "\"pid\":0";
       i := !i + k;
       while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do
         incr i
@@ -604,6 +653,45 @@ let test_exporter_series_endpoint () =
       Alcotest.(check bool) "schema tag served" true (has body Nt_formats.Formats.obs_series);
       Alcotest.(check bool) "footprints embedded" true (has body "\"acc.test\"")
 
+(* The printer's number rule keeps every epoch timestamp exact: with
+   a clock at 2026 epoch seconds stepping 0.2 s, each "at" in /series
+   and the snapshot's "taken_at" must read back as the very clock value
+   it was stamped with (a %.9g format would round them all to 10 s). *)
+let test_json_epoch_timestamps_exact () =
+  let readings = ref [] in
+  let k = ref 0 in
+  let clock () =
+    let v = 1_792_242_184.0 +. (0.2 *. float_of_int !k) in
+    incr k;
+    readings := v :: !readings;
+    v
+  in
+  let obs = Obs.create ~clock () in
+  let s = Sampler.create ~interval:0.01 obs in
+  for _ = 1 to 5 do
+    ignore (Sampler.sample_now s : Sampler.sample)
+  done;
+  let parse what text =
+    match Json.parse text with Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let series = parse "/series" (Sampler.series_json s) in
+  let snap = parse "snapshot" (Obs.to_json (Obs.snapshot obs)) in
+  let ats =
+    match Option.bind (Json.member "samples" series) Json.to_list with
+    | Some l -> List.map (fun smp -> Option.bind (Json.member "at" smp) Json.to_num) l
+    | None -> Alcotest.fail "no samples array"
+  in
+  let stamps = Option.bind (Json.member "taken_at" snap) Json.to_num :: ats in
+  Alcotest.(check bool) "several samples" true (List.length ats >= 6);
+  List.iter
+    (function
+      | Some v when List.mem v !readings -> ()
+      | Some v -> Alcotest.failf "%.17g is no clock reading" v
+      | None -> Alcotest.fail "timestamp missing")
+    stamps;
+  Alcotest.(check int) "distinct sample times" (List.length ats)
+    (List.length (List.sort_uniq compare ats))
+
 (* --- Pipeline integration: conservation from the exported JSON --- *)
 
 let test_pipeline_conservation_from_json () =
@@ -673,6 +761,8 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "json parser rejects garbage" `Quick test_json_parser_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "json non-finite prints null" `Quick test_json_nonfinite_is_null;
           Alcotest.test_case "prometheus" `Quick test_prometheus_export;
           Alcotest.test_case "socket exporter" `Quick test_exporter_serves_endpoints;
         ] );
@@ -692,6 +782,7 @@ let () =
             test_sampler_publishes_gauges_and_footprints;
           Alcotest.test_case "/series document" `Quick test_series_json_document;
           Alcotest.test_case "/series endpoint" `Quick test_exporter_series_endpoint;
+          Alcotest.test_case "epoch timestamps exact" `Quick test_json_epoch_timestamps_exact;
         ] );
       ( "pipeline",
         [ Alcotest.test_case "conservation from exported JSON" `Quick test_pipeline_conservation_from_json ] );
