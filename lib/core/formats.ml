@@ -11,7 +11,7 @@ let tbin_magic = "nttb/1\n"
 (* Stream magic of the compact binary trace container (lib/tbin); the
    trailing newline keeps `head -1` and file(1) friendly. *)
 
-let checkpoint_version = "ntmon-ckpt/1"
+let checkpoint_version = "ntmon-ckpt/2"
 (* First line of nfsmon's atomic checkpoint files (lib/mon). *)
 
 let obs_snapshot = "nt_obs/1"

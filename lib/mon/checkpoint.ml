@@ -1,49 +1,35 @@
-type t = {
-  saved_at : float;
-  feed_pos : int64 option;
-  counters : (string * int) list;
-  ring : string list;
-  pending : string list;
-}
+module Json = Nt_obs.Obs.Json
 
 let version = Nt_formats.Formats.checkpoint_version
-let f2s = Printf.sprintf "%h"
 
-let payload t =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  line "%s" version;
-  line "saved_at %s" (f2s t.saved_at);
-  (match t.feed_pos with
-  | Some off -> line "feed_pos %Ld" off
-  | None -> line "feed_pos -");
-  line "counters %d" (List.length t.counters);
-  List.iter (fun (k, v) -> line "counter %s %d" k v) t.counters;
-  line "ring_lines %d" (List.length t.ring);
-  List.iter (fun l -> line "%s" l) t.ring;
-  line "pending_lines %d" (List.length t.pending);
-  List.iter (fun l -> line "%s" l) t.pending;
-  Buffer.contents b
+(* Past 2^53 a JSON number no longer holds every integer, so a count
+   that large would restore as a different count. *)
+let rec exact = function
+  | Json.Num f -> Float.abs f < 9007199254740992.
+  | Arr l -> List.for_all exact l
+  | Obj kvs -> List.for_all (fun (_, v) -> exact v) kvs
+  | Null | Bool _ | Str _ -> true
 
-let save ~path t =
-  let body = payload t in
-  let digest = Digest.to_hex (Digest.string body) in
-  let tmp = path ^ ".tmp" in
-  match
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let oc = Unix.out_channel_of_descr fd in
-        output_string oc body;
-        output_string oc ("digest " ^ digest ^ "\n");
-        flush oc;
-        Unix.fsync fd);
-    Unix.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | exception Sys_error e -> Error e
+let save ~path doc =
+  if not (exact doc) then Error "checkpoint holds a number outside ±2^53"
+  else
+    let body = Json.to_string doc in
+    let digest = Digest.to_hex (Digest.string body) in
+    let tmp = path ^ ".tmp" in
+    match
+      let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let oc = Unix.out_channel_of_descr fd in
+          output_string oc (body ^ "\ndigest " ^ digest ^ "\n");
+          flush oc;
+          Unix.fsync fd);
+      Unix.rename tmp path
+    with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    | exception Sys_error e -> Error e
 
 let load ~path =
   let ( let* ) = Result.bind in
@@ -58,109 +44,16 @@ let load ~path =
     | exception Sys_error e -> Error e
     | exception End_of_file -> Error "truncated checkpoint"
   in
-  (* Split off the trailing digest line and verify it covers the rest
-     byte for byte. *)
-  let* body, digest_line =
-    let n = String.length raw in
-    if n = 0 then Error "empty checkpoint"
-    else
-      let upto = if raw.[n - 1] = '\n' then n - 1 else n in
-      match String.rindex_from_opt raw (upto - 1) '\n' with
-      | Some i -> Ok (String.sub raw 0 (i + 1), String.sub raw (i + 1) (upto - i - 1))
-      | None -> Error "checkpoint has no digest line"
+  let* body =
+    match String.split_on_char '\n' raw with
+    | [ body; digest; "" ] when String.equal digest ("digest " ^ Digest.to_hex (Digest.string body))
+      ->
+        Ok body
+    | [ _; _; "" ] -> Error "checkpoint digest mismatch"
+    | _ -> Error "not a one-line checkpoint with a digest"
   in
-  let* digest =
-    match String.split_on_char ' ' digest_line with
-    | [ "digest"; d ] -> Ok d
-    | _ -> Error "checkpoint has no digest line"
-  in
-  let* () =
-    if String.equal (Digest.to_hex (Digest.string body)) digest then Ok ()
-    else Error "checkpoint digest mismatch"
-  in
-  let lines = String.split_on_char '\n' body in
-  let lines = match List.rev lines with "" :: rest -> List.rev rest | _ -> lines in
-  match lines with
-  | v :: rest when String.equal v version ->
-      let* saved_at, rest =
-        match rest with
-        | l :: rest -> (
-            match String.split_on_char ' ' l with
-            | [ "saved_at"; f ] -> (
-                match float_of_string_opt f with
-                | Some f -> Ok (f, rest)
-                | None -> Error "bad saved_at")
-            | _ -> Error "missing saved_at")
-        | [] -> Error "truncated checkpoint"
-      in
-      let* feed_pos, rest =
-        match rest with
-        | l :: rest -> (
-            match String.split_on_char ' ' l with
-            | [ "feed_pos"; "-" ] -> Ok (None, rest)
-            | [ "feed_pos"; off ] -> (
-                match Int64.of_string_opt off with
-                | Some off -> Ok (Some off, rest)
-                | None -> Error "bad feed_pos")
-            | _ -> Error "missing feed_pos")
-        | [] -> Error "truncated checkpoint"
-      in
-      let* ncounters, rest =
-        match rest with
-        | l :: rest -> (
-            match String.split_on_char ' ' l with
-            | [ "counters"; n ] -> (
-                match int_of_string_opt n with
-                | Some n -> Ok (n, rest)
-                | None -> Error "bad counters count")
-            | _ -> Error "missing counters header")
-        | [] -> Error "truncated checkpoint"
-      in
-      let rec read_counters n acc rest =
-        if n = 0 then Ok (List.rev acc, rest)
-        else
-          match rest with
-          | l :: rest -> (
-              match String.split_on_char ' ' l with
-              | [ "counter"; k; v ] -> (
-                  match int_of_string_opt v with
-                  | Some v -> read_counters (n - 1) ((k, v) :: acc) rest
-                  | None -> Error ("bad counter value: " ^ l))
-              | _ -> Error ("bad counter line: " ^ l))
-          | [] -> Error "truncated counters"
-      in
-      let* counters, rest = read_counters ncounters [] rest in
-      let* nring, rest =
-        match rest with
-        | l :: rest -> (
-            match String.split_on_char ' ' l with
-            | [ "ring_lines"; n ] -> (
-                match int_of_string_opt n with
-                | Some n -> Ok (n, rest)
-                | None -> Error "bad ring_lines count")
-            | _ -> Error "missing ring_lines header")
-        | [] -> Error "truncated checkpoint"
-      in
-      let* ring, rest =
-        let rec take n acc = function
-          | rest when n = 0 -> Ok (List.rev acc, rest)
-          | [] -> Error "ring payload length mismatch"
-          | l :: rest -> take (n - 1) (l :: acc) rest
-        in
-        take nring [] rest
-      in
-      let* npending, rest =
-        match rest with
-        | l :: rest -> (
-            match String.split_on_char ' ' l with
-            | [ "pending_lines"; n ] -> (
-                match int_of_string_opt n with
-                | Some n -> Ok (n, rest)
-                | None -> Error "bad pending_lines count")
-            | _ -> Error "missing pending_lines header")
-        | [] -> Error "truncated checkpoint"
-      in
-      if List.length rest <> npending then Error "pending payload length mismatch"
-      else Ok { saved_at; feed_pos; counters; ring; pending = rest }
-  | v :: _ -> Error ("unsupported checkpoint version: " ^ v)
-  | [] -> Error "empty checkpoint"
+  let* doc = Json.parse body in
+  match Json.member "format" doc with
+  | Some (Str v) when String.equal v version -> Ok doc
+  | Some (Str v) -> Error ("unsupported checkpoint version: " ^ v)
+  | _ -> Error "checkpoint has no format"

@@ -1,26 +1,25 @@
 (** Versioned, atomic checkpoints of monitor state.
 
-    Format ["ntmon-ckpt/1"]: a line-oriented text document — header,
-    [saved_at] wall clock, optional feed resume offset, the service's
-    monotone counters, then the serialized ring — finished with an MD5
-    digest of everything above it. Writes go to [path ^ ".tmp"] and
-    are fsynced before an atomic [rename], so a crash mid-write leaves
-    the previous checkpoint intact; a torn or tampered file fails the
-    digest and {!load} returns [Error] rather than restoring garbage.
-    Restore-on-start therefore has exactly two outcomes: the full
-    saved state, or a clean fresh start with the failure counted. *)
-
-type t = {
-  saved_at : float;  (** wall clock at save *)
-  feed_pos : int64 option;  (** feed resume offset, when the feed has one *)
-  counters : (string * int) list;  (** service counters to re-add on restore *)
-  ring : string list;  (** {!Ring.to_lines} payload *)
-  pending : string list;  (** {!Outstanding.to_lines} payload *)
-}
+    A checkpoint file is one JSON document on one line, followed by a
+    line [digest <md5 of that line>]. The document is built by the
+    caller ({!Service}); its ["format"] member names the version.
+    Writes go to [path ^ ".tmp"] and are fsynced before an atomic
+    [rename], so a crash mid-write leaves the previous checkpoint
+    intact; a torn or tampered file fails the digest and {!load}
+    returns [Error] rather than restoring garbage. Restore-on-start
+    therefore has exactly two outcomes: the full saved state, or a
+    clean fresh start with the failure counted. *)
 
 val version : string
-(** ["ntmon-ckpt/1"] — bump when the payload shape changes; [load]
-    refuses other versions. *)
+(** ["ntmon-ckpt/2"] — bump when the document's shape changes; [load]
+    refuses other versions, so the first start after an upgrade is a
+    counted cold start. *)
 
-val save : path:string -> t -> (unit, string) result
-val load : path:string -> (t, string) result
+val save : path:string -> Nt_obs.Obs.Json.v -> (unit, string) result
+(** [Error], leaving any previous checkpoint in place, when the
+    document holds a number that is not finite with |v| < 2{^53} (the
+    range where JSON numbers are exact integers) or the write fails. *)
+
+val load : path:string -> (Nt_obs.Obs.Json.v, string) result
+(** Checks the digest, then parses, then checks that ["format"] is
+    {!version}. *)

@@ -105,59 +105,42 @@ let outstanding t = t.len
 let lost t = t.lost
 let dropped t = t.dropped
 
-(* --- checkpoint serialization --- *)
+(* --- checkpoint encoding --- *)
 
-let to_lines t =
-  let es = Array.sub t.heap 0 t.len in
-  Array.sort (fun a b -> compare (a.expiry, a.proc) (b.expiry, b.proc)) es;
-  Printf.sprintf "pending n=%d lost=%d dropped=%d" t.len t.lost t.dropped
-  :: Array.to_list
-       (Array.map
-          (fun e ->
-            Printf.sprintf "call %h %d %s" e.expiry (if e.reply_lost then 1 else 0) e.proc)
-          es)
+module Json = Nt_obs.Obs.Json
 
-let of_lines ?cap ?timeout lines =
+let to_json t =
+  let key e = (e.expiry, e.proc, e.reply_lost) in
+  let es = Array.to_list (Array.sub t.heap 0 t.len) in
+  let es = List.sort (fun a b -> compare (key a) (key b)) es in
+  let call e = Json.Arr [ Num e.expiry; Str e.proc; Bool e.reply_lost ] in
+  Json.Obj
+    [ ("lost", Json.int t.lost); ("dropped", Json.int t.dropped);
+      ("calls", Arr (List.map call es)) ]
+
+let of_json ?cap ?timeout v =
   let ( let* ) = Result.bind in
-  let int s =
-    match int_of_string_opt s with Some i -> Ok i | None -> Error ("bad int " ^ s)
-  in
-  match lines with
-  | [] -> Error "empty pending section"
-  | header :: rest ->
-      let* n, lost, dropped =
-        match String.split_on_char ' ' header with
-        | [ "pending"; n; l; d ]
-          when String.length n > 2 && String.sub n 0 2 = "n="
-               && String.length l > 5 && String.sub l 0 5 = "lost="
-               && String.length d > 8 && String.sub d 0 8 = "dropped=" ->
-            let* n = int (String.sub n 2 (String.length n - 2)) in
-            let* l = int (String.sub l 5 (String.length l - 5)) in
-            let* d = int (String.sub d 8 (String.length d - 8)) in
-            Ok (n, l, d)
-        | _ -> Error ("bad pending header: " ^ header)
+  let int v = Option.to_result ~none:"pending: bad integer" (Json.to_int v) in
+  let* f = Json.fields [ "lost"; "dropped"; "calls" ] v in
+  match f with
+  | [ lost; dropped; Arr calls ] ->
+      let t = create ?cap ?timeout () in
+      let* lost = int lost in
+      let* dropped = int dropped in
+      t.lost <- lost;
+      t.dropped <- dropped;
+      let* () =
+        List.fold_left
+          (fun acc c ->
+            let* () = acc in
+            match c with
+            | Json.Arr [ Num expiry; Str proc; Bool reply_lost ] when Float.is_finite expiry ->
+                Ok (insert t { expiry; proc; reply_lost })
+            | _ -> Error "pending: bad call")
+          (Ok ()) calls
       in
-      if List.length rest <> n then Error "pending entry count mismatch"
-      else
-        let t = create ?cap ?timeout () in
-        t.lost <- lost;
-        t.dropped <- dropped;
-        let* () =
-          List.fold_left
-            (fun acc line ->
-              let* () = acc in
-              match String.split_on_char ' ' line with
-              | [ "call"; expiry; lost01; proc ] -> (
-                  match float_of_string_opt expiry with
-                  | None -> Error ("bad pending expiry: " ^ line)
-                  | Some expiry ->
-                      let* lost01 = int lost01 in
-                      insert t { expiry; proc; reply_lost = lost01 <> 0 };
-                      Ok ())
-              | _ -> Error ("bad pending line: " ^ line))
-            (Ok ()) rest
-        in
-        Ok t
+      Ok t
+  | _ -> Error "pending: bad calls"
 
 let by_proc t =
   let counts = Hashtbl.create 8 in

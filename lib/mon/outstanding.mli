@@ -29,13 +29,16 @@ val lost : t -> int
 val dropped : t -> int
 (** Calls evicted because the tracker was full. *)
 
-val to_lines : t -> string list
-(** Deterministic checkpoint serialization: a [pending] header with the
-    cumulative counters, then one line per in-flight call. *)
+val to_json : t -> Nt_obs.Obs.Json.v
+(** Deterministic checkpoint encoding: the cumulative [lost] and
+    [dropped] counters and the in-flight [calls] as
+    [[expiry, proc, reply_lost]], sorted. *)
 
-val of_lines : ?cap:int -> ?timeout:float -> string list -> (t, string) result
-(** Rebuild a tracker from {!to_lines} output, enforcing the given
-    bounds (entries beyond [cap] are dropped and counted, as live). *)
+val of_json : ?cap:int -> ?timeout:float -> Nt_obs.Obs.Json.v -> (t, string) result
+(** Rebuild a tracker from {!to_json} output, enforcing the given
+    bounds (entries beyond [cap] are dropped and counted, as live).
+    [Error] on a missing, duplicated or unknown key, a bad integer or a
+    malformed call. *)
 
 val footprint : t -> Nt_obs.Footprint.t
 (** State-footprint accounting (see {!Nt_obs.Footprint}). *)

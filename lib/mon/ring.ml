@@ -124,18 +124,9 @@ let live t = t.wins
 let summary t = t.summary
 
 let totals t =
-  let acc = Win.create ~caps:t.config.summary_cap () in
-  let ws = List.map snd t.wins @ [ t.summary ] in
-  List.iter
-    (fun w ->
-      match Win.of_lines ~caps:t.config.summary_cap (Win.to_lines w) with
-      | Ok copy -> ignore (Win.merge acc copy)
-      | Error _ -> assert false)
-    ws;
-  acc
-[@@nt.raise_ok
-  "round-tripping an in-memory window through its own line format cannot fail; the assert \
-   guards the copy trick, not an input"]
+  List.fold_left Win.merge
+    (Win.create ~caps:t.config.summary_cap ())
+    (List.map snd t.wins @ [ t.summary ])
 
 let observed t = t.observed
 let rotations t = t.rotations
@@ -154,119 +145,70 @@ let evictions t =
       (table, n))
     Win.all_tables
 
-(* --- checkpoint serialization --- *)
+(* --- checkpoint encoding --- *)
 
-let f2s = Printf.sprintf "%h"
+module Json = Nt_obs.Obs.Json
 
-let to_lines t =
-  let b = ref [] in
-  let push s = b := s :: !b in
-  push
-    (Printf.sprintf "ring cur_start=%s max_seen=%s observed=%d rotations=%d evicted=%d late=%d backward=%d jumps=%d windows=%d"
-       (f2s t.cur_start) (f2s t.max_seen) t.observed t.rotations t.evicted_windows t.late
-       t.backward t.forward_jumps (List.length t.wins));
-  List.iter
-    (fun (start, w) ->
-      let lines = Win.to_lines w in
-      push (Printf.sprintf "window start=%s lines=%d" (f2s start) (List.length lines));
-      List.iter push lines)
-    (List.rev t.wins);
-  let slines = Win.to_lines t.summary in
-  push (Printf.sprintf "summary lines=%d" (List.length slines));
-  List.iter push slines;
-  List.rev !b
+let to_json t =
+  Json.Obj
+    [ ("cur_start", if anchored t then Num t.cur_start else Null);
+      ("max_seen", if t.max_seen = neg_infinity then Null else Num t.max_seen);
+      ("observed", Json.int t.observed); ("rotations", Json.int t.rotations);
+      ("evicted_windows", Json.int t.evicted_windows); ("late", Json.int t.late);
+      ("backward", Json.int t.backward); ("forward_jumps", Json.int t.forward_jumps);
+      ("windows", Arr (List.map (fun (start, w) -> Json.Arr [ Num start; Win.to_json w ]) t.wins));
+      ("summary", Win.to_json t.summary) ]
 
-let kv_int kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> ( match int_of_string_opt v with Some i -> Ok i | None -> Error ("bad int " ^ k))
-  | None -> Error ("missing field " ^ k)
+let ( let* ) = Result.bind
+let int v = Option.to_result ~none:"ring: bad integer" (Json.to_int v)
 
-let kv_float kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> (
-      match float_of_string_opt v with Some f -> Ok f | None -> Error ("bad float " ^ k))
-  | None -> Error ("missing field " ^ k)
+let finite = function
+  | Json.Num f when Float.is_finite f -> Ok f
+  | _ -> Error "ring: bad time"
 
-let parse_kvs tokens =
-  List.filter_map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i -> Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-      | None -> None)
-    tokens
+(* [null] stands for the field's create-time value. *)
+let or_null ~null = function Json.Null -> Ok null | v -> finite v
 
-let of_lines config lines =
-  let ( let* ) = Result.bind in
-  let take n lines =
-    let rec go n acc = function
-      | rest when n = 0 -> Ok (List.rev acc, rest)
-      | [] -> Error "truncated ring section"
-      | l :: rest -> go (n - 1) (l :: acc) rest
-    in
-    go n [] lines
+let win_of_json caps v =
+  let* w = Win.of_json ~caps v in
+  Win.compact w;
+  Ok w
+
+let of_json config v =
+  let* f =
+    Json.fields
+      [ "cur_start"; "max_seen"; "observed"; "rotations"; "evicted_windows"; "late";
+        "backward"; "forward_jumps"; "windows"; "summary" ]
+      v
   in
-  let win_of ~caps body =
-    let* w = Win.of_lines ~caps body in
-    Win.compact w;
-    Ok w
-  in
-  match lines with
-  | [] -> Error "empty ring section"
-  | header :: rest -> (
-      match String.split_on_char ' ' header with
-      | "ring" :: kv_toks ->
-          let kvs = parse_kvs kv_toks in
-          let* cur_start = kv_float kvs "cur_start" in
-          let* max_seen = kv_float kvs "max_seen" in
-          let* observed = kv_int kvs "observed" in
-          let* rotations = kv_int kvs "rotations" in
-          let* evicted_windows = kv_int kvs "evicted" in
-          let* late = kv_int kvs "late" in
-          let* backward = kv_int kvs "backward" in
-          let* forward_jumps = kv_int kvs "jumps" in
-          let* nwins = kv_int kvs "windows" in
-          let t = create config in
-          t.cur_start <- cur_start;
-          t.max_seen <- max_seen;
-          t.observed <- observed;
-          t.rotations <- rotations;
-          t.evicted_windows <- evicted_windows;
-          t.late <- late;
-          t.backward <- backward;
-          t.forward_jumps <- forward_jumps;
-          let rec read_windows k lines acc =
-            if k = 0 then Ok (acc, lines)
-            else
-              match lines with
-              | [] -> Error "missing window header"
-              | wh :: rest -> (
-                  match String.split_on_char ' ' wh with
-                  | [ "window"; s; l ] ->
-                      let kvs = parse_kvs [ s; l ] in
-                      let* start = kv_float kvs "start" in
-                      let* n = kv_int kvs "lines" in
-                      let* body, rest = take n rest in
-                      let* w = win_of ~caps:config.caps body in
-                      read_windows (k - 1) rest ((start, w) :: acc)
-                  | _ -> Error ("expected window header, got: " ^ wh))
-          in
-          let* wins_newest_first, rest = read_windows nwins rest [] in
-          t.wins <- wins_newest_first;
-          (match rest with
-          | sh :: srest -> (
-              match String.split_on_char ' ' sh with
-              | [ "summary"; l ] -> (
-                  let kvs = parse_kvs [ l ] in
-                  let* n = kv_int kvs "lines" in
-                  let* body, rest' = take n srest in
-                  let* s = win_of ~caps:config.summary_cap body in
-                  ignore (Win.merge t.summary s);
-                  match rest' with
-                  | [] -> Ok t
-                  | l :: _ -> Error ("trailing ring line: " ^ l))
-              | _ -> Error ("expected summary header, got: " ^ sh))
-          | [] -> Error "missing summary section")
-      | _ -> Error ("expected ring header, got: " ^ header))
+  match f with
+  | [ cur_start; max_seen; observed; rotations; evicted_windows; late; backward; forward_jumps;
+      Arr windows; summary ] ->
+      let* cur_start = or_null ~null:Float.nan cur_start in
+      let* max_seen = or_null ~null:neg_infinity max_seen in
+      let* observed = int observed in
+      let* rotations = int rotations in
+      let* evicted_windows = int evicted_windows in
+      let* late = int late in
+      let* backward = int backward in
+      let* forward_jumps = int forward_jumps in
+      let* wins =
+        List.fold_right
+          (fun w acc ->
+            let* acc = acc in
+            match w with
+            | Json.Arr [ start; w ] ->
+                let* start = finite start in
+                let* w = win_of_json config.caps w in
+                Ok ((start, w) :: acc)
+            | _ -> Error "ring: bad window")
+          windows (Ok [])
+      in
+      let* summary = win_of_json config.summary_cap summary in
+      Ok
+        { config; cur_start; wins; summary; observed; rotations; evicted_windows; late;
+          backward; forward_jumps; max_seen }
+  | _ -> Error "ring: bad windows"
 
 let footprint t =
   List.fold_left

@@ -73,13 +73,18 @@ val evictions : t -> (Win.table * int) list
 (** Per-table eviction totals summed across live windows and the
     summary (compaction included). *)
 
-(** {1 Checkpoint serialization} *)
+(** {1 Checkpoint encoding} *)
 
-val to_lines : t -> string list
+val to_json : t -> Nt_obs.Obs.Json.v
+(** The ring as one JSON object: its counters, [cur_start] and
+    [max_seen] ([null] before the first record), the live [windows]
+    newest first as [[start, window]], and the [summary] window (see
+    {!Win.to_json}). *)
 
-val of_lines : config -> string list -> (t, string) result
+val of_json : config -> Nt_obs.Obs.Json.v -> (t, string) result
 (** Restore under the given config; window contents revive under the
-    config's caps and are compacted immediately. *)
+    config's caps and are compacted immediately. [Error] on any key,
+    integer or [null] that {!Win.of_json}'s rules refuse. *)
 
 val footprint : t -> Nt_obs.Footprint.t
 (** State-footprint accounting (see {!Nt_obs.Footprint}). *)

@@ -278,63 +278,78 @@ let save_checkpoint t =
       | Some now -> Outstanding.advance t.out ~now
       | None -> ());
       sync t;
-      let ck =
-        {
-          Checkpoint.saved_at = t.clock ();
-          feed_pos = Feed.pos t.feed;
-          counters = [ ("ingested", t.ingested); ("shed", t.shed); ("reports", t.reports) ];
-          ring = Ring.to_lines t.ring;
-          pending = Outstanding.to_lines t.out;
-        }
+      let doc =
+        Obs.Json.(
+          Obj
+            [ ("format", Str Checkpoint.version); ("saved_at", Num (t.clock ()));
+              ( "feed_pos",
+                match Feed.pos t.feed with Some off -> Num (Int64.to_float off) | None -> Null );
+              ( "counters",
+                Obj
+                  [ ("ingested", int t.ingested); ("shed", int t.shed);
+                    ("reports", int t.reports) ] );
+              ("ring", Ring.to_json t.ring); ("pending", Outstanding.to_json t.out) ])
       in
-      (match Checkpoint.save ~path ck with
+      (match Checkpoint.save ~path doc with
       | Ok () -> Obs.inc t.c_ckpt_saved
       | Error _ -> Obs.inc t.c_ckpt_save_failed);
       t.last_checkpoint <- t.clock ()
 
+(* Everything but the pending calls must read back, or the restore is
+   refused whole. *)
+let read_checkpoint t path =
+  let ( let* ) = Result.bind in
+  let int v = Option.to_result ~none:"checkpoint: bad integer" (Obs.Json.to_int v) in
+  let* doc = Checkpoint.load ~path in
+  let* f =
+    Obs.Json.fields [ "format"; "saved_at"; "feed_pos"; "counters"; "ring"; "pending" ] doc
+  in
+  match f with
+  | [ _; Num _; feed_pos; counters; ring; pending ] -> (
+      let* c = Obs.Json.fields [ "ingested"; "shed"; "reports" ] counters in
+      match c with
+      | [ ingested; shed; reports ] ->
+          let* feed_pos =
+            match feed_pos with Null -> Ok None | v -> Result.map Option.some (int v)
+          in
+          let* ingested = int ingested in
+          let* shed = int shed in
+          let* reports = int reports in
+          let* ring = Ring.of_json t.config.ring ring in
+          Ok (Option.map Int64.of_int feed_pos, (ingested, shed, reports), ring, pending)
+      | _ -> Error "checkpoint: bad counters")
+  | _ -> Error "checkpoint: bad saved_at"
+
 let restore t =
   match t.config.checkpoint_path with
   | Some path when Sys.file_exists path -> (
-      match Checkpoint.load ~path with
+      match read_checkpoint t path with
       | Error _ -> Obs.inc t.c_ckpt_restore_failed
-      | Ok ck -> (
-          match Ring.of_lines t.config.ring ck.Checkpoint.ring with
-          | Error _ -> Obs.inc t.c_ckpt_restore_failed
-          | Ok ring ->
-              t.ring <- ring;
-              (match
-                 Outstanding.of_lines ~cap:t.config.outstanding_cap
-                   ~timeout:t.config.pending_timeout ck.Checkpoint.pending
-               with
-              | Ok out -> t.out <- out
-              | Error _ ->
-                  (* the aggregated state is still good; start the
-                     in-flight tracker fresh rather than refuse *)
-                  Obs.inc t.c_ckpt_restore_failed);
-              List.iter
-                (fun (k, v) ->
-                  match k with
-                  | "ingested" ->
-                      t.ingested <- v;
-                      Obs.add t.c_ingested v
-                  | "shed" ->
-                      t.shed <- v;
-                      Obs.add t.c_shed v
-                  | "reports" ->
-                      t.reports <- v;
-                      Obs.add t.c_reports v
-                  | _ -> ())
-                ck.Checkpoint.counters;
-              t.rotations_reported <- Ring.rotations ring;
-              (match ck.Checkpoint.feed_pos with
-              | Some off -> ignore (Feed.seek t.feed off)
-              | None -> ());
-              (* Downtime must not bleed into span durations or leave
-                 the registry clock behind the wall clock. *)
-              Obs.reanchor t.o;
-              sync t;
-              t.was_restored <- true;
-              Obs.inc t.c_ckpt_restored))
+      | Ok (feed_pos, (ingested, shed, reports), ring, pending) ->
+          t.ring <- ring;
+          (match
+             Outstanding.of_json ~cap:t.config.outstanding_cap ~timeout:t.config.pending_timeout
+               pending
+           with
+          | Ok out -> t.out <- out
+          | Error _ ->
+              (* the aggregated state is still good; start the
+                 in-flight tracker fresh rather than refuse *)
+              Obs.inc t.c_ckpt_restore_failed);
+          t.ingested <- ingested;
+          Obs.add t.c_ingested ingested;
+          t.shed <- shed;
+          Obs.add t.c_shed shed;
+          t.reports <- reports;
+          Obs.add t.c_reports reports;
+          t.rotations_reported <- Ring.rotations ring;
+          (match feed_pos with Some off -> ignore (Feed.seek t.feed off) | None -> ());
+          (* Downtime must not bleed into span durations or leave
+             the registry clock behind the wall clock. *)
+          Obs.reanchor t.o;
+          sync t;
+          t.was_restored <- true;
+          Obs.inc t.c_ckpt_restored)
   | _ -> ()
 
 (* --- lifecycle --- *)

@@ -85,7 +85,6 @@ let compact_tbl tbl =
   end
 
 type t = {
-  caps : caps;
   mutable t_min : float;
   mutable t_max : float;
   mutable total : row;  (* every record: ops + all io bytes *)
@@ -102,7 +101,6 @@ type t = {
 
 let create ?(caps = default_caps) () =
   {
-    caps;
     t_min = infinity;
     t_max = neg_infinity;
     total = zero_row;
@@ -206,149 +204,111 @@ let table_size t table = Hashtbl.length (tbl_of t table).rows
 let evictions t table = (tbl_of t table).evicted
 let evictions_total t = List.fold_left (fun acc tb -> acc + evictions t tb) 0 all_tables
 
-(* --- checkpoint serialization --- *)
+(* --- checkpoint encoding --- *)
 
-(* One token-separated record per line. Table keys are emitted in
-   sorted order so the text form is deterministic; keys never contain
-   whitespace (IPs, small ints, procedure names, "foreign"/"-"). *)
+module Json = Nt_obs.Obs.Json
 
-let f2s = Printf.sprintf "%h" (* lossless hex float round-trip *)
+let row_json r = Json.[ int r.ops; int r.read_bytes; int r.write_bytes ]
 
-let s2f s =
-  match float_of_string_opt s with Some f -> Ok f | None -> Error ("bad float " ^ s)
+(* Table rows go out in sorted key order so the document is
+   deterministic. Caps are not written: a restored window takes the
+   restoring service's caps. *)
+let tbl_json tbl =
+  let rows = List.sort compare (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl.rows []) in
+  Json.Obj
+    [ ("other", Arr (row_json tbl.other)); ("evicted", Json.int tbl.evicted);
+      ("rows", Arr (List.map (fun (k, r) -> Json.Arr (Str k :: row_json r)) rows)) ]
 
-let row_tokens r = Printf.sprintf "%d %d %d" r.ops r.read_bytes r.write_bytes
-
-let to_lines t =
-  let b = ref [] in
-  let push s = b := s :: !b in
-  push (Printf.sprintf "span %s %s" (f2s t.t_min) (f2s t.t_max));
-  push (Printf.sprintf "caps %d %d %d %d" t.caps.client_cap t.caps.uid_cap t.caps.fs_cap
-          t.caps.proc_cap);
-  push ("total " ^ row_tokens t.total);
-  push ("reads " ^ row_tokens t.reads);
-  push ("writes " ^ row_tokens t.writes);
-  push (Printf.sprintf "commits %d" t.commits);
-  push (Printf.sprintf "lost %d" t.lost);
-  Array.iteri (fun i r -> push (Printf.sprintf "stable %d %s" i (row_tokens r))) t.stable;
-  List.iter
-    (fun table ->
-      let tbl = tbl_of t table in
-      let name = table_name table in
-      push
-        (Printf.sprintf "table %s other %s evicted %d" name (row_tokens tbl.other) tbl.evicted);
-      let keys = Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl.rows [] in
-      List.iter
-        (fun (k, r) -> push (Printf.sprintf "row %s %s %s" name k (row_tokens r)))
-        (List.sort compare keys))
-    all_tables;
-  List.rev !b
-
-let of_lines ?caps lines =
-  let ( let* ) = Result.bind in
-  let int s =
-    match int_of_string_opt s with Some i -> Ok i | None -> Error ("bad int " ^ s)
+let to_json t =
+  let span =
+    match span t with None -> Json.Null | Some (lo, hi) -> Arr [ Num lo; Num hi ]
   in
-  let row3 a b c =
-    let* ops = int a in
-    let* read_bytes = int b in
-    let* write_bytes = int c in
-    Ok { ops; read_bytes; write_bytes }
-  in
-  let table_of_name = function
-    | "client" -> Ok `Client
-    | "uid" -> Ok `Uid
-    | "fs" -> Ok `Fs
-    | "proc" -> Ok `Proc
-    | s -> Error ("unknown table " ^ s)
-  in
+  Json.Obj
+    [ ("span", span); ("total", Arr (row_json t.total)); ("reads", Arr (row_json t.reads));
+      ("writes", Arr (row_json t.writes)); ("commits", Json.int t.commits);
+      ("lost", Json.int t.lost);
+      ("stable", Arr (Array.to_list (Array.map (fun r -> Json.Arr (row_json r)) t.stable)));
+      ("tables", Obj (List.map (fun tb -> (table_name tb, tbl_json (tbl_of t tb))) all_tables)) ]
+
+let ( let* ) = Result.bind
+let int v = Option.to_result ~none:"window: bad integer" (Json.to_int v)
+
+let finite = function
+  | Json.Num f when Float.is_finite f -> Ok f
+  | _ -> Error "window: bad time"
+
+let row = function
+  | Json.Arr [ a; b; c ] ->
+      let* ops = int a in
+      let* read_bytes = int b in
+      let* write_bytes = int c in
+      Ok { ops; read_bytes; write_bytes }
+  | _ -> Error "window: bad row"
+
+let tbl_of_json tbl v =
+  let* f = Json.fields [ "other"; "evicted"; "rows" ] v in
+  match f with
+  | [ other; evicted; Arr rows ] ->
+      let* other = row other in
+      let* evicted = int evicted in
+      tbl.other <- other;
+      tbl.evicted <- evicted;
+      List.fold_left
+        (fun acc r ->
+          let* () = acc in
+          match r with
+          | Json.Arr (Str k :: r) ->
+              let* r = row (Arr r) in
+              if Hashtbl.mem tbl.rows k then Error ("window: duplicate row " ^ k)
+              else Ok (Hashtbl.replace tbl.rows k r)
+          | _ -> Error "window: bad table row")
+        (Ok ()) rows
+  | _ -> Error "window: bad table"
+
+let of_json ?caps v =
   let t = create ?caps () in
-  (* Every serialized window carries these sections exactly once; a
-     checkpoint that lost lines must not restore as a smaller window. *)
-  let seen = Hashtbl.create 16 in
-  let mark s =
-    if Hashtbl.mem seen s then Error ("duplicate window section: " ^ s)
-    else begin
-      Hashtbl.replace seen s ();
-      Ok ()
-    end
+  let* f =
+    Json.fields [ "span"; "total"; "reads"; "writes"; "commits"; "lost"; "stable"; "tables" ] v
   in
-  let apply line =
-    match String.split_on_char ' ' line with
-    | [ "span"; a; b ] ->
-        let* () = mark "span" in
-        let* mn = s2f a in
-        let* mx = s2f b in
-        t.t_min <- mn;
-        t.t_max <- mx;
-        Ok ()
-    | [ "caps"; _; _; _; _ ] ->
-        (* caps are carried for the record; restored tables keep the
-           service's configured caps, enforced by the next compact *)
-        mark "caps"
-    | [ "total"; a; b; c ] ->
-        let* () = mark "total" in
-        let* r = row3 a b c in
-        t.total <- r;
-        Ok ()
-    | [ "reads"; a; b; c ] ->
-        let* () = mark "reads" in
-        let* r = row3 a b c in
-        t.reads <- r;
-        Ok ()
-    | [ "writes"; a; b; c ] ->
-        let* () = mark "writes" in
-        let* r = row3 a b c in
-        t.writes <- r;
-        Ok ()
-    | [ "commits"; n ] ->
-        let* () = mark "commits" in
-        let* n = int n in
-        t.commits <- n;
-        Ok ()
-    | [ "lost"; n ] ->
-        let* () = mark "lost" in
-        let* n = int n in
-        t.lost <- n;
-        Ok ()
-    | [ "stable"; i; a; b; c ] ->
-        let* i = int i in
-        if i < 0 || i > 2 then Error ("bad stable index " ^ string_of_int i)
-        else
-          let* () = mark ("stable" ^ string_of_int i) in
-          let* r = row3 a b c in
-          t.stable.(i) <- r;
-          Ok ()
-    | [ "table"; name; "other"; a; b; c; "evicted"; n ] ->
-        let* table = table_of_name name in
-        let* () = mark ("table " ^ table_name table) in
-        let* other = row3 a b c in
-        let* evicted = int n in
-        let tbl = tbl_of t table in
-        tbl.other <- other;
-        tbl.evicted <- evicted;
-        Ok ()
-    | [ "row"; name; key; a; b; c ] ->
-        let* table = table_of_name name in
-        let* r = row3 a b c in
-        Hashtbl.replace (tbl_of t table).rows key r;
-        Ok ()
-    | _ -> Error ("unrecognized window line: " ^ line)
-  in
-  let required =
-    [ "span"; "caps"; "total"; "reads"; "writes"; "commits"; "lost"; "stable0"; "stable1";
-      "stable2" ]
-    @ List.map (fun table -> "table " ^ table_name table) all_tables
-  in
-  let rec go = function
-    | [] -> (
-        match List.find_opt (fun s -> not (Hashtbl.mem seen s)) required with
-        | Some s -> Error ("missing window section: " ^ s)
-        | None -> Ok t)
-    | line :: rest -> (
-        match apply line with Ok () -> go rest | Error e -> Error e)
-  in
-  go lines
+  match f with
+  | [ span; total; reads; writes; commits; lost; Arr [ s0; s1; s2 ]; tables ] ->
+      let* () =
+        match span with
+        | Json.Null -> Ok ()
+        | Arr [ lo; hi ] ->
+            let* lo = finite lo in
+            let* hi = finite hi in
+            t.t_min <- lo;
+            t.t_max <- hi;
+            Ok ()
+        | _ -> Error "window: bad span"
+      in
+      let* total = row total in
+      let* reads = row reads in
+      let* writes = row writes in
+      let* commits = int commits in
+      let* lost = int lost in
+      let* s0 = row s0 in
+      let* s1 = row s1 in
+      let* s2 = row s2 in
+      t.total <- total;
+      t.reads <- reads;
+      t.writes <- writes;
+      t.commits <- commits;
+      t.lost <- lost;
+      t.stable.(0) <- s0;
+      t.stable.(1) <- s1;
+      t.stable.(2) <- s2;
+      let* tf = Json.fields (List.map table_name all_tables) tables in
+      let* () =
+        List.fold_left2
+          (fun acc tb v ->
+            let* () = acc in
+            tbl_of_json (tbl_of t tb) v)
+          (Ok ()) all_tables tf
+      in
+      Ok t
+  | _ -> Error "window: bad stable rows"
 
 let fp_tbl tbl =
   let n = Hashtbl.length tbl.rows in

@@ -51,8 +51,8 @@ val create : ?caps:caps -> unit -> t
 val observe : t -> Nt_trace.Record.t -> unit
 
 val merge : t -> t -> t
-(** [merge a b] folds [b] into [a] and returns [a]; [b] must not be
-    used afterwards. Exact key-wise sum — tables may temporarily exceed
+(** [merge a b] folds [b] into [a] and returns [a]; [b] is left
+    unchanged. Exact key-wise sum — tables may temporarily exceed
     their caps until the caller runs {!compact}. *)
 
 val compact : t -> unit
@@ -92,19 +92,21 @@ val evictions : t -> table -> int
 
 val evictions_total : t -> int
 
-(** {1 Checkpoint serialization}
+(** {1 Checkpoint encoding} *)
 
-    A stable, line-oriented text form (one token-separated record per
-    line) embedded in the versioned nfsmon checkpoint. [of_lines]
-    accepts exactly what [to_lines] emits and fails loudly — a corrupt
-    checkpoint must never restore silently. *)
+val to_json : t -> Nt_obs.Obs.Json.v
+(** The window as one JSON object: [span] ([null] when empty, else
+    [[earliest, latest]]), the [total]/[reads]/[writes] rows and the
+    three [stable] rows as [[ops, read_bytes, write_bytes]], [commits],
+    [lost], and per table its [other] row, [evicted] count and [rows]
+    as [[key, ops, read_bytes, write_bytes]] in sorted key order.
+    Deterministic; caps are not written. *)
 
-val to_lines : t -> string list
-
-val of_lines : ?caps:caps -> string list -> (t, string) result
-(** [caps] (default {!default_caps}) applies the restoring service's
-    configured caps to the revived tables; the checkpoint's own caps
-    line is informational. *)
+val of_json : ?caps:caps -> Nt_obs.Obs.Json.v -> (t, string) result
+(** Read back what {!to_json} writes, under [caps] (default
+    {!default_caps}); the caller compacts. [Error] on a missing,
+    duplicated or unknown key, a duplicated row key, an integer that is
+    not integral or not below 2{^53}, or [null] anywhere but [span]. *)
 
 val footprint : t -> Nt_obs.Footprint.t
 (** State-footprint accounting (see {!Nt_obs.Footprint}). *)

@@ -326,7 +326,11 @@ module Json = struct
 
   exception Fail of string
 
-  let parse s =
+  let max_depth = 512
+
+  (* Raises [Fail]; [parse] is the one caller, so the handler there
+     visibly covers every raise. *)
+  let parse_exn s =
     let n = String.length s in
     let pos = ref 0 in
     let fail msg = raise (Fail (Printf.sprintf "%s at offset %d" msg !pos)) in
@@ -436,10 +440,13 @@ module Json = struct
       | Some f -> f
       | None -> fail "bad number"
     in
-    let rec parse_value () =
+    (* [depth] counts the arrays and objects around the value; the
+       bound keeps a hostile input from recursing without limit. *)
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
+      | Some ('{' | '[') when depth >= max_depth -> raise (Fail "nesting too deep")
       | Some '{' ->
           advance ();
           skip_ws ();
@@ -453,7 +460,7 @@ module Json = struct
               let k = parse_string () in
               skip_ws ();
               expect ':';
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -475,7 +482,7 @@ module Json = struct
           end
           else begin
             let rec elems acc =
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -494,14 +501,12 @@ module Json = struct
       | Some 'n' -> literal "null" Null
       | Some _ -> Num (parse_number ())
     in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Fail msg -> Error msg
+    let v = parse_value 0 in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+
+  let parse s = match parse_exn s with v -> Ok v | exception Fail msg -> Error msg
 
   (* The printer: compact layout, one string rule, one number rule.
      An integral value under 2^53 prints as an integer; any other
@@ -570,6 +575,31 @@ module Json = struct
   let to_num = function Num f -> Some f | _ -> None
   let to_str = function Str s -> Some s | _ -> None
   let to_list = function Arr l -> Some l | _ -> None
+
+  let to_int = function
+    | Num f when Float.is_integer f && Float.abs f < 9007199254740992. -> Some (int_of_float f)
+    | _ -> None
+
+  let fields keys = function
+    | Obj kvs -> (
+        let rec unique = function
+          | [] -> Ok ()
+          | (k, _) :: rest ->
+              if List.mem_assoc k rest then Error ("duplicate key " ^ k)
+              else if not (List.mem k keys) then Error ("unknown key " ^ k)
+              else unique rest
+        in
+        match unique kvs with
+        | Error e -> Error e
+        | Ok () ->
+            List.fold_right
+              (fun k acc ->
+                match (acc, List.assoc_opt k kvs) with
+                | Ok vs, Some v -> Ok (v :: vs)
+                | Ok _, None -> Error ("missing key " ^ k)
+                | (Error _ as e), _ -> e)
+              keys (Ok []))
+    | _ -> Error "expected an object"
 
   let labels_match want (m : v) =
     let want = canon_labels want in

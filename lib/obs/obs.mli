@@ -142,8 +142,14 @@ module Json : sig
     | Arr of v list
     | Obj of (string * v) list
 
+  val max_depth : int
+  (** 512: the deepest nesting of arrays and objects {!parse} accepts,
+      far above any document the tools write. *)
+
   val parse : string -> (v, string) result
-  (** Rejects trailing garbage; the whole input must be one value. *)
+  (** Rejects trailing garbage; the whole input must be one value.
+      Nesting deeper than {!max_depth} is [Error "nesting too deep"],
+      found before the parser recurses further. *)
 
   val to_buffer : Buffer.t -> v -> unit
   (** The one printer. Layout: compact, no whitespace, no newline.
@@ -165,6 +171,15 @@ module Json : sig
   val to_num : v -> float option
   val to_str : v -> string option
   val to_list : v -> v list option
+
+  val to_int : v -> int option
+  (** [Some] only for an integral number with |v| < 2{^53}, the range
+      where a JSON number holds every integer exactly. *)
+
+  val fields : string list -> v -> (v list, string) result
+  (** [fields keys v]: the members of object [v], in the order of
+      [keys]. [Error] unless [v] is an object that carries each key
+      exactly once and no other. *)
 
   val find_metric : v -> ?labels:(string * string) list -> string -> v option
   (** Look up a metric object by name (and exact label set) inside a

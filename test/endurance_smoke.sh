@@ -101,12 +101,18 @@ head -n "$PREFIX" "$WORK/soak.trace" >"$WORK/live.trace"
   --checkpoint "$WORK/mon.ckpt" --checkpoint-every 0 \
   >"$WORK/b1.out" 2>/dev/null &
 B1=$!
+# The checkpoint's first line is its JSON document.
+ckpt_progress() {
+  python3 -c 'import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.loads(f.readline())
+sys.exit(0 if doc["counters"]["ingested"] > 0 else 1)' "$WORK/mon.ckpt" 2>/dev/null
+}
 for _ in $(seq 1 100); do
-  if grep -q '^counter ingested [1-9]' "$WORK/mon.ckpt" 2>/dev/null; then break; fi
+  if ckpt_progress; then break; fi
   sleep 0.1
 done
-grep -q '^counter ingested [1-9]' "$WORK/mon.ckpt" \
-  || fail "no checkpoint with progress appeared"
+ckpt_progress || fail "no checkpoint with progress appeared"
 kill -9 "$B1"
 wait "$B1" 2>/dev/null || true
 

@@ -31,6 +31,7 @@ module Types = Nt_nfs.Types
 module Fh = Nt_nfs.Fh
 module Ip = Nt_net.Ip_addr
 module Obs = Nt_obs.Obs
+module Json = Nt_obs.Obs.Json
 
 (* --- record generators --- *)
 
@@ -169,20 +170,32 @@ let prop_win_eviction_conserves =
 let test_win_serialization_roundtrip () =
   let w = Win.create ~caps:{ Win.client_cap = 4; uid_cap = 4; fs_cap = 2; proc_cap = 4 } () in
   List.iter (Win.observe w) (gen_records ~seed:42 ~spread:12 200);
-  let lines = Win.to_lines w in
-  match Win.of_lines ~caps:{ Win.client_cap = 4; uid_cap = 4; fs_cap = 2; proc_cap = 4 } lines with
+  let doc = Json.to_string (Win.to_json w) in
+  match
+    Result.bind (Json.parse doc)
+      (Win.of_json ~caps:{ Win.client_cap = 4; uid_cap = 4; fs_cap = 2; proc_cap = 4 })
+  with
   | Error e -> Alcotest.fail ("round trip failed: " ^ e)
   | Ok w' ->
-      cks "identical serialization" (String.concat "\n" lines) (String.concat "\n" (Win.to_lines w'));
+      cks "identical serialization" doc (Json.to_string (Win.to_json w'));
       cki "total" (Win.total_ops w) (Win.total_ops w');
       cki "evictions" (Win.evictions_total w) (Win.evictions_total w')
 
-let test_win_of_lines_rejects_garbage () =
+(* Replace (or with [None] drop) one member of an object. *)
+let set_member k v = function
+  | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k', v') -> if k' = k then Option.map (fun v -> (k, v)) v else Some (k', v'))
+           kvs)
+  | j -> j
+
+let test_win_of_json_rejects_garbage () =
   let w = Win.create () in
   List.iter (Win.observe w) (gen_records ~seed:1 20);
-  let lines = Win.to_lines w in
-  ckb "truncated rejected" true (Result.is_error (Win.of_lines (List.tl lines)));
-  ckb "garbage rejected" true (Result.is_error (Win.of_lines [ "bogus 1 2 3" ]))
+  let doc = Win.to_json w in
+  ckb "truncated rejected" true (Result.is_error (Win.of_json (set_member "lost" None doc)));
+  ckb "garbage rejected" true (Result.is_error (Win.of_json (Json.Str "bogus 1 2 3")))
 
 (* --- Ring --- *)
 
@@ -292,7 +305,7 @@ let test_ring_serialization_roundtrip () =
   let config = ring_config ~window_s:5. ~windows:3 () in
   let r = Ring.create config in
   List.iter (Ring.observe r) (gen_records ~seed:77 ~rate:1.5 ~spread:10 150);
-  match Ring.of_lines config (Ring.to_lines r) with
+  match Ring.of_json config (Ring.to_json r) with
   | Error e -> Alcotest.fail ("ring round trip: " ^ e)
   | Ok r' ->
       cki "observed" (Ring.observed r) (Ring.observed r');
@@ -359,6 +372,140 @@ let test_outstanding_bounded () =
   done;
   cki "capped" 4 (Outstanding.outstanding o);
   cki "dropped counted" 6 (Outstanding.dropped o)
+
+(* A restored tracker holds the same calls, counters and expiry order:
+   advancing both through the same instants retires the same calls. *)
+let test_outstanding_roundtrip () =
+  let o = Outstanding.create ~cap:4 ~timeout:60. () in
+  for i = 0 to 9 do
+    let time = float_of_int (100 + (10 * i)) and client = Ip.v 10 0 0 1 in
+    if i mod 3 = 0 then Outstanding.note o (read_rec ~time ~client ~uid:1 ~count:10 ())
+    else Outstanding.note o (getattr_rec ~lost:true ~time ~client ~uid:1 ())
+  done;
+  Outstanding.advance o ~now:205.;
+  ckb "entries" true (Outstanding.outstanding o > 0);
+  ckb "lost" true (Outstanding.lost o > 0);
+  ckb "dropped" true (Outstanding.dropped o > 0);
+  let doc = Outstanding.to_json o in
+  let expiries =
+    match Json.member "calls" doc with
+    | Some (Arr calls) ->
+        List.map (function Json.Arr (Num e :: _) -> e | _ -> Float.nan) calls
+    | _ -> []
+  in
+  ckb "calls in expiry order" true (expiries = List.sort compare expiries);
+  match Result.bind (Json.parse (Json.to_string doc)) (Outstanding.of_json ~cap:4 ~timeout:60.) with
+  | Error e -> Alcotest.fail ("pending round trip: " ^ e)
+  | Ok o' ->
+      cks "identical serialization" (Json.to_string doc) (Json.to_string (Outstanding.to_json o'));
+      List.iter
+        (fun now ->
+          Outstanding.advance o ~now;
+          Outstanding.advance o' ~now;
+          let at = Printf.sprintf " at %g" now in
+          cki ("outstanding" ^ at) (Outstanding.outstanding o) (Outstanding.outstanding o');
+          cki ("lost" ^ at) (Outstanding.lost o) (Outstanding.lost o');
+          cki ("dropped" ^ at) (Outstanding.dropped o) (Outstanding.dropped o'))
+        [ 215.; 231.; 245.; 1000. ]
+
+(* --- checkpoint encoding --- *)
+
+(* [None] when [x] re-encodes to the same text both straight from its
+   value and through the printed document, else what went wrong. *)
+let reencoding_error name to_json of_json x =
+  let doc = Json.to_string (to_json x) in
+  List.find_map
+    (fun (how, got) ->
+      match got with
+      | Ok y when Json.to_string (to_json y) = doc -> None
+      | Ok _ -> Some (Printf.sprintf "%s (%s): re-encoding differs" name how)
+      | Error e -> Some (Printf.sprintf "%s (%s): %s" name how e))
+    [ ("value", of_json (to_json x)); ("parsed", Result.bind (Json.parse doc) of_json) ]
+
+let prop_encoding_fixpoint =
+  QCheck.Test.make ~count:60 ~name:"encoding: to_json (of_json (to_json x)) = to_json x"
+    QCheck.(pair (int_bound 300) int)
+    (fun (n, seed) ->
+      let caps = { Win.client_cap = 3; uid_cap = 3; fs_cap = 1; proc_cap = 3 } in
+      let config = ring_config ~window_s:5. ~windows:2 ~caps () in
+      let w = Win.create ~caps () and r = Ring.create config in
+      let o = Outstanding.create ~cap:16 ~timeout:3. () in
+      List.iter
+        (fun x ->
+          Win.observe w x;
+          Ring.observe r x;
+          Outstanding.note o x;
+          Outstanding.advance o ~now:x.Record.time)
+        (gen_records ~seed ~rate:2. ~spread:12 n);
+      List.iter
+        (Option.iter QCheck.Test.fail_report)
+        [ reencoding_error "win" Win.to_json (Win.of_json ~caps) w;
+          reencoding_error "ring" Ring.to_json (Ring.of_json config) r;
+          reencoding_error "pending" Outstanding.to_json
+            (Outstanding.of_json ~cap:16 ~timeout:3.) o ];
+      true)
+
+(* Empty state is all sentinels: each prints as null and restores to
+   its create-time value. *)
+let test_encoding_empty () =
+  let config = ring_config () in
+  let w = Win.create () and r = Ring.create config and o = Outstanding.create () in
+  let member k v = Option.value ~default:(Json.Str "absent") (Json.member k v) in
+  ckb "empty span is null" true (member "span" (Win.to_json w) = Json.Null);
+  ckb "unanchored cur_start is null" true (member "cur_start" (Ring.to_json r) = Json.Null);
+  ckb "unseen max_seen is null" true (member "max_seen" (Ring.to_json r) = Json.Null);
+  List.iter
+    (Option.iter (fun e -> Alcotest.fail e))
+    [ reencoding_error "win" Win.to_json (Win.of_json ?caps:None) w;
+      reencoding_error "ring" Ring.to_json (Ring.of_json config) r;
+      reencoding_error "pending" Outstanding.to_json
+        (Outstanding.of_json ?cap:None ?timeout:None) o ];
+  (match Win.of_json (Win.to_json w) with
+  | Ok w' -> ckb "window span empty" true (Win.span w' = None)
+  | Error e -> Alcotest.fail e);
+  match Ring.of_json config (Ring.to_json r) with
+  | Ok r' ->
+      ckb "ring unanchored" false (Ring.anchored r');
+      ckb "no newest time" true (Ring.newest r' = None);
+      Ring.observe r' (record ~time:123. (Ops.Getattr (fh 1)));
+      ckb "anchors on the first record" true (Ring.anchored r')
+  | Error e -> Alcotest.fail e
+
+let test_encoding_refusals () =
+  let w = Win.create () in
+  List.iter (Win.observe w) (gen_records ~seed:3 30);
+  let doc = Win.to_json w in
+  let add kv = function Json.Obj kvs -> Json.Obj (kvs @ [ kv ]) | j -> j in
+  let refused name v = ckb name true (Result.is_error (Win.of_json v)) in
+  ckb "intact document accepted" true (Result.is_ok (Win.of_json doc));
+  refused "missing key" (set_member "commits" None doc);
+  refused "duplicated key" (add ("lost", Json.int 0) doc);
+  refused "unknown key" (add ("extra", Json.int 0) doc);
+  refused "non-integral integer" (set_member "commits" (Some (Json.Num 1.5)) doc);
+  refused "integer at 2^53" (set_member "commits" (Some (Json.Num 9007199254740992.)) doc);
+  refused "null in a count" (set_member "lost" (Some Json.Null) doc);
+  refused "null in a row"
+    (set_member "total" (Some (Json.Arr [ Null; Json.int 0; Json.int 0 ])) doc);
+  refused "null inside the span" (set_member "span" (Some (Json.Arr [ Null; Json.Num 1. ])) doc);
+  let config = ring_config () in
+  let r = Ring.create config in
+  List.iter (Ring.observe r) (gen_records ~seed:4 30);
+  let rdoc = Ring.to_json r in
+  let ring_refused name v = ckb name true (Result.is_error (Ring.of_json config v)) in
+  ckb "intact ring accepted" true (Result.is_ok (Ring.of_json config rdoc));
+  ring_refused "ring: missing key" (set_member "late" None rdoc);
+  ring_refused "ring: unknown key" (add ("extra", Json.Null) rdoc);
+  ring_refused "ring: null in a count" (set_member "rotations" (Some Json.Null) rdoc);
+  ring_refused "ring: null window start"
+    (set_member "windows" (Some (Json.Arr [ Json.Arr [ Null; Win.to_json w ] ])) rdoc);
+  ring_refused "ring: bad summary" (set_member "summary" (Some (set_member "reads" None doc)) rdoc);
+  let odoc = Outstanding.to_json (Outstanding.create ()) in
+  let pending_refused name v = ckb name true (Result.is_error (Outstanding.of_json v)) in
+  pending_refused "pending: missing key" (set_member "dropped" None odoc);
+  pending_refused "pending: duplicated key" (add ("lost", Json.int 1) odoc);
+  pending_refused "pending: non-integral count" (set_member "lost" (Some (Json.Num 0.5)) odoc);
+  pending_refused "pending: null expiry"
+    (set_member "calls" (Some (Json.Arr [ Json.Arr [ Null; Str "read"; Bool false ] ])) odoc)
 
 (* --- Feed --- *)
 
@@ -682,34 +829,52 @@ let test_feed_seek_replays_suffix () =
 let test_checkpoint_roundtrip () =
   with_tmp "ntmon_ckpt_test" (fun path ->
       let ck =
-        {
-          Checkpoint.saved_at = 12345.5;
-          feed_pos = Some 9876543210L;
-          counters = [ ("ingested", 42); ("shed", 7) ];
-          ring = [ "line one"; "line two" ];
-          pending = [ "pending n=0 lost=1 dropped=2" ];
-        }
+        Json.Obj
+          [ ("format", Str Checkpoint.version); ("saved_at", Num 12345.5);
+            ("feed_pos", Json.int 9876543210);
+            ("counters", Obj [ ("ingested", Json.int 42); ("shed", Json.int 7) ]);
+            ("ring", Arr [ Str "line one"; Str "line two" ]);
+            ("pending", Obj [ ("lost", Json.int 1); ("dropped", Json.int 2) ]) ]
       in
       (match Checkpoint.save ~path ck with Ok () -> () | Error e -> Alcotest.fail e);
       match Checkpoint.load ~path with
       | Error e -> Alcotest.fail e
       | Ok ck' ->
-          Alcotest.(check (float 0.)) "saved_at" ck.Checkpoint.saved_at ck'.Checkpoint.saved_at;
-          ckb "feed_pos" true (ck'.Checkpoint.feed_pos = Some 9876543210L);
-          cki "counters" 2 (List.length ck'.Checkpoint.counters);
-          cki "ingested" 42 (List.assoc "ingested" ck'.Checkpoint.counters);
-          cks "ring" "line one|line two" (String.concat "|" ck'.Checkpoint.ring))
+          let get k = Option.value ~default:Json.Null (Json.member k ck') in
+          Alcotest.(check (float 0.)) "saved_at" 12345.5
+            (Option.value ~default:Float.nan (Json.to_num (get "saved_at")));
+          ckb "feed_pos" true (Json.to_int (get "feed_pos") = Some 9876543210);
+          let counters = match get "counters" with Obj kvs -> kvs | _ -> [] in
+          cki "counters" 2 (List.length counters);
+          ckb "ingested" true
+            (Option.bind (List.assoc_opt "ingested" counters) Json.to_int = Some 42);
+          cks "ring" "line one|line two"
+            (String.concat "|"
+               (List.filter_map Json.to_str
+                  (Option.value ~default:[] (Json.to_list (get "ring")))));
+          ckb "whole document" true (ck' = ck))
+
+(* Saving a document that holds a number JSON cannot carry exactly
+   fails and leaves the previous checkpoint as it was. *)
+let test_checkpoint_refuses_inexact_numbers () =
+  with_tmp "ntmon_ckpt_inexact" (fun path ->
+      let doc n = Json.Obj [ ("format", Str Checkpoint.version); ("saved_at", Num n) ] in
+      (match Checkpoint.save ~path (doc 1.) with Ok () -> () | Error e -> Alcotest.fail e);
+      let before = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun (name, n) ->
+          ckb name true (Result.is_error (Checkpoint.save ~path (doc n)));
+          cks (name ^ ": previous file intact") before
+            (In_channel.with_open_bin path In_channel.input_all))
+        [ ("2^53 refused", 9007199254740992.); ("-2^53 refused", -9007199254740992.);
+          ("nan refused", Float.nan); ("infinity refused", infinity) ];
+      ckb "2^53 - 1 saved" true (Result.is_ok (Checkpoint.save ~path (doc 9007199254740991.))))
 
 let test_checkpoint_rejects_corruption () =
   with_tmp "ntmon_ckpt_corrupt" (fun path ->
       let ck =
-        {
-          Checkpoint.saved_at = 1.;
-          feed_pos = None;
-          counters = [];
-          ring = [ "payload" ];
-          pending = [];
-        }
+        Json.Obj
+          [ ("format", Str Checkpoint.version); ("saved_at", Num 1.); ("ring", Str "payload") ]
       in
       (match Checkpoint.save ~path ck with Ok () -> () | Error e -> Alcotest.fail e);
       let raw = In_channel.with_open_bin path In_channel.input_all in
@@ -718,17 +883,25 @@ let test_checkpoint_rejects_corruption () =
       Bytes.set broken (String.length Checkpoint.version + 3) 'X';
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc broken);
       ckb "corruption rejected" true (Result.is_error (Checkpoint.load ~path));
+      let write_signed body =
+        let digest = Digest.to_hex (Digest.string body) in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (body ^ "\ndigest " ^ digest ^ "\n"))
+      in
       (* version bump must be refused *)
-      let other = String.concat "\n" [ "ntmon-ckpt/99"; "saved_at 0x1p+0" ] ^ "\n" in
-      let digest = Digest.to_hex (Digest.string other) in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (other ^ "digest " ^ digest ^ "\n"));
-      match Checkpoint.load ~path with
+      write_signed {|{"format":"ntmon-ckpt/99","saved_at":1}|};
+      (match Checkpoint.load ~path with
       | Error e -> ckb "names the version" true (String.length e > 0)
-      | Ok _ -> Alcotest.fail "accepted an unsupported version")
+      | Ok _ -> Alcotest.fail "accepted an unsupported version");
+      (* a file in the previous line format, with its own valid digest *)
+      let v1 = String.concat "\n" [ "ntmon-ckpt/1"; "saved_at 0x1p+0"; "feed_pos -" ] ^ "\n" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (v1 ^ "digest " ^ Digest.to_hex (Digest.string v1) ^ "\n"));
+      ckb "previous format refused" true (Result.is_error (Checkpoint.load ~path)))
 [@@nt.allow
-  "format-literal-drift: the forked ntmon-ckpt/99 tag is the fixture for the version-bump \
-   rejection path"]
+  "format-literal-drift: the forked ntmon-ckpt/99 and retired ntmon-ckpt/1 tags are the \
+   fixtures for the version-refusal paths"]
 
 (* --- Service --- *)
 
@@ -885,9 +1058,8 @@ let test_service_kill_restore_equivalence () =
           cki "same window spills"
             (Ring.evicted_windows (Service.ring a))
             (Ring.evicted_windows (Service.ring b2));
-          let totals t = Win.to_lines (Ring.totals (Service.ring t)) in
-          cks "identical conserved totals" (String.concat "\n" (totals a))
-            (String.concat "\n" (totals b2));
+          let totals t = Json.to_string (Win.to_json (Ring.totals (Service.ring t))) in
+          cks "identical conserved totals" (totals a) (totals b2);
           cks "identical final report"
             (Service.report_json a) (Service.report_json b2);
           (match Service.conservation b2 with
@@ -915,6 +1087,37 @@ let test_service_restore_refuses_garbage () =
       let snap = Obs.snapshot obs in
       cki "failure counted" 1 (Obs.sum_counter snap "mon.checkpoint.restore_failed"))
 
+(* A checkpoint in the previous line format is refused once, with a
+   counted cold start; the run's own checkpoint then restores. *)
+let test_service_refuses_previous_format_once () =
+  with_tmp "ntmon_v1ckpt" (fun ckpt_path ->
+      let v1 = "ntmon-ckpt/1\nsaved_at 0x1p+0\nfeed_pos -\ncounters 0\n" in
+      Out_channel.with_open_bin ckpt_path (fun oc ->
+          Out_channel.output_string oc (v1 ^ "digest " ^ Digest.to_hex (Digest.string v1) ^ "\n"));
+      let start () =
+        let obs = Obs.create () in
+        let t =
+          Service.create ~obs
+            ~clock:(fun () -> 0.)
+            ~sleep:(fun _ -> ())
+            ~emit:(fun _ -> ())
+            { (service_config ()) with Service.checkpoint_path = Some ckpt_path }
+            (Feed.of_records (List.to_seq (gen_records ~seed:43 50)))
+        in
+        (t, obs)
+      in
+      let t, obs = start () in
+      ckb "previous format not restored" false (Service.restored t);
+      cki "refusal counted" 1
+        (Obs.sum_counter (Obs.snapshot obs) "mon.checkpoint.restore_failed");
+      Service.run t;
+      let t', obs' = start () in
+      ckb "own checkpoint restored" true (Service.restored t');
+      cki "no refusal" 0 (Obs.sum_counter (Obs.snapshot obs') "mon.checkpoint.restore_failed");
+      cki "counters carried" 50 (Service.ingested t'))
+[@@nt.allow
+  "format-literal-drift: the retired ntmon-ckpt/1 tag is the fixture for the upgrade path"]
+
 let () =
   Alcotest.run "nt_mon"
     [
@@ -923,7 +1126,7 @@ let () =
           Alcotest.test_case "classification" `Quick test_win_classification;
           QCheck_alcotest.to_alcotest prop_win_eviction_conserves;
           Alcotest.test_case "serialization round trip" `Quick test_win_serialization_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick test_win_of_lines_rejects_garbage;
+          Alcotest.test_case "rejects garbage" `Quick test_win_of_json_rejects_garbage;
         ] );
       ( "ring",
         [
@@ -942,6 +1145,13 @@ let () =
         [
           Alcotest.test_case "snapshot" `Quick test_outstanding_snapshot;
           Alcotest.test_case "bounded" `Quick test_outstanding_bounded;
+          Alcotest.test_case "serialization round trip" `Quick test_outstanding_roundtrip;
+        ] );
+      ( "encoding",
+        [
+          QCheck_alcotest.to_alcotest prop_encoding_fixpoint;
+          Alcotest.test_case "empty state round trips" `Quick test_encoding_empty;
+          Alcotest.test_case "refusals" `Quick test_encoding_refusals;
         ] );
       ( "feed",
         [
@@ -959,6 +1169,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "rejects corruption" `Quick test_checkpoint_rejects_corruption;
+          Alcotest.test_case "refuses inexact numbers" `Quick
+            test_checkpoint_refuses_inexact_numbers;
         ] );
       ( "service",
         [
@@ -969,5 +1181,7 @@ let () =
             test_service_kill_restore_equivalence;
           Alcotest.test_case "refuses garbage checkpoint" `Quick
             test_service_restore_refuses_garbage;
+          Alcotest.test_case "refuses a previous-format checkpoint once" `Quick
+            test_service_refuses_previous_format_once;
         ] );
     ]

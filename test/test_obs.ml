@@ -286,6 +286,48 @@ let test_json_nonfinite_is_null () =
   Alcotest.(check string) "infinities" "[null,null]"
     (Json.to_string (Json.Arr [ Json.Num infinity; Json.Num neg_infinity ]))
 
+(* The parser stops at a fixed depth instead of recursing once per
+   level of a hostile input. *)
+let test_json_depth_bound () =
+  let deep n = String.make n '[' ^ String.make n ']' in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check (result reject string))
+    "1M-deep input" (Error "nesting too deep")
+    (Result.map ignore (Json.parse (String.make 1_000_000 '[')));
+  Alcotest.(check bool) "fails quickly" true (Unix.gettimeofday () -. t0 < 1.);
+  Alcotest.(check bool) "at the bound" true (Result.is_ok (Json.parse (deep Json.max_depth)));
+  Alcotest.(check (result reject string))
+    "past the bound" (Error "nesting too deep")
+    (Result.map ignore (Json.parse (deep (Json.max_depth + 1))));
+  let rec objects n = if n = 0 then "1" else {|{"a":|} ^ objects (n - 1) ^ "}" in
+  Alcotest.(check bool) "objects at the bound" true
+    (Result.is_ok (Json.parse (objects Json.max_depth)));
+  Alcotest.(check bool) "objects past the bound" true
+    (Result.is_error (Json.parse (objects (Json.max_depth + 1))))
+
+let test_json_readers () =
+  let cko = Alcotest.(check (option int)) in
+  cko "integer" (Some 42) (Json.to_int (Json.Num 42.));
+  cko "negative" (Some (-7)) (Json.to_int (Json.Num (-7.)));
+  cko "2^53 - 1" (Some 9007199254740991) (Json.to_int (Json.Num 9007199254740991.));
+  cko "2^53" None (Json.to_int (Json.Num 9007199254740992.));
+  cko "-2^53" None (Json.to_int (Json.Num (-9007199254740992.)));
+  cko "fraction" None (Json.to_int (Json.Num 1.5));
+  cko "nan" None (Json.to_int (Json.Num Float.nan));
+  cko "null" None (Json.to_int Json.Null);
+  let doc = Json.Obj [ ("b", Json.int 2); ("a", Json.int 1) ] in
+  let fields keys v = Result.map (List.map Json.to_int) (Json.fields keys v) in
+  let ckf = Alcotest.(check (result (list (option int)) reject)) in
+  ckf "in key order" (Ok [ Some 1; Some 2 ]) (fields [ "a"; "b" ] doc);
+  let refused name keys v =
+    Alcotest.(check bool) name true (Result.is_error (Json.fields keys v))
+  in
+  refused "missing key" [ "a"; "b"; "c" ] doc;
+  refused "unknown key" [ "a" ] doc;
+  refused "duplicated key" [ "a"; "b" ]
+    (Json.Obj [ ("a", Json.Null); ("b", Json.Null); ("a", Json.Null) ]);
+  refused "not an object" [] (Json.Arr [])
+
 let test_prometheus_export () =
   let t = Obs.create () in
   Obs.add (Obs.counter t ~labels:[ ("reason", "bad") ] ~help:"oops" "capture.decode_failure") 3;
@@ -763,6 +805,8 @@ let () =
           Alcotest.test_case "json parser rejects garbage" `Quick test_json_parser_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           Alcotest.test_case "json non-finite prints null" `Quick test_json_nonfinite_is_null;
+          Alcotest.test_case "json nesting depth bound" `Quick test_json_depth_bound;
+          Alcotest.test_case "json integer and field readers" `Quick test_json_readers;
           Alcotest.test_case "prometheus" `Quick test_prometheus_export;
           Alcotest.test_case "socket exporter" `Quick test_exporter_serves_endpoints;
         ] );

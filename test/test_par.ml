@@ -476,13 +476,20 @@ let check_win_eq a b =
 (* Tight caps so the laws hold even while the eviction machinery is
    active on every build: capping happens at observe time and [merge]
    stays an exact sum, which is exactly the design the monitor's ring
-   relies on. *)
+   relies on. [merge] must also leave its second argument unchanged:
+   [Ring.totals] merges live windows into a fresh accumulator. *)
 let law_win =
   let win_caps = { Win.client_cap = 3; uid_cap = 3; fs_cap = 2; proc_cap = 4 } in
   let build = build_with (fun () -> Win.create ~caps:win_caps ()) Win.observe in
   let empty () = Win.create ~caps:win_caps () in
+  let encode w = Nt_obs.Obs.Json.to_string (Win.to_json w) in
   prop_merge_laws "win" ~symmetric:true ~build ~build_shard:build ~empty ~empty_shard:empty
-    ~merge:Win.merge ~eq:check_win_eq
+    ~merge:(fun a b ->
+      let before = encode b in
+      let m = Win.merge a b in
+      if encode b <> before then QCheck.Test.fail_reportf "win: merge changed its second argument";
+      m)
+    ~eq:check_win_eq
 
 (* --- footprint accounting ---
 
