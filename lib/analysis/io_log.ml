@@ -18,7 +18,7 @@ module Fh_tbl = Hashtbl.Make (struct
   let hash = Fh.hash
 end)
 
-type file_log = { mutable items : access list; mutable n : int }
+type file_log = { mutable items : access list }
 
 type t = { files : file_log Fh_tbl.t; mutable total : int }
 
@@ -28,20 +28,12 @@ let log_for t fh =
   match Fh_tbl.find_opt t.files fh with
   | Some l -> l
   | None ->
-      let l = { items = []; n = 0 } in
+      let l = { items = [] } in
       Fh_tbl.add t.files fh l;
       l
-[@@nt.unbounded "one log per distinct file handle; the per-file journal is the analysis product"]
+[@@nt.unbounded "one log per distinct file handle; the per-file journal is the store's product"]
 
-let add t fh access =
-  let l = log_for t fh in
-  l.items <- access :: l.items;
-  l.n <- l.n + 1;
-  t.total <- t.total + 1
-[@@nt.alloc_ok "the journal entry is the product: one access record kept per I/O"]
-[@@nt.unbounded "access journal, one entry per I/O by design; consumed by the runs pass"]
-
-let observe t (r : Record.t) =
+let of_record (r : Record.t) =
   match r.call with
   | Ops.Read { fh; offset; count } ->
       let moved, eof, size =
@@ -54,15 +46,17 @@ let observe t (r : Record.t) =
         | _ -> (count, false, Int64.to_int offset + count)
       in
       if moved > 0 then
-        add t fh
-          {
-            at = r.time;
-            offset = Int64.to_int offset;
-            count = moved;
-            is_read = true;
-            at_eof = eof || Int64.to_int offset + moved >= size;
-            file_size = size;
-          }
+        Some
+          ( fh,
+            {
+              at = r.time;
+              offset = Int64.to_int offset;
+              count = moved;
+              is_read = true;
+              at_eof = eof || Int64.to_int offset + moved >= size;
+              file_size = size;
+            } )
+      else None
   | Ops.Write { fh; offset; count; _ } ->
       let size =
         match Record.post_size r with
@@ -75,33 +69,28 @@ let observe t (r : Record.t) =
          runs (and the paper's Figure 5 shows multi-megabyte write
          runs, so its splitter cannot have done that). *)
       if count > 0 then
-        add t fh
-          {
-            at = r.time;
-            offset = Int64.to_int offset;
-            count;
-            is_read = false;
-            at_eof = false;
-            file_size = size;
-          }
-  | _ -> ()
+        Some
+          ( fh,
+            {
+              at = r.time;
+              offset = Int64.to_int offset;
+              count;
+              is_read = false;
+              at_eof = false;
+              file_size = size;
+            } )
+      else None
+  | _ -> None
 
-let merge a b =
-  (* Per-file lists are kept newest-first, so appending [a]'s list after
-     [b]'s reproduces the sequential arrival order exactly. This is the
-     whole boundary carry for the downstream run/reorder/sequentiality
-     analyses: a run or reorder window straddling a shard edge is made
-     whole here, before any splitter or window ever sees the stream. *)
-  Fh_tbl.iter
-    (fun fh (src : file_log) ->
-      match Fh_tbl.find_opt a.files fh with
-      | None -> Fh_tbl.add a.files fh src
-      | Some dst ->
-          dst.items <- src.items @ dst.items;
-          dst.n <- dst.n + src.n)
-    b.files;
-  a.total <- a.total + b.total;
-  a
+let observe t r =
+  match of_record r with
+  | Some (fh, access) ->
+      let l = log_for t fh in
+      l.items <- access :: l.items;
+      t.total <- t.total + 1
+  | None -> ()
+[@@nt.alloc_ok "the journal entry is the product: one access kept per I/O"]
+[@@nt.unbounded "access journal, one entry per I/O by design; the experiments replay it"]
 
 let files t = Fh_tbl.length t.files
 let accesses t = t.total
@@ -112,41 +101,3 @@ let iter_files t f =
       let arr = Array.of_list (List.rev l.items) in
       f fh arr)
     t.files
-
-let sorted_files t =
-  let all =
-    Fh_tbl.fold (fun fh l acc -> (fh, Array.of_list (List.rev l.items)) :: acc) t.files []
-  in
-  let arr = Array.of_list all in
-  Array.sort (fun (x, _) (y, _) -> Fh.compare x y) arr;
-  arr
-
-(* The paper's partial sort: for each position, look ahead within the
-   temporal window for the smallest-offset access and swap it to the
-   front if the current one is out of order. *)
-let sort_window w accesses =
-  let a = Array.copy accesses in
-  let n = Array.length a in
-  let swaps = ref 0 in
-  if w > 0. then
-    for i = 0 to n - 2 do
-      let best = ref i in
-      let j = ref (i + 1) in
-      while !j < n && a.(!j).at -. a.(i).at <= w do
-        if a.(!j).offset < a.(!best).offset then best := !j;
-        incr j
-      done;
-      if !best <> i && a.(!best).offset < a.(i).offset then begin
-        let tmp = a.(i) in
-        a.(i) <- a.(!best);
-        a.(!best) <- tmp;
-        incr swaps
-      end
-    done;
-  (a, !swaps)
-
-let footprint t =
-  (* The journal is the product: one boxed access record (+ list cons)
-     per I/O, one table entry + handle per distinct file. *)
-  let files = Fh_tbl.length t.files in
-  Nt_obs.Footprint.v ~cards:(files + t.total) ~words:(8 + (files * 15) + (t.total * 10))

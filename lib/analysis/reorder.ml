@@ -2,11 +2,8 @@ let swap_percentages log ~windows_ms =
   let total = float_of_int (Io_log.accesses log) in
   List.map
     (fun w_ms ->
-      let swaps = ref 0 in
-      Io_log.iter_files log (fun _ accesses ->
-          let _, s = Io_log.sort_window (w_ms /. 1000.) accesses in
-          swaps := !swaps + s);
-      let pct = if total = 0. then 0. else 100. *. float_of_int !swaps /. total in
+      let swaps = Runs.swaps (Runs.of_log ~window:(w_ms /. 1000.) log) in
+      let pct = if total = 0. then 0. else 100. *. float_of_int swaps /. total in
       (w_ms, pct))
     windows_ms
 

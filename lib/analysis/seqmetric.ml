@@ -1,16 +1,5 @@
-let run_metric ?(block = 8192) ~c (run : Io_log.access array) =
-  let n = Array.length run in
-  if n <= 1 then 1.0
-  else begin
-    let consecutive = ref 0 in
-    for i = 1 to n - 1 do
-      let prev = run.(i - 1) in
-      let expected = (prev.Io_log.offset / block) + ((prev.count + block - 1) / block) in
-      let got = run.(i).Io_log.offset / block in
-      if abs (got - expected) < c then incr consecutive
-    done;
-    float_of_int !consecutive /. float_of_int (n - 1)
-  end
+let metric ~pairs ~consecutive =
+  if pairs = 0 then 1.0 else float_of_int consecutive /. float_of_int pairs
 
 type curve = {
   bucket_edges : float array;
@@ -27,10 +16,11 @@ type curve = {
 let edges = Array.init 13 (fun i -> 16384. *. (2. ** float_of_int i))
 
 let bucket_of bytes =
-  let rec go i =
-    if i >= Array.length edges - 1 || bytes < edges.(i) then i else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length edges - 1 && not (bytes < edges.(!i)) do
+    incr i
+  done;
+  !i
 
 type tally = {
   sum_ra : float array;
@@ -60,35 +50,40 @@ let tally () =
     total_runs = 0;
   }
 
-let tally_file ~window t accesses =
-  let sorted = if window > 0. then fst (Io_log.sort_window window accesses) else accesses in
-  List.iter
-    (fun run ->
-      let bytes =
-        float_of_int (Array.fold_left (fun acc (a : Io_log.access) -> acc + a.count) 0 run)
-      in
-      let b = bucket_of bytes in
-      t.total_runs <- t.total_runs + 1;
-      t.runs_total.(b) <- t.runs_total.(b) + 1;
-      let is_read = Array.for_all (fun (a : Io_log.access) -> a.is_read) run in
-      let is_write = Array.for_all (fun (a : Io_log.access) -> not a.is_read) run in
-      let allowed = run_metric ~c:10 run in
-      let strict = run_metric ~c:1 run in
-      if is_read then begin
-        t.runs_read.(b) <- t.runs_read.(b) + 1;
-        t.sum_ra.(b) <- t.sum_ra.(b) +. allowed;
-        t.sum_rs.(b) <- t.sum_rs.(b) +. strict;
-        t.n_ra.(b) <- t.n_ra.(b) + 1
-      end
-      else if is_write then begin
-        t.runs_write.(b) <- t.runs_write.(b) + 1;
-        t.sum_wa.(b) <- t.sum_wa.(b) +. allowed;
-        t.sum_ws.(b) <- t.sum_ws.(b) +. strict;
-        t.n_wa.(b) <- t.n_wa.(b) + 1
-      end)
-    (Runs.split sorted)
+let add_run t ~bytes ~reads ~writes ~pairs ~allowed ~strict =
+  let b = bucket_of (float_of_int bytes) in
+  t.total_runs <- t.total_runs + 1;
+  t.runs_total.(b) <- t.runs_total.(b) + 1;
+  let allowed = metric ~pairs ~consecutive:allowed in
+  let strict = metric ~pairs ~consecutive:strict in
+  if not writes then begin
+    t.runs_read.(b) <- t.runs_read.(b) + 1;
+    t.sum_ra.(b) <- t.sum_ra.(b) +. allowed;
+    t.sum_rs.(b) <- t.sum_rs.(b) +. strict;
+    t.n_ra.(b) <- t.n_ra.(b) + 1
+  end
+  else if not reads then begin
+    t.runs_write.(b) <- t.runs_write.(b) + 1;
+    t.sum_wa.(b) <- t.sum_wa.(b) +. allowed;
+    t.sum_ws.(b) <- t.sum_ws.(b) +. strict;
+    t.n_wa.(b) <- t.n_wa.(b) + 1
+  end
 
-let curve_of_tally t =
+let add_tally a b =
+  let addf dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) +. v) src in
+  let addi dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
+  addf a.sum_ra b.sum_ra;
+  addi a.n_ra b.n_ra;
+  addf a.sum_rs b.sum_rs;
+  addf a.sum_wa b.sum_wa;
+  addi a.n_wa b.n_wa;
+  addf a.sum_ws b.sum_ws;
+  addi a.runs_total b.runs_total;
+  addi a.runs_read b.runs_read;
+  addi a.runs_write b.runs_write;
+  a.total_runs <- a.total_runs + b.total_runs
+
+let curve t =
   let nb = Array.length edges in
   let avg sums counts =
     Array.mapi (fun i s -> if counts.(i) = 0 then nan else s /. float_of_int counts.(i)) sums
@@ -113,8 +108,3 @@ let curve_of_tally t =
     cum_read_runs = cumulative t.runs_read;
     cum_write_runs = cumulative t.runs_write;
   }
-
-let analyze ?(window = 0.01) log =
-  let t = tally () in
-  Io_log.iter_files log (fun _ accesses -> tally_file ~window t accesses);
-  curve_of_tally t

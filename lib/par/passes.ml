@@ -26,15 +26,6 @@ let hourly =
     merge = A.Hourly.merge;
   }
 
-let io_log =
-  {
-    name = "io_log";
-    init = A.Io_log.create;
-    init_shard = A.Io_log.create;
-    observe = A.Io_log.observe;
-    merge = A.Io_log.merge;
-  }
-
 let names =
   {
     name = "names";
@@ -44,7 +35,11 @@ let names =
     merge = A.Names.merge;
   }
 
-let runs ?(window = 0.01) ?(gap = 30.) ~jump_blocks log =
-  List.concat_map
-    (fun (_, accesses) -> A.Runs.analyze_file ~window ~gap ~jump_blocks accesses)
-    (Array.to_list (A.Io_log.sorted_files log))
+let online_runs =
+  {
+    name = "runs";
+    init = (fun () -> A.Runs.create ());
+    init_shard = A.Runs.create_shard;
+    observe = A.Runs.observe;
+    merge = A.Runs.merge;
+  }

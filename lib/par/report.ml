@@ -88,29 +88,31 @@ let render_hourly h =
    one keeps them alive across minor collections and promotes them.
    Nothing a range touches is shared: its accumulators, batch, timings
    and trace buffer are its own, and the coordinator reads them only
-   after every domain has joined. Then it records one
-   [par.pass.<name>] span per range, absorbs the trace buffers and
-   left-folds the ranges' accumulators with one [par.merge] span per
-   merge. *)
+   after every domain has joined. Then it left-folds the ranges'
+   accumulators with one [par.merge] span per merge; if the ranges did
+   not stitch, it reads the input again as one range. It records one
+   [par.pass.<name>] span per range of the folds it keeps and absorbs
+   their trace buffers. *)
 
 type 'a fold = { pass : 'a Passes.pass; mutable merged : 'a option }
 type any_fold = Fold : 'a fold -> any_fold
 type acc = Acc : 'a fold * 'a -> acc
 
 (* The requested passes as folds, in a fixed order, plus the renderer
-   that reads their merged results back out in request order. [runs]
-   classifies the merged I/O log. *)
+   that reads their merged results back out in request order and the
+   check that the runs merges stitched. *)
 let section_folds sections =
   let fold pass = { pass; merged = None } in
   let summary = fold Passes.summary and hourly = fold Passes.hourly in
-  let names = fold Passes.names and log = fold Passes.io_log in
+  let names = fold Passes.names and runs = fold Passes.online_runs in
   let folds =
     List.filter_map
       (fun (s, f) -> if List.mem s sections then Some f else None)
-      [ (`Summary, Fold summary); (`Hourly, Fold hourly); (`Names, Fold names); (`Runs, Fold log) ]
+      [ (`Summary, Fold summary); (`Hourly, Fold hourly); (`Names, Fold names); (`Runs, Fold runs) ]
   in
   let result f = Option.get f.merged in
-  let render ~runs =
+  let stitched () = Option.fold ~none:true ~some:A.Runs.stitched runs.merged in
+  let render () =
     List.map
       (fun s ->
         ( s,
@@ -118,10 +120,13 @@ let section_folds sections =
           | `Summary -> render_summary (result summary)
           | `Hourly -> render_hourly (result hourly)
           | `Names -> render_names (result names)
-          | `Runs -> render_runs (A.Runs.table3 (runs (result log))) ))
+          | `Runs ->
+              let r = result runs in
+              A.Runs.finish r;
+              render_runs (A.Runs.table3 r) ))
       sections
   in
-  (Array.of_list folds, render)
+  (Array.of_list folds, stitched, render)
 [@@nt.raise_ok "each Option.get reads a fold every range merged into before rendering"]
 
 type 'r part = {
@@ -185,21 +190,12 @@ let fold_ranges folds ~ranges produce =
   Array.map (function Ok p -> p | Error e -> raise e) (Array.append [| first |] rest)
 [@@nt.raise_ok "re-raises what a range's producer raised, once every domain has joined"]
 
-let run_ranges ?(obs = Obs.null) ?timeline ?(stitched = fun _ -> true) ~ranges ~sections
-    produce =
-  let folds, render = section_folds sections in
-  let parts = fold_ranges folds ~ranges produce in
-  let parts =
-    if ranges > 1 && not (stitched (Array.map (fun p -> p.result) parts)) then
-      fold_ranges folds ~ranges:1 produce
-    else parts
-  in
+(* Left-fold every range's accumulators into the folds, in range order,
+   with one [par.merge] span per merge. *)
+let merge_parts obs folds parts =
+  Array.iter (fun (Fold f) -> f.merged <- None) folds;
   Array.iteri
     (fun i p ->
-      Option.iter (fun tl -> Timeline.absorb tl p.tbuf) timeline;
-      Array.iter2
-        (fun (Fold f) seconds -> Obs.span_record obs ("par.pass." ^ f.pass.name) ~seconds)
-        folds p.secs;
       let commit () =
         Array.iter
           (fun (Acc (f, acc)) ->
@@ -209,9 +205,35 @@ let run_ranges ?(obs = Obs.null) ?timeline ?(stitched = fun _ -> true) ~ranges ~
       in
       (* range 0 becomes the root as is; every later range merges *)
       if i = 0 then commit () else Obs.with_span obs "par.merge" commit)
+    parts
+
+let run_ranges ?(obs = Obs.null) ?timeline ?(stitched = fun _ -> true) ~ranges ~sections
+    produce =
+  let folds, runs_stitched, render = section_folds sections in
+  let rerun cause =
+    Obs.inc
+      (Obs.counter obs ~labels:[ ("cause", cause) ]
+         ~help:"range folds thrown away and read again as one range" "par.reruns");
+    let parts = fold_ranges folds ~ranges:1 produce in
+    merge_parts obs folds parts;
+    parts
+  in
+  let parts = fold_ranges folds ~ranges produce in
+  let parts =
+    if ranges > 1 && not (stitched (Array.map (fun p -> p.result) parts)) then rerun "stitch"
+    else begin
+      merge_parts obs folds parts;
+      if runs_stitched () then parts else rerun "runs"
+    end
+  in
+  Array.iter
+    (fun p ->
+      Option.iter (fun tl -> Timeline.absorb tl p.tbuf) timeline;
+      Array.iter2
+        (fun (Fold f) seconds -> Obs.span_record obs ("par.pass." ^ f.pass.name) ~seconds)
+        folds p.secs)
     parts;
-  let runs log = Obs.with_span obs "par.pass.runs" (fun () -> Passes.runs ~jump_blocks:10 log) in
-  ( render ~runs,
+  ( render (),
     Array.fold_left (fun n p -> n + p.records) 0 parts,
     Array.map (fun p -> p.result) parts )
 

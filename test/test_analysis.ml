@@ -3,7 +3,6 @@
 
 module Io_log = Nt_analysis.Io_log
 module Runs = Nt_analysis.Runs
-module Seqmetric = Nt_analysis.Seqmetric
 module Reorder = Nt_analysis.Reorder
 module Lifetime = Nt_analysis.Lifetime
 module Hourly = Nt_analysis.Hourly
@@ -69,64 +68,94 @@ let test_io_log_lost_reply_uses_call () =
 let access ?(read = true) ?(eof = false) ?(size = 1 lsl 20) at offset count =
   { Io_log.at; offset; count; is_read = read; at_eof = eof; file_size = size }
 
+(* The ported cases assert on the batch oracle (test/runs_oracle.ml)
+   unchanged, and check that the online fold over the same accesses of
+   one file agrees with it. *)
+let fold ?window accesses =
+  let t = Runs.create ?window () in
+  Array.iter (Runs.add t file_fh) accesses;
+  Runs.finish t;
+  t
+
+(* The pattern every read run of a read-only fold has, when they share
+   one. *)
+let fold_pattern ~jump_blocks run =
+  let r = (Runs.table3 ~strict:(jump_blocks = 1) (fold ~window:0. run)).read in
+  if r.entire_pct = 100. then "entire"
+  else if r.sequential_pct = 100. then "sequential"
+  else if r.random_pct = 100. then "random"
+  else "mixed"
+
+let check_classify ~jump_blocks label want run =
+  Alcotest.(check string) label want
+    (Runs.pattern_to_string (Runs_oracle.classify ~jump_blocks run));
+  Alcotest.(check string) "fold agrees" want (fold_pattern ~jump_blocks run)
+
 let test_sort_window_fixes_swap () =
   let accesses =
     [| access 0.000 0 8192; access 0.001 16384 8192; access 0.002 8192 8192 |]
   in
-  let sorted, swaps = Io_log.sort_window 0.01 accesses in
+  let sorted, swaps = Runs_oracle.sort_window 0.01 accesses in
   Alcotest.(check int) "one swap" 1 swaps;
   Alcotest.(check (list int)) "ascending offsets" [ 0; 8192; 16384 ]
-    (Array.to_list (Array.map (fun (a : Io_log.access) -> a.offset) sorted))
+    (Array.to_list (Array.map (fun (a : Io_log.access) -> a.offset) sorted));
+  let t = fold ~window:0.01 accesses in
+  Alcotest.(check int) "fold swaps once" 1 (Runs.swaps t);
+  Alcotest.(check (float 0.)) "fold sees the sorted run" 100.
+    (Runs.table3 ~strict:true t).read.sequential_pct
 
 let test_sort_window_respects_window () =
   let accesses = [| access 0.0 8192 8192; access 5.0 0 8192 |] in
-  let _, swaps = Io_log.sort_window 0.01 accesses in
-  Alcotest.(check int) "distant accesses untouched" 0 swaps
+  let _, swaps = Runs_oracle.sort_window 0.01 accesses in
+  Alcotest.(check int) "distant accesses untouched" 0 swaps;
+  Alcotest.(check int) "fold agrees" 0 (Runs.swaps (fold ~window:0.01 accesses))
 
 let test_sort_window_zero_is_identity () =
   let accesses = [| access 0.0 8192 8192; access 0.001 0 8192 |] in
-  let sorted, swaps = Io_log.sort_window 0. accesses in
+  let sorted, swaps = Runs_oracle.sort_window 0. accesses in
   Alcotest.(check int) "no swaps" 0 swaps;
-  Alcotest.(check int) "unchanged" 8192 sorted.(0).Io_log.offset
+  Alcotest.(check int) "unchanged" 8192 sorted.(0).Io_log.offset;
+  Alcotest.(check int) "fold agrees" 0 (Runs.swaps (fold ~window:0. accesses))
 
 (* --- runs --- *)
 
+let check_split want accesses =
+  Alcotest.(check int) "fold agrees" want (Runs.table3 (fold ~window:0. accesses)).total_runs
+
 let test_split_on_eof () =
   let accesses = [| access ~eof:true 0. 0 100; access 1. 0 100 |] in
-  Alcotest.(check int) "eof splits" 2 (List.length (Runs.split accesses))
+  Alcotest.(check int) "eof splits" 2 (List.length (Runs_oracle.split accesses));
+  check_split 2 accesses
 
 let test_split_on_gap () =
   let accesses = [| access 0. 0 100; access 31. 100 100; access 32. 200 100 |] in
-  Alcotest.(check int) "30s gap splits" 2 (List.length (Runs.split accesses))
+  Alcotest.(check int) "30s gap splits" 2 (List.length (Runs_oracle.split accesses));
+  check_split 2 accesses
 
 let test_split_contiguous () =
   let accesses = Array.init 10 (fun i -> access (float_of_int i) (i * 8192) 8192) in
-  Alcotest.(check int) "one run" 1 (List.length (Runs.split accesses))
+  Alcotest.(check int) "one run" 1 (List.length (Runs_oracle.split accesses));
+  check_split 1 accesses
 
 let test_classify_sequential () =
   let run = Array.init 5 (fun i -> access (float_of_int i) (8192 * i) 8192) in
-  Alcotest.(check string) "sequential" "sequential"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:1 run))
+  check_classify ~jump_blocks:1 "sequential" "sequential" run
 
 let test_classify_entire () =
   let size = 5 * 8192 in
   let run = Array.init 5 (fun i -> access ~size (float_of_int i) (8192 * i) 8192) in
-  Alcotest.(check string) "entire" "entire"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:1 run))
+  check_classify ~jump_blocks:1 "entire" "entire" run
 
 let test_classify_random () =
   let run = [| access 0. 0 8192; access 1. (100 * 8192) 8192; access 2. 8192 8192 |] in
-  Alcotest.(check string) "random" "random"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:1 run))
+  check_classify ~jump_blocks:1 "random" "random" run
 
 let test_classify_small_jump_tolerance () =
   (* A 3-block forward jump: random under the strict rule, sequential
      with the paper's 10-block tolerance. *)
   let run = [| access 0. 0 8192; access 1. (4 * 8192) 8192 |] in
-  Alcotest.(check string) "strict random" "random"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:1 run));
-  Alcotest.(check string) "tolerant sequential" "sequential"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:10 run))
+  check_classify ~jump_blocks:1 "strict random" "random" run;
+  check_classify ~jump_blocks:10 "tolerant sequential" "sequential" run
 
 let test_classify_rounding () =
   (* The paper's example: 0k(8k) 8k(8k) 16k(7k) 24k(8k) is sequential
@@ -134,16 +163,13 @@ let test_classify_rounding () =
   let run =
     [| access 0. 0 8192; access 1. 8192 8192; access 2. 16384 7168; access 3. 24576 8192 |]
   in
-  Alcotest.(check string) "paper example sequential" "sequential"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:1 run))
+  check_classify ~jump_blocks:1 "paper example sequential" "sequential" run
 
 let test_classify_singleton () =
   let whole = [| access ~size:100 0. 0 100 |] in
-  Alcotest.(check string) "whole singleton entire" "entire"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:1 whole));
+  check_classify ~jump_blocks:1 "whole singleton entire" "entire" whole;
   let partial = [| access ~size:100_000 0. 0 100 |] in
-  Alcotest.(check string) "partial singleton sequential" "sequential"
-    (Runs.pattern_to_string (Runs.classify ~jump_blocks:1 partial))
+  check_classify ~jump_blocks:1 "partial singleton sequential" "sequential" partial
 
 let test_table3_percentages () =
   let log = Io_log.create () in
@@ -152,7 +178,7 @@ let test_table3_percentages () =
   Io_log.observe log (read_rec ~time:1. ~offset:0 ~count:100 ~size:100 ~eof:true ());
   Io_log.observe log (read_rec ~time:2. ~offset:0 ~count:100 ~size:100 ~eof:true ());
   Io_log.observe log (write_rec ~fh:f2 ~time:1. ~offset:0 ~count:100 ~size:100 ());
-  let t = Runs.table3 (Runs.analyze ~jump_blocks:1 log) in
+  let t = Runs.table3 ~strict:true (Runs.of_log ~window:0. log) in
   Alcotest.(check int) "three runs" 3 t.total_runs;
   Alcotest.(check (float 1e-6) "reads 66.7%") (200. /. 3.) t.reads_pct;
   Alcotest.(check (float 1e-6) "writes 33.3%") (100. /. 3.) t.writes_pct;
@@ -161,7 +187,7 @@ let test_table3_percentages () =
 let test_by_file_size_cumulative () =
   let log = Io_log.create () in
   Io_log.observe log (read_rec ~time:1. ~offset:0 ~count:1000 ~size:1000 ~eof:true ());
-  let c = Runs.by_file_size (Runs.analyze ~jump_blocks:1 log) in
+  let c = Runs.by_file_size (Runs.of_log ~window:0. log) in
   let last = Array.length c.total - 1 in
   Alcotest.(check (float 1e-6) "total reaches 100") 100. c.total.(last);
   Alcotest.(check bool) "monotone" true
@@ -169,9 +195,22 @@ let test_by_file_size_cumulative () =
 
 (* --- sequentiality metric --- *)
 
+(* The metric of the one read run a fold over [run] counts: the only
+   bucket of Figure 5 that holds a value. *)
+let fold_metric ~c run =
+  let curve = Runs.sequentiality (fold ~window:0. run) in
+  let values = if c = 1 then curve.read_strict else curve.read_allowed in
+  match List.filter (fun v -> not (Float.is_nan v)) (Array.to_list values) with
+  | [ v ] -> v
+  | _ -> Alcotest.fail "expected one run"
+
+let check_metric ~c run =
+  Alcotest.(check (float 1e-9) "fold agrees") (Runs_oracle.run_metric ~c run) (fold_metric ~c run)
+
 let test_metric_sequential_run () =
   let run = Array.init 10 (fun i -> access (float_of_int i) (i * 8192) 8192) in
-  Alcotest.(check (float 1e-9) "fully sequential") 1.0 (Seqmetric.run_metric ~c:1 run)
+  Alcotest.(check (float 1e-9) "fully sequential") 1.0 (Runs_oracle.run_metric ~c:1 run);
+  check_metric ~c:1 run
 
 let test_metric_alternating () =
   (* Every second transition is a long seek: metric ~0.5 with c=10. *)
@@ -180,18 +219,22 @@ let test_metric_alternating () =
         let base = if i mod 2 = 0 then i / 2 * 8192 else 1000 * 8192 in
         access (float_of_int i) base 8192)
   in
-  let m = Seqmetric.run_metric ~c:10 run in
-  Alcotest.(check bool) "metric near 0" true (m < 0.4)
+  let m = Runs_oracle.run_metric ~c:10 run in
+  Alcotest.(check bool) "metric near 0" true (m < 0.4);
+  check_metric ~c:10 run
 
 let test_metric_small_jumps () =
   (* Jumps of 3 blocks: strict fails, c=10 passes. *)
   let run = Array.init 5 (fun i -> access (float_of_int i) (i * 4 * 8192) 8192) in
-  Alcotest.(check (float 1e-9) "c=10 tolerant") 1.0 (Seqmetric.run_metric ~c:10 run);
-  Alcotest.(check (float 1e-9) "strict zero") 0.0 (Seqmetric.run_metric ~c:1 run)
+  Alcotest.(check (float 1e-9) "c=10 tolerant") 1.0 (Runs_oracle.run_metric ~c:10 run);
+  Alcotest.(check (float 1e-9) "strict zero") 0.0 (Runs_oracle.run_metric ~c:1 run);
+  check_metric ~c:10 run;
+  check_metric ~c:1 run
 
 let test_metric_singleton () =
   Alcotest.(check (float 1e-9) "singleton 1.0") 1.0
-    (Seqmetric.run_metric ~c:1 [| access 0. 0 100 |])
+    (Runs_oracle.run_metric ~c:1 [| access 0. 0 100 |]);
+  check_metric ~c:1 [| access 0. 0 100 |]
 
 (* --- reorder --- *)
 

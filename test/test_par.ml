@@ -4,16 +4,17 @@
    and shard sizes, merge-of-shards must equal the sequential
    single-pass result for every pass the report folds — exactly for
    integers, within 1e-9 relative for float sums (reassociation).
-   Around it: shard-boundary unit tests (runs, names and reorder
-   windows straddling a cut), report determinism + a golden file,
-   ranged-vs-one-range folds with their spans and the rerun a failed
-   stitch takes, and the Summary.days empty-shard regression.
+   Around it: the online runs fold against the batch algorithm it
+   replaced (runs_oracle.ml) over out-of-order input, shard-boundary
+   unit tests (runs, names and reorder windows straddling a cut),
+   report determinism + a golden file, ranged-vs-one-range folds with
+   their spans and the reruns a failed stitch takes, and the
+   Summary.days empty-shard regression.
    NT_PAR_TEST_JOBS sets the range count the golden report is folded
    at (CI's par job uses 4); the results must not care. *)
 
 module Summary = Nt_analysis.Summary
 module Hourly = Nt_analysis.Hourly
-module Io_log = Nt_analysis.Io_log
 module Runs = Nt_analysis.Runs
 module Names = Nt_analysis.Names
 module Lifetime = Nt_analysis.Lifetime
@@ -285,29 +286,48 @@ let check_hourly_eq s p =
       ckf "bytes_written" a.bytes_written b.bytes_written)
     hs hp
 
-let check_io_log_eq s p =
-  cki "files" (Io_log.files s) (Io_log.files p);
-  cki "accesses" (Io_log.accesses s) (Io_log.accesses p);
-  let fs = Io_log.sorted_files s and fp = Io_log.sorted_files p in
-  Array.iteri
-    (fun i (fh, aa) ->
-      let fh', ab = fp.(i) in
-      if not (Fh.equal fh fh') then QCheck.Test.fail_reportf "file %d handle differs" i;
-      if aa <> ab then QCheck.Test.fail_reportf "file %d access list differs" i)
-    fs
+(* Runs folds compare once every open run is counted: Table 3 under
+   both rules, the Figure 2 curve, the Figure 5 curve and the window
+   swaps; [finish] consumes both sides. *)
+let check_table3 name (s : Runs.table3) (p : Runs.table3) =
+  cki (name ^ ".total_runs") s.total_runs p.total_runs;
+  ckf (name ^ ".reads_pct") s.reads_pct p.reads_pct;
+  ckf (name ^ ".writes_pct") s.writes_pct p.writes_pct;
+  ckf (name ^ ".rw_pct") s.rw_pct p.rw_pct;
+  List.iter
+    (fun (row, (a : Runs.table3_row), (b : Runs.table3_row)) ->
+      ckf (name ^ "." ^ row ^ ".entire") a.entire_pct b.entire_pct;
+      ckf (name ^ "." ^ row ^ ".sequential") a.sequential_pct b.sequential_pct;
+      ckf (name ^ "." ^ row ^ ".random") a.random_pct b.random_pct)
+    [ ("read", s.read, p.read); ("write", s.write, p.write); ("rw", s.rw, p.rw) ]
 
-let check_runs_eq rs rp =
-  cki "run count" (List.length rs) (List.length rp);
-  (* order differs (hash order vs handle order): compare as multisets *)
-  if List.sort compare rs <> List.sort compare rp then
-    QCheck.Test.fail_reportf "run multiset differs";
-  let ts = Runs.table3 rs and tp = Runs.table3 rp in
-  cki "total_runs" ts.total_runs tp.total_runs;
-  ckf "reads_pct" ts.reads_pct tp.reads_pct;
-  ckf "writes_pct" ts.writes_pct tp.writes_pct;
-  ckf "rw_pct" ts.rw_pct tp.rw_pct;
-  ckf "read.entire" ts.read.entire_pct tp.read.entire_pct;
-  ckf "write.entire" ts.write.entire_pct tp.write.entire_pct
+let check_curves name a b =
+  List.iter2
+    (fun (series, xs) (_, ys) ->
+      Array.iteri (fun i x -> ckf (Printf.sprintf "%s.%s.(%d)" name series i) x ys.(i)) xs)
+    a b
+
+let size_curve (c : Runs.size_curve) =
+  [ ("total", c.total); ("entire", c.entire); ("sequential", c.sequential); ("random", c.random) ]
+
+let seq_curve (c : Nt_analysis.Seqmetric.curve) =
+  [
+    ("read_allowed", c.read_allowed); ("read_strict", c.read_strict);
+    ("write_allowed", c.write_allowed); ("write_strict", c.write_strict);
+    ("cum_total_runs", c.cum_total_runs); ("cum_read_runs", c.cum_read_runs);
+    ("cum_write_runs", c.cum_write_runs);
+  ]
+
+let check_runs_eq s p =
+  if not (Runs.stitched s && Runs.stitched p) then
+    QCheck.Test.fail_reportf "runs: a merge did not stitch";
+  Runs.finish s;
+  Runs.finish p;
+  cki "swaps" (Runs.swaps s) (Runs.swaps p);
+  check_table3 "table3" (Runs.table3 s) (Runs.table3 p);
+  check_table3 "table3 strict" (Runs.table3 ~strict:true s) (Runs.table3 ~strict:true p);
+  check_curves "fig2" (size_curve (Runs.by_file_size s)) (size_curve (Runs.by_file_size p));
+  check_curves "fig5" (seq_curve (Runs.sequentiality s)) (seq_curve (Runs.sequentiality p))
 
 let check_names_eq s p =
   cki "created_deleted_total" (Names.created_deleted_total s) (Names.created_deleted_total p);
@@ -350,17 +370,89 @@ let lifetime_cfg = Lifetime.config ~phase1_start:Tw.week_start
 
 let prop_summary = prop_pass "summary: merge of shards == sequential" Passes.summary check_summary_eq
 let prop_hourly = prop_pass "hourly: merge of shards == sequential" Passes.hourly check_hourly_eq
-let prop_io_log = prop_pass "io_log: merge of shards == sequential" Passes.io_log check_io_log_eq
 let prop_names = prop_pass "names: merge of shards == sequential" Passes.names check_names_eq
-let prop_runs =
-  QCheck.Test.make ~count:40 ~name:"runs: chunked over merged log == sequential" workload_arb
-    (fun (n, shard_len, seed) ->
-      let records = gen_records ~seed ~n in
-      let log_seq = run_seq Passes.io_log records in
-      let log_par = run_sharded Passes.io_log ~shard_len records in
-      let rs = Runs.analyze ~window:0.01 ~jump_blocks:10 log_seq in
-      let rp = Passes.runs ~jump_blocks:10 log_par in
-      check_runs_eq rs rp;
+let prop_runs = prop_pass "runs: merge of shards == sequential" Passes.online_runs check_runs_eq
+
+(* --- the runs fold against the batch oracle ---
+
+   I/O on a few files with what a capture delivers out of order or
+   empty: equal times, reorder-window jitter, run-ending gaps, EOF
+   reads, zero-byte and lost-reply I/O, and, unless [sorted], backward
+   time jumps of up to 40 s. *)
+let gen_io ~seed ~n ~sorted =
+  let rng = Random.State.make [| 0x5eed; seed; n |] in
+  let fhs = Array.init 4 (fun i -> Fh.make ~fsid:9 ~fileid:(300 + i)) in
+  let sizes = Array.make 4 (16 * 8192) and pos = Array.make 4 0 in
+  let t = ref Tw.week_start in
+  Array.init n (fun _ ->
+      (t :=
+         !t
+         +.
+         match Random.State.int rng 20 with
+         | 0 | 1 | 2 -> 0.
+         | 3 -> 31. +. Random.State.float rng 9.
+         | 4 when not sorted -> -.Random.State.float rng 40.
+         | 5 | 6 | 7 -> 1. +. Random.State.float rng 4.
+         | _ -> Random.State.float rng 0.004);
+      let f = Random.State.int rng 4 in
+      let fh = fhs.(f) and time = !t in
+      let offset =
+        match Random.State.int rng 6 with
+        | 0 -> 8192 * Random.State.int rng 20
+        | 1 -> pos.(f) + (8192 * Random.State.int rng 12)
+        | _ -> pos.(f)
+      in
+      let count =
+        if Random.State.int rng 15 = 0 then 0
+        else [| 4096; 8192; 8192; 7168 |].(Random.State.int rng 4)
+      in
+      let lost = Random.State.int rng 12 = 0 in
+      pos.(f) <- offset + count;
+      if Random.State.int rng 3 = 0 then begin
+        sizes.(f) <- max sizes.(f) (offset + count);
+        write_rec ~fh ~time ~offset ~count ~size:sizes.(f) ~lost ()
+      end
+      else begin
+        let eof = offset + count >= sizes.(f) || Random.State.int rng 25 = 0 in
+        if eof then pos.(f) <- 0;
+        read_rec ~fh ~time ~offset ~count ~size:sizes.(f) ~eof ~lost ()
+      end)
+
+let prop_runs_oracle =
+  QCheck.Test.make ~count:200 ~name:"runs: online fold == batch oracle"
+    QCheck.(quad (int_range 0 300) (int_range 1 6) (int_range 0 9999) bool)
+    (fun (n, k, seed, sorted) ->
+      let records = gen_io ~seed ~n ~sorted in
+      let rng = Random.State.make [| seed; k |] in
+      let cuts = List.sort compare (List.init (k - 1) (fun _ -> Random.State.int rng (n + 1))) in
+      let bounds = Array.of_list ((0 :: cuts) @ [ n ]) in
+      let fold i =
+        let t = if i = 0 then Runs.create () else Runs.create_shard () in
+        Array.iter (Runs.observe t) (Array.sub records bounds.(i) (bounds.(i + 1) - bounds.(i)));
+        t
+      in
+      let merged = ref (fold 0) in
+      for i = 1 to k - 1 do
+        merged := Runs.merge !merged (fold i)
+      done;
+      let t = !merged in
+      if sorted && not (Runs.stitched t) then
+        QCheck.Test.fail_reportf "time-sorted input did not stitch";
+      if Runs.stitched t then begin
+        Runs.finish t;
+        let log = Nt_analysis.Io_log.create () in
+        Array.iter (Nt_analysis.Io_log.observe log) records;
+        let window = 0.01 in
+        let runs10 = Runs_oracle.analyze ~window ~jump_blocks:10 log in
+        let runs1 = Runs_oracle.analyze ~window ~jump_blocks:1 log in
+        cki "swaps" (Runs_oracle.swaps ~window log) (Runs.swaps t);
+        check_table3 "table3" (Runs_oracle.table3 runs10) (Runs.table3 t);
+        check_table3 "table3 strict" (Runs_oracle.table3 runs1) (Runs.table3 ~strict:true t);
+        check_curves "fig2" (size_curve (Runs_oracle.by_file_size runs10))
+          (size_curve (Runs.by_file_size t));
+        check_curves "fig5" (seq_curve (Runs_oracle.sequentiality ~window log))
+          (seq_curve (Runs.sequentiality t))
+      end;
       true)
 
 (* --- merge laws ---
@@ -421,18 +513,18 @@ let law_hourly =
     ~build_shard:(build_with Hourly.create Hourly.observe)
     ~empty:Hourly.create ~empty_shard:Hourly.create ~merge:Hourly.merge ~eq:check_hourly_eq
 
-let law_io_log =
-  prop_merge_laws "io_log" ~symmetric:true
-    ~build:(build_with Io_log.create Io_log.observe)
-    ~build_shard:(build_with Io_log.create Io_log.observe)
-    ~empty:Io_log.create ~empty_shard:Io_log.create ~merge:Io_log.merge ~eq:check_io_log_eq
-
 let law_names =
   prop_merge_laws "names" ~symmetric:false
     ~build:(build_with Names.create Names.observe)
     ~build_shard:(build_with Names.create_shard Names.observe)
     ~empty:Names.create ~empty_shard:Names.create_shard ~merge:Names.merge
     ~eq:check_names_eq
+
+let law_runs =
+  let root () = Runs.create () and shard = Runs.create_shard in
+  prop_merge_laws "runs" ~symmetric:false ~build:(build_with root Runs.observe)
+    ~build_shard:(build_with shard Runs.observe) ~empty:root ~empty_shard:shard ~merge:Runs.merge
+    ~eq:check_runs_eq
 
 let check_win_row name (a : Win.row) (b : Win.row) =
   cki (name ^ ".ops") a.Win.ops b.Win.ops;
@@ -529,10 +621,9 @@ let fp_hourly =
     ~build:(build_with Hourly.create Hourly.observe)
     ~footprint:Hourly.footprint
 
-let fp_io_log =
-  prop_footprint "io_log"
-    ~build:(build_with Io_log.create Io_log.observe)
-    ~footprint:Io_log.footprint
+let fp_runs =
+  prop_footprint "runs" ~build:(build_with (fun () -> Runs.create ()) Runs.observe)
+    ~footprint:Runs.footprint
 
 let fp_names =
   prop_footprint "names"
@@ -568,6 +659,23 @@ let fp_win =
     ~build:(build_with (fun () -> Win.create ~caps:win_caps ()) Win.observe)
     ~footprint:Win.footprint
 
+(* The runs state is per file, not per access: the same files read
+   fifty times as long leave the same footprint. *)
+let test_runs_state_bounded () =
+  let fhs = Array.init 8 (fun i -> Fh.make ~fsid:9 ~fileid:(400 + i)) in
+  let footprint rounds =
+    let t = Runs.create () in
+    for i = 0 to (8 * rounds) - 1 do
+      Runs.observe t
+        (read_rec ~fh:fhs.(i mod 8) ~time:(Tw.week_start +. float_of_int i) ~offset:(i / 8 * 8192)
+           ~count:8192 ~size:(1 lsl 30) ~eof:false ())
+    done;
+    Runs.footprint t
+  in
+  let small = footprint 20 and large = footprint 1000 in
+  Alcotest.(check int) "cards" small.Nt_obs.Footprint.cards large.Nt_obs.Footprint.cards;
+  Alcotest.(check int) "words" small.Nt_obs.Footprint.words large.Nt_obs.Footprint.words
+
 (* --- shard-boundary unit tests --- *)
 
 let fh_a = Fh.make ~fsid:9 ~fileid:201
@@ -575,23 +683,27 @@ let dir0 = Fh.make ~fsid:9 ~fileid:1
 
 let check_unit f = fun () -> f ()
 
-(* A sequential run straddling the cut must not be split: the log merge
-   carries the open run across the boundary. *)
+(* A sequential run straddling the cut must not be split: the merge
+   joins the shard's first run to the open run it continues. *)
 let test_run_straddles_boundary () =
   let records =
     Array.init 10 (fun i ->
-        read_rec ~fh:fh_a ~time:(Tw.week_start +. float_of_int i) ~offset:(i * 8192) ~count:8192
-          ~size:(1 lsl 20) ~eof:false ())
+        read_rec ~fh:fh_a ~time:(Tw.week_start +. (20. *. float_of_int i)) ~offset:(i * 8192)
+          ~count:8192 ~size:(1 lsl 20) ~eof:false ())
   in
-  let log_par = run_sharded Passes.io_log ~shard_len:5 records in
-  let rp = Runs.analyze ~window:0.01 ~jump_blocks:10 log_par in
-  Alcotest.(check int) "one run despite the cut" 1 (List.length rp);
-  let r = List.hd rp in
-  Alcotest.(check int) "all accesses in it" 10 r.Runs.accesses;
-  check_runs_eq (Runs.analyze ~window:0.01 ~jump_blocks:10 (run_seq Passes.io_log records)) rp
+  let rp = run_sharded Passes.online_runs ~shard_len:5 records in
+  Alcotest.(check bool) "the merge stitched" true (Runs.stitched rp);
+  let rs = run_seq Passes.online_runs records in
+  Runs.finish rp;
+  Alcotest.(check int) "one run despite the cut" 1 (Runs.table3 rp).total_runs;
+  (* 80 KB in one run: Figure 5's 128 KB bucket holds every run *)
+  let cum = (Runs.sequentiality rp).cum_total_runs in
+  Alcotest.(check (pair (float 0.) (float 0.))) "all accesses in it" (0., 100.) (cum.(2), cum.(3));
+  check_runs_eq rs rp
 
-(* A reorder-window inversion exactly at the cut: the merged per-file
-   list must equal the sequential one, so the window sort fixes it. *)
+(* A reorder-window inversion exactly at the cut: the shard holds the
+   accesses the window step of the earlier range can still reach, and
+   the merge replays them, so the step fixes the inversion. *)
 let test_reorder_window_straddles_boundary () =
   let t0 = Tw.week_start in
   let records =
@@ -602,13 +714,15 @@ let test_reorder_window_straddles_boundary () =
       read_rec ~fh:fh_a ~time:(t0 +. 0.003) ~offset:24576 ~count:8192 ~size:(1 lsl 20) ~eof:false ();
     |]
   in
-  let log_par = run_sharded Passes.io_log ~shard_len:2 records in
-  check_io_log_eq (run_seq Passes.io_log records) log_par;
-  let _, accesses = (Io_log.sorted_files log_par).(0) in
-  let sorted, swaps = Io_log.sort_window 0.01 accesses in
-  Alcotest.(check int) "window sort sees the straddling swap" 1 swaps;
-  Alcotest.(check (list int)) "offsets ascend after the sort" [ 0; 8192; 16384; 24576 ]
-    (Array.to_list (Array.map (fun (a : Io_log.access) -> a.Io_log.offset) sorted))
+  let rp = run_sharded Passes.online_runs ~shard_len:2 records in
+  Alcotest.(check bool) "the merge stitched" true (Runs.stitched rp);
+  Runs.finish rp;
+  Alcotest.(check int) "window sort sees the straddling swap" 1 (Runs.swaps rp);
+  Alcotest.(check (float 0.)) "offsets ascend after the sort" 100.
+    (Runs.table3 ~strict:true rp).read.sequential_pct;
+  check_runs_eq
+    (run_seq Passes.online_runs records)
+    (run_sharded Passes.online_runs ~shard_len:2 records)
 
 (* A remove whose binding was learned a shard earlier must defer and
    then kill the right file at merge. *)
@@ -708,6 +822,8 @@ let render texts =
 let span_count snap name =
   match Obs.get_span snap name with None -> 0 | Some sp -> sp.Obs.count
 
+let reruns snap cause = Obs.get_counter snap ~labels:[ ("cause", cause) ] "par.reruns"
+
 let check_ranged_matches_single ~jobs records =
   let n = Array.length records in
   let ranges = Report.range_count jobs in
@@ -726,10 +842,9 @@ let check_ranged_matches_single ~jobs records =
         (label ^ ": one " ^ pass ^ " span per range")
         ranges
         (span_count snap ("par.pass." ^ pass)))
-    [ "summary"; "hourly"; "names"; "io_log" ];
+    [ "summary"; "hourly"; "names"; "runs" ];
   Alcotest.(check int) (label ^ ": one merge span per merge") (ranges - 1)
-    (span_count snap "par.merge");
-  Alcotest.(check int) (label ^ ": one runs finalize") 1 (span_count snap "par.pass.runs")
+    (span_count snap "par.merge")
 
 let test_ranged_matches_single () =
   let records = golden_records () in
@@ -764,9 +879,8 @@ let test_range_fold_instruments_obs () =
     (domains.(1) <> domains.(0) && domains.(2) <> domains.(0) && domains.(1) <> domains.(2));
   let snap = Obs.snapshot obs in
   Alcotest.(check int) "one summary span per range" 3 (span_count snap "par.pass.summary");
-  Alcotest.(check int) "one io_log span per range" 3 (span_count snap "par.pass.io_log");
+  Alcotest.(check int) "one runs span per range" 3 (span_count snap "par.pass.runs");
   Alcotest.(check int) "one merge span per merge" 2 (span_count snap "par.merge");
-  Alcotest.(check int) "one runs finalize span" 1 (span_count snap "par.pass.runs");
   List.iter
     (fun name ->
       if Obs.sum_counter snap name <> 0 then Alcotest.failf "%s is gone, yet counted" name)
@@ -796,7 +910,42 @@ let test_unstitched_ranges_rerun () =
   Alcotest.(check (array int)) "the one-range result" [| 1 |] results;
   let snap = Obs.snapshot obs in
   Alcotest.(check int) "spans of the rerun only" 1 (span_count snap "par.pass.summary");
-  Alcotest.(check int) "no merges" 0 (span_count snap "par.merge")
+  Alcotest.(check int) "no merges" 0 (span_count snap "par.merge");
+  Alcotest.(check (option int)) "one rerun for the stitch" (Some 1) (reruns snap "stitch");
+  Alcotest.(check (option int)) "none for runs" None (reruns snap "runs")
+
+(* Ranges whose runs cannot stitch: an access that runs more than the
+   shard horizon ahead of the next range is still pending in range 0's
+   window when a later access of the same file, within the window of
+   it, opens range 1. The merge finds the cut crossed, and the input is
+   read again as one range. *)
+let test_unstitched_runs_rerun () =
+  let t0 = Tw.week_start in
+  let read time offset =
+    read_rec ~fh:fh_a ~time ~offset ~count:8192 ~size:(1 lsl 20) ~eof:false ()
+  in
+  let early = Array.init 20 (fun i -> read (t0 +. float_of_int i) (i * 8192)) in
+  let ahead = read (t0 +. 200.) (8192 * 100) in
+  let late =
+    Array.append
+      (Array.init 20 (fun i -> read (t0 +. 20. +. float_of_int i) ((20 + i) * 8192)))
+      (Array.init 5 (fun i -> read (t0 +. 199.995 +. (0.001 *. float_of_int i)) ((96 + i) * 8192)))
+  in
+  let parts = [| Array.append early [| ahead |]; late |] in
+  let records = Array.concat (Array.to_list parts) in
+  let want, _ = Report.run_stream ~sections:all_sections (fun push -> Array.iter push records) in
+  let obs = Obs.create () in
+  let texts, count, _ =
+    Report.run_ranges ~obs ~ranges:2 ~sections:all_sections (fun ~ranges i push ->
+        Array.iter push (if ranges = 1 then records else parts.(i)))
+  in
+  Alcotest.(check string) "rerun = one range" (render want) (render texts);
+  Alcotest.(check int) "record count" (Array.length records) count;
+  let snap = Obs.snapshot obs in
+  Alcotest.(check (option int)) "one rerun for runs" (Some 1) (reruns snap "runs");
+  Alcotest.(check (option int)) "none for the stitch" None (reruns snap "stitch");
+  Alcotest.(check int) "pass spans of the rerun only" 1 (span_count snap "par.pass.runs");
+  Alcotest.(check int) "the merge that found the crossing" 1 (span_count snap "par.merge")
 
 let () =
   Alcotest.run "nt_par"
@@ -805,28 +954,30 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_summary;
           QCheck_alcotest.to_alcotest prop_hourly;
-          QCheck_alcotest.to_alcotest prop_io_log;
           QCheck_alcotest.to_alcotest prop_names;
           QCheck_alcotest.to_alcotest prop_runs;
+          QCheck_alcotest.to_alcotest prop_runs_oracle;
         ] );
       ( "merge-laws",
         [
           QCheck_alcotest.to_alcotest law_summary;
           QCheck_alcotest.to_alcotest law_hourly;
-          QCheck_alcotest.to_alcotest law_io_log;
           QCheck_alcotest.to_alcotest law_names;
+          QCheck_alcotest.to_alcotest law_runs;
           QCheck_alcotest.to_alcotest law_win;
         ] );
       ( "footprints",
         [
           QCheck_alcotest.to_alcotest fp_summary;
           QCheck_alcotest.to_alcotest fp_hourly;
-          QCheck_alcotest.to_alcotest fp_io_log;
+          QCheck_alcotest.to_alcotest fp_runs;
           QCheck_alcotest.to_alcotest fp_names;
           QCheck_alcotest.to_alcotest fp_lifetime;
           QCheck_alcotest.to_alcotest fp_histogram;
           QCheck_alcotest.to_alcotest fp_stats;
           QCheck_alcotest.to_alcotest fp_win;
+          Alcotest.test_case "runs state is bounded by files" `Quick
+            (check_unit test_runs_state_bounded);
         ] );
       ( "shard-boundary",
         [
@@ -860,5 +1011,7 @@ let () =
             (check_unit test_ranged_matches_single);
           Alcotest.test_case "unstitched ranges rerun as one" `Quick
             (check_unit test_unstitched_ranges_rerun);
+          Alcotest.test_case "unstitched runs rerun as one" `Quick
+            (check_unit test_unstitched_runs_rerun);
         ] );
     ]
