@@ -1,19 +1,37 @@
 let adler_base = 65521
-let adler_nmax = 5552 (* max bytes before the sums can overflow 63 bits *)
+let adler_nmax = 5552 (* zlib's bound: the sums of one batch stay below 2^32 *)
 
+(* Eight bytes per step: after bytes c0..c7, a gains their sum and b
+   gains 8a + 8c0 + 7c1 + ... + 1c7, which is 8a plus the eight prefix
+   sums s1 = c0, s2 = c0 + c1, ..., s8 = c0 + ... + c7. A byte loop
+   takes each batch's tail. *)
 let adler32 s ~pos ~len =
   let a = ref 1 and b = ref 0 in
   let i = ref pos in
   let stop = pos + len in
   while !i < stop do
-    let batch = min adler_nmax (stop - !i) in
-    for j = !i to !i + batch - 1 do
-      a := !a + Char.code (String.unsafe_get s j);
-      b := !b + !a
+    let batch_stop = min stop (!i + adler_nmax) in
+    while !i + 8 <= batch_stop do
+      let j = !i in
+      let s1 = Char.code (String.unsafe_get s j) in
+      let s2 = s1 + Char.code (String.unsafe_get s (j + 1)) in
+      let s3 = s2 + Char.code (String.unsafe_get s (j + 2)) in
+      let s4 = s3 + Char.code (String.unsafe_get s (j + 3)) in
+      let s5 = s4 + Char.code (String.unsafe_get s (j + 4)) in
+      let s6 = s5 + Char.code (String.unsafe_get s (j + 5)) in
+      let s7 = s6 + Char.code (String.unsafe_get s (j + 6)) in
+      let s8 = s7 + Char.code (String.unsafe_get s (j + 7)) in
+      b := !b + (8 * !a) + s1 + s2 + s3 + s4 + s5 + s6 + s7 + s8;
+      a := !a + s8;
+      i := j + 8
+    done;
+    while !i < batch_stop do
+      a := !a + Char.code (String.unsafe_get s !i);
+      b := !b + !a;
+      incr i
     done;
     a := !a mod adler_base;
-    b := !b mod adler_base;
-    i := !i + batch
+    b := !b mod adler_base
   done;
   (!b lsl 16) lor !a
 

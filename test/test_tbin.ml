@@ -321,6 +321,45 @@ let test_adler32 () =
     (Frame.adler32 "Wikipedia" ~pos:0 ~len:9);
   Alcotest.(check int) "adler32 empty" 1 (Frame.adler32 "" ~pos:0 ~len:0)
 
+(* RFC 1950 one byte at a time, reduced after every byte: the oracle for
+   Frame.adler32's batched eight-bytes-per-step loop. *)
+let adler32_bytewise s ~pos ~len =
+  let a = ref 1 and b = ref 0 in
+  for j = pos to pos + len - 1 do
+    a := (!a + Char.code s.[j]) mod 65521;
+    b := (!b + !a) mod 65521
+  done;
+  (!b lsl 16) lor !a
+
+let prop_adler32_bytewise =
+  let gen =
+    G.(
+      string_size ~gen:char (0 -- 12_000) >>= fun s ->
+      let n = String.length s in
+      0 -- n >>= fun pos -> map (fun len -> (s, pos, len)) (0 -- (n - pos)))
+  in
+  QCheck.Test.make ~name:"adler32 matches a bytewise reference on slices" ~count:3000
+    (QCheck.make
+       ~print:(fun (s, pos, len) ->
+         Printf.sprintf "|s|=%d pos=%d len=%d" (String.length s) pos len)
+       gen)
+    (fun (s, pos, len) -> Frame.adler32 s ~pos ~len = adler32_bytewise s ~pos ~len)
+
+(* 0xFF maximises both sums: runs at the step, batch and double-batch
+   edges, whole and at an odd offset, must not overflow a batch. *)
+let test_adler32_ff_runs () =
+  List.iter
+    (fun n ->
+      let s = String.make n '\xff' in
+      Alcotest.(check int) (Printf.sprintf "0xFF x %d" n) (adler32_bytewise s ~pos:0 ~len:n)
+        (Frame.adler32 s ~pos:0 ~len:n);
+      let t = "abc" ^ s in
+      Alcotest.(check int)
+        (Printf.sprintf "0xFF x %d at offset 3" n)
+        (adler32_bytewise t ~pos:3 ~len:n)
+        (Frame.adler32 t ~pos:3 ~len:n))
+    [ 0; 1; 7; 8; 9; 5551; 5552; 5553; 11104; 11105; 199_999 ]
+
 let rle_roundtrip s =
   let c = Frame.compress s in
   Frame.decompress c ~pos:0 ~len:(String.length c) ~expect:(String.length s) = s
@@ -1285,6 +1324,8 @@ let () =
       ( "frame",
         [
           Alcotest.test_case "adler32 reference values" `Quick test_adler32;
+          QCheck_alcotest.to_alcotest prop_adler32_bytewise;
+          Alcotest.test_case "adler32 on 0xFF runs at batch edges" `Quick test_adler32_ff_runs;
           QCheck_alcotest.to_alcotest prop_rle_roundtrip;
           QCheck_alcotest.to_alcotest prop_rle_roundtrip_runs;
           Alcotest.test_case "decompress rejects bad shapes" `Quick test_rle_rejects;
