@@ -692,10 +692,11 @@ let capture () =
   in
   let campus_cfg = { Nt_workload.Email.default_config with users = 30 } in
   run "CAMPUS (NFSv3/TCP jumbo)" ~loss:0.03 ~pcap_of:(fun ~writer ->
-      Pipeline.campus_to_pcap ~config:campus_cfg ~monitor_loss:0.03 ~start ~stop ~writer ());
+      Pipeline.campus_to_pcap ~config:campus_cfg ~fault:(Nt_sim.Fault.bernoulli_loss 0.03) ~start
+        ~stop ~writer ());
   let eecs_cfg = { Nt_workload.Research.default_config with users = 20 } in
   run "EECS (NFSv2+v3/UDP)" ~loss:0.0 ~pcap_of:(fun ~writer ->
-      Pipeline.eecs_to_pcap ~config:eecs_cfg ~monitor_loss:0.0 ~start ~stop ~writer ());
+      Pipeline.eecs_to_pcap ~config:eecs_cfg ~start ~stop ~writer ());
   print_endline
     "\nPaper 4.1.4: the CAMPUS mirror port lost up to ~10% of packets under load;\n\
      losing a call loses its reply too (orphan replies are undecodable)."
@@ -855,8 +856,9 @@ let lint () =
   let n = 1_000_000 in
   let t0 = Unix.gettimeofday () in
   let engine = Nt_lint.Engine.run Nt_lint.Engine.default_config (lint_stream n) in
-  let errors = Nt_lint.Engine.severity_count engine Nt_lint.Rule.Error in
-  let warns = Nt_lint.Engine.severity_count engine Nt_lint.Rule.Warn in
+  let tally = Nt_lint.Engine.tally engine in
+  let errors = Nt_rules.severity_count tally Nt_rules.Error in
+  let warns = Nt_rules.severity_count tally Nt_rules.Warn in
   let dt = Unix.gettimeofday () -. t0 in
   Tables.print
     ~header:[ "statistic"; "value" ]
@@ -886,7 +888,7 @@ let obs_overhead () =
     | None -> 1_000_000
   in
   let cfg = Nt_lint.Engine.default_config in
-  (* Best of 3 per variant; severity_count forces the settle so the
+  (* Best of 3 per variant; reading the tally forces the settle so the
      deferred protocol checks land inside the timed region. The lint
      engine's default registry is Obs.null, so the no-registry run is
      the compiled-out analog: instrumentation reduced to dead branches.
@@ -915,7 +917,7 @@ let obs_overhead () =
       | None -> Nt_lint.Engine.run cfg stream
       | Some o -> Nt_lint.Engine.run ~obs:o cfg stream
     in
-    ignore (Nt_lint.Engine.severity_count engine Nt_lint.Rule.Error);
+    ignore (Nt_lint.Engine.tally engine);
     (Unix.gettimeofday () -. t0, obs)
   in
   let make_compiled_out () = (None, None) in

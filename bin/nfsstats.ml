@@ -43,8 +43,8 @@ let run input analyses jobs lint obs_opts =
         (fun f -> Printf.eprintf "nfsstats: %s\n" (Nt_lint.Finding.to_string f))
         (Nt_lint.Engine.findings l);
       Printf.eprintf "nfsstats: lint: %d error(s), %d warning(s)\n%!"
-        (Nt_lint.Engine.severity_count l Nt_lint.Rule.Error)
-        (Nt_lint.Engine.severity_count l Nt_lint.Rule.Warn))
+        (Nt_rules.severity_count (Nt_lint.Engine.tally l) Nt_rules.Error)
+        (Nt_rules.severity_count (Nt_lint.Engine.tally l) Nt_rules.Warn))
     linter;
   List.iter
     (fun a ->

@@ -51,8 +51,8 @@ let run input output out_tbin salvage lint obs_opts =
           (fun f -> Printf.eprintf "nfstrace: %s\n" (Nt_lint.Finding.to_string f))
           (Nt_lint.Engine.findings l);
         Printf.eprintf "nfstrace: lint: %d error(s), %d warning(s)\n%!"
-          (Nt_lint.Engine.severity_count l Nt_lint.Rule.Error)
-          (Nt_lint.Engine.severity_count l Nt_lint.Rule.Warn))
+          (Nt_rules.severity_count (Nt_lint.Engine.tally l) Nt_rules.Error)
+          (Nt_rules.severity_count (Nt_lint.Engine.tally l) Nt_rules.Warn))
       linter;
     if Option.is_none aborted then 0 else 1
   in

@@ -15,6 +15,10 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
        %!";
     exit 2
   end;
+  if fault <> `None && loss > 0. then begin
+    prerr_endline "nfswlgen: --loss and --fault both set the monitor's loss; give one of them";
+    exit 2
+  end;
   let obs = Nt_obs.Obs.create () in
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
@@ -85,6 +89,7 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
   let emit_pcap oc =
     let plan =
       match fault with
+      | `None when loss > 0. -> Some (Nt_sim.Fault.bernoulli_loss loss)
       | `None -> None
       | `Burst -> Some Nt_sim.Fault.campus_burst
       | `Truncate ->
@@ -98,12 +103,12 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
       match system with
       | `Campus ->
           let config = { Nt_workload.Email.default_config with users } in
-          Nt_core.Pipeline.campus_to_pcap ~obs ~config ?fault:plan ~seed:fault_seed
-            ~monitor_loss:loss ~start ~stop ~writer ()
+          Nt_core.Pipeline.campus_to_pcap ~obs ~config ?fault:plan ~seed:fault_seed ~start ~stop
+            ~writer ()
       | `Eecs ->
           let config = { Nt_workload.Research.default_config with users } in
-          Nt_core.Pipeline.eecs_to_pcap ~obs ~config ?fault:plan ~seed:fault_seed
-            ~monitor_loss:loss ~start ~stop ~writer ()
+          Nt_core.Pipeline.eecs_to_pcap ~obs ~config ?fault:plan ~seed:fault_seed ~start ~stop
+            ~writer ()
     in
     Obs_cli.tick prog stats.run.records;
     Printf.eprintf "nfswlgen: %d records, %d packets written, %d dropped at monitor\n%!"
@@ -145,7 +150,7 @@ let format =
 let loss =
   Arg.(
     value & opt float 0.
-    & info [ "loss" ] ~docv:"P" ~doc:"Monitor-port packet loss probability (pcap format only).")
+    & info [ "loss" ] ~docv:"P" ~doc:"Monitor-port packet loss probability (pcap format only; not with --fault).")
 
 let fault =
   Arg.(

@@ -10,8 +10,7 @@ type config = {
   exn_roots : string list;
   codecs : (string * string list * string) list;
   formats_unit : string;
-  enabled_only : string list option;
-  disabled : string list;
+  select : Nt_rules.selection;
   max_per_rule : int;
 }
 
@@ -59,16 +58,15 @@ let default_config =
       ];
     codecs = [ ("Nt_nfs__Ops", [ "call"; "success" ], "Nt_tbin__Tbin") ];
     formats_unit = "Nt_formats__Formats";
-    enabled_only = None;
-    disabled = [];
+    select = Nt_rules.every_rule;
     max_per_rule = 100;
   }
 
 type t = {
   findings : Finding.t list;
+  tally : Finding.t Nt_rules.tally;
   allowed : int;
   allowed_by_rule : (string * int) list;
-  overflow : int;
   units_scanned : int;
   reachable : string list;
   merge_required : string list;
@@ -78,27 +76,15 @@ type t = {
 }
 
 let findings t = t.findings
+let tally t = t.tally
 let allowed t = t.allowed
 let allowed_by_rule t = t.allowed_by_rule
-let overflow t = t.overflow
 let units_scanned t = t.units_scanned
 let reachable t = t.reachable
 let merge_required t = t.merge_required
 let merge_covered t = t.merge_covered
 let exn_report t = t.exn_report
 let load_errors t = t.load_errors
-
-let severity_count t sev =
-  List.length (List.filter (fun (f : Finding.t) -> f.rule.Rule.severity = sev) t.findings)
-
-let rule_count t id =
-  List.length (List.filter (fun (f : Finding.t) -> f.rule.Rule.id = id) t.findings)
-
-let enabled config (rule : Rule.t) =
-  (match config.enabled_only with
-  | Some ids -> List.mem rule.Rule.id ids
-  | None -> true)
-  && not (List.mem rule.Rule.id config.disabled)
 
 (* Scope prefixes are raw prefixes of the dotted unit name: "Nt_"
    covers every project library, "Nt_xdr" covers Nt_xdr and
@@ -111,31 +97,21 @@ let lib_scope config dotted = prefix_scope config.lib_prefixes dotted
 let run config root =
   let units, load_errors = Loader.load_dir ~excludes:config.excludes root in
   let reach = Reach.compute ~roots:config.roots units in
-  let findings = ref [] in
+  let tally = Nt_rules.tally ~select:config.select ~cap:config.max_per_rule in
   let allowed = ref 0 in
   let allow_by_rule = Hashtbl.create 16 in
-  let overflow = ref 0 in
-  let per_rule = Hashtbl.create 16 in
   let sink =
     {
       Finding.emit =
-        (fun rule loc detail ->
-          if enabled config rule then begin
-            let n = match Hashtbl.find_opt per_rule rule.Rule.id with Some n -> n | None -> 0 in
-            if n >= config.max_per_rule then incr overflow
-            else begin
-              Hashtbl.replace per_rule rule.Rule.id (n + 1);
-              findings := Finding.of_loc rule loc detail :: !findings
-            end
-          end);
+        (fun rule loc detail -> ignore (Nt_rules.add tally rule (Finding.of_loc rule loc detail)));
       allow =
         (fun rule ->
-          if enabled config rule then begin
+          if Nt_rules.enabled config.select rule then begin
             incr allowed;
             let n =
-              match Hashtbl.find_opt allow_by_rule rule.Rule.id with Some n -> n | None -> 0
+              match Hashtbl.find_opt allow_by_rule rule.id with Some n -> n | None -> 0
             in
-            Hashtbl.replace allow_by_rule rule.Rule.id (n + 1)
+            Hashtbl.replace allow_by_rule rule.id (n + 1)
           end);
     }
   in
@@ -234,11 +210,11 @@ let run config root =
   Codec_check.check sink ~codecs:config.codecs ~formats_unit:config.formats_unit ~units
     ~config_finding;
   {
-    findings = List.sort Finding.compare !findings;
+    findings = List.sort Finding.compare (Nt_rules.kept tally);
+    tally;
     allowed = !allowed;
     allowed_by_rule =
       List.sort compare (Hashtbl.fold (fun id n acc -> (id, n) :: acc) allow_by_rule []);
-    overflow = !overflow;
     units_scanned = List.length units;
     reachable = Reach.to_list reach;
     merge_required;

@@ -35,9 +35,8 @@ type config = {
   formats_unit : string;
       (** compilation unit whose top-level string bindings are the
           version-tag registry for the format-drift rules *)
-  enabled_only : string list option;
-  disabled : string list;
-  max_per_rule : int;  (** finding cap per rule; excess counts as overflow *)
+  select : Nt_rules.selection;
+  max_per_rule : int;  (** finding cap per rule; excess is counted, not stored *)
 }
 
 val default_config : config
@@ -53,15 +52,19 @@ val run : config -> string -> t
 (** [run config build_dir] scans every .cmt/.cmti under [build_dir]. *)
 
 val findings : t -> Finding.t list
+(** Stored findings (at most [max_per_rule] per rule), sorted by
+    {!Finding.compare}. *)
+
+val tally : t -> Finding.t Nt_rules.tally
+(** Per-rule, per-severity and capped counts, capped findings
+    included. *)
+
 val allowed : t -> int
 (** Violations suppressed by allowlist attributes. *)
 
 val allowed_by_rule : t -> (string * int) list
 (** Per-rule-id suppression counts, sorted by id — how often each
     escape hatch ([@@nt.alloc_ok], [@@nt.bounded], ...) actually bit. *)
-
-val overflow : t -> int
-(** Findings dropped past the per-rule cap. *)
 
 val units_scanned : t -> int
 val reachable : t -> string list
@@ -74,5 +77,3 @@ val exn_report : t -> (string * string * int * string list) list
     set.  Feeds the CI artifact. *)
 
 val load_errors : t -> (string * string) list
-val severity_count : t -> Rule.severity -> int
-val rule_count : t -> string -> int

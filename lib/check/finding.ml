@@ -21,21 +21,21 @@ let compare a b =
       let c = Int.compare a.col b.col in
       if c <> 0 then c
       else
-        let c = String.compare a.rule.Rule.id b.rule.Rule.id in
+        let c = String.compare a.rule.id b.rule.id in
         if c <> 0 then c else String.compare a.detail b.detail
 
 let to_string f =
   let where = if f.line <= 0 then f.file else Printf.sprintf "%s:%d:%d" f.file f.line f.col in
   Printf.sprintf "%s %s %s: %s"
-    (Rule.severity_to_string f.rule.Rule.severity)
-    f.rule.Rule.id where f.detail
+    (Nt_rules.severity_to_string f.rule.severity)
+    f.rule.id where f.detail
 
 module Json = Nt_obs.Obs.Json
 
 let to_json f =
   Json.(
-    Obj [ ("rule", Str f.rule.Rule.id); ("family", Str (Rule.family_to_string f.rule.Rule.family));
-          ("severity", Str (Rule.severity_to_string f.rule.Rule.severity)); ("file", Str f.file);
+    Obj [ ("rule", Str f.rule.id); ("family", Str f.rule.family);
+          ("severity", Str (Nt_rules.severity_to_string f.rule.severity)); ("file", Str f.file);
           ("line", int f.line); ("col", int f.col); ("detail", Str f.detail) ])
 
 let list_to_json fs = Json.to_string (Json.Arr (List.map to_json fs))
@@ -45,23 +45,23 @@ let list_to_json fs = Json.to_string (Json.Arr (List.map to_json fs))
    severities map Info/Warn/Error -> note/warning/error.  Lines and
    columns are clamped to 1 because SARIF forbids 0 (synthesized
    whole-unit findings anchor at line 1). *)
-let sarif_level (s : Rule.severity) =
-  Json.Str (match s with Rule.Info -> "note" | Rule.Warn -> "warning" | Rule.Error -> "error")
+let sarif_level (s : Nt_rules.severity) =
+  Json.Str (match s with Info -> "note" | Warn -> "warning" | Error -> "error")
 
 let list_to_sarif fs =
   let open Json in
   let text s = Obj [ ("text", Str s) ] in
   let rule (r : Rule.t) =
-    Obj [ ("id", Str r.Rule.id); ("shortDescription", text r.Rule.doc);
-          ("properties", Obj [ ("family", Str (Rule.family_to_string r.Rule.family)) ]);
-          ("defaultConfiguration", Obj [ ("level", sarif_level r.Rule.severity) ]) ]
+    Obj [ ("id", Str r.id); ("shortDescription", text r.doc);
+          ("properties", Obj [ ("family", Str r.family) ]);
+          ("defaultConfiguration", Obj [ ("level", sarif_level r.severity) ]) ]
   in
   let result f =
     let region =
       Obj [ ("startLine", int (max 1 f.line)); ("startColumn", int (max 1 (f.col + 1))) ]
     in
     let location = Obj [ ("artifactLocation", Obj [ ("uri", Str f.file) ]); ("region", region) ] in
-    Obj [ ("ruleId", Str f.rule.Rule.id); ("level", sarif_level f.rule.Rule.severity);
+    Obj [ ("ruleId", Str f.rule.id); ("level", sarif_level f.rule.severity);
           ("message", text f.detail);
           ("locations", Arr [ Obj [ ("physicalLocation", location) ] ]) ]
   in

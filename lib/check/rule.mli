@@ -1,30 +1,14 @@
 (** Declarative registry of ntcheck's typedtree rules.
 
-    Mirrors [Nt_lint.Rule]: every rule has a stable id, a family, a
-    fixed severity and a one-line doc string; the engine consults the
-    registry for enable/disable filtering and the CLI prints it for
-    [--rules]. *)
+    Each rule is an {!Nt_rules.t}, as nfslint's are: a stable id, a
+    family, a fixed severity and a one-line doc string. The engine
+    hands the registry to {!Nt_rules} for rule selection and counting,
+    and the CLI prints it for [--rules]. Families are ["domain-safety"],
+    ["merge-law"], ["decode-purity"], ["hygiene"], ["alloc"],
+    ["bound"], ["footprint"], ["exn-flow"], ["codec-drift"] and
+    ["config"]. *)
 
-type severity = Info | Warn | Error
-
-val severity_to_string : severity -> string
-val severity_rank : severity -> int
-
-type family =
-  | Domain_safety
-  | Merge_law
-  | Decode_purity
-  | Hygiene
-  | Alloc
-  | Bound
-  | Footprint
-  | Exn_flow
-  | Codec_drift
-  | Config
-
-val family_to_string : family -> string
-
-type t = { id : string; family : family; severity : severity; doc : string }
+type t = Nt_rules.t
 
 val dom_top_mutable : t
 val dom_mutable_record : t
@@ -51,5 +35,3 @@ val config_drift : t
 
 val all : t list
 (** Registry order is the [--rules] listing order. *)
-
-val find : string -> t option

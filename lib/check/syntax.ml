@@ -82,21 +82,21 @@ let allows (attrs : Typedtree.attributes) =
       match (a.attr_name.txt, payload_string a.attr_payload) with
       | _, Some "" | _, None -> []
       | "nt.domain_safe", Some _ ->
-          [ Rule.dom_top_mutable.Rule.id; Rule.dom_mutable_record.Rule.id ]
+          [ Rule.dom_top_mutable.id; Rule.dom_mutable_record.id ]
       | "nt.alloc_ok", Some _ ->
           [
-            Rule.alloc_hot_string.Rule.id;
-            Rule.alloc_hot_format.Rule.id;
-            Rule.alloc_hot_list.Rule.id;
-            Rule.alloc_hot_closure.Rule.id;
-            Rule.alloc_poly_compare.Rule.id;
+            Rule.alloc_hot_string.id;
+            Rule.alloc_hot_format.id;
+            Rule.alloc_hot_list.id;
+            Rule.alloc_hot_closure.id;
+            Rule.alloc_poly_compare.id;
           ]
       | ("nt.bounded" | "nt.unbounded"), Some _ ->
-          [ Rule.bound_table.Rule.id; Rule.bound_list.Rule.id ]
-      | "nt.raise_ok", Some _ -> [ Rule.exn_escape.Rule.id ]
+          [ Rule.bound_table.id; Rule.bound_list.id ]
+      | "nt.raise_ok", Some _ -> [ Rule.exn_escape.id ]
       | "nt.allow", Some reason -> [ first_token reason ]
       | _ -> [])
     attrs
 
 let allowed allows_list (rule : Rule.t) =
-  List.mem rule.Rule.id allows_list || List.mem "*" allows_list
+  List.mem rule.id allows_list || List.mem "*" allows_list

@@ -97,12 +97,12 @@ type pcap_stats = {
 
 (* packets_written/dropped are likewise read back from the registry
    counters the pipe and its fault injector maintain. *)
-let to_pcap ~obs ~fault ~seed ~transport ~monitor_loss ~writer ~simulate =
+let to_pcap ~obs ~fault ~seed ~transport ~writer ~simulate =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let c_written = Obs.counter obs "pipe.packets_written" in
   let c_dropped = Obs.counter obs ~labels:[ ("kind", "dropped") ] "fault.events" in
   let w0 = Obs.value c_written and d0 = Obs.value c_dropped in
-  let pipe = Packet_pipe.create ~obs ~monitor_loss ?fault ?seed ~transport ~writer () in
+  let pipe = Packet_pipe.create ~obs ?fault ?seed ~transport ~writer () in
   let run =
     Obs.with_span obs "emit-pcap" (fun () ->
         let run = simulate ~obs ~sink:(Packet_pipe.push pipe) in
@@ -116,12 +116,12 @@ let to_pcap ~obs ~fault ~seed ~transport ~monitor_loss ~writer ~simulate =
     snapshot = Obs.snapshot obs;
   }
 
-let campus_to_pcap ?obs ?config ?fault ?seed ?(monitor_loss = 0.) ~start ~stop ~writer () =
-  to_pcap ~obs ~fault ~seed ~transport:Packet_pipe.Tcp_transport ~monitor_loss ~writer
+let campus_to_pcap ?obs ?config ?fault ?seed ~start ~stop ~writer () =
+  to_pcap ~obs ~fault ~seed ~transport:Packet_pipe.Tcp_transport ~writer
     ~simulate:(fun ~obs ~sink -> simulate_campus ~obs ?config ~start ~stop ~sink ())
 
-let eecs_to_pcap ?obs ?config ?fault ?seed ?(monitor_loss = 0.) ~start ~stop ~writer () =
-  to_pcap ~obs ~fault ~seed ~transport:Packet_pipe.Udp_transport ~monitor_loss ~writer
+let eecs_to_pcap ?obs ?config ?fault ?seed ~start ~stop ~writer () =
+  to_pcap ~obs ~fault ~seed ~transport:Packet_pipe.Udp_transport ~writer
     ~simulate:(fun ~obs ~sink -> simulate_eecs ~obs ?config ~start ~stop ~sink ())
 
 let capture_pcap ?obs ?salvage pcap_bytes =

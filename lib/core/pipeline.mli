@@ -53,7 +53,6 @@ val campus_to_pcap :
   ?config:Nt_workload.Email.config ->
   ?fault:Nt_sim.Fault.plan ->
   ?seed:int64 ->
-  ?monitor_loss:float ->
   start:float ->
   stop:float ->
   writer:Nt_net.Pcap.writer ->
@@ -61,15 +60,15 @@ val campus_to_pcap :
   pcap_stats
 (** Full wire path: CAMPUS traffic as NFSv3-over-TCP jumbo-frame
     packets in a pcap stream, with optional capture loss — the input
-    the paper's own tracer consumed. [fault] injects a full monitor
-    fault plan (overrides [monitor_loss]); [seed] seeds the injector. *)
+    the paper's own tracer consumed. [fault] injects a monitor fault
+    plan (independent loss is {!Nt_sim.Fault.bernoulli_loss}); [seed]
+    seeds the injector. *)
 
 val eecs_to_pcap :
   ?obs:Nt_obs.Obs.t ->
   ?config:Nt_workload.Research.config ->
   ?fault:Nt_sim.Fault.plan ->
   ?seed:int64 ->
-  ?monitor_loss:float ->
   start:float ->
   stop:float ->
   writer:Nt_net.Pcap.writer ->

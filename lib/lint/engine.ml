@@ -12,8 +12,7 @@ type config = {
   xid_window : float;
   max_tracked : int;
   max_findings_per_rule : int;
-  enabled_only : string list option;
-  disabled : string list;
+  select : Nt_rules.selection;
 }
 
 let default_config =
@@ -24,24 +23,12 @@ let default_config =
     xid_window = 120.0;
     max_tracked = 1_000_000;
     max_findings_per_rule = 100;
-    enabled_only = None;
-    disabled = [];
+    select = Nt_rules.every_rule;
   }
-
-let rule_enabled cfg (rule : Rule.t) =
-  (match cfg.enabled_only with
-  | None -> true
-  | Some ids -> List.mem rule.Rule.id ids)
-  && not (List.mem rule.Rule.id cfg.disabled)
 
 type t = {
   cfg : config;
-  mutable findings_rev : Finding.t list;
-  counts : (string, int) Hashtbl.t;  (** rule id -> total findings *)
-  mutable suppressed : int;
-  mutable n_info : int;
-  mutable n_warn : int;
-  mutable n_error : int;
+  tally : Finding.t Nt_rules.tally;
   mutable index : int;
   protocol : Protocol_check.t;
   (* Telemetry mirror: the semantic accessors below never read these,
@@ -56,42 +43,28 @@ type t = {
 }
 
 let emit t (f : Finding.t) =
-  if rule_enabled t.cfg f.Finding.rule then begin
-    let id = f.Finding.rule.Rule.id in
-    let n = Option.value (Hashtbl.find_opt t.counts id) ~default:0 in
-    Hashtbl.replace t.counts id (n + 1);
-    (match Hashtbl.find_opt t.c_findings id with Some c -> Obs.inc c | None -> ());
-    if n < t.cfg.max_findings_per_rule then t.findings_rev <- f :: t.findings_rev
-    else begin
-      t.suppressed <- t.suppressed + 1;
+  let count () = Option.iter Obs.inc (Hashtbl.find_opt t.c_findings f.rule.id) in
+  match Nt_rules.add t.tally f.rule f with
+  | `Off -> ()
+  | `Kept -> count ()
+  | `Capped ->
+      count ();
       Obs.inc t.c_suppressed
-    end;
-    match f.Finding.rule.Rule.severity with
-    | Rule.Info -> t.n_info <- t.n_info + 1
-    | Rule.Warn -> t.n_warn <- t.n_warn + 1
-    | Rule.Error -> t.n_error <- t.n_error + 1
-  end
-[@@nt.bounded "counts is keyed by the finite rule set; findings_rev is capped by max_findings_per_rule"]
 
 let create ?(obs = Obs.null) cfg =
   let c_findings = Hashtbl.create 32 in
   List.iter
     (fun (rule : Rule.t) ->
-      if rule_enabled cfg rule then
-        Hashtbl.replace c_findings rule.Rule.id
-          (Obs.counter obs ~labels:[ ("rule", rule.Rule.id) ] ~help:"lint findings by rule"
+      if Nt_rules.enabled cfg.select rule then
+        Hashtbl.replace c_findings rule.id
+          (Obs.counter obs ~labels:[ ("rule", rule.id) ] ~help:"lint findings by rule"
              "lint.findings"))
     Rule.all;
   let rec t =
     lazy
       {
         cfg;
-        findings_rev = [];
-        counts = Hashtbl.create 32;
-        suppressed = 0;
-        n_info = 0;
-        n_warn = 0;
-        n_error = 0;
+        tally = Nt_rules.tally ~select:cfg.select ~cap:cfg.max_findings_per_rule;
         index = 0;
         protocol =
           Protocol_check.create
@@ -190,8 +163,7 @@ let run ?obs ?stats cfg records =
    counter's own value, so repeated settles don't double-count). *)
 let footprint t =
   let tracked = Protocol_check.tracked t.protocol in
-  let kept = Hashtbl.fold (fun _ n acc -> acc + n) t.counts 0 - t.suppressed in
-  let kept = if kept < 0 then 0 else kept in
+  let kept = Nt_rules.kept_count t.tally in
   Footprint.v ~cards:(tracked + kept) ~words:(32 + (tracked * 12) + (kept * 24))
 
 let settle t =
@@ -204,29 +176,11 @@ let findings t =
   settle t;
   List.stable_sort
     (fun (a : Finding.t) (b : Finding.t) -> compare a.Finding.index b.Finding.index)
-    (List.rev t.findings_rev)
+    (Nt_rules.kept t.tally)
 
-let finding_count t (rule : Rule.t) =
+let tally t =
   settle t;
-  Option.value (Hashtbl.find_opt t.counts rule.Rule.id) ~default:0
-
-let suppressed t =
-  settle t;
-  t.suppressed
-
-let severity_count t sev =
-  settle t;
-  match sev with
-  | Rule.Info -> t.n_info
-  | Rule.Warn -> t.n_warn
-  | Rule.Error -> t.n_error
-
-let worst t =
-  settle t;
-  if t.n_error > 0 then Some Rule.Error
-  else if t.n_warn > 0 then Some Rule.Warn
-  else if t.n_info > 0 then Some Rule.Info
-  else None
+  t.tally
 
 let records_seen t = t.index
 let tracked t = Protocol_check.tracked t.protocol

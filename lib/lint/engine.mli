@@ -1,9 +1,10 @@
 (** The linter: rules, state and findings behind one streaming façade.
 
     Feed records (and optionally capture stats) in stream order; the
-    engine runs every enabled rule, collects findings (capped per rule
-    so a systemic fault cannot balloon memory — suppressed findings are
-    still counted), and answers severity tallies for exit-code policy.
+    engine runs every enabled rule and counts its findings in an
+    {!Nt_rules.tally} (capped per rule so a systemic fault cannot
+    balloon memory — suppressed findings are still counted), which
+    answers the severity counts and the exit-code policy.
     State is bounded, so million-record traces lint in constant memory
     (see {!Bounded} and {!Protocol_check}). *)
 
@@ -14,13 +15,10 @@ type config = {
   xid_window : float;  (** seconds; default 120 s *)
   max_tracked : int;  (** per-table state cap; default 1 million *)
   max_findings_per_rule : int;  (** stored findings cap; default 100 *)
-  enabled_only : string list option;  (** [Some ids]: run just these rules *)
-  disabled : string list;  (** rule ids to skip *)
+  select : Nt_rules.selection;  (** default: every rule *)
 }
 
 val default_config : config
-
-val rule_enabled : config -> Rule.t -> bool
 
 type t
 
@@ -42,22 +40,14 @@ val run :
 
 val findings : t -> Finding.t list
 (** Stored findings ordered by record index (at most
-    [max_findings_per_rule] each; see {!suppressed}). Reading any
-    result accessor finalizes deferred protocol checks — suspects
-    still inside their reorder window are judged as if the stream had
-    ended (see {!Protocol_check.finalize}). *)
+    [max_findings_per_rule] each). Reading {!findings} or {!tally}
+    finalizes deferred protocol checks — suspects still inside their
+    reorder window are judged as if the stream had ended (see
+    {!Protocol_check.finalize}). *)
 
-val finding_count : t -> Rule.t -> int
-(** Total count for one rule, including suppressed findings. *)
-
-val suppressed : t -> int
-(** Findings counted but not stored because a rule hit its cap. *)
-
-val severity_count : t -> Rule.severity -> int
-(** Total findings at exactly this severity, including suppressed. *)
-
-val worst : t -> Rule.severity option
-(** Highest severity seen; [None] for a clean trace. *)
+val tally : t -> Finding.t Nt_rules.tally
+(** Per-rule, per-severity and capped counts, suppressed findings
+    included. *)
 
 val records_seen : t -> int
 

@@ -9,8 +9,8 @@ let to_string f =
     else Printf.sprintf "#%d @%.6f" f.index f.time
   in
   Printf.sprintf "%s %s %s: %s"
-    (Rule.severity_to_string f.rule.Rule.severity)
-    f.rule.Rule.id where f.detail
+    (Nt_rules.severity_to_string f.rule.severity)
+    f.rule.id where f.detail
 
 module Json = Nt_obs.Obs.Json
 
@@ -19,8 +19,8 @@ module Json = Nt_obs.Obs.Json
    from tbin. NaN prints as null. *)
 let to_json f =
   Json.(
-    Obj [ ("rule", Str f.rule.Rule.id); ("family", Str (Rule.family_to_string f.rule.Rule.family));
-          ("severity", Str (Rule.severity_to_string f.rule.Rule.severity)); ("index", int f.index);
+    Obj [ ("rule", Str f.rule.id); ("family", Str f.rule.family);
+          ("severity", Str (Nt_rules.severity_to_string f.rule.severity)); ("index", int f.index);
           ("time", Num (Float.round (f.time *. 1e6) /. 1e6)); ("detail", Str f.detail) ])
 
 let list_to_json fs = Json.to_string (Json.Arr (List.map to_json fs))

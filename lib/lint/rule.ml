@@ -1,86 +1,74 @@
-type severity = Info | Warn | Error
+type t = Nt_rules.t
 
-let severity_to_string = function Info -> "info" | Warn -> "warn" | Error -> "error"
-let severity_rank = function Info -> 0 | Warn -> 1 | Error -> 2
-let severity_compare a b = compare (severity_rank a) (severity_rank b)
-
-type family = Protocol | Anonymization | Hygiene
-
-let family_to_string = function
-  | Protocol -> "protocol"
-  | Anonymization -> "anonymization"
-  | Hygiene -> "hygiene"
-
-type t = { id : string; family : family; severity : severity; doc : string }
-
-let rule id family severity doc = { id; family; severity; doc }
+let rule id family severity doc = { Nt_rules.id; family; severity; doc }
+let protocol = "protocol" and anonymization = "anonymization" and hygiene = "hygiene"
 
 (* --- protocol --- *)
 
 let unanswered_call =
-  rule "unanswered-call" Protocol Warn
+  rule "unanswered-call" protocol Nt_rules.Warn
     "call has no reply: lost at the monitor or on the wire"
 
 let duplicate_xid =
-  rule "duplicate-xid" Protocol Warn
+  rule "duplicate-xid" protocol Nt_rules.Warn
     "(client, XID) pair reused within the XID window"
 
 let fh_use_after_remove =
-  rule "fh-use-after-remove" Protocol Error
+  rule "fh-use-after-remove" protocol Nt_rules.Error
     "successful operation on a handle after its last link was removed"
 
 let fh_before_introduction =
-  rule "fh-before-introduction" Protocol Warn
+  rule "fh-before-introduction" protocol Nt_rules.Warn
     "READ/WRITE/COMMIT on a handle the trace never introduced"
 
 let offset_beyond_size =
-  rule "offset-beyond-size" Protocol Error
+  rule "offset-beyond-size" protocol Nt_rules.Error
     "successful I/O extends past the size attested by the same reply"
 
 let reply_before_call =
-  rule "reply-before-call" Protocol Error "reply timestamped before its call"
+  rule "reply-before-call" protocol Nt_rules.Error "reply timestamped before its call"
 
 let non_monotonic_time =
-  rule "non-monotonic-time" Protocol Warn
+  rule "non-monotonic-time" protocol Nt_rules.Warn
     "call time runs backwards by more than the reorder window"
 
 let bad_io_range =
-  rule "bad-io-range" Protocol Error "negative offset or count in an I/O call"
+  rule "bad-io-range" protocol Nt_rules.Error "negative offset or count in an I/O call"
 
 (* --- anonymization --- *)
 
 let raw_ip =
-  rule "raw-ip" Anonymization Error
+  rule "raw-ip" anonymization Nt_rules.Error
     "address outside the anonymizer's private pool"
 
 let unmapped_id =
-  rule "unmapped-id" Anonymization Error
+  rule "unmapped-id" anonymization Nt_rules.Error
     "UID/GID neither preserved nor in the anonymizer's mapped range"
 
 let name_residue =
-  rule "name-residue" Anonymization Error
+  rule "name-residue" anonymization Nt_rules.Error
     "name component does not parse as anonymizer output"
 
 let dictionary_word =
-  rule "dictionary-word" Anonymization Error
+  rule "dictionary-word" anonymization Nt_rules.Error
     "name contains a dictionary word"
 
 (* --- capture hygiene --- *)
 
 let loss_accounting =
-  rule "loss-accounting" Hygiene Error
+  rule "loss-accounting" hygiene Nt_rules.Error
     "capture counters violate their conservation laws"
 
 let capture_loss =
-  rule "capture-loss" Hygiene Warn
+  rule "capture-loss" hygiene Nt_rules.Warn
     "capture saw loss: orphan replies, lost replies or TCP gaps"
 
 let frame_damage =
-  rule "frame-damage" Hygiene Warn
+  rule "frame-damage" hygiene Nt_rules.Warn
     "undecodable or corrupt frames, or RPC decode errors"
 
 let salvage_gap =
-  rule "salvage-gap" Hygiene Warn
+  rule "salvage-gap" hygiene Nt_rules.Warn
     "pcap bytes skipped without a salvaged record or truncated-tail flag"
 
 let all =
@@ -103,4 +91,3 @@ let all =
     salvage_gap;
   ]
 
-let find id = List.find_opt (fun r -> r.id = id) all

@@ -1,30 +1,16 @@
 (** The declarative rule registry of nfslint.
 
-    Every invariant the linter can check is declared here as a {!t}:
-    a stable string id, the family it belongs to, a default severity
-    and a one-line description. The checking code in
+    Every invariant the linter can check is declared here as a
+    {!Nt_rules.t}: a stable string id, the family it belongs to, a
+    default severity and a one-line description. The checking code in
     {!Protocol_check}, {!Anon_check} and {!Hygiene_check} refers to
-    rules by these descriptors; {!Engine} consults the registry to
-    enable/disable rules by id and to render the catalog. Adding a
-    rule means adding a descriptor here and emitting findings for it
-    from exactly one checker. *)
+    rules by these descriptors; {!Engine} hands the registry to
+    {!Nt_rules} to select rules by id, and the CLI prints it for
+    [--rules]. Adding a rule means adding a descriptor here and
+    emitting findings for it from exactly one checker. Families are
+    ["protocol"], ["anonymization"] and ["hygiene"]. *)
 
-type severity = Info | Warn | Error
-
-val severity_to_string : severity -> string
-val severity_compare : severity -> severity -> int
-(** Orders [Info < Warn < Error]. *)
-
-type family = Protocol | Anonymization | Hygiene
-
-val family_to_string : family -> string
-
-type t = {
-  id : string;  (** stable identifier, e.g. ["unanswered-call"] *)
-  family : family;
-  severity : severity;
-  doc : string;  (** one-line description for [nfslint --rules] *)
-}
+type t = Nt_rules.t
 
 (** {2 Protocol family} — per-record trace invariants *)
 
@@ -91,6 +77,3 @@ val salvage_gap : t
 
 val all : t list
 (** Every rule, protocol family first. *)
-
-val find : string -> t option
-(** Look a rule up by id. *)

@@ -60,7 +60,6 @@ type t = {
   (* directory name lookup cache: (dir, name) -> (fh, expires) *)
   dnlc : (string * string, Fh.t * float) Hashtbl.t;
   mutable xid : int;
-  mutable issued : int;
   mutable congested : bool;
   mutable cached_bytes : int;
 }
@@ -74,7 +73,6 @@ let create config ~server ~sink ~rng =
     cache = Fh_tbl.create 512;
     dnlc = Hashtbl.create 512;
     xid = Prng.bits30 rng;
-    issued = 0;
     congested = false;
     cached_bytes = 0;
   }
@@ -85,7 +83,6 @@ let session t ~time ~uid ~gid = { client = t; now = time; uid; gid }
 let now s = s.now
 let set_now s time = s.now <- time
 let config t = t.config
-let calls_issued t = t.issued
 
 let entry t fh =
   match Fh_tbl.find_opt t.cache fh with
@@ -171,7 +168,6 @@ let issue ?(pipelined = false) s (call : Ops.call) : Ops.result =
   let result = Server.handle t.server ~time:wire_time call in
   let reply_time = wire_time +. t.config.service_time +. (t.config.rtt /. 2.) in
   t.xid <- (t.xid + 1) land 0xFFFFFFFF;
-  t.issued <- t.issued + 1;
   t.sink
     {
       Record.time = wire_time;

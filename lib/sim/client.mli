@@ -42,7 +42,6 @@ type t
 val create : config -> server:Server.t -> sink:(Nt_trace.Record.t -> unit) -> rng:Nt_util.Prng.t -> t
 
 val config : t -> config
-val calls_issued : t -> int
 
 type session
 

@@ -22,7 +22,7 @@
 
 type drop_model =
   | No_drop
-  | Bernoulli of float  (** independent loss; subsumes the old [monitor_loss] *)
+  | Bernoulli of float  (** independent loss with this probability *)
   | Gilbert_elliott of { p_gb : float; p_bg : float; loss_good : float; loss_bad : float }
       (** two-state bursty loss: per-packet transition probabilities
           good→bad [p_gb] and bad→good [p_bg], with per-state loss
@@ -52,8 +52,8 @@ val none : plan
 (** All faults disabled; {!apply} is the identity. *)
 
 val bernoulli_loss : float -> plan
-(** [bernoulli_loss p]: only independent drop, probability [p] — the
-    behaviour of the old [monitor_loss] float. *)
+(** [bernoulli_loss p]: only independent drop, probability [p] — a
+    mirror port that loses packets without bursts ([nfswlgen --loss]). *)
 
 val campus_burst : plan
 (** A plan shaped like the CAMPUS mirror port under load: ~2% bursty

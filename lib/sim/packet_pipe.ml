@@ -94,20 +94,14 @@ type t = {
   c_written : Nt_obs.Obs.counter;
 }
 
-let create ?obs ?monitor_loss ?fault ?(seed = 77L) ?(mtu = 9000) ~transport ~writer () =
+let create ?obs ?(fault = Fault.none) ?(seed = 77L) ?(mtu = 9000) ~transport ~writer () =
   (* The written/dropped accessors feed the conservation invariant, so
      the default registry must count: a private enabled one. *)
   let obs = match obs with Some o -> o | None -> Nt_obs.Obs.create () in
   let rng = Prng.create seed in
-  let plan =
-    match (fault, monitor_loss) with
-    | Some plan, _ -> plan
-    | None, Some p when p > 0. -> Fault.bernoulli_loss p
-    | None, _ -> Fault.none
-  in
   (* The injector gets its own derived stream so that enabling faults
      does not perturb the flow ISNs drawn from [rng]. *)
-  let injector = Fault.create ~obs ~seed:(Prng.next_int64 (Prng.copy rng)) plan in
+  let injector = Fault.create ~obs ~seed:(Prng.next_int64 (Prng.copy rng)) fault in
   let c_written =
     Nt_obs.Obs.counter obs ~help:"packets written to the capture" "pipe.packets_written"
   in

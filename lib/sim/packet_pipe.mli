@@ -22,7 +22,6 @@ type t
 
 val create :
   ?obs:Nt_obs.Obs.t ->
-  ?monitor_loss:float ->
   ?fault:Fault.plan ->
   ?seed:int64 ->
   ?mtu:int ->
@@ -34,11 +33,9 @@ val create :
     counters; defaults to a private always-enabled registry so the
     accessors below keep counting without wiring.
 
-    [fault] is the full monitor fault model; when absent,
-    [monitor_loss] (the legacy knob) maps to
-    {!Fault.bernoulli_loss} — independent drop with that probability,
-    the CAMPUS mirror port's headline behaviour (it lost up to ~10%
-    under load; EECS lost none).
+    [fault] is the monitor fault model, default {!Fault.none}; the
+    CAMPUS mirror port's headline behaviour (it lost up to ~10% under
+    load; EECS lost none) is {!Fault.bernoulli_loss}.
 
     [mtu] defaults to 9000 (jumbo frames); UDP datagrams above it are
     emitted anyway (the real stack would IP-fragment; the capture

@@ -29,7 +29,40 @@ let perturb rng ~reorder_fraction ~window blocks =
   done;
   a
 
+type state = {
+  mutable expected : int;  (** block just past the previous request *)
+  mutable last_block : int;
+  mutable sequential : bool;  (** the last request started at [expected] *)
+  history : bool Queue.t;  (** was each recent request c-consecutive? *)
+  mutable consecutive : int;  (** [true]s in [history] *)
+}
+
+let c = 10
+let history_len = 32
 let prefetch_depth = 8
+
+let state () =
+  { expected = 0; last_block = -1; sequential = true; history = Queue.create (); consecutive = 0 }
+
+let observe st ~block ~nblocks =
+  if st.last_block >= 0 then begin
+    let is_c_consecutive = abs (block - st.last_block) <= c in
+    Queue.push is_c_consecutive st.history;
+    if is_c_consecutive then st.consecutive <- st.consecutive + 1;
+    if Queue.length st.history > history_len then
+      if Queue.pop st.history then st.consecutive <- st.consecutive - 1
+  end;
+  st.sequential <- block = st.expected;
+  st.expected <- block + nblocks;
+  st.last_block <- block
+
+let prefetch policy st =
+  match policy with
+  | No_readahead -> false
+  | Fragile -> st.sequential
+  | Metric ->
+      Queue.length st.history = 0
+      || float_of_int st.consecutive /. float_of_int (Queue.length st.history) >= 0.75
 
 let run ?(seed = 42L) ?(file_blocks = 2048) ?(reorder_fraction = 0.1) ?(window = 3) policy =
   let rng = Prng.create seed in
@@ -40,45 +73,18 @@ let run ?(seed = 42L) ?(file_blocks = 2048) ?(reorder_fraction = 0.1) ?(window =
   (* Per-request network + protocol overhead, identical across
      policies; only disk behaviour differs. *)
   let per_request_overhead = 0.0002 in
-  let expected = ref 0 in
-  (* Metric state: sliding count of c-consecutive requests. *)
-  let c = 10 in
-  let history_len = 32 in
-  let history = Queue.create () in
-  let consecutive_in_history = ref 0 in
+  let st = state () in
   let last_block = ref (-1) in
-  let fragile_sequential = ref true in
   Array.iter
     (fun block ->
       if block < !last_block then incr reordered;
-      (* Update heuristics from the arrival stream. *)
-      let is_c_consecutive = !last_block >= 0 && abs (block - !last_block) <= c in
-      if !last_block >= 0 then begin
-        Queue.push is_c_consecutive history;
-        if is_c_consecutive then incr consecutive_in_history;
-        if Queue.length history > history_len then
-          if Queue.pop history then decr consecutive_in_history
-      end;
-      fragile_sequential := block = !expected;
-      expected := block + 1;
       last_block := block;
-      let do_prefetch =
-        match policy with
-        | No_readahead -> false
-        | Fragile -> !fragile_sequential
-        | Metric ->
-            Queue.length history = 0
-            || float_of_int !consecutive_in_history /. float_of_int (Queue.length history) >= 0.75
-      in
+      observe st ~block ~nblocks:1;
       let service = Disk.read disk ~block ~nblocks:1 in
-      let service =
-        if do_prefetch then
-          (* Prefetch overlaps with returning the current block: the
-             client pays only the current read; later hits are free. *)
-          let _ = Disk.prefetch disk ~block:(block + 1) ~nblocks:prefetch_depth in
-          service
-        else service
-      in
+      (* Prefetch overlaps with returning the current block: the
+         client pays only the current read; later hits are free. *)
+      if prefetch policy st then
+        ignore (Disk.prefetch disk ~block:(block + 1) ~nblocks:prefetch_depth : float);
       total := !total +. service +. per_request_overhead)
     order;
   {

@@ -20,6 +20,24 @@ type policy = No_readahead | Fragile | Metric
 
 val policy_name : policy -> string
 
+type state
+(** One file's request history, shared by every policy: where the last
+    request ended, and whether each of the last 32 requests landed
+    within c = 10 blocks of the one before it. *)
+
+val state : unit -> state
+
+val observe : state -> block:int -> nblocks:int -> unit
+(** Record a request for [nblocks] blocks starting at [block]. *)
+
+val prefetch : policy -> state -> bool
+(** Whether [policy] prefetches after the last observed request:
+    [Fragile] when it started where the one before it ended, [Metric]
+    while at least 75% of the recent requests were c-consecutive. *)
+
+val prefetch_depth : int
+(** Blocks read ahead past the request when {!prefetch} says so. *)
+
 type outcome = {
   total_time : float;  (** end-to-end service time for the stream *)
   disk_time : float;  (** platter time consumed *)

@@ -32,7 +32,7 @@ let dummy_record : Record.t =
 let dummy = { at = 0.; seq = 0; record = dummy_record }
 
 let create ?obs ?(horizon = 600.) emit =
-  (* pushed/released feed test assertions, so the default registry is a
+  (* released feeds test assertions, so the default registry is a
      private enabled one. *)
   let obs = match obs with Some o -> o | None -> Obs.create () in
   {
@@ -104,5 +104,4 @@ let push t (r : Record.t) =
   release_until t (t.max_seen -. t.horizon)
 
 let flush t = release_until t infinity
-let pushed t = t.next_seq
 let released t = Obs.value t.c_released

@@ -19,5 +19,4 @@ val push : t -> Nt_trace.Record.t -> unit
 val flush : t -> unit
 (** Release everything; call once at end of simulation. *)
 
-val pushed : t -> int
 val released : t -> int

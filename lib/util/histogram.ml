@@ -26,7 +26,6 @@ let bucket_of t x = search t.edges x 0 (Array.length t.edges)
 
 let add_weighted t x w = t.weights.(bucket_of t x) <- t.weights.(bucket_of t x) +. w
 let add t x = add_weighted t x 1.
-let bucket_count t = Array.length t.weights
 let edges t = t.edges
 let weight t i = t.weights.(i)
 let total_weight t = Array.fold_left ( +. ) 0. t.weights

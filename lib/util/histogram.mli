@@ -20,7 +20,6 @@ val add : t -> float -> unit
 val add_weighted : t -> float -> float -> unit
 (** [add_weighted t x w] adds observation [x] with weight [w] (e.g. bytes). *)
 
-val bucket_count : t -> int
 val edges : t -> float array
 val weight : t -> int -> float
 (** Total weight in bucket [i]. *)

@@ -37,7 +37,6 @@ let render ?title ~header rows =
 
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 let fmt_pct ?(decimals = 1) x = Printf.sprintf "%.*f%%" decimals x
-let fmt_millions x = Printf.sprintf "%.2fM" (x /. 1e6)
 
 let fmt_bytes x =
   let abs = Float.abs x in

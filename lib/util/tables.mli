@@ -13,9 +13,6 @@ val fmt_float : ?decimals:int -> float -> string
 val fmt_pct : ?decimals:int -> float -> string
 (** [fmt_pct 12.345] is ["12.3%"] (default 1 decimal). *)
 
-val fmt_millions : float -> string
-(** Counts expressed in millions, matching the paper's tables. *)
-
 val fmt_bytes : float -> string
 (** Human bytes with binary units: ["1.5 MB"], ["119.6 GB"]. *)
 

@@ -1,5 +1,4 @@
 module Prng = Nt_util.Prng
-module Dist = Nt_util.Dist
 module Client = Nt_sim.Client
 
 let seeky_write rng s fh ~total ~seg_min ~seg_max ~jump_prob ~sync =
@@ -35,14 +34,3 @@ let seeky_write rng s fh ~total ~seg_min ~seg_max ~jump_prob ~sync =
   Array.iter
     (fun (off, len) -> Client.write s fh ~offset:(Int64.of_int off) ~len ~sync)
     segments
-
-let seeky_read rng s fh ~file_size ~stretches ~stretch_min ~stretch_max ~pause =
-  let lo, hi = pause in
-  for _ = 1 to stretches do
-    if file_size > stretch_min then begin
-      let len = stretch_min + Prng.int rng (max 1 (stretch_max - stretch_min)) in
-      let off = Prng.int rng (max 1 (file_size - len)) in
-      ignore (Client.read s fh ~offset:(Int64.of_int off) ~len:(min len (file_size - off)))
-    end;
-    Client.set_now s (Client.now s +. Dist.uniform rng ~lo ~hi)
-  done

@@ -21,16 +21,3 @@ val seeky_write :
     [jump_prob] a segment trades places with a nearby later one, so the
     stream seeks forward and backward the way mail-client compaction
     and linker section emission do. *)
-
-val seeky_read :
-  Nt_util.Prng.t ->
-  Nt_sim.Client.session ->
-  Nt_nfs.Fh.t ->
-  file_size:int ->
-  stretches:int ->
-  stretch_min:int ->
-  stretch_max:int ->
-  pause:float * float ->
-  unit
-(** Random-stretch reads: [stretches] sequential reads at random
-    offsets, separated by think-time drawn from [pause]. *)

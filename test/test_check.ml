@@ -31,6 +31,9 @@ let fixture_dir =
 
 let run ?(config = fixture_config) () = Engine.run config fixture_dir
 
+let rule_count t id =
+  Nt_rules.count (Engine.tally t) (List.find (fun (r : Rule.t) -> r.id = id) Rule.all)
+
 let test_loads_cleanly () =
   let t = run () in
   Alcotest.(check (list (pair string string))) "no unreadable cmts" [] (Engine.load_errors t);
@@ -47,10 +50,10 @@ let test_each_rule_fires_exactly_once () =
   let t = run () in
   List.iter
     (fun (r : Rule.t) ->
-      let expect = if List.mem r.Rule.id twice then 2 else 1 in
+      let expect = if List.mem r.id twice then 2 else 1 in
       Alcotest.(check int)
-        (Printf.sprintf "%s fires exactly %d time(s)" r.Rule.id expect)
-        expect (Engine.rule_count t r.Rule.id))
+        (Printf.sprintf "%s fires exactly %d time(s)" r.id expect)
+        expect (rule_count t r.id))
     Rule.all;
   Alcotest.(check int) "one finding per seeded violation, nothing else" seeded
     (List.length (Engine.findings t))
@@ -67,7 +70,7 @@ let test_clean_twins_stay_silent () =
       List.iter
         (fun twin ->
           if contains f.Finding.file twin then
-            Alcotest.failf "finding %s in clean twin %s" f.Finding.rule.Rule.id f.Finding.file)
+            Alcotest.failf "finding %s in clean twin %s" f.Finding.rule.id f.Finding.file)
         [
           "fix_unreachable"; "fix_acc_covered"; "fix_driver"; "fix_testreg"; "fix_hot_clean";
           "fix_hot_ok"; "fix_bound_clean"; "fix_bound_ok"; "fix_tbin_clean"; "fix_exn_clean";
@@ -102,19 +105,22 @@ let test_merge_bookkeeping () =
 let test_per_rule_cap () =
   let t = run ~config:{ fixture_config with Engine.max_per_rule = 0 } () in
   Alcotest.(check int) "no findings under a zero cap" 0 (List.length (Engine.findings t));
-  Alcotest.(check int) "every violation counted as overflow" seeded (Engine.overflow t);
+  Alcotest.(check int) "every violation counted as overflow" seeded
+    (Nt_rules.capped (Engine.tally t));
   Alcotest.(check int) "suppression is not capped" 5 (Engine.allowed t)
 
 let test_disabled_rule () =
-  let t = run ~config:{ fixture_config with Engine.disabled = [ "lib-stdout" ] } () in
-  Alcotest.(check int) "disabled rule silent" 0 (Engine.rule_count t "lib-stdout");
+  let select = { Nt_rules.every_rule with disabled = [ "lib-stdout" ] } in
+  let t = run ~config:{ fixture_config with Engine.select } () in
+  Alcotest.(check int) "disabled rule silent" 0 (rule_count t "lib-stdout");
   Alcotest.(check int) "everything else unaffected" (seeded - 1)
     (List.length (Engine.findings t))
 
 let test_enabled_only () =
-  let t = run ~config:{ fixture_config with Engine.enabled_only = Some [ "obj-magic" ] } () in
+  let select = { Nt_rules.every_rule with enabled_only = Some [ "obj-magic" ] } in
+  let t = run ~config:{ fixture_config with Engine.select } () in
   Alcotest.(check int) "only the enabled rule" 1 (List.length (Engine.findings t));
-  Alcotest.(check int) "and it is obj-magic" 1 (Engine.rule_count t "obj-magic")
+  Alcotest.(check int) "and it is obj-magic" 1 (rule_count t "obj-magic")
 
 let test_missing_test_unit_fails_loudly () =
   let t =
@@ -123,8 +129,8 @@ let test_missing_test_unit_fails_loudly () =
         { fixture_config with Engine.roots = [ "Fix_driver" ]; test_units = [ "Fix_nope" ] }
       ()
   in
-  Alcotest.(check int) "config-drift for the dead test unit" 1 (Engine.rule_count t "config-drift");
-  Alcotest.(check int) "every merge now uncovered" 2 (Engine.rule_count t "merge-law-missing")
+  Alcotest.(check int) "config-drift for the dead test unit" 1 (rule_count t "config-drift");
+  Alcotest.(check int) "every merge now uncovered" 2 (rule_count t "merge-law-missing")
 
 let test_findings_are_sorted_and_json_escapes () =
   let t = run () in
@@ -171,6 +177,86 @@ let test_sarif_output () =
   Alcotest.(check int) "one result per finding"
     (List.length (Engine.findings t))
     (count {|"ruleId"|} sarif)
+
+(* --- the ntcheck binary's exit status over a copy of the fixtures --- *)
+
+(* The copy's path must not contain check_fixtures, or the binary's
+   default excludes would skip it. [damage] rewrites one file. *)
+let with_fixture_copy ?(damage = fun _ -> ()) f =
+  let dir = Filename.temp_dir "nt_fixture_copy" "" in
+  Array.iter
+    (fun name ->
+      if Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti" then begin
+        let data =
+          In_channel.with_open_bin (Filename.concat fixture_dir name) In_channel.input_all
+        in
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc data)
+      end)
+    (Sys.readdir fixture_dir);
+  damage dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let ntcheck_exe =
+  List.find Sys.file_exists [ "../bin/ntcheck.exe"; "_build/default/bin/ntcheck.exe" ]
+
+(* Exit status and stderr of the binary run over [dir]. *)
+let ntcheck args dir =
+  let err = Filename.temp_file "ntcheck" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command ntcheck_exe ~stdout:Filename.null ~stderr:err (args @ [ dir ]))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, text)
+
+(* A finding past the per-rule cap is not listed but still counts: a
+   zero cap must fail the error gate exactly as the default cap does. *)
+let test_capped_errors_fail_the_gate () =
+  let t = run ~config:{ fixture_config with Engine.max_per_rule = 0 } () in
+  let tally = Engine.tally t in
+  let warns = List.length (List.filter (fun (r : Rule.t) -> r.severity = Nt_rules.Warn) Rule.all) in
+  Alcotest.(check int) "capped errors counted" (seeded - warns)
+    (Nt_rules.severity_count tally Nt_rules.Error);
+  Alcotest.(check bool) "the error gate fails" true
+    (Nt_rules.fails ~fail_on:(Some Nt_rules.Error) tally);
+  with_fixture_copy (fun dir ->
+      let tally =
+        Engine.tally (Engine.run { Engine.default_config with Engine.max_per_rule = 0 } dir)
+      in
+      let code, err = ntcheck [ "--max-per-rule"; "0"; "--fail-on"; "error" ] dir in
+      Alcotest.(check int) "ntcheck exits 1 with every finding capped" 1 code;
+      let errors = Nt_rules.severity_count tally Nt_rules.Error in
+      Alcotest.(check bool) "and counts the capped errors" true
+        (errors > 0
+        && contains err (Printf.sprintf " %d error(s)," errors)
+        && contains err
+             (Printf.sprintf "(%d findings dropped past per-rule cap)" (Nt_rules.capped tally))))
+
+(* A unit that does not load is a unit no rule saw; the run must not
+   pass, whatever the threshold. *)
+let test_unreadable_unit_exits_2 () =
+  let victim = "fix_hygiene.cmt" in
+  let damage dir =
+    let path = Filename.concat dir victim in
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.sub data 0 (String.length data / 2)))
+  in
+  with_fixture_copy ~damage (fun dir ->
+      let t = Engine.run fixture_config dir in
+      Alcotest.(check (list string)) "the truncated file is the load error"
+        [ Filename.concat dir victim ] (List.map fst (Engine.load_errors t));
+      Alcotest.(check int) "one unit fewer" (Engine.units_scanned (run ()) - 1)
+        (Engine.units_scanned t);
+      let code, err = ntcheck [ "--fail-on"; "never" ] dir in
+      Alcotest.(check int) "ntcheck exits 2 even at --fail-on never" 2 code;
+      Alcotest.(check bool) "after listing the path" true
+        (contains err ("unreadable " ^ Filename.concat dir victim)))
 
 (* --- may-raise fixpoint properties on random call graphs --- *)
 
@@ -250,6 +336,11 @@ let () =
             test_findings_are_sorted_and_json_escapes;
           Alcotest.test_case "may-raise report rows" `Quick test_exn_report_rows;
           Alcotest.test_case "sarif output well-formed" `Quick test_sarif_output;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "capped errors fail the gate" `Quick test_capped_errors_fail_the_gate;
+          Alcotest.test_case "an unreadable unit exits 2" `Quick test_unreadable_unit_exits_2;
         ] );
       ( "exnflow",
         [

@@ -45,7 +45,7 @@ let read i = mk i (Ops.Read { fh = file_fh; offset = 0L; count = 4096 })
 let lint ?stats ?config records = Pipeline.lint_records ?config ?stats records
 
 let finding_ids t =
-  List.map (fun (f : Finding.t) -> f.Finding.rule.Rule.id) (Lint.findings t)
+  List.map (fun (f : Finding.t) -> f.Finding.rule.id) (Lint.findings t)
 
 let check_clean what t =
   Alcotest.(check (list string)) (what ^ " lint-clean") [] (finding_ids t)
@@ -54,7 +54,7 @@ let check_clean what t =
 let check_one what ~rule ~index t =
   match Lint.findings t with
   | [ f ] ->
-      Alcotest.(check string) (what ^ " rule") rule f.Finding.rule.Rule.id;
+      Alcotest.(check string) (what ^ " rule") rule f.Finding.rule.id;
       Alcotest.(check int) (what ^ " index") index f.Finding.index
   | fs ->
       Alcotest.failf "%s: expected exactly one finding, got [%s]" what
@@ -95,7 +95,7 @@ let test_leak_counter () =
   Alcotest.(check bool) "raw ids counted as leaks" true (Anonymize.leaks anon > 0);
   let t = lint ~config:anon_config half in
   Alcotest.(check bool) "linter flags the leaked ids" true
-    (Lint.finding_count t Rule.unmapped_id > 0)
+    (Nt_rules.count (Lint.tally t) Rule.unmapped_id > 0)
 
 (* --- one rule, one violation, one finding --- *)
 
@@ -209,7 +209,7 @@ let truncate_plan = { Fault.none with truncate = 0.3; truncate_to = 64 }
 let family_count t family =
   List.length
     (List.filter
-       (fun (f : Finding.t) -> f.Finding.rule.Rule.family = family)
+       (fun (f : Finding.t) -> f.Finding.rule.family = family)
        (Lint.findings t))
 
 let oracle plan =
@@ -223,12 +223,12 @@ let test_oracle_clean_side () =
 let test_oracle_ge_loss () =
   let o = oracle ge_plan in
   Alcotest.(check bool) "loss yields protocol findings" true
-    (family_count o.Pipeline.degraded_lint Rule.Protocol > 0)
+    (family_count o.Pipeline.degraded_lint "protocol" > 0)
 
 let test_oracle_truncation () =
   let o = oracle truncate_plan in
   Alcotest.(check bool) "truncation yields hygiene findings" true
-    (family_count o.Pipeline.degraded_lint Rule.Hygiene > 0)
+    (family_count o.Pipeline.degraded_lint "hygiene" > 0)
 
 (* --- properties --- *)
 
@@ -261,7 +261,7 @@ let prop_dropped_reply_fires_once =
       in
       let t = lint records in
       match Lint.findings t with
-      | [ f ] -> f.Finding.rule.Rule.id = "unanswered-call" && f.Finding.index = k
+      | [ f ] -> f.Finding.rule.id = "unanswered-call" && f.Finding.index = k
       | _ -> false)
 
 let prop_duplicated_record_fires_once =
@@ -276,7 +276,7 @@ let prop_duplicated_record_fires_once =
       in
       let t = lint records in
       match Lint.findings t with
-      | [ f ] -> f.Finding.rule.Rule.id = "duplicate-xid" && f.Finding.index = k + 1
+      | [ f ] -> f.Finding.rule.id = "duplicate-xid" && f.Finding.index = k + 1
       | _ -> false)
 
 let () =

@@ -327,57 +327,6 @@ let test_v2_error_mapping () =
   | Error Types.Err_io -> () (* v3-only codes degrade to EIO *)
   | _ -> Alcotest.fail "expected EIO"
 
-(* --- mount protocol --- *)
-
-module Mount = Nt_nfs.Mount
-
-let test_mount_proc_numbers () =
-  Alcotest.(check int) "program" 100005 Mount.program;
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "proc roundtrip" true
-        (Mount.proc_of_number (Mount.proc_number p) = Some p))
-    [ Mount.Null; Mount.Mnt; Mount.Dump; Mount.Umnt; Mount.Umntall; Mount.Export ];
-  Alcotest.(check bool) "unknown rejected" true (Mount.proc_of_number 42 = None)
-
-let test_mount_mnt_roundtrip () =
-  let e = E.create () in
-  Mount.encode_mnt_call e "/export/home02";
-  Alcotest.(check string) "path" "/export/home02" (Mount.decode_mnt_call (D.of_string (E.contents e)));
-  let fh = Fh.make ~fsid:2 ~fileid:1 in
-  let e2 = E.create () in
-  Mount.encode_mnt_result e2 (Ok { fh; auth_flavors = [ 0; 1 ] });
-  (match Mount.decode_mnt_result (D.of_string (E.contents e2)) with
-  | Ok r ->
-      Alcotest.(check bool) "fh" true (Fh.equal r.fh fh);
-      Alcotest.(check (list int)) "flavors" [ 0; 1 ] r.auth_flavors
-  | Error _ -> Alcotest.fail "expected ok");
-  let e3 = E.create () in
-  Mount.encode_mnt_result e3 (Error Types.Err_acces);
-  match Mount.decode_mnt_result (D.of_string (E.contents e3)) with
-  | Error Types.Err_acces -> ()
-  | _ -> Alcotest.fail "expected EACCES"
-
-let test_mount_export_list () =
-  let exports =
-    [
-      { Mount.dir = "/export/home02"; groups = [ "campus-mail"; "campus-login" ] };
-      { Mount.dir = "/export/eecs"; groups = [] };
-    ]
-  in
-  let e = E.create () in
-  Mount.encode_export_result e exports;
-  let back = Mount.decode_export_result (D.of_string (E.contents e)) in
-  Alcotest.(check int) "two exports" 2 (List.length back);
-  Alcotest.(check (list string)) "groups" [ "campus-mail"; "campus-login" ]
-    (List.hd back).Mount.groups;
-  Alcotest.(check string) "second dir" "/export/eecs" (List.nth back 1).Mount.dir
-
-let test_mount_empty_export_list () =
-  let e = E.create () in
-  Mount.encode_export_result e [];
-  Alcotest.(check int) "empty" 0 (List.length (Mount.decode_export_result (D.of_string (E.contents e))))
-
 (* --- property: random read/write args roundtrip both versions --- *)
 
 let prop_v3_read_args =
@@ -440,13 +389,6 @@ let () =
           Alcotest.test_case "all errors roundtrip" `Quick test_v3_all_errors_roundtrip;
           QCheck_alcotest.to_alcotest prop_v3_read_args;
           QCheck_alcotest.to_alcotest prop_v3_name_calls;
-        ] );
-      ( "mount",
-        [
-          Alcotest.test_case "proc numbers" `Quick test_mount_proc_numbers;
-          Alcotest.test_case "mnt roundtrip" `Quick test_mount_mnt_roundtrip;
-          Alcotest.test_case "export list" `Quick test_mount_export_list;
-          Alcotest.test_case "empty export list" `Quick test_mount_empty_export_list;
         ] );
       ( "v2",
         [

@@ -744,7 +744,7 @@ let test_pipeline_conservation_from_json () =
   let stats =
     Nt_core.Pipeline.campus_to_pcap ~obs
       ~config:{ Nt_workload.Email.default_config with users = 8 }
-      ~monitor_loss:0.05 ~start ~stop:(start +. 600.) ~writer ()
+      ~fault:(Nt_sim.Fault.bernoulli_loss 0.05) ~start ~stop:(start +. 600.) ~writer ()
   in
   let doc =
     match Json.parse (Obs.to_json stats.snapshot) with

@@ -2,7 +2,6 @@
    capture engine (over real pcap bytes) and the anonymizer. *)
 
 module Record = Nt_trace.Record
-module Fh_map = Nt_trace.Fh_map
 module Capture = Nt_trace.Capture
 module Anonymize = Nt_trace.Anonymize
 module Ops = Nt_nfs.Ops
@@ -138,51 +137,6 @@ let test_channel_roundtrip () =
   Sys.remove path;
   Alcotest.(check int) "read all" 20 (List.length back);
   List.iteri (fun i r -> Alcotest.(check int) "xids in order" i r.Record.xid) back
-
-(* --- fh map --- *)
-
-let lookup_record ~dir ~name ~child =
-  {
-    base_record with
-    call = Ops.Lookup { dir; name };
-    result = Some (Ok (Ops.R_lookup { fh = child; obj = None; dir = None }));
-  }
-
-let test_fh_map_paths () =
-  let m = Fh_map.create () in
-  let home = Fh.make ~fsid:1 ~fileid:10 in
-  let user = Fh.make ~fsid:1 ~fileid:11 in
-  let inbox = Fh.make ~fsid:1 ~fileid:12 in
-  Fh_map.observe m (lookup_record ~dir:dir_fh ~name:"users" ~child:home);
-  Fh_map.observe m (lookup_record ~dir:home ~name:"u0042" ~child:user);
-  Fh_map.observe m (lookup_record ~dir:user ~name:".inbox" ~child:inbox);
-  Alcotest.(check (option string)) "leaf name" (Some ".inbox") (Fh_map.name_of m inbox);
-  Alcotest.(check (option string)) "full path" (Some "?/users/u0042/.inbox")
-    (Fh_map.path_of m inbox);
-  Alcotest.(check bool) "parent" true (Fh_map.parent_of m inbox = Some user);
-  Alcotest.(check int) "three bindings" 3 (Fh_map.known m)
-
-let test_fh_map_rename () =
-  let m = Fh_map.create () in
-  let f = Fh.make ~fsid:1 ~fileid:20 in
-  Fh_map.observe m (lookup_record ~dir:dir_fh ~name:"old" ~child:f);
-  Fh_map.observe m
-    {
-      base_record with
-      call = Ops.Rename { from_dir = dir_fh; from_name = "old"; to_dir = dir_fh; to_name = "new" };
-      result = Some (Ok Ops.R_empty);
-    };
-  Alcotest.(check (option string)) "renamed" (Some "new") (Fh_map.name_of m f)
-
-let test_fh_map_resolution_rate () =
-  let m = Fh_map.create () in
-  let a = Fh.make ~fsid:1 ~fileid:30 in
-  let b = Fh.make ~fsid:1 ~fileid:31 in
-  (* First binding: the root is unknown but counted as resolved (empty
-     map bootstrap); child of a known parent is resolved. *)
-  Fh_map.observe m (lookup_record ~dir:dir_fh ~name:"a" ~child:a);
-  Fh_map.observe m (lookup_record ~dir:a ~name:"b" ~child:b);
-  Alcotest.(check (float 1e-9) "fully resolved") 1.0 (Fh_map.resolution_rate m)
 
 (* --- capture over real packets --- *)
 
@@ -1088,12 +1042,6 @@ let () =
           Alcotest.test_case "rejected literal quirks" `Quick test_rejected_quirks;
           Alcotest.test_case "read_channel counts rejected" `Quick
             test_read_channel_counts_rejected;
-        ] );
-      ( "fh_map",
-        [
-          Alcotest.test_case "paths" `Quick test_fh_map_paths;
-          Alcotest.test_case "rename" `Quick test_fh_map_rename;
-          Alcotest.test_case "resolution rate" `Quick test_fh_map_resolution_rate;
         ] );
       ( "capture",
         [

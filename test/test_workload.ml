@@ -189,13 +189,32 @@ let test_pcap_pipeline_with_loss () =
   let buf = Buffer.create (1 lsl 20) in
   let writer = Nt_net.Pcap.writer_to_buffer buf in
   let config = { Nt_workload.Email.default_config with users = 10 } in
-  let stats = Pipeline.campus_to_pcap ~config ~monitor_loss:0.05 ~start ~stop ~writer () in
+  let fault = Nt_sim.Fault.bernoulli_loss 0.05 in
+  let stats = Pipeline.campus_to_pcap ~config ~fault ~start ~stop ~writer () in
   Alcotest.(check bool) "monitor dropped packets" true (stats.packets_dropped > 0);
   let cap_stats, records = Pipeline.capture_pcap (Buffer.contents buf) in
   (* Loss means incomplete recovery, visible in the stats. *)
   Alcotest.(check bool) "some records lost" true (List.length records < stats.run.records);
   Alcotest.(check bool) "loss is accounted" true
     (cap_stats.orphan_replies + cap_stats.lost_replies + cap_stats.tcp_gaps > 0)
+
+(* nfswlgen takes independent loss (--loss) or a fault plan (--fault),
+   not both: the plan would silently win. *)
+let test_nfswlgen_refuses_loss_with_fault () =
+  let exe =
+    List.find Sys.file_exists [ "../bin/nfswlgen.exe"; "_build/default/bin/nfswlgen.exe" ]
+  in
+  let out = Filename.temp_file "nfswlgen" ".pcap" in
+  let gen args =
+    Sys.command
+      (Filename.quote_command exe ~stderr:Filename.null
+         ([ "--users"; "2"; "--hours"; "0.01"; "--format"; "pcap"; "-o"; out ] @ args))
+  in
+  Alcotest.(check int) "--fault burst --loss 0.05 is a usage error" 2
+    (gen [ "--fault"; "burst"; "--loss"; "0.05" ]);
+  Alcotest.(check int) "--loss alone runs" 0 (gen [ "--loss"; "0.05" ]);
+  Alcotest.(check int) "--fault alone runs" 0 (gen [ "--fault"; "burst" ]);
+  Sys.remove out
 
 (* --- anonymize then analyze --- *)
 
@@ -276,6 +295,8 @@ let () =
           Alcotest.test_case "udp lossless roundtrip" `Quick test_pcap_pipeline_lossless_udp;
           Alcotest.test_case "tcp roundtrip" `Quick test_pcap_pipeline_campus_tcp;
           Alcotest.test_case "monitor loss accounted" `Quick test_pcap_pipeline_with_loss;
+          Alcotest.test_case "nfswlgen: --loss or --fault, not both" `Quick
+            test_nfswlgen_refuses_loss_with_fault;
         ] );
       ( "integration",
         [
