@@ -40,7 +40,7 @@ let run input output out_tbin salvage lint obs_opts =
         ~finally:(fun () ->
           Option.iter close_out toc;
           if output <> "-" then close_out oc)
-        (fun () -> Nt_core.Pipeline.trace_pcap ~obs ~emit ?tbin:toc reader oc)
+        (fun () -> Nt_core.Pipeline.trace_pcap ~obs ?timeline ~emit ?tbin:toc reader oc)
     in
     Option.iter corrupt aborted;
     Printf.eprintf "nfstrace: %s\n%!" (Nt_trace.Capture.stats_to_string stats);

@@ -15,6 +15,12 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
        %!";
     exit 2
   end;
+  if format <> `Pcap && (fault <> `None || loss > 0.) then begin
+    prerr_endline
+      "nfswlgen: --loss and --fault require --format pcap (records are written without passing \
+       the monitor port)";
+    exit 2
+  end;
   if fault <> `None && loss > 0. then begin
     prerr_endline "nfswlgen: --loss and --fault both set the monitor's loss; give one of them";
     exit 2

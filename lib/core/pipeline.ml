@@ -132,24 +132,149 @@ let capture_pcap ?obs ?salvage pcap_bytes =
       Nt_trace.Capture.feed_pcap capture reader;
       Nt_trace.Capture.finish capture)
 
-let trace_pcap ?obs ?(emit = ignore) ?tbin reader oc =
+(* nfstrace's decode runs in two stages (DESIGN.md §17). The calling
+   domain reads the pcap and pairs records into batches; the render
+   stage writes them in FIFO order as text lines and tbin frames, on a
+   second domain when there is a second CPU, else inline. Batch [i]
+   lives in slot [i mod slots]; at most [in_flight] wait between the
+   stages, so few records outlive a minor collection. *)
+let batch_len = 64
+let in_flight = 2
+let slots = in_flight + 1
+
+type batch = { recs : Nt_trace.Record.t array; mutable len : int }
+
+(* Written over each rendered record, so a minor collection promotes
+   only the records in flight. *)
+let blank =
+  let ip = Ip_addr.v 0 0 0 0 in
+  {
+    Nt_trace.Record.time = 0.;
+    reply_time = None;
+    client = ip;
+    server = ip;
+    version = 3;
+    xid = 0;
+    uid = 0;
+    gid = 0;
+    call = Nt_nfs.Ops.Null;
+    result = None;
+  }
+
+type handoff = {
+  free : Semaphore.Counting.t;  (* batches the capture may still hand over *)
+  full : Semaphore.Counting.t;  (* batches handed over and not yet taken *)
+  ring : batch array;
+  failed : exn option Atomic.t;  (* what stopped the render stage *)
+}
+
+(* The render domain, until an empty batch ends the stream. It times
+   each batch into [tbuf] and touches no registry. *)
+let render_stage h render tbuf =
+  let rec loop i =
+    Semaphore.Counting.acquire h.full;
+    let b = h.ring.(i mod slots) in
+    if b.len > 0 then begin
+      let t0 = Unix.gettimeofday () in
+      render b;
+      Nt_obs.Timeline.buf_add tbuf ~name:"trace.render" ~t0 ~t1:(Unix.gettimeofday ());
+      Semaphore.Counting.release h.free;
+      loop (i + 1)
+    end
+  in
+  try loop 0
+  with e ->
+    Atomic.set h.failed (Some e);
+    Semaphore.Counting.release h.free
+
+(* The capture's side: hand a batch over, first waiting while
+   [in_flight] are; raise what stopped the render stage. *)
+let hand_over obs h =
+  if not (Semaphore.Counting.try_acquire h.free) then
+    Obs.with_span obs "trace.blocked" (fun () -> Semaphore.Counting.acquire h.free);
+  match Atomic.get h.failed with
+  | Some e ->
+      Semaphore.Counting.release h.free;
+      raise e
+  | None -> Semaphore.Counting.release h.full
+
+let trace_pcap ?obs ?timeline ?(emit = ignore) ?tbin reader oc =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let tbin = Option.map (fun toc -> Nt_tbin.Writer.create (output_string toc)) tbin in
-  let line = Buffer.create 256 in
-  let emit r =
-    Nt_trace.Record.output_line line oc r;
-    Option.iter (fun w -> Nt_tbin.Writer.add w r) tbin;
+  let line = Buffer.create 256 and busy = ref 0. in
+  let render b =
+    let t0 = Unix.gettimeofday () in
+    for i = 0 to b.len - 1 do
+      Nt_trace.Record.output_line line oc b.recs.(i);
+      Option.iter (fun w -> Nt_tbin.Writer.add w b.recs.(i)) tbin;
+      b.recs.(i) <- blank
+    done;
+    b.len <- 0;
+    busy := !busy +. (Unix.gettimeofday () -. t0)
+  in
+  let h =
+    {
+      free = Semaphore.Counting.make in_flight;
+      full = Semaphore.Counting.make 0;
+      ring = Array.init slots (fun _ -> { recs = Array.make batch_len blank; len = 0 });
+      failed = Atomic.make None;
+    }
+  in
+  let tbuf = Nt_obs.Timeline.buf () in
+  let domain =
+    if Domain.recommended_domain_count () = 1 then None
+    else try Some (Domain.spawn (fun () -> render_stage h render tbuf)) with Failure _ -> None
+  in
+  let handed = ref 0 in
+  let current () = h.ring.(!handed mod slots) in
+  let hand () =
+    match domain with
+    | Some _ ->
+        hand_over obs h;
+        incr handed
+    | None -> (
+        try render (current ())
+        with e ->
+          Atomic.set h.failed (Some e);
+          raise e)
+  in
+  let add r =
+    let b = current () in
+    b.recs.(b.len) <- r;
+    b.len <- b.len + 1;
+    if b.len = batch_len then hand ();
     emit r
   in
-  let capture = Nt_trace.Capture.create ~obs ~emit () in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Nt_tbin.Writer.close tbin)
-    (fun () ->
+  let capture = Nt_trace.Capture.create ~obs ~emit:add () in
+  (* Whatever stopped the capture, the records it decoded are written
+     and an empty batch ends the render stage, unless writing failed. *)
+  let stop () =
+    (try
+       if Atomic.get h.failed = None then begin
+         if (current ()).len > 0 then hand ();
+         hand ()
+       end
+     with _ -> ());
+    Option.iter Domain.join domain;
+    Option.iter Nt_tbin.Writer.close tbin;
+    Obs.span_record obs "trace.render" ~seconds:!busy;
+    Option.iter (fun tl -> Nt_obs.Timeline.absorb tl tbuf) timeline;
+    Option.iter raise (Atomic.get h.failed)
+  in
+  Obs.with_span obs "capture.decode" (fun () ->
       match
-        Obs.with_span obs "capture.decode" (fun () -> Nt_trace.Capture.feed_pcap capture reader)
+        Nt_trace.Capture.feed_pcap capture reader;
+        fst (Nt_trace.Capture.finish capture)
       with
-      | () -> (fst (Nt_trace.Capture.finish capture), None)
-      | exception Nt_net.Pcap.Bad_format msg -> (Nt_trace.Capture.stats capture, Some msg))
+      | stats ->
+          stop ();
+          (stats, None)
+      | exception Nt_net.Pcap.Bad_format msg ->
+          stop ();
+          (Nt_trace.Capture.stats capture, Some msg)
+      | exception e ->
+          stop ();
+          raise e)
 
 (* --- degraded-vs-clean differential harness --- *)
 

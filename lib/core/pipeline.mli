@@ -89,18 +89,29 @@ val capture_pcap :
 
 val trace_pcap :
   ?obs:Nt_obs.Obs.t ->
+  ?timeline:Nt_obs.Timeline.t ->
   ?emit:(Nt_trace.Record.t -> unit) ->
   ?tbin:out_channel ->
   Nt_net.Pcap.reader ->
   out_channel ->
   Nt_trace.Capture.stats * string option
 (** [nfstrace]'s decode: each record as it completes, as a text line to
-    the channel, as nttb/1 to [tbin] when given, then to [emit].
+    the channel and as nttb/1 to [tbin] when given, and to [emit].
     Unanswered calls flush at the end. A record header damaged
     mid-capture ({!Nt_net.Pcap.Bad_format}) stops the decode: the
     result is the stats so far and [Some reason], and pending calls are
-    not flushed. On every exit the tbin writer is closed, so both
-    outputs hold the same records; the channels stay open. *)
+    not flushed. On every exit the records decoded so far are written
+    (unless writing failed) and the tbin writer is closed, so both
+    outputs hold the same records; the channels stay open.
+
+    The writing runs on a second domain when
+    [Domain.recommended_domain_count ()] exceeds 1, else inline; the
+    output is the same byte for byte. [emit] runs on the calling domain
+    in record order. An exception in either stage stops both and is
+    raised once the second domain has joined. Under [obs]'s
+    [capture.decode] span, [trace.render] is the writing's busy time
+    and [trace.blocked] the capture's waits for the writer; [timeline]
+    gains one span per batch the second domain wrote, on its track. *)
 
 type degraded_run = {
   simulated : int;  (** records pushed into both pipes *)

@@ -535,6 +535,147 @@ let test_buffered_records_do_not_alias () =
   let _, buffered = via_reused_buffer pcap in
   Alcotest.(check (list string)) "same lines after finish" at_production (lines buffered)
 
+(* --- nfstrace's two-stage decode against one domain --- *)
+
+let eecs_lossy_pcap () =
+  let plan =
+    {
+      Fault.none with
+      drop = Fault.Gilbert_elliott { p_gb = 0.02; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
+      corrupt = 0.02;
+      corrupt_bytes = 1;
+      corrupt_addrs_only = true;
+      duplicate = 0.02;
+      duplicate_delay = 0.005;
+    }
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:10 ~minute:0 in
+  let config = { Nt_workload.Research.default_config with users = 40 } in
+  let (_ : Pipeline.pcap_stats) =
+    Pipeline.eecs_to_pcap ~config ~fault:plan ~start ~stop:(start +. 1800.)
+      ~writer:(Pcap.writer_to_buffer buf) ()
+  in
+  Buffer.contents buf
+
+(* Run [f text_oc tbin_oc] on two temporary files; its result and the
+   bytes it wrote to each. *)
+let with_outputs f =
+  let text = Filename.temp_file "nt_trace_test" ".trace" in
+  let tbin = Filename.temp_file "nt_trace_test" ".ntb" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ text; tbin ])
+    (fun () ->
+      let v =
+        Out_channel.with_open_bin text (fun oc -> Out_channel.with_open_bin tbin (f oc))
+      in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      (v, read text, read tbin))
+
+(* What nfstrace wrote before its decode had two stages: one domain
+   renders each record as the capture emits it. *)
+let one_domain_decode ~salvage pcap oc toc =
+  let w = Nt_tbin.Writer.create (output_string toc) and line = Buffer.create 256 in
+  let emitted = ref [] in
+  let emit r =
+    Record.output_line line oc r;
+    Nt_tbin.Writer.add w r;
+    emitted := r :: !emitted
+  in
+  let cap = Capture.create ~emit () in
+  let result =
+    match Capture.feed_pcap cap (Pcap.reader_of_string ~salvage pcap) with
+    | () -> (fst (Capture.finish cap), None)
+    | exception Pcap.Bad_format msg -> (Capture.stats cap, Some msg)
+  in
+  Nt_tbin.Writer.close w;
+  (result, List.rev !emitted)
+
+let two_stage_decode ~salvage pcap oc toc =
+  let emitted = ref [] in
+  let result =
+    Pipeline.trace_pcap ~tbin:toc
+      ~emit:(fun r -> emitted := r :: !emitted)
+      (Pcap.reader_of_string ~salvage pcap)
+      oc
+  in
+  (result, List.rev !emitted)
+
+let test_two_stage_matches_one_domain () =
+  let campus = campus_pcap () in
+  let truncate = { Fault.none with truncate = 0.02; truncate_to = 30 } in
+  let cases =
+    [
+      ("clean campus tcp", false, campus);
+      ("lossy eecs udp", false, eecs_lossy_pcap ());
+      ("campus burst", false, campus_pcap ~fault:Fault.campus_burst ());
+      ("campus truncate", false, campus_pcap ~fault:truncate ());
+      ("salvage", true, mangle_headers campus ~every:40);
+      ("mid-capture abort", false, mangle_headers campus ~every:4000);
+    ]
+  in
+  List.iter
+    (fun (name, salvage, pcap) ->
+      let ((stats, aborted), emitted), text, tbin =
+        with_outputs (one_domain_decode ~salvage pcap)
+      in
+      let ((stats', aborted'), emitted'), text', tbin' =
+        with_outputs (two_stage_decode ~salvage pcap)
+      in
+      Alcotest.(check bool) (name ^ ": many batches") true (List.length emitted > 1000);
+      Alcotest.(check string) (name ^ ": text") text text';
+      Alcotest.(check bool) (name ^ ": tbin") true (String.equal tbin tbin');
+      Alcotest.(check (list string)) (name ^ ": emit order") (lines emitted) (lines emitted');
+      Alcotest.(check string) (name ^ ": stats") (Capture.stats_to_string stats)
+        (Capture.stats_to_string stats');
+      Alcotest.(check (option string)) (name ^ ": abort") aborted aborted')
+    cases
+
+(* The process's thread count, where /proc shows it. *)
+let threads () =
+  try
+    In_channel.with_open_text "/proc/self/status" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun l -> Scanf.sscanf_opt l "Threads: %d" Fun.id)
+  with Sys_error _ -> None
+
+(* An exception in either stage escapes only once the render domain
+   has joined, and stops the capture. *)
+let test_two_stage_failures () =
+  let pcap = campus_pcap () in
+  let total = List.length (snd (Pipeline.capture_pcap pcap)) in
+  let before = threads () in
+  (* A joined domain's thread may take a moment to exit. *)
+  let rec settled tries =
+    threads () = before || (tries > 0 && (Unix.sleepf 0.01; settled (tries - 1)))
+  in
+  let closed = open_out_bin Filename.null in
+  close_out closed;
+  let emitted = ref 0 in
+  (match
+     Pipeline.trace_pcap ~emit:(fun _ -> incr emitted) (Pcap.reader_of_string pcap) closed
+   with
+  | _ -> Alcotest.fail "writing to a closed channel succeeded"
+  | exception Sys_error _ -> ());
+  (* The capture runs on for at most the batches in flight. *)
+  Alcotest.(check bool) "render failure stops the capture" true (!emitted < total / 2);
+  Alcotest.(check bool) "no domain left running after a render failure" true (settled 100);
+  (* A capture-side exception: what was decoded before it is written. *)
+  let emitted = ref 0 in
+  let stop _ =
+    incr emitted;
+    if !emitted = 1000 then raise Exit
+  in
+  let (), text, _ =
+    with_outputs (fun oc toc ->
+        match Pipeline.trace_pcap ~tbin:toc ~emit:stop (Pcap.reader_of_string pcap) oc with
+        | _ -> Alcotest.fail "the emit exception was lost"
+        | exception Exit -> ())
+  in
+  Alcotest.(check int) "records before the exception written" 1000
+    (List.length (String.split_on_char '\n' text) - 1);
+  Alcotest.(check bool) "no domain left running after a capture failure" true (settled 100)
+
 let test_capture_unknown_version () =
   (* A call whose NFS version field says 7: counted as an RPC error and
      never written out, so its reply is an orphan. *)
@@ -1074,6 +1215,10 @@ let () =
           Alcotest.test_case "salvage" `Quick test_slice_salvage;
           Alcotest.test_case "buffered records do not alias" `Quick
             test_buffered_records_do_not_alias;
+          Alcotest.test_case "two-stage decode matches one domain" `Quick
+            test_two_stage_matches_one_domain;
+          Alcotest.test_case "two-stage decode stops on either stage's error" `Quick
+            test_two_stage_failures;
         ] );
       ( "anonymize",
         [

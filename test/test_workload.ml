@@ -204,16 +204,26 @@ let test_nfswlgen_refuses_loss_with_fault () =
   let exe =
     List.find Sys.file_exists [ "../bin/nfswlgen.exe"; "_build/default/bin/nfswlgen.exe" ]
   in
-  let out = Filename.temp_file "nfswlgen" ".pcap" in
-  let gen args =
+  let out = Filename.temp_file "nfswlgen" ".out" in
+  let gen ?(format = "pcap") args =
     Sys.command
       (Filename.quote_command exe ~stderr:Filename.null
-         ([ "--users"; "2"; "--hours"; "0.01"; "--format"; "pcap"; "-o"; out ] @ args))
+         ([ "--users"; "2"; "--hours"; "0.01"; "--format"; format; "-o"; out ] @ args))
   in
   Alcotest.(check int) "--fault burst --loss 0.05 is a usage error" 2
     (gen [ "--fault"; "burst"; "--loss"; "0.05" ]);
   Alcotest.(check int) "--loss alone runs" 0 (gen [ "--loss"; "0.05" ]);
   Alcotest.(check int) "--fault alone runs" 0 (gen [ "--fault"; "burst" ]);
+  (* The record formats never pass through the monitor port, so a loss
+     or fault plan there would do nothing. *)
+  List.iter
+    (fun format ->
+      Alcotest.(check int) ("--loss with " ^ format ^ " is a usage error") 2
+        (gen ~format [ "--loss"; "0.5" ]);
+      Alcotest.(check int) ("--fault with " ^ format ^ " is a usage error") 2
+        (gen ~format [ "--fault"; "truncate" ]);
+      Alcotest.(check int) (format ^ " alone runs") 0 (gen ~format []))
+    [ "trace"; "tbin" ];
   Sys.remove out
 
 (* --- anonymize then analyze --- *)
