@@ -572,8 +572,8 @@ let with_outputs f =
       let read path = In_channel.with_open_bin path In_channel.input_all in
       (v, read text, read tbin))
 
-(* What nfstrace wrote before its decode had two stages: one domain
-   renders each record as the capture emits it. *)
+(* The reference: one domain renders each record as the capture emits
+   it. *)
 let one_domain_decode ~salvage pcap oc toc =
   let w = Nt_tbin.Writer.create (output_string toc) and line = Buffer.create 256 in
   let emitted = ref [] in
