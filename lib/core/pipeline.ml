@@ -203,13 +203,13 @@ let trace_pcap ?obs ?timeline ?(emit = ignore) ?tbin reader oc =
   let tbin = Option.map (fun toc -> Nt_tbin.Writer.create (output_string toc)) tbin in
   let line = Buffer.create 256 and busy = ref 0. in
   let render b =
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to b.len - 1 do
+    let t0 = Unix.gettimeofday () and n = b.len in
+    b.len <- 0;
+    for i = 0 to n - 1 do
       Nt_trace.Record.output_line line oc b.recs.(i);
       Option.iter (fun w -> Nt_tbin.Writer.add w b.recs.(i)) tbin;
       b.recs.(i) <- blank
     done;
-    b.len <- 0;
     busy := !busy +. (Unix.gettimeofday () -. t0)
   in
   let h =
@@ -232,11 +232,7 @@ let trace_pcap ?obs ?timeline ?(emit = ignore) ?tbin reader oc =
     | Some _ ->
         hand_over obs h;
         incr handed
-    | None -> (
-        try render (current ())
-        with e ->
-          Atomic.set h.failed (Some e);
-          raise e)
+    | None -> render (current ())
   in
   let add r =
     let b = current () in
