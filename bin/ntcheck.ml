@@ -32,7 +32,7 @@ let list_unreadable t =
     (Engine.load_errors t)
 
 let run build_dir format json_out exn_report_out fail_on select roots excludes max_per_rule
-    verbose list =
+    expect_units verbose list =
   if list then begin
     Rules_cli.print Rule.all;
     0
@@ -109,7 +109,15 @@ let run build_dir format json_out exn_report_out fail_on select roots excludes m
         (if Nt_rules.capped tally > 0 then
            Printf.sprintf " (%d findings dropped past per-rule cap)" (Nt_rules.capped tally)
          else "");
-      if (not artifacts_ok) || Engine.load_errors t <> [] then 2
+      let units_ok =
+        match expect_units with
+        | Some n when n <> Engine.units_scanned t ->
+            Printf.eprintf "ntcheck: read %d units, %d declared (--expect-units)\n%!"
+              (Engine.units_scanned t) n;
+            false
+        | _ -> true
+      in
+      if (not artifacts_ok) || (not units_ok) || Engine.load_errors t <> [] then 2
       else if Nt_rules.fails ~fail_on tally then 1
       else 0
     end
@@ -165,6 +173,15 @@ let max_per_rule =
     & opt int Engine.default_config.Engine.max_per_rule
     & info [ "max-per-rule" ] ~docv:"N" ~doc:"Cap findings per rule; excess is counted, not listed.")
 
+let expect_units =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "expect-units" ] ~docv:"N"
+        ~doc:
+          "Exit 2 unless exactly $(docv) units were read: a unit that was not built yet when \
+           the analysis ran would otherwise go unchecked without a trace.")
+
 let verbose =
   Arg.(
     value & flag
@@ -177,6 +194,7 @@ let cmd =
        ~doc:"Statically check compiled typedtrees for domain-safety, merge-law and purity invariants")
     Term.(
       const run $ build_dir $ format $ json_out $ exn_report_out $ Rules_cli.fail_on
-      $ Rules_cli.select $ roots $ excludes $ max_per_rule $ verbose $ Rules_cli.term)
+      $ Rules_cli.select $ roots $ excludes $ max_per_rule $ expect_units $ verbose
+      $ Rules_cli.term)
 
 let () = exit (Cmd.eval' cmd)

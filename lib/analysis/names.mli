@@ -8,9 +8,18 @@
     per-category attribute distributions, and runs the
     train-on-first-half / test-on-second-half prediction experiment.
 
-    Categories are recognisable from anonymized names too, because the
-    anonymizer preserves the structural markers (leading dot, [.lock],
-    [,v], [~], [#…#]) — the paper's design intent. *)
+    Only some categories survive {!Nt_trace.Anonymize} with its default
+    configuration: those keyed on a marker it keeps or a name it
+    preserves. [Lock] ([.lock], [lock]), [Autosave] ([#…#]), [Backup]
+    ([~]), [Rcs_archive] ([,v]), [Dot_file] (the leading dot) and
+    [Mailbox] for the preserved [.inbox], [mbox] and [inbox] do. The
+    categories keyed on a suffix or a prefix the anonymizer maps do not:
+    [Source] ([.c], [.h], [.ml], [Makefile]), [Object_file] ([.o]),
+    [Dataset] ([.dat], [.out]), [Log_index] ([.log], [.db]; an
+    anonymized [.history] is a [Dot_file]), [Temp_build], [Applet],
+    [Browser_cache], [Mail_composer] and [saved-] mailboxes. Their files
+    fall into [Other]: on an anonymized EECS trace, 1,237 of 1,445 files
+    did, against 178 on the raw trace. *)
 
 type category =
   | Lock

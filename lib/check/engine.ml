@@ -22,8 +22,14 @@ let default_config =
     hot_prefixes = [ "Nt_analysis" ];
     alloc_roots =
       [
+        "Nt_net.Pcap.advance";
         "Nt_net.Pcap.read_slice";
         "Nt_net.Pcap.parse";
+        "Nt_net.Frame.decode_into";
+        "Nt_xdr.Decode.reset";
+        "Nt_rpc.Rpc_msg.read_header";
+        "Nt_net.Tcp_reassembly.stream";
+        "Nt_net.Tcp_reassembly.push_stream";
         "Nt_net.Tcp_reassembly.push_slice";
         "Nt_rpc.Record_mark.push_slice";
         "Nt_trace.Capture.feed_slice";
@@ -42,6 +48,8 @@ let default_config =
         "Nt_trace.Capture.feed_packet";
         "Nt_trace.Capture.feed_pcap";
         "Nt_trace.Capture.finish";
+        "Nt_net.Frame.decode_into";
+        "Nt_net.Tcp_reassembly.stream";
         "Nt_trace.Record.parse_slice";
         "Nt_tbin.Tbin.Decoder.*";
         "Nt_mon.Feed.*";

@@ -109,7 +109,25 @@ type header = {
 let unsupported_protocol proto = Error (Printf.sprintf "unsupported IP protocol %d" proto)
 [@@nt.alloc_ok "formats the rejection of a non-UDP/TCP frame; never reached by NFS traffic"]
 
-let decode_slice s ~off ~len =
+type scratch = {
+  mutable ip_src : Ip_addr.t;
+  mutable ip_dst : Ip_addr.t;
+  mutable is_tcp : bool;
+  mutable sport : int;
+  mutable dport : int;
+  mutable tcp_seq : int;
+  mutable tcp_syn : bool;
+  mutable tcp_fin : bool;
+  mutable payload_off : int;
+  mutable payload_len : int;
+  mutable checksum_ok : bool;
+}
+
+let scratch () =
+  { ip_src = 0; ip_dst = 0; is_tcp = false; sport = 0; dport = 0; tcp_seq = 0; tcp_syn = false;
+    tcp_fin = false; payload_off = 0; payload_len = 0; checksum_ok = false }
+
+let decode_into (h : scratch) s ~off ~len =
   if off < 0 || len < 0 || off > String.length s - len then Error "slice out of bounds"
   else if len < 34 then Error "frame too short"
   else if get16 s (off + 12) <> ethertype_ipv4 then Error "not IPv4"
@@ -125,8 +143,9 @@ let decode_slice s ~off ~len =
         if 14 + total > len || total < ihl then Error "truncated IP packet"
         else begin
           let proto = get8 s (ip + 9) in
-          let ip_src = get32 s (ip + 12) and ip_dst = get32 s (ip + 16) in
-          let checksum_ok = ipv4_checksum s ~pos:ip ~len:ihl = 0 in
+          h.ip_src <- get32 s (ip + 12);
+          h.ip_dst <- get32 s (ip + 16);
+          h.checksum_ok <- ipv4_checksum s ~pos:ip ~len:ihl = 0;
           let tp = ip + ihl in
           let ip_end = ip + total in
           if proto = proto_udp then begin
@@ -134,11 +153,17 @@ let decode_slice s ~off ~len =
             else begin
               let udp_len = get16 s (tp + 4) in
               if tp + udp_len > ip_end || udp_len < 8 then Error "bad UDP length"
-              else
-                Ok
-                  { ip_src; ip_dst; is_tcp = false; sport = get16 s tp; dport = get16 s (tp + 2);
-                    tcp_seq = 0; tcp_syn = false; tcp_fin = false; payload_off = tp + 8;
-                    payload_len = udp_len - 8; checksum_ok }
+              else begin
+                h.is_tcp <- false;
+                h.sport <- get16 s tp;
+                h.dport <- get16 s (tp + 2);
+                h.tcp_seq <- 0;
+                h.tcp_syn <- false;
+                h.tcp_fin <- false;
+                h.payload_off <- tp + 8;
+                h.payload_len <- udp_len - 8;
+                Ok ()
+              end
             end
           end
           else if proto = proto_tcp then begin
@@ -146,13 +171,18 @@ let decode_slice s ~off ~len =
             else begin
               let doff = (get8 s (tp + 12) lsr 4) * 4 in
               if doff < 20 || tp + doff > ip_end then Error "bad TCP data offset"
-              else
+              else begin
                 let flags = get8 s (tp + 13) in
-                Ok
-                  { ip_src; ip_dst; is_tcp = true; sport = get16 s tp; dport = get16 s (tp + 2);
-                    tcp_seq = get32 s (tp + 4); tcp_syn = flags land 0x02 <> 0;
-                    tcp_fin = flags land 0x01 <> 0; payload_off = tp + doff;
-                    payload_len = ip_end - tp - doff; checksum_ok }
+                h.is_tcp <- true;
+                h.sport <- get16 s tp;
+                h.dport <- get16 s (tp + 2);
+                h.tcp_seq <- get32 s (tp + 4);
+                h.tcp_syn <- flags land 0x02 <> 0;
+                h.tcp_fin <- flags land 0x01 <> 0;
+                h.payload_off <- tp + doff;
+                h.payload_len <- ip_end - tp - doff;
+                Ok ()
+              end
             end
           end
           else unsupported_protocol proto
@@ -160,6 +190,18 @@ let decode_slice s ~off ~len =
       end
     end
   end
+
+let decode_slice s ~off ~len =
+  let h = scratch () in
+  match decode_into h s ~off ~len with
+  | Error e -> Error e
+  | Ok () ->
+      Ok
+        ({ ip_src = h.ip_src; ip_dst = h.ip_dst; is_tcp = h.is_tcp; sport = h.sport;
+           dport = h.dport; tcp_seq = h.tcp_seq; tcp_syn = h.tcp_syn; tcp_fin = h.tcp_fin;
+           payload_off = h.payload_off; payload_len = h.payload_len;
+           checksum_ok = h.checksum_ok }
+          : header)
 
 let header_checksum_ok s =
   match decode_slice s ~off:0 ~len:(String.length s) with Ok h -> h.checksum_ok | Error _ -> true

@@ -48,12 +48,33 @@ type header = {
 }
 (** A parsed frame whose payload stays where it was read. *)
 
+type scratch = {
+  mutable ip_src : Ip_addr.t;
+  mutable ip_dst : Ip_addr.t;
+  mutable is_tcp : bool;
+  mutable sport : int;
+  mutable dport : int;
+  mutable tcp_seq : int;
+  mutable tcp_syn : bool;
+  mutable tcp_fin : bool;
+  mutable payload_off : int;
+  mutable payload_len : int;
+  mutable checksum_ok : bool;
+}
+(** A {!header} that one decoder overwrites frame after frame. *)
+
+val scratch : unit -> scratch
+
+val decode_into : scratch -> string -> off:int -> len:int -> (unit, string) result
+(** Parse the frame in [s.[off .. off+len-1]] into [h] without copying
+    it: the payload is a range of [s]. [Error] describes why the frame
+    was rejected (non-IPv4 ethertype, truncation, bad header length,
+    unsupported protocol), and [h] then holds a partial parse. The
+    capture engine counts and skips rejected frames. Only an
+    unsupported protocol's [Error] allocates. *)
+
 val decode_slice : string -> off:int -> len:int -> (header, string) result
-(** Parse the frame in [s.[off .. off+len-1]] without copying it: the
-    payload is a range of [s]. [Error] describes why the frame was
-    rejected (non-IPv4 ethertype, truncation, bad header length,
-    unsupported protocol). The capture engine counts and skips rejected
-    frames. *)
+(** {!decode_into} a fresh scratch, copied into a {!header}. *)
 
 val decode : string -> (t, string) result
 (** {!decode_slice} over a whole string, copying the MACs and the

@@ -74,6 +74,14 @@ type read_stats = {
    yet; only [eof] makes a short tail a truncation. Loss accounting
    lives on the obs registry (capture.* namespace); [read_stats] reads
    it back. *)
+type record = {
+  mutable time : float;
+  mutable orig_len : int;
+  mutable buf : string;
+  mutable off : int;
+  mutable len : int;
+}
+
 type reader = {
   ic : in_channel option;
   win : Window.t;
@@ -93,9 +101,10 @@ type reader = {
   c_truncated : Nt_obs.Obs.counter;
   mutable truncated_tail : bool;
   mutable last_sec : int;  (* timestamp of the last good record, for resync *)
+  cur : record;  (* the record [Got] accepted, overwritten by the next *)
 }
 
-type step = Got of slice | More | Absurd
+type step = Got | More | Absurd
 
 let u32 ~be s pos =
   let b0 = Char.code s.[pos] and b1 = Char.code s.[pos + 1] in
@@ -148,6 +157,7 @@ let make_reader ?obs ~salvage ic win =
     c_truncated = counter "captures that ended mid-record" "capture.truncated_tails";
     truncated_tail = false;
     last_sec = 0;
+    cur = { time = 0.; orig_len = 0; buf = ""; off = 0; len = 0 };
   }
 
 (* The batch readers check the global header up front and raise on it. *)
@@ -218,27 +228,29 @@ let plausible r ~sec ~frac ~incl ~orig_len =
   && frac < (if r.nanosecond then 1_000_000_000 else 1_000_000)
   && (r.last_sec = 0 || abs (sec - r.last_sec) <= 30 * 86400)
 
-(* The record header [at] bytes past the first unconsumed byte. *)
-let parse_header r at =
-  let be = r.big_endian and s = Bytes.unsafe_to_string r.win.buf and p = r.win.head + at in
-  (u32 ~be s p, u32 ~be s (p + 4), u32 ~be s (p + 8), u32 ~be s (p + 12))
+(* Word [k] of the record header [at] bytes past the first unconsumed
+   byte: 0 seconds, 1 fraction, 2 included length, 3 original length. *)
+let field r at k =
+  u32 ~be:r.big_endian (Bytes.unsafe_to_string r.win.buf) (r.win.head + at + (4 * k))
 
 let plausible_at r at =
-  let sec, frac, incl, orig_len = parse_header r at in
-  plausible r ~sec ~frac ~incl ~orig_len
+  plausible r ~sec:(field r at 0) ~frac:(field r at 1) ~incl:(field r at 2)
+    ~orig_len:(field r at 3)
 
-(* Consume the record whose header is at [head]. *)
+(* Consume the record whose header is at [head] into [cur]. *)
 let accept r ~salvaged =
-  let sec, frac, incl, orig_len = parse_header r 0 in
+  let sec = field r 0 0 and frac = field r 0 1 and incl = field r 0 2 and c = r.cur in
   Nt_obs.Obs.inc r.c_records;
   if salvaged then Nt_obs.Obs.inc r.c_salvaged;
   r.last_sec <- sec;
   let scale = if r.nanosecond then 1e-9 else 1e-6 in
-  let off = r.win.head + 16 in
+  c.time <- Float.of_int sec +. (Float.of_int frac *. scale);
+  c.orig_len <- field r 0 3;
+  c.buf <- Bytes.unsafe_to_string r.win.buf;
+  c.off <- r.win.head + 16;
+  c.len <- incl;
   Window.drop r.win (16 + incl);
   Got
-    { time = Float.of_int sec +. (Float.of_int frac *. scale); orig_len;
-      buf = Bytes.unsafe_to_string r.win.buf; off; len = incl }
 
 (* Decode at most one record. Salvage slides the 16-byte header window
    one byte at a time until it holds a plausible record header, and
@@ -265,8 +277,8 @@ let rec next r =
   else if r.scanning then slide r
   else if avail < 16 then short r
   else begin
-    let sec, frac, incl, orig_len = parse_header r 0 in
-    if incl <= 0x4000000 && ((not r.salvage) || plausible r ~sec ~frac ~incl ~orig_len) then
+    let incl = field r 0 2 in
+    if incl <= 0x4000000 && ((not r.salvage) || plausible_at r 0) then
       if avail >= 16 + incl then accept r ~salvaged:false else short r
     else if not r.salvage then Absurd
     else begin
@@ -289,8 +301,7 @@ and slide r =
   end
 
 and validate r =
-  let avail = Window.length r.win in
-  let _, _, incl, _ = parse_header r 0 in
+  let avail = Window.length r.win and incl = field r 0 2 in
   if avail < 32 + incl && not r.eof then More
   else begin
     r.candidate <- false;
@@ -301,21 +312,28 @@ and validate r =
     else slide r
   end
 
-let rec read_slice r =
+let rec advance r =
   match next r with
-  | Got s -> Some s
+  | Got -> true
   | Absurd -> raise (Bad_format "absurd packet length")
-  | More when r.eof -> None
+  | More when r.eof -> false
   | More ->
       (match r.ic with Some ic when Window.input r.win ic > 0 -> () | _ -> r.eof <- true);
-      read_slice r
+      advance r
+
+let record r = r.cur
+
+let slice { cur = c; _ } : slice =
+  { time = c.time; orig_len = c.orig_len; buf = c.buf; off = c.off; len = c.len }
+
+let read_slice r = if advance r then Some (slice r) else None
 
 let window r = r.win
 
 let rec parse r emit =
   match next r with
-  | Got s ->
-      emit s r.win.pos;
+  | Got ->
+      emit (slice r) r.win.pos;
       parse r emit
   | More | Absurd -> ()
 
@@ -332,9 +350,10 @@ let reset_at r off =
   r.last_sec <- 0
 
 let read_next r =
-  match read_slice r with
-  | None -> None
-  | Some s -> Some { time = s.time; orig_len = s.orig_len; data = String.sub s.buf s.off s.len }
+  if advance r then
+    let c = r.cur in
+    Some { time = c.time; orig_len = c.orig_len; data = String.sub c.buf c.off c.len }
+  else None
 
 let packets r =
   let rec next () = match read_next r with None -> Seq.Nil | Some p -> Seq.Cons (p, next) in

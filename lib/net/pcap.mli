@@ -51,19 +51,35 @@ val reader_of_channel : ?obs:Nt_obs.Obs.t -> ?salvage:bool -> in_channel -> read
     private always-enabled registry so {!read_stats} works without
     wiring. *)
 
-val read_slice : reader -> slice option
-(** The next packet, without copying it. [None] at end of file. A final
-    record cut off by EOF also yields [None], with [truncated_tail] set
-    in {!read_stats} rather than an exception. In non-salvage mode a
-    corrupt record header raises {!Bad_format}; in salvage mode it
+type record = private {
+  mutable time : float;
+  mutable orig_len : int;
+  mutable buf : string;
+  mutable off : int;
+  mutable len : int;
+}
+(** The packet {!advance} read last, with the fields of a {!slice}.
+    Each reader owns one and overwrites it with every record. *)
+
+val advance : reader -> bool
+(** Read the next packet into {!record}, without copying it or
+    allocating more than its timestamp. [false] at end of file. A final
+    record cut off by EOF also yields [false], with [truncated_tail]
+    set in {!read_stats} rather than an exception. In non-salvage mode
+    a corrupt record header raises {!Bad_format}; in salvage mode it
     resyncs.
 
     A channel reader reads into one window that grows only to fit the
     largest record; a string reader hands out ranges of the string it
-    was given. *)
+    was given. Either way the bytes are valid until the next read. *)
+
+val record : reader -> record
+
+val read_slice : reader -> slice option
+(** {!advance}, copying {!record} into a {!slice}. *)
 
 val read_next : reader -> packet option
-(** {!read_slice}, copying the packet out. *)
+(** {!advance}, copying the packet out. *)
 
 val read_stats : reader -> read_stats
 (** Loss accounting for everything read so far. *)
@@ -74,7 +90,7 @@ val has_magic : string -> bool
 
 (** {1 Pushed decoding}
 
-    The monitor's tail drives the same parser as {!read_slice}: it
+    The monitor's tail drives the same parser as {!advance}: it
     reads file bytes into {!window} and calls {!parse}. Nothing raises
     here, and a record still short of bytes waits for them. *)
 

@@ -2,20 +2,14 @@ type flow = { src_ip : Ip_addr.t; src_port : int; dst_ip : Ip_addr.t; dst_port :
 
 type event = Data of string | Gap of int
 
-module Flow_key = struct
-  type t = flow
-
-  let equal a b =
-    a.src_ip = b.src_ip && a.src_port = b.src_port && a.dst_ip = b.dst_ip
-    && a.dst_port = b.dst_port
-
-  let hash = Hashtbl.hash
-end
-
-module Flow_tbl = Hashtbl.Make (Flow_key)
 module Seq_map = Map.Make (Int)
 
-type flow_state = {
+type stream = {
+  src_ip : Ip_addr.t;
+  src_port : int;
+  dst_ip : Ip_addr.t;
+  dst_port : int;
+  id : int;
   mutable expected : int;
       (* Next expected sequence number, unwrapped onto a monotonic line
          (OCaml ints are 63-bit): [expected land 0xFFFFFFFF] is the wire
@@ -26,14 +20,17 @@ type flow_state = {
   mutable buffered_count : int;
 }
 
+(* The flow table is chained by hand so that a lookup takes the four
+   key fields as ints: no key record, no polymorphic hash. *)
 type t = {
-  table : flow_state Flow_tbl.t;
+  mutable buckets : stream list array;  (* length a power of two *)
+  mutable count : int;
   max_buffered : int;
   mutable gap_count : int;
 }
 
 let create ?(max_buffered_segments = 64) () =
-  { table = Flow_tbl.create 64; max_buffered = max_buffered_segments; gap_count = 0 }
+  { buckets = Array.make 64 []; count = 0; max_buffered = max_buffered_segments; gap_count = 0 }
 
 let modulus = 0x100000000
 
@@ -42,16 +39,50 @@ let seq_diff a b =
   let d = (b - a) land (modulus - 1) in
   if d >= modulus / 2 then d - modulus else d
 
-let flows t = Flow_tbl.length t.table
+let flows t = t.count
 let gaps t = t.gap_count
+let stream_id st = st.id
 
-let get_state t flow ~seq =
-  match Flow_tbl.find_opt t.table flow with
-  | Some st -> st
-  | None ->
-      let st = { expected = seq; synced = false; buffered = Seq_map.empty; buffered_count = 0 } in
-      Flow_tbl.add t.table flow st;
-      st
+let bucket t ~src_ip ~src_port ~dst_ip ~dst_port =
+  let h = (((src_ip lsl 16) lor src_port) * 0x9E3779B97F4A7C1) + ((dst_ip lsl 16) lor dst_port) in
+  (h lxor (h lsr 29)) land (Array.length t.buckets - 1)
+
+let grow t =
+  let old = t.buckets in
+  t.buckets <- Array.make (2 * Array.length old) [];
+  Array.iter
+    (List.iter (fun st ->
+         let i =
+           bucket t ~src_ip:st.src_ip ~src_port:st.src_port ~dst_ip:st.dst_ip
+             ~dst_port:st.dst_port
+         in
+         t.buckets.(i) <- st :: t.buckets.(i)))
+    old
+[@@nt.alloc_ok "rehashes when the flow count doubles, never per segment"]
+
+let add t ~src_ip ~src_port ~dst_ip ~dst_port ~seq =
+  let st =
+    { src_ip; src_port; dst_ip; dst_port; id = t.count; expected = seq; synced = false;
+      buffered = Seq_map.empty; buffered_count = 0 }
+  in
+  t.count <- t.count + 1;
+  if t.count > 2 * Array.length t.buckets then grow t;
+  let i = bucket t ~src_ip ~src_port ~dst_ip ~dst_port in
+  t.buckets.(i) <- st :: t.buckets.(i);
+  st
+[@@nt.alloc_ok "the state of a flow seen for the first time, once per flow"]
+
+let rec find t ~src_ip ~src_port ~dst_ip ~dst_port ~seq = function
+  | st :: rest ->
+      if Int.equal st.src_ip src_ip && st.src_port = src_port && Int.equal st.dst_ip dst_ip
+         && st.dst_port = dst_port
+      then st
+      else find t ~src_ip ~src_port ~dst_ip ~dst_port ~seq rest
+  | [] -> add t ~src_ip ~src_port ~dst_ip ~dst_port ~seq
+
+let stream t ~src_ip ~src_port ~dst_ip ~dst_port ~seq =
+  find t ~src_ip ~src_port ~dst_ip ~dst_port ~seq
+    t.buckets.(bucket t ~src_ip ~src_port ~dst_ip ~dst_port)
 
 (* Out-of-order segments wait for the hole before them to fill, so they
    must outlive the caller's read buffer. *)
@@ -89,8 +120,7 @@ let force_resync t st ~data ~gap ctx =
       gap ctx (max lost 0);
       drain st ~data ctx
 
-let push_slice t flow ~seq ~syn buf ~off ~len ~data ~gap ctx =
-  let st = get_state t flow ~seq in
+let push_stream t st ~seq ~syn buf ~off ~len ~data ~gap ctx =
   (* Wire seq unwrapped onto the flow's monotonic line. *)
   let d = seq_diff (st.expected land (modulus - 1)) seq in
   let useq = st.expected + d in
@@ -127,6 +157,12 @@ let push_slice t flow ~seq ~syn buf ~off ~len ~data ~gap ctx =
       end
     end
   end
+
+let push_slice t (f : flow) ~seq ~syn buf ~off ~len ~data ~gap ctx =
+  let st =
+    stream t ~src_ip:f.src_ip ~src_port:f.src_port ~dst_ip:f.dst_ip ~dst_port:f.dst_port ~seq
+  in
+  push_stream t st ~seq ~syn buf ~off ~len ~data ~gap ctx
 
 let push t flow ~seq ~syn payload =
   let events = ref [] in

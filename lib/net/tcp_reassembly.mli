@@ -36,7 +36,8 @@ val push_slice :
   gap:('a -> int -> unit) ->
   'a ->
   unit
-(** Feed the segment whose payload is [buf.[off .. off+len-1]]; the
+(** Feed the segment whose payload is [buf.[off .. off+len-1]] to the
+    flow's {!stream}; the
     events it unlocks arrive in order through [data ctx s off len] (the
     next in-order bytes) and [gap ctx n] (see {!Gap}). A SYN consumes
     one sequence number and establishes the initial sequence number for
@@ -45,6 +46,33 @@ val push_slice :
     In-order bytes are handed over as a range of [buf] itself; only a
     segment that arrives ahead of a hole is copied, so it can wait. A
     [data] range is valid only until the callback returns. *)
+
+type stream
+(** One direction's reassembly state, as found in the flow table. *)
+
+val stream :
+  t -> src_ip:Ip_addr.t -> src_port:int -> dst_ip:Ip_addr.t -> dst_port:int -> seq:int -> stream
+(** The flow's state, created on first sight with [seq] as its next
+    expected sequence number. The lookup allocates nothing for a known
+    flow. *)
+
+val stream_id : stream -> int
+(** Dense per-reassembler flow number: 0, 1, 2, ... in order of first
+    sight, so a caller can keep its own per-flow state in an array. *)
+
+val push_stream :
+  t ->
+  stream ->
+  seq:int ->
+  syn:bool ->
+  string ->
+  off:int ->
+  len:int ->
+  data:('a -> string -> int -> int -> unit) ->
+  gap:('a -> int -> unit) ->
+  'a ->
+  unit
+(** {!push_slice} to a stream already looked up. *)
 
 val push : t -> flow -> seq:int -> syn:bool -> string -> event list
 (** {!push_slice} over a whole string, collecting the events as a list

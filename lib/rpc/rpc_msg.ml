@@ -52,21 +52,6 @@ let encode_auth e = function
       E.uint32 e flavor;
       E.opaque e body
 
-let decode_auth d =
-  let flavor = D.uint32 d in
-  let body = D.opaque d in
-  match flavor with
-  | 0 -> Auth_null
-  | 1 ->
-      let bd = D.of_string body in
-      let stamp = D.uint32 bd in
-      let machine = D.string bd in
-      let uid = D.uint32 bd in
-      let gid = D.uint32 bd in
-      let gids = D.array bd D.uint32 in
-      Auth_unix { stamp; machine; uid; gid; gids }
-  | n -> Auth_other (n, body)
-
 let encode_call e (c : call) =
   E.uint32 e c.xid;
   E.uint32 e msg_type_call;
@@ -105,43 +90,140 @@ let encode_reply e (r : reply) =
           E.uint32 e 1;
           E.uint32 e stat)
 
-let decode s ~pos ~len =
-  let d = D.of_string ~pos ~len s in
-  let xid = D.uint32 d in
-  match D.uint32 d with
+(* --- decoding: one pass into a reused header --- *)
+
+type auth = {
+  mutable flavor : int;
+  mutable body : int;
+  mutable body_len : int;
+  mutable stamp : int;
+  mutable machine : int;
+  mutable machine_len : int;
+  mutable uid : int;
+  mutable gid : int;
+  mutable gids : int;
+  mutable ngids : int;
+}
+
+type header = {
+  mutable xid : int;
+  mutable is_call : bool;
+  mutable prog : int;
+  mutable vers : int;
+  mutable proc : int;
+  cred : auth;
+  verf : auth;
+  mutable accepted : bool;
+  mutable stat : int;
+  mutable lo : int;
+  mutable hi : int;
+  mutable body : int;
+}
+
+let auth () =
+  { flavor = 0; body = 0; body_len = 0; stamp = 0; machine = 0; machine_len = 0; uid = 0;
+    gid = 0; gids = 0; ngids = 0 }
+
+let create_header () =
+  { xid = 0; is_call = false; prog = 0; vers = 0; proc = 0; cred = auth (); verf = auth ();
+    accepted = false; stat = 0; lo = 0; hi = 0; body = 0 }
+
+(* The auth body is read in place: AUTH_UNIX's fields are located and
+   bounds-checked within the opaque, never copied. *)
+let read_auth (a : auth) d =
+  a.flavor <- D.uint32 d;
+  a.body_len <- D.opaque_window d;
+  a.body <- D.pos d;
+  if a.flavor = 1 then begin
+    a.stamp <- D.uint32 d;
+    a.machine <- D.pos d + 4;
+    a.machine_len <- D.skip_opaque d;
+    a.uid <- D.uint32 d;
+    a.gid <- D.uint32 d;
+    a.gids <- D.pos d + 4;
+    a.ngids <- D.skip_uint32_array d
+  end
+  else begin
+    a.uid <- 0;
+    a.gid <- 0
+  end;
+  D.close_window d
+
+let read_header h d =
+  h.xid <- D.uint32 d;
+  (match D.uint32 d with
   | 0 ->
+      h.is_call <- true;
       let rpcvers = D.uint32 d in
       if rpcvers <> 2 then raise (D.Error (Printf.sprintf "unsupported RPC version %d" rpcvers));
-      let prog = D.uint32 d in
-      let vers = D.uint32 d in
-      let proc = D.uint32 d in
-      let cred = decode_auth d in
-      let verf = decode_auth d in
-      (Call { xid; rpcvers; prog; vers; proc; cred; verf }, D.pos d)
+      h.prog <- D.uint32 d;
+      h.vers <- D.uint32 d;
+      h.proc <- D.uint32 d;
+      read_auth h.cred d;
+      read_auth h.verf d
   | 1 -> (
+      h.is_call <- false;
       match D.uint32 d with
       | 0 -> (
-          let verf = decode_auth d in
-          match D.uint32 d with
-          | 0 -> (Reply { xid; verf; status = Accepted Success }, D.pos d)
-          | 1 -> (Reply { xid; verf; status = Accepted Prog_unavail }, D.pos d)
+          h.accepted <- true;
+          read_auth h.verf d;
+          h.stat <- D.uint32 d;
+          match h.stat with
+          | 0 | 1 | 3 | 4 | 5 -> ()
           | 2 ->
-              let lo = D.uint32 d in
-              let hi = D.uint32 d in
-              (Reply { xid; verf; status = Accepted (Prog_mismatch (lo, hi)) }, D.pos d)
-          | 3 -> (Reply { xid; verf; status = Accepted Proc_unavail }, D.pos d)
-          | 4 -> (Reply { xid; verf; status = Accepted Garbage_args }, D.pos d)
-          | 5 -> (Reply { xid; verf; status = Accepted System_err }, D.pos d)
+              h.lo <- D.uint32 d;
+              h.hi <- D.uint32 d
           | n -> raise (D.Error (Printf.sprintf "bad accept status %d" n)))
       | 1 -> (
-          match D.uint32 d with
+          h.accepted <- false;
+          h.verf.flavor <- 0;
+          h.stat <- D.uint32 d;
+          match h.stat with
           | 0 ->
-              let lo = D.uint32 d in
-              let hi = D.uint32 d in
-              (Reply { xid; verf = Auth_null; status = Denied (Rpc_mismatch (lo, hi)) }, D.pos d)
-          | 1 ->
-              let stat = D.uint32 d in
-              (Reply { xid; verf = Auth_null; status = Denied (Auth_error stat) }, D.pos d)
+              h.lo <- D.uint32 d;
+              h.hi <- D.uint32 d
+          | 1 -> h.lo <- D.uint32 d
           | n -> raise (D.Error (Printf.sprintf "bad reject status %d" n)))
       | n -> raise (D.Error (Printf.sprintf "bad reply status %d" n)))
-  | n -> raise (D.Error (Printf.sprintf "bad message type %d" n))
+  | n -> raise (D.Error (Printf.sprintf "bad message type %d" n)));
+  h.body <- D.pos d
+
+let success h = (not h.is_call) && h.accepted && h.stat = 0
+
+(* [decode] materializes what [read_header] located. *)
+let uint32_at s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF
+
+let auth_flavor s (a : auth) =
+  match a.flavor with
+  | 0 -> Auth_null
+  | 1 ->
+      Auth_unix
+        { stamp = a.stamp; machine = String.sub s a.machine a.machine_len; uid = a.uid;
+          gid = a.gid; gids = List.init a.ngids (fun i -> uint32_at s (a.gids + (4 * i))) }
+  | n -> Auth_other (n, String.sub s a.body a.body_len)
+[@@nt.alloc_ok "materializes a decoded msg's auth fields; the capture path reads the header \
+                instead"]
+
+let reply_status h =
+  if h.accepted then
+    Accepted
+      (match h.stat with
+      | 0 -> Success
+      | 1 -> Prog_unavail
+      | 2 -> Prog_mismatch (h.lo, h.hi)
+      | 3 -> Proc_unavail
+      | 4 -> Garbage_args
+      | _ -> System_err)
+  else Denied (if h.stat = 0 then Rpc_mismatch (h.lo, h.hi) else Auth_error h.lo)
+
+let decode s ~pos ~len =
+  let h = create_header () in
+  read_header h (D.of_string ~pos ~len s);
+  let msg =
+    if h.is_call then
+      Call
+        { xid = h.xid; rpcvers = 2; prog = h.prog; vers = h.vers; proc = h.proc;
+          cred = auth_flavor s h.cred; verf = auth_flavor s h.verf }
+    else Reply { xid = h.xid; verf = auth_flavor s h.verf; status = reply_status h }
+  in
+  (msg, h.body)

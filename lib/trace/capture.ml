@@ -39,6 +39,7 @@ type pending = {
   p_time : float;
   p_client : Nt_net.Ip_addr.t;
   p_server : Nt_net.Ip_addr.t;
+  p_xid : int;
   p_version : int;
   p_proc : Proc.t;
   p_uid : int;
@@ -47,39 +48,43 @@ type pending = {
 }
 
 (* Calls are keyed by (client ip, xid): xids are per-client counters, so
-   this pair is unique among outstanding requests. *)
-module Key = struct
-  type t = int * int
+   this pair is unique among outstanding requests. The key is one int,
+   the client's dense number in the high bits and the 32-bit xid in the
+   low ones, hashed by a multiply: nothing is allocated to look a call
+   up. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal (a1, a2) (b1, b2) = a1 = b1 && a2 = b2
-  let hash = Hashtbl.hash
-end
+  let equal = Int.equal
 
-module Pending_tbl = Hashtbl.Make (Key)
-
-(* One RPC record-marking reassembler per TCP flow. *)
-module Flow_tbl = Hashtbl.Make (struct
-  type t = Tcp.flow
-
-  let equal (a : Tcp.flow) (b : Tcp.flow) =
-    a.src_ip = b.src_ip && a.src_port = b.src_port && a.dst_ip = b.dst_ip
-    && a.dst_port = b.dst_port
-
-  let hash = Hashtbl.hash
+  let hash k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
 end)
 
+let key client xid = (client lsl 32) lor xid
+
 type t = {
-  pending : pending Pending_tbl.t;
+  clients : int Int_tbl.t;  (* client ip -> dense number *)
+  pending : pending Int_tbl.t;
   (* Recently answered (client, xid) pairs, so a retransmitted reply —
      or a retransmitted call whose reply already went by — is counted
      as a duplicate instead of an orphan or a fresh call. *)
-  answered : float Pending_tbl.t;
+  answered : float Int_tbl.t;
   tcp : Tcp.t;
-  rm : Rm.reassembler Flow_tbl.t;
+  mutable rms : Rm.reassembler option array;  (* by Tcp.stream_id *)
   emit : Record.t -> unit;
   buffer : Record.t list ref option;
   pending_timeout : float;
   mutable last_sweep : float;
+  (* Per-frame scratch, overwritten by every frame: the parsed frame,
+     the one XDR decoder for RPC headers and NFS bodies, the RPC
+     header, and the TCP segment the stream callbacks belong to. *)
+  frame : Frame.scratch;
+  dec : Nt_xdr.Decode.t;
+  rpc : Rpc.header;
+  mutable seg_time : float;
+  mutable seg_rm : Rm.reassembler;
   (* Decode accounting lives on the obs registry (capture.* namespace,
      decode failures as one labeled counter); [finish] reads the
      counters back into [stats]. The pcap-salvage trio stays as plain
@@ -118,14 +123,20 @@ let create ?obs ?(pending_timeout = 60.) ?emit () =
       "capture.decode_failure"
   in
   {
-    pending = Pending_tbl.create 4096;
-    answered = Pending_tbl.create 4096;
+    clients = Int_tbl.create 64;
+    pending = Int_tbl.create 4096;
+    answered = Int_tbl.create 4096;
     tcp = Tcp.create ();
-    rm = Flow_tbl.create 64;
+    rms = Array.make 16 None;
     emit;
     buffer;
     pending_timeout;
     last_sweep = 0.;
+    frame = Frame.scratch ();
+    dec = Nt_xdr.Decode.empty ();
+    rpc = Rpc.create_header ();
+    seg_time = 0.;
+    seg_rm = Rm.create_reassembler ();
     c_frames = Obs.counter obs ~help:"link frames presented" "capture.frames";
     c_undecodable = fail "undecodable-frame";
     c_corrupt = fail "corrupt-frame";
@@ -147,6 +158,27 @@ let create ?obs ?(pending_timeout = 60.) ?emit () =
     truncated_pcap_tails = 0;
   }
 
+(* The client's dense number, assigned at its first call; -1 for a
+   client that never made one, whose keys are negative and match
+   nothing. *)
+let client_id t ip = match Int_tbl.find t.clients ip with id -> id | exception Not_found -> -1
+
+let new_client_id t ip =
+  match Int_tbl.find t.clients ip with
+  | id -> id
+  | exception Not_found ->
+      let id = Int_tbl.length t.clients in
+      Int_tbl.add t.clients ip id;
+      id
+
+(* Unanswered calls leave in a defined order: call time, then client,
+   then xid. *)
+let call_order (a : pending) (b : pending) =
+  match Float.compare a.p_time b.p_time with
+  | 0 -> (
+      match Int.compare a.p_client b.p_client with 0 -> Int.compare a.p_xid b.p_xid | c -> c)
+  | c -> c
+
 let lost_record (p : pending) =
   {
     Record.time = p.p_time;
@@ -154,135 +186,140 @@ let lost_record (p : pending) =
     client = p.p_client;
     server = p.p_server;
     version = p.p_version;
-    xid = 0;
+    xid = p.p_xid;
     uid = p.p_uid;
     gid = p.p_gid;
     call = p.p_call;
     result = None;
   }
 
+let emit_lost t calls =
+  List.iter
+    (fun p ->
+      Obs.inc t.c_lost_replies;
+      t.emit (lost_record p))
+    (List.sort call_order calls)
+[@@nt.alloc_ok "runs once per pending-table sweep and at finish, never per packet"]
+
 let flush_expired t ~now =
   if now -. t.last_sweep >= t.pending_timeout /. 2. then begin
     t.last_sweep <- now;
     let expired =
-      Pending_tbl.fold
+      Int_tbl.fold
         (fun key p acc -> if now -. p.p_time > t.pending_timeout then (key, p) :: acc else acc)
         t.pending []
     in
-    List.iter
-      (fun ((client, xid), p) ->
-        Pending_tbl.remove t.pending (client, xid);
-        Obs.inc t.c_lost_replies;
-        t.emit { (lost_record p) with xid })
-      expired;
+    List.iter (fun (key, _) -> Int_tbl.remove t.pending key) expired;
+    emit_lost t (List.map snd expired);
     let stale =
-      Pending_tbl.fold
+      Int_tbl.fold
         (fun key at acc -> if now -. at > t.pending_timeout then key :: acc else acc)
         t.answered []
     in
-    List.iter (Pending_tbl.remove t.answered) stale
+    List.iter (Int_tbl.remove t.answered) stale
   end
 [@@nt.alloc_ok
   "sweeps at most once per half pending_timeout of trace time; the expired lists are built only \
    then, never per packet"]
 
-let creds = function
-  | Rpc.Auth_unix { uid; gid; _ } -> (uid, gid)
-  | Rpc.Auth_null | Rpc.Auth_other _ -> (0, 0)
-
-(* The body runs from [body_pos] to the end of the message in [buf]. *)
-let decode_call_body ~version ~proc buf ~body_pos ~stop =
-  let d = Nt_xdr.Decode.of_string ~pos:body_pos ~len:(stop - body_pos) buf in
+(* The body runs from the decoder's cursor to the end of the message. *)
+let decode_call_body ~version ~proc d =
   if version = 2 then Nt_nfs.V2.decode_call ~proc d else Nt_nfs.V3.decode_call ~proc d
 
-let decode_result_body ~version ~proc buf ~body_pos ~stop =
-  let d = Nt_xdr.Decode.of_string ~pos:body_pos ~len:(stop - body_pos) buf in
+let decode_result_body ~version ~proc d =
   if version = 2 then Nt_nfs.V2.decode_result ~proc d else Nt_nfs.V3.decode_result ~proc d
 
+(* A call travelling from [src] to [dst], its header in [t.rpc]. *)
+let on_call t ~time ~src ~dst =
+  let h = t.rpc in
+  if h.prog <> Rpc.nfs_program then Obs.inc t.c_non_nfs
+  else if h.vers <> 2 && h.vers <> 3 then
+    (* A version field NFS never used (a damaged header): there is no
+       codec to trust with the body, and no trace line to write. *)
+    Obs.inc t.c_rpc_errors
+  else begin
+    let k = key (new_client_id t src) h.xid in
+    if Int_tbl.mem t.pending k || Int_tbl.mem t.answered k then
+      (* A UDP client retransmitted an unanswered (or just-answered)
+         call; the first arrival defines the record's call time. *)
+      Obs.inc t.c_duplicate_calls
+    else
+      match Proc.of_number ~version:h.vers h.proc with
+      | None -> Obs.inc t.c_rpc_errors
+      | Some proc -> (
+          match decode_call_body ~version:h.vers ~proc t.dec with
+          | exception Nt_xdr.Decode.Error _ -> Obs.inc t.c_rpc_errors
+          | exception Nt_nfs.V2.Unsupported _ -> Obs.inc t.c_rpc_errors
+          | exception Nt_nfs.V3.Unsupported _ -> Obs.inc t.c_rpc_errors
+          | call ->
+              Obs.inc t.c_calls;
+              Int_tbl.replace t.pending k
+                {
+                  p_time = time;
+                  p_client = src;
+                  p_server = dst;
+                  p_xid = h.xid;
+                  p_version = h.vers;
+                  p_proc = proc;
+                  p_uid = h.cred.uid;
+                  p_gid = h.cred.gid;
+                  p_call = call;
+                };
+              flush_expired t ~now:time)
+  end
+
+(* A reply travels server->client, so its call was keyed by [dst]. *)
+let on_reply t ~time ~dst =
+  let h = t.rpc in
+  let k = key (client_id t dst) h.xid in
+  match Int_tbl.find t.pending k with
+  | exception Not_found ->
+      if Int_tbl.mem t.answered k then Obs.inc t.c_duplicate_replies
+      else Obs.inc t.c_orphan_replies
+  | p ->
+      Int_tbl.remove t.pending k;
+      Int_tbl.replace t.answered k time;
+      let result =
+        if Rpc.success h then
+          match decode_result_body ~version:p.p_version ~proc:p.p_proc t.dec with
+          | exception Nt_xdr.Decode.Error _ ->
+              Obs.inc t.c_rpc_errors;
+              None
+          | exception Nt_nfs.V2.Unsupported _ ->
+              Obs.inc t.c_rpc_errors;
+              None
+          | exception Nt_nfs.V3.Unsupported _ ->
+              Obs.inc t.c_rpc_errors;
+              None
+          | res -> Some res
+        else Some (Error Nt_nfs.Types.Err_serverfault)
+      in
+      Obs.inc t.c_replies;
+      t.emit
+        {
+          Record.time = p.p_time;
+          reply_time = Some time;
+          client = p.p_client;
+          server = p.p_server;
+          version = p.p_version;
+          xid = h.xid;
+          uid = p.p_uid;
+          gid = p.p_gid;
+          call = p.p_call;
+          result;
+        }
+
 (* Handle one complete RPC message, [buf.[off .. off+len-1]], travelling
-   from [src] to [dst]. *)
+   from [src] to [dst]. The header is read into [t.rpc] and leaves
+   [t.dec] at the body. *)
 let dispatch_rpc t ~time ~src ~dst buf off len =
   Obs.inc t.c_rpc_messages;
-  let stop = off + len in
-  match Rpc.decode buf ~pos:off ~len with
+  match
+    Nt_xdr.Decode.reset t.dec buf ~pos:off ~len;
+    Rpc.read_header t.rpc t.dec
+  with
   | exception Nt_xdr.Decode.Error _ -> Obs.inc t.c_rpc_errors
-  | Rpc.Call c, body_pos ->
-      if c.prog <> Rpc.nfs_program then Obs.inc t.c_non_nfs
-      else if c.vers <> 2 && c.vers <> 3 then
-        (* A version field NFS never used (a damaged header): there is no
-           codec to trust with the body, and no trace line to write. *)
-        Obs.inc t.c_rpc_errors
-      else if Pending_tbl.mem t.pending (src, c.xid) || Pending_tbl.mem t.answered (src, c.xid)
-      then
-        (* A UDP client retransmitted an unanswered (or just-answered)
-           call; the first arrival defines the record's call time. *)
-        Obs.inc t.c_duplicate_calls
-      else begin
-        match Proc.of_number ~version:c.vers c.proc with
-        | None -> Obs.inc t.c_rpc_errors
-        | Some proc -> (
-            match decode_call_body ~version:c.vers ~proc buf ~body_pos ~stop with
-            | exception Nt_xdr.Decode.Error _ -> Obs.inc t.c_rpc_errors
-            | exception Nt_nfs.V2.Unsupported _ -> Obs.inc t.c_rpc_errors
-            | exception Nt_nfs.V3.Unsupported _ -> Obs.inc t.c_rpc_errors
-            | call ->
-                Obs.inc t.c_calls;
-                let uid, gid = creds c.cred in
-                Pending_tbl.replace t.pending (src, c.xid)
-                  {
-                    p_time = time;
-                    p_client = src;
-                    p_server = dst;
-                    p_version = c.vers;
-                    p_proc = proc;
-                    p_uid = uid;
-                    p_gid = gid;
-                    p_call = call;
-                  };
-                flush_expired t ~now:time)
-      end
-  | Rpc.Reply r, body_pos -> (
-      (* The reply travels server->client, so the pending key uses dst. *)
-      match Pending_tbl.find_opt t.pending (dst, r.xid) with
-      | None ->
-          if Pending_tbl.mem t.answered (dst, r.xid) then
-            Obs.inc t.c_duplicate_replies
-          else Obs.inc t.c_orphan_replies
-      | Some p ->
-          Pending_tbl.remove t.pending (dst, r.xid);
-          Pending_tbl.replace t.answered (dst, r.xid) time;
-          let result =
-            match r.status with
-            | Rpc.Accepted Rpc.Success -> (
-                match
-                  decode_result_body ~version:p.p_version ~proc:p.p_proc buf ~body_pos ~stop
-                with
-                | exception Nt_xdr.Decode.Error _ ->
-                    Obs.inc t.c_rpc_errors;
-                    None
-                | exception Nt_nfs.V2.Unsupported _ ->
-                    Obs.inc t.c_rpc_errors;
-                    None
-                | exception Nt_nfs.V3.Unsupported _ ->
-                    Obs.inc t.c_rpc_errors;
-                    None
-                | res -> Some res)
-            | Rpc.Accepted _ | Rpc.Denied _ -> Some (Error Nt_nfs.Types.Err_serverfault)
-          in
-          Obs.inc t.c_replies;
-          t.emit
-            {
-              Record.time = p.p_time;
-              reply_time = Some time;
-              client = p.p_client;
-              server = p.p_server;
-              version = p.p_version;
-              xid = r.xid;
-              uid = p.p_uid;
-              gid = p.p_gid;
-              call = p.p_call;
-              result;
-            })
+  | () -> if t.rpc.is_call then on_call t ~time ~src ~dst else on_reply t ~time ~dst
 
 (* The "Never raises" contract of feed_packet: decoders signal malformed
    input with their own exceptions, but hostile bytes could in principle
@@ -294,65 +331,65 @@ let handle_rpc t ~time ~src ~dst buf off len =
   | exception (Nt_xdr.Decode.Error _ | Invalid_argument _ | Failure _ | Not_found) ->
       Obs.inc t.c_rpc_errors
 
-let rm_for t flow =
-  match Flow_tbl.find_opt t.rm flow with
+(* The record-marking reassembler of TCP stream [id], made at its first
+   segment. *)
+let rm_for t id =
+  if id >= Array.length t.rms then begin
+    let grown = Array.make (2 * id) None in
+    Array.blit t.rms 0 grown 0 (Array.length t.rms);
+    t.rms <- grown
+  end;
+  match t.rms.(id) with
   | Some rm -> rm
   | None ->
       let rm = Rm.create_reassembler () in
-      Flow_tbl.add t.rm flow rm;
+      t.rms.(id) <- Some rm;
       rm
 
-(* What a TCP segment's stream callbacks need to know about it. *)
-type segment = {
-  cap : t;
-  time : float;
-  src : Nt_net.Ip_addr.t;
-  dst : Nt_net.Ip_addr.t;
-  rm : Rm.reassembler;
-}
+(* The stream callbacks read the segment's time, addresses and
+   reassembler from [t.seg_time], [t.frame] and [t.seg_rm]. *)
+let on_record t buf off len =
+  handle_rpc t ~time:t.seg_time ~src:t.frame.ip_src ~dst:t.frame.ip_dst buf off len
 
-let on_record sg buf off len =
-  handle_rpc sg.cap ~time:sg.time ~src:sg.src ~dst:sg.dst buf off len
+let on_stream t buf off len = Rm.push_slice t.seg_rm buf ~off ~len on_record t
 
-let on_stream sg buf off len = Rm.push_slice sg.rm buf ~off ~len on_record sg
-
-let on_gap sg _lost =
-  Obs.inc sg.cap.c_tcp_gaps;
+let on_gap t _lost =
+  Obs.inc t.c_tcp_gaps;
   (* The stream resynchronised past a hole; any partial RPC record is
      unrecoverable. Start clean. *)
-  Rm.reset sg.rm
+  Rm.reset t.seg_rm
 
 let feed_slice t ~time buf ~off ~len =
   Obs.inc t.c_frames;
-  match Frame.decode_slice buf ~off ~len with
+  let h = t.frame in
+  match Frame.decode_into h buf ~off ~len with
   | Error _ -> Obs.inc t.c_undecodable
-  | Ok h when not h.checksum_ok ->
+  | Ok () when not h.checksum_ok ->
       (* Structurally sound but damaged in flight: never trust it. *)
       Obs.inc t.c_corrupt
-  | Ok h ->
+  | Ok () ->
       if not h.is_tcp then
         if h.payload_len >= 16 then
           handle_rpc t ~time ~src:h.ip_src ~dst:h.ip_dst buf h.payload_off h.payload_len
         else Obs.inc t.c_undecodable
-      else
-        let flow =
-          { Tcp.src_ip = h.ip_src; src_port = h.sport; dst_ip = h.ip_dst; dst_port = h.dport }
+      else begin
+        let st =
+          Tcp.stream t.tcp ~src_ip:h.ip_src ~src_port:h.sport ~dst_ip:h.ip_dst ~dst_port:h.dport
+            ~seq:h.tcp_seq
         in
-        let sg = { cap = t; time; src = h.ip_src; dst = h.ip_dst; rm = rm_for t flow } in
-        Tcp.push_slice t.tcp flow ~seq:h.tcp_seq ~syn:h.tcp_syn buf ~off:h.payload_off
-          ~len:h.payload_len ~data:on_stream ~gap:on_gap sg
+        t.seg_time <- time;
+        t.seg_rm <- rm_for t (Tcp.stream_id st);
+        Tcp.push_stream t.tcp st ~seq:h.tcp_seq ~syn:h.tcp_syn buf ~off:h.payload_off
+          ~len:h.payload_len ~data:on_stream ~gap:on_gap t
+      end
 
 let feed_packet t ~time data = feed_slice t ~time data ~off:0 ~len:(String.length data)
 
 let feed_pcap t reader =
-  let rec loop () =
-    match Pcap.read_slice reader with
-    | Some p ->
-        feed_slice t ~time:p.time p.buf ~off:p.off ~len:p.len;
-        loop ()
-    | None -> ()
-  in
-  loop ();
+  let r = Pcap.record reader in
+  while Pcap.advance reader do
+    feed_slice t ~time:r.time r.buf ~off:r.off ~len:r.len
+  done;
   let rs = Pcap.read_stats reader in
   t.salvaged_records <- t.salvaged_records + rs.salvaged;
   t.skipped_pcap_bytes <- t.skipped_pcap_bytes + rs.skipped_bytes;
@@ -383,13 +420,9 @@ let stats t =
 
 let finish t =
   (* Whatever is still pending never got a reply. *)
-  Pending_tbl.iter
-    (fun (_, xid) p ->
-      Obs.inc t.c_lost_replies;
-      t.emit { (lost_record p) with xid })
-    t.pending;
-  Pending_tbl.reset t.pending;
-  Pending_tbl.reset t.answered;
+  emit_lost t (Int_tbl.fold (fun _ p acc -> p :: acc) t.pending []);
+  Int_tbl.reset t.pending;
+  Int_tbl.reset t.answered;
   let stats = stats t in
   let records =
     match t.buffer with

@@ -8,7 +8,9 @@
 
     Loss handling follows §4.1.4: a reply whose call was never seen is
     undecodable (we count it and drop it); a call whose reply never
-    arrives is emitted with [result = None]; TCP stream gaps force RPC
+    arrives is emitted with [result = None] — those a sweep expires
+    together, or {!finish} flushes together, leave sorted by (call
+    time, client, xid); TCP stream gaps force RPC
     resynchronisation and are counted. Degraded input — corrupted
     frames, UDP retransmissions, mangled pcap records — is likewise
     counted, never fatal: every fault the monitor can hand us lands in
@@ -66,14 +68,18 @@ val feed_packet : t -> time:float -> string -> unit
 
 val feed_pcap : t -> Nt_net.Pcap.reader -> unit
 (** Drain a pcap stream through {!feed_slice}, one
-    {!Nt_net.Pcap.read_slice} at a time, then fold the reader's
-    salvage/truncation accounting into {!stats}. *)
+    {!Nt_net.Pcap.advance} at a time, then fold the reader's
+    salvage/truncation accounting into {!stats}. Per frame it allocates
+    the frame's timestamp, the pending-call entries and what the
+    emitted records hold; the frame, RPC header and XDR decoder are
+    scratch that [t] reuses, so two captures (on two domains, say)
+    share nothing. *)
 
 val stats : t -> stats
 (** The counts so far, without flushing anything: what a decode that
     aborts on a damaged pcap reports. *)
 
 val finish : t -> stats * Record.t list
-(** Flush unanswered calls, then return statistics and all buffered
-    records sorted by call time (empty list if an [emit] sink was
-    given). *)
+(** Flush unanswered calls in (call time, client, xid) order, then
+    return statistics and all buffered records sorted by call time
+    (empty list if an [emit] sink was given). *)

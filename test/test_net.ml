@@ -314,7 +314,17 @@ let test_frame_decode_slice_in_place () =
       Alcotest.(check string) "payload range" "payload!"
         (String.sub buf h.payload_off h.payload_len);
       Alcotest.(check bool) "out-of-bounds slice rejected" true
-        (Result.is_error (Frame.decode_slice buf ~off:10 ~len:(String.length wire)))
+        (Result.is_error (Frame.decode_slice buf ~off:10 ~len:(String.length wire)));
+      (* A datagram that ends with its IP header: the transport header
+         would lie past the end of the string, and is never read. *)
+      List.iter
+        (fun (name, proto) ->
+          let b = Bytes.sub (Bytes.of_string wire) 0 34 in
+          Bytes.set b 23 (Char.chr proto);
+          Bytes.set_uint16_be b 16 20;
+          Alcotest.(check bool) (name ^ " with no header rejected") true
+            (Result.is_error (Frame.decode_slice (Bytes.to_string b) ~off:0 ~len:34)))
+        [ ("udp", 17); ("tcp", 6) ]
 
 (* --- TCP reassembly --- *)
 

@@ -104,6 +104,205 @@ let test_garbage_rejected () =
        false
      with Nt_xdr.Decode.Error _ -> true)
 
+(* --- one grammar: the scratch header reader against Rpc_msg.decode --- *)
+
+module D = Nt_xdr.Decode
+
+(* The RPC header decoder as it stood before the scratch reader: each
+   auth body copied out, then parsed by a second decoder. An
+   independent oracle for the bounds checks the in-place reader keeps. *)
+module Copying_oracle = struct
+  let auth d =
+    let flavor = D.uint32 d in
+    let body = D.opaque d in
+    match flavor with
+    | 0 -> Rpc.Auth_null
+    | 1 ->
+        let bd = D.of_string body in
+        let stamp = D.uint32 bd in
+        let machine = D.string bd in
+        let uid = D.uint32 bd in
+        let gid = D.uint32 bd in
+        let gids = D.array bd D.uint32 in
+        Rpc.Auth_unix { stamp; machine; uid; gid; gids }
+    | n -> Rpc.Auth_other (n, body)
+
+  let decode s ~pos ~len : Rpc.msg * int =
+    let d = D.of_string ~pos ~len s in
+    let xid = D.uint32 d in
+    let reply verf status = (Rpc.Reply { xid; verf; status }, D.pos d) in
+    match D.uint32 d with
+    | 0 ->
+        let rpcvers = D.uint32 d in
+        if rpcvers <> 2 then raise (D.Error "rpcvers");
+        let prog = D.uint32 d in
+        let vers = D.uint32 d in
+        let proc = D.uint32 d in
+        let cred = auth d in
+        let verf = auth d in
+        (Rpc.Call { xid; rpcvers; prog; vers; proc; cred; verf }, D.pos d)
+    | 1 -> (
+        match D.uint32 d with
+        | 0 -> (
+            let verf = auth d in
+            match D.uint32 d with
+            | 0 -> reply verf (Rpc.Accepted Rpc.Success)
+            | 1 -> reply verf (Rpc.Accepted Rpc.Prog_unavail)
+            | 2 ->
+                let lo = D.uint32 d in
+                let hi = D.uint32 d in
+                reply verf (Rpc.Accepted (Rpc.Prog_mismatch (lo, hi)))
+            | 3 -> reply verf (Rpc.Accepted Rpc.Proc_unavail)
+            | 4 -> reply verf (Rpc.Accepted Rpc.Garbage_args)
+            | 5 -> reply verf (Rpc.Accepted Rpc.System_err)
+            | _ -> raise (D.Error "accept status"))
+        | 1 -> (
+            match D.uint32 d with
+            | 0 ->
+                let lo = D.uint32 d in
+                let hi = D.uint32 d in
+                reply Rpc.Auth_null (Rpc.Denied (Rpc.Rpc_mismatch (lo, hi)))
+            | 1 -> reply Rpc.Auth_null (Rpc.Denied (Rpc.Auth_error (D.uint32 d)))
+            | _ -> raise (D.Error "reject status"))
+        | _ -> raise (D.Error "reply status"))
+    | _ -> raise (D.Error "message type")
+end
+
+let gen_auth =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return Rpc.Auth_null);
+      ( 3,
+        map
+          (fun ((stamp, machine), (uid, gid, gids)) ->
+            Rpc.Auth_unix { stamp; machine; uid; gid; gids })
+          (pair
+             (pair (int_bound 0xFFFF) (string_size ~gen:printable (0 -- 20)))
+             (triple (int_bound 70_000) (int_bound 70_000)
+                (list_size (0 -- 16) (int_bound 70_000)))) );
+      (1, map2 (fun f b -> Rpc.Auth_other (f, b)) (int_range 2 400) (string_size (0 -- 24)));
+    ]
+
+let gen_status =
+  let open QCheck.Gen in
+  let version = int_bound 5 in
+  oneof
+    [
+      return (Rpc.Accepted Rpc.Success);
+      return (Rpc.Accepted Rpc.Prog_unavail);
+      map2 (fun lo hi -> Rpc.Accepted (Rpc.Prog_mismatch (lo, hi))) version version;
+      return (Rpc.Accepted Rpc.Proc_unavail);
+      return (Rpc.Accepted Rpc.Garbage_args);
+      return (Rpc.Accepted Rpc.System_err);
+      map2 (fun lo hi -> Rpc.Denied (Rpc.Rpc_mismatch (lo, hi))) version version;
+      map (fun st -> Rpc.Denied (Rpc.Auth_error st)) (int_bound 7);
+    ]
+
+let gen_msg =
+  let open QCheck.Gen in
+  let xid = int_bound 0xFFFF_FFFF in
+  frequency
+    [
+      ( 1,
+        map
+          (fun ((xid, vers, proc), (cred, verf)) ->
+            encode_call
+              { Rpc.xid; rpcvers = 2; prog = Rpc.nfs_program; vers; proc; cred; verf })
+          (pair (triple xid (int_range 1 4) (int_bound 22)) (pair gen_auth gen_auth)) );
+      ( 1,
+        map
+          (fun (xid, verf, status) -> encode_reply { Rpc.xid; verf; status })
+          (triple xid gen_auth gen_status) );
+    ]
+
+(* A message between junk before it and a body after it, then left
+   alone, byte-flipped or truncated. *)
+let gen_case =
+  let open QCheck.Gen in
+  triple (string_size (0 -- 7)) gen_msg (string_size (0 -- 40)) >>= fun (pre, msg, body) ->
+  let s = pre ^ msg ^ body and pos = String.length pre in
+  let len = String.length msg + String.length body in
+  oneof
+    [
+      return (s, pos, len);
+      ( list_size (1 -- 3) (pair (int_bound (len - 1)) (int_range 1 255)) >|= fun flips ->
+        let b = Bytes.of_string s in
+        List.iter
+          (fun (i, mask) ->
+            Bytes.set b (pos + i) (Char.chr (Char.code (Bytes.get b (pos + i)) lxor mask)))
+          flips;
+        (Bytes.to_string b, pos, len) );
+      (int_bound len >|= fun cut -> (s, pos, cut));
+    ]
+
+let print_case (s, pos, len) =
+  Printf.sprintf "pos=%d len=%d %s" pos len
+    (String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i]))))
+
+let status_of_msg = function
+  | Rpc.Call _ -> None
+  | Rpc.Reply { status = Rpc.Accepted st; _ } ->
+      Some
+        (match st with
+        | Rpc.Success -> (true, 0, 0, 0)
+        | Rpc.Prog_unavail -> (true, 1, 0, 0)
+        | Rpc.Prog_mismatch (lo, hi) -> (true, 2, lo, hi)
+        | Rpc.Proc_unavail -> (true, 3, 0, 0)
+        | Rpc.Garbage_args -> (true, 4, 0, 0)
+        | Rpc.System_err -> (true, 5, 0, 0))
+  | Rpc.Reply { status = Rpc.Denied (Rpc.Rpc_mismatch (lo, hi)); _ } -> Some (false, 0, lo, hi)
+  | Rpc.Reply { status = Rpc.Denied (Rpc.Auth_error st); _ } -> Some (false, 1, st, 0)
+
+let status_of_header (h : Rpc.header) =
+  if h.is_call then None
+  else
+    match (h.accepted, h.stat) with
+    | true, 2 | false, 0 -> Some (h.accepted, h.stat, h.lo, h.hi)
+    | false, _ -> Some (false, h.stat, h.lo, 0)
+    | true, _ -> Some (true, h.stat, 0, 0)
+
+(* The fields the capture reads, from a decoded msg. *)
+let fields_of_msg (m, body) =
+  let uid_gid = function Rpc.Auth_unix { uid; gid; _ } -> (uid, gid) | _ -> (0, 0) in
+  match m with
+  | Rpc.Call c -> (c.xid, true, c.prog, c.vers, c.proc, uid_gid c.cred, status_of_msg m, body)
+  | Rpc.Reply r -> (r.xid, false, 0, 0, 0, (0, 0), status_of_msg m, body)
+
+let fields_of_header (h : Rpc.header) =
+  if h.is_call then
+    (h.xid, true, h.prog, h.vers, h.proc, (h.cred.uid, h.cred.gid), None, h.body)
+  else (h.xid, false, 0, 0, 0, (0, 0), status_of_header h, h.body)
+
+(* One header and one decoder serve every case, as in the capture: no
+   field of an earlier message may leak into a later verdict. *)
+let scratch = Rpc.create_header ()
+let scratch_dec = D.empty ()
+
+let prop_one_grammar =
+  QCheck.Test.make ~name:"scratch header reader = Rpc_msg.decode = copying decoder" ~count:3000
+    (QCheck.make ~print:print_case gen_case)
+    (fun (s, pos, len) ->
+      let verdict f = match f () with v -> Some v | exception D.Error _ -> None in
+      let read =
+        verdict (fun () ->
+            D.reset scratch_dec s ~pos ~len;
+            Rpc.read_header scratch scratch_dec;
+            fields_of_header scratch)
+      in
+      let decoded = verdict (fun () -> Rpc.decode s ~pos ~len) in
+      let oracle = verdict (fun () -> Copying_oracle.decode s ~pos ~len) in
+      (match (read, decoded, oracle) with
+      | None, None, None -> ()
+      | Some r, Some d, Some o ->
+          if r <> fields_of_msg d then QCheck.Test.fail_report "reader and decode disagree";
+          if d <> o then QCheck.Test.fail_report "decode and the copying oracle disagree"
+      | _ ->
+          let v = function Some _ -> "accepts" | None -> "raises" in
+          QCheck.Test.fail_reportf "verdicts: reader %s, decode %s, oracle %s" (v read)
+            (v decoded) (v oracle));
+      true)
+
 (* --- record marking --- *)
 
 let test_frame_single () =
@@ -224,6 +423,7 @@ let () =
           Alcotest.test_case "reply statuses" `Quick test_reply_statuses;
           Alcotest.test_case "bad rpc version" `Quick test_bad_rpc_version;
           Alcotest.test_case "garbage rejected" `Quick test_garbage_rejected;
+          QCheck_alcotest.to_alcotest prop_one_grammar;
         ] );
       ( "record-marking",
         [

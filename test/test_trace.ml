@@ -535,7 +535,7 @@ let test_buffered_records_do_not_alias () =
   let _, buffered = via_reused_buffer pcap in
   Alcotest.(check (list string)) "same lines after finish" at_production (lines buffered)
 
-(* --- nfstrace's two-stage decode against one domain --- *)
+(* --- the lossy EECS/UDP pcap --- *)
 
 let eecs_lossy_pcap () =
   let plan =
@@ -557,6 +557,52 @@ let eecs_lossy_pcap () =
       ~writer:(Pcap.writer_to_buffer buf) ()
   in
   Buffer.contents buf
+
+(* --- the capture domain's allocation budget --- *)
+
+(* Minor words per frame that a capture allocates on [pcap], emit a
+   no-op: what is left is the records themselves (the calls, their
+   handles and names, the pending-table entries) and a boxed time per
+   frame, not per-frame scaffolding. *)
+let words_per_frame pcap =
+  let cap = Capture.create ~emit:ignore () in
+  let reader = Pcap.reader_of_string pcap in
+  let before = Gc.minor_words () in
+  Capture.feed_pcap cap reader;
+  let stats, _ = Capture.finish cap in
+  (Gc.minor_words () -. before) /. float_of_int stats.frames
+
+let clean_campus = lazy (campus_pcap ())
+let lossy_eecs = lazy (eecs_lossy_pcap ())
+
+let test_allocation_budget () =
+  List.iter
+    (fun (name, pcap, bound) ->
+      let w = words_per_frame pcap in
+      if w > bound then
+        Alcotest.failf "%s: %.1f minor words per frame, over the budget of %.0f" name w bound)
+    (* Measured 43.8 and 49.6; each bound is that plus 10%. *)
+    [ ("clean campus tcp", Lazy.force clean_campus, 48.2);
+      ("lossy eecs udp", Lazy.force lossy_eecs, 54.6) ]
+
+(* All scratch belongs to one capture: two captures decoding at once on
+   two domains give what each gives alone. *)
+let test_two_captures_two_domains () =
+  let decode pcap =
+    let cap = Capture.create () in
+    Capture.feed_pcap cap (Pcap.reader_of_string pcap);
+    let stats, records = Capture.finish cap in
+    Capture.stats_to_string stats :: lines records
+  in
+  let campus = Lazy.force clean_campus and eecs = Lazy.force lossy_eecs in
+  let campus_alone = decode campus and eecs_alone = decode eecs in
+  let other = Domain.spawn (fun () -> decode eecs) in
+  let campus_together = decode campus in
+  let eecs_together = Domain.join other in
+  Alcotest.(check (list string)) "campus" campus_alone campus_together;
+  Alcotest.(check (list string)) "eecs" eecs_alone eecs_together
+
+(* --- nfstrace's two-stage decode against one domain --- *)
 
 (* Run [f text_oc tbin_oc] on two temporary files; its result and the
    bytes it wrote to each. *)
@@ -675,6 +721,60 @@ let test_two_stage_failures () =
   Alcotest.(check int) "records before the exception written" 1000
     (List.length (String.split_on_char '\n' text) - 1);
   Alcotest.(check bool) "no domain left running after a capture failure" true (settled 100)
+
+(* Calls whose replies never come leave in (call time, client, xid)
+   order, both those a sweep expires and those [finish] flushes. The
+   clients and xids are picked so that the pending table's own order
+   is not that one. *)
+let test_lost_replies_in_call_order () =
+  let lost time client xid =
+    { base_record with time; reply_time = None; result = None; client = Ip.v 10 1 0 client; xid }
+  in
+  let expired =
+    [ lost 1000. 31 0x90; lost 1000. 7 0x5000; lost 1000. 7 0x12; lost 1000. 200 0x1;
+      lost 999.5 31 0x7FFF0000; lost 1000.25 7 3; lost 1000. 31 0x8F ]
+  in
+  (* Its call, 70 s after the first, sweeps every call above out. *)
+  let answered =
+    { base_record with time = 1070.; reply_time = Some 1070.4; client = Ip.v 10 1 0 5; xid = 0x777 }
+  in
+  let pending =
+    [ lost 1080. 9 0x44; lost 1080. 9 0x43; lost 1080. 2 0xFFFF; lost 1079.9 150 0x10;
+      lost 1080. 150 0x2; lost 1080.5 2 0x1 ]
+  in
+  let buf = Buffer.create 4096 in
+  let pipe =
+    Packet_pipe.create ~transport:Packet_pipe.Udp_transport ~writer:(Pcap.writer_to_buffer buf) ()
+  in
+  List.iter (Packet_pipe.push pipe)
+    (List.stable_sort
+       (fun (a : Record.t) (b : Record.t) -> Float.compare a.time b.time)
+       ((answered :: expired) @ pending));
+  Packet_pipe.finish pipe;
+  let pcap = Buffer.contents buf in
+  let key (r : Record.t) = (r.time, r.client, r.xid) in
+  let in_order l = List.map key (List.sort (fun a b -> compare (key a) (key b)) l) in
+  let expected = in_order expired @ [ key answered ] @ in_order pending in
+  let check name emitted =
+    Alcotest.(check (list (triple (float 0.) int int))) name expected (List.rev_map key emitted)
+  in
+  let emitted = ref [] in
+  let cap = Capture.create ~emit:(fun r -> emitted := r :: !emitted) () in
+  Capture.feed_pcap cap (Pcap.reader_of_string pcap);
+  let stats, _ = Capture.finish cap in
+  Alcotest.(check int) "lost replies" (List.length expired + List.length pending)
+    stats.lost_replies;
+  check "Capture" !emitted;
+  let emitted = ref [] in
+  let null = open_out_bin Filename.null in
+  let _ =
+    Fun.protect
+      ~finally:(fun () -> close_out null)
+      (fun () ->
+        Pipeline.trace_pcap ~emit:(fun r -> emitted := r :: !emitted) (Pcap.reader_of_string pcap)
+          null)
+  in
+  check "two-stage trace_pcap" !emitted
 
 let test_capture_unknown_version () =
   (* A call whose NFS version field says 7: counted as an RPC error and
@@ -1196,6 +1296,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_capture_never_crashes_on_garbage;
           QCheck_alcotest.to_alcotest prop_capture_survives_bitflips;
           Alcotest.test_case "unknown NFS version" `Quick test_capture_unknown_version;
+          Alcotest.test_case "lost replies leave in call order" `Quick
+            test_lost_replies_in_call_order;
         ] );
       ( "degraded",
         [
@@ -1215,6 +1317,8 @@ let () =
           Alcotest.test_case "salvage" `Quick test_slice_salvage;
           Alcotest.test_case "buffered records do not alias" `Quick
             test_buffered_records_do_not_alias;
+          Alcotest.test_case "capture allocation budget" `Quick test_allocation_budget;
+          Alcotest.test_case "two captures on two domains" `Quick test_two_captures_two_domains;
           Alcotest.test_case "two-stage decode matches one domain" `Quick
             test_two_stage_matches_one_domain;
           Alcotest.test_case "two-stage decode stops on either stage's error" `Quick
