@@ -7,26 +7,20 @@ open Cmdliner
 module Obs = Nt_obs.Obs
 module Pipeline = Nt_core.Pipeline
 
-let run input analyses jobs lint obs_opts =
+let run input analyses jobs obs_opts =
   if Pipeline.refuse_pcap ~tool:"nfsstats" input then 2
   else
   let obs = Obs.create () in
   let timeline = Obs_cli.timeline obs_opts obs in
   let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
   let prog = Obs_cli.progress obs_opts "nfsstats" in
-  let linter =
-    if lint then Some (Nt_lint.Engine.create ~obs Nt_lint.Engine.default_config) else None
-  in
-  (* one pass over the source: the linter and the report fold see each
-     record as it is decoded, and the trace is never held in memory.
-     The meter, the sampler and the linter run on the calling domain;
-     the linter needs every record in order, so it reads one range. *)
-  let tap r =
+  (* one pass over the source: the report fold sees each record as it
+     is decoded, and the trace is never held in memory. The meter and
+     the sampler run on the calling domain. *)
+  let tap _ =
     Obs_cli.tick prog ~stage:"analyze" 1;
-    Nt_obs.Sampler.tick sampler;
-    match linter with Some l -> Nt_lint.Engine.observe l r | None -> ()
+    Nt_obs.Sampler.tick sampler
   in
-  let jobs = if lint then 1 else jobs in
   let sections, n, source =
     Obs.with_span obs "analyze" (fun () ->
         Pipeline.analyze_trace ~obs ?timeline ~jobs ~tap ~sections:analyses input)
@@ -37,15 +31,6 @@ let run input analyses jobs lint obs_opts =
     source.rejected;
   Printf.eprintf "nfsstats: %d records loaded\n%!" n;
   List.iter prerr_endline (Pipeline.skipped_notes ~tool:"nfsstats" source);
-  Option.iter
-    (fun l ->
-      List.iter
-        (fun f -> Printf.eprintf "nfsstats: %s\n" (Nt_lint.Finding.to_string f))
-        (Nt_lint.Engine.findings l);
-      Printf.eprintf "nfsstats: lint: %d error(s), %d warning(s)\n%!"
-        (Nt_rules.severity_count (Nt_lint.Engine.tally l) Nt_rules.Error)
-        (Nt_rules.severity_count (Nt_lint.Engine.tally l) Nt_rules.Warn))
-    linter;
   List.iter
     (fun a ->
       Obs.add
@@ -100,21 +85,13 @@ let jobs =
            domain count; at most 64). Each range is decoded and folded into its own \
            accumulators on a domain of its own, and the ranges merge in file order once all \
            are read. Text ranges split at line starts; a tbin range owns the frames that start \
-           in it. stdin, pipes, --lint and a file shorter than N bytes read as one range. The \
+           in it. stdin, pipes and a file shorter than N bytes read as one range. The \
            report text, the record count and the skipped-input counts are identical at any \
            setting.")
-
-let lint =
-  Arg.(
-    value & flag
-    & info [ "lint" ]
-        ~doc:
-          "Run the static checker over the records in the same pass as the analyses; findings \
-           go to stderr so suspicious traces are flagged next to the numbers they distort.")
 
 let cmd =
   Cmd.v
     (Cmd.info "nfsstats" ~doc:"Analyze a saved NFS trace")
-    Term.(const run $ input $ analyses $ jobs $ lint $ Obs_cli.term)
+    Term.(const run $ input $ analyses $ jobs $ Obs_cli.term)
 
 let () = exit (Cmd.eval' cmd)

@@ -23,14 +23,12 @@ let default_config =
     alloc_roots =
       [
         "Nt_net.Pcap.advance";
-        "Nt_net.Pcap.read_slice";
         "Nt_net.Pcap.parse";
         "Nt_net.Frame.decode_into";
         "Nt_xdr.Decode.reset";
         "Nt_rpc.Rpc_msg.read_header";
         "Nt_net.Tcp_reassembly.stream";
         "Nt_net.Tcp_reassembly.push_stream";
-        "Nt_net.Tcp_reassembly.push_slice";
         "Nt_rpc.Record_mark.push_slice";
         "Nt_trace.Capture.feed_slice";
         "Nt_trace.Record.parse_slice";

@@ -15,7 +15,7 @@ type config = {
           the poly-compare rule, merge) bindings seed the alloc-hot set;
           decode* bindings in decode scope seed it too *)
   alloc_roots : string list;
-      (** dotted names ("Nt_net.Pcap.read_slice") of further bindings
+      (** dotted names ("Nt_net.Pcap.advance") of further bindings
           that seed the alloc-hot and poly-compare sets: per-packet entry
           points outside the decode* naming convention. A name that
           matches no binding is a config-drift finding. *)

@@ -1,11 +1,8 @@
 module Engine = Nt_sim.Engine
-module Server = Nt_sim.Server
 module Record_sorter = Nt_sim.Record_sorter
-module Email = Nt_workload.Email
-module Research = Nt_workload.Research
 module Obs = Nt_obs.Obs
 
-type workload = Campus | Eecs
+type workload = Pipeline.system = Campus | Eecs
 
 type state = {
   engine : Engine.t;
@@ -58,28 +55,17 @@ let pull st () =
     end
   end
 
-let create ?obs ?(email = Email.default_config) ?(research = Research.default_config)
-    ?(slice_s = 1.0) ?speedup ~workload ~start ~stop () =
+let create ?obs ?email ?research ?(slice_s = 1.0) ?speedup ~workload ~start ~stop () =
   if stop <= start then invalid_arg "Live_feed.create: stop <= start";
   if slice_s <= 0. then invalid_arg "Live_feed.create: slice_s <= 0";
   let obs = match obs with Some o -> o | None -> Obs.null in
-  let engine = Engine.create ~obs ~start:(start -. 1.) () in
   let queue = Queue.create () in
   let c_records = Obs.counter obs ~help:"records released by the live sim feed" "pipeline.records" in
-  let sorter =
-    Record_sorter.create ~obs (fun r ->
+  let { Pipeline.engine; sorter; counts = _ } =
+    Pipeline.wire ~obs ?email ?research workload ~start ~stop (fun r ->
         Obs.inc c_records;
         Queue.push r queue)
   in
-  (match workload with
-  | Campus ->
-      let server = Server.create ~fsid:2 ~ip:(Nt_net.Ip_addr.v 10 1 1 2) () in
-      let wl = Email.setup email ~engine ~server ~sink:(Record_sorter.push sorter) in
-      Email.schedule wl ~start ~stop
-  | Eecs ->
-      let server = Server.create ~fsid:3 ~ip:(Nt_net.Ip_addr.v 10 2 1 2) () in
-      let wl = Research.setup research ~engine ~server ~sink:(Record_sorter.push sorter) in
-      Research.schedule wl ~start ~stop);
   let st =
     {
       engine;

@@ -14,7 +14,7 @@
     The feed cannot seek ([pos] is [None]): a restored monitor resumes
     its windows and counters but replays no simulated suffix. *)
 
-type workload = Campus | Eecs
+type workload = Pipeline.system = Campus | Eecs
 
 val create :
   ?obs:Nt_obs.Obs.t ->

@@ -15,37 +15,59 @@ type run_stats = {
   server_calls : int;
 }
 
-let campus_server_ip = Ip_addr.v 10 1 1 2 (* "home02" *)
-let eecs_server_ip = Ip_addr.v 10 2 1 2
+type system = Campus | Eecs
+
+type wiring = {
+  engine : Engine.t;
+  sorter : Record_sorter.t;
+  counts : unit -> int * int * int * int;
+}
+
+let wire ~obs ?(email = Email.default_config) ?(research = Research.default_config) system
+    ~start ~stop sink =
+  let engine = Engine.create ~obs ~start:(start -. 1.) () in
+  let sorter = Record_sorter.create ~obs sink in
+  let push = Record_sorter.push sorter in
+  let counts =
+    match system with
+    | Campus ->
+        let server = Server.create ~fsid:2 ~ip:(Ip_addr.v 10 1 1 2) (* "home02" *) () in
+        let wl = Email.setup email ~engine ~server ~sink:push in
+        Email.schedule wl ~start ~stop;
+        fun () ->
+          (Email.sessions_started wl, Email.deliveries_made wl, 0, Server.calls_handled server)
+    | Eecs ->
+        let server = Server.create ~fsid:3 ~ip:(Ip_addr.v 10 2 1 2) () in
+        let wl = Research.setup research ~engine ~server ~sink:push in
+        Research.schedule wl ~start ~stop;
+        fun () -> (0, 0, Research.compiles_run wl, Server.calls_handled server)
+  in
+  { engine; sorter; counts }
 
 (* run_stats is DERIVED from the registry: every field is written to an
    obs counter first and read back out, so the struct can never
    disagree with what a --metrics snapshot reports. Deltas against the
    pre-run counter values keep per-run stats correct when one registry
    hosts several runs. *)
-let workload_counters obs =
-  ( Obs.counter obs ~help:"trace records emitted to the sink" "pipeline.records",
-    Obs.counter obs ~help:"interactive sessions started" "workload.sessions",
-    Obs.counter obs ~help:"messages delivered" "workload.deliveries",
-    Obs.counter obs ~help:"compile jobs run" "workload.compiles",
-    Obs.counter obs ~help:"NFS calls the simulated server handled" "server.calls" )
-
-let simulate_campus ?obs ?(config = Email.default_config) ~start ~stop ~sink () =
+let simulate ?obs ?email ?research system ~start ~stop ~sink =
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  let c_records, c_sessions, c_deliveries, c_compiles, c_server = workload_counters obs in
+  let counter help name = Obs.counter obs ~help name in
+  let c_records = counter "trace records emitted to the sink" "pipeline.records" in
+  let c_sessions = counter "interactive sessions started" "workload.sessions" in
+  let c_deliveries = counter "messages delivered" "workload.deliveries" in
+  let c_compiles = counter "compile jobs run" "workload.compiles" in
+  let c_server = counter "NFS calls the simulated server handled" "server.calls" in
   let r0 = Obs.value c_records in
-  let engine = Engine.create ~obs ~start:(start -. 1.) () in
-  let server = Server.create ~fsid:2 ~ip:campus_server_ip () in
-  let sorter =
-    Record_sorter.create ~obs (fun r ->
+  let w =
+    wire ~obs ?email ?research system ~start ~stop (fun r ->
         Obs.inc c_records;
         sink r)
   in
-  let wl = Email.setup config ~engine ~server ~sink:(Record_sorter.push sorter) in
-  Obs.with_span obs "simulate.campus" (fun () ->
-      Email.schedule wl ~start ~stop;
-      Engine.run_until engine stop;
-      Record_sorter.flush sorter);
+  let span = match system with Campus -> "simulate.campus" | Eecs -> "simulate.eecs" in
+  Obs.with_span obs span (fun () ->
+      Engine.run_until w.engine stop;
+      Record_sorter.flush w.sorter);
+  let sessions, deliveries, compiles, server_calls = w.counts () in
   let take c n =
     let before = Obs.value c in
     Obs.add c n;
@@ -53,40 +75,17 @@ let simulate_campus ?obs ?(config = Email.default_config) ~start ~stop ~sink () 
   in
   {
     records = Obs.value c_records - r0;
-    sessions = take c_sessions (Email.sessions_started wl);
-    deliveries = take c_deliveries (Email.deliveries_made wl);
-    compiles = take c_compiles 0;
-    server_calls = take c_server (Server.calls_handled server);
+    sessions = take c_sessions sessions;
+    deliveries = take c_deliveries deliveries;
+    compiles = take c_compiles compiles;
+    server_calls = take c_server server_calls;
   }
 
-let simulate_eecs ?obs ?(config = Research.default_config) ~start ~stop ~sink () =
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let c_records, c_sessions, c_deliveries, c_compiles, c_server = workload_counters obs in
-  let r0 = Obs.value c_records in
-  let engine = Engine.create ~obs ~start:(start -. 1.) () in
-  let server = Server.create ~fsid:3 ~ip:eecs_server_ip () in
-  let sorter =
-    Record_sorter.create ~obs (fun r ->
-        Obs.inc c_records;
-        sink r)
-  in
-  let wl = Research.setup config ~engine ~server ~sink:(Record_sorter.push sorter) in
-  Obs.with_span obs "simulate.eecs" (fun () ->
-      Research.schedule wl ~start ~stop;
-      Engine.run_until engine stop;
-      Record_sorter.flush sorter);
-  let take c n =
-    let before = Obs.value c in
-    Obs.add c n;
-    Obs.value c - before
-  in
-  {
-    records = Obs.value c_records - r0;
-    sessions = take c_sessions 0;
-    deliveries = take c_deliveries 0;
-    compiles = take c_compiles (Research.compiles_run wl);
-    server_calls = take c_server (Server.calls_handled server);
-  }
+let simulate_campus ?obs ?config ~start ~stop ~sink () =
+  simulate ?obs ?email:config Campus ~start ~stop ~sink
+
+let simulate_eecs ?obs ?config ~start ~stop ~sink () =
+  simulate ?obs ?research:config Eecs ~start ~stop ~sink
 
 type pcap_stats = {
   run : run_stats;

@@ -12,6 +12,30 @@ type run_stats = {
   server_calls : int;
 }
 
+type system = Campus | Eecs
+
+type wiring = {
+  engine : Nt_sim.Engine.t;
+  sorter : Nt_sim.Record_sorter.t;
+  counts : unit -> int * int * int * int;
+      (** sessions, deliveries, compiles and server calls so far *)
+}
+
+val wire :
+  obs:Nt_obs.Obs.t ->
+  ?email:Nt_workload.Email.config ->
+  ?research:Nt_workload.Research.config ->
+  system ->
+  start:float ->
+  stop:float ->
+  (Nt_trace.Record.t -> unit) ->
+  wiring
+(** One simulated system: an engine starting a second before [start],
+    the NFS server (CAMPUS: 10.1.1.2, fsid 2; EECS: 10.2.1.2, fsid 3),
+    the workload ([email] or [research]) scheduled over [start, stop),
+    and a sorter passing records to the sink in call-time order. The
+    caller runs the engine and flushes the sorter. *)
+
 val simulate_campus :
   ?obs:Nt_obs.Obs.t ->
   ?config:Nt_workload.Email.config ->

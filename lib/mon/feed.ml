@@ -205,9 +205,10 @@ let pcap_tail ?obs path =
       let at = ref 0 in
       let fresh () = Capture.create ~obs ~emit:(fun rcd -> emit rcd !at) () in
       let cap = ref (fresh ()) in
-      let feed (s : Pcap.slice) off =
+      let feed off =
+        let p = Pcap.record r in
         at := off;
-        Capture.feed_slice !cap ~time:s.time s.buf ~off:s.off ~len:s.len
+        Capture.feed_slice !cap ~time:p.time p.buf ~off:p.off ~len:p.len
       in
       {
         win = Pcap.window r;

@@ -13,7 +13,7 @@ type t = {
 
 let dummy = { expiry = 0.; proc = ""; reply_lost = false }
 
-let create ?(cap = 4096) ?(timeout = 60.) () =
+let create ?(cap = 4096) ?(timeout = Nt_trace.Capture.lost_reply_timeout) () =
   if cap <= 0 then invalid_arg "Outstanding.create: cap <= 0";
   { cap; timeout; heap = Array.make (min cap 64) dummy; len = 0; lost = 0; dropped = 0 }
 [@@nt.raise_ok

@@ -12,8 +12,8 @@ type t
 
 val create : ?cap:int -> ?timeout:float -> unit -> t
 (** [cap] (default 4096) bounds tracked in-flight calls; [timeout]
-    (default 60 s) is how long a reply-lost call stays "outstanding"
-    before it is counted as lost. *)
+    (default {!Nt_trace.Capture.lost_reply_timeout}) is how long a
+    reply-lost call stays "outstanding" before it is counted as lost. *)
 
 val note : t -> Nt_trace.Record.t -> unit
 val advance : t -> now:float -> unit

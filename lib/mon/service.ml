@@ -13,11 +13,8 @@ type config = {
   drain_max : int;
   backoff_base_s : float;
   backoff_cap_s : float;
-  watchdog_s : float;
   checkpoint_path : string option;
   checkpoint_every_s : float;
-  outstanding_cap : int;
-  pending_timeout : float;
   max_records : int option;
   idle_exit : int option;
   json : bool;
@@ -27,6 +24,10 @@ let default_emit s =
   print_string s;
   flush stdout
 [@@nt.allow "lib-stdout: the monitor's report stream is stdout by contract; callers override"]
+
+(* Seconds without progress after which [mon.feed.stalled] flags a wedged
+   feed. *)
+let stall_after_s = 30.
 
 let default_config =
   {
@@ -38,11 +39,8 @@ let default_config =
     drain_max = 8192;
     backoff_base_s = 0.02;
     backoff_cap_s = 2.0;
-    watchdog_s = 30.;
     checkpoint_path = None;
     checkpoint_every_s = 30.;
-    outstanding_cap = 4096;
-    pending_timeout = 60.;
     max_records = None;
     idle_exit = None;
     json = false;
@@ -327,10 +325,7 @@ let restore t =
       | Error _ -> Obs.inc t.c_ckpt_restore_failed
       | Ok (feed_pos, (ingested, shed, reports), ring, pending) ->
           t.ring <- ring;
-          (match
-             Outstanding.of_json ~cap:t.config.outstanding_cap ~timeout:t.config.pending_timeout
-               pending
-           with
+          (match Outstanding.of_json pending with
           | Ok out -> t.out <- out
           | Error _ ->
               (* the aggregated state is still good; start the
@@ -372,7 +367,7 @@ let create ?obs ?clock ?sleep ?emit ?tick config feed =
       tick;
       queue = Ingest.create ~capacity:config.queue_cap;
       ring = Ring.create config.ring;
-      out = Outstanding.create ~cap:config.outstanding_cap ~timeout:config.pending_timeout ();
+      out = Outstanding.create ();
       ingested = 0;
       shed = 0;
       reports = 0;
@@ -471,7 +466,7 @@ let step t =
           save_checkpoint t
       | _ -> ());
       Obs.set t.g_stalled
-        (if t.clock () -. t.last_progress > t.config.watchdog_s then 1. else 0.);
+        (if t.clock () -. t.last_progress > stall_after_s then 1. else 0.);
       let done_by_count =
         match t.config.max_records with Some n -> Ring.observed t.ring >= n | None -> false
       in

@@ -36,11 +36,8 @@ type config = {
   drain_max : int;
   backoff_base_s : float;
   backoff_cap_s : float;  (** capped exponential idle backoff *)
-  watchdog_s : float;  (** no-progress threshold flagging a wedged feed *)
   checkpoint_path : string option;
   checkpoint_every_s : float;
-  outstanding_cap : int;
-  pending_timeout : float;
   max_records : int option;  (** stop after observing this many (soaks) *)
   idle_exit : int option;  (** stop after N consecutive idle rounds *)
   json : bool;  (** emit JSON report lines instead of tables *)

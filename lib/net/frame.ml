@@ -92,20 +92,6 @@ let encode t =
   ignore payload;
   Bytes.unsafe_to_string b
 
-type header = {
-  ip_src : Ip_addr.t;
-  ip_dst : Ip_addr.t;
-  is_tcp : bool;
-  sport : int;
-  dport : int;
-  tcp_seq : int;
-  tcp_syn : bool;
-  tcp_fin : bool;
-  payload_off : int;
-  payload_len : int;
-  checksum_ok : bool;
-}
-
 let unsupported_protocol proto = Error (Printf.sprintf "unsupported IP protocol %d" proto)
 [@@nt.alloc_ok "formats the rejection of a non-UDP/TCP frame; never reached by NFS traffic"]
 
@@ -191,25 +177,17 @@ let decode_into (h : scratch) s ~off ~len =
     end
   end
 
-let decode_slice s ~off ~len =
-  let h = scratch () in
-  match decode_into h s ~off ~len with
-  | Error e -> Error e
-  | Ok () ->
-      Ok
-        ({ ip_src = h.ip_src; ip_dst = h.ip_dst; is_tcp = h.is_tcp; sport = h.sport;
-           dport = h.dport; tcp_seq = h.tcp_seq; tcp_syn = h.tcp_syn; tcp_fin = h.tcp_fin;
-           payload_off = h.payload_off; payload_len = h.payload_len;
-           checksum_ok = h.checksum_ok }
-          : header)
-
 let header_checksum_ok s =
-  match decode_slice s ~off:0 ~len:(String.length s) with Ok h -> h.checksum_ok | Error _ -> true
+  let h = scratch () in
+  match decode_into h s ~off:0 ~len:(String.length s) with
+  | Ok () -> h.checksum_ok
+  | Error _ -> true
 
 let decode s =
-  match decode_slice s ~off:0 ~len:(String.length s) with
-  | Error _ as e -> e
-  | Ok h ->
+  let h = scratch () in
+  match decode_into h s ~off:0 ~len:(String.length s) with
+  | Error e -> Error e
+  | Ok () ->
       let payload = String.sub s h.payload_off h.payload_len in
       let transport =
         if h.is_tcp then
@@ -219,5 +197,5 @@ let decode s =
       in
       Ok { src_mac = String.sub s 6 6; dst_mac = String.sub s 0 6; src_ip = h.ip_src;
            dst_ip = h.ip_dst; transport }
-[@@nt.alloc_ok "the copying adapter over decode_slice: materializes MACs and the payload for \
+[@@nt.alloc_ok "the copying adapter over decode_into: materializes MACs and the payload for \
                 callers that keep a Frame.t beyond the buffer it was read from"]

@@ -33,21 +33,6 @@ val tcp : ?src_mac:string -> ?dst_mac:string -> ?syn:bool -> ?fin:bool -> src_ip
 val encode : t -> string
 (** Full Ethernet frame bytes. *)
 
-type header = {
-  ip_src : Ip_addr.t;
-  ip_dst : Ip_addr.t;
-  is_tcp : bool;  (** otherwise UDP *)
-  sport : int;
-  dport : int;
-  tcp_seq : int;  (** TCP only, like the two flags *)
-  tcp_syn : bool;
-  tcp_fin : bool;
-  payload_off : int;  (** absolute offset of the payload in the decoded string *)
-  payload_len : int;
-  checksum_ok : bool;  (** the IPv4 header checksum verifies *)
-}
-(** A parsed frame whose payload stays where it was read. *)
-
 type scratch = {
   mutable ip_src : Ip_addr.t;
   mutable ip_dst : Ip_addr.t;
@@ -59,9 +44,12 @@ type scratch = {
   mutable tcp_fin : bool;
   mutable payload_off : int;
   mutable payload_len : int;
-  mutable checksum_ok : bool;
+  mutable checksum_ok : bool;  (** the IPv4 header checksum verifies *)
 }
-(** A {!header} that one decoder overwrites frame after frame. *)
+(** A parsed frame whose payload stays where it was read, overwritten
+    by one decoder frame after frame. [payload_off] is the absolute
+    offset of the payload in the decoded string; [tcp_seq] and the two
+    flags are meaningful for TCP only. *)
 
 val scratch : unit -> scratch
 
@@ -73,12 +61,9 @@ val decode_into : scratch -> string -> off:int -> len:int -> (unit, string) resu
     capture engine counts and skips rejected frames. Only an
     unsupported protocol's [Error] allocates. *)
 
-val decode_slice : string -> off:int -> len:int -> (header, string) result
-(** {!decode_into} a fresh scratch, copied into a {!header}. *)
-
 val decode : string -> (t, string) result
-(** {!decode_slice} over a whole string, copying the MACs and the
-    payload out. *)
+(** {!decode_into} a fresh scratch over a whole string, copying the
+    MACs and the payload out. *)
 
 val header_checksum_ok : string -> bool
 (** Verify the IPv4 header checksum of an encoded frame. [true] when
@@ -86,7 +71,7 @@ val header_checksum_ok : string -> bool
     structural failure is its to report); [false] means the
     frame parsed but its header bytes were corrupted in flight — the
     capture engine counts these separately from undecodable frames
-    (it reads the same verdict from {!header.checksum_ok}). *)
+    (it reads the same verdict from {!scratch.checksum_ok}). *)
 
 val ipv4_checksum : string -> pos:int -> len:int -> int
 (** One's-complement checksum over a header region, exposed for tests. *)

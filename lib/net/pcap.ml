@@ -57,8 +57,6 @@ let write w ~time data =
 
 (* --- reading --- *)
 
-type slice = { time : float; orig_len : int; buf : string; off : int; len : int }
-
 type read_stats = {
   records : int;
   salvaged : int;
@@ -68,7 +66,7 @@ type read_stats = {
 }
 
 (* One parser, [next], serves both drivers: a channel reader refills
-   [win] in place ([read_slice]), the monitor's tail pushes file bytes
+   [win] in place ([advance]), the monitor's tail pushes file bytes
    into it ([parse]), and a string reader's window is the input itself.
    [next] answers [More] whenever the verdict depends on bytes not read
    yet; only [eof] makes a short tail a truncation. Loss accounting
@@ -323,17 +321,12 @@ let rec advance r =
 
 let record r = r.cur
 
-let slice { cur = c; _ } : slice =
-  { time = c.time; orig_len = c.orig_len; buf = c.buf; off = c.off; len = c.len }
-
-let read_slice r = if advance r then Some (slice r) else None
-
 let window r = r.win
 
 let rec parse r emit =
   match next r with
   | Got ->
-      emit (slice r) r.win.pos;
+      emit r.win.pos;
       parse r emit
   | More | Absurd -> ()
 
@@ -355,6 +348,3 @@ let read_next r =
     Some { time = c.time; orig_len = c.orig_len; data = String.sub c.buf c.off c.len }
   else None
 
-let packets r =
-  let rec next () = match read_next r with None -> Seq.Nil | Some p -> Seq.Cons (p, next) in
-  next

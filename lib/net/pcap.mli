@@ -9,12 +9,6 @@
     magics are accepted on read; writes are microsecond little-endian,
     linktype EN10MB. *)
 
-type slice = { time : float; orig_len : int; buf : string; off : int; len : int }
-(** A packet left in the reader's buffer: its bytes are
-    [buf.[off .. off+len-1]], and [len] may be shorter than [orig_len]
-    when the capture snapped. A channel reader reuses [buf], so a slice
-    is valid only until the next read from the same reader. *)
-
 type packet = { time : float; orig_len : int; data : string }
 (** A packet that owns its bytes. [data] may be shorter than [orig_len]
     when the capture snapped. *)
@@ -58,8 +52,11 @@ type record = private {
   mutable off : int;
   mutable len : int;
 }
-(** The packet {!advance} read last, with the fields of a {!slice}.
-    Each reader owns one and overwrites it with every record. *)
+(** The packet {!advance} read last, left in the reader's buffer: its
+    bytes are [buf.[off .. off+len-1]], and [len] may be shorter than
+    [orig_len] when the capture snapped. Each reader owns one and
+    overwrites it with every record, so its fields are valid only until
+    the next read from the same reader. *)
 
 val advance : reader -> bool
 (** Read the next packet into {!record}, without copying it or
@@ -74,9 +71,6 @@ val advance : reader -> bool
     was given. Either way the bytes are valid until the next read. *)
 
 val record : reader -> record
-
-val read_slice : reader -> slice option
-(** {!advance}, copying {!record} into a {!slice}. *)
 
 val read_next : reader -> packet option
 (** {!advance}, copying the packet out. *)
@@ -100,14 +94,12 @@ val create : ?obs:Nt_obs.Obs.t -> unit -> reader
 
 val window : reader -> Window.t
 
-val parse : reader -> (slice -> int -> unit) -> unit
-(** Decode every complete record, with the stream offset past it. *)
+val parse : reader -> (int -> unit) -> unit
+(** Decode every complete record into {!record} and call the callback
+    with the stream offset past it. *)
 
 val reset_at : reader -> int -> unit
 (** Re-expect the global header at offset 0, then jump to [off]. *)
 
 val failures : reader -> int
 (** Resyncs, unusable global headers and truncated tails so far. *)
-
-val packets : reader -> packet Seq.t
-(** Lazily read remaining packets. The sequence must be consumed once. *)

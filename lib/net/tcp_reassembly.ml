@@ -158,15 +158,12 @@ let push_stream t st ~seq ~syn buf ~off ~len ~data ~gap ctx =
     end
   end
 
-let push_slice t (f : flow) ~seq ~syn buf ~off ~len ~data ~gap ctx =
+let push t (f : flow) ~seq ~syn payload =
   let st =
     stream t ~src_ip:f.src_ip ~src_port:f.src_port ~dst_ip:f.dst_ip ~dst_port:f.dst_port ~seq
   in
-  push_stream t st ~seq ~syn buf ~off ~len ~data ~gap ctx
-
-let push t flow ~seq ~syn payload =
   let events = ref [] in
-  push_slice t flow ~seq ~syn payload ~off:0 ~len:(String.length payload)
+  push_stream t st ~seq ~syn payload ~off:0 ~len:(String.length payload)
     ~data:(fun events s off len -> events := Data (String.sub s off len) :: !events)
     ~gap:(fun events n -> events := Gap n :: !events)
     events;

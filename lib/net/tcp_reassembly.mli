@@ -24,29 +24,6 @@ val create : ?max_buffered_segments:int -> unit -> t
     per flow; when exceeded, the reassembler declares a gap and resyncs
     at the earliest buffered segment. *)
 
-val push_slice :
-  t ->
-  flow ->
-  seq:int ->
-  syn:bool ->
-  string ->
-  off:int ->
-  len:int ->
-  data:('a -> string -> int -> int -> unit) ->
-  gap:('a -> int -> unit) ->
-  'a ->
-  unit
-(** Feed the segment whose payload is [buf.[off .. off+len-1]] to the
-    flow's {!stream}; the
-    events it unlocks arrive in order through [data ctx s off len] (the
-    next in-order bytes) and [gap ctx n] (see {!Gap}). A SYN consumes
-    one sequence number and establishes the initial sequence number for
-    the flow.
-
-    In-order bytes are handed over as a range of [buf] itself; only a
-    segment that arrives ahead of a hole is copied, so it can wait. A
-    [data] range is valid only until the callback returns. *)
-
 type stream
 (** One direction's reassembly state, as found in the flow table. *)
 
@@ -72,11 +49,19 @@ val push_stream :
   gap:('a -> int -> unit) ->
   'a ->
   unit
-(** {!push_slice} to a stream already looked up. *)
+(** Feed the segment whose payload is [buf.[off .. off+len-1]] to a
+    stream already looked up; the events it unlocks arrive in order
+    through [data ctx s off len] (the next in-order bytes) and
+    [gap ctx n] (see {!Gap}). A SYN consumes one sequence number and
+    establishes the initial sequence number for the flow.
+
+    In-order bytes are handed over as a range of [buf] itself; only a
+    segment that arrives ahead of a hole is copied, so it can wait. A
+    [data] range is valid only until the callback returns. *)
 
 val push : t -> flow -> seq:int -> syn:bool -> string -> event list
-(** {!push_slice} over a whole string, collecting the events as a list
-    of copies. *)
+(** {!stream} then {!push_stream} over a whole string, collecting the
+    events as a list of copies. *)
 
 val flows : t -> int
 (** Number of distinct flows seen. *)

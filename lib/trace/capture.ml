@@ -75,7 +75,6 @@ type t = {
   mutable rms : Rm.reassembler option array;  (* by Tcp.stream_id *)
   emit : Record.t -> unit;
   buffer : Record.t list ref option;
-  pending_timeout : float;
   mutable last_sweep : float;
   (* Per-frame scratch, overwritten by every frame: the parsed frame,
      the one XDR decoder for RPC headers and NFS bodies, the RPC
@@ -109,7 +108,9 @@ type t = {
   mutable truncated_pcap_tails : int;
 }
 
-let create ?obs ?(pending_timeout = 60.) ?emit () =
+let lost_reply_timeout = 60.
+
+let create ?obs ?emit () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let buffer, emit =
     match emit with
@@ -130,7 +131,6 @@ let create ?obs ?(pending_timeout = 60.) ?emit () =
     rms = Array.make 16 None;
     emit;
     buffer;
-    pending_timeout;
     last_sweep = 0.;
     frame = Frame.scratch ();
     dec = Nt_xdr.Decode.empty ();
@@ -202,24 +202,24 @@ let emit_lost t calls =
 [@@nt.alloc_ok "runs once per pending-table sweep and at finish, never per packet"]
 
 let flush_expired t ~now =
-  if now -. t.last_sweep >= t.pending_timeout /. 2. then begin
+  if now -. t.last_sweep >= lost_reply_timeout /. 2. then begin
     t.last_sweep <- now;
     let expired =
       Int_tbl.fold
-        (fun key p acc -> if now -. p.p_time > t.pending_timeout then (key, p) :: acc else acc)
+        (fun key p acc -> if now -. p.p_time > lost_reply_timeout then (key, p) :: acc else acc)
         t.pending []
     in
     List.iter (fun (key, _) -> Int_tbl.remove t.pending key) expired;
     emit_lost t (List.map snd expired);
     let stale =
       Int_tbl.fold
-        (fun key at acc -> if now -. at > t.pending_timeout then key :: acc else acc)
+        (fun key at acc -> if now -. at > lost_reply_timeout then key :: acc else acc)
         t.answered []
     in
     List.iter (Int_tbl.remove t.answered) stale
   end
 [@@nt.alloc_ok
-  "sweeps at most once per half pending_timeout of trace time; the expired lists are built only \
+  "sweeps at most once per half lost_reply_timeout of trace time; the expired lists are built only \
    then, never per packet"]
 
 (* The body runs from the decoder's cursor to the end of the message. *)

@@ -40,11 +40,14 @@ val stats_to_string : stats -> string
 
 type t
 
-val create :
-  ?obs:Nt_obs.Obs.t -> ?pending_timeout:float -> ?emit:(Record.t -> unit) -> unit -> t
-(** [pending_timeout] (default 60 s): a call unanswered for this long is
-    emitted as reply-lost. [emit] receives records as they complete; when
-    omitted, records accumulate for {!finish}.
+val lost_reply_timeout : float
+(** 60 s of trace time: a call unanswered for this long is emitted as
+    reply-lost. *)
+
+val create : ?obs:Nt_obs.Obs.t -> ?emit:(Record.t -> unit) -> unit -> t
+(** A call unanswered for {!lost_reply_timeout} is emitted as
+    reply-lost. [emit] receives records as they complete; when omitted,
+    records accumulate for {!finish}.
 
     [obs] hosts the capture counters ([capture.frames],
     [capture.decode_failure{reason=...}], [capture.calls], ...);

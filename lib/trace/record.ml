@@ -802,8 +802,3 @@ let iter_range ic ~lo ~hi f =
   { rejected = d.rejected; first; stop }
 
 let iter_channel ic f = (iter_range ic ~lo:0 ~hi:max_int f).rejected
-
-let read_channel ?(rejected = ref 0) ic =
-  let acc = ref [] in
-  rejected := !rejected + iter_channel ic (fun r -> acc := r :: !acc);
-  List.to_seq (List.rev !acc)

@@ -124,7 +124,3 @@ val iter_range : in_channel -> lo:int -> hi:int -> (t -> unit) -> range
 val iter_channel : in_channel -> (t -> unit) -> int
 (** The whole channel as one range; returns the number of malformed
     lines skipped. *)
-
-val read_channel : ?rejected:int ref -> in_channel -> t Seq.t
-(** The records of {!iter_channel}, read in full before the sequence is
-    returned; malformed lines are added to [rejected]. *)

@@ -721,10 +721,10 @@ let test_tbin_tail_matches_iter_channel () =
       ckb "pos at end of file" true (Feed.pos f = Some (Int64.of_int (String.length data)));
       Feed.close f)
 
-let test_trace_tail_chunks_match_read_channel () =
+let test_trace_tail_chunks_match_iter_channel () =
   (* Lines reach the tail in 97-byte writes, so most arrive split across
      fills; garbage and blank lines sit between records. The tail must
-     deliver exactly what read_channel reads from the whole file. *)
+     deliver exactly what iter_channel reads from the whole file. *)
   with_tmp "ntmon_chunk_test.trace" (fun path ->
       let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
       let config = { Nt_workload.Email.default_config with users = 2 } in
@@ -741,11 +741,12 @@ let test_trace_tail_chunks_match_read_channel () =
         let oc = open_out_bin path in
         output_string oc text;
         close_out oc;
-        let ic = open_in_bin path in
-        let rejected = ref 0 in
-        let rs = List.of_seq (Record.read_channel ~rejected ic) in
-        close_in ic;
-        (List.map Record.to_line rs, !rejected)
+        let want = ref [] in
+        let rejected =
+          In_channel.with_open_bin path (fun ic ->
+              Record.iter_channel ic (fun r -> want := Record.to_line r :: !want))
+        in
+        (List.rev !want, rejected)
       in
       let obs = Obs.create () in
       let oc = open_out_bin path in
@@ -772,7 +773,7 @@ let test_trace_tail_chunks_match_read_channel () =
       close_out oc;
       ckb "records streamed" true (List.length want > 50);
       ckb "garbage present" true (rejected > 0);
-      Alcotest.(check (list string)) "tail = read_channel" want (List.rev !got);
+      Alcotest.(check (list string)) "tail = iter_channel" want (List.rev !got);
       let snap = Obs.snapshot obs in
       cki "same lines rejected" rejected (Obs.sum_counter snap "mon.feed.parse_errors");
       cki "every byte parsed" n (Obs.sum_counter snap "mon.feed.bytes");
@@ -1158,8 +1159,8 @@ let () =
           Alcotest.test_case "in-memory" `Quick test_feed_of_records;
           Alcotest.test_case "tail holds partial lines" `Quick test_trace_tail_partial_lines;
           Alcotest.test_case "truncation reopens" `Quick test_trace_tail_truncation_reopen;
-          Alcotest.test_case "chunked tail = read_channel" `Quick
-            test_trace_tail_chunks_match_read_channel;
+          Alcotest.test_case "chunked tail = iter_channel" `Quick
+            test_trace_tail_chunks_match_iter_channel;
           Alcotest.test_case "pcap tail matches a whole-file capture" `Quick
             test_pcap_tail_matches_capture;
           Alcotest.test_case "tbin tail = iter_channel" `Quick test_tbin_tail_matches_iter_channel;

@@ -191,6 +191,17 @@ let test_pcap_truncated_final_record () =
   Alcotest.(check bool) "cut header yields None" true (Pcap.read_next r2 = None);
   Alcotest.(check bool) "tail flagged 2" true (Pcap.read_stats r2).truncated_tail
 
+(* The packets left in a reader, read as the binaries read them and
+   copied out. *)
+let slices r =
+  let rec go acc =
+    if Pcap.advance r then
+      let p = Pcap.record r in
+      go (String.sub p.buf p.off p.len :: acc)
+    else List.rev acc
+  in
+  go []
+
 let corrupt_second_record_length () =
   (* Three packets; the middle record's incl-length field is smashed. *)
   let buf = Buffer.create 256 in
@@ -220,11 +231,10 @@ let test_pcap_corrupt_raises_without_salvage () =
 let test_pcap_salvage_resyncs () =
   let pcap = corrupt_second_record_length () in
   let r = Pcap.reader_of_string ~salvage:true pcap in
-  let all = List.of_seq (Pcap.packets r) in
   (* The corrupt middle record is lost; the reader resyncs on the third. *)
-  Alcotest.(check int) "two packets recovered" 2 (List.length all);
-  Alcotest.(check string) "first intact" (String.make 20 'A') (List.nth all 0).Pcap.data;
-  Alcotest.(check string) "third recovered" (String.make 28 'C') (List.nth all 1).Pcap.data;
+  Alcotest.(check (list string)) "first intact, third recovered"
+    [ String.make 20 'A'; String.make 28 'C' ]
+    (slices r);
   let st = Pcap.read_stats r in
   Alcotest.(check int) "one salvage" 1 st.salvaged;
   (* Skipped exactly the mangled record: its 16-byte header + 24 bytes. *)
@@ -242,7 +252,7 @@ let test_pcap_salvage_corrupt_tail () =
   Bytes.set b (second + 8) '\xEE';
   Bytes.set b (second + 11) '\x7E';
   let r = Pcap.reader_of_string ~salvage:true (Bytes.to_string b) in
-  Alcotest.(check int) "one packet" 1 (Seq.length (Pcap.packets r));
+  Alcotest.(check int) "one packet" 1 (List.length (slices r));
   let st = Pcap.read_stats r in
   Alcotest.(check bool) "tail reported" true (st.truncated_tail || st.skipped_bytes > 0)
 
@@ -253,9 +263,11 @@ let test_pcap_fold_and_seq () =
     Pcap.write w ~time:(float_of_int i) (String.make i 'x')
   done;
   let r = Pcap.reader_of_string (Buffer.contents buf) in
-  Alcotest.(check int) "fold count" 5 (Seq.fold_left (fun acc _ -> acc + 1) 0 (Pcap.packets r));
+  let rec fold acc = if Pcap.advance r then fold (acc +. (Pcap.record r).time) else acc in
+  Alcotest.(check (float 0.)) "fold over times" 15. (fold 0.);
+  Alcotest.(check bool) "stays at end" false (Pcap.advance r);
   let r2 = Pcap.reader_of_string (Buffer.contents buf) in
-  Alcotest.(check int) "seq length" 5 (Seq.length (Pcap.packets r2))
+  Alcotest.(check int) "seq length" 5 (Seq.length (Seq.of_dispenser (fun () -> Pcap.read_next r2)))
 
 let with_file contents f =
   let path = Filename.temp_file "nt_net_test" ".pcap" in
@@ -264,14 +276,6 @@ let with_file contents f =
     (fun () ->
       Out_channel.with_open_bin path (fun oc -> output_string oc contents);
       In_channel.with_open_bin path f)
-
-let slices r =
-  let rec go acc =
-    match Pcap.read_slice r with
-    | Some s -> go (String.sub s.Pcap.buf s.off s.len :: acc)
-    | None -> List.rev acc
-  in
-  go []
 
 let test_pcap_channel_reuses_buffer () =
   (* Records larger than the reader's initial 64 KiB buffer force it to
@@ -296,15 +300,17 @@ let test_pcap_salvage_over_channel () =
       Alcotest.(check bool) "same accounting" true
         (Pcap.read_stats r = Pcap.read_stats from_string))
 
-let test_frame_decode_slice_in_place () =
+let test_frame_decode_into_in_place () =
   let f =
     Frame.tcp ~src_ip:ip1 ~dst_ip:ip2 ~src_port:800 ~dst_port:2049 ~seq:77 ~syn:true "payload!"
   in
   let wire = Frame.encode f in
   let buf = "prefix" ^ wire ^ "suffix" in
-  match Frame.decode_slice buf ~off:6 ~len:(String.length wire) with
+  let h = Frame.scratch () in
+  let decode s ~off ~len = Frame.decode_into h s ~off ~len in
+  match decode buf ~off:6 ~len:(String.length wire) with
   | Error e -> Alcotest.fail e
-  | Ok h ->
+  | Ok () ->
       Alcotest.(check bool) "tcp" true h.is_tcp;
       Alcotest.(check int) "src ip" ip1 h.ip_src;
       Alcotest.(check int) "ports" 800 h.sport;
@@ -314,7 +320,7 @@ let test_frame_decode_slice_in_place () =
       Alcotest.(check string) "payload range" "payload!"
         (String.sub buf h.payload_off h.payload_len);
       Alcotest.(check bool) "out-of-bounds slice rejected" true
-        (Result.is_error (Frame.decode_slice buf ~off:10 ~len:(String.length wire)));
+        (Result.is_error (decode buf ~off:10 ~len:(String.length wire)));
       (* A datagram that ends with its IP header: the transport header
          would lie past the end of the string, and is never read. *)
       List.iter
@@ -323,7 +329,7 @@ let test_frame_decode_slice_in_place () =
           Bytes.set b 23 (Char.chr proto);
           Bytes.set_uint16_be b 16 20;
           Alcotest.(check bool) (name ^ " with no header rejected") true
-            (Result.is_error (Frame.decode_slice (Bytes.to_string b) ~off:0 ~len:34)))
+            (Result.is_error (decode (Bytes.to_string b) ~off:0 ~len:34)))
         [ ("udp", 17); ("tcp", 6) ]
 
 (* --- TCP reassembly --- *)
@@ -356,12 +362,13 @@ let test_tcp_slice_holds_copies () =
   let data events s off len = events := String.sub s off len :: !events in
   let gap _ _ = () in
   ignore (Tcp.push t flow ~seq:99 ~syn:true "");
+  let st = Tcp.stream t ~src_ip:ip1 ~src_port:1000 ~dst_ip:ip2 ~dst_port:2049 ~seq:0 in
   let buf = Bytes.of_string "....world" in
-  Tcp.push_slice t flow ~seq:106 ~syn:false (Bytes.unsafe_to_string buf) ~off:4 ~len:5 ~data ~gap
+  Tcp.push_stream t st ~seq:106 ~syn:false (Bytes.unsafe_to_string buf) ~off:4 ~len:5 ~data ~gap
     events;
   Alcotest.(check (list string)) "held back" [] !events;
   Bytes.fill buf 0 (Bytes.length buf) '#';
-  Tcp.push_slice t flow ~seq:100 ~syn:false "hello " ~off:0 ~len:6 ~data ~gap events;
+  Tcp.push_stream t st ~seq:100 ~syn:false "hello " ~off:0 ~len:6 ~data ~gap events;
   Alcotest.(check (list string)) "released intact" [ "hello "; "world" ] (List.rev !events)
 
 let test_tcp_midstream_join () =
@@ -558,7 +565,7 @@ let () =
           Alcotest.test_case "checksum" `Quick test_checksum_valid;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "mac fields" `Quick test_mac_fields;
-          Alcotest.test_case "decode in place" `Quick test_frame_decode_slice_in_place;
+          Alcotest.test_case "decode in place" `Quick test_frame_decode_into_in_place;
         ] );
       ( "pcap",
         [

@@ -20,6 +20,17 @@ module Pipeline_capture = struct
     fst (Capture.finish cap)
 end
 
+(* Every packet left in [reader], each copied out of its buffer. *)
+let packets reader = List.of_seq (Seq.of_dispenser (fun () -> Pcap.read_next reader))
+
+(* The records of a text trace file, with the count of malformed lines. *)
+let read_trace path =
+  let back = ref [] in
+  let rejected =
+    In_channel.with_open_bin path (fun ic -> Record.iter_channel ic (fun r -> back := r :: !back))
+  in
+  (List.rev !back, rejected)
+
 let dir_fh = Fh.make ~fsid:1 ~fileid:2
 let file_fh = Fh.make ~fsid:1 ~fileid:3
 
@@ -131,9 +142,7 @@ let test_channel_roundtrip () =
   let n = Record.write_channel oc (List.to_seq records) in
   close_out oc;
   Alcotest.(check int) "wrote all" 20 n;
-  let ic = open_in path in
-  let back = List.of_seq (Record.read_channel ic) in
-  close_in ic;
+  let back, _ = read_trace path in
   Sys.remove path;
   Alcotest.(check int) "read all" 20 (List.length back);
   List.iteri (fun i r -> Alcotest.(check int) "xids in order" i r.Record.xid) back
@@ -219,8 +228,8 @@ let test_capture_orphan_reply () =
   let reader = Pcap.reader_of_string (Buffer.contents buf) in
   let cap = Capture.create () in
   (match Pcap.read_next reader with Some _ -> () | None -> Alcotest.fail "missing call packet");
-  Seq.iter (fun (p : Pcap.packet) -> Capture.feed_packet cap ~time:p.time p.data)
-    (Pcap.packets reader);
+  List.iter (fun (p : Pcap.packet) -> Capture.feed_packet cap ~time:p.time p.data)
+    (packets reader);
   let stats, recovered = Capture.finish cap in
   Alcotest.(check int) "orphan reply counted" 1 stats.orphan_replies;
   Alcotest.(check int) "nothing decodable" 0 (List.length recovered)
@@ -241,7 +250,7 @@ let test_capture_duplicate_call_reply () =
   List.iter (Packet_pipe.push pipe) records;
   Packet_pipe.finish pipe;
   let reader = Pcap.reader_of_string (Buffer.contents buf) in
-  let packets = List.of_seq (Pcap.packets reader) in
+  let packets = packets reader in
   let call, reply =
     match packets with [ c; r ] -> (c, r) | _ -> Alcotest.fail "expected call+reply packets"
   in
@@ -274,7 +283,7 @@ let test_capture_fuzz_10k () =
   List.iter (Packet_pipe.push pipe) records;
   Packet_pipe.finish pipe;
   let real_frame =
-    match List.of_seq (Pcap.packets (Pcap.reader_of_string (Buffer.contents buf))) with
+    match packets (Pcap.reader_of_string (Buffer.contents buf)) with
     | c :: _ -> c.Pcap.data
     | [] -> Alcotest.fail "no frame"
   in
@@ -472,7 +481,7 @@ let via_reused_buffer ?emit ?(salvage = false) pcap =
 
 let via_owned_copies ?(salvage = false) pcap =
   let reader = Pcap.reader_of_string ~salvage pcap in
-  let packets = List.of_seq (Pcap.packets reader) in
+  let packets = packets reader in
   let cap = Capture.create () in
   List.iter (fun (p : Pcap.packet) -> Capture.feed_packet cap ~time:p.time p.data) packets;
   let stats, records = Capture.finish cap in
@@ -786,7 +795,7 @@ let test_capture_unknown_version () =
   Packet_pipe.push pipe (List.hd (synth_records 1));
   Packet_pipe.finish pipe;
   let call, reply =
-    match List.of_seq (Pcap.packets (Pcap.reader_of_string (Buffer.contents buf))) with
+    match packets (Pcap.reader_of_string (Buffer.contents buf)) with
     | [ c; r ] -> (c, r)
     | _ -> Alcotest.fail "expected call+reply packets"
   in
@@ -1241,22 +1250,19 @@ let test_rejected_quirks () =
       Alcotest.(check bool) (what ^ ": rejected now") true (Result.is_error (Record.of_line line)))
     cases
 
-let test_read_channel_counts_rejected () =
+let test_iter_channel_counts_rejected () =
   let path = Filename.temp_file "nt_trace" ".trace" in
   let records = List.init 1000 (fun i -> { base_record with xid = i }) in
   let oc = open_out path in
   ignore (Record.write_channel oc (List.to_seq records) : int);
   output_string oc "garbage line\n\n1.0 - v9 junk\n";
   close_out oc;
-  let rejected = ref 0 in
-  let ic = open_in path in
-  let back = List.of_seq (Record.read_channel ~rejected ic) in
-  close_in ic;
+  let back, rejected = read_trace path in
   let via_pipeline = ref 0 in
   let loaded = Nt_core.Pipeline.load_trace ~rejected:via_pipeline path in
   Sys.remove path;
   Alcotest.(check int) "1000 records" 1000 (List.length back);
-  Alcotest.(check int) "2 malformed lines counted, the blank line is not" 2 !rejected;
+  Alcotest.(check int) "2 malformed lines counted, the blank line is not" 2 rejected;
   Alcotest.(check int) "load_trace loads the same" 1000 (List.length loaded);
   Alcotest.(check int) "load_trace counts the same" 2 !via_pipeline
 
@@ -1281,8 +1287,8 @@ let () =
           Alcotest.test_case "differential vs old parser" `Quick test_differential_simulated;
           Alcotest.test_case "differential mutation storm" `Quick test_differential_mutation_storm;
           Alcotest.test_case "rejected literal quirks" `Quick test_rejected_quirks;
-          Alcotest.test_case "read_channel counts rejected" `Quick
-            test_read_channel_counts_rejected;
+          Alcotest.test_case "iter_channel counts rejected" `Quick
+            test_iter_channel_counts_rejected;
         ] );
       ( "capture",
         [
