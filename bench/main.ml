@@ -5,11 +5,15 @@
 
    Usage:
      dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- LIST    # subset, e.g. table3 fig1 micro
+     dune exec bench/main.exe -- LIST    # subset, e.g. table3 fig1 obs
 
    Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4
-   fig5 nfsiod names readahead nvram blockcache hints capture faultperf
-   degraded lint obs micro *)
+   fig5 nfsiod names readahead nvram blockcache hints capture degraded,
+   then three gates that exit 1 when their bound fails: obs (nt_obs
+   overhead), mon (nfsmon soak) and scale (RSS flatness). Their sizes
+   come from NT_OBS_BENCH_RECORDS, NT_MON_BENCH_RECORDS and
+   NT_SCALE_BENCH_MULTS; a malformed value exits 2. Per-layer and
+   end-to-end throughput lives in perfbench/. *)
 
 module Tw = Nt_util.Trace_week
 
@@ -28,14 +32,6 @@ module Lifetime = Nt_analysis.Lifetime
 module Names = Nt_analysis.Names
 module Prior = Nt_analysis.Prior_studies
 module Pipeline = Nt_core.Pipeline
-module Json = Nt_obs.Obs.Json
-
-(* Every BENCH_*.json report: one JSON document on one line. *)
-let write_report path doc =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string doc);
-      output_char oc '\n');
-  print_endline ("wrote " ^ path)
 
 let scale = 0.01 (* both workloads run at 1/100 of the paper's population *)
 
@@ -702,75 +698,8 @@ let capture () =
      losing a call loses its reply too (orphan replies are undecodable)."
 
 (* ------------------------------------------------------------------ *)
-(* Fault layer: overhead when disabled, differential run when enabled  *)
+(* Degraded vs clean capture (section 4.1.4 differential)             *)
 (* ------------------------------------------------------------------ *)
-
-let bench_frame () =
-  let encoded_call =
-    let e = Nt_xdr.Encode.create () in
-    Nt_rpc.Rpc_msg.encode_call e
-      {
-        xid = 7;
-        rpcvers = 2;
-        prog = 100003;
-        vers = 3;
-        proc = 6;
-        cred = Auth_unix { stamp = 0; machine = "c"; uid = 1; gid = 1; gids = [] };
-        verf = Auth_null;
-      };
-    Nt_nfs.V3.encode_call e (Nt_nfs.Ops.Read { fh = Nt_nfs.Fh.make ~fsid:1 ~fileid:42; offset = 8192L; count = 8192 });
-    Nt_xdr.Encode.contents e
-  in
-  Nt_net.Frame.encode
-    (Nt_net.Frame.udp
-       ~src_ip:(Nt_net.Ip_addr.v 10 0 0 1)
-       ~dst_ip:(Nt_net.Ip_addr.v 10 0 0 2)
-       ~src_port:700 ~dst_port:2049 encoded_call)
-
-let faultperf () =
-  banner "Fault layer overhead: pcap write path with injection off vs on";
-  let module Fault = Nt_sim.Fault in
-  let frame = bench_frame () in
-  let n = 200_000 in
-  let time_run f =
-    (* Best of 3 to shake warm-up and GC noise out of the comparison. *)
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let buf = Buffer.create (n * (String.length frame + 16)) in
-      let writer = Nt_net.Pcap.writer_to_buffer buf in
-      let t0 = Unix.gettimeofday () in
-      f writer;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let raw =
-    time_run (fun writer ->
-        for i = 0 to n - 1 do
-          Nt_net.Pcap.write writer ~time:(float_of_int i *. 1e-4) frame
-        done)
-  in
-  let through plan =
-    time_run (fun writer ->
-        let inj = Fault.create plan in
-        for i = 0 to n - 1 do
-          Fault.wrap_writer inj writer ~time:(float_of_int i *. 1e-4) frame
-        done)
-  in
-  let off = through Fault.none in
-  let on = through Fault.campus_burst in
-  let mpps t = float_of_int n /. t /. 1e6 in
-  let vs t = 100. *. ((t /. raw) -. 1.) in
-  Tables.print
-    ~header:[ "write path"; "time (ms)"; "Mpkt/s"; "vs raw" ]
-    [
-      [ "raw Pcap.write"; f2 (raw *. 1e3); f2 (mpps raw); "-" ];
-      [ "fault layer disabled"; f2 (off *. 1e3); f2 (mpps off); Printf.sprintf "%+.1f%%" (vs off) ];
-      [ "fault layer on (campus_burst)"; f2 (on *. 1e3); f2 (mpps on);
-        Printf.sprintf "%+.1f%%" (vs on) ];
-    ];
-  Printf.printf "\ndisabled-layer overhead: %.1f%% (budget: <= 5%%)\n" (vs off)
 
 let degraded () =
   banner "Degraded vs clean capture (section 4.1.4 differential)";
@@ -805,13 +734,33 @@ let degraded () =
      differential run quantifies that bias instead of assuming it."
 
 (* ------------------------------------------------------------------ *)
-(* nfslint throughput on a million-record stream                       *)
+(* Gates: what perfbench does not measure                              *)
 (* ------------------------------------------------------------------ *)
+
+(* A gate's size from the environment: comma-separated positive
+   integers ([many]) or exactly one, [default] when unset. Anything
+   else exits 2 naming the variable, so a typo cannot silently resize
+   the run. *)
+let env_ints ?(many = false) name default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      let positive p =
+        match int_of_string_opt (String.trim p) with Some n when n > 0 -> Some n | _ -> None
+      in
+      let parts = List.map positive (String.split_on_char ',' s) in
+      match List.filter_map Fun.id parts with
+      | ns when List.length ns = List.length parts && (many || List.length ns = 1) -> ns
+      | _ ->
+          Printf.eprintf "bench: %s=%S: want %s\n" name s
+            (if many then "comma-separated positive integers" else "one positive integer");
+          exit 2)
+
+let env_count name default = List.hd (env_ints name [ default ])
 
 (* Shared synthetic lint workload: a pool of live handles, each
    introduced by one LOOKUP then hit with alternating reads and writes.
-   Used by both the lint throughput bench and the nt_obs overhead
-   gate, so the two measure the same stream. *)
+   The obs gate lints it and the mon gate feeds it to the monitor. *)
 let lint_stream n : Nt_trace.Record.t Seq.t =
   let module Ops = Nt_nfs.Ops in
   let module Types = Nt_nfs.Types in
@@ -851,29 +800,6 @@ let lint_stream n : Nt_trace.Record.t Seq.t =
   in
   Seq.init n record
 
-let lint () =
-  banner "nfslint: streaming throughput over a 1M-record synthetic trace";
-  let n = 1_000_000 in
-  let t0 = Unix.gettimeofday () in
-  let engine = Nt_lint.Engine.run Nt_lint.Engine.default_config (lint_stream n) in
-  let tally = Nt_lint.Engine.tally engine in
-  let errors = Nt_rules.severity_count tally Nt_rules.Error in
-  let warns = Nt_rules.severity_count tally Nt_rules.Warn in
-  let dt = Unix.gettimeofday () -. t0 in
-  Tables.print
-    ~header:[ "statistic"; "value" ]
-    [
-      [ "records"; string_of_int (Nt_lint.Engine.records_seen engine) ];
-      [ "wall time"; Printf.sprintf "%.2f s" dt ];
-      [ "throughput"; Printf.sprintf "%.0f records/s" (float_of_int n /. dt) ];
-      [ "findings"; Printf.sprintf "%d error(s), %d warning(s)" errors warns ];
-      [ "tracked state entries"; string_of_int (Nt_lint.Engine.tracked engine) ];
-    ];
-  Printf.printf
-    "\nState is O(active XIDs + live fhs), not O(records): %d entries after %d records\n\
-     (capped at max_tracked=%d per table; a week-long trace lints in constant memory).\n"
-    (Nt_lint.Engine.tracked engine) n Nt_lint.Engine.default_config.Nt_lint.Engine.max_tracked
-
 (* ------------------------------------------------------------------ *)
 (* nt_obs overhead gate: instrumented vs disabled vs compiled-out      *)
 (* ------------------------------------------------------------------ *)
@@ -881,12 +807,8 @@ let lint () =
 let obs_overhead () =
   banner "nt_obs overhead: lint workload instrumented vs disabled vs compiled-out";
   let module Obs = Nt_obs.Obs in
-  let n =
-    (* Smoke mode for CI: NT_OBS_BENCH_RECORDS shrinks the stream. *)
-    match Sys.getenv_opt "NT_OBS_BENCH_RECORDS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 1_000_000)
-    | None -> 1_000_000
-  in
+  (* Smoke mode for CI: NT_OBS_BENCH_RECORDS shrinks the stream. *)
+  let n = env_count "NT_OBS_BENCH_RECORDS" 1_000_000 in
   let cfg = Nt_lint.Engine.default_config in
   (* Best of 3 per variant; reading the tally forces the settle so the
      deferred protocol checks land inside the timed region. The lint
@@ -895,7 +817,6 @@ let obs_overhead () =
      The enabled arm carries the full v2 telemetry load — resource
      sampler ticked per record plus an attached trace timeline — so the
      5% budget covers everything a --trace-out production run pays. *)
-  let last_sampler = ref None in
   let run_once make_obs =
     let obs, tick = make_obs () in
     let stream =
@@ -918,7 +839,7 @@ let obs_overhead () =
       | Some o -> Nt_lint.Engine.run ~obs:o cfg stream
     in
     ignore (Nt_lint.Engine.tally engine);
-    (Unix.gettimeofday () -. t0, obs)
+    Unix.gettimeofday () -. t0
   in
   let make_compiled_out () = (None, None) in
   let make_disabled () = (Some (Obs.create ~enabled:false ()), None) in
@@ -927,7 +848,6 @@ let obs_overhead () =
     let tl = Nt_obs.Timeline.create () in
     Nt_obs.Timeline.attach tl obs;
     let sampler = Nt_obs.Sampler.create ~interval:0.25 obs in
-    last_sampler := Some sampler;
     (Some obs, Some (fun () -> Nt_obs.Sampler.tick sampler))
   in
   (* Rounds interleave the variants rather than timing each one's
@@ -941,15 +861,9 @@ let obs_overhead () =
   let variants = [| make_compiled_out; make_disabled; make_enabled |] in
   let rounds = if n < 1_000_000 then 7 else 5 in
   let times = Array.make_matrix 3 rounds 0.0 in
-  let snap = ref None in
-  ignore (run_once make_compiled_out : float * Obs.t option);
+  ignore (run_once make_compiled_out : float);
   for r = 0 to rounds - 1 do
-    Array.iteri
-      (fun i make ->
-        let dt, obs = run_once make in
-        times.(i).(r) <- dt;
-        if i = 2 then Option.iter (fun o -> snap := Some (Obs.snapshot o)) obs)
-      variants
+    Array.iteri (fun i make -> times.(i).(r) <- run_once make) variants
   done;
   let median a =
     let s = Array.copy a in
@@ -960,14 +874,6 @@ let obs_overhead () =
   let compiled_out = median times.(0)
   and disabled = median times.(1)
   and enabled = median times.(2) in
-  let snap = !snap in
-  let rss_hwm, heap_words =
-    match !last_sampler with
-    | Some s ->
-        let smp = Nt_obs.Sampler.sample_now s in
-        (smp.Nt_obs.Sampler.rss_hwm_bytes, smp.Nt_obs.Sampler.heap_words)
-    | None -> (0, 0)
-  in
   let rate t = float_of_int n /. t in
   let enabled_vs_disabled = 100. *. (ratio times.(2) times.(1) -. 1.) in
   let disabled_vs_compiled = 100. *. (ratio times.(1) times.(0) -. 1.) in
@@ -985,174 +891,6 @@ let obs_overhead () =
   Printf.printf "\nenabled-vs-disabled overhead: %+.1f%% (budget <= 5%%): %s\n"
     enabled_vs_disabled
     (if pass then "PASS" else "FAIL");
-  let open Json in
-  write_report "BENCH_obs.json"
-    (Obj
-       [ ("schema", Str Nt_formats.Formats.bench_obs); ("workload", Str "lint_stream");
-         ("records", int n);
-         ( "seconds",
-           Obj [ ("compiled_out", Num compiled_out); ("disabled", Num disabled);
-                 ("enabled", Num enabled) ] );
-         ( "records_per_second",
-           Obj [ ("compiled_out", Num (rate compiled_out)); ("disabled", Num (rate disabled));
-                 ("enabled", Num (rate enabled)) ] );
-         ( "overhead_pct",
-           Obj [ ("enabled_vs_disabled", Num enabled_vs_disabled);
-                 ("disabled_vs_compiled_out", Num disabled_vs_compiled) ] );
-         ("budget_pct", Num 5.0); ("heap_words", int heap_words); ("rss_hwm_bytes", int rss_hwm);
-         ("pass", Bool pass);
-         ("snapshot", match snap with Some s -> Obs.snapshot_json s | None -> Null) ]);
-  if not pass then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* nt_par: the report at jobs 1 vs 4, identity and per-pass gates     *)
-(* ------------------------------------------------------------------ *)
-
-let par_bench () =
-  banner "nt_par: report engine, jobs 1 vs jobs 4";
-  let module Obs = Nt_obs.Obs in
-  let n =
-    (* Smoke mode for CI: NT_PAR_BENCH_RECORDS shrinks the stream. *)
-    match Sys.getenv_opt "NT_PAR_BENCH_RECORDS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 1_000_000)
-    | None -> 1_000_000
-  in
-  (* Re-time the shared lint workload across a synthetic week so the
-     summary and hourly passes see a realistic trace span. *)
-  let span = 7. *. 86400. in
-  let records =
-    lint_stream n
-    |> Seq.mapi (fun i (r : Nt_trace.Record.t) ->
-           let time = 1000. +. (span *. float_of_int i /. float_of_int n) in
-           { r with time; reply_time = Some (time +. 0.0005) })
-    |> Array.of_seq
-  in
-  let sections = [ `Summary; `Runs; `Names; `Hourly ] in
-  (* Best of 3 per jobs setting; the rendered report is kept so the two
-     settings can be compared byte for byte. *)
-  let time_jobs jobs =
-    let best = ref infinity and snapshot = ref None and report = ref "" in
-    for _ = 1 to 3 do
-      let obs = Obs.create () in
-      let t0 = Unix.gettimeofday () in
-      let out = Nt_par.Report.run ~obs ~jobs ~sections records in
-      let dt = Unix.gettimeofday () -. t0 in
-      (* Keep the snapshot from the best iteration so its span totals
-         describe the same run as the reported wall time. *)
-      if dt < !best then begin
-        best := dt;
-        snapshot := Some (Obs.snapshot obs);
-        report := String.concat "\n" (List.map snd out)
-      end
-    done;
-    (!best, !report, !snapshot)
-  in
-  let t1, r1, snap1 = time_jobs 1 in
-  let t4, r4, snap = time_jobs 4 in
-  let speedup = t1 /. t4 in
-  let identical = String.equal r1 r4 in
-  let domains = Domain.recommended_domain_count () in
-  (* Per-pass throughput from the jobs=1 snapshot: span totals there are
-     sequential seconds over the whole stream, so n / total is
-     single-core records/s for that pass.  Each pass is gated against
-     the checked-in BENCH_par.json baseline (with slack for machine
-     variance) so a regression in one pass fails the bench even when
-     the aggregate hides it behind the others. *)
-  let pass_rates =
-    match snap1 with
-    | None -> []
-    | Some s ->
-        List.filter_map
-          (fun (st : Obs.span_stat) ->
-            let prefix = "par.pass." in
-            let pl = String.length prefix in
-            if
-              String.length st.Obs.path > pl
-              && String.equal (String.sub st.Obs.path 0 pl) prefix
-              && st.Obs.total_s > 0.
-            then
-              Some
-                ( String.sub st.Obs.path pl (String.length st.Obs.path - pl),
-                  float_of_int n /. st.Obs.total_s )
-            else None)
-          s.Obs.spans
-  in
-  (* jobs=1 records/s over the 1M-record workload that produced the
-     checked-in BENCH_par.json: per-pass minima across repeated runs,
-     deliberately conservative because a shared single-core container
-     swings several-fold run to run.  The gate exists to catch
-     order-of-magnitude per-pass regressions, not percent drift. The
-     runs fold does the work the access journal (569,525 rec/s) and
-     the serial runs finalize (5,481,797) did, so its entry is
-     1 / (1/569,525 + 1/5,481,797). *)
-  let pass_baseline =
-    [
-      ("hourly", 20_054_143.); ("names", 1_070_555.); ("runs", 515_924.);
-      ("summary", 5_767_697.);
-    ]
-  in
-  let pass_slack =
-    match Sys.getenv_opt "NT_PAR_BENCH_PASS_SLACK" with
-    | Some s -> ( try max 1.0 (float_of_string s) with Failure _ -> 1.5)
-    | None -> 1.5
-  in
-  (* Smoke-sized streams (NT_PAR_BENCH_RECORDS) are too noisy to gate. *)
-  let pass_gate_enforced = n >= 1_000_000 in
-  let regressed =
-    List.filter_map
-      (fun (name, base) ->
-        match List.assoc_opt name pass_rates with
-        | Some rate when rate < base /. pass_slack -> Some name
-        | _ -> None)
-      pass_baseline
-  in
-  let pass = identical && ((not pass_gate_enforced) || regressed = []) in
-  let rate t = float_of_int n /. t in
-  Tables.print
-    ~header:[ "jobs"; "time (s)"; "records/s" ]
-    [
-      [ "1"; f2 t1; Printf.sprintf "%.0f" (rate t1) ];
-      [ "4"; f2 t4; Printf.sprintf "%.0f" (rate t4) ];
-    ];
-  Printf.printf
-    "\njobs 1 / jobs 4 time: %.2fx on %d available core(s), not gated\n\
-     reports byte-identical across jobs settings: %s\n"
-    speedup domains
-    (if identical then "yes" else "NO");
-  if pass_rates <> [] then begin
-    Printf.printf "\nper-pass throughput at jobs=1 (gate: >= baseline / %.2f, %s):\n" pass_slack
-      (if pass_gate_enforced then "ENFORCED" else "not enforced on a smoke-sized stream");
-    Tables.print
-      ~header:[ "pass"; "records/s"; "baseline"; "verdict" ]
-      (List.map
-         (fun (name, base) ->
-           match List.assoc_opt name pass_rates with
-           | Some r ->
-               [
-                 name; Printf.sprintf "%.0f" r; Printf.sprintf "%.0f" base;
-                 (if r < base /. pass_slack then "REGRESSED" else "ok");
-               ]
-           | None -> [ name; "-"; Printf.sprintf "%.0f" base; "no span" ])
-         pass_baseline)
-  end;
-  let end_smp = Nt_obs.Sampler.sample_now (Nt_obs.Sampler.create Obs.null) in
-  let open Json in
-  let rates l = Obj (List.map (fun (k, v) -> (k, Num v)) l) in
-  write_report "BENCH_par.json"
-    (Obj
-       [ ("schema", Str Nt_formats.Formats.bench_par); ("workload", Str "lint_stream/week");
-         ("records", int n); ("available_domains", int domains);
-         ("seconds", Obj [ ("jobs1", Num t1); ("jobs4", Num t4) ]);
-         ("records_per_second", Obj [ ("jobs1", Num (rate t1)); ("jobs4", Num (rate t4)) ]);
-         ("speedup", Num speedup);
-         ("pass_records_per_second", rates (List.sort compare pass_rates));
-         ("pass_baseline_records_per_second", rates pass_baseline);
-         ("pass_slack", Num pass_slack); ("pass_gate_enforced", Bool pass_gate_enforced);
-         ("pass_regressed", Arr (List.map (fun r -> Str r) regressed));
-         ("reports_identical", Bool identical);
-         ("heap_words", int end_smp.Nt_obs.Sampler.heap_words);
-         ("rss_hwm_bytes", int end_smp.Nt_obs.Sampler.rss_hwm_bytes); ("pass", Bool pass);
-         ("snapshot", match snap with Some s -> Obs.snapshot_json s | None -> Null) ]);
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1166,12 +904,8 @@ let mon_soak () =
   let module Feed = Nt_mon.Feed in
   let module Ring = Nt_mon.Ring in
   let module Win = Nt_mon.Win in
-  let n =
-    (* Smoke mode for CI: NT_MON_BENCH_RECORDS shrinks the stream. *)
-    match Sys.getenv_opt "NT_MON_BENCH_RECORDS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 1_000_000)
-    | None -> 1_000_000
-  in
+  (* Smoke mode for CI: NT_MON_BENCH_RECORDS shrinks the stream. *)
+  let n = env_count "NT_MON_BENCH_RECORDS" 1_000_000 in
   (* Re-time the shared lint workload across three simulated days and
      fan it out over far more clients and uids than the per-window caps
      admit, so the soak proves eviction instead of merely not needing
@@ -1283,61 +1017,39 @@ let mon_soak () =
     (if conserved then "PASS" else "FAIL")
     fp_words end_smp.Nt_obs.Sampler.heap_words
     (if fp_ok then "PASS" else "FAIL");
-  let open Json in
-  write_report "BENCH_mon.json"
-    (Obj
-       [ ("schema", Str Nt_formats.Formats.bench_mon); ("workload", Str "lint_stream/3days");
-         ("records", int n); ("seconds", Num dt);
-         ("records_per_second", Num (float_of_int n /. dt));
-         ("reports", int !reports); ("rotations", int (Ring.rotations (Service.ring svc)));
-         ("evictions", int evictions); ("shed", int (Service.shed svc));
-         ("heap_words", Obj [ ("warm", int warm_peak); ("end", int end_peak) ]);
-         ("growth_budget", Num growth_budget);
-         ("rss_hwm_bytes", int end_smp.Nt_obs.Sampler.rss_hwm_bytes);
-         ("footprint_words", int fp_words); ("footprint_within_2x_heap", Bool fp_ok);
-         ("pass", Bool pass); ("snapshot", Obs.snapshot_json (Obs.snapshot obs)) ]);
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* nt_tbin scale gate: user-count sweep through the out-of-core path   *)
+(* Scale gate: user-count sweep through nfsstats' tbin path            *)
 (* ------------------------------------------------------------------ *)
 
-(* The ROADMAP's "1:1 population scale, out of core" deliverable:
-   simulate CAMPUS at growing user counts, stream every record through
-   a tbin Writer to disk (no pcap, no in-memory trace), then decode the
-   .ntb back record-by-record into the chunked report engine. Peak RSS
-   must stay flat while the record volume grows 16x (100x locally via
-   NT_SCALE_BENCH_MULTS), and decode+analyze throughput must not sag.
+(* Simulate CAMPUS at growing user counts, stream every record through
+   a tbin Writer to disk (no pcap, no in-memory trace), then read the
+   .ntb back through Pipeline.analyze_trace at one range, the entry
+   point nfsstats runs. Peak RSS must stay flat while the record volume
+   grows 16x (100x locally via NT_SCALE_BENCH_MULTS), and read+analyze
+   throughput must not sag.
 
    The sweep runs in ascending order on purpose: VmHWM is monotone over
    a process's life, so with flat per-step memory the high-water mark
    set by the smallest run survives the largest, and the last/first
    ratio gates real growth rather than allocator noise. *)
 
+type scale_row = {
+  mult : int;
+  users : int;
+  records : int;
+  bytes : int;
+  gen_s : float;
+  an_s : float;
+  hwm : int;  (* the process's peak RSS after this step, bytes *)
+}
+
 let scale () =
-  banner "nt_tbin scale: CAMPUS user sweep through the tbin streaming path";
-  let env_int name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> default)
-    | None -> default
-  in
-  let base_users = env_int "NT_SCALE_BENCH_USERS" 12 in
-  let hours = env_int "NT_SCALE_BENCH_HOURS" 24 in
-  let mults =
-    match Sys.getenv_opt "NT_SCALE_BENCH_MULTS" with
-    | Some s ->
-        let parts = String.split_on_char ',' s in
-        let ms = List.filter_map int_of_string_opt parts in
-        if ms = [] then [ 1; 4; 16 ] else ms
-    | None -> [ 1; 4; 16 ]
-  in
-  let obs = Nt_obs.Obs.create () in
-  let sampler = Nt_obs.Sampler.create ~interval:0.25 obs in
-  let live_decoder = ref None in
-  Nt_obs.Sampler.set_footprints sampler (fun () ->
-      match !live_decoder with
-      | Some d -> [ ("tbin.decoder", Nt_tbin.Decoder.footprint d) ]
-      | None -> []);
+  banner "nt_tbin scale: CAMPUS user sweep through nfsstats' tbin path";
+  let mults = List.sort compare (env_ints ~many:true "NT_SCALE_BENCH_MULTS" [ 1; 4; 16 ]) in
+  let base_users = 12 and hours = 24 in
+  let sampler = Nt_obs.Sampler.create Nt_obs.Obs.null in
   let start = Tw.time_of ~day:Tw.Mon ~hour:0 ~minute:0 in
   let stop = start +. (3600. *. float_of_int hours) in
   let step mult =
@@ -1375,218 +1087,68 @@ let scale () =
         | _ ->
             Printf.eprintf "scale: generator child failed at %dx\n" mult;
             exit 1));
-    Gc.compact ();
     let gen_s = Unix.gettimeofday () -. t0 in
     let bytes = (Unix.stat path).Unix.st_size in
-    (* decode -> chunked report, streaming; peak state is one chunk *)
     Gc.compact ();
     let t1 = Unix.gettimeofday () in
-    let dstats = ref None in
-    let produce push =
-      let ic = open_in_bin path in
-      let d = Nt_tbin.Decoder.create ~obs () in
-      live_decoder := Some d;
-      let buf = Bytes.create 65536 in
-      let rec drain () =
-        match Nt_tbin.Decoder.pull d with
-        | Some r ->
-            push r;
-            drain ()
-        | None -> ()
-      in
-      let rec loop () =
-        let n = input ic buf 0 (Bytes.length buf) in
-        if n > 0 then begin
-          Nt_tbin.Decoder.feed d (Bytes.sub_string buf 0 n);
-          drain ();
-          Nt_obs.Sampler.tick sampler;
-          loop ()
-        end
-      in
-      loop ();
-      Nt_tbin.Decoder.finish d;
-      drain ();
-      close_in ic;
-      dstats := Some (Nt_tbin.Decoder.stats d)
-    in
-    let _report, records =
-      Pipeline.analyze_stream ~obs ~sections:[ `Summary; `Hourly; `Runs ] produce
+    let _report, records, src =
+      Pipeline.analyze_trace ~jobs:1 ~sections:[ `Summary; `Hourly; `Runs ] path
     in
     let an_s = Unix.gettimeofday () -. t1 in
-    let stats = Option.get !dstats in
-    ignore (Nt_obs.Sampler.publish_footprints sampler : (string * Nt_obs.Footprint.t) list);
     Sys.remove path;
     Gc.compact ();
-    let smp = Nt_obs.Sampler.sample_now sampler in
-    if Nt_tbin.failures stats <> 0 then begin
-      Printf.eprintf "scale: decode failures at %dx: %s\n" mult
-        (Nt_tbin.stats_to_string stats);
-      exit 1
-    end;
-    if records <> stats.Nt_tbin.records then begin
-      Printf.eprintf "scale: analyzed %d of %d decoded records at %dx\n" records
-        stats.Nt_tbin.records mult;
-      exit 1
-    end;
-    ( mult,
-      users,
-      records,
-      bytes,
-      gen_s,
-      an_s,
-      smp.Nt_obs.Sampler.rss_hwm_bytes,
-      smp.Nt_obs.Sampler.heap_words )
+    let hwm = (Nt_obs.Sampler.sample_now sampler).Nt_obs.Sampler.rss_hwm_bytes in
+    (match src.Pipeline.tbin with
+    | Some stats when Nt_tbin.failures stats <> 0 ->
+        Printf.eprintf "scale: decode failures at %dx: %s\n" mult
+          (Nt_tbin.stats_to_string stats);
+        exit 1
+    | Some stats when records = stats.Nt_tbin.records -> ()
+    | Some stats ->
+        Printf.eprintf "scale: analyzed %d of %d decoded records at %dx\n" records
+          stats.Nt_tbin.records mult;
+        exit 1
+    | None ->
+        Printf.eprintf "scale: %s did not read as tbin at %dx\n" path mult;
+        exit 1);
+    { mult; users; records; bytes; gen_s; an_s; hwm }
   in
-  let mults = List.sort compare mults in
   (* one unmeasured pass at the smallest multiple levels allocator
      pools and chunk buffers, so the first measured high-water mark is
      a steady state rather than a cold start *)
-  ignore (step (List.hd mults));
+  ignore (step (List.hd mults) : scale_row);
   let rows = List.map step mults in
-  let rps (_, _, records, _, _, an_s, _, _) =
-    float_of_int records /. Float.max 1e-9 an_s
-  in
+  let rps row = float_of_int row.records /. Float.max 1e-9 row.an_s in
   Tables.print
     ~header:
       [ "users"; "records"; "tbin bytes"; "gen (s)"; "decode+report (s)";
         "records/s"; "peak RSS" ]
     (List.map
-       (fun ((_, users, records, bytes, gen_s, an_s, hwm, _) as row) ->
+       (fun row ->
          [
-           string_of_int users;
-           string_of_int records;
-           Tables.fmt_bytes (float_of_int bytes);
-           f2 gen_s;
-           f2 an_s;
+           string_of_int row.users;
+           string_of_int row.records;
+           Tables.fmt_bytes (float_of_int row.bytes);
+           f2 row.gen_s;
+           f2 row.an_s;
            Printf.sprintf "%.0f" (rps row);
-           Tables.fmt_bytes (float_of_int hwm);
+           Tables.fmt_bytes (float_of_int row.hwm);
          ])
        rows);
   let first = List.hd rows and last = List.hd (List.rev rows) in
-  let hwm_of (_, _, _, _, _, _, hwm, _) = float_of_int hwm in
-  let rss_growth = hwm_of last /. Float.max 1. (hwm_of first) in
+  let rss_growth = float_of_int last.hwm /. Float.max 1. (float_of_int first.hwm) in
   let rates = List.map rps rows in
   let min_rps = List.fold_left Float.min infinity rates in
   let max_rps = List.fold_left Float.max 0. rates in
-  let rps_floor = 0.8 *. max_rps in
   let rss_ok = rss_growth <= 1.2 in
-  let rps_ok = min_rps >= rps_floor in
-  let pass = rss_ok && rps_ok in
-  let mult_of (m, _, _, _, _, _, _, _) = m in
+  let rps_ok = min_rps >= 0.8 *. max_rps in
   Printf.printf
     "\npeak RSS growth across %dx more users: %.3fx (budget <= 1.2x): %s\n"
-    (mult_of last / mult_of first)
-    rss_growth
+    (last.mult / first.mult) rss_growth
     (if rss_ok then "PASS" else "FAIL");
   Printf.printf "records/s floor: %.0f >= 0.8 * %.0f max: %s\n" min_rps max_rps
     (if rps_ok then "PASS" else "FAIL");
-  let open Json in
-  let row_json ((mult, users, records, bytes, gen_s, an_s, hwm, heap) as row) =
-    Obj [ ("mult", int mult); ("users", int users); ("records", int records);
-          ("tbin_bytes", int bytes); ("generate_seconds", Num gen_s); ("analyze_seconds", Num an_s);
-          ("records_per_second", Num (rps row)); ("rss_hwm_bytes", int hwm);
-          ("heap_words", int heap) ]
-  in
-  write_report "BENCH_scale.json"
-    (Obj
-       [ ("schema", Str Nt_formats.Formats.bench_scale); ("workload", Str "campus/tbin-stream");
-         ("base_users", int base_users); ("hours", int hours);
-         ("sweep", Arr (List.map row_json rows)); ("rss_growth", Num rss_growth);
-         ("rss_budget", Num 1.2); ("min_records_per_second", Num min_rps);
-         ("max_records_per_second", Num max_rps); ("rps_flatness_budget", Num 0.8);
-         ("pass", Bool pass); ("snapshot", Nt_obs.Obs.snapshot_json (Nt_obs.Obs.snapshot obs)) ]);
-  if not pass then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the tracer's hot paths                 *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  banner "Microbenchmarks (Bechamel): tracer hot paths";
-  let open Bechamel in
-  let open Toolkit in
-  let fh = Nt_nfs.Fh.make ~fsid:1 ~fileid:42 in
-  let read_call = Nt_nfs.Ops.Read { fh; offset = 8192L; count = 8192 } in
-  let encoded_call =
-    let e = Nt_xdr.Encode.create () in
-    Nt_rpc.Rpc_msg.encode_call e
-      {
-        xid = 7;
-        rpcvers = 2;
-        prog = 100003;
-        vers = 3;
-        proc = 6;
-        cred = Auth_unix { stamp = 0; machine = "c"; uid = 1; gid = 1; gids = [] };
-        verf = Auth_null;
-      };
-    Nt_nfs.V3.encode_call e read_call;
-    Nt_xdr.Encode.contents e
-  in
-  let frame =
-    Nt_net.Frame.encode
-      (Nt_net.Frame.udp
-         ~src_ip:(Nt_net.Ip_addr.v 10 0 0 1)
-         ~dst_ip:(Nt_net.Ip_addr.v 10 0 0 2)
-         ~src_port:700 ~dst_port:2049 encoded_call)
-  in
-  let accesses =
-    Array.init 512 (fun i ->
-        {
-          Io_log.at = float_of_int i *. 0.001;
-          offset = i * 8192;
-          count = 8192;
-          is_read = true;
-          at_eof = i = 511;
-          file_size = 512 * 8192;
-        })
-  in
-  let marked = Nt_rpc.Record_mark.frame encoded_call in
-  let tests =
-    Test.make_grouped ~name:"nfstrace"
-      [
-        Test.make ~name:"xdr-encode-read-call"
-          (Staged.stage (fun () ->
-               let e = Nt_xdr.Encode.create () in
-               Nt_nfs.V3.encode_call e read_call;
-               Nt_xdr.Encode.contents e));
-        Test.make ~name:"rpc+nfs-decode-call"
-          (Staged.stage (fun () ->
-               let msg, body =
-                 Nt_rpc.Rpc_msg.decode encoded_call ~pos:0 ~len:(String.length encoded_call)
-               in
-               match msg with
-               | Nt_rpc.Rpc_msg.Call c ->
-                   let d = Nt_xdr.Decode.of_string ~pos:body encoded_call in
-                   ignore
-                     (Nt_nfs.V3.decode_call
-                        ~proc:(Option.get (Nt_nfs.Proc.of_v3_number c.proc))
-                        d)
-               | Nt_rpc.Rpc_msg.Reply _ -> ()));
-        Test.make ~name:"ethernet+ip+udp-decode"
-          (Staged.stage (fun () -> ignore (Nt_net.Frame.decode frame)));
-        Test.make ~name:"record-mark-reassemble"
-          (Staged.stage (fun () ->
-               let rm = Nt_rpc.Record_mark.create_reassembler () in
-               ignore (Nt_rpc.Record_mark.push rm marked)));
-        Test.make ~name:"runs-fold-512-accesses"
-          (Staged.stage (fun () ->
-               let t = Runs.create () in
-               Array.iter (Runs.add t fh) accesses;
-               Runs.finish t;
-               Runs.table3 t));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-40s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-40s (no estimate)\n" name)
-    results
+  if not (rss_ok && rps_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the paper's quantified conjectures (sections 6.1, 6.1.2  *)
@@ -1718,14 +1280,10 @@ let experiments =
     ("blockcache", blockcache);
     ("hints", hints);
     ("capture", capture);
-    ("faultperf", faultperf);
     ("degraded", degraded);
-    ("lint", lint);
     ("obs", obs_overhead);
-    ("par", par_bench);
     ("mon", mon_soak);
     ("scale", scale);
-    ("micro", micro);
   ]
 
 let () =

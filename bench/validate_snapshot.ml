@@ -1,14 +1,11 @@
 (* Minimal JSON-Schema validator (type / required / properties / items /
-   enum) for the observability snapshot exports — enough schema to keep
-   BENCH_obs.json and the binaries' --metrics output honest without an
+   enum) for the observability exports — enough schema to keep the
+   binaries' --metrics and --trace-out output honest without an
    external dependency.
 
-   Usage: validate_snapshot SCHEMA DOC [MEMBER]
+   Usage: validate_snapshot SCHEMA DOC
 
-   With MEMBER, validate DOC's top-level member of that name (the bench
-   report embeds the snapshot under "snapshot") instead of the whole
-   document. Exits 1 with a path-qualified message on the first
-   violation. *)
+   Exits 1 with a path-qualified message on the first violation. *)
 
 module J = Nt_obs.Obs.Json
 
@@ -82,7 +79,7 @@ let rec validate path (schema : J.v) (v : J.v) =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: schema_path :: doc_path :: rest ->
+  | [ _; schema_path; doc_path ] ->
       let parse what s =
         match J.parse s with
         | Ok v -> v
@@ -91,22 +88,8 @@ let () =
             exit 1
       in
       let schema = parse schema_path (read_file schema_path) in
-      let doc = parse doc_path (read_file doc_path) in
-      let target =
-        match rest with
-        | [] -> doc
-        | [ m ] -> (
-            match J.member m doc with
-            | Some v -> v
-            | None ->
-                Printf.eprintf "validate_snapshot: %s: no top-level member %S\n" doc_path m;
-                exit 1)
-        | _ ->
-            Printf.eprintf "usage: validate_snapshot SCHEMA DOC [MEMBER]\n";
-            exit 2
-      in
-      validate [] schema target;
+      validate [] schema (parse doc_path (read_file doc_path));
       Printf.printf "validate_snapshot: %s conforms to %s\n" doc_path schema_path
   | _ ->
-      Printf.eprintf "usage: validate_snapshot SCHEMA DOC [MEMBER]\n";
+      Printf.eprintf "usage: validate_snapshot SCHEMA DOC\n";
       exit 2

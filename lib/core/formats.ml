@@ -20,18 +20,6 @@ let obs_snapshot = "nt_obs/1"
 let obs_series = "nt_obs_series/1"
 (* "schema" tag of the resource-sampler time-series JSON (lib/obs). *)
 
-let bench_obs = "nt_bench_obs/1"
-(* "schema" tag of BENCH_obs.json (bench obs overhead gate). *)
-
-let bench_par = "nt_bench_par/3"
-(* "schema" tag of BENCH_par.json (bench par report identity and per-pass gates). *)
-
-let bench_mon = "nt_bench_mon/1"
-(* "schema" tag of BENCH_mon.json (bench monitor soak gate). *)
-
-let bench_scale = "nt_bench_scale/1"
-(* "schema" tag of BENCH_scale.json (bench out-of-core scale gate). *)
-
 let exn_report = "ntcheck-exn/1"
 (* "schema" tag of ntcheck's per-function may-raise report. *)
 
@@ -44,10 +32,6 @@ let all =
     ("checkpoint_version", checkpoint_version);
     ("obs_snapshot", obs_snapshot);
     ("obs_series", obs_series);
-    ("bench_obs", bench_obs);
-    ("bench_par", bench_par);
-    ("bench_mon", bench_mon);
-    ("bench_scale", bench_scale);
     ("exn_report", exn_report);
     ("mon_report", mon_report);
   ]

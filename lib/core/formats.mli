@@ -9,10 +9,6 @@ val tbin_magic : string
 val checkpoint_version : string
 val obs_snapshot : string
 val obs_series : string
-val bench_obs : string
-val bench_par : string
-val bench_mon : string
-val bench_scale : string
 val exn_report : string
 val mon_report : string
 

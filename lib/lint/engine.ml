@@ -183,4 +183,3 @@ let tally t =
   t.tally
 
 let records_seen t = t.index
-let tracked t = Protocol_check.tracked t.protocol

@@ -51,9 +51,6 @@ val tally : t -> Finding.t Nt_rules.tally
 
 val records_seen : t -> int
 
-val tracked : t -> int
-(** Live protocol-state entries (bench observability). *)
-
 val footprint : t -> Nt_obs.Footprint.t
 (** State-footprint accounting: protocol-state entries plus kept
     findings; published as the [lint] component on every settle. *)

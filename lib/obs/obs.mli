@@ -217,12 +217,9 @@ val sum_counter : snapshot -> string -> int
 val get_gauge : snapshot -> ?labels:labels -> string -> float option
 val get_span : snapshot -> string -> span_stat option
 
-val snapshot_json : snapshot -> Json.v
-(** One self-describing JSON document ([{"schema":"nt_obs/1", ...}]),
-    as a value, so bench reports can embed it. *)
-
 val to_json : snapshot -> string
-(** {!snapshot_json} printed on one line, newline-terminated. *)
+(** One self-describing JSON document ([{"schema":"nt_obs/1", ...}])
+    on one line, newline-terminated. *)
 
 val to_prometheus : snapshot -> string
 (** Prometheus text exposition format. Metric names are sanitised

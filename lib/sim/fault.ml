@@ -1,5 +1,4 @@
 module Prng = Nt_util.Prng
-module Pcap = Nt_net.Pcap
 module Obs = Nt_obs.Obs
 
 type drop_model =
@@ -181,9 +180,6 @@ let apply t ~time data =
     Obs.add t.c_emitted (List.length out);
     out
   end
-
-let wrap_writer t writer ~time data =
-  List.iter (fun (at, bytes) -> Pcap.write writer ~time:at bytes) (apply t ~time data)
 
 let mangle_pcap ?(seed = 41L) ~flips bytes =
   let b = Bytes.of_string bytes in

@@ -89,10 +89,6 @@ val apply : t -> time:float -> string -> (float * string) list
     two (duplicated) [(time, bytes)] pairs, with timestamps jittered or
     displaced as the plan dictates. *)
 
-val wrap_writer : t -> Nt_net.Pcap.writer -> time:float -> string -> unit
-(** [wrap_writer t w] is a drop-in replacement for [Pcap.write w]: each
-    packet runs through {!apply} and the survivors are written. *)
-
 val mangle_pcap : ?seed:int64 -> flips:int -> string -> string * int
 (** [mangle_pcap ~flips bytes] flips up to [flips] random bytes of a
     pcap byte string, sparing the 24-byte global header, and returns
