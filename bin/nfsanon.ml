@@ -1,21 +1,17 @@
-(* nfsanon: anonymize a text or tbin trace the way the paper's tools do —
-   consistent random mappings for names, UIDs, GIDs and addresses, with
-   structural markers preserved.
+(* nfsanon: anonymize a text, tbin or pcap trace the way the paper's
+   tools do — consistent random mappings for names, UIDs, GIDs and
+   addresses, with structural markers preserved.
 
    Example: nfsanon --seed 12345 raw.trace -o anon.trace *)
 
 open Cmdliner
 
 let run input output seed omit obs_opts =
-  if Nt_core.Pipeline.refuse_pcap ~tool:"nfsanon" input then 2
-  else
+  Obs_cli.with_session obs_opts ~stage:"anonymize" "nfsanon" @@ fun session ->
+  let obs = session.obs in
   let config =
     if omit then Nt_trace.Anonymize.omit_config else Nt_trace.Anonymize.default_config
   in
-  let obs = Nt_obs.Obs.create () in
-  let timeline = Obs_cli.timeline obs_opts obs in
-  let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
-  let prog = Obs_cli.progress obs_opts "nfsanon" in
   let anon =
     Nt_trace.Anonymize.create ~obs ?seed:(Option.map Int64.of_string seed) config
   in
@@ -24,30 +20,32 @@ let run input output seed omit obs_opts =
   let n = ref 0 in
   let line = Buffer.create 256 in
   let source =
-    Nt_obs.Obs.with_span obs "anonymize" (fun () ->
-        Nt_core.Pipeline.iter_trace ~obs input (fun r ->
-            Nt_trace.Record.output_line line oc (Nt_trace.Anonymize.record anon r);
-            incr n;
-            Nt_obs.Obs.inc c_records;
-            Nt_obs.Sampler.tick sampler;
-            Obs_cli.tick prog ~stage:"anonymize" 1))
+    Fun.protect
+      ~finally:(fun () -> if output <> "-" then close_out oc)
+      (fun () ->
+        Nt_obs.Obs.with_span obs "anonymize" (fun () ->
+            Nt_core.Pipeline.iter_trace ~obs input (fun r ->
+                Nt_trace.Record.output_line line oc (Nt_trace.Anonymize.record anon r);
+                incr n;
+                Nt_obs.Obs.inc c_records;
+                Obs_cli.tick session)))
   in
-  if output <> "-" then close_out oc;
   Nt_obs.Obs.add
     (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "anon.rejected")
     source.rejected;
   Printf.eprintf "nfsanon: %d records, %d distinct name components mapped\n%!" !n
     (Nt_trace.Anonymize.mapped_names anon);
   List.iter prerr_endline (Nt_core.Pipeline.skipped_notes ~tool:"nfsanon" source);
-  Obs_cli.finish prog;
-  Obs_cli.dump obs_opts obs;
-  Obs_cli.dump_timeline ~sampler obs_opts timeline;
   0
 
 let input =
   Arg.(
     required & pos 0 (some string) None
-    & info [] ~docv:"TRACE" ~doc:"Input trace: - for stdin (text), a path sniffed by content, or tbin:PATH.")
+    & info [] ~docv:"TRACE"
+        ~doc:
+          "Input trace: - for stdin (text), a path (sniffed by content: nttb/1 magic means \
+           binary, a pcap magic a capture, text otherwise), or an explicit trace:PATH / \
+           tbin:PATH / pcap:PATH. A capture is decoded as nfstrace --salvage does.")
 
 let output =
   Arg.(

@@ -1,9 +1,11 @@
 (* nfslint: static checker for trace invariants and anonymization-leak
-   safety. Streams a saved text or tbin trace through the rule engine and
-   exits non-zero when findings reach the --fail-on threshold.
+   safety. Streams a saved text, tbin or pcap trace (a capture's loss
+   accounting too) through the rule engine and exits non-zero when
+   findings reach the --fail-on threshold.
 
    Examples:
      nfslint campus.trace
+     nfslint --fail-on warn capture.pcap
      nfslint --anonymized --json --fail-on warn campus.anon.trace
      nfslint --list-rules *)
 
@@ -18,8 +20,18 @@ let run input json fail_on anonymized select reorder_window xid_window max_track
   end
   else if Rules_cli.unknown_rules ~tool:"nfslint" ~hint:"--list-rules" Nt_lint.Rule.all select
   then 2
-  else if Nt_core.Pipeline.refuse_pcap ~tool:"nfslint" input then 2
   else
+    Obs_cli.with_session obs_opts ~stage:"lint" "nfslint" @@ fun session ->
+    let obs = session.obs in
+    (* A capture emits records as they complete, and an unanswered call
+       only when its reply times out, so call times step back by up to
+       twice the timeout. *)
+    let reorder_window =
+      match (reorder_window, Nt_core.Pipeline.source input) with
+      | Some w, _ -> w
+      | None, (Pcap, _) -> 2. *. Nt_trace.Capture.lost_reply_timeout
+      | None, ((Text | Tbin), _) -> Lint.default_config.reorder_window
+    in
     let config =
       {
         Lint.default_config with
@@ -30,25 +42,17 @@ let run input json fail_on anonymized select reorder_window xid_window max_track
         max_tracked;
       }
     in
-    let obs = Nt_obs.Obs.create () in
-    let timeline = Obs_cli.timeline obs_opts obs in
-    let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
-    let prog = Obs_cli.progress obs_opts "nfslint" in
-    let tick () =
-      Obs_cli.tick prog ~stage:"lint" 1;
-      Nt_obs.Sampler.tick sampler
-    in
     let t = Lint.create ~obs config in
     let source =
       Nt_obs.Obs.with_span obs "lint.run" (fun () ->
           Nt_core.Pipeline.iter_trace ~obs input (fun r ->
-              tick ();
+              Obs_cli.tick session;
               Lint.observe t r))
     in
+    Option.iter (Lint.observe_stats t) source.capture;
     Nt_obs.Obs.add
       (Nt_obs.Obs.counter obs ~help:"malformed trace lines skipped" "lint.rejected")
       source.rejected;
-    Obs_cli.finish prog;
     let findings = Lint.findings t in
     if json then print_endline (Nt_lint.Finding.list_to_json findings)
     else List.iter (fun f -> print_endline (Nt_lint.Finding.to_string f)) findings;
@@ -59,9 +63,6 @@ let run input json fail_on anonymized select reorder_window xid_window max_track
          Printf.sprintf " (%d findings suppressed past per-rule cap)" (Nt_rules.capped tally)
        else "");
     List.iter prerr_endline (Nt_core.Pipeline.skipped_notes ~tool:"nfslint" source);
-    ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
-    Obs_cli.dump obs_opts obs;
-    Obs_cli.dump_timeline ~sampler obs_opts timeline;
     if Nt_rules.fails ~fail_on tally then 1 else 0
 
 let input =
@@ -70,7 +71,8 @@ let input =
     & info [] ~docv:"TRACE"
         ~doc:
           "Input trace: - for stdin (text), a path (sniffed by content: nttb/1 magic means \
-           binary, text otherwise), or an explicit trace:PATH / tbin:PATH.")
+           binary, a pcap magic a capture, text otherwise), or an explicit trace:PATH / \
+           tbin:PATH / pcap:PATH. A capture is decoded as nfstrace --salvage does.")
 
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as a JSON array.")
 
@@ -85,9 +87,14 @@ let anonymized =
 let reorder_window =
   Arg.(
     value
-    & opt float Lint.default_config.Lint.reorder_window
+    & opt (some float) None
     & info [ "reorder-window" ] ~docv:"SECONDS"
-        ~doc:"Tolerated backwards step in call time before non-monotonic-time fires.")
+        ~doc:
+          (Printf.sprintf
+             "Tolerated backwards step in call time before non-monotonic-time fires (default \
+              %g s; %g s for a pcap, whose records leave the capture in completion order)."
+             Lint.default_config.Lint.reorder_window
+             (2. *. Nt_trace.Capture.lost_reply_timeout)))
 
 let xid_window =
   Arg.(

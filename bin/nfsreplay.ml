@@ -20,7 +20,7 @@ let block_size = 8192
 (* Replay the trace's READ stream under every policy side by side, in
    one pass over the source. Returns the READ count and the source's
    accounting. *)
-let replay ~on_record input lanes =
+let replay ~obs ~on_record input lanes =
   let files : (string, Readahead.state) Hashtbl.t = Hashtbl.create 256 in
   (* Distinct files map to distinct disk regions so cross-file seeks
      are visible to the arm model. *)
@@ -35,7 +35,7 @@ let replay ~on_record input lanes =
   in
   let requests = ref 0 in
   let source =
-    Nt_core.Pipeline.iter_trace input (fun r ->
+    Nt_core.Pipeline.iter_trace ~obs input (fun r ->
         on_record ();
         match r.Record.call with
         | Nt_nfs.Ops.Read { fh; offset; count } when count > 0 ->
@@ -67,12 +67,8 @@ let replay ~on_record input lanes =
   (!requests, source)
 
 let run input obs_opts =
-  if Nt_core.Pipeline.refuse_pcap ~tool:"nfsreplay" input then 2
-  else
-  let obs = Nt_obs.Obs.create () in
-  let timeline = Obs_cli.timeline obs_opts obs in
-  let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
-  let prog = Obs_cli.progress obs_opts "nfsreplay" in
+  Obs_cli.with_session obs_opts ~stage:"replay" "nfsreplay" @@ fun session ->
+  let obs = session.obs in
   let lanes =
     List.map
       (fun policy -> { policy; disk = Disk.create (); total = 0. })
@@ -81,10 +77,9 @@ let run input obs_opts =
   let n = ref 0 in
   let requests, source =
     Nt_obs.Obs.with_span obs "replay" (fun () ->
-        replay input lanes ~on_record:(fun () ->
+        replay ~obs input lanes ~on_record:(fun () ->
             incr n;
-            Obs_cli.tick prog ~stage:"replay" 1;
-            Nt_obs.Sampler.tick sampler))
+            Obs_cli.tick session))
   in
   Printf.eprintf "nfsreplay: %d records loaded\n%!" !n;
   List.iter prerr_endline (Nt_core.Pipeline.skipped_notes ~tool:"nfsreplay" source);
@@ -115,10 +110,6 @@ let run input obs_opts =
                else "-");
             ])
           lanes));
-  ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
-  Obs_cli.finish prog;
-  Obs_cli.dump obs_opts obs;
-  Obs_cli.dump_timeline ~sampler obs_opts timeline;
   0
 
 let input =
@@ -127,7 +118,8 @@ let input =
     & info [] ~docv:"TRACE"
         ~doc:
           "Input trace: - for stdin (text), a path (sniffed by content: nttb/1 magic means \
-           binary, text otherwise), or an explicit trace:PATH / tbin:PATH.")
+           binary, a pcap magic a capture, text otherwise), or an explicit trace:PATH / \
+           tbin:PATH / pcap:PATH. A capture is decoded as nfstrace --salvage does.")
 
 let cmd =
   Cmd.v

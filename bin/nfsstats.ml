@@ -1,5 +1,5 @@
-(* nfsstats: run the paper's analyses over a saved text or tbin trace,
-   streamed from the file in one pass.
+(* nfsstats: run the paper's analyses over a saved text, tbin or pcap
+   trace, streamed from the file in one pass.
 
    Example: nfsstats --analysis summary,runs,names --jobs 4 campus.trace *)
 
@@ -8,22 +8,16 @@ module Obs = Nt_obs.Obs
 module Pipeline = Nt_core.Pipeline
 
 let run input analyses jobs obs_opts =
-  if Pipeline.refuse_pcap ~tool:"nfsstats" input then 2
-  else
-  let obs = Obs.create () in
-  let timeline = Obs_cli.timeline obs_opts obs in
-  let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
-  let prog = Obs_cli.progress obs_opts "nfsstats" in
+  Obs_cli.with_session obs_opts ~stage:"analyze" "nfsstats" @@ fun session ->
+  let obs = session.obs in
   (* one pass over the source: the report fold sees each record as it
-     is decoded, and the trace is never held in memory. The meter and
-     the sampler run on the calling domain. *)
-  let tap _ =
-    Obs_cli.tick prog ~stage:"analyze" 1;
-    Nt_obs.Sampler.tick sampler
-  in
+     is decoded, and the trace is never held in memory. The session
+     ticks on the calling domain. *)
   let sections, n, source =
     Obs.with_span obs "analyze" (fun () ->
-        Pipeline.analyze_trace ~obs ?timeline ~jobs ~tap ~sections:analyses input)
+        Pipeline.analyze_trace ~obs ?timeline:session.timeline ~jobs
+          ~tap:(fun _ -> Obs_cli.tick session)
+          ~sections:analyses input)
   in
   Obs.add (Obs.counter obs ~help:"trace records loaded" "stats.records") n;
   Obs.add
@@ -44,10 +38,6 @@ let run input analyses jobs obs_opts =
       print_string text;
       print_newline ())
     sections;
-  ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
-  Obs_cli.finish prog;
-  Obs_cli.dump obs_opts obs;
-  Obs_cli.dump_timeline ~sampler obs_opts timeline;
   0
 
 let input =
@@ -56,7 +46,8 @@ let input =
     & info [] ~docv:"TRACE"
         ~doc:
           "Input trace: - for stdin (text), a path (sniffed by content: nttb/1 magic means \
-           binary, text otherwise), or an explicit trace:PATH / tbin:PATH.")
+           binary, a pcap magic a capture, text otherwise), or an explicit trace:PATH / \
+           tbin:PATH / pcap:PATH. A capture is decoded as nfstrace --salvage does.")
 
 let analyses =
   let kind =
@@ -85,7 +76,7 @@ let jobs =
            domain count; at most 64). Each range is decoded and folded into its own \
            accumulators on a domain of its own, and the ranges merge in file order once all \
            are read. Text ranges split at line starts; a tbin range owns the frames that start \
-           in it. stdin, pipes and a file shorter than N bytes read as one range. The \
+           in it. stdin, pipes, a pcap and a file shorter than N bytes read as one range. The \
            report text, the record count and the skipped-input counts are identical at any \
            setting.")
 

@@ -25,10 +25,9 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
     prerr_endline "nfswlgen: --loss and --fault both set the monitor's loss; give one of them";
     exit 2
   end;
-  let obs = Nt_obs.Obs.create () in
-  let timeline = Obs_cli.timeline obs_opts obs in
-  let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
-  let prog = Obs_cli.progress obs_opts "nfswlgen" in
+  let stage = if format = `Pcap then "emit-pcap" else "simulate" in
+  Obs_cli.with_session obs_opts ~stage "nfswlgen" @@ fun session ->
+  let obs = session.obs in
   let day = Nt_util.Trace_week.Wed in
   let start = Nt_util.Trace_week.time_of ~day ~hour:start_hour ~minute:0 in
   let stop = start +. (3600. *. hours) in
@@ -72,8 +71,7 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
       Nt_trace.Record.output_line line oc r;
       copy r;
       incr n;
-      Nt_obs.Sampler.tick sampler;
-      Obs_cli.tick prog ~stage:"simulate" 1
+      Obs_cli.tick session
     in
     simulate sink;
     Printf.eprintf "nfswlgen: wrote %d records\n%!" !n
@@ -85,8 +83,7 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
       Nt_tbin.Writer.add w r;
       copy r;
       incr n;
-      Nt_obs.Sampler.tick sampler;
-      Obs_cli.tick prog ~stage:"simulate" 1
+      Obs_cli.tick session
     in
     simulate sink;
     Nt_tbin.Writer.close w;
@@ -104,7 +101,6 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
           Some { Nt_sim.Fault.none with truncate = 0.25; truncate_to = 64 }
     in
     let writer = Nt_net.Pcap.writer_to_channel oc in
-    Obs_cli.set_stage prog "emit-pcap";
     let stats =
       match system with
       | `Campus ->
@@ -116,16 +112,12 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
           Nt_core.Pipeline.eecs_to_pcap ~obs ~config ?fault:plan ~seed:fault_seed ~start ~stop
             ~writer ()
     in
-    Obs_cli.tick prog stats.run.records;
+    Option.iter (fun p -> Nt_obs.Progress.tick p stats.run.records) session.progress;
     Printf.eprintf "nfswlgen: %d records, %d packets written, %d dropped at monitor\n%!"
       stats.run.records stats.packets_written stats.packets_dropped
   in
   with_out (match format with `Trace -> emit_trace | `Tbin -> emit_tbin | `Pcap -> emit_pcap);
   close_copy ();
-  ignore (Nt_obs.Sampler.sample_now sampler : Nt_obs.Sampler.sample);
-  Obs_cli.finish prog;
-  Obs_cli.dump obs_opts obs;
-  Obs_cli.dump_timeline ~sampler obs_opts timeline;
   0
 
 let system =

@@ -1,8 +1,8 @@
-(* Shared --metrics / --metrics-format / --progress plumbing for the
-   binaries in this directory. Each binary creates one registry, wires
-   it through the components it drives, and calls [dump] on the way
-   out; [progress]/[tick]/[finish] give the throttled stderr heartbeat
-   without sprinkling option matches through every hot loop. *)
+(* Shared --metrics / --metrics-format / --progress / --trace-out
+   plumbing for the binaries in this directory. Each batch tool runs in
+   one [with_session], wires its registry through the components it
+   drives and calls [tick] per record; the session writes what was
+   asked for on the way out. *)
 
 open Cmdliner
 module Obs = Nt_obs.Obs
@@ -77,52 +77,79 @@ let dump opts obs =
         Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
       end
 
-(* Timeline helpers: [timeline] creates and attaches one when
-   --trace-out was given; [dump_timeline] folds a sampler's readings in
-   as counter tracks and writes the file. Counters go on their own
+(* [write_timeline] folds a sampler's readings into a timeline as
+   counter tracks and writes the file. Counters go on their own
    synthetic track so late-dumped samples are not clamped forward by
    the main track's already-advanced span clock. *)
 
 let counters_tid = 1_000_000
 
-let timeline opts obs =
-  match opts.trace_out with
-  | None -> None
-  | Some _ ->
-      let tl = Nt_obs.Timeline.create () in
-      Nt_obs.Timeline.attach tl obs;
-      Some tl
-
-let write_timeline ?sampler ~path tl =
-  (match sampler with
-  | None -> ()
-  | Some s ->
-      List.iter
-        (fun (smp : Nt_obs.Sampler.sample) ->
-          Nt_obs.Timeline.counter tl ~tid:counters_tid ~name:"heap_words"
-            ~ts:smp.Nt_obs.Sampler.at
-            ~value:(float_of_int smp.Nt_obs.Sampler.heap_words)
-            ();
-          Nt_obs.Timeline.counter tl ~tid:(counters_tid + 1) ~name:"rss_bytes"
-            ~ts:smp.Nt_obs.Sampler.at
-            ~value:(float_of_int smp.Nt_obs.Sampler.rss_bytes)
-            ())
-        (Nt_obs.Sampler.samples s));
+let write_timeline ~sampler ~path tl =
+  List.iter
+    (fun (smp : Nt_obs.Sampler.sample) ->
+      Nt_obs.Timeline.counter tl ~tid:counters_tid ~name:"heap_words" ~ts:smp.Nt_obs.Sampler.at
+        ~value:(float_of_int smp.Nt_obs.Sampler.heap_words)
+        ();
+      Nt_obs.Timeline.counter tl ~tid:(counters_tid + 1) ~name:"rss_bytes"
+        ~ts:smp.Nt_obs.Sampler.at
+        ~value:(float_of_int smp.Nt_obs.Sampler.rss_bytes)
+        ())
+    (Nt_obs.Sampler.samples sampler);
   Nt_obs.Timeline.write_file tl path
 
-let dump_timeline ?sampler opts tl =
-  match (opts.trace_out, tl) with
-  | Some path, Some tl -> write_timeline ?sampler ~path tl
+(* A batch tool's telemetry: one registry, a timeline attached when
+   --trace-out was given, a resource sampler, and the --progress
+   heartbeat at one stage. [tick] once per record; [close] takes the
+   final sample and writes the snapshot and the timeline. *)
+
+type session = {
+  opts : opts;
+  obs : Obs.t;
+  timeline : Nt_obs.Timeline.t option;
+  sampler : Nt_obs.Sampler.t;
+  progress : Nt_obs.Progress.t option;
+}
+
+let tick s =
+  Nt_obs.Sampler.tick s.sampler;
+  match s.progress with None -> () | Some p -> Nt_obs.Progress.tick p 1
+
+let close s =
+  ignore (Nt_obs.Sampler.sample_now s.sampler : Nt_obs.Sampler.sample);
+  Option.iter Nt_obs.Progress.finish s.progress;
+  dump s.opts s.obs;
+  match (s.opts.trace_out, s.timeline) with
+  | Some path, Some tl -> write_timeline ~sampler:s.sampler ~path tl
   | _ -> ()
 
-(* Heartbeat helpers over [Nt_obs.Progress.t option] so call sites stay
-   one-liners whether or not --progress was given. *)
-
-let progress opts ?total label =
-  if opts.progress then Some (Nt_obs.Progress.create ?total ~label ()) else None
-
-let tick p ?stage n =
-  match p with None -> () | Some p -> Nt_obs.Progress.tick p ?stage n
-
-let set_stage p s = Option.iter (fun p -> Nt_obs.Progress.set_stage p s) p
-let finish p = Option.iter Nt_obs.Progress.finish p
+(* [f]'s session, closed on every way out of [f]: a partial snapshot
+   is what a post-mortem wants. A pcap source whose global header is
+   damaged leaves nothing to salvage: [label]'s one line, as nfstrace
+   prints it, and status 1. *)
+let with_session opts ~stage label f =
+  let obs = Obs.create () in
+  let timeline =
+    Option.map
+      (fun _ ->
+        let tl = Nt_obs.Timeline.create () in
+        Nt_obs.Timeline.attach tl obs;
+        tl)
+      opts.trace_out
+  in
+  let sampler = Nt_obs.Sampler.create ~interval:0.05 obs in
+  let progress =
+    if opts.progress then begin
+      let p = Nt_obs.Progress.create ~label () in
+      Nt_obs.Progress.set_stage p stage;
+      Some p
+    end
+    else None
+  in
+  let s = { opts; obs; timeline; sampler; progress } in
+  Fun.protect
+    ~finally:(fun () -> close s)
+    (fun () ->
+      try f s
+      with Nt_net.Pcap.Bad_format msg ->
+        Printf.eprintf "%s: corrupt pcap (%s)\n%!" label msg;
+        1)

@@ -351,18 +351,13 @@ let source spec =
       else if Nt_net.Pcap.has_magic head then (Pcap, spec)
       else (Text, spec)
 
-let pcap_note path = path ^ " is a pcap capture; decode it with nfstrace first"
+type source_stats = {
+  rejected : int;
+  tbin : Nt_tbin.stats option;
+  capture : Nt_trace.Capture.stats option;
+}
 
-let refuse_pcap ~tool spec =
-  match source spec with
-  | Pcap, path ->
-      Printf.eprintf "%s: %s\n%!" tool (pcap_note path);
-      true
-  | (Text | Tbin), _ -> false
-
-type source_stats = { rejected : int; tbin : Nt_tbin.stats option }
-
-let no_stats = { rejected = 0; tbin = None }
+let no_stats = { rejected = 0; tbin = None; capture = None }
 
 let sum_stats a b =
   {
@@ -371,6 +366,8 @@ let sum_stats a b =
       (match (a.tbin, b.tbin) with
       | Some x, Some y -> Some (Nt_tbin.sum x y)
       | x, None | None, x -> x);
+    (* a pcap is one range: at most one side holds capture stats *)
+    capture = (match a.capture with Some _ -> a.capture | None -> b.capture);
   }
 
 (* What range [i] of [ranges] read: its stats, the offset it started at
@@ -378,7 +375,7 @@ let sum_stats a b =
    own channel, so ranges can run on any domain. *)
 type range = { src : source_stats; first : int; stop : int }
 
-let read_range format path ~size ~ranges i f =
+let read_range ~obs format path ~size ~ranges i f =
   let lo = size * i / ranges in
   let hi = if i = ranges - 1 then max_int else size * (i + 1) / ranges in
   let read ic =
@@ -389,7 +386,20 @@ let read_range format path ~size ~ranges i f =
     | Tbin ->
         let r = Nt_tbin.iter_range ic ~lo ~hi f in
         { src = { no_stats with tbin = Some r.stats }; first = r.first; stop = r.stop }
-    | Pcap -> invalid_arg (pcap_note path)
+    | Pcap ->
+        (* A pcap is one range, read on the calling domain, so its
+           counters may land on [obs]; the stats are read back from them,
+           so a disabled [obs] gives way to a private registry. Salvage
+           as nfsmon's pcap tail does. *)
+        let obs = if Obs.enabled obs then obs else Obs.create () in
+        let reader = Nt_net.Pcap.reader_of_channel ~obs ~salvage:true ic in
+        let capture = Nt_trace.Capture.create ~obs ~emit:f () in
+        let stats =
+          Obs.with_span obs "capture.decode" (fun () ->
+              Nt_trace.Capture.feed_pcap capture reader;
+              fst (Nt_trace.Capture.finish capture))
+        in
+        { src = { no_stats with capture = Some stats }; first = 0; stop = -1 }
   in
   if String.equal path "-" then read stdin else In_channel.with_open_bin path read
 
@@ -408,21 +418,22 @@ let summed obs parts =
 
 let iter_trace ?(obs = Obs.null) spec f =
   let format, path = source spec in
-  summed obs [| read_range format path ~size:0 ~ranges:1 0 f |]
+  summed obs [| read_range ~obs format path ~size:0 ~ranges:1 0 f |]
 
 let analyze_trace ?(obs = Obs.null) ?timeline ?(jobs = 1) ?(tap = ignore) ~sections spec =
   let format, path = source spec in
   (* stdin and pipes can only be read in order: one range, as is a
-     file too small to cut *)
+     file too small to cut and a pcap, whose capture state is per flow *)
   let size =
     match Unix.stat path with
-    | { Unix.st_kind = S_REG; st_size; _ } when not (String.equal path "-") -> st_size
+    | { Unix.st_kind = S_REG; st_size; _ } when not (String.equal path "-" || format = Pcap) ->
+        st_size
     | _ | (exception Unix.Unix_error _) -> 0
   in
   let ranges = max 1 (min (Nt_par.Report.range_count jobs) size) in
   let produce ~ranges i push =
     let f = if i = 0 then fun r -> tap r; push r else push in
-    read_range format path ~size ~ranges i f
+    read_range ~obs format path ~size ~ranges i f
   in
   let texts, n, parts = Nt_par.Report.run_ranges ~obs ?timeline ~stitched ~ranges ~sections produce in
   (texts, n, summed obs parts)
@@ -431,10 +442,14 @@ let skipped_notes ~tool src =
   let note n what = if n > 0 then [ Printf.sprintf "%s: %d %s" tool n what ] else [] in
   note src.rejected "malformed lines skipped"
   @
-  match src.tbin with
+  (match src.tbin with
   | Some st ->
       note (Nt_tbin.failures st)
         (Printf.sprintf "damaged tbin frames skipped (%d bytes)" st.Nt_tbin.skipped_bytes)
+  | None -> [])
+  @
+  match src.capture with
+  | Some st -> [ Printf.sprintf "%s: %s" tool (Nt_trace.Capture.stats_to_string st) ]
   | None -> []
 
 let load_trace ?obs ?rejected spec =

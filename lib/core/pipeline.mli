@@ -213,22 +213,23 @@ val source : string -> format * string
     format, and a bare path is sniffed by content: the nttb/1 magic, any
     of the four pcap magics, else (an unreadable file too) text. *)
 
-val refuse_pcap : tool:string -> string -> bool
-(** True, after printing ["<tool>: PATH is a pcap capture; decode it
-    with nfstrace first"] on stderr, when the spec names a pcap. *)
-
 type source_stats = {
   rejected : int;  (** malformed text lines skipped *)
   tbin : Nt_tbin.stats option;  (** the decoder's stats, for tbin input *)
+  capture : Nt_trace.Capture.stats option;  (** the capture's stats, for pcap input *)
 }
 
 val iter_trace :
   ?obs:Nt_obs.Obs.t -> string -> (Nt_trace.Record.t -> unit) -> source_stats
-(** Stream a text or tbin trace from a source spec (see {!source})
-    through [f] without holding it: {!analyze_trace}'s reader at one
-    range. What cannot be decoded is counted, never raised, and the
-    [tbin.*] counters land on [obs]; [Sys_error] if the file cannot be
-    read, [Invalid_argument] for a pcap capture. *)
+(** Stream a text, tbin or pcap trace from a source spec (see
+    {!source}) through [f] without holding it: {!analyze_trace}'s reader
+    at one range. A pcap decodes through {!Nt_trace.Capture} with a
+    salvaging reader, as [nfstrace --salvage] does, and [f] sees the
+    records in the order they complete, unanswered calls last. What
+    cannot be decoded is counted, never raised, and the [tbin.*] or
+    [capture.*] counters land on [obs]; [Sys_error] if the file cannot
+    be read, {!Nt_net.Pcap.Bad_format} if a pcap's global header is
+    damaged. *)
 
 val analyze_trace :
   ?obs:Nt_obs.Obs.t ->
@@ -241,8 +242,9 @@ val analyze_trace :
 (** The paper's analyses over a trace file, its bytes cut into
     {!Nt_par.Report.range_count}[ jobs] (default 1) ranges that each
     decode and fold on their own domain ({!Nt_par.Report.run_ranges}).
-    stdin, anything but a regular file, and a file shorter than the
-    range count read as one range. Text ranges split at line starts. A tbin range owns the frames
+    stdin, anything but a regular file, a pcap (capture state is per
+    flow) and a file shorter than the range count read as one range.
+    Text ranges split at line starts. A tbin range owns the frames
     whose start lies in it ({!Nt_tbin.iter_range}); if a range did not
     halt exactly where the next one started, the file is read again as
     one range. [tap] sees the records read on the calling domain: all
@@ -255,7 +257,9 @@ val skipped_notes : tool:string -> source_stats -> string list
 (** The stderr lines for skipped input, each only when N > 0:
     ["<tool>: N malformed lines skipped"] for text, and
     ["<tool>: N damaged tbin frames skipped (B bytes)"] with N the
-    {!Nt_tbin.failures} and B the bytes passed over. *)
+    {!Nt_tbin.failures} and B the bytes passed over. A pcap always
+    gets [nfstrace]'s stats line,
+    ["<tool>: "]{!Nt_trace.Capture.stats_to_string}. *)
 
 val load_trace : ?obs:Nt_obs.Obs.t -> ?rejected:int ref -> string -> Nt_trace.Record.t list
 (** {!iter_trace} into a list; malformed text lines are added to

@@ -230,6 +230,34 @@ let test_oracle_truncation () =
   Alcotest.(check bool) "truncation yields hygiene findings" true
     (family_count o.Pipeline.degraded_lint "hygiene" > 0)
 
+(* A pcap source carries the capture's stats next to its records, so
+   the engine fed from it sees the hygiene family as nfslint does. *)
+let test_pcap_source_hygiene () =
+  let path = Filename.temp_file "nt_lint_test" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          ignore
+            (Pipeline.eecs_to_pcap ~fault:truncate_plan ~start:t0 ~stop:(t0 +. (0.15 *. hour))
+               ~writer:(Nt_net.Pcap.writer_to_channel oc) ()
+              : Pipeline.pcap_stats));
+      let t =
+        Lint.create
+          { Lint.default_config with reorder_window = 2. *. Capture.lost_reply_timeout }
+      in
+      let src = Pipeline.iter_trace path (Lint.observe t) in
+      Option.iter (Lint.observe_stats t) src.Pipeline.capture;
+      Alcotest.(check bool) "records linted" true (Lint.records_seen t > 0);
+      let hygiene =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (f : Finding.t) ->
+               if f.Finding.rule.family = "hygiene" then Some f.Finding.rule.id else None)
+             (Lint.findings t))
+      in
+      Alcotest.(check (list string)) "hygiene findings" [ "capture-loss"; "frame-damage" ] hygiene)
+
 (* --- properties --- *)
 
 (* Whatever the anonymizer emits must parse under the checker's grammar:
@@ -310,6 +338,7 @@ let () =
           Alcotest.test_case "clean side lint-clean" `Quick test_oracle_clean_side;
           Alcotest.test_case "ge loss => protocol" `Quick test_oracle_ge_loss;
           Alcotest.test_case "truncation => hygiene" `Quick test_oracle_truncation;
+          Alcotest.test_case "pcap source => hygiene" `Quick test_pcap_source_hygiene;
         ] );
       ( "properties",
         [

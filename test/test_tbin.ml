@@ -1038,6 +1038,74 @@ let test_differential_pcap_leg () =
       in
       Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
 
+(* A pcap source decodes through the capture as nfstrace --salvage
+   does: for clean TCP and UDP captures, bursty loss, snaplen
+   truncation and a byte-mangled savefile, the records and stats it
+   yields are the ones nfstrace's tbin output and stats line hold, and
+   the report over the pcap at one and four jobs is the tbin's. *)
+let test_pcap_source_matches_nfstrace () =
+  let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
+  let capture ?fault system =
+    let b = Buffer.create (1 lsl 20) in
+    let writer = Nt_net.Pcap.writer_to_buffer b in
+    (match system with
+    | `Campus ->
+        let config = { Nt_workload.Email.default_config with Nt_workload.Email.users = 2 } in
+        ignore
+          (Nt_core.Pipeline.campus_to_pcap ~config ?fault ~start ~stop:(start +. 120.) ~writer ()
+            : Nt_core.Pipeline.pcap_stats)
+    | `Eecs ->
+        let config = { Nt_workload.Research.default_config with Nt_workload.Research.users = 2 } in
+        ignore
+          (Nt_core.Pipeline.eecs_to_pcap ~config ?fault ~start ~stop:(start +. 300.) ~writer ()
+            : Nt_core.Pipeline.pcap_stats));
+    Buffer.contents b
+  in
+  let clean = capture `Campus in
+  let cases =
+    [
+      ("clean tcp", clean);
+      ("clean udp", capture `Eecs);
+      ("burst", capture ~fault:Nt_sim.Fault.campus_burst `Campus);
+      ( "truncated",
+        capture ~fault:{ Nt_sim.Fault.none with truncate = 0.25; truncate_to = 64 } `Campus );
+      ("mangled", fst (Nt_sim.Fault.mangle_pcap ~flips:40 clean));
+    ]
+  in
+  List.iter
+    (fun (label, pcap) ->
+      with_temp ".pcap" (fun pcap_path ->
+          with_temp ".ntb" (fun tbin_path ->
+              Out_channel.with_open_bin pcap_path (fun oc -> output_string oc pcap);
+              let want_stats, aborted =
+                Out_channel.with_open_bin Filename.null (fun oc ->
+                    Out_channel.with_open_bin tbin_path (fun toc ->
+                        Nt_core.Pipeline.trace_pcap ~tbin:toc
+                          (Nt_net.Pcap.reader_of_string ~salvage:true pcap)
+                          oc))
+              in
+              Alcotest.(check bool) (label ^ ": nfstrace ran to the end") true (aborted = None);
+              let want = Nt_core.Pipeline.load_trace ("tbin:" ^ tbin_path) in
+              Alcotest.(check bool) (label ^ ": records") true (List.length want > 20);
+              let got = ref [] in
+              let src = Nt_core.Pipeline.iter_trace pcap_path (fun r -> got := r :: !got) in
+              if List.rev !got <> want then Alcotest.failf "%s: the pcap source changed the records" label;
+              Alcotest.(check (option string)) (label ^ ": capture stats")
+                (Some (Nt_trace.Capture.stats_to_string want_stats))
+                (Option.map Nt_trace.Capture.stats_to_string src.capture);
+              let report jobs spec =
+                let texts, _, _ = Nt_core.Pipeline.analyze_trace ~jobs ~sections spec in
+                render label texts
+              in
+              let base = report 1 ("tbin:" ^ tbin_path) in
+              List.iter
+                (fun jobs ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: pcap report at jobs %d" label jobs)
+                    base (report jobs pcap_path))
+                [ 1; 4 ])))
+    cases
+
 (* nfstrace without --salvage on a capture whose middle record header
    is damaged: the decode stops there, and the text and tbin outputs
    still hold the same records, with the frames read before the damage
@@ -1239,7 +1307,8 @@ exception Enough
 
 let test_source_sniffs_content () =
   (* A bare path is sniffed by its first bytes, never by its name; a
-     prefix names the format outright; a pcap is no trace source. *)
+     prefix names the format outright; a pcap decodes through the
+     capture. *)
   let rs = List.init 10 simple in
   let pcap =
     let b = Buffer.create 256 in
@@ -1264,10 +1333,15 @@ let test_source_sniffs_content () =
               Alcotest.(check bool) "stdin is text" true (P.source "-" = (P.Text, "-"));
               Alcotest.(check bool) "missing file is text" true (format (pcap_path ^ ".none") = P.Text);
               Alcotest.(check int) "sniffed tbin loads" 10 (List.length (P.load_trace tbin_path));
-              Alcotest.(check bool) "pcap refused" true
+              let src = P.iter_trace pcap_path ignore in
+              Alcotest.(check (option int)) "sniffed pcap decodes" (Some 1)
+                (Option.map (fun (st : Nt_trace.Capture.stats) -> st.frames) src.capture);
+              (* a global header cut short leaves nothing to salvage *)
+              write pcap_path (String.sub pcap 0 20);
+              Alcotest.(check bool) "cut header is Bad_format" true
                 (match P.iter_trace pcap_path ignore with
                 | _ -> false
-                | exception Invalid_argument _ -> true))))
+                | exception Nt_net.Pcap.Bad_format _ -> true))))
 
 let test_damaged_frames_reported () =
   let start = Nt_util.Trace_week.time_of ~day:Nt_util.Trace_week.Wed ~hour:9 ~minute:0 in
@@ -1386,6 +1460,8 @@ let () =
           Alcotest.test_case "text vs tbin vs streamed, jobs 1 and 4" `Slow
             test_differential_text_tbin_stream;
           Alcotest.test_case "pcap-derived records via tbin" `Slow test_differential_pcap_leg;
+          Alcotest.test_case "pcap source matches nfstrace's tbin" `Slow
+            test_pcap_source_matches_nfstrace;
           Alcotest.test_case "aborted decode: text and tbin agree" `Quick
             test_aborted_decode_outputs_agree;
           Alcotest.test_case "damaged frames are reported, not silently dropped" `Slow

@@ -198,12 +198,15 @@ let test_pcap_pipeline_with_loss () =
   Alcotest.(check bool) "loss is accounted" true
     (cap_stats.orphan_replies + cap_stats.lost_replies + cap_stats.tcp_gaps > 0)
 
+(* The batch tools as built, run from the test directory or the repo. *)
+let tool name =
+  List.find Sys.file_exists
+    [ "../bin/" ^ name ^ ".exe"; "_build/default/bin/" ^ name ^ ".exe" ]
+
 (* nfswlgen takes independent loss (--loss) or a fault plan (--fault),
    not both: the plan would silently win. *)
 let test_nfswlgen_refuses_loss_with_fault () =
-  let exe =
-    List.find Sys.file_exists [ "../bin/nfswlgen.exe"; "_build/default/bin/nfswlgen.exe" ]
-  in
+  let exe = tool "nfswlgen" in
   let out = Filename.temp_file "nfswlgen" ".out" in
   let gen ?(format = "pcap") args =
     Sys.command
@@ -225,6 +228,69 @@ let test_nfswlgen_refuses_loss_with_fault () =
       Alcotest.(check int) (format ^ " alone runs") 0 (gen ~format []))
     [ "trace"; "tbin" ];
   Sys.remove out
+
+let with_pcap f =
+  let path = Filename.temp_file "nt_workload_test" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          let config = { Nt_workload.Research.default_config with users = 2 } in
+          let start = Nt_util.Trace_week.time_of ~day:Wed ~hour:9 ~minute:0 in
+          ignore
+            (Pipeline.eecs_to_pcap ~config ~start ~stop:(start +. 300.)
+               ~writer:(Nt_net.Pcap.writer_to_channel oc) ()
+              : Pipeline.pcap_stats));
+      f path)
+
+(* The session samples once more on the way out, so the snapshot holds
+   the run's resources, not the startup reading. *)
+let test_nfstrace_final_sample () =
+  with_pcap (fun pcap ->
+      let json = Filename.temp_file "nt_workload_test" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove json)
+        (fun () ->
+          Alcotest.(check int) "nfstrace runs" 0
+            (Sys.command
+               (Filename.quote_command (tool "nfstrace") ~stderr:Filename.null
+                  [ pcap; "-o"; Filename.null; "--metrics=" ^ json ]));
+          let snap =
+            match Nt_obs.Obs.Json.parse (In_channel.with_open_bin json In_channel.input_all) with
+            | Ok v -> v
+            | Error e -> Alcotest.failf "snapshot: %s" e
+          in
+          let metric name =
+            Option.value ~default:0. (Nt_obs.Obs.Json.metric_number snap name)
+          in
+          Alcotest.(check bool) "rt.samples >= 2" true (metric "rt.samples" >= 2.);
+          Alcotest.(check bool) "rt.heap_words > 0" true (metric "rt.heap_words" > 0.)))
+
+(* A pcap global header cut short leaves no endianness or tick unit to
+   salvage with: every tool that reads captures says so in one line
+   and exits 1. *)
+let test_corrupt_pcap_header () =
+  with_pcap (fun pcap ->
+      let cut = In_channel.with_open_bin pcap (fun ic -> really_input_string ic 20) in
+      Out_channel.with_open_bin pcap (fun oc -> output_string oc cut);
+      let err = Filename.temp_file "nt_workload_test" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          List.iter
+            (fun name ->
+              let rc =
+                Sys.command
+                  (Filename.quote_command (tool name) ~stdout:Filename.null ~stderr:err [ pcap ])
+              in
+              Alcotest.(check int) (name ^ " exits 1") 1 rc;
+              match In_channel.with_open_bin err In_channel.input_lines with
+              | [ line ] ->
+                  let prefix = name ^ ": corrupt pcap (missing global header)" in
+                  if not (String.starts_with ~prefix line) then
+                    Alcotest.failf "%s: stderr %S" name line
+              | lines -> Alcotest.failf "%s: %d stderr lines" name (List.length lines))
+            [ "nfstrace"; "nfsstats"; "nfslint"; "nfsanon"; "nfsreplay" ]))
 
 (* --- anonymize then analyze --- *)
 
@@ -307,6 +373,10 @@ let () =
           Alcotest.test_case "monitor loss accounted" `Quick test_pcap_pipeline_with_loss;
           Alcotest.test_case "nfswlgen: --loss or --fault, not both" `Quick
             test_nfswlgen_refuses_loss_with_fault;
+          Alcotest.test_case "nfstrace --metrics takes a final sample" `Quick
+            test_nfstrace_final_sample;
+          Alcotest.test_case "a cut pcap header is reported, not raised" `Quick
+            test_corrupt_pcap_header;
         ] );
       ( "integration",
         [
