@@ -43,8 +43,7 @@ type t = {
   mutable ticks_since_sample : int;
   mutable footprints : (unit -> (string * Footprint.t) list) option;
   fp_pubs : (string, Footprint.pub) Hashtbl.t;
-  g_heap : Obs.gauge;
-  g_top_heap : Obs.gauge;
+  mutable heap_gauges : (Obs.gauge * Obs.gauge) option;
   g_rss : Obs.gauge;
   g_rss_hwm : Obs.gauge;
   g_minor_gcs : Obs.gauge;
@@ -98,6 +97,29 @@ let raw_sample obs =
     rss_hwm_bytes = hwm_kb * 1024;
   }
 
+(* OCaml 5.1's quick_stat reports heap_words and top_heap_words as 0
+   until a major cycle completes, so a sample taken before one says
+   nothing about the heap. The two heap gauges are registered at the
+   first sample after a major cycle: a run too short for one exports
+   none rather than an empty heap. (Gc.stat would force the cycles,
+   and its cost with them, on every run.) *)
+let publish_heap t s =
+  if s.major_collections > 0 then begin
+    let heap, top =
+      match t.heap_gauges with
+      | Some g -> g
+      | None ->
+          let g =
+            ( Obs.gauge t.obs ~help:"major heap words at the last sample" "rt.heap_words",
+              Obs.gauge t.obs ~help:"peak major heap words ever sampled" "rt.top_heap_words" )
+          in
+          t.heap_gauges <- Some g;
+          g
+    in
+    Obs.set heap (float_of_int s.heap_words);
+    Obs.set_max top (float_of_int s.top_heap_words)
+  end
+
 let create ?(interval = 1.0) ?(cap = 256) obs =
   let cap = max 1 cap in
   let s0 = raw_sample obs in
@@ -117,8 +139,7 @@ let create ?(interval = 1.0) ?(cap = 256) obs =
       ticks_since_sample = 0;
       footprints = None;
       fp_pubs = Hashtbl.create 8;
-      g_heap = Obs.gauge obs ~help:"major heap words at the last sample" "rt.heap_words";
-      g_top_heap = Obs.gauge obs ~help:"peak major heap words ever sampled" "rt.top_heap_words";
+      heap_gauges = None;
       g_rss = Obs.gauge obs ~help:"resident set bytes at the last sample" "rt.rss_bytes";
       g_rss_hwm = Obs.gauge obs ~help:"peak resident set bytes (VmHWM)" "rt.rss_hwm_bytes";
       g_minor_gcs = Obs.gauge obs ~help:"cumulative minor collections" "rt.minor_collections";
@@ -127,8 +148,7 @@ let create ?(interval = 1.0) ?(cap = 256) obs =
       c_samples = Obs.counter obs ~help:"resource samples taken" "rt.samples";
     }
   in
-  Obs.set t.g_heap (float_of_int s0.heap_words);
-  Obs.set_max t.g_top_heap (float_of_int s0.top_heap_words);
+  publish_heap t s0;
   Obs.set t.g_rss (float_of_int s0.rss_bytes);
   Obs.set_max t.g_rss_hwm (float_of_int s0.rss_hwm_bytes);
   Obs.inc t.c_samples;
@@ -172,8 +192,7 @@ let sample_now t =
   push t s;
   t.last_at <- s.at;
   t.ticks_since_sample <- 0;
-  Obs.set t.g_heap (float_of_int s.heap_words);
-  Obs.set_max t.g_top_heap (float_of_int s.top_heap_words);
+  publish_heap t s;
   Obs.set t.g_rss (float_of_int s.rss_bytes);
   Obs.set_max t.g_rss_hwm (float_of_int s.rss_hwm_bytes);
   Obs.set t.g_minor_gcs (float_of_int s.minor_collections);

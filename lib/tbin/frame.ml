@@ -72,8 +72,7 @@ let compress s =
   flush_literals n;
   Buffer.contents out
 
-let decompress s ~pos ~len ~expect =
-  let out = Bytes.create expect in
+let decompress_into s ~pos ~len out ~expect =
   let stop = pos + len in
   let i = ref pos and o = ref 0 in
   while !i < stop do
@@ -94,5 +93,9 @@ let decompress s ~pos ~len ~expect =
       o := !o + run
     end
   done;
-  if !o <> expect then raise Varint.Corrupt;
+  if !o <> expect then raise Varint.Corrupt
+
+let decompress s ~pos ~len ~expect =
+  let out = Bytes.create expect in
+  decompress_into s ~pos ~len out ~expect;
   Bytes.unsafe_to_string out

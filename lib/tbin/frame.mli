@@ -20,3 +20,9 @@ val decompress : string -> pos:int -> len:int -> expect:int -> string
 (** Inverse of {!compress} over a slice. Raises {!Varint.Corrupt}
     unless the slice decodes to exactly [expect] bytes with no input
     left over — the decoder treats that as frame corruption. *)
+
+val decompress_into : string -> pos:int -> len:int -> bytes -> expect:int -> unit
+(** {!decompress} into the first [expect] bytes of a buffer at least
+    that long, which the caller owns and may reuse; the bytes past
+    [expect] are left alone. Raises as {!decompress} does, leaving the
+    buffer's contents unspecified. *)

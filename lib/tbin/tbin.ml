@@ -672,9 +672,13 @@ let k_trunc = 7
    for a reader that starts the stream, -1 while a range reader that
    starts mid-stream is still looking for its planned start. A clean
    frame that starts at or past [hi] is not decoded: the reader halts
-   in front of it and leaves it to the next range. *)
+   in front of it and leaves it to the next range. A compressed payload
+   decompresses into [raw], grown to the largest raw length seen; the
+   next frame may overwrite it, since every string a record holds is
+   copied out by [load_atoms]. *)
 type decoder = {
   w : Window.t;
+  mutable raw : Bytes.t;
   mutable header_ok : bool;
   mutable resyncing : bool;
   mutable finished : bool;
@@ -790,7 +794,11 @@ let rec parse d emit =
         let win = Bytes.unsafe_to_string w.buf in
         let at = w.head + header_len in
         match
-          if compressed then Frame.decompress win ~pos:at ~len:stored_len ~expect:raw_len
+          if compressed then begin
+            if Bytes.length d.raw < raw_len then d.raw <- Bytes.create raw_len;
+            Frame.decompress_into win ~pos:at ~len:stored_len d.raw ~expect:raw_len;
+            Bytes.unsafe_to_string d.raw
+          end
           else win
         with
         | exception V.Corrupt ->
@@ -886,6 +894,7 @@ module Decoder = struct
   let create ?(obs = Obs.null) () =
     {
       w = Window.create 4096;
+      raw = Bytes.empty;
       header_ok = false;
       resyncing = false;
       finished = false;

@@ -48,10 +48,10 @@ val is_ok : t -> bool
 (** True when a reply was seen and it carries NFS3_OK. *)
 
 val add_line : Buffer.t -> t -> unit
-(** Append the record's text line (no newline) to the buffer. The
-    fields are written digit by digit; no string is built except where
-    a float or xid falls back to its C formatter (DESIGN.md §18,
-    "Writing"). *)
+(** Append the record's text line (no newline) to the buffer. The line
+    is rendered into a per-domain byte scratch and appended with one
+    blit; no string is built except where a float or xid falls back to
+    its C formatter (DESIGN.md §18, "Writing"). *)
 
 val output_line : Buffer.t -> out_channel -> t -> unit
 (** Write the record's line and a newline to the channel through the

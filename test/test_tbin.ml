@@ -376,6 +376,31 @@ let prop_rle_roundtrip_runs =
          String.concat "" (List.map (fun (n, c) -> String.make n c) l)))
     rle_roundtrip
 
+(* The decoder decompresses every frame into one scratch buffer: a
+   large compressed frame, then smaller and larger ones, must each
+   decode to exactly their own records, with none of a longer frame's
+   bytes showing through a shorter one. *)
+let test_compressed_frames_share_scratch () =
+  let sizes = [ 200; 3; 60; 1; 400 ] in
+  let buf = Buffer.create 4096 in
+  let w = Tbin.Writer.create ~frame_records:max_int (Buffer.add_string buf) in
+  let rs =
+    List.concat
+      (List.mapi
+         (fun f n ->
+           let rs = List.init n (fun i -> simple ((1000 * f) + i)) in
+           List.iter (Tbin.Writer.add w) rs;
+           Tbin.Writer.flush w;
+           rs)
+         sizes)
+  in
+  let s = Buffer.contents buf in
+  let compressed = List.filter (fun p -> Char.code s.[p + 4] land 1 = 1) (frame_starts s) in
+  Alcotest.(check int) "every frame is compressed" (List.length sizes) (List.length compressed);
+  let st, out = decode_string s in
+  Alcotest.(check int) "no failures" 0 (Tbin.failures st);
+  Alcotest.(check bool) "records decode" true (compare out rs = 0)
+
 let test_rle_rejects () =
   let c = Frame.compress (String.make 40 'a') in
   Alcotest.check_raises "wrong expected length" V.Corrupt (fun () ->
@@ -1415,6 +1440,8 @@ let () =
         ] );
       ( "decoder",
         [
+          Alcotest.test_case "compressed frames share one scratch" `Quick
+            test_compressed_frames_share_scratch;
           Alcotest.test_case "empty and header-only streams" `Quick test_empty_and_magic_only;
           Alcotest.test_case "garbage counts one missing header" `Quick
             test_garbage_is_missing_header;

@@ -128,6 +128,45 @@ let test_line_bad_input () =
   Alcotest.(check bool) "junk rejected" true (Result.is_error (Record.of_line "not a record"));
   Alcotest.(check bool) "empty rejected" true (Result.is_error (Record.of_line ""))
 
+(* A name whose escaped form is longer than the writer's line scratch:
+   the scratch grows mid-line, the line is the %XX rendering, and lines
+   written after it are unaffected. *)
+let test_long_escaped_name () =
+  let name = String.init 6000 (fun i -> " %|=\n\tab\001".[i mod 9]) in
+  let r =
+    {
+      base_record with
+      call = Ops.Lookup { dir = dir_fh; name };
+      result = Some (Error Types.Err_noent);
+    }
+  in
+  let escaped =
+    String.concat ""
+      (List.map
+         (fun c ->
+           if String.contains " %|=\n\t\r" c || Char.code c < 32 then
+             Printf.sprintf "%%%02x" (Char.code c)
+           else String.make 1 c)
+         (List.of_seq (String.to_seq name)))
+  in
+  let expect =
+    Printf.sprintf "%.6f %.6f v3 10.1.0.20 10.1.1.2 %08x 1042 100 lookup dir=%s name=%s | status=%d"
+      base_record.time 1003622400.125 base_record.xid (Fh.to_hex_full dir_fh) escaped
+      (Types.nfsstat_to_int Types.Err_noent)
+  in
+  let short = Record.to_line base_record in
+  Alcotest.(check string) "to_line" expect (Record.to_line r);
+  let b = Buffer.create 16 in
+  Buffer.add_string b "prefix|";
+  Record.add_line b r;
+  Record.add_line b base_record;
+  Record.add_line b r;
+  Alcotest.(check string) "add_line appends" ("prefix|" ^ expect ^ short ^ expect) (Buffer.contents b);
+  Alcotest.(check string) "a short line after it" short (Record.to_line base_record);
+  match Record.of_line expect with
+  | Ok r' -> Alcotest.(check bool) "reads back" true (compare r r' = 0)
+  | Error e -> Alcotest.failf "rejected: %s" e
+
 let test_io_bytes () =
   Alcotest.(check int) "read bytes from reply" 8192 (Record.io_bytes base_record);
   let lost = { base_record with result = None } in
@@ -1169,34 +1208,164 @@ let test_differential_simulated () =
       Alcotest.(check int) (label ^ ": every line accepted") total accepted)
     [ ("eecs", `Eecs); ("campus", `Campus) ]
 
+(* 10k simulated lines with up to four random byte edits each. *)
+let storm_lines =
+  lazy
+    (let pool = Array.of_list (simulated_lines `Eecs @ simulated_lines `Campus) in
+     let rng = Random.State.make [| 13 |] in
+     let alphabet = "0123456789abcdefxXobu_+-.=| %vDLR\t" in
+     let mutate line =
+       let s = ref line in
+       for _ = 0 to Random.State.int rng 3 do
+         let n = String.length !s in
+         let i = Random.State.int rng (max 1 n) in
+         let c =
+           if Random.State.bool rng then alphabet.[Random.State.int rng (String.length alphabet)]
+           else Char.chr (Random.State.int rng 256)
+         in
+         s :=
+           match Random.State.int rng 3 with
+           | 0 when n > 0 -> String.sub !s 0 i ^ String.make 1 c ^ String.sub !s (i + 1) (n - i - 1)
+           | 1 when n > 0 -> String.sub !s 0 i ^ String.sub !s (i + 1) (n - i - 1)
+           | _ -> String.sub !s 0 i ^ String.make 1 c ^ String.sub !s i (n - i)
+       done;
+       !s
+     in
+     List.init 10_000 (fun _ -> mutate pool.(Random.State.int rng (Array.length pool))))
+
 let test_differential_mutation_storm () =
-  let pool = Array.of_list (simulated_lines `Eecs @ simulated_lines `Campus) in
-  let rng = Random.State.make [| 13 |] in
-  let alphabet = "0123456789abcdefxXobu_+-.=| %vDLR\t" in
-  let mutate line =
-    let b = Buffer.create (String.length line + 4) in
-    Buffer.add_string b line;
-    let s = ref (Buffer.contents b) in
-    for _ = 0 to Random.State.int rng 3 do
-      let n = String.length !s in
-      let i = Random.State.int rng (max 1 n) in
-      let c =
-        if Random.State.bool rng then alphabet.[Random.State.int rng (String.length alphabet)]
-        else Char.chr (Random.State.int rng 256)
-      in
-      s :=
-        match Random.State.int rng 3 with
-        | 0 when n > 0 -> String.sub !s 0 i ^ String.make 1 c ^ String.sub !s (i + 1) (n - i - 1)
-        | 1 when n > 0 -> String.sub !s 0 i ^ String.sub !s (i + 1) (n - i - 1)
-        | _ -> String.sub !s 0 i ^ String.make 1 c ^ String.sub !s i (n - i)
-    done;
-    !s
-  in
-  let lines = List.init 10_000 (fun _ -> mutate pool.(Random.State.int rng (Array.length pool))) in
-  let accepted, total = differential lines in
+  let accepted, total = differential (Lazy.force storm_lines) in
   Alcotest.(check int) "10k lines" 10_000 total;
   Alcotest.(check bool) "the storm exercises accepted lines" true
     (accepted > 1000 && accepted < total)
+
+(* --- two-way differential against the two-walk parser --- *)
+
+(* Record.parse_slice and Record_oracle.parse_slice on one slice: the
+   same verdict, and equal records where both accept. 1 if accepted. *)
+let agree what s ~pos ~len =
+  let line () = String.sub s pos len in
+  match (Record.parse_slice s ~pos ~len, Record_oracle.parse_slice s ~pos ~len) with
+  | Ok r, Ok r' -> if compare r r' = 0 then 1 else Alcotest.failf "%s: records differ on %S" what (line ())
+  | Error _, Error _ -> 0
+  | Ok _, Error e -> Alcotest.failf "%s: only the oracle rejects (%s) %S" what e (line ())
+  | Error e, Ok _ -> Alcotest.failf "%s: only the new parser rejects (%s) %S" what e (line ())
+
+let two_way what lines =
+  List.fold_left (fun n l -> n + agree what l ~pos:0 ~len:(String.length l)) 0 lines
+
+let test_two_way_simulated () =
+  List.iter
+    (fun (label, which) ->
+      let lines = simulated_lines which in
+      Alcotest.(check int) (label ^ ": every line accepted by both") (List.length lines)
+        (two_way label lines))
+    [ ("eecs", `Eecs); ("campus", `Campus) ]
+
+let test_two_way_storm () =
+  let accepted = two_way "storm" (Lazy.force storm_lines) in
+  Alcotest.(check bool) "the storm exercises both verdicts" true
+    (accepted > 1000 && accepted < 10_000)
+
+(* Lines assembled from spellings each field may or may not accept. *)
+let token_soup =
+  let open QCheck.Gen in
+  let times =
+    [ "1003914002.351399"; "1"; "-0."; "1e5"; ".5"; "1."; "12345678901234567890";
+      "9007199254740993"; "90071992547409.93"; "nan"; ""; "1.2.3"; "-"; "1:2" ]
+  in
+  let ips = [ "10.1.2.3"; "256.1.1.1"; "1.2.3"; "01.002.3.004"; "1.2.3.4.5"; "-1.2.3.4"; "1..2.3" ] in
+  let xids =
+    [ "0"; "abcdef"; "ABCDEF12"; "fffffffffffffff"; "7fffffffffffffff"; "8000000000000000"; "g1"; "" ]
+  in
+  let ints =
+    [ "0"; "-5"; "-"; "18446744073709551616"; "4611686018427387903"; "4611686018427387904";
+      "999999999999999999"; "+1"; "1_0"; "0x1f"; "" ]
+  in
+  let keys =
+    [ "fh"; "off"; "count"; "dir"; "name"; "acc"; "stable"; "mode"; "excl"; "target"; "todir";
+      "toname"; "cookie"; "ssize"; "smode"; "suid"; "sgid"; "satime"; "smtime"; "status"; "size";
+      "fileid"; "ftype"; "mtime"; "rcount"; "eof"; "rfh"; "racc"; "rtarget"; "committed";
+      "tbytes"; "fbytes"; "rtmax"; "wtmax"; "namemax"; "zz"; "" ]
+  in
+  let values =
+    [ "0"; "2"; "-1"; "1"; "DIR"; "LNK"; "REG"; "4e4648310000000300000000000000020000"; "abc";
+      "0123456789abcdefABCDEF"; "%41b"; "%zz"; "a%4"; ""; "1e3"; "998438400."; "12345678901234567890" ]
+  in
+  let proc = oneofl (List.map Nt_nfs.Proc.to_string Nt_nfs.Proc.all @ [ "bogus"; "read2"; "" ]) in
+  let token =
+    frequency
+      [ (8, map2 (fun k v -> k ^ "=" ^ v) (oneofl keys) (oneofl values)); (1, oneofl [ "|"; ""; "x" ]) ]
+  in
+  (* Mostly accepted spellings, so that the tokens decide the verdict. *)
+  let col good all = frequency [ (4, oneofl good); (1, oneofl all) ] in
+  let ip = col [ "10.1.2.3"; "01.002.3.004" ] ips and int = col [ "0"; "-5"; "4611686018427387903" ] ints in
+  let fixed =
+    [ col [ "1003914002.351399"; "1." ] times; col [ "-"; "1003914002.351999" ] ("-" :: times);
+      col [ "v2"; "v3" ] [ "v4"; "v"; "V3" ]; ip; ip; col [ "abcdef"; "ABCDEF12" ] xids; int; int;
+      proc ]
+  in
+  map2 (fun cols toks -> String.concat " " (cols @ toks)) (flatten_l fixed) (list_size (0 -- 12) token)
+
+let prop_two_way_soup =
+  QCheck.Test.make ~name:"two-way differential on token soup" ~count:3000
+    (QCheck.make ~print:Fun.id token_soup)
+    (fun line -> agree "soup" ("-" ^ line ^ "7") ~pos:1 ~len:(String.length line) >= 0)
+
+let test_soup_accepts () =
+  let lines = QCheck.Gen.generate ~rand:(Random.State.make [| 5 |]) ~n:3000 token_soup in
+  let accepted = two_way "soup" lines in
+  Alcotest.(check bool) (Printf.sprintf "soup exercises both verdicts (%d of 3000)" accepted) true
+    (accepted > 100 && accepted < 2900)
+
+(* Each line as a slice of one buffer, between neighbours a scan that
+   strays past either end would read ('-' before, digits after), and
+   the whole buffer through Record.Decoder's window. *)
+let test_two_way_slices () =
+  let lines = simulated_lines `Eecs @ Lazy.force storm_lines in
+  let b = Buffer.create (1 lsl 20) in
+  let spans =
+    List.map
+      (fun l ->
+        Buffer.add_char b '-';
+        let pos = Buffer.length b in
+        Buffer.add_string b l;
+        Buffer.add_string b "7 1";
+        (pos, String.length l))
+      lines
+  in
+  let s = Buffer.contents b in
+  let accepted = List.fold_left (fun n (pos, len) -> n + agree "slice" s ~pos ~len) 0 spans in
+  Alcotest.(check bool) "slices accepted" true (accepted > 1000);
+  let text = String.concat "\n" lines in
+  let path = Filename.temp_file "nt_trace" ".trace" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let decoded, rejected = read_trace path in
+  Sys.remove path;
+  let oracle =
+    List.filter_map
+      (fun l -> if l = "" then None else Some (Record_oracle.of_line l))
+      (String.split_on_char '\n' text)
+  in
+  let oks = List.filter_map Result.to_option oracle in
+  Alcotest.(check int) "decoder rejects what the oracle rejects"
+    (List.length oracle - List.length oks) rejected;
+  Alcotest.(check bool) "decoder records equal the oracle's" true (compare decoded oks = 0)
+
+(* Minor words per line that Record.of_line allocates on the simulated
+   lines: the record, its handles and names, and the boxes it needs. *)
+let test_parse_allocation_budget () =
+  List.iter
+    (fun (label, which, bound) ->
+      let lines = simulated_lines which in
+      let before = Gc.minor_words () in
+      List.iter (fun l -> ignore (Sys.opaque_identity (Record.of_line l))) lines;
+      let w = (Gc.minor_words () -. before) /. float_of_int (List.length lines) in
+      if w > bound then
+        Alcotest.failf "%s: %.1f minor words per line, over the budget of %.1f" label w bound)
+    (* The two-walk parser measured 73.0 and 68.1; each bound is that
+       plus 10%. *)
+    [ ("eecs", `Eecs, 80.3); ("campus", `Campus, 74.9) ]
 
 (* Spellings the old parser took through int_of_string/unescape and the
    grammar now rejects: exactly the list in DESIGN.md §18. *)
@@ -1277,6 +1446,7 @@ let () =
           Alcotest.test_case "lost reply" `Quick test_line_lost_reply;
           Alcotest.test_case "error result" `Quick test_line_error_result;
           Alcotest.test_case "bad input" `Quick test_line_bad_input;
+          Alcotest.test_case "long escaped name" `Quick test_long_escaped_name;
           Alcotest.test_case "io bytes" `Quick test_io_bytes;
           Alcotest.test_case "channel roundtrip" `Quick test_channel_roundtrip;
           QCheck_alcotest.to_alcotest prop_record_line_roundtrip;
@@ -1286,6 +1456,13 @@ let () =
           Alcotest.test_case "float reader cases" `Quick test_float_reader_cases;
           Alcotest.test_case "differential vs old parser" `Quick test_differential_simulated;
           Alcotest.test_case "differential mutation storm" `Quick test_differential_mutation_storm;
+          Alcotest.test_case "two-way differential: simulated" `Quick test_two_way_simulated;
+          Alcotest.test_case "two-way differential: mutation storm" `Quick test_two_way_storm;
+          Alcotest.test_case "two-way differential: slices and decoder" `Quick
+            test_two_way_slices;
+          QCheck_alcotest.to_alcotest prop_two_way_soup;
+          Alcotest.test_case "token soup reaches both verdicts" `Quick test_soup_accepts;
+          Alcotest.test_case "text parse allocation budget" `Quick test_parse_allocation_budget;
           Alcotest.test_case "rejected literal quirks" `Quick test_rejected_quirks;
           Alcotest.test_case "iter_channel counts rejected" `Quick
             test_iter_channel_counts_rejected;

@@ -266,6 +266,44 @@ let test_nfstrace_final_sample () =
           Alcotest.(check bool) "rt.samples >= 2" true (metric "rt.samples" >= 2.);
           Alcotest.(check bool) "rt.heap_words > 0" true (metric "rt.heap_words" > 0.)))
 
+(* A run too short for a major collection exports no heap gauge rather
+   than a zero one, and its snapshot still passes the schema. *)
+let test_short_run_heap_gauges () =
+  let trace = Filename.temp_file "nt_workload_test" ".trace" in
+  let json = Filename.temp_file "nt_workload_test" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ trace; json ])
+    (fun () ->
+      Alcotest.(check int) "nfswlgen runs" 0
+        (Sys.command
+           (Filename.quote_command (tool "nfswlgen") ~stderr:Filename.null
+              [ "-s"; "eecs"; "-u"; "2"; "--hours"; "0.01"; "-o"; trace ]));
+      Alcotest.(check int) "nfsstats runs" 0
+        (Sys.command
+           (Filename.quote_command (tool "nfsstats") ~stdout:Filename.null
+              [ trace; "--metrics=" ^ json ]));
+      let snap =
+        match Nt_obs.Obs.Json.parse (In_channel.with_open_bin json In_channel.input_all) with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "snapshot: %s" e
+      in
+      List.iter
+        (fun name ->
+          match Nt_obs.Obs.Json.metric_number snap name with
+          | Some v -> Alcotest.(check bool) (name ^ " is not zero") true (v > 0.)
+          | None -> ())
+        [ "rt.heap_words"; "rt.top_heap_words" ];
+      let validator =
+        List.find Sys.file_exists
+          [ "../bench/validate_snapshot.exe"; "_build/default/bench/validate_snapshot.exe" ]
+      in
+      let schema =
+        List.find Sys.file_exists
+          [ "../bench/obs_snapshot.schema.json"; "bench/obs_snapshot.schema.json" ]
+      in
+      Alcotest.(check int) "validate_snapshot accepts it" 0
+        (Sys.command (Filename.quote_command validator ~stderr:Filename.null [ schema; json ])))
+
 (* A pcap global header cut short leaves no endianness or tick unit to
    salvage with: every tool that reads captures says so in one line
    and exits 1. *)
@@ -377,6 +415,8 @@ let () =
             test_nfstrace_final_sample;
           Alcotest.test_case "a cut pcap header is reported, not raised" `Quick
             test_corrupt_pcap_header;
+          Alcotest.test_case "a short run exports no zero heap gauge" `Quick
+            test_short_run_heap_gauges;
         ] );
       ( "integration",
         [
