@@ -25,94 +25,87 @@ module Tables = struct
 end
 module Summary = Nt_analysis.Summary
 module Hourly = Nt_analysis.Hourly
-module Io_log = Nt_analysis.Io_log
 module Runs = Nt_analysis.Runs
 module Reorder = Nt_analysis.Reorder
 module Lifetime = Nt_analysis.Lifetime
 module Names = Nt_analysis.Names
 module Prior = Nt_analysis.Prior_studies
 module Pipeline = Nt_core.Pipeline
+module Report = Nt_par.Report
 
 let scale = 0.01 (* both workloads run at 1/100 of the paper's population *)
 
-let f1 = Tables.fmt_float ~decimals:1
 let f2 = Tables.fmt_float ~decimals:2
+
+(* Tables whose rows share their first column, side by side. *)
+let beside = function
+  | [] -> []
+  | first :: _ as tables ->
+      List.mapi
+        (fun i row -> List.hd row :: List.concat_map (fun t -> List.tl (List.nth t i)) tables)
+        first
 
 (* ------------------------------------------------------------------ *)
 (* Shared week-long simulations                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One simulation teed into three reports: the trace week, with the
+   reorder window chosen for the system (seconds), the lifetimes over
+   the whole run, and Figure 1's Wednesday 9am-12pm. *)
 type week = {
   label : string;
-  summary : Summary.t;
-  hourly : Hourly.t;
-  io : Io_log.t;  (* full trace week *)
-  io_fig1 : Io_log.t;  (* Wednesday 9am-12pm, as in Figure 1 *)
-  names : Names.t;
-  lifetimes : Lifetime.t array;  (* weekday 9am phases, Mon-Fri *)
-  records : int;
-  window : float;  (* reorder window chosen for this system, seconds *)
+  week : Report.values;
+  lifetime : Report.phases;
+  reorder : Reorder.t;
 }
 
-let weekdays = Tw.[ Mon; Tue; Wed; Thu; Fri ]
+let get = Option.get
 
 let simulate_week ~label ~window ~simulate =
-  let summary = Summary.create () in
-  let hourly = Hourly.create () in
-  let io = Io_log.create () in
-  let io_fig1 = Io_log.create () in
-  let names = Names.create () in
-  let lifetimes =
-    Array.of_list
-      (List.map
-         (fun day ->
-           Lifetime.create (Lifetime.config ~phase1_start:(Tw.time_of ~day ~hour:9 ~minute:0)))
-         weekdays)
+  let t0 = Unix.gettimeofday () in
+  let week =
+    Report.start ~window ~sections:[ `Daily; `Variance; `Names; `Sizes; `Rawruns ] ()
   in
+  let lifetime = Report.start ~sections:[ `Lifetime ] () in
+  let reorder = Report.start ~sections:[ `Reorder ] () in
   let wed9 = Tw.time_of ~day:Tw.Wed ~hour:9 ~minute:0 in
   let wed12 = Tw.time_of ~day:Tw.Wed ~hour:12 ~minute:0 in
-  let records = ref 0 in
   let sink r =
     let t = r.Nt_trace.Record.time in
-    Array.iter (fun lt -> Lifetime.observe lt r) lifetimes;
+    Report.push lifetime r;
     if t < Tw.week_end then begin
-      incr records;
-      Summary.observe summary r;
-      Hourly.observe hourly r;
-      Io_log.observe io r;
-      Names.observe names r;
-      if t >= wed9 && t < wed12 then Io_log.observe io_fig1 r
+      Report.push week r;
+      if t >= wed9 && t < wed12 then Report.push reorder r
     end
   in
   (* Friday's 24h phase + 24h end margin runs to Sunday 9am, so the
      simulation extends half a day past the analysed trace week. *)
   let stop = Tw.week_end +. (12. *. 3600.) in
   simulate ~start:Tw.week_start ~stop ~sink;
-  { label; summary; hourly; io; io_fig1; names; lifetimes; records = !records; window }
+  let _, records, week = Report.finish week in
+  let _, _, lifetime = Report.finish lifetime in
+  let _, _, reorder = Report.finish reorder in
+  Printf.eprintf "[sim] %s week: %d records, %.1fs\n%!" label records
+    (Unix.gettimeofday () -. t0);
+  { label; week; lifetime = get lifetime.lifetime; reorder = get reorder.reorder }
+[@@nt.raise_ok "each report was started with the sections whose folds are read"]
 
 let campus_week =
   lazy
-    (let t0 = Unix.gettimeofday () in
-     let w =
-       simulate_week ~label:"CAMPUS" ~window:0.010 ~simulate:(fun ~start ~stop ~sink ->
-           ignore (Pipeline.simulate_campus ~start ~stop ~sink ()))
-     in
-     Printf.eprintf "[sim] CAMPUS week: %d records, %.1fs\n%!" w.records
-       (Unix.gettimeofday () -. t0);
-     w)
+    (simulate_week ~label:"CAMPUS" ~window:0.010 ~simulate:(fun ~start ~stop ~sink ->
+         ignore (Pipeline.simulate_campus ~start ~stop ~sink ())))
 
 let eecs_week =
   lazy
-    (let t0 = Unix.gettimeofday () in
-     let w =
-       simulate_week ~label:"EECS" ~window:0.005 ~simulate:(fun ~start ~stop ~sink ->
-           ignore (Pipeline.simulate_eecs ~start ~stop ~sink ()))
-     in
-     Printf.eprintf "[sim] EECS week: %d records, %.1fs\n%!" w.records
-       (Unix.gettimeofday () -. t0);
-     w)
+    (simulate_week ~label:"EECS" ~window:0.005 ~simulate:(fun ~start ~stop ~sink ->
+         ignore (Pipeline.simulate_eecs ~start ~stop ~sink ())))
 
 let both () = [ Lazy.force campus_week; Lazy.force eecs_week ]
+let summary w = get w.week.summary
+let hourly w = get w.week.hourly
+let names_of w = get w.week.names
+let runs w = get w.week.runs
+let raw_runs w = get w.week.raw_runs
 
 let banner title = Printf.printf "\n================ %s ================\n" title
 
@@ -120,47 +113,17 @@ let banner title = Printf.printf "\n================ %s ================\n" titl
 (* Table 1: qualitative characteristics                                *)
 (* ------------------------------------------------------------------ *)
 
-let lifetime_results w = Array.to_list (Array.map Lifetime.result w.lifetimes)
-
-let merged_cdf results =
-  let total = List.fold_left (fun acc (r : Lifetime.result) -> acc + r.deaths) 0 results in
-  match results with
-  | [] -> []
-  | first :: _ ->
-      List.map
-        (fun (edge, _) ->
-          let frac =
-            if total = 0 then 0.
-            else
-              List.fold_left
-                (fun acc (r : Lifetime.result) ->
-                  acc +. (Lifetime.cdf_at r edge *. float_of_int r.deaths))
-                0. results
-              /. float_of_int total
-          in
-          (edge, frac))
-        first.lifetime_cdf
-
-let cdf_value cdf x =
-  let rec go last = function
-    | [] -> last
-    | (e, f) :: rest -> if e > x then last else go f rest
-  in
-  go 0. cdf
-
 let table1 () =
   banner "Table 1: Characteristics of CAMPUS and EECS";
   let campus = Lazy.force campus_week and eecs = Lazy.force eecs_week in
   let row name f = [ name; f campus; f eecs ] in
   let lifetime_median w =
-    let cdf = merged_cdf (lifetime_results w) in
-    match List.find_opt (fun (_, frac) -> frac >= 0.5) cdf with
+    match List.find_opt (fun (_, frac) -> frac >= 0.5) (Report.lifetime_cdf w.lifetime) with
     | Some (edge, _) -> edge
     | None -> infinity
   in
   let death_mode w =
-    let results = lifetime_results w in
-    let avg f = List.fold_left (fun acc r -> acc +. f r) 0. results /. 5. in
+    let avg = Report.phase_mean w.lifetime in
     Printf.sprintf "overwrite %.0f%% / deletion %.0f%%"
       (avg (fun (r : Lifetime.result) -> r.deaths_overwrite_pct))
       (avg (fun (r : Lifetime.result) -> r.deaths_deletion_pct))
@@ -168,15 +131,15 @@ let table1 () =
   Tables.print
     ~header:[ "characteristic"; "CAMPUS (measured)"; "EECS (measured)" ]
     [
-      row "data calls (% of all)" (fun w -> Tables.fmt_pct (Summary.data_ops_pct w.summary));
-      row "R/W op ratio" (fun w -> f2 (Summary.read_write_op_ratio w.summary));
-      row "R/W byte ratio" (fun w -> f2 (Summary.read_write_byte_ratio w.summary));
+      row "data calls (% of all)" (fun w -> Tables.fmt_pct (Summary.data_ops_pct (summary w)));
+      row "R/W op ratio" (fun w -> f2 (Summary.read_write_op_ratio (summary w)));
+      row "R/W byte ratio" (fun w -> f2 (Summary.read_write_byte_ratio (summary w)));
       row "peak-hours variance shrink" (fun w ->
-          Printf.sprintf "%.1fx" (Hourly.variance_reduction w.hourly));
+          Printf.sprintf "%.1fx" (Hourly.variance_reduction (hourly w)));
       row "mailbox byte share" (fun w ->
-          Tables.fmt_pct (100. *. Names.byte_share w.names Names.Mailbox));
+          Tables.fmt_pct (100. *. Names.byte_share (names_of w) Names.Mailbox));
       row "locks among files accessed" (fun w ->
-          Tables.fmt_pct (100. *. Names.unique_file_share w.names Names.Lock));
+          Tables.fmt_pct (100. *. Names.unique_file_share (names_of w) Names.Lock));
       row "median block lifetime" (fun w -> Tables.fmt_duration (lifetime_median w));
       row "dominant block death" death_mode;
     ];
@@ -194,11 +157,7 @@ let table1 () =
 let table2 () =
   banner "Table 2: average daily activity (10/21-10/27, rescaled by 1/scale)";
   let measured =
-    List.map
-      (fun w ->
-        let d = Summary.daily ~scale w.summary in
-        (w.label ^ " (sim)", d))
-      (both ())
+    List.map (fun w -> (w.label ^ " (sim)", Summary.daily ~scale (summary w))) (both ())
   in
   let paper =
     [ Prior.campus_week; Prior.eecs_week ] @ Prior.table2_comparisons
@@ -214,26 +173,8 @@ let table2 () =
                rw_op_ratio = p.rw_op_ratio;
              } ))
   in
-  let rows =
-    List.map
-      (fun (label, (d : Summary.daily)) ->
-        [
-          label;
-          f2 d.total_ops_m;
-          f1 d.data_read_gb;
-          f2 d.read_ops_m;
-          f1 d.data_written_gb;
-          f2 d.write_ops_m;
-          f2 d.rw_byte_ratio;
-          f2 d.rw_op_ratio;
-        ])
-      (measured @ paper)
-  in
-  Tables.print
-    ~header:
-      [ "system"; "ops (M)"; "read GB"; "read ops M"; "write GB"; "write ops M"; "R/W bytes";
-        "R/W ops" ]
-    rows
+  Tables.print ~header:("system" :: Report.daily_header)
+    (List.map (fun (label, d) -> label :: Report.daily_row d) (measured @ paper))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: reorder window vs swapped accesses                        *)
@@ -241,27 +182,16 @@ let table2 () =
 
 let fig1 () =
   banner "Figure 1: % of accesses swapped vs reorder window (Wed 9am-12pm)";
-  let windows = [ 0.; 1.; 2.; 3.; 5.; 7.; 10.; 15.; 20.; 30.; 40.; 50. ] in
-  let results =
-    List.map (fun w -> (w.label, Reorder.swap_percentages w.io_fig1 ~windows_ms:windows)) (both ())
-  in
-  let header = "window (ms)" :: List.map (fun (l, _) -> l ^ " swapped %") results in
-  let rows =
-    List.map
-      (fun wms ->
-        Printf.sprintf "%.0f" wms
-        :: List.map
-             (fun (_, points) ->
-               match List.assoc_opt wms points with Some p -> f2 p | None -> "-")
-             results)
-      windows
-  in
-  Tables.print ~header rows;
+  let ws = both () in
+  Tables.print
+    ~header:("window (ms)" :: List.map (fun w -> w.label ^ " swapped %") ws)
+    (beside (List.map (fun w -> (Report.reorder_table w.reorder).rows) ws));
   List.iter
-    (fun (label, points) ->
-      Printf.printf "%s knee: %.0f ms (paper chose %s)\n" label (Reorder.knee points)
-        (if label = "CAMPUS" then "10 ms" else "5 ms"))
-    results
+    (fun w ->
+      Printf.printf "%s knee: %.0f ms (paper chose %s)\n" w.label
+        (Reorder.knee (Reorder.swapped w.reorder))
+        (if w.label = "CAMPUS" then "10 ms" else "5 ms"))
+    ws
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: run patterns                                               *)
@@ -269,20 +199,6 @@ let fig1 () =
 
 let table3 () =
   banner "Table 3: file access patterns (entire/sequential/random)";
-  let breakdown_rows (t : Runs.table3) =
-    [
-      ("reads (% total)", t.reads_pct);
-      ("  entire (% read)", t.read.entire_pct);
-      ("  sequential (% read)", t.read.sequential_pct);
-      ("  random (% read)", t.read.random_pct);
-      ("writes (% total)", t.writes_pct);
-      ("  entire (% write)", t.write.entire_pct);
-      ("  sequential (% write)", t.write.sequential_pct);
-      ("  random (% write)", t.write.random_pct);
-      ("read-write (% total)", t.rw_pct);
-      ("  random (% r-w)", t.rw.random_pct);
-    ]
-  in
   let of_paper (p : Prior.run_breakdown) : Runs.table3 =
     {
       reads_pct = p.reads_pct;
@@ -297,26 +213,17 @@ let table3 () =
   in
   List.iter
     (fun w ->
-      let raw = Runs.table3 ~strict:true (Runs.of_log ~window:0. w.io) in
-      let processed = Runs.table3 (Runs.of_log ~window:w.window w.io) in
+      let raw = Runs.table3 ~strict:true (raw_runs w) in
       let paper_raw, paper_proc =
         if w.label = "CAMPUS" then (Prior.campus_runs_raw, Prior.campus_runs_processed)
         else (Prior.eecs_runs_raw, Prior.eecs_runs_processed)
       in
       Printf.printf "\n--- %s (%d runs) ---\n" w.label raw.total_runs;
-      let cols =
-        [ breakdown_rows raw; breakdown_rows processed; breakdown_rows (of_paper paper_raw);
-          breakdown_rows (of_paper paper_proc) ]
-      in
-      let rows =
-        List.mapi
-          (fun i (name, _) ->
-            name :: List.map (fun col -> f1 (snd (List.nth col i))) cols)
-          (List.hd cols)
-      in
       Tables.print
         ~header:[ "pattern"; "sim raw"; "sim processed"; "paper raw"; "paper processed" ]
-        rows)
+        (beside
+           (List.map Report.table3_rows
+              [ raw; Runs.table3 (runs w); of_paper paper_raw; of_paper paper_proc ])))
     (both ());
   Printf.printf
     "\nHistorical comparisons (paper Table 3): NT reads %.1f%%, Sprite %.1f%%, BSD %.1f%%\n"
@@ -326,28 +233,17 @@ let table3 () =
 (* Figure 2: bytes accessed vs file size                               *)
 (* ------------------------------------------------------------------ *)
 
-let fig2 () =
-  banner "Figure 2: cumulative % of bytes accessed vs file size";
+let print_per_system table =
   List.iter
     (fun w ->
-      let c = Runs.by_file_size (Runs.of_log ~window:w.window w.io) in
       Printf.printf "\n--- %s ---\n" w.label;
-      let rows =
-        Array.to_list
-          (Array.mapi
-             (fun i edge ->
-               [
-                 Tables.fmt_bytes edge;
-                 f1 c.total.(i);
-                 f1 c.entire.(i);
-                 f1 c.sequential.(i);
-                 f1 c.random.(i);
-               ])
-             c.edges)
-      in
-      Tables.print ~header:[ "file size <="; "total %"; "entire %"; "sequential %"; "random %" ]
-        rows)
-    (both ());
+      let t : Report.table = table w in
+      Tables.print ~header:t.header t.rows)
+    (both ())
+
+let fig2 () =
+  banner "Figure 2: cumulative % of bytes accessed vs file size";
+  print_per_system (fun w -> Report.sizes_table (runs w));
   print_endline
     "\nPaper: CAMPUS bytes come overwhelmingly from files >1MB; EECS mostly from files\n\
      <1MB with ~30% of bytes in large entirely-read files; random + entire dominate."
@@ -360,71 +256,42 @@ let table4 () =
   banner "Table 4: daily block life statistics (weekday 24h phases + 24h margin)";
   List.iter
     (fun w ->
-      let results = lifetime_results w in
-      let avg f = List.fold_left (fun acc r -> acc +. f r) 0. results /. 5. in
-      let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
       let paper =
         if w.label = "CAMPUS" then Prior.campus_block_life else Prior.eecs_block_life
       in
       Printf.printf "\n--- %s ---\n" w.label;
       Tables.print
         ~header:[ "statistic"; "sim"; "paper" ]
-        [
-          [ "total births (5 days)";
-            Printf.sprintf "%d (%.2fM rescaled)"
-              (total (fun r -> r.Lifetime.births))
-              (float_of_int (total (fun r -> r.Lifetime.births)) /. scale /. 1e6);
-            Printf.sprintf "%.1fM" paper.births_m ];
-          [ "  due to writes";
-            Tables.fmt_pct (avg (fun r -> r.Lifetime.births_write_pct));
-            Tables.fmt_pct paper.births_write_pct ];
-          [ "  due to extension";
-            Tables.fmt_pct (avg (fun r -> r.Lifetime.births_extension_pct));
-            Tables.fmt_pct paper.births_extension_pct ];
-          [ "total deaths (5 days)";
-            Printf.sprintf "%d (%.2fM rescaled)"
-              (total (fun r -> r.Lifetime.deaths))
-              (float_of_int (total (fun r -> r.Lifetime.deaths)) /. scale /. 1e6);
-            Printf.sprintf "%.1fM" paper.deaths_m ];
-          [ "  due to overwrites";
-            Tables.fmt_pct (avg (fun r -> r.Lifetime.deaths_overwrite_pct));
-            Tables.fmt_pct paper.deaths_overwrite_pct ];
-          [ "  due to truncates";
-            Tables.fmt_pct (avg (fun r -> r.Lifetime.deaths_truncate_pct));
-            Tables.fmt_pct paper.deaths_truncate_pct ];
-          [ "  due to file deletion";
-            Tables.fmt_pct (avg (fun r -> r.Lifetime.deaths_deletion_pct));
-            Tables.fmt_pct paper.deaths_deletion_pct ];
-          [ "daily end surplus";
-            Tables.fmt_pct (avg (fun r -> r.Lifetime.end_surplus_pct));
-            (if w.label = "CAMPUS" then "2.1%-5.9%" else "3.5%-9.5%") ];
-        ])
+        (beside
+           [
+             (Report.lifetime_table ~scale w.lifetime).rows;
+             [
+               [ ""; Printf.sprintf "%.1fM" paper.births_m ];
+               [ ""; Tables.fmt_pct paper.births_write_pct ];
+               [ ""; Tables.fmt_pct paper.births_extension_pct ];
+               [ ""; Printf.sprintf "%.1fM" paper.deaths_m ];
+               [ ""; Tables.fmt_pct paper.deaths_overwrite_pct ];
+               [ ""; Tables.fmt_pct paper.deaths_truncate_pct ];
+               [ ""; Tables.fmt_pct paper.deaths_deletion_pct ];
+               [ ""; (if w.label = "CAMPUS" then "2.1%-5.9%" else "3.5%-9.5%") ];
+             ];
+           ]))
     (both ())
 
 let fig3 () =
   banner "Figure 3: cumulative distribution of block lifetimes";
-  let campus = merged_cdf (lifetime_results (Lazy.force campus_week)) in
-  let eecs = merged_cdf (lifetime_results (Lazy.force eecs_week)) in
-  let interesting =
-    [ 1.; 10.; 30.; 60.; 300.; 600.; 1200.; 3600.; 14400.; 43200.; 86400. ]
-  in
-  let rows =
-    List.map
-      (fun x ->
-        [ Tables.fmt_duration x;
-          Tables.fmt_pct (100. *. cdf_value campus x);
-          Tables.fmt_pct (100. *. cdf_value eecs x) ])
-      interesting
-  in
-  Tables.print ~header:[ "lifetime <="; "CAMPUS"; "EECS" ] rows;
+  let campus = Lazy.force campus_week and eecs = Lazy.force eecs_week in
+  Tables.print ~header:[ "lifetime <="; "CAMPUS"; "EECS" ]
+    (beside (List.map (fun w -> (Report.cdf_table w.lifetime).rows) [ campus; eecs ]));
+  let cdf w = Report.cdf_value (Report.lifetime_cdf w.lifetime) in
   Printf.printf
     "\nPaper: EECS >50%% of blocks die within 1 s; CAMPUS few die <1 s, ~50%% live\n\
      10-15+ min with a knee near 10 min.\n";
   Printf.printf "Sim: EECS <=1s %.0f%%; CAMPUS <=1s %.0f%%, <=10min %.0f%%, <=1day %.0f%%\n"
-    (100. *. cdf_value eecs 1.)
-    (100. *. cdf_value campus 1.)
-    (100. *. cdf_value campus 600.)
-    (100. *. cdf_value campus 86400.)
+    (100. *. cdf eecs 1.)
+    (100. *. cdf campus 1.)
+    (100. *. cdf campus 600.)
+    (100. *. cdf campus 86400.)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4 and Table 5: hourly behaviour                              *)
@@ -435,7 +302,7 @@ let fig4 () =
   List.iter
     (fun w ->
       Printf.printf "\n--- %s: hourly ops (thousands) ---\n" w.label;
-      let points = Array.of_list (Hourly.series w.hourly) in
+      let points = Array.of_list (Hourly.series (hourly w)) in
       let day_names = [| "Sun"; "Mon"; "Tue"; "Wed"; "Thu"; "Fri"; "Sat" |] in
       for day = 0 to 6 do
         let cells =
@@ -467,26 +334,11 @@ let table5 () =
   banner "Table 5: average hourly activity, all hours vs peak (9am-6pm Mon-Fri)";
   List.iter
     (fun w ->
-      let all = Hourly.all_hours w.hourly in
-      let peak = Hourly.peak_hours w.hourly in
-      let row name (a : Hourly.variance_row) (p : Hourly.variance_row) =
-        [ name;
-          Printf.sprintf "%s (%.0f%%)" (f1 a.mean) a.stddev_pct;
-          Printf.sprintf "%s (%.0f%%)" (f1 p.mean) p.stddev_pct ]
-      in
       Printf.printf "\n--- %s (mean, stddev as %% of mean) ---\n" w.label;
-      Tables.print
-        ~header:[ "statistic"; "all hours"; "peak hours" ]
-        [
-          row "total ops (1000s)" all.total_ops_k peak.total_ops_k;
-          row "data read (MB)" all.data_read_mb peak.data_read_mb;
-          row "read ops (1000s)" all.read_ops_k peak.read_ops_k;
-          row "data written (MB)" all.data_written_mb peak.data_written_mb;
-          row "write ops (1000s)" all.write_ops_k peak.write_ops_k;
-          row "R/W op ratio" all.rw_op_ratio peak.rw_op_ratio;
-        ];
+      let t = Report.variance_table (hourly w) in
+      Tables.print ~header:t.header t.rows;
       Printf.printf "variance reduction at peak: %.1fx (paper: >=4x for CAMPUS)\n"
-        (Hourly.variance_reduction w.hourly))
+        (Hourly.variance_reduction (hourly w)))
     (both ())
 
 (* ------------------------------------------------------------------ *)
@@ -495,33 +347,7 @@ let table5 () =
 
 let fig5 () =
   banner "Figure 5: sequentiality metric vs bytes accessed per run";
-  List.iter
-    (fun w ->
-      let c = Runs.sequentiality (Runs.of_log ~window:w.window w.io) in
-      Printf.printf "\n--- %s ---\n" w.label;
-      let cell v = if Float.is_nan v then "-" else f2 v in
-      let rows =
-        Array.to_list
-          (Array.mapi
-             (fun i edge ->
-               [
-                 Tables.fmt_bytes edge;
-                 cell c.read_allowed.(i);
-                 cell c.read_strict.(i);
-                 cell c.write_allowed.(i);
-                 cell c.write_strict.(i);
-                 f1 c.cum_total_runs.(i);
-                 f1 c.cum_read_runs.(i);
-                 f1 c.cum_write_runs.(i);
-               ])
-             c.bucket_edges)
-      in
-      Tables.print
-        ~header:
-          [ "run bytes <="; "rd c=10"; "rd c=1"; "wr c=10"; "wr c=1"; "cum runs %"; "cum rd %";
-            "cum wr %" ]
-        rows)
-    (both ());
+  print_per_system (fun w -> Report.seqmetric_table (runs w));
   print_endline
     "\nPaper: long CAMPUS reads are highly sequential (metric near 1); long writes\n\
      hover near 0.6 with c=10; EECS writes are seek-prone; small jumps (c=10 vs\n\
@@ -544,12 +370,12 @@ let nfsiod () =
             ~gid:0
         in
         Nt_sim.Sim_fs.write fs ~time:0. node ~offset:0L ~count:(64 * 1024 * 1024);
-        let io = Io_log.create () in
+        let report = Report.start ~sections:[ `Reorder ] () in
         let max_delay = ref 0. in
         let last = ref neg_infinity in
         (* The monitor sees packets in wire-time order, so sort the
            emitted records the way the main pipeline does. *)
-        let sorter = Nt_sim.Record_sorter.create (Io_log.observe io) in
+        let sorter = Nt_sim.Record_sorter.create (Report.push report) in
         let sink r =
           Nt_sim.Record_sorter.push sorter r;
           let t = r.Nt_trace.Record.time in
@@ -569,7 +395,8 @@ let nfsiod () =
         | Some fh -> ignore (Nt_sim.Client.read_whole s fh)
         | None -> ());
         Nt_sim.Record_sorter.flush sorter;
-        let ooo = 100. *. Reorder.out_of_order_fraction io in
+        let _, _, v = Report.finish report in
+        let ooo = 100. *. Reorder.out_of_order (get v.reorder) in
         [ string_of_int k; f2 ooo; Printf.sprintf "%.3f s" !max_delay ])
       [ 1; 2; 4; 8; 16 ]
   in
@@ -586,7 +413,7 @@ let names () =
   banner "Section 6.3: predicting file attributes from names";
   List.iter
     (fun w ->
-      let n = w.names in
+      let n = names_of w in
       Printf.printf "\n--- %s ---\n" w.label;
       Printf.printf
         "files created+deleted in week: %d; locks among them: %.1f%% (paper: 96%% CAMPUS / 8%% EECS)\n"
@@ -972,13 +799,14 @@ let mon_soak () =
   let end_live, end_smp = probe () in
   let warm_live, warm_smp = Option.value !warm ~default:(end_live, end_smp) in
   (* Footprint honesty gate: the per-component state estimates must be
-     non-trivial and within 2x of the live major heap — an estimator
-     that drifts past the heap it claims to describe is lying. *)
+     non-trivial and within 2x of the gated end-of-run live words — an
+     estimator that drifts past the heap it claims to describe is
+     lying. *)
   let footprints = Nt_obs.Sampler.publish_footprints (Service.sampler svc) in
   let fp_words =
     List.fold_left (fun acc (_, fp) -> acc + fp.Nt_obs.Footprint.words) 0 footprints
   in
-  let fp_ok = fp_words > 0 && fp_words <= 2 * end_smp.Nt_obs.Sampler.heap_words in
+  let fp_ok = fp_words > 0 && fp_words <= 2 * end_live in
   let evictions =
     List.fold_left (fun acc (_, e) -> acc + e) 0 (Ring.evictions (Service.ring svc))
   in
@@ -1016,7 +844,7 @@ let mon_soak () =
     (if heap_flat then "PASS" else "FAIL")
     (if evictions > 0 then "PASS" else "FAIL")
     (if conserved then "PASS" else "FAIL")
-    fp_words end_smp.Nt_obs.Sampler.heap_words
+    fp_words end_live
     (if fp_ok then "PASS" else "FAIL");
   if not pass then exit 1
 

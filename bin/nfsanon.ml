@@ -18,14 +18,13 @@ let run input output seed omit obs_opts =
   let c_records = Nt_obs.Obs.counter obs ~help:"records anonymized" "anon.records" in
   let oc = if output = "-" then stdout else open_out output in
   let n = ref 0 in
-  let line = Buffer.create 256 in
   let source =
     Fun.protect
       ~finally:(fun () -> if output <> "-" then close_out oc)
       (fun () ->
         Nt_obs.Obs.with_span obs "anonymize" (fun () ->
             Nt_core.Pipeline.iter_trace ~obs input (fun r ->
-                Nt_trace.Record.output_line line oc (Nt_trace.Anonymize.record anon r);
+                Nt_trace.Record.output_line oc (Nt_trace.Anonymize.record anon r);
                 incr n;
                 Nt_obs.Obs.inc c_records;
                 Obs_cli.tick session)))

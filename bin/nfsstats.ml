@@ -50,13 +50,17 @@ let input =
            tbin:PATH / pcap:PATH. A capture is decoded as nfstrace --salvage does.")
 
 let analyses =
-  let kind =
-    Arg.enum [ ("summary", `Summary); ("runs", `Runs); ("names", `Names); ("hourly", `Hourly) ]
-  in
+  let names = List.map Nt_par.Report.section_name Nt_par.Report.all_sections in
+  let kind = Arg.enum (List.combine names Nt_par.Report.all_sections) in
   Arg.(
     value
     & opt (list kind) [ `Summary ]
-    & info [ "a"; "analysis" ] ~docv:"LIST" ~doc:"Analyses to run: summary, runs, names, hourly.")
+    & info [ "a"; "analysis" ] ~docv:"LIST"
+        ~doc:
+          ("Analyses to run, printed in the order given: " ^ String.concat ", " names
+         ^ ". Sections that read one fold share it (daily reads summary's, variance hourly's; \
+            runs, sizes and seqmetric one runs fold). lifetime keeps the weekday 9am phases \
+            of the trace week and reads the trace as one range."))
 
 let non_negative_int =
   let parse s =

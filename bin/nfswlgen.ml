@@ -66,9 +66,8 @@ let run system users start_hour hours format loss fault fault_seed output out_tb
   in
   let emit_trace oc =
     let n = ref 0 in
-    let line = Buffer.create 256 in
     let sink r =
-      Nt_trace.Record.output_line line oc r;
+      Nt_trace.Record.output_line oc r;
       copy r;
       incr n;
       Obs_cli.tick session

@@ -1,6 +1,5 @@
 module Record = Nt_trace.Record
 module Ops = Nt_nfs.Ops
-module Fh = Nt_nfs.Fh
 
 type access = {
   at : float;
@@ -10,28 +9,6 @@ type access = {
   at_eof : bool;
   file_size : int;
 }
-
-module Fh_tbl = Hashtbl.Make (struct
-  type t = Fh.t
-
-  let equal = Fh.equal
-  let hash = Fh.hash
-end)
-
-type file_log = { mutable items : access list }
-
-type t = { files : file_log Fh_tbl.t; mutable total : int }
-
-let create () = { files = Fh_tbl.create 1024; total = 0 }
-
-let log_for t fh =
-  match Fh_tbl.find_opt t.files fh with
-  | Some l -> l
-  | None ->
-      let l = { items = [] } in
-      Fh_tbl.add t.files fh l;
-      l
-[@@nt.unbounded "one log per distinct file handle; the per-file journal is the store's product"]
 
 let of_record (r : Record.t) =
   match r.call with
@@ -81,23 +58,3 @@ let of_record (r : Record.t) =
             } )
       else None
   | _ -> None
-
-let observe t r =
-  match of_record r with
-  | Some (fh, access) ->
-      let l = log_for t fh in
-      l.items <- access :: l.items;
-      t.total <- t.total + 1
-  | None -> ()
-[@@nt.alloc_ok "the journal entry is the product: one access kept per I/O"]
-[@@nt.unbounded "access journal, one entry per I/O by design; the experiments replay it"]
-
-let files t = Fh_tbl.length t.files
-let accesses t = t.total
-
-let iter_files t f =
-  Fh_tbl.iter
-    (fun fh l ->
-      let arr = Array.of_list (List.rev l.items) in
-      f fh arr)
-    t.files

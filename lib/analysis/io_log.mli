@@ -1,8 +1,6 @@
 (** Per-file I/O accesses: what a READ or WRITE record contributes to
-    the run, reorder and sequentiality analyses, and a store that keeps
-    every file's accesses for the experiments that replay them.
-
-    Lists preserve wire arrival order — exactly what the paper's
+    the run, reorder and sequentiality analyses. Those fold each access
+    as it arrives, in wire arrival order — exactly what the paper's
     reorder-window technique then (partially) sorts. *)
 
 type access = {
@@ -18,16 +16,3 @@ val of_record : Nt_trace.Record.t -> (Nt_nfs.Fh.t * access) option
 (** The access a READ/WRITE record makes; [None] for other records and
     for I/O that moved no bytes. Lost-reply reads count with the
     requested byte count, as the paper's tools must assume. *)
-
-type t
-
-val create : unit -> t
-
-val observe : t -> Nt_trace.Record.t -> unit
-(** Store the record's access, if it makes one. *)
-
-val files : t -> int
-val accesses : t -> int
-
-val iter_files : t -> (Nt_nfs.Fh.t -> access array -> unit) -> unit
-(** Visit each file's accesses in arrival order. *)

@@ -193,7 +193,7 @@ let make ~shard ~window =
 let default_window = 0.01
 
 let create ?(window = default_window) () = make ~shard:false ~window
-let create_shard () = make ~shard:true ~window:default_window
+let create_shard ?(window = default_window) () = make ~shard:true ~window
 
 let new_file t =
   let edge =
@@ -382,25 +382,13 @@ let add t fh (a : Io_log.access) =
 
 let observe t r = match Io_log.of_record r with Some (fh, a) -> add t fh a | None -> ()
 
-let finish_file t f =
-  drain t f;
-  Option.iter (close t f) f.run;
-  f.run <- None
-
 let finish t =
   Fh_tbl.filter_map_inplace
     (fun _ f ->
-      finish_file t f;
+      drain t f;
+      Option.iter (close t f) f.run;
       None)
     t.files
-
-let of_log ~window log =
-  let t = create ~window () in
-  Io_log.iter_files log (fun _ accesses ->
-      let f = new_file t in
-      Array.iter (push t f) accesses;
-      finish_file t f);
-  t
 
 (* The cut is clear of [f]'s window when it is more than the window
    later than every pending access: then it stops every pending

@@ -25,10 +25,10 @@ val create : ?window:float -> unit -> t
     (seconds, default the paper's 0.01; [0.] leaves the stream in
     arrival order). *)
 
-val create_shard : unit -> t
-(** A fold with the default window for a later range of the trace,
-    which must not assume it saw each file's first access. Per file it
-    holds the raw accesses until
+val create_shard : ?window:float -> unit -> t
+(** A fold for a later range of the trace, which must not assume it
+    saw each file's first access; [window] as for {!create}. Per file
+    it holds the raw accesses until
     the cut: the first access more than the window later than every
     earlier one it holds, and more than 60 s later than the shard's
     first access. The window step of an earlier access may still reach
@@ -65,9 +65,6 @@ val stitched : t -> bool
 val finish : t -> unit
 (** End of input: drain every window and count every open run. The
     tallies below read only counted runs. *)
-
-val of_log : window:float -> Io_log.t -> t
-(** A finished fold over a stored log, file by file. *)
 
 val swaps : t -> int
 (** Window steps that swapped two accesses (Figure 1). *)

@@ -200,12 +200,12 @@ let hand_over obs h =
 let trace_pcap ?obs ?timeline ?(emit = ignore) ?tbin reader oc =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let tbin = Option.map (fun toc -> Nt_tbin.Writer.create (output_string toc)) tbin in
-  let line = Buffer.create 256 and busy = ref 0. in
+  let busy = ref 0. in
   let render b =
     let t0 = Unix.gettimeofday () and n = b.len in
     b.len <- 0;
     for i = 0 to n - 1 do
-      Nt_trace.Record.output_line line oc b.recs.(i);
+      Nt_trace.Record.output_line oc b.recs.(i);
       Option.iter (fun w -> Nt_tbin.Writer.add w b.recs.(i)) tbin;
       b.recs.(i) <- blank
     done;

@@ -381,18 +381,18 @@ let to_line t =
   let sc = Domain.DLS.get scratches in
   Bytes.sub_string sc.buf 0 (render sc t)
 
-let output_line b oc t =
-  Buffer.clear b;
-  add_line b t;
-  Buffer.add_char b '\n';
-  Buffer.output_buffer oc b
+let output_line oc t =
+  let sc = Domain.DLS.get scratches in
+  let n = render sc t in
+  reserve sc n 1;
+  Bytes.unsafe_set sc.buf n '\n';
+  output oc sc.buf 0 (n + 1)
 
 let write_channel oc records =
   let n = ref 0 in
-  let b = Buffer.create 256 in
   Seq.iter
     (fun r ->
-      output_line b oc r;
+      output_line oc r;
       incr n)
     records;
   !n

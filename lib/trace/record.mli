@@ -53,10 +53,10 @@ val add_line : Buffer.t -> t -> unit
     blit; no string is built except where a float or xid falls back to
     its C formatter (DESIGN.md §18, "Writing"). *)
 
-val output_line : Buffer.t -> out_channel -> t -> unit
-(** Write the record's line and a newline to the channel through the
-    buffer, which is cleared first. A writer that reuses one buffer
-    allocates almost nothing per record. *)
+val output_line : out_channel -> t -> unit
+(** Write the record's line and a newline to the channel, straight from
+    the per-domain scratch it is rendered into: one copy per line, and
+    almost no allocation. *)
 
 val to_line : t -> string
 (** {!add_line} into a fresh buffer. *)

@@ -8,6 +8,31 @@ module Io_log = Nt_analysis.Io_log
 module Runs = Nt_analysis.Runs
 module Seqmetric = Nt_analysis.Seqmetric
 
+module Fh_tbl = Hashtbl.Make (struct
+  type t = Nt_nfs.Fh.t
+
+  let equal = Nt_nfs.Fh.equal
+  let hash = Nt_nfs.Fh.hash
+end)
+
+(* The whole trace's accesses, per file, newest first: what the batch
+   analysis sorts and splits. *)
+type log = Io_log.access list Fh_tbl.t
+
+let log_of_records records : log =
+  let log = Fh_tbl.create 64 in
+  Array.iter
+    (fun r ->
+      match Io_log.of_record r with
+      | Some (fh, a) ->
+          Fh_tbl.replace log fh (a :: Option.value (Fh_tbl.find_opt log fh) ~default:[])
+      | None -> ())
+    records;
+  log
+
+(* Each file's accesses in arrival order. *)
+let iter_files (log : log) f = Fh_tbl.iter (fun _ l -> f (Array.of_list (List.rev l))) log
+
 (* The paper's partial sort: for each position, look ahead within the
    temporal window for the smallest-offset access and swap it to the
    front if the current one is out of order. *)
@@ -112,14 +137,14 @@ let run_of_accesses ~jump_blocks (accesses : Io_log.access array) =
 
 let analyze ?(window = 0.) ?(gap = 30.) ~jump_blocks log =
   let out = ref [] in
-  Io_log.iter_files log (fun _ accesses ->
+  iter_files log (fun accesses ->
       let sorted = if window > 0. then fst (sort_window window accesses) else accesses in
       out := List.rev_append (List.map (run_of_accesses ~jump_blocks) (split ~gap sorted)) !out);
   !out
 
 let swaps ~window log =
   let n = ref 0 in
-  Io_log.iter_files log (fun _ accesses -> n := !n + snd (sort_window window accesses));
+  iter_files log (fun accesses -> n := !n + snd (sort_window window accesses));
   !n
 
 let table3 runs : Runs.table3 =
@@ -197,7 +222,7 @@ let sequentiality ?(window = 0.01) ?(gap = 30.) log : Seqmetric.curve =
   let sum_wa = Array.make nb 0. and sum_ws = Array.make nb 0. and n_wa = Array.make nb 0 in
   let runs_total = Array.make nb 0 and runs_read = Array.make nb 0 in
   let runs_write = Array.make nb 0 and total_runs = ref 0 in
-  Io_log.iter_files log (fun _ accesses ->
+  iter_files log (fun accesses ->
       let sorted = if window > 0. then fst (sort_window window accesses) else accesses in
       List.iter
         (fun run ->

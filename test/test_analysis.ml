@@ -53,17 +53,23 @@ let write_rec ?(fh = file_fh) ~time ~offset ~count ~size () =
 (* --- io_log --- *)
 
 let test_io_log_collects () =
-  let log = Io_log.create () in
-  Io_log.observe log (read_rec ~time:1. ~offset:0 ~count:100 ~size:1000 ~eof:false ());
-  Io_log.observe log (write_rec ~time:2. ~offset:100 ~count:50 ~size:1000 ());
-  Io_log.observe log (record (Ops.Getattr file_fh)) (* ignored *);
-  Alcotest.(check int) "two accesses" 2 (Io_log.accesses log);
-  Alcotest.(check int) "one file" 1 (Io_log.files log)
+  let accesses =
+    List.filter_map Io_log.of_record
+      [
+        read_rec ~time:1. ~offset:0 ~count:100 ~size:1000 ~eof:false ();
+        write_rec ~time:2. ~offset:100 ~count:50 ~size:1000 ();
+        record (Ops.Getattr file_fh) (* ignored *);
+      ]
+  in
+  Alcotest.(check (list int)) "two accesses" [ 100; 50 ]
+    (List.map (fun (_, (a : Io_log.access)) -> a.count) accesses);
+  Alcotest.(check bool) "one file" true
+    (List.for_all (fun (fh, _) -> Fh.equal fh file_fh) accesses)
 
 let test_io_log_lost_reply_uses_call () =
-  let log = Io_log.create () in
-  Io_log.observe log (record (Ops.Read { fh = file_fh; offset = 0L; count = 4096 }));
-  Alcotest.(check int) "requested count assumed" 1 (Io_log.accesses log)
+  match Io_log.of_record (record (Ops.Read { fh = file_fh; offset = 0L; count = 4096 })) with
+  | Some (_, a) -> Alcotest.(check int) "requested count assumed" 4096 a.count
+  | None -> Alcotest.fail "a lost-reply read is an access"
 
 let access ?(read = true) ?(eof = false) ?(size = 1 lsl 20) at offset count =
   { Io_log.at; offset; count; is_read = read; at_eof = eof; file_size = size }
@@ -171,23 +177,35 @@ let test_classify_singleton () =
   let partial = [| access ~size:100_000 0. 0 100 |] in
   check_classify ~jump_blocks:1 "partial singleton sequential" "sequential" partial
 
+(* A finished fold over records, as the report's runs fold reads them. *)
+let fold_records ?window records =
+  let t = Runs.create ?window () in
+  List.iter (Runs.observe t) records;
+  Runs.finish t;
+  t
+
 let test_table3_percentages () =
-  let log = Io_log.create () in
   (* Two read runs on one file (split by eof), one write run on another. *)
   let f2 = Fh.make ~fsid:1 ~fileid:99 in
-  Io_log.observe log (read_rec ~time:1. ~offset:0 ~count:100 ~size:100 ~eof:true ());
-  Io_log.observe log (read_rec ~time:2. ~offset:0 ~count:100 ~size:100 ~eof:true ());
-  Io_log.observe log (write_rec ~fh:f2 ~time:1. ~offset:0 ~count:100 ~size:100 ());
-  let t = Runs.table3 ~strict:true (Runs.of_log ~window:0. log) in
+  let t =
+    Runs.table3 ~strict:true
+      (fold_records ~window:0.
+         [
+           read_rec ~time:1. ~offset:0 ~count:100 ~size:100 ~eof:true ();
+           write_rec ~fh:f2 ~time:1. ~offset:0 ~count:100 ~size:100 ();
+           read_rec ~time:2. ~offset:0 ~count:100 ~size:100 ~eof:true ();
+         ])
+  in
   Alcotest.(check int) "three runs" 3 t.total_runs;
   Alcotest.(check (float 1e-6) "reads 66.7%") (200. /. 3.) t.reads_pct;
   Alcotest.(check (float 1e-6) "writes 33.3%") (100. /. 3.) t.writes_pct;
   Alcotest.(check (float 1e-6) "read runs entire") 100. t.read.entire_pct
 
 let test_by_file_size_cumulative () =
-  let log = Io_log.create () in
-  Io_log.observe log (read_rec ~time:1. ~offset:0 ~count:1000 ~size:1000 ~eof:true ());
-  let c = Runs.by_file_size (Runs.of_log ~window:0. log) in
+  let c =
+    Runs.by_file_size
+      (fold_records ~window:0. [ read_rec ~time:1. ~offset:0 ~count:1000 ~size:1000 ~eof:true () ])
+  in
   let last = Array.length c.total - 1 in
   Alcotest.(check (float 1e-6) "total reaches 100") 100. c.total.(last);
   Alcotest.(check bool) "monotone" true
@@ -238,29 +256,24 @@ let test_metric_singleton () =
 
 (* --- reorder --- *)
 
-let test_swap_percentages_monotone () =
-  let log = Io_log.create () in
+let test_swapped_monotone () =
+  let t = Reorder.create () in
   let rng = Nt_util.Prng.create 3L in
-  let records =
-    List.init 500 (fun i ->
-        let jitter = if Nt_util.Prng.chance rng 0.1 then 0.004 else 0. in
-        read_rec
-          ~time:(Tw.week_start +. (float_of_int i *. 0.001) +. jitter)
-          ~offset:(i * 8192) ~count:8192 ~size:(500 * 8192) ~eof:(i = 499) ())
-    (* The monitor sees packets in wire-time order. *)
-    |> List.sort (fun (a : Record.t) (b : Record.t) -> Float.compare a.time b.time)
-  in
-  List.iter (Io_log.observe log) records;
-  let pts = Reorder.swap_percentages log ~windows_ms:[ 0.; 2.; 5.; 10. ] in
-  let values = List.map snd pts in
-  (match values with
-  | [ v0; v2; v5; v10 ] ->
-      Alcotest.(check (float 1e-9) "zero window, zero swaps") 0. v0;
-      Alcotest.(check bool) "grows with window" true (v2 <= v5 +. 1e-9 && v5 <= v10 +. 1e-9);
-      Alcotest.(check bool) "some swaps found" true (v10 > 0.)
-  | _ -> Alcotest.fail "expected four points");
-  Alcotest.(check bool) "out of order fraction positive" true
-    (Reorder.out_of_order_fraction log > 0.)
+  List.init 500 (fun i ->
+      let jitter = if Nt_util.Prng.chance rng 0.1 then 0.004 else 0. in
+      read_rec
+        ~time:(Tw.week_start +. (float_of_int i *. 0.001) +. jitter)
+        ~offset:(i * 8192) ~count:8192 ~size:(500 * 8192) ~eof:(i = 499) ())
+  (* The monitor sees packets in wire-time order. *)
+  |> List.sort (fun (a : Record.t) (b : Record.t) -> Float.compare a.time b.time)
+  |> List.iter (Reorder.observe t);
+  Reorder.finish t;
+  let pct ms = List.assoc ms (Reorder.swapped t) in
+  Alcotest.(check (float 1e-9) "zero window, zero swaps") 0. (pct 0.);
+  Alcotest.(check bool) "grows with window" true
+    (pct 2. <= pct 5. +. 1e-9 && pct 5. <= pct 10. +. 1e-9);
+  Alcotest.(check bool) "some swaps found" true (pct 10. > 0.);
+  Alcotest.(check bool) "out of order fraction positive" true (Reorder.out_of_order t > 0.)
 
 let test_knee_detection () =
   let points = [ (0., 0.); (1., 5.); (2., 9.); (5., 10.); (10., 10.1); (20., 10.15) ] in
@@ -619,7 +632,7 @@ let () =
         ] );
       ( "reorder",
         [
-          Alcotest.test_case "monotone swaps" `Quick test_swap_percentages_monotone;
+          Alcotest.test_case "monotone swaps" `Quick test_swapped_monotone;
           Alcotest.test_case "knee" `Quick test_knee_detection;
         ] );
       ( "lifetime",

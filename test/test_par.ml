@@ -18,6 +18,7 @@ module Hourly = Nt_analysis.Hourly
 module Runs = Nt_analysis.Runs
 module Names = Nt_analysis.Names
 module Lifetime = Nt_analysis.Lifetime
+module Reorder = Nt_analysis.Reorder
 module Record = Nt_trace.Record
 module Ops = Nt_nfs.Ops
 module Types = Nt_nfs.Types
@@ -245,8 +246,9 @@ let run_seq (pass : 'a Passes.pass) records =
    shard order — the fold Report.run_ranges makes over its ranges. *)
 let run_sharded (pass : 'a Passes.pass) ~shard_len records =
   let n = Array.length records in
+  let sh = Option.get pass.shards in
   let shard i =
-    let acc = if i = 0 then pass.init () else pass.init_shard () in
+    let acc = if i = 0 then pass.init () else sh.init_shard () in
     for j = i * shard_len to min n ((i + 1) * shard_len) - 1 do
       pass.observe acc records.(j)
     done;
@@ -254,7 +256,7 @@ let run_sharded (pass : 'a Passes.pass) ~shard_len records =
   in
   let acc = ref (shard 0) in
   for i = 1 to ((n + shard_len - 1) / shard_len) - 1 do
-    acc := pass.merge !acc (shard i)
+    acc := sh.merge !acc (shard i)
   done;
   !acc
 
@@ -329,6 +331,18 @@ let check_runs_eq s p =
   check_curves "fig2" (size_curve (Runs.by_file_size s)) (size_curve (Runs.by_file_size p));
   check_curves "fig5" (seq_curve (Runs.sequentiality s)) (seq_curve (Runs.sequentiality p))
 
+(* Reorder folds compare once finished: the swaps at every window and
+   the out-of-order pairs. *)
+let check_reorder_eq s p =
+  if not (Reorder.stitched s && Reorder.stitched p) then
+    QCheck.Test.fail_reportf "reorder: a merge did not stitch";
+  Reorder.finish s;
+  Reorder.finish p;
+  List.iter2
+    (fun (w, a) (_, b) -> ckf (Printf.sprintf "swapped %.0f ms" w) a b)
+    (Reorder.swapped s) (Reorder.swapped p);
+  ckf "out_of_order" (Reorder.out_of_order s) (Reorder.out_of_order p)
+
 let check_names_eq s p =
   cki "created_deleted_total" (Names.created_deleted_total s) (Names.created_deleted_total p);
   ckf "lock_created_deleted_pct" (Names.lock_created_deleted_pct s)
@@ -371,7 +385,9 @@ let lifetime_cfg = Lifetime.config ~phase1_start:Tw.week_start
 let prop_summary = prop_pass "summary: merge of shards == sequential" Passes.summary check_summary_eq
 let prop_hourly = prop_pass "hourly: merge of shards == sequential" Passes.hourly check_hourly_eq
 let prop_names = prop_pass "names: merge of shards == sequential" Passes.names check_names_eq
-let prop_runs = prop_pass "runs: merge of shards == sequential" Passes.online_runs check_runs_eq
+let prop_runs = prop_pass "runs: merge of shards == sequential" (Passes.runs ()) check_runs_eq
+
+let prop_reorder = prop_pass "reorder: merge of shards == sequential" Passes.reorder check_reorder_eq
 
 (* --- the runs fold against the batch oracle ---
 
@@ -420,14 +436,16 @@ let gen_io ~seed ~n ~sorted =
 
 let prop_runs_oracle =
   QCheck.Test.make ~count:200 ~name:"runs: online fold == batch oracle"
-    QCheck.(quad (int_range 0 300) (int_range 1 6) (int_range 0 9999) bool)
-    (fun (n, k, seed, sorted) ->
+    QCheck.(
+      pair (quad (int_range 0 300) (int_range 1 6) (int_range 0 9999) bool)
+        (oneofl [ 0.; 0.005; 0.01 ]))
+    (fun ((n, k, seed, sorted), window) ->
       let records = gen_io ~seed ~n ~sorted in
       let rng = Random.State.make [| seed; k |] in
       let cuts = List.sort compare (List.init (k - 1) (fun _ -> Random.State.int rng (n + 1))) in
       let bounds = Array.of_list ((0 :: cuts) @ [ n ]) in
       let fold i =
-        let t = if i = 0 then Runs.create () else Runs.create_shard () in
+        let t = if i = 0 then Runs.create ~window () else Runs.create_shard ~window () in
         Array.iter (Runs.observe t) (Array.sub records bounds.(i) (bounds.(i + 1) - bounds.(i)));
         t
       in
@@ -440,9 +458,7 @@ let prop_runs_oracle =
         QCheck.Test.fail_reportf "time-sorted input did not stitch";
       if Runs.stitched t then begin
         Runs.finish t;
-        let log = Nt_analysis.Io_log.create () in
-        Array.iter (Nt_analysis.Io_log.observe log) records;
-        let window = 0.01 in
+        let log = Runs_oracle.log_of_records records in
         let runs10 = Runs_oracle.analyze ~window ~jump_blocks:10 log in
         let runs1 = Runs_oracle.analyze ~window ~jump_blocks:1 log in
         cki "swaps" (Runs_oracle.swaps ~window log) (Runs.swaps t);
@@ -521,10 +537,17 @@ let law_names =
     ~eq:check_names_eq
 
 let law_runs =
-  let root () = Runs.create () and shard = Runs.create_shard in
+  let root () = Runs.create () and shard () = Runs.create_shard () in
   prop_merge_laws "runs" ~symmetric:false ~build:(build_with root Runs.observe)
     ~build_shard:(build_with shard Runs.observe) ~empty:root ~empty_shard:shard ~merge:Runs.merge
     ~eq:check_runs_eq
+
+let law_reorder =
+  prop_merge_laws "reorder" ~symmetric:false
+    ~build:(build_with Reorder.create Reorder.observe)
+    ~build_shard:(build_with Reorder.create_shard Reorder.observe)
+    ~empty:Reorder.create ~empty_shard:Reorder.create_shard ~merge:Reorder.merge
+    ~eq:check_reorder_eq
 
 let check_win_row name (a : Win.row) (b : Win.row) =
   cki (name ^ ".ops") a.Win.ops b.Win.ops;
@@ -625,6 +648,11 @@ let fp_runs =
   prop_footprint "runs" ~build:(build_with (fun () -> Runs.create ()) Runs.observe)
     ~footprint:Runs.footprint
 
+let fp_reorder =
+  prop_footprint "reorder"
+    ~build:(build_with Reorder.create Reorder.observe)
+    ~footprint:Reorder.footprint
+
 let fp_names =
   prop_footprint "names"
     ~build:(build_with Names.create Names.observe)
@@ -691,9 +719,9 @@ let test_run_straddles_boundary () =
         read_rec ~fh:fh_a ~time:(Tw.week_start +. (20. *. float_of_int i)) ~offset:(i * 8192)
           ~count:8192 ~size:(1 lsl 20) ~eof:false ())
   in
-  let rp = run_sharded Passes.online_runs ~shard_len:5 records in
+  let rp = run_sharded (Passes.runs ()) ~shard_len:5 records in
   Alcotest.(check bool) "the merge stitched" true (Runs.stitched rp);
-  let rs = run_seq Passes.online_runs records in
+  let rs = run_seq (Passes.runs ()) records in
   Runs.finish rp;
   Alcotest.(check int) "one run despite the cut" 1 (Runs.table3 rp).total_runs;
   (* 80 KB in one run: Figure 5's 128 KB bucket holds every run *)
@@ -714,15 +742,15 @@ let test_reorder_window_straddles_boundary () =
       read_rec ~fh:fh_a ~time:(t0 +. 0.003) ~offset:24576 ~count:8192 ~size:(1 lsl 20) ~eof:false ();
     |]
   in
-  let rp = run_sharded Passes.online_runs ~shard_len:2 records in
+  let rp = run_sharded (Passes.runs ()) ~shard_len:2 records in
   Alcotest.(check bool) "the merge stitched" true (Runs.stitched rp);
   Runs.finish rp;
   Alcotest.(check int) "window sort sees the straddling swap" 1 (Runs.swaps rp);
   Alcotest.(check (float 0.)) "offsets ascend after the sort" 100.
     (Runs.table3 ~strict:true rp).read.sequential_pct;
   check_runs_eq
-    (run_seq Passes.online_runs records)
-    (run_sharded Passes.online_runs ~shard_len:2 records)
+    (run_seq (Passes.runs ()) records)
+    (run_sharded (Passes.runs ()) ~shard_len:2 records)
 
 (* A remove whose binding was learned a shard earlier must defer and
    then kill the right file at merge. *)
@@ -790,7 +818,12 @@ let test_report_deterministic () =
   let b = render_report ~jobs:4 records in
   let c = render_report ~jobs:4 records in
   Alcotest.(check string) "--jobs 1 == --jobs 4" a b;
-  Alcotest.(check string) "repeated --jobs 4 identical" b c
+  Alcotest.(check string) "repeated --jobs 4 identical" b c;
+  List.iter
+    (fun s ->
+      let text jobs = List.assoc s (Report.run ~jobs ~sections:[ s ] records) in
+      Alcotest.(check string) (Report.section_name s ^ ": --jobs 1 == --jobs 4") (text 1) (text 4))
+    Report.all_sections
 
 let golden_path = "golden/nfsstats_report.golden"
 
@@ -812,7 +845,12 @@ let test_report_matches_golden () =
    ranged = one range (no merges), with one par.pass span per range —
    an empty range still folds and times its accumulators — and one
    par.merge span per merge. *)
-let all_sections = [ `Summary; `Runs; `Names; `Hourly ]
+let all_sections = Report.all_sections
+
+(* Every section with a merge: asking for [lifetime] reads one range. *)
+let ranged_sections = List.filter (fun s -> s <> `Lifetime) all_sections
+
+let pass_names = [ "summary"; "hourly"; "names"; "runs"; "rawruns"; "lifetime"; "reorder" ]
 
 let render texts =
   texts
@@ -824,36 +862,108 @@ let span_count snap name =
 
 let reruns snap cause = Obs.get_counter snap ~labels:[ ("cause", cause) ] "par.reruns"
 
-let check_ranged_matches_single ~jobs records =
+let check_ranged_matches_single ~sections ~jobs records =
   let n = Array.length records in
-  let ranges = Report.range_count jobs in
+  let ranges = if List.mem `Lifetime sections then 1 else Report.range_count jobs in
   let label = Printf.sprintf "%d records, %d ranges" n ranges in
-  let want, count =
-    Report.run_stream ~sections:all_sections (fun push -> Array.iter push records)
-  in
+  let want, count = Report.run_stream ~sections (fun push -> Array.iter push records) in
   Alcotest.(check int) (label ^ ": record count") n count;
   let obs = Obs.create () in
-  let texts = Report.run ~obs ~jobs ~sections:all_sections records in
+  let texts = Report.run ~obs ~jobs ~sections records in
   Alcotest.(check string) (label ^ ": ranged = one range") (render want) (render texts);
   let snap = Obs.snapshot obs in
   List.iter
     (fun pass ->
       Alcotest.(check int)
         (label ^ ": one " ^ pass ^ " span per range")
-        ranges
+        (if pass = "lifetime" && not (List.mem `Lifetime sections) then 0 else ranges)
         (span_count snap ("par.pass." ^ pass)))
-    [ "summary"; "hourly"; "names"; "runs" ];
+    pass_names;
   Alcotest.(check int) (label ^ ": one merge span per merge") (ranges - 1)
     (span_count snap "par.merge")
 
 let test_ranged_matches_single () =
   let records = golden_records () in
   List.iter
-    (fun jobs ->
-      check_ranged_matches_single ~jobs records;
-      check_ranged_matches_single ~jobs (Array.sub records 0 3);
-      check_ranged_matches_single ~jobs [||])
-    [ 1; 2; 3; 4; 7; 64 ]
+    (fun sections ->
+      List.iter
+        (fun jobs ->
+          check_ranged_matches_single ~sections ~jobs records;
+          check_ranged_matches_single ~sections ~jobs (Array.sub records 0 3);
+          check_ranged_matches_single ~sections ~jobs [||])
+        [ 1; 2; 3; 4; 7; 64 ])
+    [ all_sections; ranged_sections ]
+
+(* Sections that read one fold share it: runs, sizes and seqmetric
+   fold runs once, daily rides on summary's fold and variance on
+   hourly's. *)
+let test_sections_share_folds () =
+  let records = golden_records () in
+  let spans sections =
+    let obs = Obs.create () in
+    ignore (Report.run ~obs ~jobs:1 ~sections records : (Report.section * string) list);
+    let snap = Obs.snapshot obs in
+    List.filter_map
+      (fun pass ->
+        match span_count snap ("par.pass." ^ pass) with 0 -> None | n -> Some (pass, n))
+      pass_names
+  in
+  let check label want sections =
+    Alcotest.(check (list (pair string int))) label want (spans sections)
+  in
+  check "runs,sizes,seqmetric: one runs fold" [ ("runs", 1) ] [ `Runs; `Sizes; `Seqmetric ];
+  check "daily,summary: one summary fold" [ ("summary", 1) ] [ `Daily; `Summary ];
+  check "variance,hourly: one hourly fold" [ ("hourly", 1) ] [ `Variance; `Hourly ];
+  check "the four nfsstats sections fold what they did"
+    [ ("summary", 1); ("hourly", 1); ("names", 1); ("runs", 1) ]
+    [ `Summary; `Runs; `Names; `Hourly ]
+
+(* A one-range section makes the file read as one range, with the text
+   of a one-job read. *)
+let test_one_range_section () =
+  let records = golden_records () in
+  let path = Filename.temp_file "nt_par" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          ignore (Record.write_channel oc (Array.to_seq records) : int));
+      let analyze ~jobs sections =
+        let obs = Obs.create () in
+        let texts, n, _ = Nt_core.Pipeline.analyze_trace ~obs ~jobs ~sections path in
+        let snap = Obs.snapshot obs in
+        Alcotest.(check int) "every record" (Array.length records) n;
+        (render texts, span_count snap "par.pass.summary", span_count snap "par.merge")
+      in
+      let _, ranges, merges = analyze ~jobs:4 [ `Summary ] in
+      Alcotest.(check (pair int int)) "summary alone: four ranges" (4, 3) (ranges, merges);
+      let want, _, _ = analyze ~jobs:1 [ `Summary; `Lifetime ] in
+      let got, ranges, merges = analyze ~jobs:4 [ `Summary; `Lifetime ] in
+      Alcotest.(check (pair int int)) "with lifetime: one range" (1, 0) (ranges, merges);
+      Alcotest.(check string) "with lifetime: the one-job text" want got)
+
+(* The lifetime section keeps the weekday 9am phases the trace covers
+   for 24h + 24h: a trace from Monday 8am to Wednesday 9:30am covers
+   Monday's phase and no other. *)
+let test_lifetime_covered_phases () =
+  let at day hour = Tw.time_of ~day ~hour ~minute:0 in
+  let h = Report.start ~sections:[ `Lifetime ] () in
+  List.iter (Report.push h)
+    [
+      getattr_rec ~time:(at Tw.Mon 8) ~fh:fh_a ~size:0 ();
+      write_rec ~fh:fh_a ~time:(at Tw.Mon 10) ~offset:0 ~count:16384 ~size:16384 ();
+      write_rec ~fh:fh_a ~time:(at Tw.Mon 11) ~offset:0 ~count:8192 ~size:16384 ();
+      getattr_rec ~time:(at Tw.Wed 9 +. 1800.) ~fh:fh_a ~size:16384 ();
+    ];
+  let texts, n, v = Report.finish h in
+  Alcotest.(check int) "records" 4 n;
+  match v.lifetime with
+  | Some [ (Tw.Mon, r) ] ->
+      Alcotest.(check (pair int int)) "births and deaths" (3, 1) (r.births, r.deaths);
+      let text = List.assoc `Lifetime texts in
+      Alcotest.(check bool) "the text names the phase" true
+        (String.starts_with ~prefix:"Block lifetimes (9am phases: Mon;" text)
+  | _ -> Alcotest.fail "expected Monday's phase alone"
 
 (* The fold runs range 0 on the calling domain and every later range
    on a domain of its own, and merges spans and accumulators only
@@ -895,10 +1005,10 @@ let test_range_fold_instruments_obs () =
 let test_unstitched_ranges_rerun () =
   let records = golden_records () in
   let n = Array.length records in
-  let want, _ = Report.run_stream ~sections:all_sections (fun push -> Array.iter push records) in
+  let want, _ = Report.run_stream ~sections:ranged_sections (fun push -> Array.iter push records) in
   let obs = Obs.create () in
   let texts, count, results =
-    Report.run_ranges ~obs ~stitched:(fun _ -> false) ~ranges:4 ~sections:all_sections
+    Report.run_ranges ~obs ~stitched:(fun _ -> false) ~ranges:4 ~sections:ranged_sections
       (fun ~ranges i push ->
         for j = n * i / ranges to (n * (i + 1) / ranges) - 1 do
           push records.(j)
@@ -933,10 +1043,10 @@ let test_unstitched_runs_rerun () =
   in
   let parts = [| Array.append early [| ahead |]; late |] in
   let records = Array.concat (Array.to_list parts) in
-  let want, _ = Report.run_stream ~sections:all_sections (fun push -> Array.iter push records) in
+  let want, _ = Report.run_stream ~sections:ranged_sections (fun push -> Array.iter push records) in
   let obs = Obs.create () in
   let texts, count, _ =
-    Report.run_ranges ~obs ~ranges:2 ~sections:all_sections (fun ~ranges i push ->
+    Report.run_ranges ~obs ~ranges:2 ~sections:ranged_sections (fun ~ranges i push ->
         Array.iter push (if ranges = 1 then records else parts.(i)))
   in
   Alcotest.(check string) "rerun = one range" (render want) (render texts);
@@ -956,6 +1066,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hourly;
           QCheck_alcotest.to_alcotest prop_names;
           QCheck_alcotest.to_alcotest prop_runs;
+          QCheck_alcotest.to_alcotest prop_reorder;
           QCheck_alcotest.to_alcotest prop_runs_oracle;
         ] );
       ( "merge-laws",
@@ -964,6 +1075,7 @@ let () =
           QCheck_alcotest.to_alcotest law_hourly;
           QCheck_alcotest.to_alcotest law_names;
           QCheck_alcotest.to_alcotest law_runs;
+          QCheck_alcotest.to_alcotest law_reorder;
           QCheck_alcotest.to_alcotest law_win;
         ] );
       ( "footprints",
@@ -971,6 +1083,7 @@ let () =
           QCheck_alcotest.to_alcotest fp_summary;
           QCheck_alcotest.to_alcotest fp_hourly;
           QCheck_alcotest.to_alcotest fp_runs;
+          QCheck_alcotest.to_alcotest fp_reorder;
           QCheck_alcotest.to_alcotest fp_names;
           QCheck_alcotest.to_alcotest fp_lifetime;
           QCheck_alcotest.to_alcotest fp_histogram;
@@ -1013,5 +1126,10 @@ let () =
             (check_unit test_unstitched_ranges_rerun);
           Alcotest.test_case "unstitched runs rerun as one" `Quick
             (check_unit test_unstitched_runs_rerun);
+          Alcotest.test_case "sections share folds" `Quick (check_unit test_sections_share_folds);
+          Alcotest.test_case "a one-range section reads one range" `Quick
+            (check_unit test_one_range_section);
+          Alcotest.test_case "lifetime keeps covered phases" `Quick
+            (check_unit test_lifetime_covered_phases);
         ] );
     ]

@@ -977,6 +977,11 @@ let test_golden_decode () =
 
 let sections = [ `Summary; `Runs; `Names; `Hourly ]
 
+(* Every section, lifetime in a set of its own: a report that asks for
+   it reads one range, and the others should still fold in ranges. *)
+let section_sets =
+  [ List.filter (fun s -> s <> `Lifetime) Nt_par.Report.all_sections; [ `Lifetime ] ]
+
 let render label texts =
   String.concat "\n"
     (List.map
@@ -1009,28 +1014,29 @@ let test_differential_text_tbin_stream () =
           let from_sniff = Nt_core.Pipeline.load_trace tbin_path in
           if from_tbin <> records then Alcotest.failf "tbin: load changed the records";
           if from_sniff <> records then Alcotest.failf "sniffed load changed the records";
-          List.iter
-            (fun jobs ->
-              let label = Printf.sprintf "jobs %d" jobs in
-              let base =
-                render label (Nt_par.Report.run ~jobs ~sections (Array.of_list from_text))
-              in
-              let tbin =
-                render label (Nt_par.Report.run ~jobs ~sections (Array.of_list from_tbin))
-              in
-              Alcotest.(check string) (label ^ ": text vs tbin") base tbin;
-              List.iter
-                (fun path ->
-                  let streamed, n, src = Nt_core.Pipeline.analyze_trace ~jobs ~sections path in
-                  Alcotest.(check int)
-                    (label ^ ": streamed record count")
-                    (List.length records) n;
-                  Alcotest.(check (list string)) (label ^ ": nothing skipped") []
-                    (Nt_core.Pipeline.skipped_notes ~tool:"t" src);
-                  Alcotest.(check string) (label ^ ": text vs streamed " ^ path) base
-                    (render label streamed))
-                [ text_path; tbin_path ])
-            [ 1; 2; 4 ]))
+          let check sections jobs =
+            let label = Printf.sprintf "jobs %d" jobs in
+            let base =
+              render label (Nt_par.Report.run ~jobs ~sections (Array.of_list from_text))
+            in
+            let tbin =
+              render label (Nt_par.Report.run ~jobs ~sections (Array.of_list from_tbin))
+            in
+            Alcotest.(check string) (label ^ ": text vs tbin") base tbin;
+            Alcotest.(check string) (label ^ ": jobs 1 vs jobs " ^ string_of_int jobs)
+              (render label (Nt_par.Report.run ~jobs:1 ~sections (Array.of_list from_text)))
+              base;
+            List.iter
+              (fun path ->
+                let streamed, n, src = Nt_core.Pipeline.analyze_trace ~jobs ~sections path in
+                Alcotest.(check int) (label ^ ": streamed record count") (List.length records) n;
+                Alcotest.(check (list string)) (label ^ ": nothing skipped") []
+                  (Nt_core.Pipeline.skipped_notes ~tool:"t" src);
+                Alcotest.(check string) (label ^ ": text vs streamed " ^ path) base
+                  (render label streamed))
+              [ text_path; tbin_path ]
+          in
+          List.iter (fun sections -> List.iter (check sections) [ 1; 2; 4 ]) section_sets))
 
 let test_differential_pcap_leg () =
   (* The capture path: pcap -> records, then those records through the
@@ -1053,15 +1059,12 @@ let test_differential_pcap_leg () =
       let st, out = decode_string (Tbin.encode_string ~frame_records:64 captured) in
       Alcotest.(check int) "captured records round-trip clean" 0 (Tbin.failures st);
       if out <> captured then Alcotest.failf "tbin changed the captured records";
-      let base =
-        render "pcap"
-          (Nt_par.Report.run ~jobs:4 ~sections (Array.of_list captured))
-      in
-      let via_tbin =
-        render "pcap"
-          (Nt_par.Report.run ~jobs:4 ~sections (Array.of_list out))
-      in
-      Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
+      List.iter
+        (fun sections ->
+          let base = render "pcap" (Nt_par.Report.run ~jobs:4 ~sections (Array.of_list captured)) in
+          let via_tbin = render "pcap" (Nt_par.Report.run ~jobs:4 ~sections (Array.of_list out)) in
+          Alcotest.(check string) "pcap records via tbin analyze identically" base via_tbin)
+        section_sets)
 
 (* A pcap source decodes through the capture as nfstrace --salvage
    does: for clean TCP and UDP captures, bursty loss, snaplen
@@ -1119,7 +1122,9 @@ let test_pcap_source_matches_nfstrace () =
                 (Some (Nt_trace.Capture.stats_to_string want_stats))
                 (Option.map Nt_trace.Capture.stats_to_string src.capture);
               let report jobs spec =
-                let texts, _, _ = Nt_core.Pipeline.analyze_trace ~jobs ~sections spec in
+                let texts, _, _ =
+                  Nt_core.Pipeline.analyze_trace ~jobs ~sections:Nt_par.Report.all_sections spec
+                in
                 render label texts
               in
               let base = report 1 ("tbin:" ^ tbin_path) in

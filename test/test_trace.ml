@@ -669,10 +669,10 @@ let with_outputs f =
 (* The reference: one domain renders each record as the capture emits
    it. *)
 let one_domain_decode ~salvage pcap oc toc =
-  let w = Nt_tbin.Writer.create (output_string toc) and line = Buffer.create 256 in
+  let w = Nt_tbin.Writer.create (output_string toc) in
   let emitted = ref [] in
   let emit r =
-    Record.output_line line oc r;
+    Record.output_line oc r;
     Nt_tbin.Writer.add w r;
     emitted := r :: !emitted
   in
